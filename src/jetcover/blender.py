@@ -55,9 +55,6 @@ class SkewSystem:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "overhang", overhang)
 
-    def fiber_bound(self) -> Fraction:
-        return (1 + self.overhang) / (1 - self.lam)
-
     def branch_x_interval(self, sign: int) -> Interval:
         if sign > 0:
             return Interval(1 - self.overhang, 2 + self.overhang)
@@ -93,10 +90,6 @@ class BlenderCoverResult:
     base_target: Interval
     base_images: Tuple[Tuple[str, Interval, bool], ...]
     fiber_outcome: Union[Certificate, CoveringFailure]
-
-    @property
-    def fiber_certificate(self) -> Optional[Certificate]:
-        return self.fiber_outcome if isinstance(self.fiber_outcome, Certificate) else None
 
 
 def verify_example_covering(

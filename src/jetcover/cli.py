@@ -45,6 +45,7 @@ from .jetcovering import (
     build_system,
     certify_delta_covering,
     certify_membership,
+    realization_steps,
     realize_jet,
 )
 from .rational import rat, rat_str
@@ -173,11 +174,13 @@ def cmd_realize(args) -> int:
         system = serialize.jet_system_from_payload(json.load(handle))
     with open(args.target, "r", encoding="utf-8") as handle:
         target = serialize.jet_from_payload(json.load(handle))
+    tol = rat(args.tol)
+    realization_steps(system, tol, args.max_steps)  # exits 2 before any LP
     membership = certify_membership(system, target)
     if not membership.certified or membership.margin <= 0:
         _write_json(args.out, {"certified": False})
         return EXIT_NEGATIVE
-    result = realize_jet(system, target, rat(args.tol), max_steps=args.max_steps)
+    result = realize_jet(system, target, tol, args.max_steps, membership)
     payload = serialize.realization_payload(result)
     payload["certified"] = True
     payload["membership_margin"] = rat_str(membership.margin)

@@ -13,12 +13,17 @@ identity, the Delta covering gets two independent proofs, membership in A
 is an exact LP with an interiority margin, and the realizer's greedy
 pullback comes with a certified residual bound that the forward-composed
 continuation jet is verified against.
+
+The realizer works in integers: closed-form norm(J^k) fixes k before any
+LP or pullback, the pullback shares one denominator, the forward check
+sums the word's jet sum_i d_i (lam + a)^i by Horner, and one LP suffices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm, perm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -36,7 +41,7 @@ from .flatpoly import (
     poly_nth_derivative,
     projection_matrix,
 )
-from .jets import Jet, continuation_jet, reverse_jet, standard_families
+from .jets import Jet, reverse_jet
 from .linalg import Mat, Vec
 from .rational import rat
 
@@ -372,6 +377,7 @@ class RealizationResult:
     steps: int
     achieved_residual: Fraction
     residual_bound: Fraction
+    membership: Optional[MembershipResult] = None  # the interiority proof used
 
     def itinerary_string(self) -> str:
         return "".join(self.itinerary)
@@ -386,96 +392,143 @@ def projection_reach(sys: JetCoveringSystem) -> Fraction:
     )
 
 
+def power_norm_numerator(lam: Fraction, jet_dim: int, k: int) -> int:
+    """q^k * norm(J^k), lam = p/q.  Row 0 of J^k = (lam I + S)^k holds
+    C(k,m) lam^(k-m) (N-1)!/(N-1-m)!, m < N; it dominates every other row
+    of the nonnegative J^k, so its sum is the norm."""
+    p, q = lam.numerator, lam.denominator
+    return sum(
+        comb(k, m) * perm(jet_dim - 1, m) * p ** (k - m) * q ** m
+        for m in range(min(k + 1, jet_dim))
+    )
+
+
 def residual_bound(sys: JetCoveringSystem, k: int) -> Fraction:
     """norm(J^k) * reach: certified distance after k pullback steps."""
     if k < 0:
         raise DegenerateInputError("k must be >= 0")
-    power = linalg.identity(sys.jet_dim)
-    for _ in range(k):
-        power = linalg.mat_mul(power, sys.branch_matrix)
-    return linalg.inf_norm_mat(power) * projection_reach(sys)
+    norm = power_norm_numerator(sys.lam, sys.jet_dim, k)
+    return Fraction(norm, sys.lam.denominator ** k) * projection_reach(sys)
 
 
-def greedy_pullback_step(
-    sys: JetCoveringSystem, u: Sequence[Fraction]
-) -> Tuple[int, Vec]:
-    """One inverse-shift step; prefers branch +1, guaranteed feasible.
-
-    Appends u_new = delta - sum b_j u_j and drops the leading coordinate;
-    infeasibility of both branches contradicts the certified covering and
-    trips the bug trap.
-    """
-    b = sys.p_coeffs
-    base = sys.box_base
-    s = sum((b[j] * u[j] for j in range(sys.n)), Fraction(0))
-    for delta in (1, -1):
-        appended = delta - s
-        if abs(appended) < base:
-            return delta, tuple(u[1:]) + (appended,)
-    raise ConstructionError(
-        f"no feasible branch at functional value {s}; covering violated"
-    )
-
-
-def realize_jet(
-    sys: JetCoveringSystem,
-    target: Jet,
-    tol,
-    max_steps: int = 10_000,
-) -> RealizationResult:
-    """Constructively realize a certified-interior jet as a continuation jet.
-
-    Chooses the smallest k whose residual bound meets tol, runs k greedy
-    pullback steps from the membership witness, then forward-verifies:
-    the continuation jet of the collected word differs from the target by
-    at most the certified bound, exactly.
-    """
+def realization_steps(
+    sys: JetCoveringSystem, tol, max_steps: int = 10_000
+) -> int:
+    """Smallest k with residual_bound(sys, k) <= tol, or ResourceLimitError
+    past max_steps.  norm(J^k) is log-concave in k (lam^k times a binomial
+    transform of the log-concave (N-1)!/(N-1-m)! lam^-m; Davenport-Polya),
+    so it stays >= its k = 0 value while rising, then strictly falls: the
+    k meeting tol form an up-set, found by doubling and exact bisection."""
     tol = rat(tol)
     if tol <= 0:
         raise DegenerateInputError("tolerance must be positive")
-    membership = certify_membership(sys, target, slack=0)
+    reach = projection_reach(sys)
+    lhs, rhs = reach.numerator * tol.denominator, tol.numerator * reach.denominator
+
+    def meets(k: int) -> bool:
+        norm = power_norm_numerator(sys.lam, sys.jet_dim, k)
+        return norm * lhs <= rhs * sys.lam.denominator ** k
+
+    lo, hi = -1, 0  # meets(lo) is false, or lo is -1
+    while not meets(hi):
+        if hi >= max_steps:
+            raise ResourceLimitError(f"tol {tol} unreachable within {max_steps} steps")
+        lo, hi = hi, min(2 * hi + 1, max_steps)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
+
+
+class IntegerPullback:
+    """The greedy pullback from u in integers, with no gcd per step.
+
+    A step appends u_new = delta - sum b_j u_j for delta = +1, else -1, the
+    first keeping |u_new| < base, and drops u's leading entry; no feasible
+    branch contradicts the certified covering.  Entries are V_i / (d g^i),
+    V_i integers, d = lcm den(u), g = p * lcm_j den(b_j lam^(n-j)), lam = p/q.
+    """
+
+    def __init__(self, sys: JetCoveringSystem, u: Sequence[Fraction]):
+        n, lam, b = sys.n, sys.lam, sys.p_coeffs
+        unscaled = (b[j] * lam ** (n - j) for j in range(n))
+        g = lam.numerator * lcm(*(c.denominator for c in unscaled))
+        d = lcm(*(x.denominator for x in u))
+        self.g, self.base = g, sys.box_base
+        self.terms = [(j, int(b[j] * g ** (n - j))) for j in range(n) if b[j]]
+        self.window = [int(x * d * g ** i) for i, x in enumerate(u)]
+        self.scale = d * g ** n  # denominator of the next appended entry
+
+    def step(self) -> int:
+        s = sum(c * self.window[j] for j, c in self.terms)
+        for delta in (1, -1):
+            appended = delta * self.scale - s
+            if abs(appended) * self.base.denominator < self.base.numerator * self.scale:
+                self.window = self.window[1:] + [appended]
+                self.scale *= self.g
+                return delta
+        raise ConstructionError(f"no feasible branch at functional value "
+                                f"{Fraction(s, self.scale)}; covering violated")
+
+    def point(self) -> Vec:
+        n, g = len(self.window), self.g
+        return tuple(Fraction(v * g ** (n - i), self.scale)
+                     for i, v in enumerate(self.window))
+
+
+def greedy_pullback_step(sys: JetCoveringSystem, u: Vec) -> Tuple[int, Vec]:
+    """One `IntegerPullback` step from u: the branch taken and the new u."""
+    pullback = IntegerPullback(sys, u)
+    return pullback.step(), pullback.point()
+
+
+def word_jet(lam: Fraction, word: Sequence[str], order: int) -> Jet:
+    """Closed-form continuation jet of a word under the standard pair: raw
+    derivatives of sum_i d_i (lam + a)^i (d_i = +-1), each a Horner sum in
+    integers over q^(k-1-r), lam = p/q.  `continuation_jet` is the oracle."""
+    p, q = lam.numerator, lam.denominator
+    signs = [1 if symbol == "+" else -1 for symbol in word]
+    raw = []
+    for r in range(order + 1):
+        acc, den = 0, 1
+        for i in range(len(signs) - 1, r - 1, -1):
+            acc = acc * p + signs[i] * perm(i, r) * den
+            den *= q
+        raw.append(Fraction(acc * q, den))
+    return Jet.scalar(raw)
+
+
+def realize_jet(
+    sys: JetCoveringSystem, target: Jet, tol, max_steps: int = 10_000,
+    membership: Optional[MembershipResult] = None,
+) -> RealizationResult:
+    """Constructively realize a certified-interior jet as a continuation jet.
+
+    Finds k first, proves membership by one LP unless the caller passes the
+    target's proof, pulls back k greedy steps from its witness, then checks
+    exactly that the word's jet is within the certified bound of the target.
+    """
+    k = realization_steps(sys, tol, max_steps)
+    if membership is None:
+        membership = certify_membership(sys, target, slack=0)
+    elif membership.certified:
+        x = linalg.mat_vec(sys.projection, membership.witness)
+        if x != reverse_jet(target).flat():
+            raise DegenerateInputError("the membership proof is not for this target")
     if not membership.certified or membership.margin <= 0:
         raise DegenerateInputError(
             "target jet is not certified interior to the covered set"
         )
-    reach = projection_reach(sys)
-    power = linalg.identity(sys.jet_dim)
-    k = 0
-    bound = linalg.inf_norm_mat(power) * reach
-    while bound > tol:
-        if k >= max_steps:
-            raise ResourceLimitError(
-                f"tolerance {tol} unreachable within {max_steps} steps"
-            )
-        power = linalg.mat_mul(power, sys.branch_matrix)
-        k += 1
-        bound = linalg.inf_norm_mat(power) * reach
-
-    u = membership.witness
-    word: List[str] = []
-    for _ in range(k):
-        delta, u = greedy_pullback_step(sys, u)
-        word.append("+" if delta == 1 else "-")
-
-    families = standard_families(sys.lam, sys.order)
-    if k == 0:
-        realized = Jet.zero(sys.order)
-    else:
-        realized = continuation_jet(families, word, sys.order)
-    diff = target - realized
-    achieved = max(
-        (abs(row[0]) for row in diff.coeffs), default=Fraction(0)
-    )
+    pullback = IntegerPullback(sys, membership.witness)
+    word = tuple("+" if pullback.step() == 1 else "-" for _ in range(k))
+    bound = residual_bound(sys, k)
+    diff = target - word_jet(sys.lam, word, sys.order)
+    achieved = max(abs(row[0]) for row in diff.coeffs)
     if achieved > bound:
         raise ConstructionError(
             f"forward verification failed: residual {achieved} > bound {bound}"
         )
-    return RealizationResult(
-        itinerary=tuple(word),
-        steps=k,
-        achieved_residual=achieved,
-        residual_bound=bound,
-    )
+    return RealizationResult(word, k, achieved, bound, membership)
 
 
 def auto_lambda(threshold: Fraction) -> Fraction:

@@ -128,13 +128,3 @@ def rank(a: Mat) -> int:
         if row == nrows:
             break
     return rk
-
-
-def mat_pow_seq(a: Mat, k_max: int):
-    """Yield (k, a^k) for k = 0 .. k_max, computed incrementally."""
-    n = len(a)
-    p = identity(n)
-    yield 0, p
-    for k in range(1, k_max + 1):
-        p = mat_mul(p, a)
-        yield k, p

@@ -204,7 +204,8 @@ def test_criterion_7_realizer(realizer_system):
         )
         membership = certify_membership(system, target)
         ok = ok and membership.certified and membership.margin > 0
-        result = realize_jet(system, target, tol)
+        result = realize_jet(system, target, tol, membership=membership)
+        ok = ok and result.membership is membership
         ok = ok and result.achieved_residual <= result.residual_bound <= tol
         if result.steps > 0:  # k is the first step count meeting tol
             ok = ok and residual_bound(system, result.steps - 1) > tol

@@ -167,6 +167,28 @@ def test_realize_not_in_set(tmp_path):
     assert json.loads(out.read_text())["certified"] is False
 
 
+def test_realize_step_cap_exits_before_lp(tmp_path, monkeypatch):
+    sys_path = tmp_path / "sys.json"
+    assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
+
+    def no_lp(problem):
+        raise AssertionError("the step cap must be checked before any LP")
+
+    monkeypatch.setattr("jetcover.simplex.lp_solve", no_lp)
+    # a target inside the covered set, and one far outside it
+    for coeffs in (["1/4", "-1"], ["1000", "0"]):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": coeffs}))
+        out = tmp_path / "real.json"
+        assert run(
+            [
+                "realize", "--system", str(sys_path), "--target", str(target),
+                "--tol", "1/100000000", "--max-steps", "3", "--out", str(out),
+            ]
+        ) == 2
+        assert not out.exists()
+
+
 def test_blender_commands(tmp_path):
     cover = tmp_path / "cover.json"
     assert run(

@@ -254,6 +254,18 @@ def test_realize_rejects_uncertified(jet_sys_r1):
         realize_jet(jet_sys_r1, far, F(1, 100))
 
 
+def test_realize_takes_membership_for_its_target_only(jet_sys_r1):
+    sys = jet_sys_r1
+    near = Jet.scalar([F(1, 8)] + [0] * sys.order)
+    membership = certify_membership(sys, near)
+    given = realize_jet(sys, near, F(1, 10 ** 6), membership=membership)
+    assert given.membership is membership
+    assert given == realize_jet(sys, near, F(1, 10 ** 6))
+    other = Jet.scalar([F(-1, 8)] + [0] * sys.order)
+    with pytest.raises(DegenerateInputError):
+        realize_jet(sys, other, F(1, 10 ** 6), membership=membership)
+
+
 def test_realize_step_cap(jet_sys_r0):
     with pytest.raises(ResourceLimitError):
         realize_jet(jet_sys_r0, Jet.scalar([0]), F(1, 10 ** 6), max_steps=3)
