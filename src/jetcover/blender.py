@@ -21,11 +21,12 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from .boxes import Box, Interval
 from .covering import Certificate, CoveringFailure, certify_covering
 from .errors import ConstructionError, DegenerateInputError, ShapeError
-from .ifs import Word, evaluate_word, limit_set_cloud, standard_pair
+from .ifs import Word, limit_set_cloud, standard_pair
 from .jetcovering import (
     JetCoveringSystem,
     RealizationResult,
     realize_jet,
+    word_jet,
 )
 from .jets import Jet
 from .rational import rat
@@ -162,8 +163,7 @@ def realize_point(sys: SkewSystem, y, depth: int) -> PointRealization:
                 )
             word.append("-")
         cur = nxt
-    pair = standard_pair(lam)
-    partial = evaluate_word(pair, word, (Fraction(0),))[0] if word else Fraction(0)
+    partial = word_jet(lam, word, 0).coeffs[0][0]
     residual = abs(y - partial)
     error_bound = lam ** depth * bound
     if residual > error_bound:

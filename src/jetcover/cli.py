@@ -116,10 +116,7 @@ def cmd_two_map_verdict(args) -> int:
     verdict = decide_two_map_line(f1, f2)
     payload = {"verdict": verdict.kind}
     if verdict.robust_interior:
-        payload["trimmed_interval"] = [
-            rat_str(verdict.trimmed.lo),
-            rat_str(verdict.trimmed.hi),
-        ]
+        payload["trimmed_interval"] = serialize.interval_to_list(verdict.trimmed)
         payload["epsilon"] = rat_str(verdict.epsilon)
     if args.out:
         _write_json(args.out, payload)

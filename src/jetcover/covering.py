@@ -9,22 +9,45 @@ covering valid.
 
 Certification is semi-decidable by subdivision: success is a proof,
 failure (depth exhausted) is inconclusive and reports the offending
-sub-box for diagnosis.
+sub-box for diagnosis.  Box and window covers share one subdivision
+driver; the JSON wire format lives in `serialize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .boxes import Box, Interval
 from .errors import CertificateFormatError, DegenerateInputError, SingularMatrixError
 from .ifs import AffineMap, IFSystem
-from .rational import rat, rat_str
+from .rational import rat
 
 DEFAULT_MAX_DEPTH = 24
+
+
+def _subdivide(root: Union[Box, Interval], witness: Callable, max_depth: int):
+    """Bisect depth-first, lower half first, until `witness` labels each piece.
+
+    Returns ``(leaves, None)`` in visit order, or ``(None, piece)`` for the
+    first piece still unlabelled at `max_depth`.
+    """
+    leaves = []
+    stack = [(root, 0)]
+    while stack:
+        piece, depth = stack.pop()
+        label = witness(piece)
+        if label is not None:
+            leaves.append((piece, label))
+            continue
+        if depth >= max_depth:
+            return None, piece
+        lo_half, hi_half = piece.bisect()
+        stack.append((hi_half, depth + 1))
+        stack.append((lo_half, depth + 1))
+    return tuple(leaves), None
 
 
 def inverse_image_box(f: AffineMap, box: Box) -> Box:
@@ -87,15 +110,12 @@ class CoveringFailure:
     max_depth: int
 
 
-CoveringOutcome = Union[Certificate, CoveringFailure]
-
-
 def certify_covering(
     sys: IFSystem,
     target: Box,
     margin,
     max_depth: int = DEFAULT_MAX_DEPTH,
-) -> CoveringOutcome:
+) -> Union[Certificate, CoveringFailure]:
     """Depth-first subdivision certifier.
 
     Leaves are emitted in deterministic depth-first order (lower bisection
@@ -109,32 +129,17 @@ def certify_covering(
         raise DegenerateInputError("target box dimension does not match the system")
     shrunk = target.shrink(margin)  # raises DegenerateInputError if too thin
 
-    leaves: List[Tuple[Box, str]] = []
-    stack: List[Tuple[Box, int]] = [(target, 0)]
-    while stack:
-        box, depth = stack.pop()
-        witness = next(
-            (
-                b
-                for b in sys.alphabet
-                if shrunk.contains_box(inverse_image_box(sys.maps[b], box))
-            ),
-            None,
-        )
-        if witness is not None:
-            leaves.append((box, witness))
-            continue
-        if depth >= max_depth:
-            return CoveringFailure(witness_box=box, max_depth=max_depth)
-        lo_half, hi_half = box.bisect()
-        stack.append((hi_half, depth + 1))
-        stack.append((lo_half, depth + 1))
+    def witness(box: Box) -> Optional[str]:
+        for b in sys.alphabet:
+            if shrunk.contains_box(inverse_image_box(sys.maps[b], box)):
+                return b
+        return None
+
+    leaves, stuck = _subdivide(target, witness, max_depth)
+    if stuck is not None:
+        return CoveringFailure(witness_box=stuck, max_depth=max_depth)
     return Certificate(
-        system=sys,
-        target=target,
-        margin=margin,
-        max_depth=max_depth,
-        leaves=tuple(leaves),
+        system=sys, target=target, margin=margin, max_depth=max_depth, leaves=leaves
     )
 
 
@@ -184,7 +189,7 @@ def check_certificate(cert: Certificate) -> bool:
 
 # --- one-dimensional window covers -----------------------------------------
 #
-# Same subdivision engine, but the witness test is direct containment of
+# Same subdivision driver, but the witness test is direct containment of
 # the leaf in one of finitely many open windows (shrunk by the margin).
 # Used to certify shift-map coverings in pulled-back coordinates, where
 # the "branches" are ranges of an affine functional rather than inverse
@@ -208,94 +213,13 @@ def certify_window_cover(
     if margin <= 0:
         raise DegenerateInputError("margin must be positive")
     shrunk = [(label, win.shrink(margin)) for label, win in windows]
-    leaves: List[Tuple[Interval, str]] = []
-    stack: List[Tuple[Interval, int]] = [(target, 0)]
-    while stack:
-        iv, depth = stack.pop()
-        label = next(
-            (lb for lb, win in shrunk if win.contains_interval(iv)), None
-        )
-        if label is not None:
-            leaves.append((iv, label))
-            continue
-        if depth >= max_depth:
-            return CoveringFailure(
-                witness_box=Box([iv]), max_depth=max_depth
-            )
-        lo_half, hi_half = iv.bisect()
-        stack.append((hi_half, depth + 1))
-        stack.append((lo_half, depth + 1))
+
+    def witness(iv: Interval) -> Optional[str]:
+        return next((lb for lb, win in shrunk if win.contains_interval(iv)), None)
+
+    leaves, stuck = _subdivide(target, witness, max_depth)
+    if stuck is not None:
+        return CoveringFailure(witness_box=Box([stuck]), max_depth=max_depth)
     return WindowCoverCertificate(
-        target=target, windows=tuple(windows), margin=margin, leaves=tuple(leaves)
+        target=target, windows=tuple(windows), margin=margin, leaves=leaves
     )
-
-
-# --- JSON wire format -------------------------------------------------------
-
-
-def _affine_to_dict(f: AffineMap) -> dict:
-    return {
-        "matrix": [[rat_str(e) for e in row] for row in f.matrix],
-        "offset": [rat_str(e) for e in f.offset],
-        "contraction": rat_str(f.contraction),
-    }
-
-
-def _affine_from_dict(d: dict) -> AffineMap:
-    return AffineMap(
-        [[rat(e) for e in row] for row in d["matrix"]],
-        [rat(e) for e in d["offset"]],
-        rat(d["contraction"]),
-    )
-
-
-def system_to_dict(sys: IFSystem) -> dict:
-    return {
-        "alphabet": list(sys.alphabet),
-        "maps": {s: _affine_to_dict(sys.maps[s]) for s in sys.alphabet},
-    }
-
-
-def system_from_dict(d: dict) -> IFSystem:
-    return IFSystem(
-        tuple(d["alphabet"]),
-        {s: _affine_from_dict(m) for s, m in d["maps"].items()},
-    )
-
-
-def box_to_list(box: Box) -> list:
-    return [[rat_str(iv.lo), rat_str(iv.hi)] for iv in box.intervals]
-
-
-def box_from_list(entries: Sequence) -> Box:
-    return Box([Interval.of(lo, hi) for lo, hi in entries])
-
-
-def certificate_to_dict(cert: Certificate, verified: bool) -> dict:
-    return {
-        "system": system_to_dict(cert.system),
-        "box": box_to_list(cert.target),
-        "margin": rat_str(cert.margin),
-        "depth": cert.max_depth,
-        "leaves": [
-            {"box": box_to_list(leaf), "witness": witness}
-            for leaf, witness in cert.leaves
-        ],
-        "verified": verified,
-    }
-
-
-def certificate_from_dict(d: dict) -> Certificate:
-    try:
-        return Certificate(
-            system=system_from_dict(d["system"]),
-            target=box_from_list(d["box"]),
-            margin=rat(d["margin"]),
-            max_depth=int(d["depth"]),
-            leaves=tuple(
-                (box_from_list(leaf["box"]), str(leaf["witness"]))
-                for leaf in d["leaves"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateFormatError(f"malformed certificate: {exc}") from exc

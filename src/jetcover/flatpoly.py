@@ -53,6 +53,11 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
+def l1_tail(coeffs: Sequence[Fraction]) -> Fraction:
+    """L1 norm of the non-leading coefficients."""
+    return sum((abs(c) for c in coeffs[:-1]), Fraction(0))
+
+
 def poly_derivative(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     return tuple(coeffs[i] * i for i in range(1, len(coeffs)))
 
@@ -107,7 +112,7 @@ class FlatPolyResult:
 
     @property
     def l1_nonleading(self) -> Fraction:
-        return sum((abs(c) for c in self.coeffs[:-1]), Fraction(0))
+        return l1_tail(self.coeffs)
 
 
 def _falling(j: int, i: int) -> int:
@@ -151,7 +156,7 @@ def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
         raise ConstructionError(f"flat LP at (N={big_n}, n={n}) was {sol.status}")
     a = [sol.primal[j] - sol.primal[n + j] for j in range(n)]
     coeffs = tuple(a) + (Fraction(1),)
-    l1 = sum((abs(c) for c in a), Fraction(0))
+    l1 = l1_tail(coeffs)
     if l1 != sol.optimum:
         raise ConstructionError("LP optimum disagrees with the recomputed L1")
     if not divisible_by_power(coeffs, Fraction(1), big_n):
@@ -250,7 +255,7 @@ def scale_to_p(qres: FlatPolyResult, lam) -> Tuple[Coeffs, ScaleReport]:
         raise DegenerateInputError("contraction must lie strictly in (0, 1)")
     n = qres.degree
     b = tuple(qres.coeffs[j] * lam ** (j - n) for j in range(n + 1))
-    l1 = sum((abs(c) for c in b[:-1]), Fraction(0))
+    l1 = l1_tail(b)
     inv = 1 / lam
     derivs_ok = all(
         poly_eval(poly_nth_derivative(b, i), inv) == 0 for i in range(qres.flatness)

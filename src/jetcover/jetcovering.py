@@ -37,6 +37,7 @@ from .errors import (
 )
 from .flatpoly import (
     Coeffs,
+    l1_tail,
     poly_eval,
     poly_nth_derivative,
     projection_matrix,
@@ -86,9 +87,6 @@ class JetCoveringSystem:
     def pullback_box(self) -> Box:
         return Box([Interval(-r, r) for r in self.coordinate_bounds()])
 
-    def l1_tail(self) -> Fraction:
-        return sum((abs(c) for c in self.p_coeffs[:-1]), Fraction(0))
-
 
 def branch_matrix(jet_dim: int, lam: Fraction) -> Mat:
     rows = []
@@ -127,7 +125,7 @@ def _validate_polynomial(jet_dim: int, lam: Fraction, b: Coeffs) -> None:
         raise DegenerateInputError("polynomial must have positive degree")
     if b[0] == 0 or b[-1] != 1:
         raise DegenerateInputError("need a monic polynomial with nonzero constant")
-    l1 = sum((abs(c) for c in b[:-1]), Fraction(0))
+    l1 = l1_tail(b)
     if l1 >= 2:
         raise DegenerateInputError(
             f"non-leading L1 norm {l1} is not below 2; contraction too small"
@@ -185,6 +183,8 @@ def build_system(
     inequality, full projection rank, and the semi-conjugacy identity are
     all rechecked here regardless of how the inputs were produced.
     """
+    if jet_dim < 1:
+        raise DegenerateInputError(f"jet dimension {jet_dim} must be at least 1")
     lam = rat(lam)
     if not 0 < lam < 1:
         raise DegenerateInputError("contraction must lie in (0, 1)")
@@ -194,7 +194,7 @@ def build_system(
     pi = projection_matrix(b, lam, jet_dim)
     if linalg.rank(pi) != jet_dim:
         raise ConstructionError("projection is rank deficient")
-    l1 = sum((abs(c) for c in b[:-1]), Fraction(0))
+    l1 = l1_tail(b)
     base = choose_box_base(n, l1) if box_base is None else rat(box_base)
     if base <= 1:
         raise DegenerateInputError("box base must exceed 1")
@@ -277,7 +277,7 @@ class DeltaCoveringCertificate:
 
 def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
     base = sys.box_base
-    l1 = sys.l1_tail()
+    l1 = l1_tail(sys.p_coeffs)
     lhs = base ** sys.n * l1
     rhs = base + 1
     if not (base > 1 and lhs < rhs):

@@ -1,8 +1,10 @@
 """Canonical JSON wire formats and atomic file output.
 
-Every JSON document is emitted with sorted keys, two-space indent, ASCII
-escapes, and a trailing newline, so identical inputs give byte-identical
-files.  Rationals travel as "p/q" strings; only explicitly approximate
+Home of the JSON encoders and parsers, covering certificates included;
+the CLI adds only small verdict dicts.  Documents are emitted with sorted
+keys, two-space indent, ASCII escapes, and a trailing newline, so
+identical inputs give byte-identical files.  Rationals travel as "p/q"
+strings, intervals as [lo, hi] pairs; only explicitly approximate
 payloads (the finite-difference oracle) carry floats.
 """
 
@@ -14,15 +16,11 @@ import tempfile
 from typing import Optional, Sequence
 
 from .blender import BlenderCoverResult, NearlyAffineReport
-from .covering import (
-    Certificate,
-    CoveringFailure,
-    box_to_list,
-    certificate_from_dict,
-    certificate_to_dict,
-)
+from .boxes import Box, Interval
+from .covering import Certificate, CoveringFailure
 from .errors import CertificateFormatError
 from .flatpoly import FlatPolyResult
+from .ifs import AffineMap, IFSystem
 from .jetcovering import (
     DeltaCoveringCertificate,
     JetCoveringSystem,
@@ -49,6 +47,18 @@ def write_atomic(path: str, data) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def interval_to_list(iv: Interval) -> list:
+    return [rat_str(iv.lo), rat_str(iv.hi)]
+
+
+def box_to_list(box: Box) -> list:
+    return [interval_to_list(iv) for iv in box.intervals]
+
+
+def box_from_list(entries: Sequence) -> Box:
+    return Box([Interval.of(lo, hi) for lo, hi in entries])
 
 
 # --- jets ---------------------------------------------------------------------
@@ -81,9 +91,39 @@ def approximate_jet_payload(values: Sequence[float]) -> dict:
 # --- covering certificates ------------------------------------------------------
 
 
+def _affine_to_dict(f: AffineMap) -> dict:
+    return {
+        "matrix": [[rat_str(e) for e in row] for row in f.matrix],
+        "offset": [rat_str(e) for e in f.offset],
+        "contraction": rat_str(f.contraction),
+    }
+
+
+def _affine_from_dict(d: dict) -> AffineMap:
+    return AffineMap(
+        [[rat(e) for e in row] for row in d["matrix"]],
+        [rat(e) for e in d["offset"]],
+        rat(d["contraction"]),
+    )
+
+
 def covering_outcome_payload(outcome) -> dict:
     if isinstance(outcome, Certificate):
-        return certificate_to_dict(outcome, verified=True)
+        system = outcome.system
+        return {
+            "system": {
+                "alphabet": list(system.alphabet),
+                "maps": {s: _affine_to_dict(system.maps[s]) for s in system.alphabet},
+            },
+            "box": box_to_list(outcome.target),
+            "margin": rat_str(outcome.margin),
+            "depth": outcome.max_depth,
+            "leaves": [
+                {"box": box_to_list(leaf), "witness": witness}
+                for leaf, witness in outcome.leaves
+            ],
+            "verified": True,
+        }
     if isinstance(outcome, CoveringFailure):
         return {
             "verified": False,
@@ -94,7 +134,23 @@ def covering_outcome_payload(outcome) -> dict:
 
 
 def load_certificate(payload: dict) -> Certificate:
-    return certificate_from_dict(payload)
+    try:
+        system = payload["system"]
+        return Certificate(
+            system=IFSystem(
+                tuple(system["alphabet"]),
+                {s: _affine_from_dict(m) for s, m in system["maps"].items()},
+            ),
+            target=box_from_list(payload["box"]),
+            margin=rat(payload["margin"]),
+            max_depth=int(payload["depth"]),
+            leaves=tuple(
+                (box_from_list(leaf["box"]), str(leaf["witness"]))
+                for leaf in payload["leaves"]
+            ),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateFormatError(f"malformed certificate: {exc}") from exc
 
 
 # --- flat polynomials -----------------------------------------------------------
@@ -139,12 +195,9 @@ def jet_system_payload(
                 "rhs": rat_str(delta_cover.inequality_rhs),
                 "exact": True,
             },
-            "functional_range": [
-                rat_str(delta_cover.functional_range.lo),
-                rat_str(delta_cover.functional_range.hi),
-            ],
+            "functional_range": interval_to_list(delta_cover.functional_range),
             "window_leaves": [
-                [[rat_str(iv.lo), rat_str(iv.hi)], label]
+                [interval_to_list(iv), label]
                 for iv, label in delta_cover.window_cover.leaves
             ],
             "margin": rat_str(delta_cover.window_cover.margin),
@@ -181,13 +234,9 @@ def realization_payload(res: RealizationResult) -> dict:
 def blender_cover_payload(res: BlenderCoverResult) -> dict:
     return {
         "ok": res.ok,
-        "base_target": [rat_str(res.base_target.lo), rat_str(res.base_target.hi)],
+        "base_target": interval_to_list(res.base_target),
         "base_images": [
-            {
-                "branch": label,
-                "image": [rat_str(iv.lo), rat_str(iv.hi)],
-                "contains_target": holds,
-            }
+            {"branch": label, "image": interval_to_list(iv), "contains_target": holds}
             for label, iv, holds in res.base_images
         ],
         "fiber": covering_outcome_payload(res.fiber_outcome),

@@ -22,6 +22,7 @@ from jetcover.blender import (
 )
 from jetcover.covering import Certificate, CoveringFailure
 from jetcover.errors import DegenerateInputError, ShapeError
+from jetcover.ifs import evaluate_word, standard_pair
 from jetcover.jets import Jet, continuation_jet, standard_families
 
 
@@ -74,6 +75,8 @@ def test_realize_point_grid():
     while y <= 2:
         res = realize_point(sys, y, 20)
         assert res.residual <= bound
+        oracle = evaluate_word(standard_pair(sys.lam), res.word, (0,))[0]
+        assert res.partial_sum == oracle
         y += F(1, 20)
 
 

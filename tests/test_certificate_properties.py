@@ -1,0 +1,96 @@
+"""Property tests: covering certificates survive the wire format, and every
+false claim written into one is rejected.
+
+Systems are two-map line IFS x -> a x + u ('+'), x -> b x - v ('-') on
+[-2, 2], with slopes on the 2^-6 grid and offsets placed so that the two
+branch windows overlap by a chosen sliver; certificates then take 2 to
+about 10 leaves.  The mutations are judged by hand-computed exact inverse
+images, not by the checker's own code.
+"""
+
+import json
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jetcover.boxes import Box, Interval
+from jetcover.covering import Certificate, certify_covering, check_certificate
+from jetcover.ifs import IFSystem, affine_1d
+from jetcover.rational import rat_str
+from jetcover.serialize import canonical_json, covering_outcome_payload, load_certificate
+
+TARGET = Box([Interval.of(-2, 2)])
+slopes = st.integers(40, 63).map(lambda j: F(j, 64))
+
+
+@st.composite
+def certificates(draw):
+    a, b = draw(slopes), draw(slopes)
+    margin = F(1, draw(st.sampled_from([4, 16, 64])))
+    reach = 2 - margin  # inverse images must land in [-reach, reach]
+    slack = 2 * (a + b) * reach - 4  # total room for the two offsets
+    overlap = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 63 - overlap))
+    u = 2 - a * reach + slack * k / 64
+    v = 2 - b * reach + slack * (64 - k - overlap) / 64
+    system = IFSystem(("+", "-"), {"+": affine_1d(a, u), "-": affine_1d(b, -v)})
+    outcome = certify_covering(system, TARGET, margin)
+    assert isinstance(outcome, Certificate)
+    return outcome
+
+
+def wire(payload) -> dict:
+    return json.loads(canonical_json(payload))
+
+
+def accepted(payload) -> bool:
+    return check_certificate(load_certificate(wire(payload)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(certificates())
+def test_certificate_round_trip_is_accepted(cert):
+    payload = wire(covering_outcome_payload(cert))
+    assert load_certificate(payload) == cert
+    assert accepted(payload)
+
+
+@settings(deadline=None, max_examples=60)
+@given(certificates(), st.data())
+def test_false_claims_are_rejected(cert, data):
+    payload = wire(covering_outcome_payload(cert))
+    leaves = payload["leaves"]
+    i = data.draw(st.integers(0, len(leaves) - 1))
+    rest = leaves[:i] + leaves[i + 1:]
+    assert not accepted(dict(payload, leaves=rest))
+    assert not accepted(dict(payload, leaves=leaves + [leaves[i]]))
+
+    lo, hi = (F(e) for e in leaves[i]["box"][0])
+    shift = (hi - lo) * F(data.draw(st.integers(1, 8)), 4)
+    shift *= data.draw(st.sampled_from([1, -1]))
+    moved = dict(leaves[i], box=[[rat_str(lo + shift), rat_str(hi + shift)]])
+    assert not accepted(dict(payload, leaves=rest[:i] + [moved] + rest[i:]))
+
+    reach = 2 - F(payload["margin"])
+
+    def escapes(leaf, symbol):
+        f = payload["system"]["maps"][symbol]
+        a, t = F(f["matrix"][0][0]), F(f["offset"][0])
+        ends = [(F(e) - t) / a for e in leaf["box"][0]]
+        return min(ends) < -reach or max(ends) > reach
+
+    swaps = [
+        (j, s)
+        for j, leaf in enumerate(leaves)
+        for s in ("+", "-")
+        if s != leaf["witness"] and escapes(leaf, s)
+    ]
+    assert swaps  # the leaf at -2 can only be '-'
+    j, s = data.draw(st.sampled_from(swaps))
+    swapped = leaves[:j] + [dict(leaves[j], witness=s)] + leaves[j + 1:]
+    assert not accepted(dict(payload, leaves=swapped))
+
+    half_width = TARGET[0].width / 2
+    margin = half_width * F(data.draw(st.integers(4, 12)), 4)
+    assert not accepted(dict(payload, margin=rat_str(margin)))

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from jetcover.blender import branch_table_to_csv, model_branch_table
 from jetcover.cli import main
 
@@ -187,6 +189,25 @@ def test_realize_step_cap_exits_before_lp(tmp_path, monkeypatch):
             ]
         ) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("jet_dim", [0, -1])
+def test_realize_rejects_nonpositive_jet_dim(tmp_path, jet_dim):
+    sys_path = tmp_path / "sys.json"
+    assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
+    payload = json.loads(sys_path.read_text())
+    payload["jet_dim"] = jet_dim
+    sys_path.write_text(json.dumps(payload))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
+    out = tmp_path / "real.json"
+    assert run(
+        [
+            "realize", "--system", str(sys_path), "--target", str(target),
+            "--tol", "1/100", "--out", str(out),
+        ]
+    ) == 2
+    assert not out.exists()
 
 
 def test_blender_commands(tmp_path):

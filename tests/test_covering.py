@@ -8,8 +8,6 @@ from jetcover.covering import (
     Certificate,
     CoveringFailure,
     WindowCoverCertificate,
-    certificate_from_dict,
-    certificate_to_dict,
     certify_covering,
     certify_window_cover,
     check_certificate,
@@ -21,6 +19,7 @@ from jetcover.errors import (
     SingularMatrixError,
 )
 from jetcover.ifs import AffineMap, affine_1d, standard_pair
+from jetcover.serialize import covering_outcome_payload, load_certificate
 
 
 def box1(lo, hi):
@@ -103,7 +102,7 @@ def test_certify_rejects_thin_target(sys34):
 def test_certificate_roundtrip(sys34):
     cert = certify_covering(sys34, box1(-2, 2), F(1, 100))
     assert check_certificate(cert)
-    again = certificate_from_dict(certificate_to_dict(cert, verified=True))
+    again = load_certificate(covering_outcome_payload(cert))
     assert check_certificate(again)
 
 
@@ -132,7 +131,7 @@ def test_certificate_partition_enforced(sys34):
 
 def test_certificate_malformed():
     with pytest.raises(CertificateFormatError):
-        certificate_from_dict({"system": {}})
+        load_certificate({"system": {}})
 
 
 def test_soundness_against_dense_grid(sys34):
@@ -156,6 +155,11 @@ def test_window_cover_basic():
     windows = [("L", Interval.of(-3, F(1, 2))), ("R", Interval.of(F(-1, 2), 3))]
     cert = certify_window_cover(target, windows, F(1, 8))
     assert isinstance(cert, WindowCoverCertificate)
+    # depth-first, lower bisection half first
+    assert cert.leaves == (
+        (Interval.of(-2, 0), "L"),
+        (Interval.of(0, 2), "R"),
+    )
     shrunk = {lab: win.shrink(F(1, 8)) for lab, win in windows}
     total = F(0)
     for leaf, label in cert.leaves:
@@ -169,3 +173,6 @@ def test_window_cover_failure():
     windows = [("L", Interval.of(-3, -1)), ("R", Interval.of(1, 3))]
     out = certify_window_cover(target, windows, F(1, 8), max_depth=10)
     assert isinstance(out, CoveringFailure)
+    assert isinstance(out.witness_box, Box) and out.witness_box.dim == 1
+    assert out.witness_box[0].width == F(4) / 2 ** 10
+    assert out.max_depth == 10

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from jetcover.covering import certificate_to_dict, certify_covering
+from jetcover.covering import certify_covering
 from jetcover.boxes import Box, Interval
 from jetcover.errors import CertificateFormatError
 from jetcover.ifs import standard_pair
@@ -12,6 +12,7 @@ from jetcover.jets import Jet, finite_difference_jet, standard_families
 from jetcover.serialize import (
     approximate_jet_payload,
     canonical_json,
+    covering_outcome_payload,
     jet_from_payload,
     jet_system_from_payload,
     jet_system_payload,
@@ -75,7 +76,7 @@ def test_write_atomic(tmp_path):
 
 def test_certificate_schema_fields(sys34):
     cert = certify_covering(sys34, Box([Interval.of(-2, 2)]), F(1, 100))
-    payload = certificate_to_dict(cert, verified=True)
+    payload = covering_outcome_payload(cert)
     assert set(payload) == {"system", "box", "margin", "depth", "leaves", "verified"}
     assert payload["margin"] == "1/100"
     assert all(set(leaf) == {"box", "witness"} for leaf in payload["leaves"])
