@@ -417,33 +417,6 @@ def model_branch_table(
     return rows
 
 
-BRANCH_TABLE_COLUMNS = ("x", "y", "gx", "gy", "dxx", "dxy", "dyx", "dyy")
-
-
-def branch_table_to_csv(samples: Sequence[BranchSample]) -> str:
-    lines = [",".join(BRANCH_TABLE_COLUMNS)]
-    for s in samples:
-        lines.append(
-            ",".join(str(getattr(s, col)) for col in BRANCH_TABLE_COLUMNS)
-        )
-    return "\n".join(lines) + "\n"
-
-
-def branch_table_from_csv(text: str) -> List[BranchSample]:
-    rows = [line.strip() for line in text.splitlines() if line.strip()]
-    if not rows or rows[0].split(",") != list(BRANCH_TABLE_COLUMNS):
-        raise DegenerateInputError(
-            "branch table must start with header " + ",".join(BRANCH_TABLE_COLUMNS)
-        )
-    out = []
-    for line in rows[1:]:
-        parts = line.split(",")
-        if len(parts) != len(BRANCH_TABLE_COLUMNS):
-            raise DegenerateInputError(f"bad table row: {line!r}")
-        out.append(BranchSample(*(rat(p) for p in parts)))
-    return out
-
-
 def param_jet_model(lam: Fraction, sign: int, y: Fraction, order: int) -> Tuple[Fraction, ...]:
     """Raw a-derivatives of a -> (y - sign)/(lam + a) at a = 0."""
     out = []

@@ -25,6 +25,7 @@ from .errors import (
     CertificateFormatError,
     ConstructionError,
     JetcoverError,
+    NotCoveredError,
     SearchExhaustedError,
 )
 from .flatpoly import (
@@ -35,7 +36,6 @@ from .flatpoly import (
 )
 from .ifs import (
     affine_1d,
-    cloud_to_csv,
     decide_two_map_line,
     limit_set_cloud,
     standard_pair,
@@ -44,8 +44,6 @@ from .jetcovering import (
     auto_lambda,
     build_system,
     certify_delta_covering,
-    certify_membership,
-    realization_steps,
     realize_jet,
 )
 from .rational import rat, rat_str
@@ -88,7 +86,7 @@ def _scatter_ppm(points, width: int, height: int, radius: Fraction) -> bytes:
 def cmd_limit_set(args) -> int:
     sys_ = standard_pair(rat(args.lam))
     cloud = limit_set_cloud(sys_, args.depth)
-    serialize.write_atomic(args.out, cloud_to_csv(cloud))
+    serialize.write_atomic(args.out, serialize.cloud_to_csv(cloud))
     if args.ppm:
         img = _scatter_ppm(cloud, args.width, args.height, sys_.radius)
         serialize.write_atomic(args.ppm, img)
@@ -171,16 +169,14 @@ def cmd_realize(args) -> int:
         system = serialize.jet_system_from_payload(json.load(handle))
     with open(args.target, "r", encoding="utf-8") as handle:
         target = serialize.jet_from_payload(json.load(handle))
-    tol = rat(args.tol)
-    realization_steps(system, tol, args.max_steps)  # exits 2 before any LP
-    membership = certify_membership(system, target)
-    if not membership.certified or membership.margin <= 0:
+    try:
+        result = realize_jet(system, target, args.tol, args.max_steps)
+    except NotCoveredError:
         _write_json(args.out, {"certified": False})
         return EXIT_NEGATIVE
-    result = realize_jet(system, target, tol, args.max_steps, membership)
     payload = serialize.realization_payload(result)
     payload["certified"] = True
-    payload["membership_margin"] = rat_str(membership.margin)
+    payload["membership_margin"] = rat_str(result.membership.margin)
     _write_json(args.out, payload)
     return EXIT_OK
 
@@ -205,9 +201,9 @@ def cmd_blender_cover(args) -> int:
 
 def cmd_nearly_affine(args) -> int:
     with open(args.table_plus, "r", encoding="utf-8") as handle:
-        plus = blender.branch_table_from_csv(handle.read())
+        plus = serialize.branch_table_from_csv(handle.read())
     with open(args.table_minus, "r", encoding="utf-8") as handle:
-        minus = blender.branch_table_from_csv(handle.read())
+        minus = serialize.branch_table_from_csv(handle.read())
     report = blender.nearly_affine_check(
         rat(args.lam), plus, minus, rat(args.grid_step)
     )

@@ -2,7 +2,9 @@
 
 Verdict-like outcomes (covering failure, infeasible LP, lambda-too-small)
 are returned as values, not raised; these exceptions mark genuine misuse
-or internal inconsistencies.
+or internal inconsistencies.  The one raised verdict is NotCoveredError:
+`realize_jet` cannot return a realization for a target outside the
+certified covered set.
 """
 
 
@@ -20,6 +22,10 @@ class ShapeError(JetcoverError, ValueError):
 
 class DegenerateInputError(JetcoverError, ValueError):
     """Input violates a non-degeneracy precondition."""
+
+
+class NotCoveredError(DegenerateInputError):
+    """A target jet is not certified interior to the covered set."""
 
 
 class SingularMatrixError(JetcoverError, ZeroDivisionError):

@@ -33,7 +33,6 @@ Coeffs = Tuple[Fraction, ...]  # index = power, last entry = leading
 
 DEFAULT_MARGIN = Fraction(1, 16)
 DEFAULT_N_MAX = 64
-THRESHOLD_RESOLUTION = Fraction(1, 2 ** 20)
 
 
 # --- dense polynomial helpers ------------------------------------------------

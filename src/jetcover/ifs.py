@@ -243,15 +243,3 @@ def decide_two_map_line(f1: AffineMap, f2: AffineMap) -> TwoMapVerdict:
         trimmed=Interval(hull.lo + eps, hull.hi - eps),
         epsilon=eps,
     )
-
-
-def cloud_to_csv(points: Sequence[Tuple[Vec, Word]]) -> str:
-    """CSV export: columns x1..xn then the word string, rationals as p/q."""
-    if not points:
-        return ""
-    n = len(points[0][0])
-    header = ",".join(f"x{i + 1}" for i in range(n)) + ",word"
-    lines = [header]
-    for pt, w in points:
-        lines.append(",".join(str(c) for c in pt) + "," + "".join(w))
-    return "\n".join(lines) + "\n"

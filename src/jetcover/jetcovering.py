@@ -17,6 +17,9 @@ continuation jet is verified against.
 The realizer works in integers: closed-form norm(J^k) fixes k before any
 LP or pullback, the pullback shares one denominator, the forward check
 sums the word's jet sum_i d_i (lam + a)^i by Horner, and one LP suffices.
+That LP is in standard form with the box bounds folded in (no free
+variables), and a target it does not certify interior raises
+NotCoveredError.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .covering import WindowCoverCertificate, certify_window_cover
 from .errors import (
     ConstructionError,
     DegenerateInputError,
+    NotCoveredError,
     ResourceLimitError,
     ShapeError,
 )
@@ -45,8 +49,7 @@ from .flatpoly import (
 from .jets import Jet, reverse_jet
 from .linalg import Mat, Vec
 from .rational import rat
-
-ETA_GRID = Fraction(1, 2 ** 10)
+from .simplex import LPProblem, lp_solve
 
 Word = Tuple[str, ...]
 
@@ -322,53 +325,41 @@ class MembershipResult:
     margin: Optional[Fraction] = None
 
 
-def certify_membership(
-    sys: JetCoveringSystem, target: Jet, slack=0
-) -> MembershipResult:
+def certify_membership(sys: JetCoveringSystem, target: Jet) -> MembershipResult:
     """Exact LP: is the reversed jet the projection of an interior box point?
 
-    Maximizes the uniform coordinate margin t of a preimage inside the
-    pullback box shrunk by ``slack``.  Not certified does not disprove
-    membership: the jet may sit within ``slack`` of the boundary.
+    Maximizes the uniform margin t of a preimage u with |u_i| <= r_i - t,
+    r the box radii.  Standard form substitutes u_i = s_i - r_i + t and
+    bounds it by s_i + s'_i + 2t = 2 r_i, s, s', t >= 0: N + n rows over
+    the columns s_0, s'_0, ..., s_{n-1}, s'_{n-1}, t.
     """
-    from .simplex import LPProblem, lp_solve  # local import to avoid cycles
-
-    slack = rat(slack)
-    if slack < 0:
-        raise DegenerateInputError("slack must be >= 0")
     if target.dim != 1 or target.order != sys.order:
         raise ShapeError(
             f"target must be a dim-1 jet of order {sys.order}"
         )
     x = reverse_jet(target).flat()
-    n = sys.n
     bounds = sys.coordinate_bounds()
-    # variables: u_0..u_{n-1} (free), t, s_0..s_{2n-1} (slacks); minimize -t
-    nvars = n + 1 + 2 * n
-    objective = [Fraction(0)] * nvars
-    objective[n] = Fraction(-1)
+    t = 2 * sys.n  # column of the margin
     rows: List[List[Fraction]] = []
     rhs: List[Fraction] = []
-    for i in range(sys.jet_dim):
-        row = [Fraction(0)] * nvars
-        for k in range(n):
-            row[k] = sys.projection[i][k]
+    for p_row, x_i in zip(sys.projection, x):
+        row = [Fraction(0)] * (t + 1)
+        row[0:t:2] = p_row
+        row[t] = sum(p_row)
         rows.append(row)
-        rhs.append(x[i])
-    for i in range(n):
-        for sign in (1, -1):
-            row = [Fraction(0)] * nvars
-            row[i] = Fraction(sign)
-            row[n] = Fraction(1)
-            row[n + 1 + 2 * i + (0 if sign > 0 else 1)] = Fraction(1)
-            rows.append(row)
-            rhs.append(bounds[i] - slack)
-    nonneg = [False] * n + [True] * (1 + 2 * n)
-    sol = lp_solve(LPProblem(objective, rows, rhs, nonneg))
+        rhs.append(x_i + sum(p * r for p, r in zip(p_row, bounds)))
+    for i, r in enumerate(bounds):
+        row = [Fraction(0)] * (t + 1)
+        row[2 * i] = row[2 * i + 1] = Fraction(1)
+        row[t] = Fraction(2)
+        rows.append(row)
+        rhs.append(2 * r)
+    sol = lp_solve(LPProblem([Fraction(0)] * t + [Fraction(-1)], rows, rhs))
     if not sol.is_optimal:
         return MembershipResult(certified=False)
-    witness = tuple(sol.primal[:n])
-    return MembershipResult(certified=True, witness=witness, margin=sol.primal[n])
+    margin = sol.primal[t]
+    witness = tuple(s - r + margin for s, r in zip(sol.primal[0:t:2], bounds))
+    return MembershipResult(certified=True, witness=witness, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -377,7 +368,7 @@ class RealizationResult:
     steps: int
     achieved_residual: Fraction
     residual_bound: Fraction
-    membership: Optional[MembershipResult] = None  # the interiority proof used
+    membership: MembershipResult  # the interiority proof used
 
     def itinerary_string(self) -> str:
         return "".join(self.itinerary)
@@ -499,24 +490,19 @@ def word_jet(lam: Fraction, word: Sequence[str], order: int) -> Jet:
 
 
 def realize_jet(
-    sys: JetCoveringSystem, target: Jet, tol, max_steps: int = 10_000,
-    membership: Optional[MembershipResult] = None,
+    sys: JetCoveringSystem, target: Jet, tol, max_steps: int = 10_000
 ) -> RealizationResult:
     """Constructively realize a certified-interior jet as a continuation jet.
 
-    Finds k first, proves membership by one LP unless the caller passes the
-    target's proof, pulls back k greedy steps from its witness, then checks
-    exactly that the word's jet is within the certified bound of the target.
+    Finds k first, proves membership by one LP (NotCoveredError when the
+    target is not certified interior), pulls back k greedy steps from its
+    witness, then checks exactly that the word's jet is within the
+    certified bound of the target.
     """
     k = realization_steps(sys, tol, max_steps)
-    if membership is None:
-        membership = certify_membership(sys, target, slack=0)
-    elif membership.certified:
-        x = linalg.mat_vec(sys.projection, membership.witness)
-        if x != reverse_jet(target).flat():
-            raise DegenerateInputError("the membership proof is not for this target")
+    membership = certify_membership(sys, target)
     if not membership.certified or membership.margin <= 0:
-        raise DegenerateInputError(
+        raise NotCoveredError(
             "target jet is not certified interior to the covered set"
         )
     pullback = IntegerPullback(sys, membership.witness)

@@ -11,11 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(value: RatLike) -> Fraction:
@@ -23,7 +19,8 @@ def rat(value: RatLike) -> Fraction:
 
     Floats and decimal/scientific strings are deliberately rejected:
     every certified quantity must enter the system in decimal-free exact
-    form ("p/q" or an integer literal).
+    form ("p/q" or an integer literal).  A zero denominator is a
+    ValueError, like any other malformed string.
     """
     if isinstance(value, Fraction):
         return value
@@ -35,7 +32,10 @@ def rat(value: RatLike) -> Fraction:
         text = value.strip()
         if any(ch in text for ch in ".eE"):
             raise ValueError(f"rationals must be decimal-free p/q strings: {text!r}")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {text!r}") from None
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact rational")
 
 

@@ -1,7 +1,8 @@
-"""Canonical JSON wire formats and atomic file output.
+"""Canonical JSON and CSV wire formats and atomic file output.
 
-Home of the JSON encoders and parsers, covering certificates included;
-the CLI adds only small verdict dicts.  Documents are emitted with sorted
+Home of the JSON encoders and parsers, covering certificates included,
+and of the CSV tables (limit-set clouds, branch samples); the CLI adds
+only small verdict dicts.  Documents are emitted with sorted
 keys, two-space indent, ASCII escapes, and a trailing newline, so
 identical inputs give byte-identical files.  Rationals travel as "p/q"
 strings, intervals as [lo, hi] pairs; only explicitly approximate
@@ -13,20 +14,21 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from .blender import BlenderCoverResult, NearlyAffineReport
+from .blender import BlenderCoverResult, BranchSample, NearlyAffineReport
 from .boxes import Box, Interval
 from .covering import Certificate, CoveringFailure
-from .errors import CertificateFormatError
+from .errors import CertificateFormatError, DegenerateInputError
 from .flatpoly import FlatPolyResult
-from .ifs import AffineMap, IFSystem
+from .ifs import AffineMap, IFSystem, Word
 from .jetcovering import (
     DeltaCoveringCertificate,
     JetCoveringSystem,
     RealizationResult,
 )
 from .jets import Jet
+from .linalg import Vec
 from .rational import rat, rat_str
 
 
@@ -259,3 +261,45 @@ def nearly_affine_payload(report: NearlyAffineReport) -> dict:
         "grid_step": rat_str(report.grid_step),
         "certified": report.certified,
     }
+
+
+# --- CSV tables -------------------------------------------------------------------
+
+
+def cloud_to_csv(points: Sequence[Tuple[Vec, Word]]) -> str:
+    """CSV export: columns x1..xn then the word string, rationals as p/q."""
+    if not points:
+        return ""
+    n = len(points[0][0])
+    header = ",".join(f"x{i + 1}" for i in range(n)) + ",word"
+    lines = [header]
+    for pt, w in points:
+        lines.append(",".join(str(c) for c in pt) + "," + "".join(w))
+    return "\n".join(lines) + "\n"
+
+
+BRANCH_TABLE_COLUMNS = ("x", "y", "gx", "gy", "dxx", "dxy", "dyx", "dyy")
+
+
+def branch_table_to_csv(samples: Sequence[BranchSample]) -> str:
+    lines = [",".join(BRANCH_TABLE_COLUMNS)]
+    for s in samples:
+        lines.append(
+            ",".join(str(getattr(s, col)) for col in BRANCH_TABLE_COLUMNS)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def branch_table_from_csv(text: str) -> List[BranchSample]:
+    rows = [line.strip() for line in text.splitlines() if line.strip()]
+    if not rows or rows[0].split(",") != list(BRANCH_TABLE_COLUMNS):
+        raise DegenerateInputError(
+            "branch table must start with header " + ",".join(BRANCH_TABLE_COLUMNS)
+        )
+    out = []
+    for line in rows[1:]:
+        parts = line.split(",")
+        if len(parts) != len(BRANCH_TABLE_COLUMNS):
+            raise DegenerateInputError(f"bad table row: {line!r}")
+        out.append(BranchSample(*(rat(p) for p in parts)))
+    return out

@@ -1,7 +1,7 @@
 """Exact two-phase simplex with Bland's rule.
 
-Minimizes c.x subject to A x = b with per-variable nonnegativity flags
-(free variables are split internally).  Everything is Fraction
+Minimizes c.x subject to A x = b, x >= 0 (standard form; callers
+encode free or bounded variables themselves).  Everything is Fraction
 arithmetic; the returned primal and dual satisfy strong duality exactly
 and are re-verified before the result leaves this module.  Bland's
 pivoting rule (lowest eligible index in, lowest basic index out among
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .errors import ConstructionError, DegenerateInputError, ResourceLimitError
 from .linalg import Mat, Vec, mat, vec
@@ -23,14 +23,13 @@ from .linalg import Mat, Vec, mat, vec
 
 @dataclass(frozen=True)
 class LPProblem:
-    """min objective . x  s.t.  a @ x == b,  x[j] >= 0 where nonneg[j]."""
+    """min objective . x  s.t.  a @ x == b,  x >= 0."""
 
     objective: Vec
     a: Mat
     b: Vec
-    nonneg: Tuple[bool, ...]
 
-    def __init__(self, objective, a, b, nonneg=None):
+    def __init__(self, objective, a, b):
         objective = vec(objective)
         a = mat(a)
         b = vec(b)
@@ -38,15 +37,9 @@ class LPProblem:
             raise DegenerateInputError("constraint matrix and rhs sizes differ")
         if a and len(a[0]) != len(objective):
             raise DegenerateInputError("objective length must match columns")
-        flags = tuple(
-            [True] * len(objective) if nonneg is None else [bool(f) for f in nonneg]
-        )
-        if len(flags) != len(objective):
-            raise DegenerateInputError("one nonneg flag per variable")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "nonneg", flags)
 
 
 @dataclass(frozen=True)
@@ -67,9 +60,9 @@ _MAX_PIVOTS = 100_000
 class _Tableau:
     """Dense tableau; columns = structural vars then artificials then rhs."""
 
-    def __init__(self, a_rows: List[List[Fraction]], b: List[Fraction]):
+    def __init__(self, a_rows: List[List[Fraction]], b: List[Fraction], n: int):
         self.m = len(a_rows)
-        self.n = len(a_rows[0]) if a_rows else 0
+        self.n = n
         self.rows = [list(r) + [Fraction(0)] * self.m + [b[i]]
                      for i, r in enumerate(a_rows)]
         for i in range(self.m):
@@ -132,43 +125,14 @@ class _Tableau:
 
 def lp_solve(problem: LPProblem) -> LPSolution:
     """Exact two-phase simplex; see module docstring for guarantees."""
-    n_orig = len(problem.objective)
-
-    # Split free variables x = x+ - x-.
-    col_of: List[Tuple[int, Optional[int]]] = []
-    ncols = 0
-    for j in range(n_orig):
-        if problem.nonneg[j]:
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    m = len(problem.b)
-    a_rows: List[List[Fraction]] = []
-    b_vals: List[Fraction] = []
-    row_sign: List[int] = []
-    for i in range(m):
-        row = [Fraction(0)] * ncols
-        for j in range(n_orig):
-            pos, neg = col_of[j]
-            row[pos] = problem.a[i][j]
-            if neg is not None:
-                row[neg] = -problem.a[i][j]
-        sign = -1 if problem.b[i] < 0 else 1
-        a_rows.append([sign * e for e in row])
-        b_vals.append(sign * problem.b[i])
-        row_sign.append(sign)
-
-    cost_struct = [Fraction(0)] * ncols
-    for j in range(n_orig):
-        pos, neg = col_of[j]
-        cost_struct[pos] = problem.objective[j]
-        if neg is not None:
-            cost_struct[neg] = -problem.objective[j]
-
-    t = _Tableau(a_rows, b_vals)
+    m, n = len(problem.b), len(problem.objective)
+    # Flip rows with a negative rhs so the artificial basis starts feasible.
+    row_sign = [-1 if bi < 0 else 1 for bi in problem.b]
+    t = _Tableau(
+        [[sign * e for e in row] for sign, row in zip(row_sign, problem.a)],
+        [sign * bi for sign, bi in zip(row_sign, problem.b)],
+        n,
+    )
 
     # Phase 1: minimize the sum of artificials.
     phase1_cost = [Fraction(0)] * t.n + [Fraction(1)] * t.m
@@ -191,7 +155,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
                 t.pivot(i, col)
 
     # Phase 2 on the structural objective; artificials may not re-enter.
-    phase2_cost = list(cost_struct) + [Fraction(0)] * t.m
+    phase2_cost = list(problem.objective) + [Fraction(0)] * t.m
     live_rows = [i for i in range(t.m) if i not in redundant]
 
     def allowed(j: int) -> bool:
@@ -208,17 +172,10 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     if status == "unbounded":
         return LPSolution(status="unbounded")
 
-    # Primal in original variables.
-    x_internal = [Fraction(0)] * t.n
+    primal = [Fraction(0)] * n
     for i, bv in enumerate(t.basis):
-        if bv < t.n:
-            x_internal[bv] = t.rows[i][t.cols]
-    primal = []
-    for j in range(n_orig):
-        pos, neg = col_of[j]
-        primal.append(
-            x_internal[pos] - (x_internal[neg] if neg is not None else Fraction(0))
-        )
+        if bv < n:
+            primal[bv] = t.rows[i][t.cols]
     primal = tuple(primal)
 
     # Dual from the artificial block: the artificial columns started as the
@@ -237,7 +194,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     dual = tuple(y)
 
     optimum = sum(
-        (problem.objective[j] * primal[j] for j in range(n_orig)), Fraction(0)
+        (problem.objective[j] * primal[j] for j in range(n)), Fraction(0)
     )
     _verify_optimal(problem, primal, dual, optimum)
     return LPSolution(status="optimal", optimum=optimum, primal=primal, dual=dual)
@@ -261,13 +218,10 @@ def _verify_optimal(
         slack = problem.objective[j] - sum(
             (dual[i] * problem.a[i][j] for i in range(m)), Fraction(0)
         )
-        if problem.nonneg[j]:
-            if slack < 0:
-                raise ConstructionError(f"dual infeasible at column {j}")
-            if primal[j] < 0:
-                raise ConstructionError(f"primal sign violated at column {j}")
-        elif slack != 0:
-            raise ConstructionError(f"dual equality violated at free column {j}")
+        if slack < 0:
+            raise ConstructionError(f"dual infeasible at column {j}")
+        if primal[j] < 0:
+            raise ConstructionError(f"primal sign violated at column {j}")
 
 
 def strong_duality_holds(problem: LPProblem, sol: LPSolution) -> bool:

@@ -24,6 +24,7 @@ from jetcover.blender import (
 from jetcover.boxes import Box, Interval
 from jetcover.cli import main as cli_main
 from jetcover.covering import Certificate, CoveringFailure, certify_covering, check_certificate
+from jetcover.errors import NotCoveredError
 from jetcover.flatpoly import (
     flat_lp_problem,
     divisible_by_power,
@@ -38,7 +39,6 @@ from jetcover.jetcovering import (
     branch_matrix,
     build_system,
     certify_delta_covering,
-    certify_membership,
     realize_jet,
     residual_bound,
     verify_semiconjugacy,
@@ -202,10 +202,9 @@ def test_criterion_7_realizer(realizer_system):
         target = Jet.scalar(
             tuple(reversed(linalg.mat_vec(system.projection, u_star)))
         )
-        membership = certify_membership(system, target)
+        result = realize_jet(system, target, tol)
+        membership = result.membership
         ok = ok and membership.certified and membership.margin > 0
-        result = realize_jet(system, target, tol, membership=membership)
-        ok = ok and result.membership is membership
         ok = ok and result.achieved_residual <= result.residual_bound <= tol
         if result.steps > 0:  # k is the first step count meeting tol
             ok = ok and residual_bound(system, result.steps - 1) > tol
@@ -216,9 +215,10 @@ def test_criterion_7_realizer(realizer_system):
         attempts += 1
         word = tuple(rng.choice("+-") for _ in range(20))
         target = continuation_jet(fams, word, system.order)
-        if not certify_membership(system, target).certified:
+        try:
+            result = realize_jet(system, target, tol)
+        except NotCoveredError:
             continue
-        result = realize_jet(system, target, tol)
         realized = continuation_jet(fams, result.itinerary, system.order)
         diff = target - realized
         worst = max(abs(row[0]) for row in diff.coeffs)
@@ -292,7 +292,7 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     plus_csv = tmp_path / "plus.csv"
     minus_csv = tmp_path / "minus.csv"
-    from jetcover.blender import branch_table_to_csv
+    from jetcover.serialize import branch_table_to_csv
 
     plus_csv.write_text(branch_table_to_csv(model_branch_table(F(3, 4), 1, 4, 4)))
     minus_csv.write_text(branch_table_to_csv(model_branch_table(F(3, 4), -1, 4, 4)))

@@ -7,8 +7,6 @@ from jetcover.blender import (
     BranchSample,
     SkewSystem,
     branch_region,
-    branch_table_from_csv,
-    branch_table_to_csv,
     curve_domain_box,
     model_branch_table,
     nearly_affine_check,
@@ -24,6 +22,7 @@ from jetcover.covering import Certificate, CoveringFailure
 from jetcover.errors import DegenerateInputError, ShapeError
 from jetcover.ifs import evaluate_word, standard_pair
 from jetcover.jets import Jet, continuation_jet, standard_families
+from jetcover.serialize import branch_table_from_csv, branch_table_to_csv
 
 
 def test_base_images():

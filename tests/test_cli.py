@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from jetcover.blender import branch_table_to_csv, model_branch_table
+from jetcover.blender import model_branch_table
 from jetcover.cli import main
+from jetcover.serialize import branch_table_to_csv
 
 
 def run(args):
@@ -176,7 +177,7 @@ def test_realize_step_cap_exits_before_lp(tmp_path, monkeypatch):
     def no_lp(problem):
         raise AssertionError("the step cap must be checked before any LP")
 
-    monkeypatch.setattr("jetcover.simplex.lp_solve", no_lp)
+    monkeypatch.setattr("jetcover.jetcovering.lp_solve", no_lp)
     # a target inside the covered set, and one far outside it
     for coeffs in (["1/4", "-1"], ["1000", "0"]):
         target = tmp_path / "target.json"
@@ -279,3 +280,38 @@ def test_config_file_supplies_defaults(tmp_path):
 def test_invalid_rational_rejected(tmp_path):
     out = tmp_path / "x.csv"
     assert run(["limit-set", "--lam", "0.75", "--depth", "2", "--out", str(out)]) == 2
+
+
+def _expect_input_error(capsys, args, out=None):
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out is None or not out.exists()
+
+
+def test_check_cert_rejects_zero_denominator(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert run(["certify", "--lam", "3/4", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    payload["margin"] = "1/0"
+    cert.write_text(json.dumps(payload))
+    _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
+
+
+def test_certify_rejects_zero_denominator(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    _expect_input_error(capsys, ["certify", "--lam", "1/0", "--out", str(out)], out)
+
+
+def test_realize_rejects_zero_denominator(tmp_path, capsys):
+    sys_path = tmp_path / "sys.json"
+    assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/0", "-1"]}))
+    out = tmp_path / "real.json"
+    _expect_input_error(
+        capsys,
+        ["realize", "--system", str(sys_path), "--target", str(target),
+         "--out", str(out)],
+        out,
+    )

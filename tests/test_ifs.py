@@ -14,13 +14,13 @@ from jetcover.ifs import (
     IFSystem,
     affine_1d,
     cloud_error_bound,
-    cloud_to_csv,
     decide_two_map_line,
     evaluate_word,
     limit_set_cloud,
     standard_pair,
     word_fixed_point,
 )
+from jetcover.serialize import cloud_to_csv
 
 
 def test_affine_map_rejects_non_contractions():

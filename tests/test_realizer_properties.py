@@ -1,7 +1,8 @@
 """Property tests: the realizer's closed forms against the generic paths.
 
 Contractions come from the 2^-10 grid in (1/2, 1); systems use grid
-contractions strictly above the threshold of their order (0 to 3).
+contractions strictly above the threshold of their order (0 to 3).  The
+membership LP is checked against box points whose projection is known.
 """
 
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ from jetcover.jetcovering import (
     IntegerPullback,
     branch_matrix,
     build_system,
+    certify_membership,
     power_norm_numerator,
     projection_reach,
     realization_steps,
@@ -32,6 +34,7 @@ GRID = 2 ** 10
 lams = st.integers(GRID // 2 + 1, GRID - 1).map(lambda j: F(j, GRID))
 words = st.text("+-", min_size=1, max_size=40)
 orders = st.integers(0, 3)
+grid_points = st.integers(-GRID + 1, GRID - 1).map(lambda j: F(j, GRID))
 
 
 @lru_cache(maxsize=None)
@@ -48,8 +51,8 @@ def grid_system(order, lam):
 
 
 @st.composite
-def systems(draw):
-    order = draw(orders)
+def systems(draw, top_order=3):
+    order = draw(st.integers(0, top_order))
     threshold = flat_and_threshold(order)[1]
     first = threshold.numerator * GRID // threshold.denominator + 1
     return grid_system(order, F(draw(st.integers(first, GRID - 1)), GRID))
@@ -113,6 +116,21 @@ def test_integer_pullback_matches_fraction_step(sys, steps, rng):
         delta, u = fraction_pullback_step(sys, u)
         assert pullback.step() == delta
         assert pullback.point() == u
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems(top_order=2), st.data())
+def test_membership_certifies_projected_grid_points(sys, data):
+    # u* on the 2^-10 grid strictly inside the box: its target is interior,
+    # and the LP's witness meets it exactly with the optimal uniform margin
+    bounds = sys.coordinate_bounds()
+    u_star = [data.draw(grid_points) * r for r in bounds]
+    x = linalg.mat_vec(sys.projection, u_star)
+    res = certify_membership(sys, Jet.scalar(tuple(reversed(x))))
+    assert res.certified
+    assert linalg.mat_vec(sys.projection, res.witness) == x
+    assert all(abs(w) <= r - res.margin for w, r in zip(res.witness, bounds))
+    assert res.margin >= min(r - abs(u) for u, r in zip(u_star, bounds))
 
 
 @pytest.mark.parametrize("order", [0, 1])

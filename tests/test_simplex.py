@@ -1,7 +1,8 @@
-import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetcover.errors import DegenerateInputError
 from jetcover.simplex import LPProblem, lp_solve, strong_duality_holds
@@ -39,18 +40,7 @@ def test_infeasible_verdict():
 
 def test_unbounded_verdict():
     assert lp_solve(LPProblem([-1, 0], [[1, -1]], [0])).status == "unbounded"
-
-
-def test_free_variables():
-    sol = lp_solve(
-        LPProblem([-1, 0], [[1, 1]], [2], nonneg=[False, True])
-    )
-    assert sol.optimum == -2 and sol.primal[0] == 2
-
-
-def test_free_variable_negative_value():
-    sol = lp_solve(LPProblem([1, 0], [[1, -1]], [-3], nonneg=[False, True]))
-    assert sol.is_optimal and sol.primal[0] == -3
+    assert lp_solve(LPProblem([-1], [], [])).status == "unbounded"  # no rows
 
 
 def test_redundant_rows():
@@ -67,21 +57,30 @@ def test_shape_validation():
         LPProblem([1], [[1]], [1, 2])
 
 
-def test_random_feasible_programs_certified():
-    # random bounded-feasible LPs; every optimum must carry an exact
-    # strong-duality certificate
-    rng = random.Random(23)
-    for _ in range(25):
-        m, n = rng.randint(1, 3), rng.randint(2, 5)
-        x_star = [F(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)]
-        a = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
-        # box the feasible region so the problem cannot be unbounded
-        a.append([F(1)] * n)
-        b = [sum(row[j] * x_star[j] for j in range(n)) for row in a]
-        c = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-        problem = LPProblem(c, a, b)
-        sol = lp_solve(problem)
-        assert sol.is_optimal
-        assert strong_duality_holds(problem, sol)
-        cx = sum(c[j] * x_star[j] for j in range(n))
-        assert sol.optimum <= cx  # the seed point is feasible
+@st.composite
+def feasible_programs(draw):
+    """A bounded LP with a known feasible point x* >= 0: random rows plus
+    sum(x) = sum(x*), which boxes the region so it cannot be unbounded."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+
+    def rats(lo, hi, den):
+        return st.builds(F, st.integers(lo, hi), st.integers(1, den))
+
+    x_star = draw(st.lists(rats(0, 6, 4), min_size=n, max_size=n))
+    row = st.lists(rats(-4, 4, 3), min_size=n, max_size=n)
+    a = draw(st.lists(row, min_size=m, max_size=m)) + [[F(1)] * n]
+    c = draw(st.lists(rats(-5, 5, 3), min_size=n, max_size=n))
+    b = [sum(aij * x for aij, x in zip(r, x_star)) for r in a]
+    return LPProblem(c, a, b), x_star
+
+
+@settings(deadline=None)
+@given(feasible_programs())
+def test_random_feasible_programs_certified(program):
+    # every optimum must carry an exact strong-duality certificate
+    problem, x_star = program
+    sol = lp_solve(problem)
+    assert sol.is_optimal
+    assert strong_duality_holds(problem, sol)
+    cx = sum(cj * x for cj, x in zip(problem.objective, x_star))
+    assert sol.optimum <= cx  # the seed point is feasible
