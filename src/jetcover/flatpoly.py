@@ -179,11 +179,16 @@ def find_flat_poly(
 
     The optimum is non-increasing in n (multiply by x to embed degree n
     into n+1); that monotonicity is asserted along the way.  Exhausting
-    n_max reports the best value found.
+    n_max reports the best value found; a cap below N is an input error.
     """
     margin = rat(margin)
     if not 0 < margin < 2:
         raise DegenerateInputError("margin must be in (0, 2)")
+    if n_max < big_n:
+        raise DegenerateInputError(
+            f"degree cap {n_max} is below the flatness {big_n}: a root of "
+            f"order {big_n} at 1 needs degree >= {big_n}"
+        )
     target = 2 - margin
     history: List[Tuple[int, Fraction]] = []
     prev: Optional[Fraction] = None

@@ -1,11 +1,21 @@
 """Exact two-phase simplex with Bland's rule.
 
 Minimizes c.x subject to A x = b, x >= 0 (standard form; callers
-encode free or bounded variables themselves).  Everything is Fraction
-arithmetic; the returned primal and dual satisfy strong duality exactly
-and are re-verified before the result leaves this module.  Bland's
-pivoting rule (lowest eligible index in, lowest basic index out among
-tied ratios) guarantees termination even on degenerate cycling instances.
+encode free or bounded variables themselves).  The tableau is
+fraction-free: each row is a list of Python ints over one positive row
+denominator.  A pivot updates a row by integer multiply-subtracts and
+then divides the whole row by one gcd, where a Fraction tableau would
+normalise every entry.  The reduced-cost row is part of the tableau and
+is carried through the pivots.  Ratios compare by cross-multiplication,
+so every pivot is the one exact rational arithmetic picks; no floating
+point is used.  Each row keeps its own denominator because scaling all
+rows to a common one inflates the numbers on the membership LPs.
+
+The primal and dual leave the tableau as Fractions and are re-verified in
+Fraction arithmetic (feasibility of both, strong duality) before the
+result leaves this module.  Bland's pivoting rule (lowest eligible index
+in, lowest basic index out among tied ratios) guarantees termination
+even on degenerate cycling instances.
 
 Problems in this package are tiny (at most ~130 variables), so a dense
 tableau is the right tool.
@@ -15,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional
 
 from .errors import ConstructionError, DegenerateInputError, ResourceLimitError
@@ -58,69 +69,111 @@ _MAX_PIVOTS = 100_000
 
 
 class _Tableau:
-    """Dense tableau; columns = structural vars then artificials then rhs."""
+    """Dense tableau of integer rows; columns = structural, artificial, rhs.
 
-    def __init__(self, a_rows: List[List[Fraction]], b: List[Fraction], n: int):
-        self.m = len(a_rows)
-        self.n = n
-        self.rows = [list(r) + [Fraction(0)] * self.m + [b[i]]
-                     for i, r in enumerate(a_rows)]
-        for i in range(self.m):
-            self.rows[i][self.n + i] = Fraction(1)
-        self.basis = [self.n + i for i in range(self.m)]
+    Row i is a list of ints R_i over one positive denominator d_i, so its
+    entry j is R_i[j] / d_i.  ``z`` over ``zden`` is the reduced-cost row
+    of the running phase's cost, ``cost - c_B . row`` in every column, and
+    each pivot updates it like any other row.
+    """
+
+    def __init__(self, problem: LPProblem, row_sign: List[int]):
+        self.m = len(problem.b)
+        self.n = len(problem.objective)
         self.cols = self.n + self.m
+        self.rows: List[List[int]] = []
+        self.dens: List[int] = []
+        for i, (row, bi, sign) in enumerate(zip(problem.a, problem.b, row_sign)):
+            ints, den = _integer_row(list(row) + [bi])
+            unit = [0] * self.m
+            unit[i] = den
+            self.rows.append([sign * e for e in ints[:-1]] + unit + [sign * ints[-1]])
+            self.dens.append(den)
+        self.basis = [self.n + i for i in range(self.m)]
+        self.z: List[int] = []
+        self.zden = 1
 
     def pivot(self, row: int, col: int) -> None:
-        piv = self.rows[row][col]
-        inv = 1 / piv
-        self.rows[row] = [e * inv for e in self.rows[row]]
+        prow = self.rows[row]
+        pc = prow[col]
+        if pc < 0:
+            prow = [-e for e in prow]
+            pc = -pc
+        g = gcd(*prow)
+        if g > 1:
+            prow = [e // g for e in prow]
+            pc //= g
+        # The pivot row is prow / pc, so its column entry is exactly 1.
+        self.rows[row] = prow
+        self.dens[row] = pc
         for r in range(self.m):
-            if r != row and self.rows[r][col] != 0:
-                f = self.rows[r][col]
-                prow = self.rows[row]
-                self.rows[r] = [
-                    self.rows[r][j] - f * prow[j] for j in range(self.cols + 1)
-                ]
+            f = self.rows[r][col]
+            if r != row and f != 0:
+                self.rows[r], self.dens[r] = _eliminate(
+                    self.rows[r], self.dens[r], f, prow, pc
+                )
+        f = self.z[col]
+        if f != 0:
+            self.z, self.zden = _eliminate(self.z, self.zden, f, prow, pc)
         self.basis[row] = col
 
-    def reduced_costs(self, cost: List[Fraction]) -> List[Fraction]:
-        """cost[j] - c_B . column_j for every column (artificials included)."""
-        rc = list(cost)
+    def run_bland(self, cost: List[Fraction], entering_cols: int) -> str:
+        """Minimize cost over the current basis, entering only columns below
+        ``entering_cols``; returns 'optimal'|'unbounded'."""
+        # Each basic row reads 1 in its basic column and 0 in the others,
+        # so eliminating the basic columns from the cost leaves cost - c_B . row.
+        self.z, self.zden = _integer_row(list(cost) + [Fraction(0)])
         for i, bv in enumerate(self.basis):
-            cb = cost[bv]
-            if cb != 0:
-                row = self.rows[i]
-                for j in range(self.cols):
-                    if row[j] != 0:
-                        rc[j] -= cb * row[j]
-        return rc
-
-    def run_bland(self, cost: List[Fraction], allowed) -> str:
-        """Minimize cost over the current basis; returns 'optimal'|'unbounded'."""
+            f = self.z[bv]
+            if f != 0:
+                self.z, self.zden = _eliminate(
+                    self.z, self.zden, f, self.rows[i], self.dens[i]
+                )
         for _ in range(_MAX_PIVOTS):
-            rc = self.reduced_costs(cost)
             entering = next(
-                (j for j in range(self.cols) if allowed(j) and rc[j] < 0), None
+                (j for j in range(entering_cols) if self.z[j] < 0), None
             )
             if entering is None:
                 return "optimal"
+            # Bland's ratio test.  A row's ratio rhs / entry needs no row
+            # denominator, and with both entries > 0 two ratios compare by
+            # cross-multiplication.
             leaving = None
-            best_ratio = None
             for i in range(self.m):
-                aij = self.rows[i][entering]
-                if aij > 0:
-                    ratio = self.rows[i][self.cols] / aij
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = i
+                row = self.rows[i]
+                a = row[entering]
+                if a > 0:
+                    num = row[self.cols]
+                    if leaving is not None:
+                        new, old = num * best_a, best_num * a
+                        if new > old or (
+                            new == old and self.basis[i] > self.basis[leaving]
+                        ):
+                            continue
+                    leaving, best_num, best_a = i, num, a
             if leaving is None:
                 return "unbounded"
             self.pivot(leaving, entering)
         raise ResourceLimitError("pivot cap exceeded")  # unreachable with Bland
+
+
+def _integer_row(entries: List[Fraction]):
+    """(ints, den) with entries == ints / den and den the lcm of the
+    entries' denominators."""
+    den = lcm(*(e.denominator for e in entries))
+    return [e.numerator * (den // e.denominator) for e in entries], den
+
+
+def _eliminate(row: List[int], den: int, f: int, prow: List[int], pc: int):
+    """row/den - (f/den) * prow/pc, which clears the pivot column, as one
+    integer row over den*pc divided by the gcd of all its numbers."""
+    out = [pc * e - f * p for e, p in zip(row, prow)]
+    den *= pc
+    g = gcd(den, *out)
+    if g > 1:
+        out = [e // g for e in out]
+        den //= g
+    return out, den
 
 
 def lp_solve(problem: LPProblem) -> LPSolution:
@@ -128,19 +181,13 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     m, n = len(problem.b), len(problem.objective)
     # Flip rows with a negative rhs so the artificial basis starts feasible.
     row_sign = [-1 if bi < 0 else 1 for bi in problem.b]
-    t = _Tableau(
-        [[sign * e for e in row] for sign, row in zip(row_sign, problem.a)],
-        [sign * bi for sign, bi in zip(row_sign, problem.b)],
-        n,
-    )
+    t = _Tableau(problem, row_sign)
 
-    # Phase 1: minimize the sum of artificials.
+    # Phase 1: minimize the sum of artificials.  Every rhs stays >= 0, so
+    # the sum is zero exactly when no basic artificial is positive.
     phase1_cost = [Fraction(0)] * t.n + [Fraction(1)] * t.m
-    t.run_bland(phase1_cost, allowed=lambda j: True)
-    infeas = sum(
-        (t.rows[i][t.cols] for i in range(t.m) if t.basis[i] >= t.n), Fraction(0)
-    )
-    if infeas != 0:
+    t.run_bland(phase1_cost, t.cols)
+    if any(t.rows[i][t.cols] != 0 for i in range(t.m) if t.basis[i] >= t.n):
         return LPSolution(status="infeasible")
 
     # Pivot residual artificials out of the basis; rows with no structural
@@ -156,42 +203,32 @@ def lp_solve(problem: LPProblem) -> LPSolution:
 
     # Phase 2 on the structural objective; artificials may not re-enter.
     phase2_cost = list(problem.objective) + [Fraction(0)] * t.m
-    live_rows = [i for i in range(t.m) if i not in redundant]
-
-    def allowed(j: int) -> bool:
-        return j < t.n
-
     if redundant:
         # Excise redundant rows so the ratio test never sees them.
+        live_rows = [i for i in range(t.m) if i not in redundant]
         t.rows = [t.rows[i] for i in live_rows]
-        kept_basis = [t.basis[i] for i in live_rows]
+        t.dens = [t.dens[i] for i in live_rows]
+        t.basis = [t.basis[i] for i in live_rows]
         t.m = len(t.rows)
-        t.basis = kept_basis
 
-    status = t.run_bland(phase2_cost, allowed)
+    status = t.run_bland(phase2_cost, t.n)
     if status == "unbounded":
         return LPSolution(status="unbounded")
 
     primal = [Fraction(0)] * n
     for i, bv in enumerate(t.basis):
         if bv < n:
-            primal[bv] = t.rows[i][t.cols]
+            primal[bv] = Fraction(t.rows[i][t.cols], t.dens[i])
     primal = tuple(primal)
 
     # Dual from the artificial block: the artificial columns started as the
     # identity, so they accumulate the row-operation weights E with
-    # tableau = E @ original_rows, and y = c_B . E.  Weights on excised
-    # redundant rows are still part of a valid multiplier vector.
-    y = [Fraction(0)] * m
-    for orig_row in range(m):
-        col = t.n + orig_row
-        val = Fraction(0)
-        for i, bv in enumerate(t.basis):
-            cb = phase2_cost[bv]
-            if cb != 0:
-                val += cb * t.rows[i][col]
-        y[orig_row] = row_sign[orig_row] * val
-    dual = tuple(y)
+    # tableau = E @ original_rows.  The artificials cost 0 in phase 2, so
+    # their reduced costs are -c_B . E = -y.  Weights on excised redundant
+    # rows are still part of a valid multiplier vector.
+    dual = tuple(
+        row_sign[k] * Fraction(-t.z[t.n + k], t.zden) for k in range(m)
+    )
 
     optimum = sum(
         (problem.objective[j] * primal[j] for j in range(n)), Fraction(0)

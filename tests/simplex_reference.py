@@ -1,0 +1,163 @@
+"""The dense Fraction two-phase simplex, kept as the test oracle.
+
+This is the solver `jetcover.simplex` ran before its tableau moved to
+integer rows, copied unchanged apart from the entry point's name.  Both
+use Bland's rule with exact arithmetic, so they must take the same
+pivots and return equal `LPSolution`s on every problem.  Every cell is a
+`Fraction`, and the reduced costs are rebuilt from the basis on every
+iteration.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import List
+
+from jetcover.errors import ResourceLimitError
+from jetcover.simplex import LPProblem, LPSolution, _verify_optimal
+
+
+_MAX_PIVOTS = 100_000
+
+
+class _Tableau:
+    """Dense tableau; columns = structural vars then artificials then rhs."""
+
+    def __init__(self, a_rows: List[List[Fraction]], b: List[Fraction], n: int):
+        self.m = len(a_rows)
+        self.n = n
+        self.rows = [list(r) + [Fraction(0)] * self.m + [b[i]]
+                     for i, r in enumerate(a_rows)]
+        for i in range(self.m):
+            self.rows[i][self.n + i] = Fraction(1)
+        self.basis = [self.n + i for i in range(self.m)]
+        self.cols = self.n + self.m
+
+    def pivot(self, row: int, col: int) -> None:
+        piv = self.rows[row][col]
+        inv = 1 / piv
+        self.rows[row] = [e * inv for e in self.rows[row]]
+        for r in range(self.m):
+            if r != row and self.rows[r][col] != 0:
+                f = self.rows[r][col]
+                prow = self.rows[row]
+                self.rows[r] = [
+                    self.rows[r][j] - f * prow[j] for j in range(self.cols + 1)
+                ]
+        self.basis[row] = col
+
+    def reduced_costs(self, cost: List[Fraction]) -> List[Fraction]:
+        """cost[j] - c_B . column_j for every column (artificials included)."""
+        rc = list(cost)
+        for i, bv in enumerate(self.basis):
+            cb = cost[bv]
+            if cb != 0:
+                row = self.rows[i]
+                for j in range(self.cols):
+                    if row[j] != 0:
+                        rc[j] -= cb * row[j]
+        return rc
+
+    def run_bland(self, cost: List[Fraction], allowed) -> str:
+        """Minimize cost over the current basis; returns 'optimal'|'unbounded'."""
+        for _ in range(_MAX_PIVOTS):
+            rc = self.reduced_costs(cost)
+            entering = next(
+                (j for j in range(self.cols) if allowed(j) and rc[j] < 0), None
+            )
+            if entering is None:
+                return "optimal"
+            leaving = None
+            best_ratio = None
+            for i in range(self.m):
+                aij = self.rows[i][entering]
+                if aij > 0:
+                    ratio = self.rows[i][self.cols] / aij
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and self.basis[i] < self.basis[leaving])
+                    ):
+                        best_ratio = ratio
+                        leaving = i
+            if leaving is None:
+                return "unbounded"
+            self.pivot(leaving, entering)
+        raise ResourceLimitError("pivot cap exceeded")  # unreachable with Bland
+
+
+def reference_lp_solve(problem: LPProblem) -> LPSolution:
+    """Exact two-phase simplex; see module docstring for guarantees."""
+    m, n = len(problem.b), len(problem.objective)
+    # Flip rows with a negative rhs so the artificial basis starts feasible.
+    row_sign = [-1 if bi < 0 else 1 for bi in problem.b]
+    t = _Tableau(
+        [[sign * e for e in row] for sign, row in zip(row_sign, problem.a)],
+        [sign * bi for sign, bi in zip(row_sign, problem.b)],
+        n,
+    )
+
+    # Phase 1: minimize the sum of artificials.
+    phase1_cost = [Fraction(0)] * t.n + [Fraction(1)] * t.m
+    t.run_bland(phase1_cost, allowed=lambda j: True)
+    infeas = sum(
+        (t.rows[i][t.cols] for i in range(t.m) if t.basis[i] >= t.n), Fraction(0)
+    )
+    if infeas != 0:
+        return LPSolution(status="infeasible")
+
+    # Pivot residual artificials out of the basis; rows with no structural
+    # pivot are redundant constraints (their rhs is already zero).
+    redundant: List[int] = []
+    for i in range(t.m):
+        if t.basis[i] >= t.n:
+            col = next((j for j in range(t.n) if t.rows[i][j] != 0), None)
+            if col is None:
+                redundant.append(i)
+            else:
+                t.pivot(i, col)
+
+    # Phase 2 on the structural objective; artificials may not re-enter.
+    phase2_cost = list(problem.objective) + [Fraction(0)] * t.m
+    live_rows = [i for i in range(t.m) if i not in redundant]
+
+    def allowed(j: int) -> bool:
+        return j < t.n
+
+    if redundant:
+        # Excise redundant rows so the ratio test never sees them.
+        t.rows = [t.rows[i] for i in live_rows]
+        kept_basis = [t.basis[i] for i in live_rows]
+        t.m = len(t.rows)
+        t.basis = kept_basis
+
+    status = t.run_bland(phase2_cost, allowed)
+    if status == "unbounded":
+        return LPSolution(status="unbounded")
+
+    primal = [Fraction(0)] * n
+    for i, bv in enumerate(t.basis):
+        if bv < n:
+            primal[bv] = t.rows[i][t.cols]
+    primal = tuple(primal)
+
+    # Dual from the artificial block: the artificial columns started as the
+    # identity, so they accumulate the row-operation weights E with
+    # tableau = E @ original_rows, and y = c_B . E.  Weights on excised
+    # redundant rows are still part of a valid multiplier vector.
+    y = [Fraction(0)] * m
+    for orig_row in range(m):
+        col = t.n + orig_row
+        val = Fraction(0)
+        for i, bv in enumerate(t.basis):
+            cb = phase2_cost[bv]
+            if cb != 0:
+                val += cb * t.rows[i][col]
+        y[orig_row] = row_sign[orig_row] * val
+    dual = tuple(y)
+
+    optimum = sum(
+        (problem.objective[j] * primal[j] for j in range(n)), Fraction(0)
+    )
+    _verify_optimal(problem, primal, dual, optimum)
+    return LPSolution(status="optimal", optimum=optimum, primal=primal, dual=dual)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -315,3 +316,49 @@ def test_realize_rejects_zero_denominator(tmp_path, capsys):
          "--out", str(out)],
         out,
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["jet-system", "--order", "3", "--degree-max", "2"],
+        ["flat-poly", "--flatness", "3", "--degree-max", "2"],
+    ],
+)
+def test_degree_cap_below_flatness_is_input_error(tmp_path, capsys, args):
+    # rejected before any LP, not reported as an exhausted search
+    out = tmp_path / "out.json"
+    assert run(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: degree cap 2 is below the flatness"
+    )
+    assert not out.exists()
+
+
+# sha256 of the bytes these commands write.  The flat polynomial, the LP
+# witnesses and the itinerary all come out of exact simplex runs, so any
+# change in the pivot sequence or the LP arithmetic shows here.
+PINNED_DIGESTS = {
+    "o2": "419801e239e2d156507539757c088370d062d63f97e683fe00dd03ab6403dad6",
+    "o3": "542dbbb620a57dc6014d2289a6eb6963a75cb0e1ff9e95405c50348d8fd73101",
+    "o1": "226bc9aaa95c27a43658d0328d275c85e822baf977c689275aac80ac8086b7bb",
+    "realize": "e9a5834dd913896d1d489534a2fb526821cf691c0cf47305976dc7cbc191da7c",
+}
+
+
+def test_pinned_output_digests(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
+    commands = {
+        "o2": ["jet-system", "--order", "2"],
+        "o3": ["jet-system", "--order", "3", "--lam", "1021/1024"],
+        "o1": ["jet-system", "--order", "1"],
+        "realize": ["realize", "--system", str(tmp_path / "o1.json"),
+                    "--target", str(target)],
+    }
+    digests = {}
+    for name, args in commands.items():
+        out = tmp_path / f"{name}.json"
+        assert run(args + ["--out", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == PINNED_DIGESTS

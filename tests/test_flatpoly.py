@@ -96,6 +96,17 @@ def test_escalation_exhaustion():
         find_flat_poly(2, margin=F(1, 16), n_max=3)
 
 
+@pytest.mark.parametrize("big_n, n_max", [(4, 2), (2, 1), (1, 0)])
+def test_escalation_rejects_cap_below_flatness(big_n, n_max, monkeypatch):
+    # no degree below N has a root of order N at 1, so no LP may run
+    def no_lp(problem):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr("jetcover.flatpoly.lp_solve", no_lp)
+    with pytest.raises(DegenerateInputError, match="below the flatness"):
+        find_flat_poly(big_n, n_max=n_max)
+
+
 def test_scale_to_p_example():
     q1 = minimal_flat_poly(1, 1)
     p, report = scale_to_p(q1, F(3, 4))

@@ -1,11 +1,17 @@
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jetcover import linalg
 from jetcover.errors import DegenerateInputError
+from jetcover.flatpoly import flat_lp_problem
+from jetcover.jetcovering import certify_membership
+from jetcover.jets import Jet
 from jetcover.simplex import LPProblem, lp_solve, strong_duality_holds
+from simplex_reference import reference_lp_solve  # local helper module
 
 
 def test_trivial_equality():
@@ -20,18 +26,22 @@ def test_l1_split_encoding():
     assert sol.primal == (F(0), F(1))
 
 
-def test_beale_cycling_instance_terminates():
-    # classic degenerate instance that cycles under naive pivoting
-    c = [F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0]
-    a = [
+# classic degenerate instance that cycles under naive pivoting
+BEALE = LPProblem(
+    [F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0],
+    [
         [F(1, 4), -60, F(-1, 25), 9, 1, 0, 0],
         [F(1, 2), -90, F(-1, 50), 3, 0, 1, 0],
         [0, 0, 1, 0, 0, 0, 1],
-    ]
-    problem = LPProblem(c, a, [0, 0, 1])
-    sol = lp_solve(problem)
+    ],
+    [0, 0, 1],
+)
+
+
+def test_beale_cycling_instance_terminates():
+    sol = lp_solve(BEALE)
     assert sol.is_optimal and sol.optimum == F(-1, 20)
-    assert strong_duality_holds(problem, sol)
+    assert strong_duality_holds(BEALE, sol)
 
 
 def test_infeasible_verdict():
@@ -84,3 +94,69 @@ def test_random_feasible_programs_certified(program):
     assert strong_duality_holds(problem, sol)
     cx = sum(cj * x for cj, x in zip(problem.objective, x_star))
     assert sol.optimum <= cx  # the seed point is feasible
+
+
+@st.composite
+def mixed_programs(draw):
+    """Small LPs of every verdict: entries over mixed denominators, rhs of
+    either sign and often zero (degenerate vertices, where Bland's tie rule
+    decides), and optionally a duplicated row (kept consistent or made
+    contradictory) and an all-zero row (rhs zero or not)."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    rats = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7, 12]))
+    row = st.lists(rats, min_size=n, max_size=n)
+    a = draw(st.lists(row, min_size=m, max_size=m))
+    b = draw(st.lists(st.one_of(st.just(F(0)), rats), min_size=m, max_size=m))
+    if a and draw(st.booleans()):
+        k = draw(st.integers(0, m - 1))
+        scale = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+        a.append([scale * e for e in a[k]])
+        b.append(scale * b[k] + draw(st.sampled_from([0, 0, 1])))
+    if draw(st.booleans()):
+        a.append([F(0)] * n)
+        b.append(draw(st.sampled_from([F(0), F(0), F(-1, 2)])))
+    c = draw(st.lists(rats, min_size=n, max_size=n))
+    return LPProblem(c, a, b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(mixed_programs(), feasible_programs().map(lambda pr: pr[0])))
+@example(BEALE)
+@example(LPProblem([0, 0, 1], [[0, 1, 1], [-1, 0, 1]], [0, 0]))  # a ratio tie
+def test_matches_fraction_reference(problem):
+    # the integer-row tableau takes the Fraction tableau's pivots exactly
+    assert lp_solve(problem) == reference_lp_solve(problem)
+
+
+@pytest.mark.parametrize("big_n", [1, 2, 3, 4])
+def test_flat_lps_match_reference(big_n):
+    for n in range(big_n, big_n + 21):
+        problem = flat_lp_problem(big_n, n)
+        assert lp_solve(problem) == reference_lp_solve(problem), n
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_membership_lps_match_reference(order, request, monkeypatch):
+    # grid points inside the box, one outside it (infeasible) and the zero
+    # jet (a degenerate optimal face)
+    sys = request.getfixturevalue(f"jet_sys_r{order}")
+    problems = []
+
+    def recording_solve(problem):
+        problems.append(problem)
+        return lp_solve(problem)
+
+    monkeypatch.setattr("jetcover.jetcovering.lp_solve", recording_solve)
+    rng = random.Random(20 + order)
+    bounds = sys.coordinate_bounds()
+    scales = [F(rng.randint(-1023, 1023), 1024) for _ in range(3)] + [F(2), F(0)]
+    for scale in scales:
+        u = [scale * r * rng.choice([1, -1]) for r in bounds]
+        x = linalg.mat_vec(sys.projection, u)
+        certify_membership(sys, Jet.scalar(tuple(reversed(x))))
+    statuses = set()
+    for problem in problems:
+        sol = reference_lp_solve(problem)
+        assert lp_solve(problem) == sol
+        statuses.add(sol.status)
+    assert statuses == {"optimal", "infeasible"}
