@@ -11,6 +11,13 @@ Certification is semi-decidable by subdivision: success is a proof,
 failure (depth exhausted) is inconclusive and reports the offending
 sub-box for diagnosis.  Box and window covers share one subdivision
 driver; the JSON wire format lives in `serialize`.
+
+The checker accepts exactly the leaf sets of the target's midpoint
+bisection tree (longest axis, lowest index on ties), in any order, which
+is what the certifier emits.  It replays that tree with its own split,
+striking off leaves, and inverts each witness map once; it shares no
+subdivision or inverse-image code with the certifier and runs in time
+linear in the leaf count.
 """
 
 from __future__ import annotations
@@ -143,12 +150,33 @@ def certify_covering(
     )
 
 
-def _leaves_partition(target: Box, leaves: Sequence[Box]) -> bool:
-    """Exact partition check: containment, disjoint interiors, full volume.
+def _bounds(box: Box) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    return tuple((iv.lo, iv.hi) for iv in box.intervals)
 
-    Finitely many closed sub-boxes of U with pairwise disjoint interiors
-    and total volume equal to vol(U) cover U entirely, so this is an exact
-    verification of the partition claim.
+
+def _split(piece):
+    """The checker's own midpoint split of a piece given by its bounds:
+    the longest axis, the lowest index on ties, lower half first."""
+    widths = [hi - lo for lo, hi in piece]
+    ax = widths.index(max(widths))
+    lo, hi = piece[ax]
+    mid = (lo + hi) / 2
+    return (
+        piece[:ax] + ((lo, mid),) + piece[ax + 1:],
+        piece[:ax] + ((mid, hi),) + piece[ax + 1:],
+    )
+
+
+def _leaves_partition(target: Box, leaves: Sequence[Box]) -> bool:
+    """True iff the leaves are the leaf set of the midpoint bisection tree
+    of `target`, in any order.
+
+    After a containment and volume pass (which raises on a leaf of the
+    wrong dimension), the tree is replayed from the target: a piece that
+    is a leaf is struck off, any other piece is split.  A tree with L
+    leaves has L - 1 splits, so the replay gives up at the L-th and costs
+    O(L) whatever the leaves are; it accepts iff every leaf is struck off.
+    An exact partition cut anywhere but at the midpoints is rejected.
     """
     if not leaves:
         return False
@@ -159,15 +187,64 @@ def _leaves_partition(target: Box, leaves: Sequence[Box]) -> bool:
         vol += leaf.volume()
     if vol != target.volume():
         return False
-    for i in range(len(leaves)):
-        for j in range(i + 1, len(leaves)):
-            if not leaves[i].interiors_disjoint(leaves[j]):
-                return False
+    remaining = {_bounds(leaf) for leaf in leaves}
+    if len(remaining) != len(leaves):
+        return False  # a repeated leaf
+    splits_left = len(leaves) - 1
+    stack = [_bounds(target)]
+    while stack:
+        piece = stack.pop()
+        if piece in remaining:
+            remaining.remove(piece)
+        elif splits_left == 0:
+            return False
+        else:
+            splits_left -= 1
+            stack.extend(_split(piece))
+    return not remaining
+
+
+def _inverse_branch(f: AffineMap, shrunk: Box):
+    """The inverse matrix M^-1 of f(x) = M x + t, and the rows' windows
+    `shrunk + M^-1 t`: f^-1(x) = M^-1 x - M^-1 t lies in `shrunk` iff
+    each row of M^-1 x lies in its window."""
+    if f.dim != shrunk.dim:
+        raise DegenerateInputError("box dimension does not match the map")
+    try:
+        inv = linalg.inverse(f.matrix)
+    except SingularMatrixError:
+        raise SingularMatrixError("branch matrix is singular") from None
+    shift = linalg.mat_vec(inv, f.offset)
+    windows = [(iv.lo + c, iv.hi + c) for iv, c in zip(shrunk.intervals, shift)]
+    return inv, windows
+
+
+def _preimage_fits(inv: linalg.Mat, windows, leaf: Box) -> bool:
+    """Whether the interval enclosure of inv @ leaf lies in `windows`."""
+    for row, (w_lo, w_hi) in zip(inv, windows):
+        lo = hi = Fraction(0)
+        for a, iv in zip(row, leaf.intervals):
+            if a > 0:
+                lo += a * iv.lo
+                hi += a * iv.hi
+            elif a < 0:
+                lo += a * iv.hi
+                hi += a * iv.lo
+        if lo < w_lo or hi > w_hi:
+            return False
     return True
 
 
 def check_certificate(cert: Certificate) -> bool:
-    """Re-verify a certificate from scratch; True iff every claim holds."""
+    """Re-verify a certificate from scratch; True iff every claim holds.
+
+    The leaves must be the leaf set of the target's midpoint bisection
+    tree (`_leaves_partition`), and each leaf's witness branch must pull
+    the leaf into the target shrunk by the margin.  Each witness map is
+    inverted once, on its first use, so a map no leaf names is never
+    inverted.  The checker shares no subdivision or inverse-image code
+    with `certify_covering`, and its cost is linear in the leaf count.
+    """
     if not isinstance(cert, Certificate):
         raise CertificateFormatError("not a certificate")
     if cert.margin <= 0:
@@ -178,11 +255,13 @@ def check_certificate(cert: Certificate) -> bool:
         return False
     if not _leaves_partition(cert.target, [leaf for leaf, _ in cert.leaves]):
         return False
+    branches = {}
     for leaf, witness in cert.leaves:
         if witness not in cert.system.maps:
             return False
-        pre = inverse_image_box(cert.system.maps[witness], leaf)
-        if not shrunk.contains_box(pre):
+        if witness not in branches:
+            branches[witness] = _inverse_branch(cert.system.maps[witness], shrunk)
+        if not _preimage_fits(*branches[witness], leaf):
             return False
     return True
 

@@ -6,16 +6,30 @@ Systems are two-map line IFS x -> a x + u ('+'), x -> b x - v ('-') on
 branch windows overlap by a chosen sliver; certificates then take 2 to
 about 10 leaves.  The mutations are judged by hand-computed exact inverse
 images, not by the checker's own code.
+
+The checker's partition test (a replay of the midpoint bisection tree) is
+also compared with the pairwise test it replaced, kept in
+`covering_reference`, on these certificates, on planar ones, and on
+their mutants.
 """
 
 import json
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covering_reference import _leaves_partition as reference_partition  # local helper module
+from covering_reference import planar_certificate
 from jetcover.boxes import Box, Interval
-from jetcover.covering import Certificate, certify_covering, check_certificate
+from jetcover.covering import (
+    Certificate,
+    _leaves_partition,
+    certify_covering,
+    check_certificate,
+)
 from jetcover.ifs import IFSystem, affine_1d
 from jetcover.rational import rat_str
 from jetcover.serialize import canonical_json, covering_outcome_payload, load_certificate
@@ -94,3 +108,75 @@ def test_false_claims_are_rejected(cert, data):
     half_width = TARGET[0].width / 2
     margin = half_width * F(data.draw(st.integers(4, 12)), 4)
     assert not accepted(dict(payload, margin=rat_str(margin)))
+
+
+# (λ, h, 1/margin) for x -> λx + (±1, ±1) on [-2, h]^2: 4, 131 and 131
+# leaves; the pairwise oracle keeps them small
+PLANAR = (
+    (F(3, 4), F(2), 16),
+    (F(296, 512), F(13, 8), 64),
+    (F(308, 512), F(3, 2), 16),
+)
+
+
+def hull(a: Box, b: Box) -> Box:
+    return Box([Interval(min(u.lo, v.lo), max(u.hi, v.hi)) for u, v in zip(a, b)])
+
+
+def mutants(ordered, leaves, i, data):
+    """Leaf lists derived from `leaves`, a shuffle of the certificate's
+    `ordered` leaves: drop, duplicate or shift leaf i, split it into its
+    two halves, merge two sibling leaves."""
+    leaf = leaves[i]
+    rest = leaves[:i] + leaves[i + 1:]
+    yield rest
+    yield leaves + [leaf]
+    ax = data.draw(st.integers(0, leaf.dim - 1))
+    shift = leaf[ax].width * F(data.draw(st.integers(1, 8)), 4)
+    shift *= data.draw(st.sampled_from([1, -1]))
+    moved = list(leaf.intervals)
+    moved[ax] = Interval(moved[ax].lo + shift, moved[ax].hi + shift)
+    yield rest[:i] + [Box(moved)] + rest[i:]
+    yield rest[:i] + list(leaf.bisect()) + rest[i:]
+    # depth-first order puts two sibling leaves next to each other
+    siblings = [
+        (a, b) for a, b in zip(ordered, ordered[1:]) if hull(a, b).bisect() == (a, b)
+    ]
+    if len(leaves) > 1:
+        assert siblings  # the deepest split of a tree has two leaf children
+        a, b = data.draw(st.sampled_from(siblings))
+        yield [hull(a, b)] + [c for c in leaves if c not in (a, b)]
+
+
+def assert_partition_verdicts_agree(cert, data):
+    ordered = [leaf for leaf, _ in cert.leaves]
+    leaves = list(ordered)
+    random.Random(data.draw(st.integers(0, 2**32))).shuffle(leaves)
+    assert _leaves_partition(cert.target, leaves)
+    assert reference_partition(cert.target, leaves)
+    i = data.draw(st.integers(0, len(leaves) - 1))
+    for mutant in mutants(ordered, leaves, i, data):
+        expected = reference_partition(cert.target, mutant)
+        assert _leaves_partition(cert.target, mutant) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(certificates(), st.data())
+def test_partition_replay_agrees_with_pairwise_check_1d(cert, data):
+    assert_partition_verdicts_agree(cert, data)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.sampled_from(PLANAR), st.data())
+def test_partition_replay_agrees_with_pairwise_check_planar(params, data):
+    assert_partition_verdicts_agree(planar_certificate(*params), data)
+
+
+@pytest.mark.parametrize("cuts", [(-2, 1, 2), (-2, 0, 0, 2)])
+def test_partition_off_the_bisection_tree_is_rejected(cuts):
+    # exact partitions, but [-2, 2] bisects at 0, not at 1, and a
+    # zero-width leaf is no node of the tree
+    target = Box([Interval.of(-2, 2)])
+    leaves = [Box([Interval.of(lo, hi)]) for lo, hi in zip(cuts, cuts[1:])]
+    assert reference_partition(target, leaves)
+    assert not _leaves_partition(target, leaves)

@@ -299,6 +299,49 @@ def test_check_cert_rejects_zero_denominator(tmp_path, capsys):
     _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
 
 
+# mutations of the `certify --lam 3/4` certificate, whose leaves are
+# [-2, 0] ('-') and [0, 2] ('+'), with the exit code `check-cert` gives
+SINGULAR = {"matrix": [["0"]], "offset": ["0"], "contraction": "0"}
+PLANAR = {"matrix": [["3/4", "0"], ["0", "3/4"]], "offset": ["1", "0"],
+          "contraction": "3/4"}
+HOSTILE_CERTIFICATES = {
+    "two-dimensional leaf": (2, lambda p: p["leaves"][0].update(
+        box=[["-2", "0"], ["0", "1"]])),
+    "reversed leaf interval": (2, lambda p: p["leaves"][0].update(box=[["0", "-2"]])),
+    "reversed target": (2, lambda p: p.update(box=[["2", "-2"]])),
+    "depth not a number": (2, lambda p: p.update(depth="x")),
+    "box given as a string": (2, lambda p: p["leaves"][0].update(box="[-2, 0]")),
+    "singular witness map": (2, lambda p: p["system"]["maps"].update({"-": SINGULAR})),
+    "2x2 maps on a 1-d box": (2, lambda p: p["system"]["maps"].update(
+        {"+": PLANAR, "-": PLANAR})),
+    "no leaves": (1, lambda p: p.update(leaves=[])),
+    "one whole-box leaf": (1, lambda p: p.update(
+        leaves=[{"box": [["-2", "2"]], "witness": "+"}])),
+    "int witness": (1, lambda p: p["leaves"][0].update(witness=1)),
+    "margin 3": (1, lambda p: p.update(margin="3")),
+    "zero-volume leaves": (1, lambda p: p.update(leaves=[
+        {"box": [["-2", "-2"]], "witness": "-"},
+        {"box": [["2", "2"]], "witness": "+"},
+    ])),
+    "unused singular map": (0, lambda p: (
+        p["system"]["alphabet"].append("z"), p["system"]["maps"].update(z=SINGULAR))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CERTIFICATES))
+def test_check_cert_exit_codes_on_hostile_certificates(tmp_path, capsys, name):
+    expected, mutate = HOSTILE_CERTIFICATES[name]
+    cert = tmp_path / "cert.json"
+    assert run(["certify", "--lam", "3/4", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    mutate(payload)
+    cert.write_text(json.dumps(payload))
+    if expected == 2:
+        _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
+    else:
+        assert run(["check-cert", "--cert", str(cert)]) == expected
+
+
 def test_certify_rejects_zero_denominator(tmp_path, capsys):
     out = tmp_path / "cert.json"
     _expect_input_error(capsys, ["certify", "--lam", "1/0", "--out", str(out)], out)
@@ -343,6 +386,7 @@ PINNED_DIGESTS = {
     "o3": "542dbbb620a57dc6014d2289a6eb6963a75cb0e1ff9e95405c50348d8fd73101",
     "o1": "226bc9aaa95c27a43658d0328d275c85e822baf977c689275aac80ac8086b7bb",
     "realize": "e9a5834dd913896d1d489534a2fb526821cf691c0cf47305976dc7cbc191da7c",
+    "certify": "f92c038690d25d34aa201557f5033863cf0f67196e94a13b1331b09e2e593fda",
 }
 
 
@@ -355,6 +399,7 @@ def test_pinned_output_digests(tmp_path):
         "o1": ["jet-system", "--order", "1"],
         "realize": ["realize", "--system", str(tmp_path / "o1.json"),
                     "--target", str(target)],
+        "certify": ["certify", "--lam", "3/4"],
     }
     digests = {}
     for name, args in commands.items():

@@ -3,6 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from covering_reference import _leaves_partition as reference_partition  # local helper module
+from covering_reference import planar_certificate
+from jetcover import covering, linalg
 from jetcover.boxes import Box, Interval
 from jetcover.covering import (
     Certificate,
@@ -18,7 +21,8 @@ from jetcover.errors import (
     DegenerateInputError,
     SingularMatrixError,
 )
-from jetcover.ifs import AffineMap, affine_1d, standard_pair
+from jetcover.ifs import AffineMap, IFSystem, affine_1d, standard_pair
+from jetcover.rational import rat_str
 from jetcover.serialize import covering_outcome_payload, load_certificate
 
 
@@ -176,3 +180,125 @@ def test_window_cover_failure():
     assert isinstance(out.witness_box, Box) and out.witness_box.dim == 1
     assert out.witness_box[0].width == F(4) / 2 ** 10
     assert out.max_depth == 10
+
+
+# --- the checker's cost and its independence from the certifier -------------
+
+
+@pytest.fixture(scope="module")
+def planar_cert():
+    cert = planar_certificate(F(296, 512), F(13, 8), 64)
+    assert len(cert.leaves) == 131
+    return cert
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_checker_splits_once_per_inner_node(monkeypatch, planar_cert):
+    splits = count_calls(monkeypatch, covering, "_split")
+    inversions = count_calls(monkeypatch, linalg, "inverse")
+    assert check_certificate(planar_cert)
+    assert len(splits) == len(planar_cert.leaves) - 1
+    assert len(inversions) == len({w for _, w in planar_cert.leaves}) <= 4
+
+
+def warp(x: F, lo: F, hi: F) -> F:
+    """A monotone bijection of [lo, hi] that moves dyadic points off the grid."""
+    return x + (x - lo) * (hi - x) / 1000
+
+
+def test_off_grid_partition_is_rejected_within_the_split_budget(monkeypatch, planar_cert):
+    payload = covering_outcome_payload(planar_cert)
+    payload["depth"] = 1_000_000
+    for leaf in payload["leaves"]:
+        leaf["box"] = [
+            [rat_str(warp(F(e), F(-2), F(13, 8))) for e in side] for side in leaf["box"]
+        ]
+    hostile = load_certificate(payload)
+    leaves = [leaf for leaf, _ in hostile.leaves]
+    assert reference_partition(hostile.target, leaves)  # still an exact partition
+    splits = count_calls(monkeypatch, covering, "_split")
+    assert not check_certificate(hostile)
+    assert len(splits) <= len(leaves) - 1
+
+
+def overlapping_halves(box):
+    ax = box.longest_axis()
+    iv = box[ax]
+    cut = iv.width / 8
+    lo, hi = list(box.intervals), list(box.intervals)
+    lo[ax] = Interval(iv.lo, iv.mid + cut)
+    hi[ax] = Interval(iv.mid - cut, iv.hi)
+    return Box(lo), Box(hi)
+
+
+def third_halves(box):
+    ax = box.longest_axis()
+    iv = box[ax]
+    cut = iv.lo + iv.width / 3
+    lo, hi = list(box.intervals), list(box.intervals)
+    lo[ax] = Interval(iv.lo, cut)
+    hi[ax] = Interval(cut, iv.hi)
+    return Box(lo), Box(hi)
+
+
+@pytest.mark.parametrize("split", [overlapping_halves, third_halves])
+def test_checker_does_not_trust_the_certifiers_bisection(monkeypatch, sys34, split):
+    # the certifier splits with the patched Box.bisect, the checker with
+    # its own midpoint split, so neither leaf set is accepted
+    monkeypatch.setattr(Box, "bisect", split)
+    cert = certify_covering(sys34, box1(-2, 2), F(1, 100))
+    assert isinstance(cert, Certificate) and len(cert.leaves) > 2
+    assert not check_certificate(cert)
+
+
+def test_checker_uses_no_certifier_code(monkeypatch, planar_cert):
+    def forbidden(*args):
+        raise AssertionError("the checker called the certifier's code")
+
+    monkeypatch.setattr(Box, "bisect", forbidden)
+    monkeypatch.setattr(covering, "inverse_image_box", forbidden)
+    monkeypatch.setattr(covering, "_subdivide", forbidden)
+    assert check_certificate(planar_cert)
+
+
+def test_unused_singular_map_is_never_inverted(sys34):
+    cert = certify_covering(sys34, box1(-2, 2), F(1, 100))
+    maps = dict(sys34.maps, z=affine_1d(0, 0))
+    system = IFSystem(("+", "-", "z"), maps)
+    assert check_certificate(replace(cert, system=system))
+    used = replace(cert, system=system, leaves=((cert.leaves[0][0], "z"),) + cert.leaves[1:])
+    with pytest.raises(SingularMatrixError):
+        check_certificate(used)
+
+
+@pytest.mark.parametrize(
+    "matrix, offset",
+    [
+        (((F(-3, 4),),), (F(1, 3),)),
+        (((F(1, 2), F(-1, 4)), (F(1, 8), F(-1, 3))), (F(1, 2), F(-1, 4))),
+    ],
+)
+def test_witness_test_matches_inverse_image_box(matrix, offset):
+    # the checker's own enclosure, one inversion per map, decides like the
+    # certifier's per-leaf `inverse_image_box`, for either sign of entry
+    f = AffineMap(matrix, offset)
+    target = Box([Interval.of(-2, 2)] * f.dim)
+    shrunk = target.shrink(F(1, 16))
+    branch = covering._inverse_branch(f, shrunk)
+    pieces = [target]
+    for _ in range(6):
+        pieces = [half for piece in pieces for half in piece.bisect()]
+    verdicts = [covering._preimage_fits(*branch, leaf) for leaf in pieces]
+    assert verdicts == [shrunk.contains_box(inverse_image_box(f, leaf)) for leaf in pieces]
+    assert any(verdicts) and not all(verdicts)
