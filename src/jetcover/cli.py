@@ -30,6 +30,7 @@ from .errors import (
 )
 from .flatpoly import (
     find_flat_poly,
+    l1_tail,
     lambda_threshold,
     minimal_flat_poly,
     scale_to_p,
@@ -141,16 +142,17 @@ def cmd_jet_system(args) -> int:
     qres = find_flat_poly(big_n, rat(args.margin), args.degree_max)
     threshold = lambda_threshold(qres)
     lam = auto_lambda(threshold) if args.lam == "auto" else rat(args.lam)
-    p_coeffs, report = scale_to_p(qres, lam)
-    if not report.all_ok:
+    p_coeffs = scale_to_p(qres, lam)
+    l1 = l1_tail(p_coeffs)
+    if l1 >= 2:
         _write_json(
             args.out,
             {
                 "built": False,
-                "verdict": "lambda-too-small" if report.lambda_too_small else "invalid",
+                "verdict": "lambda-too-small",
                 "lam": rat_str(lam),
                 "lambda_threshold": rat_str(threshold),
-                "l1_nonleading": rat_str(report.l1_nonleading),
+                "l1_nonleading": rat_str(l1),
             },
         )
         return EXIT_NEGATIVE

@@ -95,18 +95,18 @@ class Certificate:
 
     @property
     def depth_used(self) -> int:
-        # leaf depth is recoverable from volumes (each bisection halves);
-        # capped by max_depth so hostile zero-volume leaves cannot spin
+        # leaf depth is recoverable from volumes (each bisection halves): the
+        # least d with lv * 2^d >= v, in closed form and capped by max_depth,
+        # so a hostile zero-volume leaf reads max_depth at constant cost
         v = self.target.volume()
-        depths = []
+        depth = 0
         for leaf, _ in self.leaves:
-            d = 0
             lv = leaf.volume()
-            while lv < v and d < self.max_depth:
-                lv *= 2
-                d += 1
-            depths.append(d)
-        return max(depths, default=0)
+            if lv >= v:
+                continue
+            d = self.max_depth if lv <= 0 else (-(-v // lv) - 1).bit_length()
+            depth = max(depth, min(d, self.max_depth))
+        return depth
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,17 @@ strong duality.  Degree escalation then finds the first n whose optimum
 clears the requested margin.
 
 Scaling Q to P(x) = lam^{-n} Q(lam x) and the associated partial-sum
-polynomials B_k(x) = sum_{j<=k} b_j x^{k-j} feed the jet covering system;
-everything those consumers rely on is re-verified here exactly, twice
-where a recurrence and a direct computation can cross-check each other.
+polynomials B_k(x) = sum_{j<=k} b_j x^{k-j} feed the jet covering system.
+Scaling only scales: `jetcovering.build_system` is the one place that
+verifies a scaled P.  The partial-sum table is computed twice here, by a
+recurrence and directly, and any disagreement is a bug trap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -114,13 +116,6 @@ class FlatPolyResult:
         return l1_tail(self.coeffs)
 
 
-def _falling(j: int, i: int) -> int:
-    out = 1
-    for t in range(i):
-        out *= j - t
-    return out
-
-
 def flat_lp_problem(big_n: int, n: int) -> LPProblem:
     """min sum(p+q) s.t. Q^{(i)}(1) = 0, a_j = p_j - q_j, p, q >= 0."""
     ncols = 2 * n
@@ -129,10 +124,10 @@ def flat_lp_problem(big_n: int, n: int) -> LPProblem:
     for i in range(big_n):
         row = [Fraction(0)] * ncols
         for j in range(i, n):
-            row[j] = Fraction(_falling(j, i))
-            row[n + j] = Fraction(-_falling(j, i))
+            row[j] = Fraction(perm(j, i))
+            row[n + j] = Fraction(-perm(j, i))
         rows.append(row)
-        rhs.append(Fraction(-_falling(n, i)))
+        rhs.append(Fraction(-perm(n, i)))
     return LPProblem([Fraction(1)] * ncols, rows, rhs)
 
 
@@ -219,64 +214,17 @@ def find_flat_poly(
 # --- scaling to P and the partial-sum table ----------------------------------
 
 
-@dataclass(frozen=True)
-class ScaleReport:
-    """Per-condition outcome of scaling Q to P at a given contraction."""
+def scale_to_p(qres: FlatPolyResult, lam) -> Coeffs:
+    """P(x) = lam^{-n} Q(lam x), coefficients index = power.
 
-    lam: Fraction
-    constant_nonzero: bool
-    monic: bool
-    l1_nonleading: Fraction
-    l1_below_two: bool
-    derivatives_vanish: bool
-    projection_rank: int
-    projection_full_rank: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.constant_nonzero
-            and self.monic
-            and self.l1_below_two
-            and self.derivatives_vanish
-            and self.projection_full_rank
-        )
-
-    @property
-    def lambda_too_small(self) -> bool:
-        return not self.l1_below_two
-
-
-def scale_to_p(qres: FlatPolyResult, lam) -> Tuple[Coeffs, ScaleReport]:
-    """P(x) = lam^{-n} Q(lam x); verifies the four conditions exactly.
-
-    A failing L1 bound is a verdict (lambda_too_small on the report), not
-    an exception: it means this contraction is not yet close enough to 1
-    for this Q.
+    Only scales: `jetcovering.build_system` verifies P.  Whether lam is
+    close enough to 1 for this Q is the question l1_tail(P) < 2.
     """
     lam = rat(lam)
     if not 0 < lam < 1:
         raise DegenerateInputError("contraction must lie strictly in (0, 1)")
     n = qres.degree
-    b = tuple(qres.coeffs[j] * lam ** (j - n) for j in range(n + 1))
-    l1 = l1_tail(b)
-    inv = 1 / lam
-    derivs_ok = all(
-        poly_eval(poly_nth_derivative(b, i), inv) == 0 for i in range(qres.flatness)
-    )
-    pi = projection_matrix(b, lam, qres.flatness)
-    rk = linalg.rank(pi)
-    report = ScaleReport(
-        lam=lam,
-        constant_nonzero=b[0] != 0,
-        monic=b[-1] == 1,
-        l1_nonleading=l1,
-        l1_below_two=l1 < 2,
-        derivatives_vanish=derivs_ok,
-        projection_rank=rk,
-        projection_full_rank=rk == qres.flatness,
-    )
-    return b, report
+    return tuple(qres.coeffs[j] * lam ** (j - n) for j in range(n + 1))
 
 
 def lambda_threshold(qres: FlatPolyResult) -> Fraction:

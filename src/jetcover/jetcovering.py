@@ -122,7 +122,8 @@ def shift_map(sys: JetCoveringSystem, delta: int) -> Tuple[Mat, Vec]:
     return tuple(tuple(r) for r in rows), tuple(offset)
 
 
-def _validate_polynomial(jet_dim: int, lam: Fraction, b: Coeffs) -> None:
+def _validate_polynomial(jet_dim: int, lam: Fraction, b: Coeffs) -> Fraction:
+    """Check the conditions on P; returns its L1 tail."""
     n = len(b) - 1
     if n < 1:
         raise DegenerateInputError("polynomial must have positive degree")
@@ -139,6 +140,7 @@ def _validate_polynomial(jet_dim: int, lam: Fraction, b: Coeffs) -> None:
             raise DegenerateInputError(
                 f"derivative {i} does not vanish at 1/lam"
             )
+    return l1
 
 
 def choose_box_base(n: int, l1_tail: Fraction) -> Fraction:
@@ -182,9 +184,10 @@ def build_system(
 ) -> JetCoveringSystem:
     """Assemble and exactly verify the full covering system.
 
-    Raises on any violated invariant: the polynomial conditions, the box
-    inequality, full projection rank, and the semi-conjugacy identity are
-    all rechecked here regardless of how the inputs were produced.
+    The only place a scaled polynomial is verified: the polynomial
+    conditions, the box inequality, full projection rank, and the
+    semi-conjugacy identity are checked here regardless of how the inputs
+    were produced.
     """
     if jet_dim < 1:
         raise DegenerateInputError(f"jet dimension {jet_dim} must be at least 1")
@@ -192,12 +195,11 @@ def build_system(
     if not 0 < lam < 1:
         raise DegenerateInputError("contraction must lie in (0, 1)")
     b = tuple(rat(c) for c in p_coeffs)
-    _validate_polynomial(jet_dim, lam, b)
+    l1 = _validate_polynomial(jet_dim, lam, b)
     n = len(b) - 1
     pi = projection_matrix(b, lam, jet_dim)
     if linalg.rank(pi) != jet_dim:
         raise ConstructionError("projection is rank deficient")
-    l1 = l1_tail(b)
     base = choose_box_base(n, l1) if box_base is None else rat(box_base)
     if base <= 1:
         raise DegenerateInputError("box base must exceed 1")
@@ -223,18 +225,23 @@ def build_system(
 def semiconjugacy_residuals(
     sys: JetCoveringSystem,
 ) -> Dict[int, Tuple[Mat, Vec]]:
-    """Exact residuals of branch o projection - projection o shift, per branch."""
+    """Exact residuals of branch o projection - projection o shift, per branch.
+
+    Both shifts have the linear part M of `shift_map(sys, 1)`, so the matrix
+    residual J projection - projection M is computed once and shared; only
+    the offset residual is per branch.
+    """
+    m_shift, _ = shift_map(sys, 1)
+    mat_res = linalg.mat_sub(
+        linalg.mat_mul(sys.branch_matrix, sys.projection),
+        linalg.mat_mul(sys.projection, m_shift),
+    )
     out = {}
     for delta in (1, -1):
-        m_shift, t_shift = shift_map(sys, delta)
-        lhs_m = linalg.mat_mul(sys.branch_matrix, sys.projection)
+        _, t_shift = shift_map(sys, delta)
         lhs_t = tuple(delta * e for e in sys.branch_offset)
-        rhs_m = linalg.mat_mul(sys.projection, m_shift)
         rhs_t = linalg.mat_vec(sys.projection, t_shift)
-        out[delta] = (
-            linalg.mat_sub(lhs_m, rhs_m),
-            linalg.vec_sub(lhs_t, rhs_t),
-        )
+        out[delta] = (mat_res, linalg.vec_sub(lhs_t, rhs_t))
     return out
 
 

@@ -34,22 +34,16 @@ def flat_q3():
 
 @pytest.fixture(scope="session")
 def jet_sys_r0(flat_q1):
-    p, report = scale_to_p(flat_q1, F(3, 4))
-    assert report.all_ok
-    return build_system(1, F(3, 4), p)
+    return build_system(1, F(3, 4), scale_to_p(flat_q1, F(3, 4)))
 
 
 @pytest.fixture(scope="session")
 def jet_sys_r1(flat_q2):
     lam = auto_lambda(lambda_threshold(flat_q2))
-    p, report = scale_to_p(flat_q2, lam)
-    assert report.all_ok
-    return build_system(2, lam, p)
+    return build_system(2, lam, scale_to_p(flat_q2, lam))
 
 
 @pytest.fixture(scope="session")
 def jet_sys_r2(flat_q3):
     lam = auto_lambda(lambda_threshold(flat_q3))
-    p, report = scale_to_p(flat_q3, lam)
-    assert report.all_ok
-    return build_system(3, lam, p)
+    return build_system(3, lam, scale_to_p(flat_q3, lam))

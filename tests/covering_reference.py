@@ -9,7 +9,9 @@ bisection tree, so the two verdicts agree on every certificate
 `certify_covering` writes and on its mutants, and differ on partitions
 cut off the midpoints.
 
-It also makes the planar certificates the covering tests share.
+It also keeps the doubling loop that `Certificate.depth_used` ran before
+its closed form, as that property's oracle, and makes the planar
+certificates the covering tests share.
 """
 
 from __future__ import annotations
@@ -44,6 +46,20 @@ def _leaves_partition(target: Box, leaves: Sequence[Box]) -> bool:
             if not leaves[i].interiors_disjoint(leaves[j]):
                 return False
     return True
+
+
+def loop_depth_used(cert: Certificate) -> int:
+    """The doubling loop, one step per level, capped by the file's depth."""
+    v = cert.target.volume()
+    depths = []
+    for leaf, _ in cert.leaves:
+        d = 0
+        lv = leaf.volume()
+        while lv < v and d < cert.max_depth:
+            lv *= 2
+            d += 1
+        depths.append(d)
+    return max(depths, default=0)
 
 
 @lru_cache(maxsize=None)

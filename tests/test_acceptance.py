@@ -29,6 +29,7 @@ from jetcover.flatpoly import (
     flat_lp_problem,
     divisible_by_power,
     find_flat_poly,
+    l1_tail,
     lambda_threshold,
     minimal_flat_poly,
     scale_to_p,
@@ -164,8 +165,8 @@ def test_criterion_6_full_pipeline():
         threshold = lambda_threshold(qres)
         lam = auto_lambda(threshold)
         ok = ok and threshold < lam < 1
-        p_coeffs, scale_report = scale_to_p(qres, lam)
-        ok = ok and scale_report.all_ok
+        p_coeffs = scale_to_p(qres, lam)
+        ok = ok and l1_tail(p_coeffs) < 2
         system = build_system(big_n, lam, p_coeffs)
         residuals = verify_semiconjugacy(system)
         for mat_res, vec_res in residuals.values():
@@ -184,9 +185,7 @@ def test_criterion_6_full_pipeline():
 def realizer_system():
     qres = find_flat_poly(2, margin=F(1, 16), n_max=64)
     lam = auto_lambda(lambda_threshold(qres))
-    p_coeffs, scale_report = scale_to_p(qres, lam)
-    assert scale_report.all_ok
-    return build_system(2, lam, p_coeffs)
+    return build_system(2, lam, scale_to_p(qres, lam))
 
 
 def test_criterion_7_realizer(realizer_system):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from jetcover import flatpoly, jetcovering
 from jetcover.blender import model_branch_table
 from jetcover.cli import main
 from jetcover.serialize import branch_table_to_csv
@@ -151,6 +152,24 @@ def test_jet_system_lambda_too_small(tmp_path):
     ) == 1
     payload = json.loads(sys_path.read_text())
     assert payload["verdict"] == "lambda-too-small"
+
+
+def test_jet_system_builds_one_projection(tmp_path, monkeypatch):
+    # build_system is the only judge of the scaled polynomial, so an op
+    # builds the projection once, whichever module binds the builder
+    calls = []
+    for module in (flatpoly, jetcovering):
+        inner = module.projection_matrix
+
+        def counted(*args, inner=inner):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(module, "projection_matrix", counted)
+    out = tmp_path / "sys.json"
+    assert run(["jet-system", "--order", "3", "--lam", "1021/1024",
+                "--out", str(out)]) == 0
+    assert len(calls) == 1
 
 
 def test_realize_not_in_set(tmp_path):
@@ -387,7 +406,9 @@ PINNED_DIGESTS = {
     "o1": "226bc9aaa95c27a43658d0328d275c85e822baf977c689275aac80ac8086b7bb",
     "realize": "e9a5834dd913896d1d489534a2fb526821cf691c0cf47305976dc7cbc191da7c",
     "certify": "f92c038690d25d34aa201557f5033863cf0f67196e94a13b1331b09e2e593fda",
+    "lambda-too-small": "e43c55498971903f85af3bb55b9ef55b92646342d998aca39de4ae3b44f22301",
 }
+NEGATIVE_VERDICTS = {"lambda-too-small"}  # written with exit code 1
 
 
 def test_pinned_output_digests(tmp_path):
@@ -400,10 +421,11 @@ def test_pinned_output_digests(tmp_path):
         "realize": ["realize", "--system", str(tmp_path / "o1.json"),
                     "--target", str(target)],
         "certify": ["certify", "--lam", "3/4"],
+        "lambda-too-small": ["jet-system", "--order", "1", "--lam", "1/100"],
     }
     digests = {}
     for name, args in commands.items():
         out = tmp_path / f"{name}.json"
-        assert run(args + ["--out", str(out)]) == 0
+        assert run(args + ["--out", str(out)]) == int(name in NEGATIVE_VERDICTS)
         digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == PINNED_DIGESTS

@@ -1,10 +1,13 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covering_reference import _leaves_partition as reference_partition  # local helper module
-from covering_reference import planar_certificate
+from covering_reference import loop_depth_used, planar_certificate
 from jetcover import covering, linalg
 from jetcover.boxes import Box, Interval
 from jetcover.covering import (
@@ -87,6 +90,29 @@ def test_certify_margin_monotone(sys34):
     small = certify_covering(sys34, box1(-2, 2), F(1, 200))
     assert isinstance(big, Certificate) and isinstance(small, Certificate)
     assert small.depth_used <= big.depth_used
+
+
+volumes = st.fractions(min_value=0, max_value=64, max_denominator=2 ** 12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(volumes, st.lists(volumes, max_size=4), st.integers(-2, 40))
+def test_depth_used_matches_the_doubling_loop(v, leaf_volumes, max_depth):
+    cert = Certificate(
+        standard_pair(F(3, 4)), box1(0, v), F(1, 100), max_depth,
+        tuple((box1(0, lv), "+") for lv in leaf_volumes),
+    )
+    assert cert.depth_used == loop_depth_used(cert)
+
+
+def test_depth_used_is_constant_time_on_a_zero_volume_leaf(sys34):
+    payload = covering_outcome_payload(certify_covering(sys34, box1(-2, 2), F(1, 100)))
+    payload["depth"] = 10 ** 12
+    payload["leaves"].append({"box": [["0", "0"]], "witness": "+"})
+    hostile = load_certificate(payload)
+    start = perf_counter()
+    assert hostile.depth_used == 10 ** 12
+    assert perf_counter() - start < 0.5
 
 
 def test_certify_determinism(sys34):

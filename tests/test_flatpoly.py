@@ -13,6 +13,7 @@ from jetcover.flatpoly import (
     b_polynomial_table,
     divisible_by_power,
     find_flat_poly,
+    l1_tail,
     lambda_threshold,
     minimal_flat_poly,
     poly_eval,
@@ -21,6 +22,7 @@ from jetcover.flatpoly import (
     scale_to_p,
     synthetic_division,
 )
+from jetcover.jetcovering import build_system
 from jetcover.simplex import LPSolution, lp_solve, strong_duality_holds
 
 
@@ -109,18 +111,38 @@ def test_escalation_rejects_cap_below_flatness(big_n, n_max, monkeypatch):
 
 def test_scale_to_p_example():
     q1 = minimal_flat_poly(1, 1)
-    p, report = scale_to_p(q1, F(3, 4))
+    p = scale_to_p(q1, F(3, 4))
     assert p == (F(-4, 3), F(1))
-    assert report.l1_nonleading == F(4, 3)
-    assert report.all_ok and not report.lambda_too_small
+    assert l1_tail(p) == F(4, 3)
+    assert build_system(1, F(3, 4), p).p_coeffs == p
 
 
 def test_scale_to_p_lambda_too_small():
     q1 = minimal_flat_poly(1, 1)
-    _, report = scale_to_p(q1, F(1, 3))
-    assert report.lambda_too_small
-    assert report.l1_nonleading == 3
-    assert not report.all_ok
+    p = scale_to_p(q1, F(1, 3))
+    assert l1_tail(p) == 3
+    with pytest.raises(DegenerateInputError, match="not below 2"):
+        build_system(1, F(1, 3), p)
+
+
+@pytest.mark.parametrize("big_n", [1, 2, 3])
+def test_build_system_accepts_exactly_below_l1_two(big_n):
+    # the L1 tail is the only verdict a caller asks: on the whole 2^-10
+    # grid and at the threshold's bracket, build_system accepts exactly
+    # where it is below 2 and rejects every other contraction as input
+    q = find_flat_poly(big_n)
+    th = lambda_threshold(q)
+    lams = [F(k, 2 ** 10) for k in range(1, 2 ** 10)] + [th, th + F(1, 2 ** 20)]
+    accepted = 0
+    for lam in lams:
+        p = scale_to_p(q, lam)
+        if l1_tail(p) < 2:
+            assert build_system(big_n, lam, p).p_coeffs == p
+            accepted += 1
+        else:
+            with pytest.raises(DegenerateInputError):
+                build_system(big_n, lam, p)
+    assert 0 < accepted < len(lams)
 
 
 def test_scale_to_p_rejects_boundary_lambda():
@@ -144,10 +166,8 @@ def test_lambda_threshold_linear():
 def test_lambda_threshold_bracket_scaling(flat_q2):
     th = lambda_threshold(flat_q2)
     eps = F(1, 2 ** 20)
-    _, rep_below = scale_to_p(flat_q2, th)
-    _, rep_above = scale_to_p(flat_q2, th + eps)
-    assert rep_below.lambda_too_small
-    assert not rep_above.lambda_too_small
+    assert l1_tail(scale_to_p(flat_q2, th)) >= 2
+    assert l1_tail(scale_to_p(flat_q2, th + eps)) < 2
 
 
 def test_threshold_monotone_in_flatness(flat_q2, flat_q3):
@@ -189,9 +209,9 @@ def test_b_table_derivative_recurrence_random():
 
 def test_projection_from_table(flat_q2):
     lam = lambda_threshold(flat_q2) + F(1, 2 ** 10)
-    p, report = scale_to_p(flat_q2, lam)
-    assert report.all_ok
+    p = scale_to_p(flat_q2, lam)
     pi = projection_matrix(p, lam, 2)
+    assert build_system(2, lam, p).projection == pi
     table = b_polynomial_table(p, lam, 2)
     n = len(p) - 1
     for i in range(1, 3):

@@ -45,9 +45,7 @@ def flat_and_threshold(order):
 
 @lru_cache(maxsize=None)
 def grid_system(order, lam):
-    p, report = scale_to_p(flat_and_threshold(order)[0], lam)
-    assert report.all_ok
-    return build_system(order + 1, lam, p)
+    return build_system(order + 1, lam, scale_to_p(flat_and_threshold(order)[0], lam))
 
 
 @st.composite
