@@ -10,7 +10,9 @@ covering valid.
 Certification is semi-decidable by subdivision: success is a proof,
 failure (depth exhausted) is inconclusive and reports the offending
 sub-box for diagnosis.  Box and window covers share one subdivision
-driver; the JSON wire format lives in `serialize`.
+driver; the JSON wire format lives in `serialize`.  The certifier
+inverts each branch map at most once per call, the first time its
+symbol is tried, and tests every box against that map's row windows.
 
 The checker accepts exactly the leaf sets of the target's midpoint
 bisection tree (longest axis, lowest index on ties), in any order, which
@@ -57,32 +59,75 @@ def _subdivide(root: Union[Box, Interval], witness: Callable, max_depth: int):
     return tuple(leaves), None
 
 
+def _inverted(f: AffineMap):
+    """The rows of M^-1 and the vector M^-1 t for f(x) = M x + t, so that
+    f^-1(x) = M^-1 x - M^-1 t.  A row is kept as its nonzero entries
+    `(axis, entry, entry > 0)`, the form `_row_enclosure` reads."""
+    try:
+        inv = linalg.inverse(f.matrix)
+    except SingularMatrixError:
+        raise SingularMatrixError("branch matrix is singular") from None
+    rows = tuple(
+        tuple((j, a, a > 0) for j, a in enumerate(row) if a) for row in inv
+    )
+    return rows, linalg.mat_vec(inv, f.offset)
+
+
+def _row_enclosure(row, box: Box) -> Tuple[Fraction, Fraction]:
+    """Exact interval enclosure (lo, hi) of x -> row . x over the box."""
+    lo = hi = Fraction(0)
+    for j, a, positive in row:
+        iv = box.intervals[j]
+        if positive:
+            lo += a * iv.lo
+            hi += a * iv.hi
+        else:
+            lo += a * iv.hi
+            hi += a * iv.lo
+    return lo, hi
+
+
 def inverse_image_box(f: AffineMap, box: Box) -> Box:
     """Box enclosure of f^{-1}(box) by exact interval evaluation.
 
     The enclosure is the exact inverse image when the inverse matrix is
     diagonal (in particular for every 1-d map); otherwise a superset,
-    which keeps the certificate sound.
+    which keeps the certificate sound.  It is the enclosure of M^-1 box
+    shifted by -M^-1 t, endpoint for endpoint the one `certify_covering`
+    tests against its windows.
     """
     if box.dim != f.dim:
         raise DegenerateInputError("box dimension does not match the map")
-    try:
-        inv = linalg.inverse(f.matrix)
-    except SingularMatrixError:
-        raise SingularMatrixError("branch matrix is singular") from None
-    shifted = [
-        Interval(iv.lo - t, iv.hi - t) for iv, t in zip(box.intervals, f.offset)
-    ]
-    out = []
-    for row in inv:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for a, iv in zip(row, shifted):
-            img = iv.scale_add(a, Fraction(0))
-            lo += img.lo
-            hi += img.hi
-        out.append(Interval(lo, hi))
-    return Box(out)
+    rows, shift = _inverted(f)
+    spans = (_row_enclosure(row, box) for row in rows)
+    return Box([Interval(lo - c, hi - c) for (lo, hi), c in zip(spans, shift)])
+
+
+def _first_fit(sys: IFSystem, shrunk: Box) -> Callable[[Box], Optional[str]]:
+    """The witness test of `certify_covering`: the first alphabet symbol
+    whose inverse branch pulls a box into `shrunk`, or None.
+
+    A branch map is inverted the first time its symbol is tried, and its
+    rows' windows `shrunk + M^-1 t` are kept: f^-1(box) lies in `shrunk`
+    iff the enclosure of each row of M^-1 box lies in that row's window.
+    """
+    branches = {}
+
+    def fits(symbol: str, box: Box) -> bool:
+        if symbol not in branches:
+            rows, shift = _inverted(sys.maps[symbol])
+            windows = [(iv.lo + c, iv.hi + c) for iv, c in zip(shrunk.intervals, shift)]
+            branches[symbol] = tuple(zip(rows, windows))
+        for row, (w_lo, w_hi) in branches[symbol]:
+            lo, hi = _row_enclosure(row, box)
+            if lo < w_lo or hi > w_hi:
+                return False
+        return True
+
+    def witness(box: Box) -> Optional[str]:
+        return next((b for b in sys.alphabet if fits(b, box)), None)
+
+    return witness
 
 
 @dataclass(frozen=True)
@@ -127,22 +172,18 @@ def certify_covering(
 
     Leaves are emitted in deterministic depth-first order (lower bisection
     half first); the witness is the first alphabet symbol whose inverse
-    image fits in the shrunk target.
+    image fits in the shrunk target.  Each branch map is inverted at most
+    once per call, the first time its symbol is tried (`_first_fit`).
     """
+    if max_depth < 0:
+        raise DegenerateInputError("max_depth must be non-negative")
     margin = rat(margin)
     if margin <= 0:
         raise DegenerateInputError("margin must be positive")
     if target.dim != sys.dim:
         raise DegenerateInputError("target box dimension does not match the system")
     shrunk = target.shrink(margin)  # raises DegenerateInputError if too thin
-
-    def witness(box: Box) -> Optional[str]:
-        for b in sys.alphabet:
-            if shrunk.contains_box(inverse_image_box(sys.maps[b], box)):
-                return b
-        return None
-
-    leaves, stuck = _subdivide(target, witness, max_depth)
+    leaves, stuck = _subdivide(target, _first_fit(sys, shrunk), max_depth)
     if stuck is not None:
         return CoveringFailure(witness_box=stuck, max_depth=max_depth)
     return Certificate(
@@ -289,6 +330,8 @@ def certify_window_cover(
     margin: Fraction,
     max_depth: int = 40,
 ) -> Union[WindowCoverCertificate, CoveringFailure]:
+    if max_depth < 0:
+        raise DegenerateInputError("max_depth must be non-negative")
     if margin <= 0:
         raise DegenerateInputError("margin must be positive")
     shrunk = [(label, win.shrink(margin)) for label, win in windows]

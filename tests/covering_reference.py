@@ -10,19 +10,29 @@ bisection tree, so the two verdicts agree on every certificate
 cut off the midpoints.
 
 It also keeps the doubling loop that `Certificate.depth_used` ran before
-its closed form, as that property's oracle, and makes the planar
-certificates the covering tests share.
+its closed form, as that property's oracle, the per-box certifier as the
+oracle of `certify_covering`, and makes the planar certificates the
+covering tests share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence, Union
 
-from jetcover.boxes import Box
-from jetcover.covering import Certificate, certify_covering
+from jetcover import linalg
+from jetcover.boxes import Box, Interval
+from jetcover.covering import (
+    DEFAULT_MAX_DEPTH,
+    Certificate,
+    CoveringFailure,
+    _subdivide,
+    certify_covering,
+)
+from jetcover.errors import DegenerateInputError, SingularMatrixError
 from jetcover.ifs import AffineMap, IFSystem
+from jetcover.rational import rat
 
 
 def _leaves_partition(target: Box, leaves: Sequence[Box]) -> bool:
@@ -62,17 +72,90 @@ def loop_depth_used(cert: Certificate) -> int:
     return max(depths, default=0)
 
 
-@lru_cache(maxsize=None)
-def planar_certificate(lam: Fraction, h: Fraction, inverse_margin: int) -> Certificate:
-    """Certificate of x -> lam x + (±1, ±1) on [-2, h]^2 at margin
-    1/inverse_margin."""
+def planar_system(lam: Fraction) -> IFSystem:
+    """x -> lam x + (±1, ±1), one map per corner."""
     maps = {
         label: AffineMap([[lam, 0], [0, lam]], [sx, sy])
         for label, sx, sy in (("a", 1, 1), ("b", 1, -1), ("c", -1, 1), ("d", -1, -1))
     }
-    system = IFSystem(("a", "b", "c", "d"), maps)
+    return IFSystem(("a", "b", "c", "d"), maps)
+
+
+@lru_cache(maxsize=None)
+def planar_certificate(lam: Fraction, h: Fraction, inverse_margin: int) -> Certificate:
+    """Certificate of `planar_system(lam)` on [-2, h]^2 at margin
+    1/inverse_margin."""
     outcome = certify_covering(
-        system, Box.of((-2, h), (-2, h)), Fraction(1, inverse_margin)
+        planar_system(lam), Box.of((-2, h), (-2, h)), Fraction(1, inverse_margin)
     )
     assert isinstance(outcome, Certificate)
     return outcome
+
+
+# --- the per-box certifier ---------------------------------------------------
+#
+# `certify_covering` and `inverse_image_box` as they were while the certifier
+# inverted the branch matrix once per box and symbol tried, copied unchanged
+# apart from the certifier's name.  The certifier now inverts each map once
+# and must decide every box as this copy does.  Both share `_subdivide`.
+
+
+def inverse_image_box(f: AffineMap, box: Box) -> Box:
+    """Box enclosure of f^{-1}(box) by exact interval evaluation.
+
+    The enclosure is the exact inverse image when the inverse matrix is
+    diagonal (in particular for every 1-d map); otherwise a superset,
+    which keeps the certificate sound.
+    """
+    if box.dim != f.dim:
+        raise DegenerateInputError("box dimension does not match the map")
+    try:
+        inv = linalg.inverse(f.matrix)
+    except SingularMatrixError:
+        raise SingularMatrixError("branch matrix is singular") from None
+    shifted = [
+        Interval(iv.lo - t, iv.hi - t) for iv, t in zip(box.intervals, f.offset)
+    ]
+    out = []
+    for row in inv:
+        lo = Fraction(0)
+        hi = Fraction(0)
+        for a, iv in zip(row, shifted):
+            img = iv.scale_add(a, Fraction(0))
+            lo += img.lo
+            hi += img.hi
+        out.append(Interval(lo, hi))
+    return Box(out)
+
+
+def reference_certify_covering(
+    sys: IFSystem,
+    target: Box,
+    margin,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> Union[Certificate, CoveringFailure]:
+    """Depth-first subdivision certifier.
+
+    Leaves are emitted in deterministic depth-first order (lower bisection
+    half first); the witness is the first alphabet symbol whose inverse
+    image fits in the shrunk target.
+    """
+    margin = rat(margin)
+    if margin <= 0:
+        raise DegenerateInputError("margin must be positive")
+    if target.dim != sys.dim:
+        raise DegenerateInputError("target box dimension does not match the system")
+    shrunk = target.shrink(margin)  # raises DegenerateInputError if too thin
+
+    def witness(box: Box) -> Optional[str]:
+        for b in sys.alphabet:
+            if shrunk.contains_box(inverse_image_box(sys.maps[b], box)):
+                return b
+        return None
+
+    leaves, stuck = _subdivide(target, witness, max_depth)
+    if stuck is not None:
+        return CoveringFailure(witness_box=stuck, max_depth=max_depth)
+    return Certificate(
+        system=sys, target=target, margin=margin, max_depth=max_depth, leaves=leaves
+    )

@@ -366,6 +366,26 @@ def test_certify_rejects_zero_denominator(tmp_path, capsys):
     _expect_input_error(capsys, ["certify", "--lam", "1/0", "--out", str(out)], out)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "--lam", "3/4", "--max-depth", "-1"],
+        ["blender-cover", "--lam", "3/4", "--max-depth", "-1"],
+        ["certify", "--lam", "0"],  # singular branch maps
+    ],
+)
+def test_certifier_input_errors_exit_2(tmp_path, capsys, args):
+    out = tmp_path / "out.json"
+    _expect_input_error(capsys, args + ["--out", str(out)], out)
+
+
+def test_certify_at_depth_zero_reports_the_target(tmp_path):
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--lam", "3/4", "--max-depth", "0", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["depth"] == 0 and payload["witness_box"] == [["-2", "2"]]
+
+
 def test_realize_rejects_zero_denominator(tmp_path, capsys):
     sys_path = tmp_path / "sys.json"
     assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0

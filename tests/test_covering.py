@@ -1,13 +1,21 @@
+import hashlib
+import itertools
 from dataclasses import replace
 from fractions import Fraction as F
 from time import perf_counter
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covering_reference import _leaves_partition as reference_partition  # local helper module
-from covering_reference import loop_depth_used, planar_certificate
+from covering_reference import (
+    loop_depth_used,
+    planar_certificate,
+    planar_system,
+    reference_certify_covering,
+)
 from jetcover import covering, linalg
 from jetcover.boxes import Box, Interval
 from jetcover.covering import (
@@ -22,11 +30,12 @@ from jetcover.covering import (
 from jetcover.errors import (
     CertificateFormatError,
     DegenerateInputError,
+    JetcoverError,
     SingularMatrixError,
 )
 from jetcover.ifs import AffineMap, IFSystem, affine_1d, standard_pair
 from jetcover.rational import rat_str
-from jetcover.serialize import covering_outcome_payload, load_certificate
+from jetcover.serialize import canonical_json, covering_outcome_payload, load_certificate
 
 
 def box1(lo, hi):
@@ -208,6 +217,19 @@ def test_window_cover_failure():
     assert out.max_depth == 10
 
 
+def test_negative_depth_is_an_input_error(sys34):
+    with pytest.raises(DegenerateInputError, match="max_depth"):
+        certify_covering(sys34, box1(-2, 2), F(1, 100), -1)
+    with pytest.raises(DegenerateInputError, match="max_depth"):
+        certify_window_cover(
+            Interval.of(-2, 2), [("L", Interval.of(-3, 3))], F(1, 8), max_depth=-1
+        )
+    # depth 0 tries the target alone
+    assert certify_covering(sys34, box1(-2, 2), F(1, 100), 0) == CoveringFailure(
+        witness_box=box1(-2, 2), max_depth=0
+    )
+
+
 # --- the checker's cost and its independence from the certifier -------------
 
 
@@ -328,3 +350,93 @@ def test_witness_test_matches_inverse_image_box(matrix, offset):
     verdicts = [covering._preimage_fits(*branch, leaf) for leaf in pieces]
     assert verdicts == [shrunk.contains_box(inverse_image_box(f, leaf)) for leaf in pieces]
     assert any(verdicts) and not all(verdicts)
+
+
+# --- the certifier against its per-box reference ------------------------------
+
+diagonals = st.sampled_from([F(j, 16) for j in range(-14, 15) if abs(j) >= 9 or j == 0])
+shears = st.sampled_from([F(j, 16) for j in range(-2, 3)])
+
+
+@st.composite
+def covering_inputs(draw):
+    """1-d and planar systems with one map per corner of [-1, 1]^dim (plus
+    one), entries of either sign, shears off the diagonal and now and then
+    a singular map; some certify, some fail at the depth cap."""
+    dim = draw(st.sampled_from([1, 2]))
+    corners = list(itertools.product((1, -1), repeat=dim))
+    maps = {}
+    for k in range(draw(st.integers(len(corners), len(corners) + 1))):
+        matrix = [
+            [draw(diagonals) if i == j else draw(shears) for j in range(dim)]
+            for i in range(dim)
+        ]
+        for i, row in enumerate(matrix):
+            if sum(abs(a) for a in row) >= 1:
+                row[1 - i] = F(0)  # keep the map a contraction
+        maps[str(k)] = AffineMap(matrix, corners[k % len(corners)])
+    system = IFSystem(tuple(maps), maps)
+    h = draw(st.sampled_from([F(13, 8), F(2)]))
+    margin = draw(st.sampled_from([F(1, 100), F(1, 16), F(2, 3)]))
+    return system, Box([Interval(F(-2), h)] * dim), margin, draw(st.integers(0, 8))
+
+
+def outcome_of(certify, args):
+    try:
+        return certify(*args)
+    except JetcoverError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(covering_inputs())
+# x -> 3x/4 + 1 pulls [0, 2] onto [-4/3, 4/3], the target shrunk by 2/3
+@example((standard_pair(F(3, 4)), box1(-2, 2), F(2, 3), 4))
+def test_certifier_decides_like_the_per_box_reference(args):
+    # same leaves, witnesses and order, or the same failure box and depth,
+    # or the same error; and at most one inversion per symbol
+    inversions = []
+    inverse = linalg.inverse
+
+    def counted(matrix):
+        inversions.append(matrix)
+        return inverse(matrix)
+
+    with patch.object(linalg, "inverse", counted):
+        outcome = outcome_of(certify_covering, args)
+    assert outcome == outcome_of(reference_certify_covering, args)
+    assert len(inversions) <= len(args[0].alphabet)
+
+
+def test_planar_certificate_bytes_are_pinned():
+    cert = planar_certificate(F(71, 128), F(13, 8), 200)
+    assert len(cert.leaves) == 559
+    text = canonical_json(covering_outcome_payload(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8975a3d0e063dd590e28da62769ad2b6828dd8eb77f0b70128e607cd04ad5e13"
+    )
+
+
+def test_certifier_inverts_each_map_once(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the certifier called inverse_image_box")
+
+    monkeypatch.setattr(covering, "inverse_image_box", forbidden)
+    inversions = count_calls(monkeypatch, linalg, "inverse")
+    target = Box.of((-2, F(13, 8)), (-2, F(13, 8)))
+    cert = certify_covering(planar_system(F(71, 128)), target, F(1, 200))
+    assert len(cert.leaves) == 559
+    assert len(inversions) == 4
+
+
+def test_certifier_inverts_a_map_only_when_its_symbol_is_tried(sys34):
+    # every symbol is tried on the target itself, since no contraction pulls
+    # the whole target inside it; so the laziness shows in the witness test
+    system = IFSystem(("+", "-", "z"), dict(sys34.maps, z=affine_1d(0, 0)))
+    shrunk = box1(-2, 2).shrink(F(1, 100))
+    witness = covering._first_fit(system, shrunk)
+    assert witness(box1(0, 2)) == "+" and witness(box1(-2, 0)) == "-"
+    with pytest.raises(SingularMatrixError, match="branch matrix is singular"):
+        witness(box1(-2, 2))
+    with pytest.raises(SingularMatrixError, match="branch matrix is singular"):
+        certify_covering(system, box1(-2, 2), F(1, 100))
