@@ -240,10 +240,6 @@ def unstable_heights(
     return [(pt[0], w) for pt, w in cloud]
 
 
-PPM_BG = (255, 255, 255)
-PPM_FG = (0, 0, 0)
-
-
 def render_unstable_union(
     sys: SkewSystem, a, depth: int, width: int, height: int
 ) -> bytes:
@@ -253,20 +249,14 @@ def render_unstable_union(
     floor((2 - y) * height / 4), rows outside the viewport are clipped.
     Byte-identical output for identical inputs.
     """
-    if width < 1 or height < 1:
-        raise DegenerateInputError("raster needs positive dimensions")
+    from .serialize import encode_ppm  # serialize imports this module
+
     hit = {
         min(int((2 - y) * height // 4), height - 1)  # Fraction floor-div is exact
         for y, _ in unstable_heights(sys, a, depth)
         if -2 <= y <= 2
     }
-    header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    fg = bytes(PPM_FG) * width
-    bg = bytes(PPM_BG) * width
-    img = bytearray()
-    for row in range(height):
-        img.extend(fg if row in hit else bg)
-    return header + bytes(img)
+    return encode_ppm(width, height, hit, range(width))
 
 
 # --- nearly affine checks -------------------------------------------------------

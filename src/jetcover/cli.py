@@ -60,25 +60,13 @@ def _write_json(path: str, payload) -> None:
 
 def _scatter_ppm(points, width: int, height: int, radius: Fraction) -> bytes:
     """1-d point cloud raster on the middle row of a [-r, r] viewport."""
-    header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    cols = set()
     span = 2 * radius
-    for pt, _ in points:
-        x = pt[0]
-        if abs(x) > radius:
-            continue
-        cols.add(min(int((x + radius) * width // span), width - 1))
-    rows = []
-    mid = height // 2
-    for r in range(height):
-        if r == mid:
-            row = bytearray()
-            for c in range(width):
-                row.extend(blender.PPM_FG if c in cols else blender.PPM_BG)
-            rows.append(bytes(row))
-        else:
-            rows.append(bytes(blender.PPM_BG) * width)
-    return header + b"".join(rows)
+    cols = {
+        min(int((pt[0] + radius) * width // span), width - 1)
+        for pt, _ in points
+        if abs(pt[0]) <= radius
+    }
+    return serialize.encode_ppm(width, height, {height // 2}, cols)
 
 
 # --- subcommand handlers --------------------------------------------------------
@@ -87,9 +75,10 @@ def _scatter_ppm(points, width: int, height: int, radius: Fraction) -> bytes:
 def cmd_limit_set(args) -> int:
     sys_ = standard_pair(rat(args.lam))
     cloud = limit_set_cloud(sys_, args.depth)
+    # encode the raster first: a rejected size must leave no file behind
+    img = _scatter_ppm(cloud, args.width, args.height, sys_.radius) if args.ppm else None
     serialize.write_atomic(args.out, serialize.cloud_to_csv(cloud))
-    if args.ppm:
-        img = _scatter_ppm(cloud, args.width, args.height, sys_.radius)
+    if img is not None:
         serialize.write_atomic(args.ppm, img)
     return EXIT_OK
 
@@ -329,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]):
-    """Parse once to find --config, merge file values under explicit flags."""
+    """Parse once to find --config and the command, then parse again with
+    the file's values as that command's defaults, so explicit flags win.
+    Keys that are not the command's own options are ignored."""
     args = parser.parse_args(argv)
     if not args.config:
         return args
@@ -337,16 +328,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]):
         defaults = json.load(handle)
     if not isinstance(defaults, dict):
         raise CertificateFormatError("config file must hold a JSON object")
-    # overlay config values only where no explicit flag was given
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token.split("=", 1)[0].lstrip("-").replace("-", "_"))
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if attr not in explicit and hasattr(args, attr):
-            setattr(args, attr, value)
-    return args
+    (commands,) = (a.choices for a in parser._actions if a.dest == "command")
+    command = commands[args.command]
+    own = {a.dest for a in command._actions if a.option_strings}
+    overlay = {key.replace("-", "_"): value for key, value in defaults.items()}
+    command.set_defaults(**{k: v for k, v in overlay.items() if k in own})
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

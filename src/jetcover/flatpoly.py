@@ -10,9 +10,9 @@ clears the requested margin.
 
 Scaling Q to P(x) = lam^{-n} Q(lam x) and the associated partial-sum
 polynomials B_k(x) = sum_{j<=k} b_j x^{k-j} feed the jet covering system.
-Scaling only scales: `jetcovering.build_system` is the one place that
-verifies a scaled P.  The partial-sum table is computed twice here, by a
-recurrence and directly, and any disagreement is a bug trap.
+Scaling and the partial-sum table only compute: `jetcovering.build_system`
+is the one place that verifies a scaled P, and its semi-conjugacy identity
+pins the projection built from the table exactly.
 """
 
 from __future__ import annotations
@@ -40,34 +40,9 @@ DEFAULT_N_MAX = 64
 # --- dense polynomial helpers ------------------------------------------------
 
 
-def poly(coeffs: Sequence) -> Coeffs:
-    c = tuple(rat(e) for e in coeffs)
-    if not c or c[-1] == 0:
-        raise DegenerateInputError("leading coefficient must be nonzero")
-    return c
-
-
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(tuple(coeffs)):
-        acc = acc * x + c
-    return acc
-
-
 def l1_tail(coeffs: Sequence[Fraction]) -> Fraction:
     """L1 norm of the non-leading coefficients."""
     return sum((abs(c) for c in coeffs[:-1]), Fraction(0))
-
-
-def poly_derivative(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    return tuple(coeffs[i] * i for i in range(1, len(coeffs)))
-
-
-def poly_nth_derivative(coeffs, i: int):
-    c = tuple(coeffs)
-    for _ in range(i):
-        c = poly_derivative(c)
-    return c
 
 
 def synthetic_division(coeffs: Sequence[Fraction], root: Fraction):
@@ -174,11 +149,13 @@ def find_flat_poly(
 
     The optimum is non-increasing in n (multiply by x to embed degree n
     into n+1); that monotonicity is asserted along the way.  Exhausting
-    n_max reports the best value found; a cap below N is an input error.
+    n_max reports the best value found.  A cap below N is an input error,
+    and so is a margin above 1: Q(1) = 0 puts every optimum at >= 1.
     """
     margin = rat(margin)
-    if not 0 < margin < 2:
-        raise DegenerateInputError("margin must be in (0, 2)")
+    if not 0 < margin <= 1:
+        raise DegenerateInputError(
+            f"margin {margin} is not in (0, 1]: Q(1) = 0 puts every L1 tail at >= 1")
     if n_max < big_n:
         raise DegenerateInputError(
             f"degree cap {n_max} is below the flatness {big_n}: a root of "
@@ -260,15 +237,13 @@ def lambda_threshold(qres: FlatPolyResult) -> Fraction:
 def b_polynomial_table(
     p_coeffs: Sequence[Fraction], lam: Fraction, big_n: int
 ) -> Tuple[Tuple[Fraction, ...], ...]:
-    """table[i][k] = i-th derivative of B_k at lam, 0 <= i < N, 0 <= k <= n.
+    """table[i][k] = i-th derivative of B_k at lam, 0 <= i < N, 0 <= k <= n,
+    by the shift recurrences
 
-    Computed two ways, by the shift recurrences
-        B_k = x B_{k-1} + b_k,    B_k^{(i)} = x B_{k-1}^{(i)} + i B_{k-1}^{(i-1)}
-    and by direct differentiation of the coefficient lists; any mismatch
-    is a bug trap.  Also asserts the two structural zeroes the downstream
-    construction relies on: B_k^{(i)}(lam) = 0 for k < i, and
-    B_n^{(i)}(lam) = 0 for i < N (equivalent to the vanishing derivatives
-    of P at 1/lam).
+        B_k = x B_{k-1} + b_k,    B_k^{(i)} = x B_{k-1}^{(i)} + i B_{k-1}^{(i-1)}.
+
+    Not checked here: `jetcovering.verify_semiconjugacy` is the judge of the
+    projection built from this table.
     """
     b = tuple(p_coeffs)
     n = len(b) - 1
@@ -278,22 +253,6 @@ def b_polynomial_table(
         table[0][k] = lam * table[0][k - 1] + b[k]
         for i in range(1, big_n):
             table[i][k] = lam * table[i][k - 1] + i * table[i - 1][k - 1]
-
-    for k in range(n + 1):
-        bk = tuple(b[k - d] for d in range(k + 1))  # B_k coeffs, index = power
-        for i in range(big_n):
-            direct = poly_eval(poly_nth_derivative(bk, i), lam)
-            if direct != table[i][k]:
-                raise ConstructionError(
-                    f"recurrence and direct values differ at (i={i}, k={k})"
-                )
-            if k < i and table[i][k] != 0:
-                raise ConstructionError(f"expected zero at (i={i}, k={k})")
-    for i in range(big_n):
-        if table[i][n] != 0:
-            raise ConstructionError(
-                f"B_n derivative {i} is {table[i][n]}, expected 0"
-            )
     return tuple(tuple(row) for row in table)
 
 

@@ -29,6 +29,7 @@ from .rational import rat
 Word = Tuple[str, ...]
 
 WORD_ENUMERATION_CAP = 2 ** 22
+RASTER_PIXEL_CAP = 2 ** 22  # 2048 x 2048, a 12 MiB raster
 
 
 @dataclass(frozen=True)

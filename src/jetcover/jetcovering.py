@@ -39,13 +39,7 @@ from .errors import (
     ResourceLimitError,
     ShapeError,
 )
-from .flatpoly import (
-    Coeffs,
-    l1_tail,
-    poly_eval,
-    poly_nth_derivative,
-    projection_matrix,
-)
+from .flatpoly import Coeffs, divisible_by_power, l1_tail, projection_matrix
 from .jets import Jet, reverse_jet
 from .linalg import Mat, Vec
 from .rational import rat
@@ -123,7 +117,8 @@ def shift_map(sys: JetCoveringSystem, delta: int) -> Tuple[Mat, Vec]:
 
 
 def _validate_polynomial(jet_dim: int, lam: Fraction, b: Coeffs) -> Fraction:
-    """Check the conditions on P; returns its L1 tail."""
+    """Check the conditions on P; returns its L1 tail.  By Taylor's theorem
+    the root test (x - 1/lam)^N | P is P^{(i)}(1/lam) = 0 for i < N."""
     n = len(b) - 1
     if n < 1:
         raise DegenerateInputError("polynomial must have positive degree")
@@ -134,12 +129,10 @@ def _validate_polynomial(jet_dim: int, lam: Fraction, b: Coeffs) -> Fraction:
         raise DegenerateInputError(
             f"non-leading L1 norm {l1} is not below 2; contraction too small"
         )
-    inv = 1 / lam
-    for i in range(jet_dim):
-        if poly_eval(poly_nth_derivative(b, i), inv) != 0:
-            raise DegenerateInputError(
-                f"derivative {i} does not vanish at 1/lam"
-            )
+    if not divisible_by_power(b, 1 / lam, jet_dim):
+        raise DegenerateInputError(
+            f"polynomial has no root of order {jet_dim} at 1/lam"
+        )
     return l1
 
 
@@ -188,6 +181,13 @@ def build_system(
     conditions, the box inequality, full projection rank, and the
     semi-conjugacy identity are checked here regardless of how the inputs
     were produced.
+
+    The semi-conjugacy identity is the one judge of the projection pi, as
+    a zero residual determines pi: the offset residual fixes column 0 to
+    b_0 e_N; matrix-residual column k < n-1 fixes column k+1 from column k
+    (pi[:, k+1] = J pi[:, k] + b_{k+1} e_N); and column n-1 is the vanishing
+    of P's derivatives at 1/lam.  So a wrong partial-sum table entry always
+    leaves a nonzero residual, and the table is checked nowhere else.
     """
     if jet_dim < 1:
         raise DegenerateInputError(f"jet dimension {jet_dim} must be at least 1")
@@ -229,7 +229,10 @@ def semiconjugacy_residuals(
 
     Both shifts have the linear part M of `shift_map(sys, 1)`, so the matrix
     residual J projection - projection M is computed once and shared; only
-    the offset residual is per branch.
+    the offset residual is per branch.  The products stay generic
+    `mat_mul`: written out column by column they are the partial-sum
+    table's own recurrence, so a specialised form would re-run the
+    producer's formula instead of judging it.
     """
     m_shift, _ = shift_map(sys, 1)
     mat_res = linalg.mat_sub(

@@ -1,11 +1,11 @@
 """Canonical JSON and CSV wire formats and atomic file output.
 
 Home of the JSON encoders and parsers, covering certificates included,
-and of the CSV tables (limit-set clouds, branch samples); the CLI adds
-only small verdict dicts.  Documents are emitted with sorted
-keys, two-space indent, ASCII escapes, and a trailing newline, so
-identical inputs give byte-identical files.  Rationals travel as "p/q"
-strings, intervals as [lo, hi] pairs; only explicitly approximate
+of the CSV tables (limit-set clouds, branch samples) and of the PPM
+raster encoder; the CLI adds only small verdict dicts.  Documents are
+emitted with sorted keys, two-space indent, ASCII escapes, and a trailing
+newline, so identical inputs give byte-identical files.  Rationals travel
+as "p/q" strings, intervals as [lo, hi] pairs; only explicitly approximate
 payloads (the finite-difference oracle) carry floats.
 """
 
@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from typing import Container, List, Optional, Sequence, Tuple
 
 from .blender import BlenderCoverResult, BranchSample, NearlyAffineReport
 from .boxes import Box, Interval
 from .covering import Certificate, CoveringFailure
-from .errors import CertificateFormatError, DegenerateInputError
+from .errors import CertificateFormatError, DegenerateInputError, ResourceLimitError
 from .flatpoly import FlatPolyResult
-from .ifs import AffineMap, IFSystem, Word
+from .ifs import RASTER_PIXEL_CAP, AffineMap, IFSystem, Word
 from .jetcovering import (
     DeltaCoveringCertificate,
     JetCoveringSystem,
@@ -303,3 +303,26 @@ def branch_table_from_csv(text: str) -> List[BranchSample]:
             raise DegenerateInputError(f"bad table row: {line!r}")
         out.append(BranchSample(*(rat(p) for p in parts)))
     return out
+
+
+# --- PPM rasters ------------------------------------------------------------------
+
+PPM_BG = b"\xff\xff\xff"
+PPM_FG = b"\x00\x00\x00"
+
+
+def encode_ppm(
+    width: int, height: int, rows: Container[int], cols: Container[int]
+) -> bytes:
+    """Binary PPM (P6), origin top-left, foreground exactly at the pixels in
+    rows x cols.  The size is checked before any pixel is allocated."""
+    if width < 1 or height < 1:
+        raise DegenerateInputError(f"raster {width}x{height} needs positive dimensions")
+    if width * height > RASTER_PIXEL_CAP:
+        raise ResourceLimitError(
+            f"raster {width}x{height} exceeds the cap of {RASTER_PIXEL_CAP} pixels"
+        )
+    lit = b"".join(PPM_FG if c in cols else PPM_BG for c in range(width))
+    background = PPM_BG * width
+    body = b"".join(lit if r in rows else background for r in range(height))
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + body

@@ -287,6 +287,18 @@ def test_config_file_merging(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 5
 
 
+def test_config_yields_to_an_abbreviated_flag(tmp_path):
+    # --dep is --depth to argparse, so it wins over the config file too
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"depth": 3}))
+    out = tmp_path / "cloud.csv"
+    assert run(
+        ["--config", str(config), "limit-set", "--lam", "1/2", "--dep", "2",
+         "--out", str(out)]
+    ) == 0
+    assert len(out.read_text().strip().splitlines()) == 5
+
+
 def test_config_file_supplies_defaults(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"margin": "1/50"}))
@@ -295,6 +307,19 @@ def test_config_file_supplies_defaults(tmp_path):
         ["--config", str(config), "certify", "--lam", "3/4", "--out", str(cert)]
     ) == 0
     assert json.loads(cert.read_text())["margin"] == "1/50"
+
+
+@pytest.mark.parametrize("config", [{"command": "check-cert"}, {"handler": "x"}])
+def test_config_cannot_overwrite_parser_internals(tmp_path, capsys, config):
+    # keys that are not options of the chosen command are ignored
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    args = ["two-map-verdict", "--lam1", "3/4", "--offset1", "1",
+            "--lam2", "3/4", "--offset2", "-1"]
+    assert run(args) == 0
+    plain = capsys.readouterr().out
+    assert run(["--config", str(path)] + args) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_invalid_rational_rejected(tmp_path):
@@ -449,3 +474,63 @@ def test_pinned_output_digests(tmp_path):
         assert run(args + ["--out", str(out)]) == int(name in NEGATIVE_VERDICTS)
         digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == PINNED_DIGESTS
+
+
+# sha256 of valid rasters; both commands share one PPM encoder
+PINNED_PPM_DIGESTS = {
+    "limit-set": "5558354c6023776a88081e98e13c64f5ba1808ac3fc6343f01ca803bf32c6e54",
+    "blender-render": "09d03795057d12f8ea16ca86603ce40ca150905b022dc51867f33d5ecae9271d",
+}
+
+
+def test_pinned_ppm_digests(tmp_path):
+    commands = {
+        "limit-set": ["limit-set", "--lam", "3/4", "--depth", "6", "--width", "64",
+                      "--height", "16", "--out", str(tmp_path / "c.csv"), "--ppm"],
+        "blender-render": ["blender-render", "--lam", "3/4", "--depth", "6",
+                           "--width", "64", "--height", "64", "--out"],
+    }
+    digests = {}
+    for name, args in commands.items():
+        out = tmp_path / f"{name}.ppm"
+        assert run(args + [str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == PINNED_PPM_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "size",
+    [
+        ["--width", "-4"],
+        ["--width", "0", "--height", "0"],
+        ["--width", "2049", "--height", "2048"],  # one column past the cap
+    ],
+)
+def test_raster_size_is_input_error(tmp_path, capsys, size):
+    # limit-set writes neither its cloud nor its raster
+    csv, ppm = tmp_path / "cloud.csv", tmp_path / "img.ppm"
+    _expect_input_error(
+        capsys,
+        ["limit-set", "--lam", "3/4", "--depth", "3", "--out", str(csv),
+         "--ppm", str(ppm)] + size,
+        ppm,
+    )
+    assert not csv.exists()
+    _expect_input_error(
+        capsys,
+        ["blender-render", "--lam", "3/4", "--depth", "3", "--out", str(ppm)] + size,
+        ppm,
+    )
+
+
+@pytest.mark.parametrize(
+    "args", [["flat-poly", "--flatness", "2"], ["jet-system", "--order", "3"]]
+)
+def test_unreachable_margin_is_input_error(tmp_path, capsys, args, monkeypatch):
+    # a margin above 1 is rejected before any LP, not reported as exhausted
+    def no_lp(problem):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(flatpoly, "lp_solve", no_lp)
+    out = tmp_path / "out.json"
+    _expect_input_error(capsys, args + ["--margin", "3/2", "--out", str(out)], out)

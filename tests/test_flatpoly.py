@@ -2,7 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flatpoly_reference import (  # local helper module
+    poly_eval,
+    poly_nth_derivative,
+    reference_b_table,
+)
+from jetcover import jetcovering
 from jetcover.errors import (
     ConstructionError,
     DegenerateInputError,
@@ -16,13 +24,11 @@ from jetcover.flatpoly import (
     l1_tail,
     lambda_threshold,
     minimal_flat_poly,
-    poly_eval,
-    poly_nth_derivative,
     projection_matrix,
     scale_to_p,
     synthetic_division,
 )
-from jetcover.jetcovering import build_system
+from jetcover.jetcovering import auto_lambda, build_system
 from jetcover.simplex import LPSolution, lp_solve, strong_duality_holds
 
 
@@ -109,6 +115,23 @@ def test_escalation_rejects_cap_below_flatness(big_n, n_max, monkeypatch):
         find_flat_poly(big_n, n_max=n_max)
 
 
+@pytest.mark.parametrize("margin", [F(3, 2), F(1) + F(1, 2 ** 20), 2, 0, -1])
+def test_escalation_rejects_unreachable_margin(margin, monkeypatch):
+    # Q(1) = 0 puts every non-leading L1 norm at >= 1, so no LP may run
+    def no_lp(problem):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr("jetcover.flatpoly.lp_solve", no_lp)
+    with pytest.raises(DegenerateInputError, match="is not in"):
+        find_flat_poly(2, margin=margin)
+
+
+def test_escalation_margin_one_is_reachable():
+    # N = 1 meets a margin of exactly 1 with Q = x - 1
+    res = find_flat_poly(1, margin=1)
+    assert res.coeffs == (F(-1), F(1)) and res.optimum == 1
+
+
 def test_scale_to_p_example():
     q1 = minimal_flat_poly(1, 1)
     p = scale_to_p(q1, F(3, 4))
@@ -180,10 +203,46 @@ def test_b_table_base_case():
     assert table[0][1] == 0  # B_1(lam) = lam b_0 + b_1
 
 
-def test_b_table_structural_zero_enforced():
-    # a polynomial without the vanishing derivative must trip the trap
-    with pytest.raises(ConstructionError):
-        b_polynomial_table((F(1), F(1)), F(3, 4), 1)
+def test_build_system_judges_root_order_and_table(flat_q2, monkeypatch):
+    # a P without a root of order N at 1/lam is an input error: x + 1 has
+    # no root at 4/3, and (x - 4/3)(x - 1/4) only a simple one
+    with pytest.raises(DegenerateInputError, match="root of order 1"):
+        build_system(1, F(3, 4), (F(1), F(1)))
+    simple_root = (F(1, 3), F(-19, 12), F(1))
+    assert build_system(1, F(3, 4), simple_root).p_coeffs == simple_root
+    with pytest.raises(DegenerateInputError, match="root of order 2"):
+        build_system(2, F(3, 4), simple_root)
+    # a wrong table entry, a structural zero or one next to B_n, is caught
+    # by the semi-conjugacy judge
+    lam = auto_lambda(lambda_threshold(flat_q2))
+    p = scale_to_p(flat_q2, lam)
+    good = projection_matrix(p, lam, 2)
+    for i, k in ((0, 0), (1, len(p) - 2)):
+        rows = [list(row) for row in good]
+        rows[i][k] += F(1, 7)
+        monkeypatch.setattr(
+            jetcovering, "projection_matrix",
+            lambda *args, rows=rows: tuple(map(tuple, rows)),
+        )
+        with pytest.raises(ConstructionError, match="semi-conjugacy"):
+            build_system(2, lam, p)
+
+
+coefficients = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coefficients.filter(lambda c: c != 0),
+    st.lists(coefficients, max_size=6),
+    st.builds(lambda a, b: F(a, a + b), st.integers(1, 50), st.integers(1, 50)),
+    st.integers(1, 5),
+)
+def test_b_table_matches_direct_differentiation(b0, middle, lam, big_n):
+    # the recurrence table equals direct differentiation for any monic b
+    # with b_0 != 0, whether or not P has a root at 1/lam
+    p = (b0, *middle, F(1))
+    assert b_polynomial_table(p, lam, big_n) == reference_b_table(p, lam, big_n)
 
 
 def test_b_table_derivative_recurrence_random():

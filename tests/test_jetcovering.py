@@ -28,7 +28,7 @@ from jetcover.jetcovering import (
     verify_semiconjugacy,
 )
 from jetcover.jets import Jet, continuation_jet, reverse_jet, standard_families
-from jetcover.flatpoly import lambda_threshold
+from jetcover.flatpoly import lambda_threshold, projection_matrix
 
 
 def test_branch_matrix_shapes():
@@ -96,6 +96,48 @@ def test_semiconjugacy_tamper_detected(jet_sys_r0):
     ) or any(
         e != 0 for mat_res, _ in res.values() for row in mat_res for e in row
     )
+
+
+@pytest.fixture
+def jet_sys_r0_quadratic():
+    # order 0 with n = 2: projection column 1 is pinned by the matrix
+    # residual alone
+    return build_system(1, F(3, 4), (F(1, 3), F(-19, 12), F(1)))
+
+
+@pytest.mark.parametrize(
+    "fixture", ["jet_sys_r0_quadratic", "jet_sys_r1", "jet_sys_r2"]
+)
+def test_semiconjugacy_catches_every_projection_entry(fixture, request):
+    # a zero residual determines the projection, so the judge rejects a
+    # perturbation of any single entry
+    sys = request.getfixturevalue(fixture)
+    for i, k in itertools.product(range(sys.jet_dim), range(sys.n)):
+        rows = [list(row) for row in sys.projection]
+        rows[i][k] += F(1, 3)
+        tampered = replace(sys, projection=tuple(map(tuple, rows)))
+        with pytest.raises(ConstructionError):
+            verify_semiconjugacy(tampered)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["jet_sys_r0_quadratic", "jet_sys_r1", "jet_sys_r2"]
+)
+def test_semiconjugacy_sees_scale_and_root(fixture, request):
+    # two tampers that single entries do not isolate: a scaled projection
+    # leaves only the offset residual nonzero, and a projection rebuilt by
+    # the recurrence for a P without the root only the last matrix column
+    sys = request.getfixturevalue(fixture)
+    scaled = tuple(tuple(2 * e for e in row) for row in sys.projection)
+    with pytest.raises(ConstructionError, match="offset"):
+        verify_semiconjugacy(replace(sys, projection=scaled))
+    rootless = (sys.p_coeffs[0] + F(1, 5),) + sys.p_coeffs[1:]
+    rebuilt = replace(
+        sys, p_coeffs=rootless,
+        projection=projection_matrix(rootless, sys.lam, sys.jet_dim),
+    )
+    with pytest.raises(ConstructionError, match=rf"matrix\[\d+\]\[{sys.n - 1}\]"):
+        verify_semiconjugacy(rebuilt)
 
 
 def test_semiconjugacy_multiplies_two_matrices(monkeypatch, jet_sys_r1):

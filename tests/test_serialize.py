@@ -6,13 +6,19 @@ import pytest
 
 from jetcover.covering import certify_covering
 from jetcover.boxes import Box, Interval
-from jetcover.errors import CertificateFormatError
+from jetcover import serialize
+from jetcover.errors import (
+    CertificateFormatError,
+    DegenerateInputError,
+    ResourceLimitError,
+)
 from jetcover.ifs import standard_pair
 from jetcover.jets import Jet, finite_difference_jet, standard_families
 from jetcover.serialize import (
     approximate_jet_payload,
     canonical_json,
     covering_outcome_payload,
+    encode_ppm,
     jet_from_payload,
     jet_system_from_payload,
     jet_system_payload,
@@ -80,3 +86,15 @@ def test_certificate_schema_fields(sys34):
     assert set(payload) == {"system", "box", "margin", "depth", "leaves", "verified"}
     assert payload["margin"] == "1/100"
     assert all(set(leaf) == {"box", "witness"} for leaf in payload["leaves"])
+
+
+def test_encode_ppm_pixels_and_bounds(monkeypatch):
+    img = encode_ppm(3, 2, {1}, {0, 2})
+    assert img == b"P6\n3 2\n255\n" + b"\xff" * 9 + b"\x00" * 3 + b"\xff" * 3 + b"\x00" * 3
+    monkeypatch.setattr(serialize, "RASTER_PIXEL_CAP", 12)
+    assert len(encode_ppm(4, 3, (), ())) == len(b"P6\n4 3\n255\n") + 36
+    with pytest.raises(ResourceLimitError):
+        encode_ppm(13, 1, (), ())
+    for width, height in ((0, 1), (1, 0), (-4, 64)):
+        with pytest.raises(DegenerateInputError):
+            encode_ppm(width, height, (), ())
