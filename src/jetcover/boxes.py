@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Sequence
 
 from .errors import DegenerateInputError, ShapeError
 from .rational import rat
@@ -31,10 +31,6 @@ class Interval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
@@ -59,10 +55,6 @@ class Interval:
         """Exact image under x -> a*x + t."""
         u, v = a * self.lo + t, a * self.hi + t
         return Interval(u, v) if u <= v else Interval(v, u)
-
-    def bisect(self) -> Tuple["Interval", "Interval"]:
-        m = self.mid
-        return Interval(self.lo, m), Interval(m, self.hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -119,20 +111,6 @@ class Box:
         for iv in self.intervals:
             v *= iv.width
         return v
-
-    def longest_axis(self) -> int:
-        widths = [iv.width for iv in self.intervals]
-        return widths.index(max(widths))
-
-    def bisect(self) -> Tuple["Box", "Box"]:
-        """Split along the longest axis (lowest index on ties)."""
-        ax = self.longest_axis()
-        left, right = self.intervals[ax].bisect()
-        lo = list(self.intervals)
-        hi = list(self.intervals)
-        lo[ax] = left
-        hi[ax] = right
-        return Box(lo), Box(hi)
 
     def interiors_disjoint(self, other: "Box") -> bool:
         """True when the open interiors do not meet (touching is fine)."""

@@ -10,9 +10,13 @@ covering valid.
 Certification is semi-decidable by subdivision: success is a proof,
 failure (depth exhausted) is inconclusive and reports the offending
 sub-box for diagnosis.  Box and window covers share one subdivision
-driver; the JSON wire format lives in `serialize`.  The certifier
-inverts each branch map at most once per call, the first time its
-symbol is tried, and tests every box against that map's row windows.
+driver, `_DyadicGrid`: it visits the dyadic cells of the root box as
+integer index vectors and decides each by integer dot products against
+integer bounds, one set per candidate and depth, so no visited piece
+costs a `Fraction` operation.  The certifier inverts each branch map at
+most once per call, the first time its symbol is tried, and stops with
+ResourceLimitError past `COVER_LEAF_CAP` leaves.  The JSON wire format
+lives in `serialize`.
 
 The checker accepts exactly the leaf sets of the target's midpoint
 bisection tree (longest axis, lowest index on ties), in any order, which
@@ -24,67 +28,157 @@ linear in the leaf count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .boxes import Box, Interval
-from .errors import CertificateFormatError, DegenerateInputError, SingularMatrixError
-from .ifs import AffineMap, IFSystem
+from .errors import (
+    CertificateFormatError,
+    DegenerateInputError,
+    ResourceLimitError,
+    SingularMatrixError,
+)
+from .ifs import COVER_LEAF_CAP, AffineMap, IFSystem
 from .rational import rat
 
 DEFAULT_MAX_DEPTH = 24
 
+# a linear form as its nonzero entries (axis, coefficient), with the
+# window (lo, hi) its enclosure over a piece must lie in
+Row = Tuple[Tuple[Tuple[int, Fraction], ...], Tuple[Fraction, Fraction]]
 
-def _subdivide(root: Union[Box, Interval], witness: Callable, max_depth: int):
-    """Bisect depth-first, lower half first, until `witness` labels each piece.
 
-    Returns ``(leaves, None)`` in visit order, or ``(None, piece)`` for the
-    first piece still unlabelled at `max_depth`.
+class _DyadicGrid:
+    """The one subdivision driver: depth-first bisection of a root box on
+    its dyadic grid, with a first-fit witness test among candidates.
+
+    Every piece at depth d was split along the same axes, so it is the cell
+    ``[L_c + k_c s_c, L_c + (k_c + 1) s_c]`` on axis c, with the root's
+    lower corner L, the index vector k and the step ``s_c = W_c / 2^e_c``,
+    where the exponents e depend on d alone.  Bisection splits the longest
+    axis (lowest index on ties) of depth d, computed once per depth:
+    ``k_c -> 2 k_c, 2 k_c + 1``.
+
+    Over a cell, a row a has the exact enclosure ``a.L + sum_c a_c s_c k_c
+    + [sum_{a_c<0} a_c s_c, sum_{a_c>0} a_c s_c]``.  With D the common
+    denominator of the ``a_c s_c``, it lies in the window (w_lo, w_hi) iff
+    ``lo_min <= sum_c alpha_c k_c <= hi_max`` for the integers ``alpha_c =
+    D a_c s_c``, ``lo_min = ceil(D (w_lo - a.L - sum_{a_c<0} a_c s_c))`` and
+    ``hi_max = floor(D (w_hi - a.L - sum_{a_c>0} a_c s_c))``: in exact
+    arithmetic the endpoint test on the cell's box.  The integer rows are
+    made per (candidate, depth), the first time the candidate is tried at
+    that depth; `rows_of(i)` gives candidate i's rows the first time it is
+    tried at all.
     """
-    leaves = []
-    stack = [(root, 0)]
-    while stack:
-        piece, depth = stack.pop()
-        label = witness(piece)
-        if label is not None:
-            leaves.append((piece, label))
-            continue
-        if depth >= max_depth:
-            return None, piece
-        lo_half, hi_half = piece.bisect()
-        stack.append((hi_half, depth + 1))
-        stack.append((lo_half, depth + 1))
-    return tuple(leaves), None
+
+    def __init__(self, root: Box, labels: Sequence[str], rows_of: Callable[[int], Sequence[Row]]):
+        self.origin = tuple(Fraction(iv.lo) for iv in root.intervals)
+        self.widths = tuple(Fraction(iv.width) for iv in root.intervals)
+        self.labels = tuple(labels)
+        self.rows_of = rows_of
+        self.rows = {}  # candidate index -> its rows
+        # per depth: exponents, steps, split axis, integer rows per candidate
+        self.levels = []
+        self.cells = {}  # (axis, exponent, index) -> Interval
+
+    def level(self, depth: int):
+        levels = self.levels
+        while len(levels) <= depth:
+            if levels:
+                exps, steps, ax, _ = levels[-1]
+                exps = exps[:ax] + (exps[ax] + 1,) + exps[ax + 1:]
+                steps = steps[:ax] + (steps[ax] / 2,) + steps[ax + 1:]
+            else:
+                exps, steps = (0,) * len(self.widths), self.widths
+            ax = steps.index(max(steps))  # lowest index on ties
+            levels.append((exps, steps, ax, [None] * len(self.labels)))
+        return levels[depth]
+
+    def integer_rows(self, i: int, steps):
+        if i not in self.rows:
+            self.rows[i] = self.rows_of(i)
+        out = []
+        for row, (w_lo, w_hi) in self.rows[i]:
+            terms = [(c, a * steps[c]) for c, a in row]
+            scale = math.lcm(*(t.denominator for _, t in terms))
+            at = sum(a * self.origin[c] for c, a in row)
+            below = sum(t for _, t in terms if t < 0)
+            above = sum(t for _, t in terms if t > 0)
+            out.append((
+                tuple((c, t.numerator * (scale // t.denominator)) for c, t in terms),
+                math.ceil(scale * (w_lo - at - below)),
+                math.floor(scale * (w_hi - at - above)),
+            ))
+        return out
+
+    def witness(self, cell: Tuple[int, ...], depth: int) -> Optional[str]:
+        """The first label whose rows all fit over the cell, or None."""
+        _, steps, _, tests = self.level(depth)
+        for i, label in enumerate(self.labels):
+            if tests[i] is None:
+                tests[i] = self.integer_rows(i, steps)
+            for terms, lo_min, hi_max in tests[i]:
+                s = 0
+                for c, alpha in terms:
+                    s += alpha * cell[c]
+                if s < lo_min or s > hi_max:
+                    break
+            else:
+                return label
+        return None
+
+    def box(self, cell: Tuple[int, ...], depth: int) -> Box:
+        exps, steps, _, _ = self.levels[depth]
+        intervals = []
+        for c, k in enumerate(cell):
+            key = (c, exps[c], k)
+            if key not in self.cells:
+                lo = self.origin[c] + k * steps[c]
+                self.cells[key] = Interval(lo, lo + steps[c])
+            intervals.append(self.cells[key])
+        return Box(intervals)
+
+    def subdivide(self, max_depth: int):
+        """Bisect depth-first, lower half first, until each cell is labelled.
+
+        Returns ``(leaves, None)``, the (box, label) pairs in visit order,
+        or ``(None, box)`` for the first cell still unlabelled at
+        `max_depth`.  Raises ResourceLimitError as soon as the leaves would
+        outnumber `COVER_LEAF_CAP`.
+        """
+        leaves = []
+        stack = [((0,) * len(self.widths), 0)]
+        while stack:
+            cell, depth = stack.pop()
+            label = self.witness(cell, depth)
+            if label is not None:
+                if len(leaves) >= COVER_LEAF_CAP:
+                    raise ResourceLimitError(
+                        f"the covering needs more than {COVER_LEAF_CAP} leaves"
+                    )
+                leaves.append((cell, depth, label))
+                continue
+            if depth >= max_depth:
+                return None, self.box(cell, depth)
+            ax = self.levels[depth][2]
+            head, k, tail = cell[:ax], cell[ax], cell[ax + 1:]
+            stack.append((head + (2 * k + 1,) + tail, depth + 1))
+            stack.append((head + (2 * k,) + tail, depth + 1))
+        return tuple((self.box(cell, depth), label) for cell, depth, label in leaves), None
 
 
 def _inverted(f: AffineMap):
-    """The rows of M^-1 and the vector M^-1 t for f(x) = M x + t, so that
-    f^-1(x) = M^-1 x - M^-1 t.  A row is kept as its nonzero entries
-    `(axis, entry, entry > 0)`, the form `_row_enclosure` reads."""
+    """The rows of M^-1, as their nonzero entries `(axis, entry)`, and the
+    vector M^-1 t for f(x) = M x + t, so that f^-1(x) = M^-1 x - M^-1 t."""
     try:
         inv = linalg.inverse(f.matrix)
     except SingularMatrixError:
         raise SingularMatrixError("branch matrix is singular") from None
-    rows = tuple(
-        tuple((j, a, a > 0) for j, a in enumerate(row) if a) for row in inv
-    )
+    rows = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in inv)
     return rows, linalg.mat_vec(inv, f.offset)
-
-
-def _row_enclosure(row, box: Box) -> Tuple[Fraction, Fraction]:
-    """Exact interval enclosure (lo, hi) of x -> row . x over the box."""
-    lo = hi = Fraction(0)
-    for j, a, positive in row:
-        iv = box.intervals[j]
-        if positive:
-            lo += a * iv.lo
-            hi += a * iv.hi
-        else:
-            lo += a * iv.hi
-            hi += a * iv.lo
-    return lo, hi
 
 
 def inverse_image_box(f: AffineMap, box: Box) -> Box:
@@ -99,35 +193,14 @@ def inverse_image_box(f: AffineMap, box: Box) -> Box:
     if box.dim != f.dim:
         raise DegenerateInputError("box dimension does not match the map")
     rows, shift = _inverted(f)
-    spans = (_row_enclosure(row, box) for row in rows)
-    return Box([Interval(lo - c, hi - c) for (lo, hi), c in zip(spans, shift)])
-
-
-def _first_fit(sys: IFSystem, shrunk: Box) -> Callable[[Box], Optional[str]]:
-    """The witness test of `certify_covering`: the first alphabet symbol
-    whose inverse branch pulls a box into `shrunk`, or None.
-
-    A branch map is inverted the first time its symbol is tried, and its
-    rows' windows `shrunk + M^-1 t` are kept: f^-1(box) lies in `shrunk`
-    iff the enclosure of each row of M^-1 box lies in that row's window.
-    """
-    branches = {}
-
-    def fits(symbol: str, box: Box) -> bool:
-        if symbol not in branches:
-            rows, shift = _inverted(sys.maps[symbol])
-            windows = [(iv.lo + c, iv.hi + c) for iv, c in zip(shrunk.intervals, shift)]
-            branches[symbol] = tuple(zip(rows, windows))
-        for row, (w_lo, w_hi) in branches[symbol]:
-            lo, hi = _row_enclosure(row, box)
-            if lo < w_lo or hi > w_hi:
-                return False
-        return True
-
-    def witness(box: Box) -> Optional[str]:
-        return next((b for b in sys.alphabet if fits(b, box)), None)
-
-    return witness
+    out = []
+    for row, c in zip(rows, shift):
+        lo = hi = Fraction(0)
+        for j, a in row:
+            u, v = a * box[j].lo, a * box[j].hi
+            lo, hi = (lo + u, hi + v) if a > 0 else (lo + v, hi + u)
+        out.append(Interval(lo - c, hi - c))
+    return Box(out)
 
 
 @dataclass(frozen=True)
@@ -173,7 +246,9 @@ def certify_covering(
     Leaves are emitted in deterministic depth-first order (lower bisection
     half first); the witness is the first alphabet symbol whose inverse
     image fits in the shrunk target.  Each branch map is inverted at most
-    once per call, the first time its symbol is tried (`_first_fit`).
+    once per call, the first time its symbol is tried, and its rows of
+    M^-1 are tested against the windows `shrunk + M^-1 t`: f^-1(box) lies
+    in `shrunk` iff each row's enclosure over the box lies in its window.
     """
     if max_depth < 0:
         raise DegenerateInputError("max_depth must be non-negative")
@@ -183,7 +258,15 @@ def certify_covering(
     if target.dim != sys.dim:
         raise DegenerateInputError("target box dimension does not match the system")
     shrunk = target.shrink(margin)  # raises DegenerateInputError if too thin
-    leaves, stuck = _subdivide(target, _first_fit(sys, shrunk), max_depth)
+
+    def branch_rows(i: int):
+        rows, shift = _inverted(sys.maps[sys.alphabet[i]])
+        return tuple(
+            (row, (iv.lo + c, iv.hi + c))
+            for row, iv, c in zip(rows, shrunk.intervals, shift)
+        )
+
+    leaves, stuck = _DyadicGrid(target, sys.alphabet, branch_rows).subdivide(max_depth)
     if stuck is not None:
         return CoveringFailure(witness_box=stuck, max_depth=max_depth)
     return Certificate(
@@ -310,10 +393,10 @@ def check_certificate(cert: Certificate) -> bool:
 # --- one-dimensional window covers -----------------------------------------
 #
 # Same subdivision driver, but the witness test is direct containment of
-# the leaf in one of finitely many open windows (shrunk by the margin).
-# Used to certify shift-map coverings in pulled-back coordinates, where
-# the "branches" are ranges of an affine functional rather than inverse
-# maps of a contraction.
+# the leaf in one of finitely many windows (shrunk by the margin): one
+# identity row per window.  Used to certify shift-map coverings in
+# pulled-back coordinates, where the "branches" are ranges of an affine
+# functional rather than inverse maps of a contraction.
 
 
 @dataclass(frozen=True)
@@ -334,14 +417,18 @@ def certify_window_cover(
         raise DegenerateInputError("max_depth must be non-negative")
     if margin <= 0:
         raise DegenerateInputError("margin must be positive")
-    shrunk = [(label, win.shrink(margin)) for label, win in windows]
+    shrunk = [win.shrink(margin) for _, win in windows]
 
-    def witness(iv: Interval) -> Optional[str]:
-        return next((lb for lb, win in shrunk if win.contains_interval(iv)), None)
+    def window_rows(i: int):
+        return ((((0, Fraction(1)),), (shrunk[i].lo, shrunk[i].hi)),)
 
-    leaves, stuck = _subdivide(target, witness, max_depth)
+    grid = _DyadicGrid(Box([target]), [label for label, _ in windows], window_rows)
+    leaves, stuck = grid.subdivide(max_depth)
     if stuck is not None:
-        return CoveringFailure(witness_box=Box([stuck]), max_depth=max_depth)
+        return CoveringFailure(witness_box=stuck, max_depth=max_depth)
     return WindowCoverCertificate(
-        target=target, windows=tuple(windows), margin=margin, leaves=leaves
+        target=target,
+        windows=tuple(windows),
+        margin=margin,
+        leaves=tuple((box[0], label) for box, label in leaves),
     )

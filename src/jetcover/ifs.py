@@ -30,6 +30,7 @@ Word = Tuple[str, ...]
 
 WORD_ENUMERATION_CAP = 2 ** 22
 RASTER_PIXEL_CAP = 2 ** 22  # 2048 x 2048, a 12 MiB raster
+COVER_LEAF_CAP = 2 ** 20  # leaves of one covering certificate
 
 
 @dataclass(frozen=True)

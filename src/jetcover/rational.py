@@ -30,7 +30,7 @@ def rat(value: RatLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if any(ch in text for ch in ".eE"):
+        if "." in text or "e" in text or "E" in text:
             raise ValueError(f"rationals must be decimal-free p/q strings: {text!r}")
         try:
             return Fraction(text)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from fractions import Fraction
 from typing import Container, List, Optional, Sequence, Tuple
 
 from .blender import BlenderCoverResult, BranchSample, NearlyAffineReport
@@ -21,7 +22,7 @@ from .boxes import Box, Interval
 from .covering import Certificate, CoveringFailure
 from .errors import CertificateFormatError, DegenerateInputError, ResourceLimitError
 from .flatpoly import FlatPolyResult
-from .ifs import RASTER_PIXEL_CAP, AffineMap, IFSystem, Word
+from .ifs import COVER_LEAF_CAP, RASTER_PIXEL_CAP, AffineMap, IFSystem, Word
 from .jetcovering import (
     DeltaCoveringCertificate,
     JetCoveringSystem,
@@ -136,8 +137,14 @@ def covering_outcome_payload(outcome) -> dict:
 
 
 def load_certificate(payload: dict) -> Certificate:
+    """Parse a certificate; more leaves than `COVER_LEAF_CAP` is a
+    ResourceLimitError, raised before any box is parsed."""
     try:
         system = payload["system"]
+        if len(payload["leaves"]) > COVER_LEAF_CAP:
+            raise ResourceLimitError(
+                f"certificate has more than {COVER_LEAF_CAP} leaves"
+            )
         return Certificate(
             system=IFSystem(
                 tuple(system["alphabet"]),
@@ -207,18 +214,44 @@ def jet_system_payload(
     return payload
 
 
+def _same_value(stated, rebuilt) -> bool:
+    """Whether nested lists of p/q strings equal nested tuples of Fractions
+    entry by entry; the canonical spelling is compared as text first."""
+    if isinstance(rebuilt, Fraction):
+        return stated == rat_str(rebuilt) or rat(stated) == rebuilt
+    return (
+        isinstance(stated, list)
+        and len(stated) == len(rebuilt)
+        and all(map(_same_value, stated, rebuilt))
+    )
+
+
 def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
+    """Rebuild the system from its defining fields through `build_system`,
+    which re-verifies the semi-conjugacy, and require the branch matrix,
+    branch offset, projection and pullback box the file states to equal
+    the rebuilt ones by value; a mismatch is a CertificateFormatError."""
     from .jetcovering import build_system
 
     try:
-        return build_system(
+        system = build_system(
             int(payload["jet_dim"]),
             rat(payload["lam"]),
             [rat(c) for c in payload["p_coeffs"]],
             box_base=rat(payload["box_base"]),
         )
+        rebuilt = {
+            "branch_matrix": system.branch_matrix,
+            "branch_offset": system.branch_offset,
+            "projection": system.projection,
+            "pullback_box": tuple((iv.lo, iv.hi) for iv in system.pullback_box()),
+        }
+        for name, value in rebuilt.items():
+            if not _same_value(payload[name], value):
+                raise CertificateFormatError(f"the file's {name} is not the rebuilt system's")
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError(f"malformed jet system: {exc}") from exc
+    return system
 
 
 def realization_payload(res: RealizationResult) -> dict:

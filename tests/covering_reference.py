@@ -10,16 +10,19 @@ bisection tree, so the two verdicts agree on every certificate
 cut off the midpoints.
 
 It also keeps the doubling loop that `Certificate.depth_used` ran before
-its closed form, as that property's oracle, the per-box certifier as the
-oracle of `certify_covering`, and makes the planar certificates the
-covering tests share.
+its closed form, as that property's oracle, and makes the planar
+certificates the covering tests share.  Last, it keeps the `Fraction`
+subdivision driver that `certify_covering` and `certify_window_cover`
+ran before the dyadic integer grid, with the midpoint bisection that was
+`Box.bisect`, as the oracle of both certifiers; it shares no code with
+the grid driver.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from jetcover import linalg
 from jetcover.boxes import Box, Interval
@@ -27,7 +30,7 @@ from jetcover.covering import (
     DEFAULT_MAX_DEPTH,
     Certificate,
     CoveringFailure,
-    _subdivide,
+    WindowCoverCertificate,
     certify_covering,
 )
 from jetcover.errors import DegenerateInputError, SingularMatrixError
@@ -92,12 +95,67 @@ def planar_certificate(lam: Fraction, h: Fraction, inverse_margin: int) -> Certi
     return outcome
 
 
+# --- the Fraction subdivision driver -------------------------------------------
+#
+# `_subdivide` and the midpoint bisection as they were before the driver ran
+# on the dyadic integer grid, copied unchanged apart from the bisection: it
+# was the method `Box.bisect`, and is a function here that `_subdivide`
+# takes as its `split`, so a test can cut pieces off the midpoints.
+
+
+def longest_axis(box: Box) -> int:
+    widths = [iv.width for iv in box.intervals]
+    return widths.index(max(widths))
+
+
+def bisect_interval(iv: Interval) -> Tuple[Interval, Interval]:
+    m = (iv.lo + iv.hi) / 2
+    return Interval(iv.lo, m), Interval(m, iv.hi)
+
+
+def bisect(box: Box) -> Tuple[Box, Box]:
+    """Split along the longest axis (lowest index on ties)."""
+    ax = longest_axis(box)
+    left, right = bisect_interval(box.intervals[ax])
+    lo = list(box.intervals)
+    hi = list(box.intervals)
+    lo[ax] = left
+    hi[ax] = right
+    return Box(lo), Box(hi)
+
+
+def _subdivide(root: Union[Box, Interval], witness: Callable, max_depth: int, split=None):
+    """Bisect depth-first, lower half first, until `witness` labels each piece.
+
+    Returns ``(leaves, None)`` in visit order, or ``(None, piece)`` for the
+    first piece still unlabelled at `max_depth`.
+    """
+    if split is None:
+        split = bisect_interval if isinstance(root, Interval) else bisect
+    leaves = []
+    stack = [(root, 0)]
+    while stack:
+        piece, depth = stack.pop()
+        label = witness(piece)
+        if label is not None:
+            leaves.append((piece, label))
+            continue
+        if depth >= max_depth:
+            return None, piece
+        lo_half, hi_half = split(piece)
+        stack.append((hi_half, depth + 1))
+        stack.append((lo_half, depth + 1))
+    return tuple(leaves), None
+
+
 # --- the per-box certifier ---------------------------------------------------
 #
 # `certify_covering` and `inverse_image_box` as they were while the certifier
 # inverted the branch matrix once per box and symbol tried, copied unchanged
-# apart from the certifier's name.  The certifier now inverts each map once
-# and must decide every box as this copy does.  Both share `_subdivide`.
+# apart from the certifier's name and its `split`, which defaults to the
+# midpoint bisection.  The certifier now inverts each map once and decides
+# on the integer grid, and must decide every box as this copy does.
+
 
 
 def inverse_image_box(f: AffineMap, box: Box) -> Box:
@@ -133,6 +191,7 @@ def reference_certify_covering(
     target: Box,
     margin,
     max_depth: int = DEFAULT_MAX_DEPTH,
+    split=None,
 ) -> Union[Certificate, CoveringFailure]:
     """Depth-first subdivision certifier.
 
@@ -153,9 +212,34 @@ def reference_certify_covering(
                 return b
         return None
 
-    leaves, stuck = _subdivide(target, witness, max_depth)
+    leaves, stuck = _subdivide(target, witness, max_depth, split)
     if stuck is not None:
         return CoveringFailure(witness_box=stuck, max_depth=max_depth)
     return Certificate(
         system=sys, target=target, margin=margin, max_depth=max_depth, leaves=leaves
+    )
+
+
+def reference_certify_window_cover(
+    target: Interval,
+    windows: Sequence[Tuple[str, Interval]],
+    margin: Fraction,
+    max_depth: int = 40,
+) -> Union[WindowCoverCertificate, CoveringFailure]:
+    """`certify_window_cover` as it was on the `Fraction` driver, copied
+    unchanged apart from its name."""
+    if max_depth < 0:
+        raise DegenerateInputError("max_depth must be non-negative")
+    if margin <= 0:
+        raise DegenerateInputError("margin must be positive")
+    shrunk = [(label, win.shrink(margin)) for label, win in windows]
+
+    def witness(iv: Interval) -> Optional[str]:
+        return next((lb for lb, win in shrunk if win.contains_interval(iv)), None)
+
+    leaves, stuck = _subdivide(target, witness, max_depth)
+    if stuck is not None:
+        return CoveringFailure(witness_box=Box([stuck]), max_depth=max_depth)
+    return WindowCoverCertificate(
+        target=target, windows=tuple(windows), margin=margin, leaves=leaves
     )

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covering_reference import _leaves_partition as reference_partition  # local helper module
-from covering_reference import planar_certificate
+from covering_reference import bisect, planar_certificate
 from jetcover.boxes import Box, Interval
 from jetcover.covering import (
     Certificate,
@@ -137,10 +137,10 @@ def mutants(ordered, leaves, i, data):
     moved = list(leaf.intervals)
     moved[ax] = Interval(moved[ax].lo + shift, moved[ax].hi + shift)
     yield rest[:i] + [Box(moved)] + rest[i:]
-    yield rest[:i] + list(leaf.bisect()) + rest[i:]
+    yield rest[:i] + list(bisect(leaf)) + rest[i:]
     # depth-first order puts two sibling leaves next to each other
     siblings = [
-        (a, b) for a, b in zip(ordered, ordered[1:]) if hull(a, b).bisect() == (a, b)
+        (a, b) for a, b in zip(ordered, ordered[1:]) if bisect(hull(a, b)) == (a, b)
     ]
     if len(leaves) > 1:
         assert siblings  # the deepest split of a tree has two leaf children

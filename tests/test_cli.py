@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from jetcover import flatpoly, jetcovering
+from jetcover import covering, flatpoly, jetcovering, serialize
 from jetcover.blender import model_branch_table
 from jetcover.cli import main
 from jetcover.serialize import branch_table_to_csv
@@ -534,3 +534,33 @@ def test_unreachable_margin_is_input_error(tmp_path, capsys, args, monkeypatch):
     monkeypatch.setattr(flatpoly, "lp_solve", no_lp)
     out = tmp_path / "out.json"
     _expect_input_error(capsys, args + ["--margin", "3/2", "--out", str(out)], out)
+
+
+def test_leaf_budget_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # x -> 3x/4 ± 1 certifies [-2, 2] with 2 leaves; a cap of 1 rejects
+    # the certifier's run and the checker's input, and neither writes
+    cert, again = tmp_path / "cert.json", tmp_path / "again.json"
+    assert run(["certify", "--lam", "3/4", "--out", str(cert)]) == 0
+    monkeypatch.setattr(covering, "COVER_LEAF_CAP", 1)
+    monkeypatch.setattr(serialize, "COVER_LEAF_CAP", 1)
+    _expect_input_error(capsys, ["certify", "--lam", "3/4", "--out", str(again)], again)
+    before = sorted(tmp_path.iterdir())
+    _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_realize_rejects_a_stated_projection_it_does_not_rebuild(tmp_path, capsys):
+    sys_path = tmp_path / "sys.json"
+    assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
+    payload = json.loads(sys_path.read_text())
+    payload["projection"][0][0] = "12345"
+    sys_path.write_text(json.dumps(payload))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
+    out = tmp_path / "real.json"
+    _expect_input_error(
+        capsys,
+        ["realize", "--system", str(sys_path), "--target", str(target),
+         "--out", str(out)],
+        out,
+    )

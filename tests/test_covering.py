@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from covering_reference import _leaves_partition as reference_partition  # local helper module
 from covering_reference import (
+    bisect,
+    longest_axis,
     loop_depth_used,
     planar_certificate,
     planar_system,
     reference_certify_covering,
+    reference_certify_window_cover,
 )
 from jetcover import covering, linalg
 from jetcover.boxes import Box, Interval
@@ -31,6 +34,7 @@ from jetcover.errors import (
     CertificateFormatError,
     DegenerateInputError,
     JetcoverError,
+    ResourceLimitError,
     SingularMatrixError,
 )
 from jetcover.ifs import AffineMap, IFSystem, affine_1d, standard_pair
@@ -281,17 +285,17 @@ def test_off_grid_partition_is_rejected_within_the_split_budget(monkeypatch, pla
 
 
 def overlapping_halves(box):
-    ax = box.longest_axis()
+    ax = longest_axis(box)
     iv = box[ax]
-    cut = iv.width / 8
+    mid, cut = (iv.lo + iv.hi) / 2, iv.width / 8
     lo, hi = list(box.intervals), list(box.intervals)
-    lo[ax] = Interval(iv.lo, iv.mid + cut)
-    hi[ax] = Interval(iv.mid - cut, iv.hi)
+    lo[ax] = Interval(iv.lo, mid + cut)
+    hi[ax] = Interval(mid - cut, iv.hi)
     return Box(lo), Box(hi)
 
 
 def third_halves(box):
-    ax = box.longest_axis()
+    ax = longest_axis(box)
     iv = box[ax]
     cut = iv.lo + iv.width / 3
     lo, hi = list(box.intervals), list(box.intervals)
@@ -301,12 +305,17 @@ def third_halves(box):
 
 
 @pytest.mark.parametrize("split", [overlapping_halves, third_halves])
-def test_checker_does_not_trust_the_certifiers_bisection(monkeypatch, sys34, split):
-    # the certifier splits with the patched Box.bisect, the checker with
-    # its own midpoint split, so neither leaf set is accepted
-    monkeypatch.setattr(Box, "bisect", split)
-    cert = certify_covering(sys34, box1(-2, 2), F(1, 100))
+def test_checker_does_not_trust_the_certifiers_bisection(sys34, split):
+    # the per-box reference certifier splits off the midpoints, the checker
+    # with its own midpoint split, so neither leaf set is accepted although
+    # every leaf's witness holds
+    cert = reference_certify_covering(sys34, box1(-2, 2), F(1, 100), split=split)
     assert isinstance(cert, Certificate) and len(cert.leaves) > 2
+    shrunk = cert.target.shrink(cert.margin)
+    assert all(
+        covering._preimage_fits(*covering._inverse_branch(sys34.maps[w], shrunk), leaf)
+        for leaf, w in cert.leaves
+    )
     assert not check_certificate(cert)
 
 
@@ -314,9 +323,9 @@ def test_checker_uses_no_certifier_code(monkeypatch, planar_cert):
     def forbidden(*args):
         raise AssertionError("the checker called the certifier's code")
 
-    monkeypatch.setattr(Box, "bisect", forbidden)
     monkeypatch.setattr(covering, "inverse_image_box", forbidden)
-    monkeypatch.setattr(covering, "_subdivide", forbidden)
+    monkeypatch.setattr(covering, "_inverted", forbidden)
+    monkeypatch.setattr(covering, "_DyadicGrid", forbidden)
     assert check_certificate(planar_cert)
 
 
@@ -346,7 +355,7 @@ def test_witness_test_matches_inverse_image_box(matrix, offset):
     branch = covering._inverse_branch(f, shrunk)
     pieces = [target]
     for _ in range(6):
-        pieces = [half for piece in pieces for half in piece.bisect()]
+        pieces = [half for piece in pieces for half in bisect(piece)]
     verdicts = [covering._preimage_fits(*branch, leaf) for leaf in pieces]
     assert verdicts == [shrunk.contains_box(inverse_image_box(f, leaf)) for leaf in pieces]
     assert any(verdicts) and not all(verdicts)
@@ -381,6 +390,13 @@ def covering_inputs(draw):
     return system, Box([Interval(F(-2), h)] * dim), margin, draw(st.integers(0, 8))
 
 
+def endpoints(outcome):
+    if isinstance(outcome, CoveringFailure):
+        return [e for iv in outcome.witness_box for e in (iv.lo, iv.hi)]
+    boxes = [leaf if isinstance(leaf, Box) else Box([leaf]) for leaf, _ in outcome.leaves]
+    return [e for box in boxes for iv in box for e in (iv.lo, iv.hi)]
+
+
 def outcome_of(certify, args):
     try:
         return certify(*args)
@@ -394,7 +410,9 @@ def outcome_of(certify, args):
 @example((standard_pair(F(3, 4)), box1(-2, 2), F(2, 3), 4))
 def test_certifier_decides_like_the_per_box_reference(args):
     # same leaves, witnesses and order, or the same failure box and depth,
-    # or the same error; and at most one inversion per symbol
+    # or the same error; at most one inversion per symbol; and every
+    # endpoint an exact rational, since Fraction(1, 8) == 0.125 would let
+    # a float pass the equality
     inversions = []
     inverse = linalg.inverse
 
@@ -406,6 +424,8 @@ def test_certifier_decides_like_the_per_box_reference(args):
         outcome = outcome_of(certify_covering, args)
     assert outcome == outcome_of(reference_certify_covering, args)
     assert len(inversions) <= len(args[0].alphabet)
+    if not isinstance(outcome, tuple):
+        assert all(type(e) is F for e in endpoints(outcome))
 
 
 def test_planar_certificate_bytes_are_pinned():
@@ -429,14 +449,78 @@ def test_certifier_inverts_each_map_once(monkeypatch):
     assert len(inversions) == 4
 
 
-def test_certifier_inverts_a_map_only_when_its_symbol_is_tried(sys34):
+def test_certifier_inverts_a_map_only_when_its_symbol_is_tried(monkeypatch, sys34):
     # every symbol is tried on the target itself, since no contraction pulls
-    # the whole target inside it; so the laziness shows in the witness test
+    # the whole target inside it; so the laziness shows cell by cell in the
+    # witness test of the grid the certifier builds
     system = IFSystem(("+", "-", "z"), dict(sys34.maps, z=affine_1d(0, 0)))
-    shrunk = box1(-2, 2).shrink(F(1, 100))
-    witness = covering._first_fit(system, shrunk)
-    assert witness(box1(0, 2)) == "+" and witness(box1(-2, 0)) == "-"
+    grids = []
+
+    class Recorded(covering._DyadicGrid):
+        def subdivide(self, max_depth):
+            grids.append(self)
+            return (), None
+
+    with monkeypatch.context() as m:
+        m.setattr(covering, "_DyadicGrid", Recorded)
+        certify_covering(system, box1(-2, 2), F(1, 100))
+    (grid,) = grids
+    inversions = count_calls(monkeypatch, linalg, "inverse")
+    assert grid.witness((1,), 1) == "+" and len(inversions) == 1  # [0, 2]
+    assert grid.witness((0,), 1) == "-" and len(inversions) == 2  # [-2, 0]
     with pytest.raises(SingularMatrixError, match="branch matrix is singular"):
-        witness(box1(-2, 2))
+        grid.witness((0,), 0)  # [-2, 2]: '+' and '-' fail, 'z' is tried
+    assert len(inversions) == 3
     with pytest.raises(SingularMatrixError, match="branch matrix is singular"):
         certify_covering(system, box1(-2, 2), F(1, 100))
+
+
+@st.composite
+def window_cover_inputs(draw):
+    """A target on a small grid and windows whose shrunk edges land on a
+    cell boundary of depth at most 5, or a sliver off it; labels repeat
+    now and then, and a window too thin for the margin is an input error."""
+    lo = F(draw(st.integers(-8, 0)), 4)
+    width = F(draw(st.integers(1, 16)), draw(st.sampled_from([1, 3, 4])))
+    margin = F(1, draw(st.sampled_from([8, 16, 100])))
+    windows = []
+    for label in draw(st.lists(st.sampled_from("LR"), min_size=1, max_size=3)):
+        a, b = sorted(draw(st.integers(-4, 36)) for _ in range(2))
+        sliver = draw(st.sampled_from([F(0), F(0), F(1, 1000), F(-1, 1000)]))
+        w_lo = lo + width * F(a, 32) - margin + sliver
+        w_hi = lo + width * F(b, 32) + margin - sliver
+        windows.append((label, Interval(w_lo, max(w_lo, w_hi))))
+    return Interval(lo, lo + width), windows, margin, draw(st.integers(0, 8))
+
+
+@settings(deadline=None, max_examples=200)
+@given(window_cover_inputs())
+# the shrunk windows [-5/2, 0] and [0, 5/2] meet the halves of [-2, 2] edge to edge
+@example((Interval.of(-2, 2), [("L", Interval.of(-3, F(1, 2))),
+                               ("R", Interval.of(F(-1, 2), 3))], F(1, 2), 3))
+def test_window_cover_decides_like_the_fraction_driver(args):
+    # same leaves and labels in the same order, the same failure box, or
+    # the same error; and every endpoint an exact rational
+    outcome = outcome_of(certify_window_cover, args)
+    assert outcome == outcome_of(reference_certify_window_cover, args)
+    if not isinstance(outcome, tuple):
+        assert all(type(e) is F for e in endpoints(outcome))
+
+
+def test_leaf_budget_is_known_up_front(monkeypatch, sys34):
+    windows = [("L", Interval.of(-3, F(1, 2))), ("R", Interval.of(F(-1, 2), 3))]
+    monkeypatch.setattr(covering, "COVER_LEAF_CAP", 2)
+    assert len(certify_covering(sys34, box1(-2, 2), F(1, 100)).leaves) == 2
+    assert len(certify_window_cover(Interval.of(-2, 2), windows, F(1, 8)).leaves) == 2
+    monkeypatch.setattr(covering, "COVER_LEAF_CAP", 1)
+    with pytest.raises(ResourceLimitError, match="more than 1 leaves"):
+        certify_covering(sys34, box1(-2, 2), F(1, 100))
+    with pytest.raises(ResourceLimitError, match="more than 1 leaves"):
+        certify_window_cover(Interval.of(-2, 2), windows, F(1, 8))
+    # the 559-leaf certificate stops at its 11th leaf, near the start
+    monkeypatch.setattr(covering, "COVER_LEAF_CAP", 10)
+    tested = count_calls(monkeypatch, covering._DyadicGrid, "witness")
+    target = Box.of((-2, F(13, 8)), (-2, F(13, 8)))
+    with pytest.raises(ResourceLimitError):
+        certify_covering(planar_system(F(71, 128)), target, F(1, 200))
+    assert len(tested) < 100

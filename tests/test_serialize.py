@@ -23,6 +23,7 @@ from jetcover.serialize import (
     jet_system_from_payload,
     jet_system_payload,
     jet_to_payload,
+    load_certificate,
     write_atomic,
 )
 
@@ -98,3 +99,44 @@ def test_encode_ppm_pixels_and_bounds(monkeypatch):
     for width, height in ((0, 1), (1, 0), (-4, 64)):
         with pytest.raises(DegenerateInputError):
             encode_ppm(width, height, (), ())
+
+
+def test_load_certificate_counts_leaves_before_parsing_a_box(monkeypatch, sys34):
+    payload = covering_outcome_payload(
+        certify_covering(sys34, Box([Interval.of(-2, 2)]), F(1, 100))
+    )
+    monkeypatch.setattr(serialize, "COVER_LEAF_CAP", 2)
+    assert len(load_certificate(payload).leaves) == 2
+    payload["leaves"].append({"box": "not a box", "witness": "+"})
+    with pytest.raises(ResourceLimitError, match="more than 2 leaves"):
+        load_certificate(payload)
+
+
+@pytest.mark.parametrize(
+    "field, path",
+    [
+        ("branch_matrix", (0, 0)),
+        ("branch_matrix", (0, 1)),
+        ("branch_offset", (1,)),
+        ("projection", (0, 0)),
+        ("projection", (1, 2)),
+        ("pullback_box", (2, 1)),
+    ],
+)
+def test_jet_system_file_states_no_unchecked_field(jet_sys_r1, field, path):
+    payload = json.loads(canonical_json(jet_system_payload(jet_sys_r1)))
+    *outer, last = path
+    entries = payload[field]
+    for i in outer:
+        entries = entries[i]
+    # the same value in another spelling is the same system
+    entries[last] = str(F(entries[last]).numerator * 3) + "/" + str(
+        F(entries[last]).denominator * 3
+    )
+    assert jet_system_from_payload(payload) == jet_sys_r1
+    entries[last] = "12345"
+    with pytest.raises(CertificateFormatError, match=field):
+        jet_system_from_payload(payload)
+    del payload[field]
+    with pytest.raises(CertificateFormatError):
+        jet_system_from_payload(payload)
