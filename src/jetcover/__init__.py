@@ -48,7 +48,6 @@ from .jets import (
     Jet,
     ParamAffineFamily1D,
     continuation_jet,
-    finite_difference_jet,
     jet_mul,
     lift_family,
     reverse_jet,
@@ -82,7 +81,6 @@ __all__ = [
     "decide_two_map_line",
     "evaluate_word",
     "find_flat_poly",
-    "finite_difference_jet",
     "inverse_image_box",
     "jet_mul",
     "lambda_threshold",

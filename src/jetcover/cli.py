@@ -6,8 +6,10 @@ strings.  Exit codes: 0 success, 1 negative mathematical verdict
 (non-covering, not in the covered set, contraction too small), 2 input
 validation error.
 
-An optional --config JSON file supplies defaults for any long option;
-explicit flags override it.
+Each command's handler, help line and options sit in one table,
+`COMMANDS`, and a call builds the parser of its own command alone.  An
+optional --config JSON file supplies defaults for that command's long
+options; explicit flags override it, and other keys are ignored.
 """
 
 from __future__ import annotations
@@ -202,153 +204,131 @@ def cmd_nearly_affine(args) -> int:
     return EXIT_OK
 
 
-# --- parser -----------------------------------------------------------------------
+# --- the command table -------------------------------------------------------------
 
-# parameters without defaults, checked after the config merge so a config
-# file may supply any of them
-REQUIRED = {
-    "limit-set": ("lam", "depth", "out"),
-    "certify": ("lam", "out"),
-    "check-cert": ("cert",),
-    "two-map-verdict": ("lam1", "offset1", "lam2", "offset2"),
-    "flat-poly": ("flatness", "out"),
-    "jet-system": ("order", "out"),
-    "realize": ("system", "target", "out"),
-    "blender-render": ("lam", "depth", "out"),
-    "blender-cover": ("lam", "out"),
-    "nearly-affine": ("lam", "table_plus", "table_minus", "grid_step", "out"),
+NO_DEFAULT = object()  # the command line or --config must supply the option
+
+COMMANDS = {
+    "limit-set": (cmd_limit_set, "export a depth-k limit set cloud as CSV", (
+        ("--lam", str, NO_DEFAULT, "contraction, e.g. 3/4"),
+        ("--depth", int, NO_DEFAULT, ""),
+        ("--out", str, NO_DEFAULT, ""),
+        ("--ppm", str, None, "optional raster output"),
+        ("--width", int, 512, ""),
+        ("--height", int, 64, ""),
+    )),
+    "certify": (cmd_certify, "covering certificate for the standard pair", (
+        ("--lam", str, NO_DEFAULT, ""),
+        ("--lo", str, "-2", ""),
+        ("--hi", str, "2", ""),
+        ("--margin", str, "1/100", ""),
+        ("--max-depth", int, 24, ""),
+        ("--out", str, NO_DEFAULT, ""),
+    )),
+    "check-cert": (cmd_check_cert, "re-verify a covering certificate", (
+        ("--cert", str, NO_DEFAULT, ""),
+    )),
+    "two-map-verdict": (cmd_two_map_verdict, "two-map line trichotomy", (
+        ("--lam1", str, NO_DEFAULT, ""),
+        ("--offset1", str, NO_DEFAULT, ""),
+        ("--lam2", str, NO_DEFAULT, ""),
+        ("--offset2", str, NO_DEFAULT, ""),
+        ("--out", str, None, ""),
+    )),
+    "flat-poly": (cmd_flat_poly, "L1-minimal flat polynomial via exact LP", (
+        ("--flatness", int, NO_DEFAULT, "order of the root at 1"),
+        ("--degree", int, None, "fix the degree"),
+        ("--margin", str, "1/16", ""),
+        ("--degree-max", int, 64, ""),
+        ("--out", str, NO_DEFAULT, ""),
+    )),
+    "jet-system": (cmd_jet_system, "build the covered jet-space system", (
+        ("--order", int, NO_DEFAULT, "jet order r >= 0"),
+        ("--lam", str, "auto", ""),
+        ("--margin", str, "1/16", ""),
+        ("--degree-max", int, 64, ""),
+        ("--out", str, NO_DEFAULT, ""),
+    )),
+    "realize": (cmd_realize, "realize a target jet as a continuation jet", (
+        ("--system", str, NO_DEFAULT, "jet-system JSON"),
+        ("--target", str, NO_DEFAULT, "target jet JSON"),
+        ("--tol", str, "1/100000000", ""),
+        ("--max-steps", int, 10_000, ""),
+        ("--out", str, NO_DEFAULT, ""),
+    )),
+    "blender-render": (cmd_blender_render, "raster of unstable segments", (
+        ("--lam", str, NO_DEFAULT, ""),
+        ("--a", str, "0", ""),
+        ("--depth", int, NO_DEFAULT, ""),
+        ("--width", int, 512, ""),
+        ("--height", int, 512, ""),
+        ("--overhang", str, "1/10", ""),
+        ("--out", str, NO_DEFAULT, ""),
+    )),
+    "blender-cover": (cmd_blender_cover, "exact covering check for the example", (
+        ("--lam", str, NO_DEFAULT, ""),
+        ("--overhang", str, "1/10", ""),
+        ("--margin", str, "1/100", ""),
+        ("--max-depth", int, 24, ""),
+        ("--out", str, NO_DEFAULT, ""),
+    )),
+    "nearly-affine": (cmd_nearly_affine, "grid distance to the affine models", (
+        ("--lam", str, NO_DEFAULT, ""),
+        ("--table-plus", str, NO_DEFAULT, "CSV sample table"),
+        ("--table-minus", str, NO_DEFAULT, "CSV sample table"),
+        ("--grid-step", str, NO_DEFAULT, ""),
+        ("--out", str, NO_DEFAULT, ""),
+    )),
 }
 
 
-def _rat_flag(parser, name, default=None, help=""):
-    parser.add_argument(name, type=str, default=default, help=help)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    top = argparse.ArgumentParser(
         prog="jetcover",
         description="certified IFS coverings, jet lifts, and blender demos",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<17} {help_}" for name, (_, help_, _) in COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--config", type=str, default=None, help="JSON file with option defaults"
+    top.add_argument("--config", help="JSON file with option defaults")
+    top.add_argument(
+        "command", choices=COMMANDS, metavar="command", help="one of the commands below"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("limit-set", help="export a depth-k limit set cloud as CSV")
-    _rat_flag(p, "--lam", help="contraction, e.g. 3/4")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--ppm", type=str, default=None, help="optional raster output")
-    p.add_argument("--width", type=int, default=512)
-    p.add_argument("--height", type=int, default=64)
-    p.set_defaults(handler=cmd_limit_set)
-
-    p = sub.add_parser("certify", help="covering certificate for the standard pair")
-    _rat_flag(p, "--lam")
-    _rat_flag(p, "--lo", default="-2")
-    _rat_flag(p, "--hi", default="2")
-    _rat_flag(p, "--margin", default="1/100")
-    p.add_argument("--max-depth", type=int, default=24)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(handler=cmd_certify)
-
-    p = sub.add_parser("check-cert", help="re-verify a covering certificate")
-    p.add_argument("--cert", type=str, default=None)
-    p.set_defaults(handler=cmd_check_cert)
-
-    p = sub.add_parser("two-map-verdict", help="two-map line trichotomy")
-    _rat_flag(p, "--lam1")
-    _rat_flag(p, "--offset1")
-    _rat_flag(p, "--lam2")
-    _rat_flag(p, "--offset2")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(handler=cmd_two_map_verdict)
-
-    p = sub.add_parser("flat-poly", help="L1-minimal flat polynomial via exact LP")
-    p.add_argument("--flatness", type=int, default=None, help="order of the root at 1")
-    p.add_argument("--degree", type=int, default=None, help="fix the degree")
-    _rat_flag(p, "--margin", default="1/16")
-    p.add_argument("--degree-max", type=int, default=64)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(handler=cmd_flat_poly)
-
-    p = sub.add_parser("jet-system", help="build the covered jet-space system")
-    p.add_argument("--order", type=int, default=None, help="jet order r >= 0")
-    _rat_flag(p, "--lam", default="auto")
-    _rat_flag(p, "--margin", default="1/16")
-    p.add_argument("--degree-max", type=int, default=64)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(handler=cmd_jet_system)
-
-    p = sub.add_parser("realize", help="realize a target jet as a continuation jet")
-    p.add_argument("--system", type=str, default=None, help="jet-system JSON")
-    p.add_argument("--target", type=str, default=None, help="target jet JSON")
-    _rat_flag(p, "--tol", default="1/100000000")
-    p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(handler=cmd_realize)
-
-    p = sub.add_parser("blender-render", help="raster of unstable segments")
-    _rat_flag(p, "--lam")
-    _rat_flag(p, "--a", default="0")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--width", type=int, default=512)
-    p.add_argument("--height", type=int, default=512)
-    _rat_flag(p, "--overhang", default="1/10")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(handler=cmd_blender_render)
-
-    p = sub.add_parser("blender-cover", help="exact covering check for the example")
-    _rat_flag(p, "--lam")
-    _rat_flag(p, "--overhang", default="1/10")
-    _rat_flag(p, "--margin", default="1/100")
-    p.add_argument("--max-depth", type=int, default=24)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(handler=cmd_blender_cover)
-
-    p = sub.add_parser("nearly-affine", help="grid distance to the affine models")
-    _rat_flag(p, "--lam")
-    p.add_argument("--table-plus", type=str, default=None, help="CSV sample table")
-    p.add_argument("--table-minus", type=str, default=None, help="CSV sample table")
-    _rat_flag(p, "--grid-step")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(handler=cmd_nearly_affine)
-
-    return parser
-
-
-def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]):
-    """Parse once to find --config and the command, then parse again with
-    the file's values as that command's defaults, so explicit flags win.
-    Keys that are not the command's own options are ignored."""
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    with open(args.config, "r", encoding="utf-8") as handle:
-        defaults = json.load(handle)
-    if not isinstance(defaults, dict):
-        raise CertificateFormatError("config file must hold a JSON object")
-    (commands,) = (a.choices for a in parser._actions if a.dest == "command")
-    command = commands[args.command]
-    own = {a.dest for a in command._actions if a.option_strings}
-    overlay = {key.replace("-", "_"): value for key, value in defaults.items()}
-    command.set_defaults(**{k: v for k, v in overlay.items() if k in own})
-    return parser.parse_args(argv)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    top.add_argument(
+        "arguments", nargs=argparse.REMAINDER,
+        help="the command's options, listed by jetcover <command> --help",
+    )
+    chosen = top.parse_args(sys.argv[1:] if argv is None else list(argv))
+    handler, help_, options = COMMANDS[chosen.command]
     try:
-        args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
-        missing = [
-            name for name in REQUIRED[args.command]
-            if getattr(args, name) is None
-        ]
+        config = {}
+        if chosen.config:
+            with open(chosen.config, "r", encoding="utf-8") as handle:
+                config = json.load(handle)
+            if not isinstance(config, dict):
+                raise CertificateFormatError("config file must hold a JSON object")
+            config = {key.replace("-", "_"): value for key, value in config.items()}
+        # the config file's values for this command's own options become
+        # its defaults, so explicit flags win
+        parser = argparse.ArgumentParser(
+            prog=f"jetcover {chosen.command}", description=help_
+        )
+        required = {}
+        for flag, kind, default, text in options:
+            dest = flag[2:].replace("-", "_")
+            if default is NO_DEFAULT:
+                required[dest], default = flag, None
+            parser.add_argument(
+                flag, type=kind, default=config.get(dest, default), help=text
+            )
+        args = parser.parse_args(chosen.arguments)
+        missing = [flag for dest, flag in required.items() if getattr(args, dest) is None]
         if missing:
-            flags = ", ".join("--" + m.replace("_", "-") for m in missing)
+            flags = ", ".join(missing)
             print(f"error: missing required option(s): {flags}", file=sys.stderr)
             return EXIT_INVALID
-        return args.handler(args)
+        return handler(args)
     except (JetcoverError, ValueError, TypeError, OSError) as exc:
         if isinstance(exc, ConstructionError):
             raise  # invariant violations should crash loudly

@@ -51,7 +51,3 @@ class ConstructionError(JetcoverError, RuntimeError):
 
 class CertificateFormatError(JetcoverError, ValueError):
     """A serialized certificate or system record is malformed."""
-
-
-class UnsupportedOrderError(JetcoverError, ValueError):
-    """Requested derivative order outside the supported stencil range."""

@@ -17,7 +17,7 @@ pins the projection built from the table exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import perm
 from typing import List, Optional, Sequence, Tuple
@@ -175,14 +175,7 @@ def find_flat_poly(
         if res.optimum <= target:
             if res.l1_nonleading > target:
                 raise ConstructionError("normalization changed the L1 norm")
-            return FlatPolyResult(
-                flatness=res.flatness,
-                coeffs=res.coeffs,
-                optimum=res.optimum,
-                dual=res.dual,
-                search_degree=n,
-                history=tuple(history),
-            )
+            return replace(res, history=tuple(history))
     raise SearchExhaustedError(
         f"no degree <= {n_max} reached {target}; best was {prev}"
     )

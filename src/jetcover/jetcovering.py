@@ -137,32 +137,18 @@ def _validate_polynomial(jet_dim: int, lam: Fraction, b: Coeffs) -> Fraction:
 
 
 def choose_box_base(n: int, l1_tail: Fraction) -> Fraction:
-    """Deterministic grid choice of base maximizing (base+1) - base^n * l1_tail.
+    """Base 1 + 2^-s for the first s in 10, 14, ..., 30 that satisfies the
+    covering inequality base^n * l1_tail < base + 1.
 
-    The slack is concave in the base and strictly decreasing past 1 for
-    admissible polynomials (their L1 tail exceeds 1), so each scan stops
-    at the first decrease.  A feasible base always exists arbitrarily
-    close to 1 (the inequality is strict at base = 1), but may be nearer
-    than one grid step when the contraction sits close to its threshold;
-    the resolution ladder 2^-10, 2^-14, ... keeps the choice reproducible
-    while never missing it.
+    The root of an admissible P at 1/lam gives l1_tail > 1, so the slack
+    (base + 1) - base^n * l1_tail falls strictly on base >= 1 and the grid
+    point next to 1 is the grid's best.  A base close enough to 1 always
+    works; the finer rungs reach it when lam sits near its threshold.
     """
     for shift in (10, 14, 18, 22, 26, 30):
-        step = Fraction(1, 2 ** shift)
-        best = None
-        best_slack = None
-        j = 1
-        while True:
-            base = 1 + j * step
-            slack = base + 1 - base ** n * l1_tail
-            if best_slack is not None and slack <= best_slack:
-                break
-            best, best_slack = base, slack
-            j += 1
-            if l1_tail <= 1 and j > 2 ** 12:  # defensive; tail > 1 in practice
-                break
-        if best_slack is not None and best_slack > 0:
-            return best
+        base = 1 + Fraction(1, 2 ** shift)
+        if base + 1 - base ** n * l1_tail > 0:
+            return base
     raise ConstructionError(
         "no grid base satisfies the covering inequality; "
         "the contraction is too close to its threshold"

@@ -5,8 +5,7 @@ of the CSV tables (limit-set clouds, branch samples) and of the PPM
 raster encoder; the CLI adds only small verdict dicts.  Documents are
 emitted with sorted keys, two-space indent, ASCII escapes, and a trailing
 newline, so identical inputs give byte-identical files.  Rationals travel
-as "p/q" strings, intervals as [lo, hi] pairs; only explicitly approximate
-payloads (the finite-difference oracle) carry floats.
+as "p/q" strings, intervals as [lo, hi] pairs.
 """
 
 from __future__ import annotations
@@ -76,19 +75,24 @@ def jet_to_payload(jet: Jet) -> dict:
 
 
 def jet_from_payload(payload: dict) -> Jet:
+    """The jet of the file's coefficients; an order or dim the file states
+    must be the one its coefficients give."""
     try:
         coeffs = payload["coeffs"]
         rows = [
             [rat(e) for e in (row if isinstance(row, list) else [row])]
             for row in coeffs
         ]
-        return Jet(rows)
+        jet = Jet(rows)
+        for key in ("order", "dim"):
+            if key in payload and payload[key] != getattr(jet, key):
+                raise CertificateFormatError(
+                    f"stated {key} {payload[key]!r} is not the coefficients' "
+                    f"{getattr(jet, key)}"
+                )
+        return jet
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError(f"malformed jet: {exc}") from exc
-
-
-def approximate_jet_payload(values: Sequence[float]) -> dict:
-    return {"approximate": True, "coeffs": [float(v) for v in values]}
 
 
 # --- covering certificates ------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from fractions import Fraction as F
@@ -411,6 +412,23 @@ def test_certify_at_depth_zero_reports_the_target(tmp_path):
     assert payload["depth"] == 0 and payload["witness_box"] == [["-2", "2"]]
 
 
+@pytest.mark.parametrize(
+    "stated", [{"order": 3, "dim": 1}, {"order": 1, "dim": 2}]
+)
+def test_realize_rejects_a_target_of_another_stated_shape(tmp_path, capsys, stated):
+    sys_path = tmp_path / "sys.json"
+    assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({**stated, "coeffs": ["1/4", "-1"]}))
+    out = tmp_path / "real.json"
+    _expect_input_error(
+        capsys,
+        ["realize", "--system", str(sys_path), "--target", str(target),
+         "--out", str(out)],
+        out,
+    )
+
+
 def test_realize_rejects_zero_denominator(tmp_path, capsys):
     sys_path = tmp_path / "sys.json"
     assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
@@ -564,3 +582,102 @@ def test_realize_rejects_a_stated_projection_it_does_not_rebuild(tmp_path, capsy
          "--out", str(out)],
         out,
     )
+
+
+# --- the command-line surface ------------------------------------------------
+
+# each command with no options, and the line it prints on stderr
+MISSING_OPTIONS = {
+    "limit-set": "--lam, --depth, --out",
+    "certify": "--lam, --out",
+    "check-cert": "--cert",
+    "two-map-verdict": "--lam1, --offset1, --lam2, --offset2",
+    "flat-poly": "--flatness, --out",
+    "jet-system": "--order, --out",
+    "realize": "--system, --target, --out",
+    "blender-render": "--lam, --depth, --out",
+    "blender-cover": "--lam, --out",
+    "nearly-affine": "--lam, --table-plus, --table-minus, --grid-step, --out",
+}
+COMMAND_HELP = {
+    "limit-set": "export a depth-k limit set cloud as CSV",
+    "certify": "covering certificate for the standard pair",
+    "check-cert": "re-verify a covering certificate",
+    "two-map-verdict": "two-map line trichotomy",
+    "flat-poly": "L1-minimal flat polynomial via exact LP",
+    "jet-system": "build the covered jet-space system",
+    "realize": "realize a target jet as a continuation jet",
+    "blender-render": "raster of unstable segments",
+    "blender-cover": "exact covering check for the example",
+    "nearly-affine": "grid distance to the affine models",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MISSING_OPTIONS))
+def test_command_without_options_names_what_is_missing(capsys, command):
+    assert run([command]) == 2
+    assert capsys.readouterr().err == (
+        f"error: missing required option(s): {MISSING_OPTIONS[command]}\n"
+    )
+
+
+def test_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_:
+        run(["--help"])
+    assert exit_.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for command, text in COMMAND_HELP.items():
+        assert any(line.split() == [command] + text.split() for line in lines)
+
+
+@pytest.mark.parametrize("command", sorted(MISSING_OPTIONS))
+def test_command_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        run([command, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: jetcover {command} ")
+    for flag in MISSING_OPTIONS[command].split(", "):
+        assert flag in out
+
+
+def test_config_does_not_leak_into_the_next_call(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"margin": "1/50"}))
+    cert = tmp_path / "cert.json"
+    assert run(
+        ["--config", str(config), "certify", "--lam", "3/4", "--out", str(cert)]
+    ) == 0
+    assert json.loads(cert.read_text())["margin"] == "1/50"
+    assert run(["certify", "--lam", "3/4", "--out", str(cert)]) == 0
+    assert json.loads(cert.read_text())["margin"] == "1/100"
+
+
+def test_config_key_of_another_command_is_ignored(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"order": 9}))
+    plain, configured = tmp_path / "plain.json", tmp_path / "configured.json"
+    assert run(["certify", "--lam", "3/4", "--out", str(plain)]) == 0
+    assert run(
+        ["--config", str(config), "certify", "--lam", "3/4", "--out", str(configured)]
+    ) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+
+
+def test_a_call_builds_only_its_own_commands_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"margin": "1/50"}))
+    out = tmp_path / "cert.json"
+    assert run(
+        ["--config", str(config), "certify", "--lam", "3/4", "--out", str(out)]
+    ) == 0
+    assert len(built) <= 2

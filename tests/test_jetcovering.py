@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetcover import linalg
 from jetcover.errors import (
@@ -12,13 +14,14 @@ from jetcover.errors import (
     NotCoveredError,
     ResourceLimitError,
 )
-from jetcovering_helpers import inverse_branch  # local helper module
+from jetcovering_helpers import inverse_branch, scan_box_base  # local helper module
 from jetcover.jetcovering import (
     auto_lambda,
     branch_matrix,
     build_system,
     certify_delta_covering,
     certify_membership,
+    choose_box_base,
     greedy_pullback_step,
     projection_reach,
     realize_jet,
@@ -28,7 +31,13 @@ from jetcover.jetcovering import (
     verify_semiconjugacy,
 )
 from jetcover.jets import Jet, continuation_jet, reverse_jet, standard_families
-from jetcover.flatpoly import lambda_threshold, projection_matrix
+from jetcover.flatpoly import (
+    find_flat_poly,
+    l1_tail,
+    lambda_threshold,
+    projection_matrix,
+    scale_to_p,
+)
 
 
 def test_branch_matrix_shapes():
@@ -160,6 +169,33 @@ def test_base_feasibility_window(jet_sys_r0):
         build_system(1, F(3, 4), jet_sys_r0.p_coeffs, box_base=5)
     explicit = build_system(1, F(3, 4), jet_sys_r0.p_coeffs, box_base=2)
     assert explicit.box_base == 2
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 60),
+    st.fractions(1, 2, max_denominator=2 ** 40).filter(lambda t: 1 < t < 2),
+)
+@example(1, F(3, 2))  # 2^-10
+@example(4, 2 - F(1, 2 ** 18))  # 2^-22
+@example(60, 2 - F(1, 2 ** 40))  # no rung
+def test_box_base_matches_a_grid_scan(n, l1):
+    expected = scan_box_base(n, l1)
+    if expected is None:
+        with pytest.raises(ConstructionError):
+            choose_box_base(n, l1)
+    else:
+        assert choose_box_base(n, l1) == expected
+
+
+@pytest.mark.parametrize("order, shift", [(0, 18), (1, 30), (2, 26), (3, 26)])
+def test_box_base_near_the_threshold(order, shift):
+    # one grid step of lambda_threshold above it, 2^-10 is too coarse
+    q = find_flat_poly(order + 1)
+    lam = lambda_threshold(q) + F(1, 2 ** 20)
+    sys = build_system(order + 1, lam, scale_to_p(q, lam))
+    assert sys.box_base == 1 + F(1, 2 ** shift)
+    assert sys.box_base == scan_box_base(sys.n, l1_tail(sys.p_coeffs))
 
 
 def test_delta_covering_explicit_base(jet_sys_r0):

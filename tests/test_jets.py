@@ -1,19 +1,17 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from jetcover.errors import (
-    DegenerateInputError,
-    ShapeError,
-    UnsupportedOrderError,
-)
+import jetcover
+from jetcover.errors import DegenerateInputError, ShapeError
 from jetcover.jetcovering import branch_matrix
 from jetcover.jets import (
     Jet,
     ParamAffineFamily1D,
     continuation_jet,
-    finite_difference_jet,
     jet_mul,
     lift_family,
     reverse_jet,
@@ -21,6 +19,11 @@ from jetcover.jets import (
     standard_family,
 )
 from jetcover import linalg
+from jets_reference import (  # local oracle module
+    UnsupportedOrderError,
+    family_at,
+    finite_difference_jet,
+)
 
 
 def poly_raw_derivatives(coeffs, order):
@@ -172,6 +175,21 @@ def test_finite_difference_order_cap():
         finite_difference_jet(standard_families(F(3, 4), 5), ("+",), 5, 1e-4)
 
 
+def test_no_module_of_the_package_calls_float():
+    # the float oracle lives in the tests; every module of the package is exact
+    modules = sorted(pathlib.Path(jetcover.__file__).parent.glob("*.py"))
+    assert len(modules) >= 14
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+    ]
+    assert calls == []
+
+
 def test_continuation_matches_finite_difference_randomized():
     rng = random.Random(101)
     for _ in range(10):
@@ -219,5 +237,5 @@ def test_param_family_validation():
 
 def test_family_at_parameter():
     fam = standard_family(F(3, 4), 1, 2)
-    slope, offset = fam.at(F(1, 8))
+    slope, offset = family_at(fam, F(1, 8))
     assert slope == F(7, 8) and offset == 1

@@ -13,9 +13,8 @@ from jetcover.errors import (
     ResourceLimitError,
 )
 from jetcover.ifs import standard_pair
-from jetcover.jets import Jet, finite_difference_jet, standard_families
+from jetcover.jets import Jet, standard_families
 from jetcover.serialize import (
-    approximate_jet_payload,
     canonical_json,
     covering_outcome_payload,
     encode_ppm,
@@ -26,6 +25,7 @@ from jetcover.serialize import (
     load_certificate,
     write_atomic,
 )
+from jets_reference import approximate_jet_payload, finite_difference_jet  # local oracle
 
 
 def test_jet_payload_round_trip_dim1():
@@ -47,6 +47,15 @@ def test_jet_payload_malformed():
         jet_from_payload({"coeffs": ["1", "x/y"]})
     with pytest.raises(CertificateFormatError):
         jet_from_payload({})
+
+
+@pytest.mark.parametrize(
+    "stated", [{"order": 3}, {"dim": 2}, {"order": 3, "dim": 1}, {"order": "1"}]
+)
+def test_jet_payload_stated_shape_must_match(stated):
+    payload = {"coeffs": ["1/4", "-1"], **stated}
+    with pytest.raises(CertificateFormatError):
+        jet_from_payload(payload)
 
 
 def test_approximate_payload_flag():
