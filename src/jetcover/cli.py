@@ -319,9 +319,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             dest = flag[2:].replace("-", "_")
             if default is NO_DEFAULT:
                 required[dest], default = flag, None
-            parser.add_argument(
-                flag, type=kind, default=config.get(dest, default), help=text
-            )
+            # argparse runs only a string default through the option's type
+            value = config.get(dest, default)
+            if dest in config and not (
+                isinstance(value, str) or kind is int and type(value) is int
+            ):
+                raise CertificateFormatError(
+                    f"config key {flag[2:]!r}: {json.dumps(value)} is not a string"
+                    + (" or an integer" if kind is int else "")
+                )
+            parser.add_argument(flag, type=kind, default=value, help=text)
         args = parser.parse_args(chosen.arguments)
         missing = [flag for dest, flag in required.items() if getattr(args, dest) is None]
         if missing:

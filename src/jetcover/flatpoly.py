@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import perm
+from functools import reduce
+from math import lcm, perm
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -95,15 +96,13 @@ def flat_lp_problem(big_n: int, n: int) -> LPProblem:
     """min sum(p+q) s.t. Q^{(i)}(1) = 0, a_j = p_j - q_j, p, q >= 0."""
     ncols = 2 * n
     rows = []
-    rhs = []
     for i in range(big_n):
-        row = [Fraction(0)] * ncols
+        row = [0] * ncols
         for j in range(i, n):
-            row[j] = Fraction(perm(j, i))
-            row[n + j] = Fraction(-perm(j, i))
+            row[j] = perm(j, i)
+            row[n + j] = -perm(j, i)
         rows.append(row)
-        rhs.append(Fraction(-perm(n, i)))
-    return LPProblem([Fraction(1)] * ncols, rows, rhs)
+    return LPProblem([1] * ncols, rows, [-perm(n, i) for i in range(big_n)])
 
 
 def _normalize_nonzero_constant(coeffs: Coeffs) -> Coeffs:
@@ -148,9 +147,15 @@ def find_flat_poly(
     """Escalate the degree until the optimum is <= 2 - margin.
 
     The optimum is non-increasing in n (multiply by x to embed degree n
-    into n+1); that monotonicity is asserted along the way.  Exhausting
-    n_max reports the best value found.  A cap below N is an input error,
-    and so is a margin above 1: Q(1) = 0 puts every optimum at >= 1.
+    into n+1); that monotonicity is asserted along the way.  The embedding
+    warm-starts each degree from the last optimal basis shifted by x Q
+    (p_j -> p_{j+1}, q_j -> q_{j+1}), which is primal feasible, and every
+    degree's optimum carries a verified certificate.  The degree that meets
+    the margin is re-solved cold by `minimal_flat_poly`, as optimal vertices
+    tie: at N=4, n=23 cold Bland gives support {0,5,16,22} and the warm
+    start {0,6,17,22}, both with L1 106/55.  Exhausting n_max reports the
+    best value found.  A cap below N is an input error, and so is a margin
+    above 1: Q(1) = 0 puts every optimum at >= 1.
     """
     margin = rat(margin)
     if not 0 < margin <= 1:
@@ -164,18 +169,23 @@ def find_flat_poly(
     target = 2 - margin
     history: List[Tuple[int, Fraction]] = []
     prev: Optional[Fraction] = None
+    start = None
     for n in range(big_n, n_max + 1):
-        res = minimal_flat_poly(big_n, n)
-        history.append((n, res.optimum))
-        if prev is not None and res.optimum > prev:
+        sol = lp_solve(flat_lp_problem(big_n, n), start)
+        if not sol.is_optimal:
+            raise ConstructionError(f"flat LP at (N={big_n}, n={n}) was {sol.status}")
+        history.append((n, sol.optimum))
+        if prev is not None and sol.optimum > prev:
             raise ConstructionError(
-                f"optimum increased from {prev} to {res.optimum} at degree {n}"
+                f"optimum increased from {prev} to {sol.optimum} at degree {n}"
             )
-        prev = res.optimum
-        if res.optimum <= target:
-            if res.l1_nonleading > target:
-                raise ConstructionError("normalization changed the L1 norm")
+        prev = sol.optimum
+        if sol.optimum <= target:
+            res = minimal_flat_poly(big_n, n)
+            if res.optimum != sol.optimum or res.l1_nonleading > target:
+                raise ConstructionError("the cold re-solve changed the L1 norm")
             return replace(res, history=tuple(history))
+        start = [c + 1 + (c >= n) for c in sol.basis]
     raise SearchExhaustedError(
         f"no degree <= {n_max} reached {target}; best was {prev}"
     )
@@ -208,19 +218,22 @@ def lambda_threshold(qres: FlatPolyResult) -> Fraction:
         raise DegenerateInputError("threshold needs an optimum below 2")
     n = qres.degree
     a = qres.coeffs
+    den = lcm(*(c.denominator for c in a))
+    # |a_j| * den * 2^(20 (n - j)) for j = n-1, ..., 0
+    weights = [abs(a[j].numerator) * (den // a[j].denominator) << 20 * (n - j)
+               for j in reversed(range(n))]
 
-    def holds(lam: Fraction) -> bool:
-        return sum(
-            (abs(a[j]) * lam ** (j - n) for j in range(n)), Fraction(0)
-        ) < 2
+    def holds(k: int) -> bool:
+        # sum |a_j| lam^(j-n) < 2 at lam = k / 2^20, times den * 2^(20n) * lam^n
+        return reduce(lambda acc, w: acc * k + w, weights, 0) < 2 * den * k ** n
 
     denom = 2 ** 20
     lo, hi = 1, denom - 1  # grid indices k, lam = k / denom
-    if not holds(Fraction(hi, denom)):
+    if not holds(hi):
         raise ConstructionError("bound fails even adjacent to 1")
     while lo < hi:  # find smallest index where the bound holds
         mid = (lo + hi) // 2
-        if holds(Fraction(mid, denom)):
+        if holds(mid):
             hi = mid
         else:
             lo = mid + 1

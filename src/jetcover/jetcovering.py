@@ -218,7 +218,9 @@ def semiconjugacy_residuals(
     the offset residual is per branch.  The products stay generic
     `mat_mul`: written out column by column they are the partial-sum
     table's own recurrence, so a specialised form would re-run the
-    producer's formula instead of judging it.
+    producer's formula instead of judging it.  `mat_mul` skips zero terms
+    (J is bidiagonal, M a companion matrix), but it still forms every entry
+    of both full products and knows nothing of their structure.
     """
     m_shift, _ = shift_map(sys, 1)
     mat_res = linalg.mat_sub(

@@ -43,13 +43,13 @@ def mat_vec(a: Mat, x: Vec) -> Vec:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if len(a[0]) != len(b):
         raise ShapeError(f"inner dimensions {len(a[0])} != {len(b)}")
-    cols = len(b[0])
+    # every entry is the full row-by-column sum; a zero factor adds nothing,
+    # so only the nonzero products are formed
+    rows = [[(e, b[k]) for k, e in enumerate(row) if e != 0] for row in a]
     return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-            for j in range(cols)
-        )
-        for i in range(len(a))
+        tuple(sum((e * r[j] for e, r in terms if r[j] != 0), Fraction(0))
+              for j in range(len(b[0])))
+        for terms in rows
     )
 
 

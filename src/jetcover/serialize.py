@@ -238,8 +238,10 @@ def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
     from .jetcovering import build_system
 
     try:
+        if type(payload["jet_dim"]) is not int:  # not a bool, float or string
+            raise CertificateFormatError("jet_dim is not a JSON integer")
         system = build_system(
-            int(payload["jet_dim"]),
+            payload["jet_dim"],
             rat(payload["lam"]),
             [rat(c) for c in payload["p_coeffs"]],
             box_base=rat(payload["box_base"]),

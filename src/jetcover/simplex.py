@@ -11,11 +11,13 @@ so every pivot is the one exact rational arithmetic picks; no floating
 point is used.  Each row keeps its own denominator because scaling all
 rows to a common one inflates the numbers on the membership LPs.
 
-The primal and dual leave the tableau as Fractions and are re-verified in
-Fraction arithmetic (feasibility of both, strong duality) before the
-result leaves this module.  Bland's pivoting rule (lowest eligible index
-in, lowest basic index out among tied ratios) guarantees termination
-even on degenerate cycling instances.
+The primal and dual leave the tableau as Fractions and are re-verified
+(feasibility of both, strong duality) before the result leaves this
+module, in integer arithmetic once the denominators of the primal, the
+dual and each problem row are cleared.  Bland's pivoting rule (lowest
+eligible index in, lowest basic index out among tied ratios) guarantees
+termination even on degenerate cycling instances, from the artificial
+basis or from a caller's ``start`` basis, which replaces phase 1.
 
 Problems in this package are tiny (at most ~130 variables), so a dense
 tableau is the right tool.
@@ -23,10 +25,11 @@ tableau is the right tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .errors import ConstructionError, DegenerateInputError, ResourceLimitError
 from .linalg import Mat, Vec, mat, vec
@@ -59,6 +62,8 @@ class LPSolution:
     optimum: Optional[Fraction] = None
     primal: Optional[Vec] = None
     dual: Optional[Vec] = None
+    # the optimal basis's structural columns, one per live row
+    basis: Optional[tuple] = field(default=None, compare=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -90,7 +95,7 @@ class _Tableau:
             self.rows.append([sign * e for e in ints[:-1]] + unit + [sign * ints[-1]])
             self.dens.append(den)
         self.basis = [self.n + i for i in range(self.m)]
-        self.z: List[int] = []
+        self.z: List[int] = [0] * (self.cols + 1)
         self.zden = 1
 
     def pivot(self, row: int, col: int) -> None:
@@ -176,19 +181,31 @@ def _eliminate(row: List[int], den: int, f: int, prow: List[int], pc: int):
     return out, den
 
 
-def lp_solve(problem: LPProblem) -> LPSolution:
-    """Exact two-phase simplex; see module docstring for guarantees."""
+def lp_solve(problem: LPProblem, start: Optional[Sequence[int]] = None) -> LPSolution:
+    """Exact two-phase simplex; see module docstring for guarantees.  A
+    singular or infeasible ``start`` is a ConstructionError, not a cold solve."""
     m, n = len(problem.b), len(problem.objective)
     # Flip rows with a negative rhs so the artificial basis starts feasible.
     row_sign = [-1 if bi < 0 else 1 for bi in problem.b]
     t = _Tableau(problem, row_sign)
 
-    # Phase 1: minimize the sum of artificials.  Every rhs stays >= 0, so
-    # the sum is zero exactly when no basic artificial is positive.
-    phase1_cost = [Fraction(0)] * t.n + [Fraction(1)] * t.m
-    t.run_bland(phase1_cost, t.cols)
-    if any(t.rows[i][t.cols] != 0 for i in range(t.m) if t.basis[i] >= t.n):
-        return LPSolution(status="infeasible")
+    if start is not None:
+        if len(start) != m or not all(0 <= c < n for c in start):
+            raise ConstructionError(f"start basis {start} is not {m} structural columns")
+        for col in start:
+            row = next((i for i in range(m) if t.basis[i] >= n and t.rows[i][col]), None)
+            if row is None:
+                raise ConstructionError(f"start basis {start} is singular")
+            t.pivot(row, col)
+        if any(row[t.cols] < 0 for row in t.rows):
+            raise ConstructionError(f"start basis {start} is not primal feasible")
+    else:
+        # Phase 1: minimize the sum of artificials.  Every rhs stays >= 0,
+        # so the sum is zero exactly when no basic artificial is positive.
+        phase1_cost = [Fraction(0)] * t.n + [Fraction(1)] * t.m
+        t.run_bland(phase1_cost, t.cols)
+        if any(t.rows[i][t.cols] != 0 for i in range(t.m) if t.basis[i] >= t.n):
+            return LPSolution(status="infeasible")
 
     # Pivot residual artificials out of the basis; rows with no structural
     # pivot are redundant constraints (their rhs is already zero).
@@ -230,34 +247,33 @@ def lp_solve(problem: LPProblem) -> LPSolution:
         row_sign[k] * Fraction(-t.z[t.n + k], t.zden) for k in range(m)
     )
 
-    optimum = sum(
-        (problem.objective[j] * primal[j] for j in range(n)), Fraction(0)
-    )
+    optimum = sum(map(operator.mul, problem.objective, primal), Fraction(0))
     _verify_optimal(problem, primal, dual, optimum)
-    return LPSolution(status="optimal", optimum=optimum, primal=primal, dual=dual)
+    return LPSolution(status="optimal", optimum=optimum, primal=primal, dual=dual,
+                      basis=tuple(t.basis))
 
 
 def _verify_optimal(
     problem: LPProblem, primal: Vec, dual: Vec, optimum: Fraction
 ) -> None:
-    """Exact optimality certificate; failure here is a solver bug."""
-    m, n = len(problem.b), len(problem.objective)
-    for i in range(m):
-        lhs = sum(
-            (problem.a[i][j] * primal[j] for j in range(n)), Fraction(0)
-        )
-        if lhs != problem.b[i]:
+    """Exact optimality certificate; failure here is a solver bug.  In integers:
+    x = xs/dx, c = cs/dc, row i = r_i/d_i (b_i last), and y_i/d_i = ys_i/dy."""
+    xs, dx = _integer_row(list(primal))
+    cs, dc = _integer_row(list(problem.objective))
+    rows = [_integer_row(list(row) + [bi]) for row, bi in zip(problem.a, problem.b)]
+    ys, dy = _integer_row([y / d for y, (_, d) in zip(dual, rows)])
+    for i, (r, _) in enumerate(rows):
+        if sum(map(operator.mul, r, xs)) != r[-1] * dx:
             raise ConstructionError(f"primal infeasible in row {i}")
-    dual_obj = sum((dual[i] * problem.b[i] for i in range(m)), Fraction(0))
-    if dual_obj != optimum:
+    num, den = optimum.numerator, optimum.denominator
+    if sum(y * r[-1] for y, (r, _) in zip(ys, rows)) * den != num * dy:
         raise ConstructionError("strong duality violated")
-    for j in range(n):
-        slack = problem.objective[j] - sum(
-            (dual[i] * problem.a[i][j] for i in range(m)), Fraction(0)
-        )
-        if slack < 0:
+    if sum(map(operator.mul, cs, xs)) * den != num * dc * dx:
+        raise ConstructionError("primal cost is not the optimum")
+    for j, cj in enumerate(cs):
+        if cj * dy < dc * sum(y * r[j] for y, (r, _) in zip(ys, rows) if y):
             raise ConstructionError(f"dual infeasible at column {j}")
-        if primal[j] < 0:
+        if xs[j] < 0:
             raise ConstructionError(f"primal sign violated at column {j}")
 
 

@@ -2,10 +2,14 @@
 
 `flatpoly.b_polynomial_table` uses the shift recurrences; this module
 evaluates each derivative of each B_k(x) = sum_{j<=k} b_j x^{k-j} from its
-coefficient list, sharing no code with it.
+coefficient list, sharing no code with it.  `reference_lambda_threshold`
+is the Fraction bisection that `flatpoly.lambda_threshold` ran before it
+moved to integers.
 """
 
 from fractions import Fraction
+
+from jetcover.errors import ConstructionError, DegenerateInputError
 
 
 def poly_eval(coeffs, x):
@@ -34,3 +38,28 @@ def reference_b_table(p_coeffs, lam, big_n):
         )
         for i in range(big_n)
     )
+
+
+def reference_lambda_threshold(qres):
+    """Largest grid contraction (resolution 2^-20) that still fails the L1 bound."""
+    if qres.l1_nonleading >= 2:
+        raise DegenerateInputError("threshold needs an optimum below 2")
+    n = qres.degree
+    a = qres.coeffs
+
+    def holds(lam: Fraction) -> bool:
+        return sum(
+            (abs(a[j]) * lam ** (j - n) for j in range(n)), Fraction(0)
+        ) < 2
+
+    denom = 2 ** 20
+    lo, hi = 1, denom - 1  # grid indices k, lam = k / denom
+    if not holds(Fraction(hi, denom)):
+        raise ConstructionError("bound fails even adjacent to 1")
+    while lo < hi:  # find smallest index where the bound holds
+        mid = (lo + hi) // 2
+        if holds(Fraction(mid, denom)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(lo - 1, denom)

@@ -5,7 +5,9 @@ integer rows, copied unchanged apart from the entry point's name.  Both
 use Bland's rule with exact arithmetic, so they must take the same
 pivots and return equal `LPSolution`s on every problem.  Every cell is a
 `Fraction`, and the reduced costs are rebuilt from the basis on every
-iteration.
+iteration.  `reference_verify_optimal` is the optimality check the
+solver ran in `Fraction` arithmetic before it moved to integers, so the
+oracle shares no verifier with the solver.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
-from jetcover.errors import ResourceLimitError
-from jetcover.simplex import LPProblem, LPSolution, _verify_optimal
+from jetcover.errors import ConstructionError, ResourceLimitError
+from jetcover.linalg import Vec
+from jetcover.simplex import LPProblem, LPSolution
 
 
 _MAX_PIVOTS = 100_000
@@ -159,5 +162,29 @@ def reference_lp_solve(problem: LPProblem) -> LPSolution:
     optimum = sum(
         (problem.objective[j] * primal[j] for j in range(n)), Fraction(0)
     )
-    _verify_optimal(problem, primal, dual, optimum)
+    reference_verify_optimal(problem, primal, dual, optimum)
     return LPSolution(status="optimal", optimum=optimum, primal=primal, dual=dual)
+
+
+def reference_verify_optimal(
+    problem: LPProblem, primal: Vec, dual: Vec, optimum: Fraction
+) -> None:
+    """Exact optimality certificate; failure here is a solver bug."""
+    m, n = len(problem.b), len(problem.objective)
+    for i in range(m):
+        lhs = sum(
+            (problem.a[i][j] * primal[j] for j in range(n)), Fraction(0)
+        )
+        if lhs != problem.b[i]:
+            raise ConstructionError(f"primal infeasible in row {i}")
+    dual_obj = sum((dual[i] * problem.b[i] for i in range(m)), Fraction(0))
+    if dual_obj != optimum:
+        raise ConstructionError("strong duality violated")
+    for j in range(n):
+        slack = problem.objective[j] - sum(
+            (dual[i] * problem.a[i][j] for i in range(m)), Fraction(0)
+        )
+        if slack < 0:
+            raise ConstructionError(f"dual infeasible at column {j}")
+        if primal[j] < 0:
+            raise ConstructionError(f"primal sign violated at column {j}")

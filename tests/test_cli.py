@@ -681,3 +681,60 @@ def test_a_call_builds_only_its_own_commands_parser(tmp_path, monkeypatch):
         ["--config", str(config), "certify", "--lam", "3/4", "--out", str(out)]
     ) == 0
     assert len(built) <= 2
+
+
+@pytest.mark.parametrize("jet_dim", [2.7, "2", True])
+def test_realize_rejects_a_jet_dim_that_is_not_an_integer(tmp_path, capsys, jet_dim):
+    # int(...) once read 2.7 and "2" as order 1, and realize exited 0
+    sys_path = tmp_path / "sys.json"
+    assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
+    payload = json.loads(sys_path.read_text())
+    payload["jet_dim"] = jet_dim
+    sys_path.write_text(json.dumps(payload))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
+    out = tmp_path / "real.json"
+    assert run(
+        ["realize", "--system", str(sys_path), "--target", str(target), "--out", str(out)]
+    ) == 2
+    assert "is not a JSON integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    (["certify", "--lam", "3/4"], {"max-depth": True}),
+    (["certify", "--lam", "3/4"], {"max_depth": 2.0}),
+    (["certify", "--lam", "3/4"], {"margin": 1}),
+    (["limit-set", "--lam", "3/4"], {"depth": 2.5}),
+    (["limit-set", "--lam", "3/4"], {"depth": None}),
+])
+def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, command, config):
+    # a non-string config value once bypassed the option's type: "depth": true
+    # reached the certificate, and 2.5 failed only as a Python TypeError
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["--config", str(path)] + command + ["--out", str(out)]) == 2
+    key = next(iter(config)).replace("_", "-")
+    assert f"config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depth", [3, "3"])
+def test_config_int_option_takes_an_integer_or_its_string(tmp_path, depth):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max-depth": depth}))
+    cert = tmp_path / "cert.json"
+    assert run(
+        ["--config", str(config), "certify", "--lam", "3/4", "--out", str(cert)]
+    ) == 0
+    assert json.loads(cert.read_text())["depth"] == 3
+
+
+def test_config_string_is_parsed_by_the_options_type(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"depth": "two"}))
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(config), "limit-set", "--lam", "3/4",
+             "--out", str(tmp_path / "cloud.csv")])
+    assert exc.value.code == 2

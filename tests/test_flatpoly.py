@@ -9,6 +9,7 @@ from flatpoly_reference import (  # local helper module
     poly_eval,
     poly_nth_derivative,
     reference_b_table,
+    reference_lambda_threshold,
 )
 from jetcover import jetcovering
 from jetcover.errors import (
@@ -17,6 +18,7 @@ from jetcover.errors import (
     SearchExhaustedError,
 )
 from jetcover.flatpoly import (
+    FlatPolyResult,
     flat_lp_problem,
     b_polynomial_table,
     divisible_by_power,
@@ -195,6 +197,44 @@ def test_lambda_threshold_bracket_scaling(flat_q2):
 
 def test_threshold_monotone_in_flatness(flat_q2, flat_q3):
     assert lambda_threshold(flat_q3) >= lambda_threshold(flat_q2)
+
+
+def _threshold_or_error(threshold, qres):
+    try:
+        return threshold(qres)
+    except (ConstructionError, DegenerateInputError) as exc:
+        return type(exc)
+
+
+@st.composite
+def monic_tails(draw):
+    """A monic polynomial of degree n <= 40 whose non-leading coefficients
+    have a drawn L1 norm in (0, 2], often near 2 where the bound fails
+    even adjacent to 1."""
+    n = draw(st.integers(1, 40))
+    nums = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n).filter(any))
+    l1 = draw(st.one_of(
+        st.fractions(F(1, 100), 2, max_denominator=1000),
+        st.builds(lambda k: 2 - F(1, 2 ** k), st.integers(10, 40)),
+    ))
+    scale = l1 / sum(abs(x) for x in nums)
+    coeffs = tuple(x * scale for x in nums) + (F(1),)
+    return FlatPolyResult(flatness=1, coeffs=coeffs, optimum=l1, dual=(), search_degree=n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(monic_tails())
+def test_lambda_threshold_matches_fraction_bisection(qres):
+    # the integer bisection decides every grid point as the Fraction one did
+    assert _threshold_or_error(lambda_threshold, qres) == _threshold_or_error(
+        reference_lambda_threshold, qres
+    )
+
+
+@pytest.mark.parametrize("big_n", [1, 2, 3, 4])
+def test_lambda_threshold_of_flat_polys_matches_fraction_bisection(big_n):
+    qres = find_flat_poly(big_n)
+    assert lambda_threshold(qres) == reference_lambda_threshold(qres)
 
 
 def test_b_table_base_case():

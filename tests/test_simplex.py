@@ -1,17 +1,21 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from jetcover import linalg
-from jetcover.errors import DegenerateInputError
-from jetcover.flatpoly import flat_lp_problem
+from jetcover import flatpoly, linalg
+from jetcover.errors import ConstructionError, DegenerateInputError
+from jetcover.flatpoly import find_flat_poly, flat_lp_problem, minimal_flat_poly
 from jetcover.jetcovering import certify_membership
 from jetcover.jets import Jet
 from jetcover.simplex import LPProblem, lp_solve, strong_duality_holds
-from simplex_reference import reference_lp_solve  # local helper module
+from simplex_reference import (  # local helper module
+    reference_lp_solve,
+    reference_verify_optimal,
+)
 
 
 def test_trivial_equality():
@@ -160,3 +164,98 @@ def test_membership_lps_match_reference(order, request, monkeypatch):
         assert lp_solve(problem) == sol
         statuses.add(sol.status)
     assert statuses == {"optimal", "infeasible"}
+
+
+def _reference_accepts(problem, sol):
+    try:
+        reference_verify_optimal(problem, sol.primal, sol.dual, sol.optimum)
+    except ConstructionError:
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=150)
+@given(feasible_programs(), st.data())
+def test_perturbed_certificates_rejected_by_both_verifiers(program, data):
+    problem, _ = program
+    sol = lp_solve(problem)
+    assert strong_duality_holds(problem, sol) and _reference_accepts(problem, sol)
+    eps = data.draw(st.fractions(-3, 3, max_denominator=7).filter(bool))
+    kind = data.draw(st.sampled_from(["primal", "dual", "optimum"]))
+    if kind == "primal":
+        # every column meets the sum(x) row, so a moved entry breaks a row
+        j = data.draw(st.integers(0, len(sol.primal) - 1))
+        primal = list(sol.primal)
+        primal[j] += eps
+        bad = dataclasses.replace(sol, primal=tuple(primal))
+    elif kind == "dual":
+        # a dual weight on a row with b_i != 0 moves the dual objective
+        rows = [i for i, bi in enumerate(problem.b) if bi != 0]
+        assume(rows)
+        i = data.draw(st.sampled_from(rows))
+        dual = list(sol.dual)
+        dual[i] += eps
+        bad = dataclasses.replace(sol, dual=tuple(dual))
+    else:
+        bad = dataclasses.replace(sol, optimum=sol.optimum + eps)
+    assert not strong_duality_holds(problem, bad)
+    assert not _reference_accepts(problem, bad)
+
+
+def test_a_costlier_feasible_primal_is_rejected():
+    # x_1 meets no row, so raising it keeps every row and the dual objective:
+    # only the primal cost check sees that c . x is no longer the optimum
+    problem = LPProblem([1, 1], [[1, 0]], [1])
+    sol = lp_solve(problem)
+    assert sol.primal == (1, 0) and strong_duality_holds(problem, sol)
+    assert not strong_duality_holds(problem, dataclasses.replace(sol, primal=(F(1), F(1))))
+
+
+@settings(deadline=None, max_examples=100)
+@given(feasible_programs())
+def test_warm_start_from_the_optimal_basis_returns_the_same_solution(program):
+    problem, _ = program
+    cold = lp_solve(problem)
+    assume(len(cold.basis) == len(problem.b))  # no redundant row was excised
+    assert lp_solve(problem, start=cold.basis) == cold
+    assert lp_solve(problem, start=tuple(reversed(cold.basis))) == cold
+
+
+@pytest.mark.parametrize("start, what", [
+    ((0, 4), "singular"),  # p_0 and q_0 are opposite columns
+    ((1, 1), "singular"),
+    ((0, 1), "not primal feasible"),  # a_0 + a_1 = -1, a_1 = -4 gives p_1 = -4
+    ((0,), "not 2 structural columns"),
+    ((0, 8), "not 2 structural columns"),  # column 8 is an artificial
+])
+def test_a_bad_start_basis_is_a_construction_error(start, what):
+    with pytest.raises(ConstructionError, match=what):
+        lp_solve(flat_lp_problem(2, 4), start=start)
+
+
+@pytest.mark.parametrize("big_n", [1, 2, 3, 4, 5])
+def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
+    solves = []
+
+    def recording_solve(problem, start=None):
+        sol = lp_solve(problem, start)
+        solves.append((problem, start, sol))
+        return sol
+
+    monkeypatch.setattr(flatpoly, "lp_solve", recording_solve)
+    res = find_flat_poly(big_n)
+    ladder = [(problem, sol) for problem, _, sol in solves[:len(res.history)]]
+    assert [start is None for _, start, _ in solves[:len(res.history)]] == (
+        [True] + [False] * (len(res.history) - 1)
+    )  # a cold first degree, then every degree warm
+    cold_history = []
+    for (n, optimum), (problem, sol) in zip(res.history, ladder):
+        cold_history.append((n, reference_lp_solve(problem).optimum))
+        assert sol.optimum == optimum
+        assert strong_duality_holds(problem, sol) and _reference_accepts(problem, sol)
+    monkeypatch.undo()
+    # the search degree's vertex is the cold solve's, tie or no tie
+    cold = minimal_flat_poly(big_n, res.search_degree)
+    assert res == dataclasses.replace(cold, history=tuple(cold_history))
+    assert (res.coeffs, res.dual) == (cold.coeffs, cold.dual)
+    assert [n for n, _ in res.history] == list(range(big_n, res.search_degree + 1))
