@@ -9,21 +9,19 @@ covering valid.
 
 Certification is semi-decidable by subdivision: success is a proof,
 failure (depth exhausted) is inconclusive and reports the offending
-sub-box for diagnosis.  Box and window covers share one subdivision
-driver, `_DyadicGrid`: it visits the dyadic cells of the root box as
-integer index vectors and decides each by integer dot products against
-integer bounds, one set per candidate and depth, so no visited piece
-costs a `Fraction` operation.  The certifier inverts each branch map at
-most once per call, the first time its symbol is tried, and stops with
-ResourceLimitError past `COVER_LEAF_CAP` leaves.  The JSON wire format
+sub-box.  Certifier and checker both work on the target's dyadic grid,
+each with its own code.  Box and window covers share one subdivision
+driver, `_DyadicGrid`: it visits cells as integer index vectors and
+decides each by integer dot products against integer bounds, so no
+visited piece costs a `Fraction` operation; the certifier inverts each
+branch map at most once, when its symbol is first tried, and stops with
+ResourceLimitError past `COVER_LEAF_CAP` leaves.  The checker maps each
+leaf to its cell, accepts exactly the leaf sets of the target's midpoint
+bisection tree (longest axis, lowest index on ties), in any order, by
+replaying that tree on int tuples, and tests each cell against integer
+bounds made once per witness and exponent vector; it inverts each
+witness map once and is linear in the leaf count.  The JSON wire format
 lives in `serialize`.
-
-The checker accepts exactly the leaf sets of the target's midpoint
-bisection tree (longest axis, lowest index on ties), in any order, which
-is what the certifier emits.  It replays that tree with its own split,
-striking off leaves, and inverts each witness map once; it shares no
-subdivision or inverse-image code with the certifier and runs in time
-linear in the leaf count.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -39,6 +38,7 @@ from .errors import (
     CertificateFormatError,
     DegenerateInputError,
     ResourceLimitError,
+    ShapeError,
     SingularMatrixError,
 )
 from .ifs import COVER_LEAF_CAP, AffineMap, IFSystem
@@ -274,100 +274,113 @@ def certify_covering(
     )
 
 
-def _bounds(box: Box) -> Tuple[Tuple[Fraction, Fraction], ...]:
-    return tuple((iv.lo, iv.hi) for iv in box.intervals)
+def _grid_index(iv: Interval, lo: Fraction, width: Fraction):
+    """The heap index ``2^e + k`` if `iv` is cell k of the 2^e equal cells
+    of [lo, lo + width], else None; cell m halves into 2m and 2m + 1."""
+    a, b, c, d = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
+    w = c * b - a * d  # (iv.hi - iv.lo) b d: integers throughout, no gcd
+    if w > 0:
+        n, n_rem = divmod(width.numerator * b * d, width.denominator * w)
+        k, k_rem = divmod((a * lo.denominator - lo.numerator * b) * d, lo.denominator * w)
+        if not n_rem and not k_rem and n.bit_count() == 1 and 0 <= k < n:
+            return n + k
+    return None
 
 
-def _split(piece):
-    """The checker's own midpoint split of a piece given by its bounds:
-    the longest axis, the lowest index on ties, lower half first."""
-    widths = [hi - lo for lo, hi in piece]
-    ax = widths.index(max(widths))
-    lo, hi = piece[ax]
-    mid = (lo + hi) / 2
-    return (
-        piece[:ax] + ((lo, mid),) + piece[ax + 1:],
-        piece[:ax] + ((mid, hi),) + piece[ax + 1:],
-    )
+def _split(piece, ax: int):
+    """The checker's own midpoint split of a cell, a tuple of per-axis heap
+    indices, on axis ax, lower half first: ``m -> 2m, 2m + 1``."""
+    head, m, tail = piece[:ax], piece[ax], piece[ax + 1:]
+    return head + (2 * m,) + tail, head + (2 * m + 1,) + tail
 
 
-def _leaves_partition(target: Box, leaves: Sequence[Box]) -> bool:
-    """True iff the leaves are the leaf set of the midpoint bisection tree
-    of `target`, in any order.
-
-    After a containment and volume pass (which raises on a leaf of the
-    wrong dimension), the tree is replayed from the target: a piece that
-    is a leaf is struck off, any other piece is split.  A tree with L
-    leaves has L - 1 splits, so the replay gives up at the L-th and costs
-    O(L) whatever the leaves are; it accepts iff every leaf is struck off.
-    An exact partition cut anywhere but at the midpoints is rejected.
-    """
-    if not leaves:
-        return False
-    vol = Fraction(0)
-    for leaf in leaves:
-        if not target.contains_box(leaf):
-            return False
-        vol += leaf.volume()
-    if vol != target.volume():
-        return False
-    remaining = {_bounds(leaf) for leaf in leaves}
-    if len(remaining) != len(leaves):
-        return False  # a repeated leaf
-    splits_left = len(leaves) - 1
-    stack = [_bounds(target)]
+def _tree_cells(target: Box, leaves: Sequence[Box]):
+    """The leaves' cells, as tuples of heap indices (`_grid_index`), if they
+    are the leaf set of the midpoint bisection tree of `target`, in any
+    order, else None; a leaf of the wrong dimension raises ShapeError.  The
+    tree is replayed on these tuples: a piece that is a leaf is struck off,
+    any other is split on its longest axis ``W_c/2^e_c`` (lowest index on
+    ties, found once per exponent vector).  L leaves need L - 1 splits, so
+    the replay gives up at the L-th: it costs O(L)."""
+    origin, widths = [iv.lo for iv in target], [iv.width for iv in target]
+    seen = [{} for _ in widths]  # per axis: id(interval) -> heap index or None
+    cells = []
+    for leaf in leaves:  # the leaves keep every interval alive, so ids stay unique
+        if leaf.dim != len(widths):
+            raise ShapeError("box dimension mismatch")
+        for c, iv in enumerate(leaf):
+            if id(iv) not in seen[c]:
+                seen[c][id(iv)] = _grid_index(iv, origin[c], widths[c])
+        cell = [seen[c][id(iv)] for c, iv in enumerate(leaf)]
+        if None in cell:
+            return None
+        cells.append(tuple(cell))
+    remaining, axes, splits_left = set(cells), {}, len(cells) - 1
+    if not cells or len(remaining) != len(cells):
+        return None  # no leaf, or a repeated leaf
+    stack = [(1,) * len(widths)]  # the target: cell 0 of 2^0 on every axis
     while stack:
         piece = stack.pop()
         if piece in remaining:
             remaining.remove(piece)
         elif splits_left == 0:
-            return False
+            return None
         else:
             splits_left -= 1
-            stack.extend(_split(piece))
-    return not remaining
+            bits = tuple(map(int.bit_length, piece))  # the exponents, plus one
+            if bits not in axes:
+                steps = [w / 2 ** e for w, e in zip(widths, bits)]
+                axes[bits] = steps.index(max(steps))
+            stack.extend(_split(piece, axes[bits]))
+    return None if remaining else cells
 
 
-def _inverse_branch(f: AffineMap, shrunk: Box):
-    """The inverse matrix M^-1 of f(x) = M x + t, and the rows' windows
-    `shrunk + M^-1 t`: f^-1(x) = M^-1 x - M^-1 t lies in `shrunk` iff
-    each row of M^-1 x lies in its window."""
+def _fit_test(f: AffineMap, target: Box, shrunk: Box):
+    """Invert f(x) = M x + t once; `fits(cell)` is whether f^-1 pulls the
+    cell into `shrunk`: each row a of M^-1 maps it into ``shrunk + M^-1 t``.
+    The test is the exact integer form `_DyadicGrid` derives, ``lo_min <=
+    sum_c alpha_c k_c <= hi_max``, made by the checker's own code once per
+    exponent vector, on heap indices ``2^e_c + k_c``: bounds shifted by
+    ``sum_c alpha_c 2^e_c``."""
     if f.dim != shrunk.dim:
         raise DegenerateInputError("box dimension does not match the map")
     try:
         inv = linalg.inverse(f.matrix)
     except SingularMatrixError:
         raise SingularMatrixError("branch matrix is singular") from None
-    shift = linalg.mat_vec(inv, f.offset)
-    windows = [(iv.lo + c, iv.hi + c) for iv, c in zip(shrunk.intervals, shift)]
-    return inv, windows
+    # row a's window less a.L, for the target's lower corner L: shrunk + M^-1 (t - L)
+    at = linalg.mat_vec(inv, [t - iv.lo for t, iv in zip(f.offset, target)])
+    windows = [(row, iv.lo + c, iv.hi + c) for row, iv, c in zip(inv, shrunk, at)]
+    widths, tests = [iv.width for iv in target], {}
 
+    def fits(cell) -> bool:
+        bits = tuple(map(int.bit_length, cell))
+        if bits not in tests:
+            tests[bits] = []
+            for row, w_lo, w_hi in windows:
+                terms = [a * w / 2 ** (e - 1) for a, w, e in zip(row, widths, bits)]
+                scale = math.lcm(*(t.denominator for t in terms))
+                alphas = [t.numerator * (scale // t.denominator) for t in terms]
+                shift = sum(a * 2 ** (e - 1) for a, e in zip(alphas, bits))  # from k to 2^e + k
+                tests[bits].append((
+                    alphas,
+                    math.ceil(scale * (w_lo - sum(t for t in terms if t < 0))) + shift,
+                    math.floor(scale * (w_hi - sum(t for t in terms if t > 0))) + shift,
+                ))
+        return all(lo <= sum(map(mul, alphas, cell)) <= hi for alphas, lo, hi in tests[bits])
 
-def _preimage_fits(inv: linalg.Mat, windows, leaf: Box) -> bool:
-    """Whether the interval enclosure of inv @ leaf lies in `windows`."""
-    for row, (w_lo, w_hi) in zip(inv, windows):
-        lo = hi = Fraction(0)
-        for a, iv in zip(row, leaf.intervals):
-            if a > 0:
-                lo += a * iv.lo
-                hi += a * iv.hi
-            elif a < 0:
-                lo += a * iv.hi
-                hi += a * iv.lo
-        if lo < w_lo or hi > w_hi:
-            return False
-    return True
+    return fits
 
 
 def check_certificate(cert: Certificate) -> bool:
     """Re-verify a certificate from scratch; True iff every claim holds.
 
-    The leaves must be the leaf set of the target's midpoint bisection
-    tree (`_leaves_partition`), and each leaf's witness branch must pull
-    the leaf into the target shrunk by the margin.  Each witness map is
-    inverted once, on its first use, so a map no leaf names is never
-    inverted.  The checker shares no subdivision or inverse-image code
-    with `certify_covering`, and its cost is linear in the leaf count.
+    On integer cell coordinates: the leaves must be the leaf set of the
+    target's midpoint bisection tree (`_tree_cells`), and each witness must
+    pull its leaf's cell into the target shrunk by the margin (`_fit_test`,
+    one inversion per witness map, at its first use, so a map no leaf names
+    is never inverted).  It shares no subdivision or inverse-image code
+    with `certify_covering`, and is linear in the leaf count.
     """
     if not isinstance(cert, Certificate):
         raise CertificateFormatError("not a certificate")
@@ -377,15 +390,16 @@ def check_certificate(cert: Certificate) -> bool:
         shrunk = cert.target.shrink(cert.margin)
     except DegenerateInputError:
         return False
-    if not _leaves_partition(cert.target, [leaf for leaf, _ in cert.leaves]):
+    cells = _tree_cells(cert.target, [leaf for leaf, _ in cert.leaves])
+    if cells is None:
         return False
-    branches = {}
-    for leaf, witness in cert.leaves:
+    tests = {}
+    for (_, witness), cell in zip(cert.leaves, cells):
         if witness not in cert.system.maps:
             return False
-        if witness not in branches:
-            branches[witness] = _inverse_branch(cert.system.maps[witness], shrunk)
-        if not _preimage_fits(*branches[witness], leaf):
+        if witness not in tests:
+            tests[witness] = _fit_test(cert.system.maps[witness], cert.target, shrunk)
+        if not tests[witness](cell):
             return False
     return True
 

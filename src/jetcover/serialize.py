@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from typing import Container, List, Optional, Sequence, Tuple
 
 from .blender import BlenderCoverResult, BranchSample, NearlyAffineReport
@@ -57,10 +58,6 @@ def interval_to_list(iv: Interval) -> list:
 
 def box_to_list(box: Box) -> list:
     return [interval_to_list(iv) for iv in box.intervals]
-
-
-def box_from_list(entries: Sequence) -> Box:
-    return Box([Interval.of(lo, hi) for lo, hi in entries])
 
 
 # --- jets ---------------------------------------------------------------------
@@ -142,25 +139,37 @@ def covering_outcome_payload(outcome) -> dict:
 
 def load_certificate(payload: dict) -> Certificate:
     """Parse a certificate; more leaves than `COVER_LEAF_CAP` is a
-    ResourceLimitError, raised before any box is parsed."""
+    ResourceLimitError, raised before any box is parsed.  The depth must be
+    a non-negative JSON integer and each witness a JSON string.  Each
+    distinct endpoint string is parsed once, and each distinct pair makes
+    one `Interval`, shared by every box that names it."""
+    # typed keys: 1 == 1.0 == True, and `rat` refuses the last two
+    value = lru_cache(maxsize=None, typed=True)(rat)
+    interval = lru_cache(maxsize=None, typed=True)(lambda lo, hi: Interval(value(lo), value(hi)))
     try:
         system = payload["system"]
         if len(payload["leaves"]) > COVER_LEAF_CAP:
             raise ResourceLimitError(
                 f"certificate has more than {COVER_LEAF_CAP} leaves"
             )
+        depth = payload["depth"]
+        if type(depth) is not int or depth < 0:  # not a bool, float or string
+            raise CertificateFormatError(f"depth {depth!r} is not a non-negative JSON integer")
+        leaves = tuple(
+            (Box([interval(lo, hi) for lo, hi in leaf["box"]]), leaf["witness"])
+            for leaf in payload["leaves"]
+        )
+        if not all(type(witness) is str for _, witness in leaves):
+            raise CertificateFormatError("a leaf's witness is not a JSON string")
         return Certificate(
             system=IFSystem(
                 tuple(system["alphabet"]),
                 {s: _affine_from_dict(m) for s, m in system["maps"].items()},
             ),
-            target=box_from_list(payload["box"]),
+            target=Box([interval(lo, hi) for lo, hi in payload["box"]]),
             margin=rat(payload["margin"]),
-            max_depth=int(payload["depth"]),
-            leaves=tuple(
-                (box_from_list(leaf["box"]), str(leaf["witness"]))
-                for leaf in payload["leaves"]
-            ),
+            max_depth=depth,
+            leaves=leaves,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError(f"malformed certificate: {exc}") from exc

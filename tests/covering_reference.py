@@ -11,11 +11,17 @@ cut off the midpoints.
 
 It also keeps the doubling loop that `Certificate.depth_used` ran before
 its closed form, as that property's oracle, and makes the planar
-certificates the covering tests share.  Last, it keeps the `Fraction`
+certificates the covering tests share.  It keeps the `Fraction`
 subdivision driver that `certify_covering` and `certify_window_cover`
 ran before the dyadic integer grid, with the midpoint bisection that was
 `Box.bisect`, as the oracle of both certifiers; it shares no code with
 the grid driver.
+
+Last, it keeps the `Fraction` checker that `check_certificate` was before
+it decided on integer cell coordinates (the bisection replay on endpoint
+bounds and the per-leaf endpoint fit test), and the loader that parsed
+every endpoint string of a certificate afresh, as the oracles of the
+integer checker and of the parse-once loader.
 """
 
 from __future__ import annotations
@@ -33,9 +39,15 @@ from jetcover.covering import (
     WindowCoverCertificate,
     certify_covering,
 )
-from jetcover.errors import DegenerateInputError, SingularMatrixError
-from jetcover.ifs import AffineMap, IFSystem
+from jetcover.errors import (
+    CertificateFormatError,
+    DegenerateInputError,
+    ResourceLimitError,
+    SingularMatrixError,
+)
+from jetcover.ifs import COVER_LEAF_CAP, AffineMap, IFSystem
 from jetcover.rational import rat
+from jetcover.serialize import _affine_from_dict
 
 
 def _leaves_partition(target: Box, leaves: Sequence[Box]) -> bool:
@@ -243,3 +255,162 @@ def reference_certify_window_cover(
     return WindowCoverCertificate(
         target=target, windows=tuple(windows), margin=margin, leaves=leaves
     )
+
+
+# --- the Fraction checker ---------------------------------------------------
+#
+# `check_certificate` and its helpers as they were before the checker ran on
+# integer cell coordinates, copied unchanged apart from the names of the
+# replay (`replay_partition`, was `_leaves_partition`) and of the checker.
+
+
+def _bounds(box: Box) -> Tuple[Tuple[Fraction, Fraction], ...]:
+    return tuple((iv.lo, iv.hi) for iv in box.intervals)
+
+
+def _split(piece):
+    """The checker's own midpoint split of a piece given by its bounds:
+    the longest axis, the lowest index on ties, lower half first."""
+    widths = [hi - lo for lo, hi in piece]
+    ax = widths.index(max(widths))
+    lo, hi = piece[ax]
+    mid = (lo + hi) / 2
+    return (
+        piece[:ax] + ((lo, mid),) + piece[ax + 1:],
+        piece[:ax] + ((mid, hi),) + piece[ax + 1:],
+    )
+
+
+def replay_partition(target: Box, leaves: Sequence[Box]) -> bool:
+    """True iff the leaves are the leaf set of the midpoint bisection tree
+    of `target`, in any order.
+
+    After a containment and volume pass (which raises on a leaf of the
+    wrong dimension), the tree is replayed from the target: a piece that
+    is a leaf is struck off, any other piece is split.  A tree with L
+    leaves has L - 1 splits, so the replay gives up at the L-th and costs
+    O(L) whatever the leaves are; it accepts iff every leaf is struck off.
+    An exact partition cut anywhere but at the midpoints is rejected.
+    """
+    if not leaves:
+        return False
+    vol = Fraction(0)
+    for leaf in leaves:
+        if not target.contains_box(leaf):
+            return False
+        vol += leaf.volume()
+    if vol != target.volume():
+        return False
+    remaining = {_bounds(leaf) for leaf in leaves}
+    if len(remaining) != len(leaves):
+        return False  # a repeated leaf
+    splits_left = len(leaves) - 1
+    stack = [_bounds(target)]
+    while stack:
+        piece = stack.pop()
+        if piece in remaining:
+            remaining.remove(piece)
+        elif splits_left == 0:
+            return False
+        else:
+            splits_left -= 1
+            stack.extend(_split(piece))
+    return not remaining
+
+
+def _inverse_branch(f: AffineMap, shrunk: Box):
+    """The inverse matrix M^-1 of f(x) = M x + t, and the rows' windows
+    `shrunk + M^-1 t`: f^-1(x) = M^-1 x - M^-1 t lies in `shrunk` iff
+    each row of M^-1 x lies in its window."""
+    if f.dim != shrunk.dim:
+        raise DegenerateInputError("box dimension does not match the map")
+    try:
+        inv = linalg.inverse(f.matrix)
+    except SingularMatrixError:
+        raise SingularMatrixError("branch matrix is singular") from None
+    shift = linalg.mat_vec(inv, f.offset)
+    windows = [(iv.lo + c, iv.hi + c) for iv, c in zip(shrunk.intervals, shift)]
+    return inv, windows
+
+
+def _preimage_fits(inv: linalg.Mat, windows, leaf: Box) -> bool:
+    """Whether the interval enclosure of inv @ leaf lies in `windows`."""
+    for row, (w_lo, w_hi) in zip(inv, windows):
+        lo = hi = Fraction(0)
+        for a, iv in zip(row, leaf.intervals):
+            if a > 0:
+                lo += a * iv.lo
+                hi += a * iv.hi
+            elif a < 0:
+                lo += a * iv.hi
+                hi += a * iv.lo
+        if lo < w_lo or hi > w_hi:
+            return False
+    return True
+
+
+def reference_check_certificate(cert: Certificate) -> bool:
+    """Re-verify a certificate from scratch; True iff every claim holds.
+
+    The leaves must be the leaf set of the target's midpoint bisection
+    tree (`replay_partition`), and each leaf's witness branch must pull
+    the leaf into the target shrunk by the margin.  Each witness map is
+    inverted once, on its first use, so a map no leaf names is never
+    inverted.
+    """
+    if not isinstance(cert, Certificate):
+        raise CertificateFormatError("not a certificate")
+    if cert.margin <= 0:
+        return False
+    try:
+        shrunk = cert.target.shrink(cert.margin)
+    except DegenerateInputError:
+        return False
+    if not replay_partition(cert.target, [leaf for leaf, _ in cert.leaves]):
+        return False
+    branches = {}
+    for leaf, witness in cert.leaves:
+        if witness not in cert.system.maps:
+            return False
+        if witness not in branches:
+            branches[witness] = _inverse_branch(cert.system.maps[witness], shrunk)
+        if not _preimage_fits(*branches[witness], leaf):
+            return False
+    return True
+
+
+# --- the parse-every-string loader -------------------------------------------
+#
+# `serialize.load_certificate` and `box_from_list` as they were before the
+# loader parsed each distinct endpoint string once, copied unchanged apart
+# from the loader's name.
+
+
+def box_from_list(entries: Sequence) -> Box:
+    return Box([Interval.of(lo, hi) for lo, hi in entries])
+
+
+def reference_load_certificate(payload: dict) -> Certificate:
+    """Parse a certificate; more leaves than `COVER_LEAF_CAP` is a
+    ResourceLimitError, raised before any box is parsed."""
+    try:
+        system = payload["system"]
+        if len(payload["leaves"]) > COVER_LEAF_CAP:
+            raise ResourceLimitError(
+                f"certificate has more than {COVER_LEAF_CAP} leaves"
+            )
+        return Certificate(
+            system=IFSystem(
+                tuple(system["alphabet"]),
+                {s: _affine_from_dict(m) for s, m in system["maps"].items()},
+            ),
+            target=box_from_list(payload["box"]),
+            margin=rat(payload["margin"]),
+            max_depth=int(payload["depth"]),
+            leaves=tuple(
+                (box_from_list(leaf["box"]), str(leaf["witness"]))
+                for leaf in payload["leaves"]
+            ),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateFormatError(f"malformed certificate: {exc}") from exc

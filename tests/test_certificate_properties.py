@@ -10,11 +10,15 @@ images, not by the checker's own code.
 The checker's partition test (a replay of the midpoint bisection tree) is
 also compared with the pairwise test it replaced, kept in
 `covering_reference`, on these certificates, on planar ones, and on
-their mutants.
+their mutants.  The whole checker, which decides on integer cell
+coordinates, is compared with the `Fraction` checker it replaced, kept
+there too, on the same mutants and on mutants made to probe the grid.
 """
 
+import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -22,11 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covering_reference import _leaves_partition as reference_partition  # local helper module
-from covering_reference import bisect, planar_certificate
+from covering_reference import bisect, planar_certificate, reference_check_certificate
 from jetcover.boxes import Box, Interval
 from jetcover.covering import (
     Certificate,
-    _leaves_partition,
+    _tree_cells,
     certify_covering,
     check_certificate,
 )
@@ -125,39 +129,111 @@ def hull(a: Box, b: Box) -> Box:
 
 def mutants(ordered, leaves, i, data):
     """Leaf lists derived from `leaves`, a shuffle of the certificate's
-    `ordered` leaves: drop, duplicate or shift leaf i, split it into its
-    two halves, merge two sibling leaves."""
-    leaf = leaves[i]
+    `ordered` (box, witness) leaves: drop, duplicate or shift leaf i, split
+    it into its two halves, merge two sibling leaves."""
+    leaf, witness = leaves[i]
     rest = leaves[:i] + leaves[i + 1:]
     yield rest
-    yield leaves + [leaf]
+    yield leaves + [leaves[i]]
     ax = data.draw(st.integers(0, leaf.dim - 1))
     shift = leaf[ax].width * F(data.draw(st.integers(1, 8)), 4)
     shift *= data.draw(st.sampled_from([1, -1]))
     moved = list(leaf.intervals)
     moved[ax] = Interval(moved[ax].lo + shift, moved[ax].hi + shift)
-    yield rest[:i] + [Box(moved)] + rest[i:]
-    yield rest[:i] + list(bisect(leaf)) + rest[i:]
+    yield rest[:i] + [(Box(moved), witness)] + rest[i:]
+    yield rest[:i] + [(half, witness) for half in bisect(leaf)] + rest[i:]
     # depth-first order puts two sibling leaves next to each other
     siblings = [
-        (a, b) for a, b in zip(ordered, ordered[1:]) if bisect(hull(a, b)) == (a, b)
+        (a, b) for a, b in zip(ordered, ordered[1:]) if bisect(hull(a[0], b[0])) == (a[0], b[0])
     ]
     if len(leaves) > 1:
         assert siblings  # the deepest split of a tree has two leaf children
         a, b = data.draw(st.sampled_from(siblings))
-        yield [hull(a, b)] + [c for c in leaves if c not in (a, b)]
+        yield [(hull(a[0], b[0]), a[1])] + [c for c in leaves if c not in (a, b)]
+
+
+def grid_mutants(target, leaves, i, data):
+    """Leaf lists that probe the checker's grid: an endpoint of leaf i
+    moved by 2^-60, a zero-width leaf added, leaf i cut to two thirds of
+    its width, leaf i across or past the target's edge, leaf i written as
+    a cell outside the target or on a grid of no power of two that has its
+    own heap index, leaf i replaced by a descendant deeper than any replay
+    reaches, leaf i naming a witness outside the alphabet, leaf i repeated
+    with another witness."""
+    leaf, witness = leaves[i]
+    rest = leaves[:i] + leaves[i + 1:]
+    ax = data.draw(st.integers(0, leaf.dim - 1))
+    iv, edge = leaf[ax], target[ax]
+
+    def on_axis(new):
+        intervals = list(leaf.intervals)
+        intervals[ax] = new
+        return Box(intervals)
+
+    nudge = F(data.draw(st.sampled_from([1, -1])), 2 ** 60)
+    nudged = data.draw(st.sampled_from([
+        Interval(iv.lo + nudge, iv.hi), Interval(iv.lo, iv.hi + nudge),
+        Interval(iv.lo + nudge, iv.hi + nudge),
+    ]))
+    yield rest[:i] + [(on_axis(nudged), witness)] + rest[i:]
+    point = data.draw(st.sampled_from([iv.lo, iv.hi, (iv.lo + iv.hi) / 2]))
+    yield leaves + [(on_axis(Interval(point, point)), witness)]
+    # W/w is an integer but no power of two when e > 0 and k is even
+    yield rest[:i] + [(on_axis(Interval(iv.lo, iv.lo + iv.width * 2 / 3)), witness)] + rest[i:]
+    across = Interval(edge.lo - iv.width / 2, edge.lo + iv.width / 2)
+    past = Interval(edge.hi, edge.hi + iv.width)
+    # outside the target, but 2^e + k is leaf i's own heap index: cell
+    # n/2 + k of n/2 (twice as wide), and cell k - n of 2n (half as wide)
+    n, k = edge.width / iv.width, (iv.lo - edge.lo) / iv.width
+    beyond = Interval(edge.lo + (n + 2 * k) * iv.width, edge.lo + (n + 2 * k + 2) * iv.width)
+    below = Interval(edge.lo + (k - n) * iv.width / 2, edge.lo + (k - n + 1) * iv.width / 2)
+    for outside in (across, past, beyond, below):
+        yield rest[:i] + [(on_axis(outside), witness)] + rest[i:]
+    # cell m - n3 of n3 equal cells, n3 no power of two, would read as m
+    m = int(n + k)
+    n3 = m if m & (m - 1) else m - 1
+    if n3 > 2:
+        step = edge.width / n3
+        third = Interval(edge.lo + (m - n3) * step, edge.lo + (m - n3 + 1) * step)
+        yield rest[:i] + [(on_axis(third), witness)] + rest[i:]
+    deep = leaf
+    for _ in range(len(leaves) + 1):
+        deep = bisect(deep)[data.draw(st.integers(0, 1))]
+    yield rest[:i] + [(deep, witness)] + rest[i:]
+    yield rest[:i] + [(leaf, data.draw(st.sampled_from(["z", "", "a+"])))] + rest[i:]
+    yield leaves + [(leaf, data.draw(st.sampled_from(["+", "-", "a", "b", "c", "d"])))]
+
+
+def boxes(leaves):
+    return [leaf for leaf, _ in leaves]
+
+
+def shuffled(cert, data):
+    leaves = list(cert.leaves)
+    random.Random(data.draw(st.integers(0, 2**32))).shuffle(leaves)
+    return leaves
 
 
 def assert_partition_verdicts_agree(cert, data):
-    ordered = [leaf for leaf, _ in cert.leaves]
-    leaves = list(ordered)
-    random.Random(data.draw(st.integers(0, 2**32))).shuffle(leaves)
-    assert _leaves_partition(cert.target, leaves)
-    assert reference_partition(cert.target, leaves)
+    leaves = shuffled(cert, data)
+    assert _tree_cells(cert.target, boxes(leaves)) is not None
+    assert reference_partition(cert.target, boxes(leaves))
     i = data.draw(st.integers(0, len(leaves) - 1))
-    for mutant in mutants(ordered, leaves, i, data):
-        expected = reference_partition(cert.target, mutant)
-        assert _leaves_partition(cert.target, mutant) == expected
+    for mutant in mutants(list(cert.leaves), leaves, i, data):
+        expected = reference_partition(cert.target, boxes(mutant))
+        assert (_tree_cells(cert.target, boxes(mutant)) is not None) == expected
+
+
+def assert_checker_verdicts_agree(cert, data):
+    leaves = shuffled(cert, data)
+    assert check_certificate(replace(cert, leaves=tuple(leaves)))
+    i = data.draw(st.integers(0, len(leaves) - 1))
+    for mutant in itertools.chain(
+        mutants(list(cert.leaves), leaves, i, data),
+        grid_mutants(cert.target, leaves, i, data),
+    ):
+        mutated = replace(cert, leaves=tuple(mutant))
+        assert check_certificate(mutated) == reference_check_certificate(mutated)
 
 
 @settings(deadline=None, max_examples=60)
@@ -172,6 +248,18 @@ def test_partition_replay_agrees_with_pairwise_check_planar(params, data):
     assert_partition_verdicts_agree(planar_certificate(*params), data)
 
 
+@settings(deadline=None, max_examples=60)
+@given(certificates(), st.data())
+def test_integer_checker_agrees_with_fraction_checker_1d(cert, data):
+    assert_checker_verdicts_agree(cert, data)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.sampled_from(PLANAR), st.data())
+def test_integer_checker_agrees_with_fraction_checker_planar(params, data):
+    assert_checker_verdicts_agree(planar_certificate(*params), data)
+
+
 @pytest.mark.parametrize("cuts", [(-2, 1, 2), (-2, 0, 0, 2)])
 def test_partition_off_the_bisection_tree_is_rejected(cuts):
     # exact partitions, but [-2, 2] bisects at 0, not at 1, and a
@@ -179,4 +267,4 @@ def test_partition_off_the_bisection_tree_is_rejected(cuts):
     target = Box([Interval.of(-2, 2)])
     leaves = [Box([Interval.of(lo, hi)]) for lo, hi in zip(cuts, cuts[1:])]
     assert reference_partition(target, leaves)
-    assert not _leaves_partition(target, leaves)
+    assert _tree_cells(target, leaves) is None

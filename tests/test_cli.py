@@ -362,8 +362,28 @@ HOSTILE_CERTIFICATES = {
     "no leaves": (1, lambda p: p.update(leaves=[])),
     "one whole-box leaf": (1, lambda p: p.update(
         leaves=[{"box": [["-2", "2"]], "witness": "+"}])),
-    "int witness": (1, lambda p: p["leaves"][0].update(witness=1)),
+    "int witness": (2, lambda p: p["leaves"][0].update(witness=5)),
+    "list witness": (2, lambda p: p["leaves"][0].update(witness=["+"])),
+    "null witness": (2, lambda p: p["leaves"][0].update(witness=None)),
     "margin 3": (1, lambda p: p.update(margin="3")),
+    # the loader parses each pair once, yet 0 == 0.0 == False must not let
+    # a float or a bool through on an int's parse
+    "int endpoints": (0, lambda p: (p["leaves"][0].update(box=[[-2, 0]]),
+                                    p["leaves"][1].update(box=[[0, 2]]))),
+    "float endpoint in a pair equal to an int pair": (2, lambda p: (
+        p["leaves"][0].update(box=[[-2, 0]]), p["leaves"][1].update(box=[[-2, 0.0]]))),
+    "bool endpoint in a pair equal to an int pair": (2, lambda p: (
+        p["leaves"][0].update(box=[[-2, 0]]), p["leaves"][1].update(box=[[-2, False]]))),
+    # outside the target, but cell 1 of 1 and cell -1 of 4 have the heap
+    # indices 2 and 3 of the leaves [-2, 0] and [0, 2] they stand in for
+    "leaf beyond the target on another's heap index": (1, lambda p: p["leaves"][0].update(
+        box=[["2", "6"]])),
+    "leaf below the target on another's heap index": (1, lambda p: p["leaves"][1].update(
+        box=[["-3", "-2"]])),
+    # W/w = 3 is no power of two, so [-2, -2/3] is no cell, though 3 + 0
+    # is the heap index of [0, 2]
+    "leaf a third of the target wide": (1, lambda p: p["leaves"][1].update(
+        box=[["-2", "-2/3"]])),
     "zero-volume leaves": (1, lambda p: p.update(leaves=[
         {"box": [["-2", "-2"]], "witness": "-"},
         {"box": [["2", "2"]], "witness": "+"},
@@ -385,6 +405,17 @@ def test_check_cert_exit_codes_on_hostile_certificates(tmp_path, capsys, name):
         _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
     else:
         assert run(["check-cert", "--cert", str(cert)]) == expected
+
+
+@pytest.mark.parametrize("depth", ["1e400", "2.7", "true", '"24"', "-5"])
+def test_check_cert_depth_must_be_a_non_negative_json_integer(tmp_path, capsys, depth):
+    # 1e400 once escaped as an OverflowError traceback; the others passed
+    cert = tmp_path / "cert.json"
+    assert run(["certify", "--lam", "3/4", "--out", str(cert)]) == 0
+    text = cert.read_text()
+    assert '"depth": 24,' in text
+    cert.write_text(text.replace('"depth": 24,', f'"depth": {depth},'))
+    _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
 
 
 def test_certify_rejects_zero_denominator(tmp_path, capsys):

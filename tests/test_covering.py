@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from covering_reference import _leaves_partition as reference_partition  # local helper module
 from covering_reference import (
+    _inverse_branch,
+    _preimage_fits,
     bisect,
     longest_axis,
     loop_depth_used,
@@ -284,6 +286,26 @@ def test_off_grid_partition_is_rejected_within_the_split_budget(monkeypatch, pla
     assert len(splits) <= len(leaves) - 1
 
 
+def test_deep_leaf_is_rejected_within_the_split_budget(monkeypatch, planar_cert):
+    # a leaf swapped for a grid cell 200 levels below it: every leaf is on
+    # the grid, but the replay cannot reach the deep one in L - 1 splits
+    leaf, witness = planar_cert.leaves[0]
+    for _ in range(200):
+        leaf = bisect(leaf)[1]
+    hostile = replace(planar_cert, leaves=((leaf, witness),) + planar_cert.leaves[1:])
+    budget = len(hostile.leaves) - 1
+    split = covering._split
+
+    def bounded(*args):
+        nonlocal budget
+        budget -= 1
+        assert budget >= 0, "the replay split past its budget"
+        return split(*args)
+
+    monkeypatch.setattr(covering, "_split", bounded)
+    assert not check_certificate(hostile)
+
+
 def overlapping_halves(box):
     ax = longest_axis(box)
     iv = box[ax]
@@ -313,7 +335,7 @@ def test_checker_does_not_trust_the_certifiers_bisection(sys34, split):
     assert isinstance(cert, Certificate) and len(cert.leaves) > 2
     shrunk = cert.target.shrink(cert.margin)
     assert all(
-        covering._preimage_fits(*covering._inverse_branch(sys34.maps[w], shrunk), leaf)
+        _preimage_fits(*_inverse_branch(sys34.maps[w], shrunk), leaf)
         for leaf, w in cert.leaves
     )
     assert not check_certificate(cert)
@@ -347,18 +369,22 @@ def test_unused_singular_map_is_never_inverted(sys34):
     ],
 )
 def test_witness_test_matches_inverse_image_box(matrix, offset):
-    # the checker's own enclosure, one inversion per map, decides like the
-    # certifier's per-leaf `inverse_image_box`, for either sign of entry
+    # the checker's own integer test on grid cells, one inversion per map,
+    # decides like the certifier's per-leaf `inverse_image_box`, for either
+    # sign of entry, on the cells of the first seven levels of the tree of
+    # a square and of an oblong target
     f = AffineMap(matrix, offset)
-    target = Box([Interval.of(-2, 2)] * f.dim)
-    shrunk = target.shrink(F(1, 16))
-    branch = covering._inverse_branch(f, shrunk)
-    pieces = [target]
-    for _ in range(6):
-        pieces = [half for piece in pieces for half in bisect(piece)]
-    verdicts = [covering._preimage_fits(*branch, leaf) for leaf in pieces]
-    assert verdicts == [shrunk.contains_box(inverse_image_box(f, leaf)) for leaf in pieces]
-    assert any(verdicts) and not all(verdicts)
+    for sides in (((-2, 2), (-2, 2)), ((-2, F(13, 8)), (-1, F(5, 2)))):
+        target = Box.of(*sides[:f.dim])
+        shrunk = target.shrink(F(1, 16))
+        fits = covering._fit_test(f, target, shrunk)
+        pieces, verdicts, expected = [target], [], []
+        for _ in range(7):
+            verdicts += [fits(cell) for cell in covering._tree_cells(target, pieces)]
+            expected += [shrunk.contains_box(inverse_image_box(f, leaf)) for leaf in pieces]
+            pieces = [half for piece in pieces for half in bisect(piece)]
+        assert verdicts == expected
+        assert any(verdicts) and not all(verdicts)
 
 
 # --- the certifier against its per-box reference ------------------------------

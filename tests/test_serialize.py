@@ -1,10 +1,13 @@
+import ast
 import json
 import os
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from jetcover.covering import certify_covering
+from jetcover.covering import certify_covering, check_certificate
 from jetcover.boxes import Box, Interval
 from jetcover import serialize
 from jetcover.errors import (
@@ -25,7 +28,10 @@ from jetcover.serialize import (
     load_certificate,
     write_atomic,
 )
+from covering_reference import planar_system, reference_load_certificate  # local oracle
 from jets_reference import approximate_jet_payload, finite_difference_jet  # local oracle
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_jet_payload_round_trip_dim1():
@@ -119,6 +125,45 @@ def test_load_certificate_counts_leaves_before_parsing_a_box(monkeypatch, sys34)
     payload["leaves"].append({"box": "not a box", "witness": "+"})
     with pytest.raises(ResourceLimitError, match="more than 2 leaves"):
         load_certificate(payload)
+
+
+def benchmark_certificate_payloads():
+    """The wire payloads of the benchmark's 58 planar certificates, whose
+    parameters are read from the benchmark's source, not imported."""
+    (params,) = [
+        ast.literal_eval(node.value) for node in ast.parse(WORKLOADS.read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "COVER_PARAMS"
+    ]
+    assert len(params) == 58
+    for lam, margin, h in params:
+        target = Box.of((-2, F(h)), (-2, F(h)))
+        cert = certify_covering(planar_system(F(lam)), target, F(margin))
+        yield cert, json.loads(canonical_json(covering_outcome_payload(cert)))
+
+
+def test_loader_reads_each_benchmark_certificate_as_the_old_loader_did():
+    for cert, payload in benchmark_certificate_payloads():
+        loaded = load_certificate(payload)
+        assert loaded == reference_load_certificate(payload) == cert
+        assert check_certificate(loaded)
+
+
+def test_loader_parses_each_endpoint_string_once(monkeypatch):
+    cert, payload = next(benchmark_certificate_payloads())
+    parsed = Counter()
+    rat = serialize.rat
+
+    def counted(value):
+        parsed[value] += 1
+        return rat(value)
+
+    monkeypatch.setattr(serialize, "rat", counted)
+    loaded = load_certificate(payload)
+    sides = [side for leaf in payload["leaves"] for side in leaf["box"]] + payload["box"]
+    assert {parsed[e] for side in sides for e in side} == {1}
+    # one Interval per distinct [lo, hi] pair, shared by the boxes naming it
+    shared = {id(iv) for leaf, _ in loaded.leaves + ((loaded.target, ""),) for iv in leaf}
+    assert len(shared) == len({tuple(side) for side in sides}) < len(sides)
 
 
 @pytest.mark.parametrize(
