@@ -501,6 +501,8 @@ PINNED_DIGESTS = {
     "realize": "e9a5834dd913896d1d489534a2fb526821cf691c0cf47305976dc7cbc191da7c",
     "certify": "f92c038690d25d34aa201557f5033863cf0f67196e94a13b1331b09e2e593fda",
     "lambda-too-small": "e43c55498971903f85af3bb55b9ef55b92646342d998aca39de4ae3b44f22301",
+    "flat5": "93a2408c33dc9a808e9ac537e0127876fe3d9740f1227d2afdc58bd86f8d80a0",
+    "flat5-degree11": "123c2ba370ce224bf3a4f0355a9fe0f536484fcb1773579f9d6126bfb07721aa",
 }
 NEGATIVE_VERDICTS = {"lambda-too-small"}  # written with exit code 1
 
@@ -516,6 +518,10 @@ def test_pinned_output_digests(tmp_path):
                     "--target", str(target)],
         "certify": ["certify", "--lam", "3/4"],
         "lambda-too-small": ["jet-system", "--order", "1", "--lam", "1/100"],
+        # the 36-degree order-4 ladder's history, and a degree whose optimal
+        # vertices tie (the cold LP's support is {0, 1, 5, 9, 10})
+        "flat5": ["flat-poly", "--flatness", "5"],
+        "flat5-degree11": ["flat-poly", "--flatness", "5", "--degree", "11"],
     }
     digests = {}
     for name, args in commands.items():
