@@ -2,11 +2,11 @@
 
 The construction needs, for each N, a monic Q with (x-1)^N | Q whose
 non-leading coefficients have L1 norm strictly below 2.  That existence
-is classical; here it is made effective: for fixed degree n the feasible
-set is an affine subspace, so the L1 minimum is an exact linear program
-(a = p - q splitting), solved by the rational simplex and certified by
-strong duality.  Degree escalation then finds the first n whose optimum
-clears the requested margin.
+is classical; here it is made effective: at fixed degree n the L1
+minimum is an exact linear program.  Degree escalation solves one degree
+at a time by Stiefel's single-point exchange on the LP's N-node bases,
+in integers, until the optimum clears the requested margin; that degree
+is re-solved cold by the rational simplex and certified by strong duality.
 
 Scaling Q to P(x) = lam^{-n} Q(lam x) and the associated partial-sum
 polynomials B_k(x) = sum_{j<=k} b_j x^{k-j} feed the jet covering system.
@@ -17,16 +17,18 @@ pins the projection built from the table exactly.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from math import lcm, perm
+from math import lcm, perm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (
     ConstructionError,
     DegenerateInputError,
+    ResourceLimitError,
     SearchExhaustedError,
 )
 from .rational import rat
@@ -36,6 +38,7 @@ Coeffs = Tuple[Fraction, ...]  # index = power, last entry = leading
 
 DEFAULT_MARGIN = Fraction(1, 16)
 DEFAULT_N_MAX = 64
+FLAT_DEGREE_CAP = 128  # largest accepted degree cap of the ladder
 
 
 # --- dense polynomial helpers ------------------------------------------------
@@ -119,6 +122,8 @@ def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
     """
     if not 1 <= big_n <= n:
         raise DegenerateInputError("need n >= N >= 1")
+    if n > FLAT_DEGREE_CAP:
+        raise ResourceLimitError(f"degree {n} is above {FLAT_DEGREE_CAP}")
     sol = lp_solve(flat_lp_problem(big_n, n))
     if not sol.is_optimal:
         raise ConstructionError(f"flat LP at (N={big_n}, n={n}) was {sol.status}")
@@ -139,6 +144,65 @@ def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
     )
 
 
+def _basis(nodes: Sequence[int], n: int, sigma=None):
+    """The degree-n basis on `nodes` over M = lcm |d_k|, d_k = prod (x_k - x_m):
+    (M, M a_{x_k} = -M l_k(n) for the Lagrange basis l_k, sigma (sign a_{x_k}
+    unless given), j -> M p(j), and the lowest j < n with |p(j)| > 1 or None)."""
+    d = [prod(x - y for y in nodes if y != x) for x in nodes]
+    m = lcm(*d)
+    scaled = [-(m // dk) * prod(n - y for y in nodes if y != x) for x, dk in zip(nodes, d)]
+    sigma = sigma or [1 if a > 0 else -1 for a in scaled]
+    weights = [s * (m // dk) for s, dk in zip(sigma, d)]
+
+    def dual(j: int) -> int:  # M p(j) = sum_k M sigma_k W(j) / ((j - x_k) d_k)
+        if j in nodes:
+            return m * sigma[nodes.index(j)]
+        wj = prod(j - y for y in nodes)
+        return sum(c * (wj // (j - x)) for c, x in zip(weights, nodes))
+    return m, scaled, sigma, dual, next((j for j in range(n) if abs(dual(j)) > m), None)
+
+
+def _exchange(n: int, nodes: List[int]):
+    """Optimal (nodes, M a_{x_k}, sigma, M) at degree n by Stiefel's
+    single-point exchange from `nodes`, sorted and in [0, n).
+
+    The flat LP's dual is max -p(n) over p of degree < N with |p(j)| <= 1
+    on [0, n).  A basis of N nodes has primal a_{x_k} = -l_k(n) and dual
+    p = sum_k sigma_k l_k, both of value sum |a_k|.  The lowest j with
+    |p(j)| > 1 enters; the ratio test (a_{x_k} reaches 0 at step
+    |W(n) / W(j)| |j - x_k| / (n - x_k)) picks the neighbour of j whose
+    sigma_k is sign p(j): the sigma_k alternate, so the N - 1 roots of p lie
+    inside the nodes, and past an end node p keeps its sign.  As n is no
+    node, every basis is nondegenerate: no ties, and the L1 norm falls at
+    each step.
+    """
+    while True:
+        m, scaled, sigma, dual, j = _basis(nodes, n)
+        if j is None:
+            return nodes, scaled, sigma, m
+        i = bisect(nodes, j)  # nodes[i - 1] < j < nodes[i]
+        out = i if i < len(nodes) and (dual(j) > 0) == (sigma[i] > 0) else i - 1
+        nodes = sorted(nodes[:out] + nodes[out + 1:] + [j])
+
+
+def certify_degree(big_n: int, n: int, nodes, scaled, sigma, optimum: Fraction) -> None:
+    """ConstructionError unless a_{x_k} = scaled_k / M is optimal at degree
+    n with L1 norm `optimum`, in integers: the N moment rows, |M p(j)| <= M
+    for j < n for p = sum_k sigma_k l_k, and sum |a_k| = -p(n) = optimum."""
+    if not (len(nodes) == len(scaled) == len(sigma) == big_n and set(sigma) <= {1, -1}
+            and list(nodes) == sorted(set(nodes)) and 0 <= nodes[0] and nodes[-1] < n):
+        raise ConstructionError(f"{nodes} is no flat LP basis at (N={big_n}, n={n})")
+    m, _, _, dual, j = _basis(nodes, n, sigma)
+    rows = [sum(a * perm(x, i) for a, x in zip(scaled, nodes)) + m * perm(n, i)
+            for i in range(big_n)]
+    l1 = sum(map(abs, scaled))
+    failed = [check for check, bad in [
+        ("moment rows", any(rows)), (f"|p({j})| <= 1", j is not None),
+        ("sum |a_k| = -p(n) = optimum", not l1 == -dual(n) == optimum * m)] if bad]
+    if failed:
+        raise ConstructionError(f"degree {n} on {nodes} fails its certificate: {'; '.join(failed)}")
+
+
 def find_flat_poly(
     big_n: int,
     margin=DEFAULT_MARGIN,
@@ -146,16 +210,15 @@ def find_flat_poly(
 ) -> FlatPolyResult:
     """Escalate the degree until the optimum is <= 2 - margin.
 
-    The optimum is non-increasing in n (multiply by x to embed degree n
-    into n+1); that monotonicity is asserted along the way.  The embedding
-    warm-starts each degree from the last optimal basis shifted by x Q
-    (p_j -> p_{j+1}, q_j -> q_{j+1}), which is primal feasible, and every
-    degree's optimum carries a verified certificate.  The degree that meets
-    the margin is re-solved cold by `minimal_flat_poly`, as optimal vertices
-    tie: at N=4, n=23 cold Bland gives support {0,5,16,22} and the warm
-    start {0,6,17,22}, both with L1 106/55.  Exhausting n_max reports the
-    best value found.  A cap below N is an input error, and so is a margin
-    above 1: Q(1) = 0 puts every optimum at >= 1.
+    Each degree runs one `_exchange` from the last optimal nodes shifted by
+    x Q and is certified by `certify_degree` before it enters the history;
+    the optimum is non-increasing in n (x Q embeds degree n in n + 1), and
+    that is checked too.  The first degree that meets the margin is
+    re-solved cold by `minimal_flat_poly`, as optimal vertices tie: at N=5,
+    n=11 the exchange ends on support {0,1,5,8,10}, the LP on
+    {0,1,5,9,10}, both with L1 13/2.  Exhausting n_max reports the best
+    value found.  A cap below N or above FLAT_DEGREE_CAP, or a margin
+    above 1 (Q(1) = 0 puts every optimum at >= 1), is refused first.
     """
     margin = rat(margin)
     if not 0 < margin <= 1:
@@ -166,26 +229,28 @@ def find_flat_poly(
             f"degree cap {n_max} is below the flatness {big_n}: a root of "
             f"order {big_n} at 1 needs degree >= {big_n}"
         )
+    if n_max > FLAT_DEGREE_CAP:
+        raise ResourceLimitError(f"degree cap {n_max} is above {FLAT_DEGREE_CAP}")
     target = 2 - margin
     history: List[Tuple[int, Fraction]] = []
     prev: Optional[Fraction] = None
-    start = None
+    nodes = list(range(big_n))
     for n in range(big_n, n_max + 1):
-        sol = lp_solve(flat_lp_problem(big_n, n), start)
-        if not sol.is_optimal:
-            raise ConstructionError(f"flat LP at (N={big_n}, n={n}) was {sol.status}")
-        history.append((n, sol.optimum))
-        if prev is not None and sol.optimum > prev:
+        nodes, scaled, sigma, m = _exchange(n, nodes)
+        optimum = Fraction(sum(map(abs, scaled)), m)
+        certify_degree(big_n, n, nodes, scaled, sigma, optimum)
+        history.append((n, optimum))
+        if prev is not None and optimum > prev:
             raise ConstructionError(
-                f"optimum increased from {prev} to {sol.optimum} at degree {n}"
+                f"optimum increased from {prev} to {optimum} at degree {n}"
             )
-        prev = sol.optimum
-        if sol.optimum <= target:
+        prev = optimum
+        if optimum <= target:
             res = minimal_flat_poly(big_n, n)
-            if res.optimum != sol.optimum or res.l1_nonleading > target:
+            if res.optimum != optimum or res.l1_nonleading > target:
                 raise ConstructionError("the cold re-solve changed the L1 norm")
             return replace(res, history=tuple(history))
-        start = [c + 1 + (c >= n) for c in sol.basis]
+        nodes = [x + 1 for x in nodes]
     raise SearchExhaustedError(
         f"no degree <= {n_max} reached {target}; best was {prev}"
     )

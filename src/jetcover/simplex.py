@@ -16,20 +16,20 @@ The primal and dual leave the tableau as Fractions and are re-verified
 module, in integer arithmetic once the denominators of the primal, the
 dual and each problem row are cleared.  Bland's pivoting rule (lowest
 eligible index in, lowest basic index out among tied ratios) guarantees
-termination even on degenerate cycling instances, from the artificial
-basis or from a caller's ``start`` basis, which replaces phase 1.
+termination even on degenerate cycling instances.
 
-Problems in this package are tiny (at most ~130 variables), so a dense
-tableau is the right tool.
+The module serves the membership LP and the one cold flat-polynomial LP
+at the search degree (`flatpoly.minimal_flat_poly`).  These problems are
+tiny (at most ~130 variables), so a dense tableau is the right tool.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .errors import ConstructionError, DegenerateInputError, ResourceLimitError
 from .linalg import Mat, Vec, mat, vec
@@ -62,8 +62,6 @@ class LPSolution:
     optimum: Optional[Fraction] = None
     primal: Optional[Vec] = None
     dual: Optional[Vec] = None
-    # the optimal basis's structural columns, one per live row
-    basis: Optional[tuple] = field(default=None, compare=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -181,31 +179,19 @@ def _eliminate(row: List[int], den: int, f: int, prow: List[int], pc: int):
     return out, den
 
 
-def lp_solve(problem: LPProblem, start: Optional[Sequence[int]] = None) -> LPSolution:
-    """Exact two-phase simplex; see module docstring for guarantees.  A
-    singular or infeasible ``start`` is a ConstructionError, not a cold solve."""
+def lp_solve(problem: LPProblem) -> LPSolution:
+    """Exact two-phase simplex; see module docstring for guarantees."""
     m, n = len(problem.b), len(problem.objective)
     # Flip rows with a negative rhs so the artificial basis starts feasible.
     row_sign = [-1 if bi < 0 else 1 for bi in problem.b]
     t = _Tableau(problem, row_sign)
 
-    if start is not None:
-        if len(start) != m or not all(0 <= c < n for c in start):
-            raise ConstructionError(f"start basis {start} is not {m} structural columns")
-        for col in start:
-            row = next((i for i in range(m) if t.basis[i] >= n and t.rows[i][col]), None)
-            if row is None:
-                raise ConstructionError(f"start basis {start} is singular")
-            t.pivot(row, col)
-        if any(row[t.cols] < 0 for row in t.rows):
-            raise ConstructionError(f"start basis {start} is not primal feasible")
-    else:
-        # Phase 1: minimize the sum of artificials.  Every rhs stays >= 0,
-        # so the sum is zero exactly when no basic artificial is positive.
-        phase1_cost = [Fraction(0)] * t.n + [Fraction(1)] * t.m
-        t.run_bland(phase1_cost, t.cols)
-        if any(t.rows[i][t.cols] != 0 for i in range(t.m) if t.basis[i] >= t.n):
-            return LPSolution(status="infeasible")
+    # Phase 1: minimize the sum of artificials.  Every rhs stays >= 0,
+    # so the sum is zero exactly when no basic artificial is positive.
+    phase1_cost = [Fraction(0)] * t.n + [Fraction(1)] * t.m
+    t.run_bland(phase1_cost, t.cols)
+    if any(t.rows[i][t.cols] != 0 for i in range(t.m) if t.basis[i] >= t.n):
+        return LPSolution(status="infeasible")
 
     # Pivot residual artificials out of the basis; rows with no structural
     # pivot are redundant constraints (their rhs is already zero).
@@ -249,8 +235,7 @@ def lp_solve(problem: LPProblem, start: Optional[Sequence[int]] = None) -> LPSol
 
     optimum = sum(map(operator.mul, problem.objective, primal), Fraction(0))
     _verify_optimal(problem, primal, dual, optimum)
-    return LPSolution(status="optimal", optimum=optimum, primal=primal, dual=dual,
-                      basis=tuple(t.basis))
+    return LPSolution(status="optimal", optimum=optimum, primal=primal, dual=dual)
 
 
 def _verify_optimal(

@@ -491,6 +491,25 @@ def test_degree_cap_below_flatness_is_input_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["jet-system", "--order", "3", "--degree-max", str(flatpoly.FLAT_DEGREE_CAP + 1)],
+        ["flat-poly", "--flatness", "40", "--degree-max", "100000"],
+        ["flat-poly", "--flatness", "5", "--degree", "100000"],
+    ],
+)
+def test_degree_cap_above_the_limit_is_input_error(tmp_path, capsys, args, monkeypatch):
+    # the ladder's cost is bounded before any LP or exchange step
+    def no_lp(*args):
+        raise AssertionError("an LP or an exchange ran")
+
+    monkeypatch.setattr(flatpoly, "lp_solve", no_lp)
+    monkeypatch.setattr(flatpoly, "_exchange", no_lp)
+    out = tmp_path / "out.json"
+    _expect_input_error(capsys, args + ["--out", str(out)], out)
+
+
 # sha256 of the bytes these commands write.  The flat polynomial, the LP
 # witnesses and the itinerary all come out of exact simplex runs, so any
 # change in the pivot sequence or the LP arithmetic shows here.
@@ -582,11 +601,13 @@ def test_raster_size_is_input_error(tmp_path, capsys, size):
     "args", [["flat-poly", "--flatness", "2"], ["jet-system", "--order", "3"]]
 )
 def test_unreachable_margin_is_input_error(tmp_path, capsys, args, monkeypatch):
-    # a margin above 1 is rejected before any LP, not reported as exhausted
-    def no_lp(problem):
-        raise AssertionError("an LP ran")
+    # a margin above 1 is rejected before any LP or exchange step, not
+    # reported as exhausted
+    def no_lp(*args):
+        raise AssertionError("an LP or an exchange ran")
 
     monkeypatch.setattr(flatpoly, "lp_solve", no_lp)
+    monkeypatch.setattr(flatpoly, "_exchange", no_lp)
     out = tmp_path / "out.json"
     _expect_input_error(capsys, args + ["--margin", "3/2", "--out", str(out)], out)
 

@@ -15,9 +15,11 @@ from jetcover import jetcovering
 from jetcover.errors import (
     ConstructionError,
     DegenerateInputError,
+    ResourceLimitError,
     SearchExhaustedError,
 )
 from jetcover.flatpoly import (
+    FLAT_DEGREE_CAP,
     FlatPolyResult,
     flat_lp_problem,
     b_polynomial_table,
@@ -71,6 +73,8 @@ def test_minimal_flat_rejected_inputs():
         minimal_flat_poly(3, 2)
     with pytest.raises(DegenerateInputError):
         minimal_flat_poly(0, 1)
+    with pytest.raises(ResourceLimitError, match=f"above {FLAT_DEGREE_CAP}"):
+        minimal_flat_poly(5, FLAT_DEGREE_CAP + 1)
 
 
 def test_escalation_n2():
@@ -108,24 +112,40 @@ def test_escalation_exhaustion():
 
 @pytest.mark.parametrize("big_n, n_max", [(4, 2), (2, 1), (1, 0)])
 def test_escalation_rejects_cap_below_flatness(big_n, n_max, monkeypatch):
-    # no degree below N has a root of order N at 1, so no LP may run
-    def no_lp(problem):
-        raise AssertionError("an LP ran")
+    # no degree below N has a root of order N at 1, so no LP and no
+    # exchange step may run
+    def no_lp(*args):
+        raise AssertionError("an LP or an exchange ran")
 
     monkeypatch.setattr("jetcover.flatpoly.lp_solve", no_lp)
+    monkeypatch.setattr("jetcover.flatpoly._exchange", no_lp)
     with pytest.raises(DegenerateInputError, match="below the flatness"):
         find_flat_poly(big_n, n_max=n_max)
 
 
 @pytest.mark.parametrize("margin", [F(3, 2), F(1) + F(1, 2 ** 20), 2, 0, -1])
 def test_escalation_rejects_unreachable_margin(margin, monkeypatch):
-    # Q(1) = 0 puts every non-leading L1 norm at >= 1, so no LP may run
-    def no_lp(problem):
-        raise AssertionError("an LP ran")
+    # Q(1) = 0 puts every non-leading L1 norm at >= 1, so no LP and no
+    # exchange step may run
+    def no_lp(*args):
+        raise AssertionError("an LP or an exchange ran")
 
     monkeypatch.setattr("jetcover.flatpoly.lp_solve", no_lp)
+    monkeypatch.setattr("jetcover.flatpoly._exchange", no_lp)
     with pytest.raises(DegenerateInputError, match="is not in"):
         find_flat_poly(2, margin=margin)
+
+
+@pytest.mark.parametrize("n_max", [FLAT_DEGREE_CAP + 1, 10 ** 6])
+def test_escalation_rejects_a_degree_cap_above_the_limit(n_max, monkeypatch):
+    # the ladder's cost is bounded before it starts
+    def no_lp(*args):
+        raise AssertionError("an LP or an exchange ran")
+
+    monkeypatch.setattr("jetcover.flatpoly.lp_solve", no_lp)
+    monkeypatch.setattr("jetcover.flatpoly._exchange", no_lp)
+    with pytest.raises(ResourceLimitError, match=f"above {FLAT_DEGREE_CAP}"):
+        find_flat_poly(40, n_max=n_max)
 
 
 def test_escalation_margin_one_is_reachable():

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
+import itertools
 import random
 from fractions import Fraction as F
+from math import perm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +14,7 @@ from jetcover.errors import ConstructionError, DegenerateInputError
 from jetcover.flatpoly import find_flat_poly, flat_lp_problem, minimal_flat_poly
 from jetcover.jetcovering import certify_membership
 from jetcover.jets import Jet
-from jetcover.simplex import LPProblem, lp_solve, strong_duality_holds
+from jetcover.simplex import LPProblem, LPSolution, lp_solve, strong_duality_holds
 from simplex_reference import (  # local helper module
     reference_lp_solve,
     reference_verify_optimal,
@@ -211,51 +214,153 @@ def test_a_costlier_feasible_primal_is_rejected():
     assert not strong_duality_holds(problem, dataclasses.replace(sol, primal=(F(1), F(1))))
 
 
-@settings(deadline=None, max_examples=100)
-@given(feasible_programs())
-def test_warm_start_from_the_optimal_basis_returns_the_same_solution(program):
-    problem, _ = program
-    cold = lp_solve(problem)
-    assume(len(cold.basis) == len(problem.b))  # no redundant row was excised
-    assert lp_solve(problem, start=cold.basis) == cold
-    assert lp_solve(problem, start=tuple(reversed(cold.basis))) == cold
-
-
-@pytest.mark.parametrize("start, what", [
-    ((0, 4), "singular"),  # p_0 and q_0 are opposite columns
-    ((1, 1), "singular"),
-    ((0, 1), "not primal feasible"),  # a_0 + a_1 = -1, a_1 = -4 gives p_1 = -4
-    ((0,), "not 2 structural columns"),
-    ((0, 8), "not 2 structural columns"),  # column 8 is an artificial
-])
-def test_a_bad_start_basis_is_a_construction_error(start, what):
-    with pytest.raises(ConstructionError, match=what):
-        lp_solve(flat_lp_problem(2, 4), start=start)
+def _exchange_solution(problem, big_n, n, nodes, scaled, m):
+    """The exchange's basis as a flat LP solution: the p - q split of the
+    primal, and the dual y with p(x) = sum_i y_i perm(x, i) solved from
+    p(x_k) = sign a_{x_k} at the nodes."""
+    primal = [F(0)] * (2 * n)
+    for x, a in zip(nodes, scaled):
+        primal[x if a > 0 else n + x] = F(abs(a), m)
+    y = linalg.solve(
+        tuple(tuple(F(perm(x, i)) for i in range(big_n)) for x in nodes),
+        tuple(F(1 if a > 0 else -1) for a in scaled),
+    )
+    return LPSolution("optimal", F(sum(map(abs, scaled)), m), tuple(primal), y)
 
 
 @pytest.mark.parametrize("big_n", [1, 2, 3, 4, 5])
 def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
-    solves = []
+    exchanges, solves = [], []
 
-    def recording_solve(problem, start=None):
-        sol = lp_solve(problem, start)
-        solves.append((problem, start, sol))
-        return sol
+    def recording_exchange(n, nodes):
+        out = exchange(n, nodes)
+        exchanges.append((n, list(nodes), out))
+        return out
 
+    def recording_solve(problem):
+        solves.append(problem)
+        return lp_solve(problem)
+
+    exchange = flatpoly._exchange
+    monkeypatch.setattr(flatpoly, "_exchange", recording_exchange)
     monkeypatch.setattr(flatpoly, "lp_solve", recording_solve)
     res = find_flat_poly(big_n)
-    ladder = [(problem, sol) for problem, _, sol in solves[:len(res.history)]]
-    assert [start is None for _, start, _ in solves[:len(res.history)]] == (
-        [True] + [False] * (len(res.history) - 1)
-    )  # a cold first degree, then every degree warm
+    monkeypatch.undo()
+    # one exchange per degree, each warm-started from the last optimal
+    # nodes shifted by x Q, and a single cold LP at the search degree
+    assert [n for n, _, _ in exchanges] == [n for n, _ in res.history]
+    assert exchanges[0][1] == list(range(big_n))
+    assert all(start == [x + 1 for x in last[0]]
+               for (_, start, _), (_, _, last) in zip(exchanges[1:], exchanges))
+    assert solves == [flat_lp_problem(big_n, res.search_degree)]
     cold_history = []
-    for (n, optimum), (problem, sol) in zip(res.history, ladder):
+    for (n, optimum), (_, _, (nodes, scaled, _, m)) in zip(res.history, exchanges):
+        problem = flat_lp_problem(big_n, n)
         cold_history.append((n, reference_lp_solve(problem).optimum))
+        sol = _exchange_solution(problem, big_n, n, nodes, scaled, m)
         assert sol.optimum == optimum
         assert strong_duality_holds(problem, sol) and _reference_accepts(problem, sol)
-    monkeypatch.undo()
     # the search degree's vertex is the cold solve's, tie or no tie
     cold = minimal_flat_poly(big_n, res.search_degree)
     assert res == dataclasses.replace(cold, history=tuple(cold_history))
     assert (res.coeffs, res.dual) == (cold.coeffs, cold.dual)
     assert [n for n, _ in res.history] == list(range(big_n, res.search_degree + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_flat_optimum(big_n, n):
+    return reference_lp_solve(flat_lp_problem(big_n, n)).optimum
+
+
+@st.composite
+def flat_starts(draw):
+    big_n = draw(st.integers(1, 4))
+    n = draw(st.integers(big_n, 24))
+    return big_n, n, sorted(draw(st.sets(
+        st.integers(0, n - 1), min_size=big_n, max_size=big_n)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(flat_starts())
+@example((5, 11, [0, 1, 2, 3, 4]))  # the exchange and the cold LP tie here
+def test_exchange_from_any_start_reaches_the_lp_optimum(start):
+    big_n, n, nodes = start
+    nodes, scaled, sigma, m = flatpoly._exchange(n, nodes)
+    optimum = F(sum(map(abs, scaled)), m)
+    assert optimum == _reference_flat_optimum(big_n, n)
+    flatpoly.certify_degree(big_n, n, nodes, scaled, sigma, optimum)
+    problem = flat_lp_problem(big_n, n)
+    sol = _exchange_solution(problem, big_n, n, nodes, scaled, m)
+    assert strong_duality_holds(problem, sol) and _reference_accepts(problem, sol)
+
+
+def test_the_tied_degree_keeps_the_cold_lp_vertex():
+    # at (N, n) = (5, 11) the exchange and the cold LP reach different
+    # vertices of equal L1; the flat-poly --degree path is the LP's
+    nodes, scaled, _, m = flatpoly._exchange(11, list(range(5)))
+    cold = minimal_flat_poly(5, 11)
+    assert nodes == [0, 1, 5, 8, 10] and F(sum(map(abs, scaled)), m) == F(13, 2)
+    assert [j for j, c in enumerate(cold.coeffs[:-1]) if c] == [0, 1, 5, 9, 10]
+    assert cold.optimum == F(13, 2)
+
+
+def _optimal_degree(big_n, n):
+    nodes, scaled, sigma, m = flatpoly._exchange(n, list(range(big_n)))
+    return nodes, scaled, sigma, F(sum(map(abs, scaled)), m)
+
+
+@pytest.mark.parametrize("big_n, n", [(2, 4), (3, 11), (4, 23), (5, 40)])
+def test_the_degree_certificate_rejects_a_flipped_sign(big_n, n):
+    nodes, scaled, sigma, optimum = _optimal_degree(big_n, n)
+    for k in range(big_n):
+        flipped = sigma[:k] + [-sigma[k]] + sigma[k + 1:]
+        # -p(n) moves by 2 |a_k|, so the duality check fails whatever |p| does
+        with pytest.raises(ConstructionError, match=r"certificate: .*optimum$"):
+            flatpoly.certify_degree(big_n, n, nodes, scaled, flipped, optimum)
+
+
+@pytest.mark.parametrize("big_n, n", [(2, 6), (3, 11), (4, 23)])
+def test_the_degree_certificate_rejects_one_violated_dual_bound(big_n, n):
+    # a basis whose own primal and dual agree, but with |p(j)| > 1 at
+    # exactly one j < n: only the dual bound can reject it
+    found = 0
+    for nodes in itertools.combinations(range(n), big_n):
+        m, scaled, sigma, dual, _ = flatpoly._basis(list(nodes), n)
+        over = [j for j in range(n) if abs(dual(j)) > m]
+        if len(over) == 1:
+            found += 1
+            with pytest.raises(ConstructionError, match=rf"certificate: \|p\({over[0]}\)\| <= 1$"):
+                flatpoly.certify_degree(
+                    big_n, n, nodes, scaled, sigma, F(sum(map(abs, scaled)), m))
+    assert found
+
+
+@pytest.mark.parametrize("big_n, n", [(2, 4), (3, 11), (4, 23), (5, 40)])
+def test_the_degree_certificate_rejects_the_dual_at_n_minus_1(big_n, n):
+    nodes, scaled, sigma, optimum = _optimal_degree(big_n, n)
+    m, _, _, dual, _ = flatpoly._basis(nodes, n)
+    assert F(-dual(n), m) == optimum
+    off_by_one = F(-dual(n - 1), m)
+    with pytest.raises(ConstructionError, match=r"certificate: sum \|a_k\| = -p\(n\) = optimum$"):
+        flatpoly.certify_degree(big_n, n, nodes, scaled, sigma, off_by_one)
+
+
+@pytest.mark.parametrize("big_n, n", [(3, 11), (4, 23), (5, 40)])
+def test_the_degree_certificate_rejects_a_primal_off_its_nodes(big_n, n):
+    # swapping two same-sign primal values keeps sum |a_k| and the dual,
+    # so only the moment rows can reject it
+    nodes, scaled, sigma, optimum = _optimal_degree(big_n, n)
+    swapped = [scaled[2], scaled[1], scaled[0]] + scaled[3:]
+    with pytest.raises(ConstructionError, match=r"certificate: moment rows$"):
+        flatpoly.certify_degree(big_n, n, nodes, swapped, sigma, optimum)
+
+
+@pytest.mark.parametrize("nodes, sigma, what", [
+    ([0, 0, 3], [1, -1, 1], "no flat LP basis"),  # a repeated node
+    ([0, 2, 4], [1, -1, 1], "no flat LP basis"),  # node 4 is the leading term
+    ([0, 2, 3], [1, 0, 1], "no flat LP basis"),
+    ([0, 2], [1, -1], "no flat LP basis"),
+])
+def test_the_degree_certificate_rejects_a_malformed_basis(nodes, sigma, what):
+    with pytest.raises(ConstructionError, match=what):
+        flatpoly.certify_degree(3, 4, nodes, [1] * len(nodes), sigma, F(3))
