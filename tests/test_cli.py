@@ -522,6 +522,8 @@ PINNED_DIGESTS = {
     "lambda-too-small": "e43c55498971903f85af3bb55b9ef55b92646342d998aca39de4ae3b44f22301",
     "flat5": "93a2408c33dc9a808e9ac537e0127876fe3d9740f1227d2afdc58bd86f8d80a0",
     "flat5-degree11": "123c2ba370ce224bf3a4f0355a9fe0f536484fcb1773579f9d6126bfb07721aa",
+    "o4": "15840133e1b29fd31cc691a2395dc52cc598a6fca1cc20a76fc7a052e7b25c08",
+    "flat4-degree23": "d4a329f6f2e761230fefa258287b5b41fa7704196380d3f1185dcf0748fe5c61",
 }
 NEGATIVE_VERDICTS = {"lambda-too-small"}  # written with exit code 1
 
@@ -541,6 +543,10 @@ def test_pinned_output_digests(tmp_path):
         # vertices tie (the cold LP's support is {0, 1, 5, 9, 10})
         "flat5": ["flat-poly", "--flatness", "5"],
         "flat5-degree11": ["flat-poly", "--flatness", "5", "--degree", "11"],
+        # order 4 at auto lambda, and o3's search degree on the --degree path,
+        # where the warm ladder and a cold solve end on different tied vertices
+        "o4": ["jet-system", "--order", "4"],
+        "flat4-degree23": ["flat-poly", "--flatness", "4", "--degree", "23"],
     }
     digests = {}
     for name, args in commands.items():
