@@ -235,7 +235,7 @@ COMMANDS = {
         ("--offset2", str, NO_DEFAULT, ""),
         ("--out", str, None, ""),
     )),
-    "flat-poly": (cmd_flat_poly, "L1-minimal flat polynomial via exact LP", (
+    "flat-poly": (cmd_flat_poly, "L1-minimal flat polynomial via integer exchange", (
         ("--flatness", int, NO_DEFAULT, "order of the root at 1"),
         ("--degree", int, None, "fix the degree"),
         ("--margin", str, "1/16", ""),

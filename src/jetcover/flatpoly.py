@@ -3,10 +3,11 @@
 The construction needs, for each N, a monic Q with (x-1)^N | Q whose
 non-leading coefficients have L1 norm strictly below 2.  That existence
 is classical; here it is made effective: at fixed degree n the L1
-minimum is an exact linear program.  Degree escalation solves one degree
-at a time by Stiefel's single-point exchange on the LP's N-node bases,
-in integers, until the optimum clears the requested margin; that degree
-is re-solved cold by the rational simplex and certified by strong duality.
+minimum is an exact linear program, solved in integers by Stiefel's
+single-point exchange on its N-node bases.  Degree escalation runs one
+warm exchange per degree until the optimum clears the requested margin;
+that degree is re-solved by a cold exchange, and every degree is
+certified in integers by its primal, its dual and their equal value.
 
 Scaling Q to P(x) = lam^{-n} Q(lam x) and the associated partial-sum
 polynomials B_k(x) = sum_{j<=k} b_j x^{k-j} feed the jet covering system.
@@ -21,7 +22,7 @@ from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from math import lcm, perm, prod
+from math import factorial, lcm, perm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -32,7 +33,6 @@ from .errors import (
     SearchExhaustedError,
 )
 from .rational import rat
-from .simplex import LPProblem, lp_solve
 
 Coeffs = Tuple[Fraction, ...]  # index = power, last entry = leading
 
@@ -72,18 +72,18 @@ def divisible_by_power(coeffs: Sequence[Fraction], root: Fraction, power: int) -
     return True
 
 
-# --- the L1 linear program ----------------------------------------------------
+# --- the L1 linear program and its exchange ------------------------------------
 
 
 @dataclass(frozen=True)
 class FlatPolyResult:
-    """Monic Q with (x-1)^flatness | Q, plus its LP optimality certificate."""
+    """Monic Q with (x-1)^flatness | Q, plus its LP dual certificate."""
 
     flatness: int  # N: order of the root at 1
     coeffs: Coeffs  # monic, coeffs[0] != 0 after normalization
     optimum: Fraction  # certified minimal L1 of non-leading coefficients
     dual: Tuple[Fraction, ...]
-    search_degree: int  # degree at which the LP was solved
+    search_degree: int  # degree of the cold solve
     history: Tuple[Tuple[int, Fraction], ...] = ()
 
     @property
@@ -95,51 +95,37 @@ class FlatPolyResult:
         return l1_tail(self.coeffs)
 
 
-def flat_lp_problem(big_n: int, n: int) -> LPProblem:
-    """min sum(p+q) s.t. Q^{(i)}(1) = 0, a_j = p_j - q_j, p, q >= 0."""
-    ncols = 2 * n
-    rows = []
-    for i in range(big_n):
-        row = [0] * ncols
-        for j in range(i, n):
-            row[j] = perm(j, i)
-            row[n + j] = -perm(j, i)
-        rows.append(row)
-    return LPProblem([1] * ncols, rows, [-perm(n, i) for i in range(big_n)])
-
-
-def _normalize_nonzero_constant(coeffs: Coeffs) -> Coeffs:
-    """Divide out x^k so that the constant term is nonzero."""
-    k = next(i for i, c in enumerate(coeffs) if c != 0)
-    return coeffs[k:]
-
-
 def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
     """Exact L1-minimal monic degree-n polynomial with an order-N root at 1.
 
-    Always feasible for n >= N ((x-1)^N x^{n-N} is a witness); the result
-    is re-verified by synthetic division and by recomputing the L1 norm.
+    One cold `_exchange` from the nodes 0..N-1, certified by
+    `certify_degree` and re-checked by synthetic division; x^{x_0} is
+    divided out, as a_{x_k} != 0 at every node.  The dual is p in the
+    falling-factorial basis, y_i = Delta^i p(0) / i!, checked at 0..N-1.
     """
     if not 1 <= big_n <= n:
         raise DegenerateInputError("need n >= N >= 1")
     if n > FLAT_DEGREE_CAP:
         raise ResourceLimitError(f"degree {n} is above {FLAT_DEGREE_CAP}")
-    sol = lp_solve(flat_lp_problem(big_n, n))
-    if not sol.is_optimal:
-        raise ConstructionError(f"flat LP at (N={big_n}, n={n}) was {sol.status}")
-    a = [sol.primal[j] - sol.primal[n + j] for j in range(n)]
-    coeffs = tuple(a) + (Fraction(1),)
-    l1 = l1_tail(coeffs)
-    if l1 != sol.optimum:
-        raise ConstructionError("LP optimum disagrees with the recomputed L1")
+    nodes, scaled, sigma, m = _exchange(n, list(range(big_n)))
+    optimum = Fraction(sum(map(abs, scaled)), m)
+    certify_degree(big_n, n, nodes, scaled, sigma, optimum)
+    a = dict(zip(nodes, scaled))
+    coeffs = tuple(Fraction(a.get(j, 0), m) for j in range(n)) + (Fraction(1),)
     if not divisible_by_power(coeffs, Fraction(1), big_n):
         raise ConstructionError("synthetic division found a nonzero remainder")
-    normalized = _normalize_nonzero_constant(coeffs)
+    dual = _basis(nodes, n, sigma)[3]
+    diffs, y = [dual(j) for j in range(big_n)], []
+    for i in range(big_n):
+        y.append(Fraction(diffs[0], m * factorial(i)))
+        diffs = [b - c for c, b in zip(diffs, diffs[1:])]
+    if any(sum(yi * perm(j, i) for i, yi in enumerate(y)) * m != dual(j) for j in range(big_n)):
+        raise ConstructionError("the falling-factorial dual does not reproduce p")
     return FlatPolyResult(
         flatness=big_n,
-        coeffs=normalized,
-        optimum=sol.optimum,
-        dual=sol.dual,
+        coeffs=coeffs[nodes[0]:],
+        optimum=optimum,
+        dual=tuple(y),
         search_degree=n,
     )
 
@@ -214,12 +200,15 @@ def find_flat_poly(
     x Q and is certified by `certify_degree` before it enters the history;
     the optimum is non-increasing in n (x Q embeds degree n in n + 1), and
     that is checked too.  The first degree that meets the margin is
-    re-solved cold by `minimal_flat_poly`, as optimal vertices tie: at N=5,
-    n=11 the exchange ends on support {0,1,5,8,10}, the LP on
-    {0,1,5,9,10}, both with L1 13/2.  Exhausting n_max reports the best
-    value found.  A cap below N or above FLAT_DEGREE_CAP, or a margin
-    above 1 (Q(1) = 0 puts every optimum at >= 1), is refused first.
+    re-solved cold by `minimal_flat_poly`, as optimal vertices tie: at N=4,
+    n=23 the warm ladder ends on support {0,6,17,22}, the cold exchange on
+    {0,5,16,22}, both with L1 106/55.  Exhausting n_max reports the best
+    value found.  A flatness below 1, a cap below N or above
+    FLAT_DEGREE_CAP, or a margin above 1 (Q(1) = 0 puts every optimum at
+    >= 1), is refused first.
     """
+    if big_n < 1:
+        raise DegenerateInputError(f"flatness {big_n} is below 1")
     margin = rat(margin)
     if not 0 < margin <= 1:
         raise DegenerateInputError(

@@ -18,9 +18,9 @@ dual and each problem row are cleared.  Bland's pivoting rule (lowest
 eligible index in, lowest basic index out among tied ratios) guarantees
 termination even on degenerate cycling instances.
 
-The module serves the membership LP and the one cold flat-polynomial LP
-at the search degree (`flatpoly.minimal_flat_poly`).  These problems are
-tiny (at most ~130 variables), so a dense tableau is the right tool.
+The module serves the membership LP only (`jetcovering.certify_membership`);
+the flat-polynomial LP is solved by `flatpoly`'s integer exchange.  These
+problems are tiny, so a dense tableau is the right tool.
 """
 
 from __future__ import annotations

@@ -7,12 +7,15 @@ pivots and return equal `LPSolution`s on every problem.  Every cell is a
 `Fraction`, and the reduced costs are rebuilt from the basis on every
 iteration.  `reference_verify_optimal` is the optimality check the
 solver ran in `Fraction` arithmetic before it moved to integers, so the
-oracle shares no verifier with the solver.
+oracle shares no verifier with the solver.  `flat_lp_problem` is the
+flat-polynomial LP that `jetcover.flatpoly` solves by its integer
+exchange; the tests hold the exchange against this oracle on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 from typing import List
 
 from jetcover.errors import ConstructionError, ResourceLimitError
@@ -21,6 +24,19 @@ from jetcover.simplex import LPProblem, LPSolution
 
 
 _MAX_PIVOTS = 100_000
+
+
+def flat_lp_problem(big_n: int, n: int) -> LPProblem:
+    """min sum(p+q) s.t. Q^{(i)}(1) = 0, a_j = p_j - q_j, p, q >= 0."""
+    ncols = 2 * n
+    rows = []
+    for i in range(big_n):
+        row = [0] * ncols
+        for j in range(i, n):
+            row[j] = perm(j, i)
+            row[n + j] = -perm(j, i)
+        rows.append(row)
+    return LPProblem([1] * ncols, rows, [-perm(n, i) for i in range(big_n)])
 
 
 class _Tableau:

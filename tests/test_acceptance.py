@@ -26,7 +26,6 @@ from jetcover.cli import main as cli_main
 from jetcover.covering import Certificate, CoveringFailure, certify_covering, check_certificate
 from jetcover.errors import NotCoveredError
 from jetcover.flatpoly import (
-    flat_lp_problem,
     divisible_by_power,
     find_flat_poly,
     l1_tail,
@@ -53,6 +52,7 @@ from jetcover.jets import (
 )
 from jetcover.simplex import LPSolution, lp_solve, strong_duality_holds
 from jets_reference import finite_difference_jet  # local oracle module
+from simplex_reference import flat_lp_problem  # local oracle module
 
 
 def report(number: int, label: str, ok: bool) -> None:

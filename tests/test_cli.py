@@ -500,19 +500,36 @@ def test_degree_cap_below_flatness_is_input_error(tmp_path, capsys, args):
     ],
 )
 def test_degree_cap_above_the_limit_is_input_error(tmp_path, capsys, args, monkeypatch):
-    # the ladder's cost is bounded before any LP or exchange step
-    def no_lp(*args):
-        raise AssertionError("an LP or an exchange ran")
+    # the ladder's cost is bounded before any exchange step
+    def no_exchange(*args):
+        raise AssertionError("an exchange ran")
 
-    monkeypatch.setattr(flatpoly, "lp_solve", no_lp)
-    monkeypatch.setattr(flatpoly, "_exchange", no_lp)
+    monkeypatch.setattr(flatpoly, "_exchange", no_exchange)
     out = tmp_path / "out.json"
     _expect_input_error(capsys, args + ["--out", str(out)], out)
 
 
-# sha256 of the bytes these commands write.  The flat polynomial, the LP
-# witnesses and the itinerary all come out of exact simplex runs, so any
-# change in the pivot sequence or the LP arithmetic shows here.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["flat-poly", "--flatness", "0"],
+        ["flat-poly", "--flatness", "-3"],
+        ["jet-system", "--order", "-1"],
+    ],
+)
+def test_flatness_below_one_is_input_error(tmp_path, capsys, args, monkeypatch):
+    # refused before any exchange step, and nothing is written
+    def no_exchange(*args):
+        raise AssertionError("an exchange ran")
+
+    monkeypatch.setattr(flatpoly, "_exchange", no_exchange)
+    out = tmp_path / "out.json"
+    _expect_input_error(capsys, args + ["--out", str(out)], out)
+
+
+# sha256 of the bytes these commands write.  The flat polynomial comes out
+# of the exact exchange, the LP witnesses and the itinerary out of exact
+# simplex runs, so any change in an exchange or pivot sequence shows here.
 PINNED_DIGESTS = {
     "o2": "419801e239e2d156507539757c088370d062d63f97e683fe00dd03ab6403dad6",
     "o3": "542dbbb620a57dc6014d2289a6eb6963a75cb0e1ff9e95405c50348d8fd73101",
@@ -521,7 +538,7 @@ PINNED_DIGESTS = {
     "certify": "f92c038690d25d34aa201557f5033863cf0f67196e94a13b1331b09e2e593fda",
     "lambda-too-small": "e43c55498971903f85af3bb55b9ef55b92646342d998aca39de4ae3b44f22301",
     "flat5": "93a2408c33dc9a808e9ac537e0127876fe3d9740f1227d2afdc58bd86f8d80a0",
-    "flat5-degree11": "123c2ba370ce224bf3a4f0355a9fe0f536484fcb1773579f9d6126bfb07721aa",
+    "flat5-degree11": "b231f9bf4e457b91a1eaf7ae7431083c242ce77b5a2c3a3f474f8c7c69329329",
     "o4": "15840133e1b29fd31cc691a2395dc52cc598a6fca1cc20a76fc7a052e7b25c08",
     "flat4-degree23": "d4a329f6f2e761230fefa258287b5b41fa7704196380d3f1185dcf0748fe5c61",
 }
@@ -540,7 +557,8 @@ def test_pinned_output_digests(tmp_path):
         "certify": ["certify", "--lam", "3/4"],
         "lambda-too-small": ["jet-system", "--order", "1", "--lam", "1/100"],
         # the 36-degree order-4 ladder's history, and a degree whose optimal
-        # vertices tie (the cold LP's support is {0, 1, 5, 9, 10})
+        # vertices tie (the cold exchange's support is {0, 1, 5, 8, 10}, the
+        # cold Bland LP's {0, 1, 5, 9, 10})
         "flat5": ["flat-poly", "--flatness", "5"],
         "flat5-degree11": ["flat-poly", "--flatness", "5", "--degree", "11"],
         # order 4 at auto lambda, and o3's search degree on the --degree path,
@@ -607,13 +625,12 @@ def test_raster_size_is_input_error(tmp_path, capsys, size):
     "args", [["flat-poly", "--flatness", "2"], ["jet-system", "--order", "3"]]
 )
 def test_unreachable_margin_is_input_error(tmp_path, capsys, args, monkeypatch):
-    # a margin above 1 is rejected before any LP or exchange step, not
-    # reported as exhausted
-    def no_lp(*args):
-        raise AssertionError("an LP or an exchange ran")
+    # a margin above 1 is rejected before any exchange step, not reported
+    # as exhausted
+    def no_exchange(*args):
+        raise AssertionError("an exchange ran")
 
-    monkeypatch.setattr(flatpoly, "lp_solve", no_lp)
-    monkeypatch.setattr(flatpoly, "_exchange", no_lp)
+    monkeypatch.setattr(flatpoly, "_exchange", no_exchange)
     out = tmp_path / "out.json"
     _expect_input_error(capsys, args + ["--margin", "3/2", "--out", str(out)], out)
 
@@ -668,7 +685,7 @@ COMMAND_HELP = {
     "certify": "covering certificate for the standard pair",
     "check-cert": "re-verify a covering certificate",
     "two-map-verdict": "two-map line trichotomy",
-    "flat-poly": "L1-minimal flat polynomial via exact LP",
+    "flat-poly": "L1-minimal flat polynomial via integer exchange",
     "jet-system": "build the covered jet-space system",
     "realize": "realize a target jet as a continuation jet",
     "blender-render": "raster of unstable segments",

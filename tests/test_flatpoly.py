@@ -11,6 +11,7 @@ from flatpoly_reference import (  # local helper module
     reference_b_table,
     reference_lambda_threshold,
 )
+from simplex_reference import flat_lp_problem  # local helper module
 from jetcover import jetcovering
 from jetcover.errors import (
     ConstructionError,
@@ -21,7 +22,6 @@ from jetcover.errors import (
 from jetcover.flatpoly import (
     FLAT_DEGREE_CAP,
     FlatPolyResult,
-    flat_lp_problem,
     b_polynomial_table,
     divisible_by_power,
     find_flat_poly,
@@ -112,26 +112,24 @@ def test_escalation_exhaustion():
 
 @pytest.mark.parametrize("big_n, n_max", [(4, 2), (2, 1), (1, 0)])
 def test_escalation_rejects_cap_below_flatness(big_n, n_max, monkeypatch):
-    # no degree below N has a root of order N at 1, so no LP and no
-    # exchange step may run
-    def no_lp(*args):
-        raise AssertionError("an LP or an exchange ran")
+    # no degree below N has a root of order N at 1, so no exchange step
+    # may run
+    def no_exchange(*args):
+        raise AssertionError("an exchange ran")
 
-    monkeypatch.setattr("jetcover.flatpoly.lp_solve", no_lp)
-    monkeypatch.setattr("jetcover.flatpoly._exchange", no_lp)
+    monkeypatch.setattr("jetcover.flatpoly._exchange", no_exchange)
     with pytest.raises(DegenerateInputError, match="below the flatness"):
         find_flat_poly(big_n, n_max=n_max)
 
 
 @pytest.mark.parametrize("margin", [F(3, 2), F(1) + F(1, 2 ** 20), 2, 0, -1])
 def test_escalation_rejects_unreachable_margin(margin, monkeypatch):
-    # Q(1) = 0 puts every non-leading L1 norm at >= 1, so no LP and no
-    # exchange step may run
-    def no_lp(*args):
-        raise AssertionError("an LP or an exchange ran")
+    # Q(1) = 0 puts every non-leading L1 norm at >= 1, so no exchange step
+    # may run
+    def no_exchange(*args):
+        raise AssertionError("an exchange ran")
 
-    monkeypatch.setattr("jetcover.flatpoly.lp_solve", no_lp)
-    monkeypatch.setattr("jetcover.flatpoly._exchange", no_lp)
+    monkeypatch.setattr("jetcover.flatpoly._exchange", no_exchange)
     with pytest.raises(DegenerateInputError, match="is not in"):
         find_flat_poly(2, margin=margin)
 
@@ -139,13 +137,23 @@ def test_escalation_rejects_unreachable_margin(margin, monkeypatch):
 @pytest.mark.parametrize("n_max", [FLAT_DEGREE_CAP + 1, 10 ** 6])
 def test_escalation_rejects_a_degree_cap_above_the_limit(n_max, monkeypatch):
     # the ladder's cost is bounded before it starts
-    def no_lp(*args):
-        raise AssertionError("an LP or an exchange ran")
+    def no_exchange(*args):
+        raise AssertionError("an exchange ran")
 
-    monkeypatch.setattr("jetcover.flatpoly.lp_solve", no_lp)
-    monkeypatch.setattr("jetcover.flatpoly._exchange", no_lp)
+    monkeypatch.setattr("jetcover.flatpoly._exchange", no_exchange)
     with pytest.raises(ResourceLimitError, match=f"above {FLAT_DEGREE_CAP}"):
         find_flat_poly(40, n_max=n_max)
+
+
+@pytest.mark.parametrize("big_n", [0, -3])
+def test_escalation_rejects_a_flatness_below_one(big_n, monkeypatch):
+    # no Q has a root of order below 1 to find; refused before any exchange
+    def no_exchange(*args):
+        raise AssertionError("an exchange ran")
+
+    monkeypatch.setattr("jetcover.flatpoly._exchange", no_exchange)
+    with pytest.raises(DegenerateInputError, match="below 1"):
+        find_flat_poly(big_n)
 
 
 def test_escalation_margin_one_is_reachable():

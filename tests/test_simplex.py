@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction as F
 from math import perm
@@ -9,13 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from jetcover import flatpoly, linalg
+from jetcover import flatpoly, linalg, simplex
+from jetcover.cli import main
 from jetcover.errors import ConstructionError, DegenerateInputError
-from jetcover.flatpoly import find_flat_poly, flat_lp_problem, minimal_flat_poly
+from jetcover.flatpoly import find_flat_poly, minimal_flat_poly
 from jetcover.jetcovering import certify_membership
 from jetcover.jets import Jet
 from jetcover.simplex import LPProblem, LPSolution, lp_solve, strong_duality_holds
 from simplex_reference import (  # local helper module
+    flat_lp_problem,
     reference_lp_solve,
     reference_verify_optimal,
 )
@@ -228,6 +231,21 @@ def _exchange_solution(problem, big_n, n, nodes, scaled, m):
     return LPSolution("optimal", F(sum(map(abs, scaled)), m), tuple(primal), y)
 
 
+def _flat_solution(res):
+    """A `minimal_flat_poly` result as a flat LP solution: the p - q split
+    of Q's non-leading coefficients, with the x^k it divided out put back,
+    and its falling-factorial dual."""
+    a = (F(0),) * (res.search_degree - res.degree) + res.coeffs[:-1]
+    primal = tuple(max(c, F(0)) for c in a) + tuple(max(-c, F(0)) for c in a)
+    return LPSolution("optimal", res.optimum, primal, res.dual)
+
+
+def test_flatpoly_holds_nothing_of_the_simplex():
+    # the exchange is the one flat-polynomial solver
+    assert not any(v is simplex or getattr(v, "__module__", None) == simplex.__name__
+                   for v in vars(flatpoly).values())
+
+
 @pytest.mark.parametrize("big_n", [1, 2, 3, 4, 5])
 def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
     exchanges, solves = [], []
@@ -243,18 +261,21 @@ def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
 
     exchange = flatpoly._exchange
     monkeypatch.setattr(flatpoly, "_exchange", recording_exchange)
-    monkeypatch.setattr(flatpoly, "lp_solve", recording_solve)
+    monkeypatch.setattr(simplex, "lp_solve", recording_solve)
     res = find_flat_poly(big_n)
     monkeypatch.undo()
     # one exchange per degree, each warm-started from the last optimal
-    # nodes shifted by x Q, and a single cold LP at the search degree
-    assert [n for n, _, _ in exchanges] == [n for n, _ in res.history]
-    assert exchanges[0][1] == list(range(big_n))
+    # nodes shifted by x Q, then one cold exchange from 0..N-1 at the
+    # search degree, and no LP
+    *ladder, cold_start = exchanges
+    assert cold_start[:2] == (res.search_degree, list(range(big_n)))
+    assert solves == []
+    assert [n for n, _, _ in ladder] == [n for n, _ in res.history]
+    assert ladder[0][1] == list(range(big_n))
     assert all(start == [x + 1 for x in last[0]]
-               for (_, start, _), (_, _, last) in zip(exchanges[1:], exchanges))
-    assert solves == [flat_lp_problem(big_n, res.search_degree)]
+               for (_, start, _), (_, _, last) in zip(ladder[1:], ladder))
     cold_history = []
-    for (n, optimum), (_, _, (nodes, scaled, _, m)) in zip(res.history, exchanges):
+    for (n, optimum), (_, _, (nodes, scaled, _, m)) in zip(res.history, ladder):
         problem = flat_lp_problem(big_n, n)
         cold_history.append((n, reference_lp_solve(problem).optimum))
         sol = _exchange_solution(problem, big_n, n, nodes, scaled, m)
@@ -268,8 +289,8 @@ def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_flat_optimum(big_n, n):
-    return reference_lp_solve(flat_lp_problem(big_n, n)).optimum
+def _reference_flat_lp(big_n, n):
+    return reference_lp_solve(flat_lp_problem(big_n, n))
 
 
 @st.composite
@@ -287,21 +308,51 @@ def test_exchange_from_any_start_reaches_the_lp_optimum(start):
     big_n, n, nodes = start
     nodes, scaled, sigma, m = flatpoly._exchange(n, nodes)
     optimum = F(sum(map(abs, scaled)), m)
-    assert optimum == _reference_flat_optimum(big_n, n)
+    assert optimum == _reference_flat_lp(big_n, n).optimum
     flatpoly.certify_degree(big_n, n, nodes, scaled, sigma, optimum)
     problem = flat_lp_problem(big_n, n)
     sol = _exchange_solution(problem, big_n, n, nodes, scaled, m)
     assert strong_duality_holds(problem, sol) and _reference_accepts(problem, sol)
 
 
-def test_the_tied_degree_keeps_the_cold_lp_vertex():
-    # at (N, n) = (5, 11) the exchange and the cold LP reach different
-    # vertices of equal L1; the flat-poly --degree path is the LP's
+@st.composite
+def flat_degrees(draw):
+    big_n = draw(st.integers(1, 5))
+    return big_n, draw(st.integers(big_n, 30))
+
+
+@settings(deadline=None, max_examples=100)
+@given(flat_degrees())
+@example((5, 11))  # the cold exchange and the cold LP end on tied vertices
+@example((4, 23))  # o3's search degree: the warm and cold vertices tie
+@example((5, 40))  # the search degree of order 4
+def test_minimal_flat_poly_matches_the_reference_lp(degree):
+    big_n, n = degree
+    problem = flat_lp_problem(big_n, n)
+    lp = _reference_flat_lp(big_n, n)
+    res = minimal_flat_poly(big_n, n)
+    assert (res.optimum, res.dual) == (lp.optimum, lp.dual)
+    sol = _flat_solution(res)
+    assert strong_duality_holds(problem, sol) and _reference_accepts(problem, sol)
+
+
+def test_the_tied_degree_returns_the_cold_exchange_vertex(tmp_path):
+    # at (N, n) = (5, 11) the cold exchange and the cold Bland LP end on
+    # different optimal vertices, of equal L1 and with equal duals;
+    # flat-poly --degree returns the exchange's
+    problem = flat_lp_problem(5, 11)
+    lp = _reference_flat_lp(5, 11)
+    res = minimal_flat_poly(5, 11)
     nodes, scaled, _, m = flatpoly._exchange(11, list(range(5)))
-    cold = minimal_flat_poly(5, 11)
-    assert nodes == [0, 1, 5, 8, 10] and F(sum(map(abs, scaled)), m) == F(13, 2)
-    assert [j for j, c in enumerate(cold.coeffs[:-1]) if c] == [0, 1, 5, 9, 10]
-    assert cold.optimum == F(13, 2)
+    assert nodes == [0, 1, 5, 8, 10] == [j for j, c in enumerate(res.coeffs[:-1]) if c]
+    assert [j for j in range(11) if lp.primal[j] or lp.primal[11 + j]] == [0, 1, 5, 9, 10]
+    assert res.optimum == F(sum(map(abs, scaled)), m) == lp.optimum == F(13, 2)
+    assert res.dual == lp.dual
+    assert strong_duality_holds(problem, lp)
+    assert strong_duality_holds(problem, _flat_solution(res))
+    out = tmp_path / "flat.json"
+    assert main(["flat-poly", "--flatness", "5", "--degree", "11", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["coeffs"] == [str(c) for c in res.coeffs]
 
 
 def _optimal_degree(big_n, n):
