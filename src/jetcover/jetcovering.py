@@ -10,23 +10,23 @@ A = projection(Delta) in jet space.
 
 Everything here is exact: the semi-conjugacy is checked as an affine-map
 identity, the Delta covering gets two independent proofs, membership in A
-is an exact LP with an interiority margin, and the realizer's greedy
-pullback comes with a certified residual bound that the forward-composed
-continuation jet is verified against.
+is an LP optimum with an interiority margin and a re-checked certificate,
+and the realizer's greedy pullback comes with a certified residual bound
+that the forward-composed continuation jet is verified against.
 
 The realizer works in integers: closed-form norm(J^k) fixes k before any
-LP or pullback, the pullback shares one denominator, the forward check
-sums the word's jet sum_i d_i (lam + a)^i by Horner, and one LP suffices.
-That LP is in standard form with the box bounds folded in (no free
-variables), and a target it does not certify interior raises
-NotCoveredError.
+membership work or pullback, membership is one dual exchange, the
+pullback shares one denominator, and the forward check sums the word's
+jet sum_i d_i (lam + a)^i by Horner.  A target not certified interior
+raises NotCoveredError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, perm
+from math import comb, gcd, lcm, perm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -43,7 +43,6 @@ from .flatpoly import Coeffs, divisible_by_power, l1_tail, projection_matrix
 from .jets import Jet, reverse_jet
 from .linalg import Mat, Vec
 from .rational import rat
-from .simplex import LPProblem, lp_solve
 
 Word = Tuple[str, ...]
 
@@ -323,41 +322,145 @@ class MembershipResult:
     margin: Optional[Fraction] = None
 
 
-def certify_membership(sys: JetCoveringSystem, target: Jet) -> MembershipResult:
-    """Exact LP: is the reversed jet the projection of an interior box point?
+_MAX_EXCHANGES = 100_000
 
-    Maximizes the uniform margin t of a preimage u with |u_i| <= r_i - t,
-    r the box radii.  Standard form substitutes u_i = s_i - r_i + t and
-    bounds it by s_i + s'_i + 2t = 2 r_i, s, s', t >= 0: N + n rows over
-    the columns s_0, s'_0, ..., s_{n-1}, s'_{n-1}, t.
+
+def _inverse(rows: List[List[int]]) -> Tuple[List[List[int]], int]:
+    """(M, d) with d > 0 and M = d rows^-1 in integers, by fraction-free
+    Gauss-Jordan on [rows | I]: each update divides exactly by the last
+    pivot, and the final pivot is the determinant, up to sign."""
+    size = len(rows)
+    m = [row + [int(i == k) for k in range(size)] for i, row in enumerate(rows)]
+    last = 1
+    for k in range(size):
+        p = next((i for i in range(k, size) if m[i][k]), None)
+        if p is None:
+            raise ConstructionError("a membership reference is singular")
+        m[k], m[p] = m[p], m[k]
+        pivots, piv = m[k], m[k][k]
+        for i, row in enumerate(m):
+            f = row[k]
+            if i != k:
+                m[i] = [(piv * a - f * b) // last for a, b in zip(row, pivots)]
+        last = piv
+    sign = 1 if last > 0 else -1
+    return [[sign * e for e in row[size:]] for row in m], sign * last
+
+
+def membership_certificate(sys: JetCoveringSystem, target: Jet):
+    """(u, t, y): the optimal margin t of max t s.t. projection u = x and
+    |u_i| <= r_i - t (r the box radii), a witness u and a dual y, by a
+    bounded-variable dual simplex in integers on N x N working bases.
+
+    A reference frees N - 1 coordinates F and holds each other one at
+    u_i = sigma_i (r_i - t); its y spans the null space of pi_F^T, and it is
+    dual feasible when mu_i = -sigma_i (pi^T y)_i >= 0.  From F = {0..N-2},
+    the lowest free coordinate out of its bound leaves F on the side it
+    broke, and the dual ratio test over the mu_i picks the one that enters
+    (lowest index on ties).  Past the cap t <= r_min = min r_i, y shrinks to
+    0, the lowest bound coordinate with mu_i > 0 is freed, and N free
+    coordinates sit at t = r_min until a violated one blocks no mu_i.
+    With pi_i = a_i P_i, P_i primitive integer vectors, one fraction-free
+    inverse of the small basis [P_F | P_m] (mu_m > 0) gives y, the exchange
+    direction and the primal.
     """
     if target.dim != 1 or target.order != sys.order:
-        raise ShapeError(
-            f"target must be a dim-1 jet of order {sys.order}"
-        )
-    x = reverse_jet(target).flat()
-    bounds = sys.coordinate_bounds()
-    t = 2 * sys.n  # column of the margin
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    for p_row, x_i in zip(sys.projection, x):
-        row = [Fraction(0)] * (t + 1)
-        row[0:t:2] = p_row
-        row[t] = sum(p_row)
-        rows.append(row)
-        rhs.append(x_i + sum(p * r for p, r in zip(p_row, bounds)))
-    for i, r in enumerate(bounds):
-        row = [Fraction(0)] * (t + 1)
-        row[2 * i] = row[2 * i + 1] = Fraction(1)
-        row[t] = Fraction(2)
-        rows.append(row)
-        rhs.append(2 * r)
-    sol = lp_solve(LPProblem([Fraction(0)] * t + [Fraction(-1)], rows, rhs))
-    if not sol.is_optimal:
+        raise ShapeError(f"target must be a dim-1 jet of order {sys.order}")
+    x, r, n, big_n = reverse_jet(target).flat(), sys.coordinate_bounds(), sys.n, sys.jet_dim
+    den = lcm(*(e.denominator for e in (*x, *(e for row in sys.projection for e in row))))
+    ints = [[e.numerator * (den // e.denominator) for e in col] for col in zip(*sys.projection)]
+    weights = [gcd(*col) or 1 for col in ints]  # pi_i den = weights_i cols_i
+    cols = [[e // g for e in col] for g, col in zip(weights, ints)]
+    scale = lcm(*(b.denominator for b in r))
+    big_r = [b.numerator * (scale // b.denominator) for b in r]
+    r_min = min(big_r)
+    w, b = [0] * big_n, [scale * e.numerator * (den // e.denominator) for e in x]
+
+    def bind(k, sk):  # add (or, with -sigma_k, drop) the term u_k = sk (r_k - t)
+        for i, ci in enumerate(cols[k]):
+            w[i] -= sk * weights[k] * ci
+            b[i] -= sk * big_r[k] * weights[k] * ci
+
+    free, cap, m = list(range(big_n - 1)), False, big_n - 1
+    inv, _ = _inverse([list(row) for row in zip(*cols[:big_n])])
+    sigma = [0] * (big_n - 1) + [-1 if sum(map(mul, col, inv[-1])) > 0 else 1
+                                 for col in cols[big_n - 1:]]
+    for k, sk in enumerate(sigma):
+        bind(k, sk)
+    for _ in range(_MAX_EXCHANGES):
+        inv, d = _inverse([list(row) for row in zip(*(cols[k] for k in free + [m] * (not cap)))])
+        beta = [sum(map(mul, row, b)) for row in inv]
+        omega = [sum(map(mul, row, w)) for row in inv]
+        y = [0] * big_n if cap else [-sigma[m] * e for e in inv[-1]]  # mu_m = d > 0
+        # t = tau / (wn scale); y.w > 0 is the sum of the mu_i
+        tau, wn = (r_min, 1) if cap else (sum(map(mul, y, b)), sum(map(mul, y, w)))
+        primal = {k: bk * wn - tau * ok for k, bk, ok in zip(free, beta, omega)}
+        out = next((k for k in free if abs(primal[k]) > d * weights[k] * (big_r[k] * wn - tau)),
+                   None)
+        if out is None and tau <= r_min * wn:
+            witness = tuple(Fraction(primal[k], d * wn * scale * weights[k]) if k in primal
+                            else Fraction(sigma[k] * (big_r[k] * wn - tau), wn * scale)
+                            for k in range(n))
+            return witness, Fraction(tau, wn * scale), tuple(y)
+        c = [sum(map(mul, col, y)) if sk else 0 for sk, col in zip(sigma, cols)]
+        if out is None:  # enter the cap t <= r_min
+            inn, cap = next(k for k in range(n) if c[k]), True
+        else:
+            s = 1 if primal[out] > 0 else -1
+            v = inv[free.index(out)]
+            cv = [sum(map(mul, col, v)) if sk else 0 for sk, col in zip(sigma, cols)]
+            # y turns towards -s v; mu_k reaches 0 at cot = -s sigma_k cv_k / mu_k,
+            # and the first crossing (largest cot; +inf if mu_k = 0 falls) enters
+            inn = best_num = best_den = None
+            for k in range(n):
+                num, den_k = -s * sigma[k] * cv[k], -sigma[k] * c[k]
+                if (den_k > 0 or num > 0) and (inn is None or num * best_den > best_num * den_k):
+                    inn, best_num, best_den = k, num, den_k
+            if inn is None or (not cap and best_den > 0):
+                cap, m = False, out  # out has mu > 0 in the next reference
+            free.remove(out)
+            bind(out, s)
+            sigma[out] = s
+        if inn is not None:
+            free = sorted(free + [inn])
+            bind(inn, -sigma[inn])
+            sigma[inn] = 0
+    raise ResourceLimitError(f"membership exchange exceeded {_MAX_EXCHANGES} steps")
+
+
+def check_membership(sys: JetCoveringSystem, target: Jet, u, t, y) -> None:
+    """ConstructionError unless, in integers over one denominator, pi u = x,
+    |u_i| <= r_i - t, and t = min r_i or c = pi^T y has sum |c_i| > 0 and
+    t sum |c_i| = x.y + sum r_i |c_i|.  Every feasible (u', t') has t' <=
+    min r_i and t' sum |c_i| <= c.u' + sum r_i |c_i| (weak duality), so
+    either equality proves t optimal."""
+    x, r = reverse_jet(target).flat(), sys.coordinate_bounds()
+    cells = [e for row in sys.projection for e in row]
+    m = lcm(*(e.denominator for e in (*cells, *x, *u, *r, *y, t)))
+    flat, xs, us, rs, ys, (ts,) = ([e.numerator * (m // e.denominator) for e in values]
+                                   for values in (cells, x, u, r, y, [t]))
+    rows = [flat[i:i + len(u)] for i in range(0, len(flat), len(u))]
+    if any(sum(map(mul, row, us)) != m * xi for row, xi in zip(rows, xs)):
+        raise ConstructionError("the membership witness does not project to the target")
+    if any(abs(ui) > ri - ts for ui, ri in zip(us, rs)):
+        raise ConstructionError("the membership witness leaves its shrunk box")
+    if ts == min(rs):
+        return
+    cs = [sum(map(mul, column, ys)) for column in zip(*rows)]
+    total = sum(map(abs, cs))
+    if total == 0 or ts * total != m * sum(map(mul, xs, ys)) + sum(map(mul, rs, map(abs, cs))):
+        raise ConstructionError("the membership dual does not prove the margin optimal")
+
+
+def certify_membership(sys: JetCoveringSystem, target: Jet) -> MembershipResult:
+    """Is the reversed jet the projection of a box point with margin t >= 0?
+    The margin is `membership_certificate`'s optimum, re-proved by
+    `check_membership`; a negative optimum is not certified."""
+    witness, margin, dual = membership_certificate(sys, target)
+    check_membership(sys, target, witness, margin, dual)
+    if margin < 0:
         return MembershipResult(certified=False)
-    margin = sol.primal[t]
-    witness = tuple(s - r + margin for s, r in zip(sol.primal[0:t:2], bounds))
-    return MembershipResult(certified=True, witness=witness, margin=margin)
+    return MembershipResult(True, witness, margin)
 
 
 @dataclass(frozen=True)
@@ -492,10 +595,11 @@ def realize_jet(
 ) -> RealizationResult:
     """Constructively realize a certified-interior jet as a continuation jet.
 
-    Finds k first, proves membership by one LP (NotCoveredError when the
-    target is not certified interior), pulls back k greedy steps from its
-    witness, then checks exactly that the word's jet is within the
-    certified bound of the target.
+    Finds k first, proves membership by `certify_membership`
+    (NotCoveredError when the target is not certified interior with a
+    positive margin), pulls back k greedy steps from its witness, then
+    checks exactly that the word's jet is within the certified bound of
+    the target.
     """
     k = realization_steps(sys, tol, max_steps)
     membership = certify_membership(sys, target)

@@ -21,7 +21,7 @@ from .blender import BlenderCoverResult, BranchSample, NearlyAffineReport
 from .boxes import Box, Interval
 from .covering import Certificate, CoveringFailure
 from .errors import CertificateFormatError, DegenerateInputError, ResourceLimitError
-from .flatpoly import FlatPolyResult
+from .flatpoly import FlatPolyResult, l1_tail
 from .ifs import COVER_LEAF_CAP, RASTER_PIXEL_CAP, AffineMap, IFSystem, Word
 from .jetcovering import (
     DeltaCoveringCertificate,
@@ -161,6 +161,8 @@ def load_certificate(payload: dict) -> Certificate:
         )
         if not all(type(witness) is str for _, witness in leaves):
             raise CertificateFormatError("a leaf's witness is not a JSON string")
+        if type(system["maps"]) is not dict:
+            raise CertificateFormatError("system.maps is not a JSON object")
         return Certificate(
             system=IFSystem(
                 tuple(system["alphabet"]),
@@ -249,12 +251,11 @@ def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
     try:
         if type(payload["jet_dim"]) is not int:  # not a bool, float or string
             raise CertificateFormatError("jet_dim is not a JSON integer")
-        system = build_system(
-            payload["jet_dim"],
-            rat(payload["lam"]),
-            [rat(c) for c in payload["p_coeffs"]],
-            box_base=rat(payload["box_base"]),
-        )
+        p_coeffs, base = [rat(c) for c in payload["p_coeffs"]], rat(payload["box_base"])
+        # a fault of the file, where `build_system` raises ConstructionError
+        if base > 1 and base ** (len(p_coeffs) - 1) * l1_tail(p_coeffs) >= base + 1:
+            raise CertificateFormatError(f"box_base {base} breaks the box inequality")
+        system = build_system(payload["jet_dim"], rat(payload["lam"]), p_coeffs, box_base=base)
         rebuilt = {
             "branch_matrix": system.branch_matrix,
             "branch_offset": system.branch_offset,

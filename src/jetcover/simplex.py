@@ -18,9 +18,10 @@ dual and each problem row are cleared.  Bland's pivoting rule (lowest
 eligible index in, lowest basic index out among tied ratios) guarantees
 termination even on degenerate cycling instances.
 
-The module serves the membership LP only (`jetcovering.certify_membership`);
-the flat-polynomial LP is solved by `flatpoly`'s integer exchange.  These
-problems are tiny, so a dense tableau is the right tool.
+No module of the package calls it any more: the membership LP and the
+flat-polynomial LP are solved by the integer exchanges of `jetcovering`
+and `flatpoly`.  It is still exported as `jetcover.lp_solve`, and the
+tests solve both LPs' standard forms with it beside the exchanges.
 """
 
 from __future__ import annotations
@@ -261,13 +262,3 @@ def _verify_optimal(
         if xs[j] < 0:
             raise ConstructionError(f"primal sign violated at column {j}")
 
-
-def strong_duality_holds(problem: LPProblem, sol: LPSolution) -> bool:
-    """Public re-check used by tests and serialized dual certificates."""
-    if not sol.is_optimal:
-        return False
-    try:
-        _verify_optimal(problem, sol.primal, sol.dual, sol.optimum)
-    except ConstructionError:
-        return False
-    return True

@@ -7,9 +7,12 @@ pivots and return equal `LPSolution`s on every problem.  Every cell is a
 `Fraction`, and the reduced costs are rebuilt from the basis on every
 iteration.  `reference_verify_optimal` is the optimality check the
 solver ran in `Fraction` arithmetic before it moved to integers, so the
-oracle shares no verifier with the solver.  `flat_lp_problem` is the
-flat-polynomial LP that `jetcover.flatpoly` solves by its integer
-exchange; the tests hold the exchange against this oracle on it.
+oracle shares no verifier with the solver; `strong_duality_holds` wraps
+the solver's own integer check.  `flat_lp_problem` is the flat-polynomial
+LP that `jetcover.flatpoly` solves by its integer exchange, and
+`membership_lp_problem` the standard-form membership LP that
+`jetcover.jetcovering` solves by its dual exchange; the tests hold both
+exchanges against this oracle on them.
 """
 
 from __future__ import annotations
@@ -19,11 +22,47 @@ from math import perm
 from typing import List
 
 from jetcover.errors import ConstructionError, ResourceLimitError
+from jetcover.jets import reverse_jet
 from jetcover.linalg import Vec
-from jetcover.simplex import LPProblem, LPSolution
+from jetcover.simplex import LPProblem, LPSolution, _verify_optimal
 
 
 _MAX_PIVOTS = 100_000
+
+
+def membership_lp_problem(sys, target) -> LPProblem:
+    """The standard form of max t s.t. projection u = x, |u_i| <= r_i - t,
+    t >= 0 that `certify_membership` solved before its dual exchange:
+    u_i = s_i - r_i + t with s_i + s'_i + 2t = 2 r_i, s, s', t >= 0, so N + n
+    rows over the columns s_0, s'_0, ..., s_{n-1}, s'_{n-1}, t."""
+    x = reverse_jet(target).flat()
+    bounds = sys.coordinate_bounds()
+    t = 2 * sys.n  # column of the margin
+    rows, rhs = [], []
+    for p_row, x_i in zip(sys.projection, x):
+        row = [Fraction(0)] * (t + 1)
+        row[0:t:2] = p_row
+        row[t] = sum(p_row)
+        rows.append(row)
+        rhs.append(x_i + sum(p * r for p, r in zip(p_row, bounds)))
+    for i, r in enumerate(bounds):
+        row = [Fraction(0)] * (t + 1)
+        row[2 * i] = row[2 * i + 1] = Fraction(1)
+        row[t] = Fraction(2)
+        rows.append(row)
+        rhs.append(2 * r)
+    return LPProblem([Fraction(0)] * t + [Fraction(-1)], rows, rhs)
+
+
+def membership_from_lp(sys, sol):
+    """(certified, witness, margin) of a `membership_lp_problem` solution."""
+    if not sol.is_optimal:
+        return False, None, None
+    t = 2 * sys.n
+    margin = sol.primal[t]
+    bounds = sys.coordinate_bounds()
+    witness = tuple(s - r + margin for s, r in zip(sol.primal[0:t:2], bounds))
+    return True, witness, margin
 
 
 def flat_lp_problem(big_n: int, n: int) -> LPProblem:
@@ -180,6 +219,18 @@ def reference_lp_solve(problem: LPProblem) -> LPSolution:
     )
     reference_verify_optimal(problem, primal, dual, optimum)
     return LPSolution(status="optimal", optimum=optimum, primal=primal, dual=dual)
+
+
+def strong_duality_holds(problem: LPProblem, sol: LPSolution) -> bool:
+    """Whether `jetcover.simplex`'s own integer optimality check accepts
+    `sol`; the tests run it beside `reference_verify_optimal`."""
+    if not sol.is_optimal:
+        return False
+    try:
+        _verify_optimal(problem, sol.primal, sol.dual, sol.optimum)
+    except ConstructionError:
+        return False
+    return True
 
 
 def reference_verify_optimal(

@@ -50,9 +50,9 @@ from jetcover.jets import (
     standard_families,
     standard_family,
 )
-from jetcover.simplex import LPSolution, lp_solve, strong_duality_holds
+from jetcover.simplex import LPSolution, lp_solve
 from jets_reference import finite_difference_jet  # local oracle module
-from simplex_reference import flat_lp_problem  # local oracle module
+from simplex_reference import flat_lp_problem, strong_duality_holds  # local oracle module
 
 
 def report(number: int, label: str, ok: bool) -> None:

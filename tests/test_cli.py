@@ -195,10 +195,11 @@ def test_realize_step_cap_exits_before_lp(tmp_path, monkeypatch):
     sys_path = tmp_path / "sys.json"
     assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
 
-    def no_lp(problem):
-        raise AssertionError("the step cap must be checked before any LP")
+    def no_membership(*args):
+        raise AssertionError("the step cap must be checked before any membership work")
 
-    monkeypatch.setattr("jetcover.jetcovering.lp_solve", no_lp)
+    monkeypatch.setattr("jetcover.jetcovering.certify_membership", no_membership)
+    monkeypatch.setattr("jetcover.jetcovering.membership_certificate", no_membership)
     # a target inside the covered set, and one far outside it
     for coeffs in (["1/4", "-1"], ["1000", "0"]):
         target = tmp_path / "target.json"
@@ -528,8 +529,9 @@ def test_flatness_below_one_is_input_error(tmp_path, capsys, args, monkeypatch):
 
 
 # sha256 of the bytes these commands write.  The flat polynomial comes out
-# of the exact exchange, the LP witnesses and the itinerary out of exact
-# simplex runs, so any change in an exchange or pivot sequence shows here.
+# of the exact flat-polynomial exchange, and the itinerary starts from the
+# witness of the exact membership exchange, so a change in either exchange's
+# result, a tied vertex included, shows here.
 PINNED_DIGESTS = {
     "o2": "419801e239e2d156507539757c088370d062d63f97e683fe00dd03ab6403dad6",
     "o3": "542dbbb620a57dc6014d2289a6eb6963a75cb0e1ff9e95405c50348d8fd73101",
@@ -541,6 +543,7 @@ PINNED_DIGESTS = {
     "flat5-degree11": "b231f9bf4e457b91a1eaf7ae7431083c242ce77b5a2c3a3f474f8c7c69329329",
     "o4": "15840133e1b29fd31cc691a2395dc52cc598a6fca1cc20a76fc7a052e7b25c08",
     "flat4-degree23": "d4a329f6f2e761230fefa258287b5b41fa7704196380d3f1185dcf0748fe5c61",
+    "realize-o2-zero": "79f84f8fcc72fdf44e0d98831bf59d0cce2cba3317eb7c385801aa66b446dff9",
 }
 NEGATIVE_VERDICTS = {"lambda-too-small"}  # written with exit code 1
 
@@ -548,6 +551,8 @@ NEGATIVE_VERDICTS = {"lambda-too-small"}  # written with exit code 1
 def test_pinned_output_digests(tmp_path):
     target = tmp_path / "target.json"
     target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"order": 2, "dim": 1, "coeffs": ["0", "0", "0"]}))
     commands = {
         "o2": ["jet-system", "--order", "2"],
         "o3": ["jet-system", "--order", "3", "--lam", "1021/1024"],
@@ -565,6 +570,10 @@ def test_pinned_output_digests(tmp_path):
         # where the warm ladder and a cold solve end on different tied vertices
         "o4": ["jet-system", "--order", "4"],
         "flat4-degree23": ["flat-poly", "--flatness", "4", "--degree", "23"],
+        # a capped target: its optimal witnesses form a face, and the
+        # exchange's lowest-index rules pick the vertex the itinerary starts from
+        "realize-o2-zero": ["realize", "--system", str(tmp_path / "o2.json"),
+                            "--target", str(zero), "--tol", "1/10000"],
     }
     digests = {}
     for name, args in commands.items():
@@ -661,6 +670,37 @@ def test_realize_rejects_a_stated_projection_it_does_not_rebuild(tmp_path, capsy
         capsys,
         ["realize", "--system", str(sys_path), "--target", str(target),
          "--out", str(out)],
+        out,
+    )
+
+
+@pytest.mark.parametrize("maps", [None, True, 0, 2.5, "x", ["+"]])
+def test_check_cert_rejects_maps_that_are_no_json_object(tmp_path, capsys, maps):
+    # each once died with an AttributeError traceback, exit 1
+    cert = tmp_path / "cert.json"
+    assert run(["certify", "--lam", "3/4", "--out", str(cert)]) == 0
+    payload = json.loads(cert.read_text())
+    payload["system"]["maps"] = maps
+    cert.write_text(json.dumps(payload))
+    assert run(["check-cert", "--cert", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "system.maps" in err
+
+
+@pytest.mark.parametrize("base", ["99999999999999999999/3", "1000000000000000000000000000000"])
+def test_realize_refuses_a_box_base_that_breaks_the_box_inequality(tmp_path, capsys, base):
+    # build_system once raised ConstructionError on it: a crash, exit 1
+    sys_path = tmp_path / "sys.json"
+    assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
+    payload = json.loads(sys_path.read_text())
+    payload["box_base"] = base
+    sys_path.write_text(json.dumps(payload))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
+    out = tmp_path / "real.json"
+    _expect_input_error(
+        capsys,
+        ["realize", "--system", str(sys_path), "--target", str(target), "--out", str(out)],
         out,
     )
 

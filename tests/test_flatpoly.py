@@ -11,7 +11,7 @@ from flatpoly_reference import (  # local helper module
     reference_b_table,
     reference_lambda_threshold,
 )
-from simplex_reference import flat_lp_problem  # local helper module
+from simplex_reference import flat_lp_problem, strong_duality_holds  # local helper module
 from jetcover import jetcovering
 from jetcover.errors import (
     ConstructionError,
@@ -33,7 +33,7 @@ from jetcover.flatpoly import (
     synthetic_division,
 )
 from jetcover.jetcovering import auto_lambda, build_system
-from jetcover.simplex import LPSolution, lp_solve, strong_duality_holds
+from jetcover.simplex import LPSolution, lp_solve
 
 
 def test_synthetic_division_exact():

@@ -16,11 +16,13 @@ from jetcover.errors import ConstructionError, DegenerateInputError
 from jetcover.flatpoly import find_flat_poly, minimal_flat_poly
 from jetcover.jetcovering import certify_membership
 from jetcover.jets import Jet
-from jetcover.simplex import LPProblem, LPSolution, lp_solve, strong_duality_holds
+from jetcover.simplex import LPProblem, LPSolution, lp_solve
 from simplex_reference import (  # local helper module
     flat_lp_problem,
+    membership_lp_problem,
     reference_lp_solve,
     reference_verify_optimal,
+    strong_duality_holds,
 )
 
 
@@ -146,29 +148,26 @@ def test_flat_lps_match_reference(big_n):
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_membership_lps_match_reference(order, request, monkeypatch):
+def test_membership_lps_match_reference(order, request):
     # grid points inside the box, one outside it (infeasible) and the zero
-    # jet (a degenerate optimal face)
+    # jet (a degenerate optimal face): on the standard-form membership LP
+    # the integer tableau matches the reference, and the dual exchange's
+    # margin is the reference optimum
     sys = request.getfixturevalue(f"jet_sys_r{order}")
-    problems = []
-
-    def recording_solve(problem):
-        problems.append(problem)
-        return lp_solve(problem)
-
-    monkeypatch.setattr("jetcover.jetcovering.lp_solve", recording_solve)
     rng = random.Random(20 + order)
     bounds = sys.coordinate_bounds()
     scales = [F(rng.randint(-1023, 1023), 1024) for _ in range(3)] + [F(2), F(0)]
+    statuses = set()
     for scale in scales:
         u = [scale * r * rng.choice([1, -1]) for r in bounds]
-        x = linalg.mat_vec(sys.projection, u)
-        certify_membership(sys, Jet.scalar(tuple(reversed(x))))
-    statuses = set()
-    for problem in problems:
+        target = Jet.scalar(tuple(reversed(linalg.mat_vec(sys.projection, u))))
+        problem = membership_lp_problem(sys, target)
         sol = reference_lp_solve(problem)
         assert lp_solve(problem) == sol
         statuses.add(sol.status)
+        res = certify_membership(sys, target)
+        assert res.certified == sol.is_optimal
+        assert not res.certified or res.margin == -sol.optimum
     assert statuses == {"optimal", "infeasible"}
 
 
