@@ -56,6 +56,15 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 
 
+def _load_json(path: str):
+    """The file's JSON document; text that is none is a CertificateFormatError."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or levels
+            raise CertificateFormatError(f"{path} is not a JSON document: {exc}") from exc
+
+
 def _write_json(path: str, payload) -> None:
     serialize.write_atomic(path, serialize.canonical_json(payload))
 
@@ -94,9 +103,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_check_cert(args) -> int:
-    with open(args.cert, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    cert = serialize.load_certificate(payload)
+    cert = serialize.load_certificate(_load_json(args.cert))
     return EXIT_OK if check_certificate(cert) else EXIT_NEGATIVE
 
 
@@ -158,10 +165,8 @@ def cmd_jet_system(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    with open(args.system, "r", encoding="utf-8") as handle:
-        system = serialize.jet_system_from_payload(json.load(handle))
-    with open(args.target, "r", encoding="utf-8") as handle:
-        target = serialize.jet_from_payload(json.load(handle))
+    system = serialize.jet_system_from_payload(_load_json(args.system))
+    target = serialize.jet_from_payload(_load_json(args.target))
     try:
         result = realize_jet(system, target, args.tol, args.max_steps)
     except NotCoveredError:
@@ -304,8 +309,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = {}
         if chosen.config:
-            with open(chosen.config, "r", encoding="utf-8") as handle:
-                config = json.load(handle)
+            config = _load_json(chosen.config)
             if not isinstance(config, dict):
                 raise CertificateFormatError("config file must hold a JSON object")
             config = {key.replace("-", "_"): value for key, value in config.items()}
@@ -336,7 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: missing required option(s): {flags}", file=sys.stderr)
             return EXIT_INVALID
         return handler(args)
-    except (JetcoverError, ValueError, TypeError, OSError) as exc:
+    except (JetcoverError, OSError) as exc:
         if isinstance(exc, ConstructionError):
             raise  # invariant violations should crash loudly
         print(f"error: {exc}", file=sys.stderr)

@@ -50,4 +50,4 @@ class ConstructionError(JetcoverError, RuntimeError):
 
 
 class CertificateFormatError(JetcoverError, ValueError):
-    """A serialized certificate or system record is malformed."""
+    """A serialized certificate, system record or rational string is malformed."""

@@ -302,8 +302,8 @@ def b_polynomial_table(
 
         B_k = x B_{k-1} + b_k,    B_k^{(i)} = x B_{k-1}^{(i)} + i B_{k-1}^{(i-1)}.
 
-    Not checked here: `jetcovering.verify_semiconjugacy` is the judge of the
-    projection built from this table.
+    Not checked here: `jetcovering.verify_semiconjugacy` judges the projection
+    built from this table by the projection's own columns, not by the table.
     """
     b = tuple(p_coeffs)
     n = len(b) - 1

@@ -95,26 +95,6 @@ def branch_matrix(jet_dim: int, lam: Fraction) -> Mat:
     return tuple(rows)
 
 
-def shift_map(sys: JetCoveringSystem, delta: int) -> Tuple[Mat, Vec]:
-    """The affine shift on pullback coordinates intertwined with branch delta.
-
-    (v_0, ..., v_{n-1}) -> (w_0, ..., w_{n-1}) with w_k = v_{k-1} for
-    k >= 1 and w_0 = (delta - sum_{j=1..n} b_j v_{j-1}) / b_0.
-    """
-    if delta not in (1, -1):
-        raise DegenerateInputError("branch label must be +1 or -1")
-    b = sys.p_coeffs
-    n = sys.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        rows[0][j - 1] = -b[j] / b[0]
-    for k in range(1, n):
-        rows[k][k - 1] = Fraction(1)
-    offset = [Fraction(0)] * n
-    offset[0] = Fraction(delta) / b[0]
-    return tuple(tuple(r) for r in rows), tuple(offset)
-
-
 def _validate_polynomial(jet_dim: int, lam: Fraction, b: Coeffs) -> Fraction:
     """Check the conditions on P; returns its L1 tail.  By Taylor's theorem
     the root test (x - 1/lam)^N | P is P^{(i)}(1/lam) = 0 for i < N."""
@@ -135,9 +115,15 @@ def _validate_polynomial(jet_dim: int, lam: Fraction, b: Coeffs) -> Fraction:
     return l1
 
 
+def box_inequality(base: Fraction, n: int, l1_tail: Fraction) -> Tuple[bool, Fraction, Fraction]:
+    """(lhs < rhs, lhs, rhs) for the covering inequality base^n * l1_tail < base + 1."""
+    lhs, rhs = base ** n * l1_tail, base + 1
+    return lhs < rhs, lhs, rhs
+
+
 def choose_box_base(n: int, l1_tail: Fraction) -> Fraction:
     """Base 1 + 2^-s for the first s in 10, 14, ..., 30 that satisfies the
-    covering inequality base^n * l1_tail < base + 1.
+    covering inequality of `box_inequality`.
 
     The root of an admissible P at 1/lam gives l1_tail > 1, so the slack
     (base + 1) - base^n * l1_tail falls strictly on base >= 1 and the grid
@@ -146,7 +132,7 @@ def choose_box_base(n: int, l1_tail: Fraction) -> Fraction:
     """
     for shift in (10, 14, 18, 22, 26, 30):
         base = 1 + Fraction(1, 2 ** shift)
-        if base + 1 - base ** n * l1_tail > 0:
+        if box_inequality(base, n, l1_tail)[0]:
             return base
     raise ConstructionError(
         "no grid base satisfies the covering inequality; "
@@ -188,18 +174,15 @@ def build_system(
     base = choose_box_base(n, l1) if box_base is None else rat(box_base)
     if base <= 1:
         raise DegenerateInputError("box base must exceed 1")
-    if base ** n * l1 >= base + 1:
-        raise ConstructionError(
-            f"box inequality fails: {base ** n * l1} >= {base + 1}"
-        )
+    holds, lhs, rhs = box_inequality(base, n, l1)
+    if not holds:
+        raise ConstructionError(f"box inequality fails: {lhs} >= {rhs}")
     sys = JetCoveringSystem(
         jet_dim=jet_dim,
         lam=lam,
         p_coeffs=b,
         branch_matrix=branch_matrix(jet_dim, lam),
-        branch_offset=tuple(
-            Fraction(1 if i == jet_dim - 1 else 0) for i in range(jet_dim)
-        ),
+        branch_offset=(Fraction(0),) * (jet_dim - 1) + (Fraction(1),),  # e_N
         projection=pi,
         box_base=base,
     )
@@ -212,27 +195,27 @@ def semiconjugacy_residuals(
 ) -> Dict[int, Tuple[Mat, Vec]]:
     """Exact residuals of branch o projection - projection o shift, per branch.
 
-    Both shifts have the linear part M of `shift_map(sys, 1)`, so the matrix
-    residual J projection - projection M is computed once and shared; only
-    the offset residual is per branch.  The products stay generic
-    `mat_mul`: written out column by column they are the partial-sum
-    table's own recurrence, so a specialised form would re-run the
-    producer's formula instead of judging it.  `mat_mul` skips zero terms
-    (J is bidiagonal, M a companion matrix), but it still forms every entry
-    of both full products and knows nothing of their structure.
+    The shift of branch d is v -> M v + (d / b_0) e_0, (M v)_0 = -sum_{j>=1}
+    b_j v_{j-1} / b_0 and (M v)_k = v_{k-1}, so column c of the shared matrix
+    residual J pi - pi M is lam pi_c + S pi_c + (b_{c+1} / b_0) pi_0 - pi_{c+1}
+    (pi_n = 0), and branch d's offset residual is d (T - pi_0 / b_0).  J must
+    be lam I + S and T must be e_N, else ConstructionError.  The generic
+    products in `tests/jetcovering_helpers.py` are this closed form's oracle.
     """
-    m_shift, _ = shift_map(sys, 1)
-    mat_res = linalg.mat_sub(
-        linalg.mat_mul(sys.branch_matrix, sys.projection),
-        linalg.mat_mul(sys.projection, m_shift),
+    big_n, lam, b, pi = sys.jet_dim, sys.lam, sys.p_coeffs, sys.projection
+    if sys.branch_matrix != branch_matrix(big_n, lam):
+        raise ConstructionError("the branch matrix is not lam I + S")
+    if sys.branch_offset != (0,) * (big_n - 1) + (1,):
+        raise ConstructionError("the branch offset is not e_N")
+    ratios = [c / b[0] for c in b[1:]]
+    below = pi[1:] + ((0,) * sys.n,)  # (S pi)_i = (N - 1 - i) pi_{i+1}
+    mat_res = tuple(
+        tuple(lam * e + (big_n - 1 - i) * down + r * row[0] - right
+              for e, down, r, right in zip(row, lower, ratios, row[1:] + (0,)))
+        for i, (row, lower) in enumerate(zip(pi, below))
     )
-    out = {}
-    for delta in (1, -1):
-        _, t_shift = shift_map(sys, delta)
-        lhs_t = tuple(delta * e for e in sys.branch_offset)
-        rhs_t = linalg.mat_vec(sys.projection, t_shift)
-        out[delta] = (mat_res, linalg.vec_sub(lhs_t, rhs_t))
-    return out
+    offset = tuple(t - row[0] / b[0] for t, row in zip(sys.branch_offset, pi))
+    return {delta: (mat_res, tuple(delta * e for e in offset)) for delta in (1, -1)}
 
 
 def verify_semiconjugacy(sys: JetCoveringSystem) -> Dict[int, Tuple[Mat, Vec]]:
@@ -278,9 +261,8 @@ class DeltaCoveringCertificate:
 def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
     base = sys.box_base
     l1 = l1_tail(sys.p_coeffs)
-    lhs = base ** sys.n * l1
-    rhs = base + 1
-    if not (base > 1 and lhs < rhs):
+    holds, lhs, rhs = box_inequality(base, sys.n, l1)
+    if not (base > 1 and holds):
         raise ConstructionError(
             f"analytic covering proof fails: base {base}, {lhs} !< {rhs}"
         )

@@ -3,24 +3,30 @@
 All certified arithmetic in this package runs on `fractions.Fraction`
 (arbitrary-precision, canonical reduced form with positive denominator,
 courtesy of the stdlib).  On every external surface rationals travel as
-decimal-free ``"p/q"`` strings, e.g. ``"-4/3"`` or ``"7"``.
+ASCII ``"p/q"`` strings of any length, e.g. ``"-4/3"`` or ``"7"``: sides
+past Python's 4300-digit limit for int <-> str go through `decimal`.
 """
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
+from .errors import CertificateFormatError
+
 RatLike = Union[Fraction, int, str]
+
+_WIRE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
 
-    Floats and decimal/scientific strings are deliberately rejected:
-    every certified quantity must enter the system in decimal-free exact
-    form ("p/q" or an integer literal).  A zero denominator is a
-    ValueError, like any other malformed string.
+    A string must be ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator
+    (no whitespace, "+", underscore, non-ASCII digit, point or exponent), or
+    it is a CertificateFormatError; a float, bool or other type is a TypeError.
     """
     if isinstance(value, Fraction):
         return value
@@ -29,16 +35,22 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "." in text or "e" in text or "E" in text:
-            raise ValueError(f"rationals must be decimal-free p/q strings: {text!r}")
+        match = _WIRE.fullmatch(value)
+        parts = [part or "1" for part in match.groups()] if match else ["0", "0"]
         try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {text!r}") from None
+            num, den = map(int, parts)
+        except ValueError:  # ASCII digits, so only the digit limit refuses them
+            num, den = (int(Decimal(part)) for part in parts)
+        if den == 0:
+            raise CertificateFormatError(f"not an ASCII p/q with nonzero denominator: {value!r}")
+        return Fraction(num, den)
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact rational")
 
 
 def rat_str(value: Fraction) -> str:
     """Serialize to the "p/q" wire form ("p" when the denominator is 1)."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # a side past the digit limit
+        num, den = (str(Decimal(e)) for e in (value.numerator, value.denominator))
+        return num if den == "1" else f"{num}/{den}"

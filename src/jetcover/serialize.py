@@ -27,6 +27,7 @@ from .jetcovering import (
     DeltaCoveringCertificate,
     JetCoveringSystem,
     RealizationResult,
+    box_inequality,
 )
 from .jets import Jet
 from .linalg import Vec
@@ -253,7 +254,7 @@ def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
             raise CertificateFormatError("jet_dim is not a JSON integer")
         p_coeffs, base = [rat(c) for c in payload["p_coeffs"]], rat(payload["box_base"])
         # a fault of the file, where `build_system` raises ConstructionError
-        if base > 1 and base ** (len(p_coeffs) - 1) * l1_tail(p_coeffs) >= base + 1:
+        if base > 1 and not box_inequality(base, len(p_coeffs) - 1, l1_tail(p_coeffs))[0]:
             raise CertificateFormatError(f"box_base {base} breaks the box inequality")
         system = build_system(payload["jet_dim"], rat(payload["lam"]), p_coeffs, box_base=base)
         rebuilt = {
@@ -323,7 +324,7 @@ def cloud_to_csv(points: Sequence[Tuple[Vec, Word]]) -> str:
     header = ",".join(f"x{i + 1}" for i in range(n)) + ",word"
     lines = [header]
     for pt, w in points:
-        lines.append(",".join(str(c) for c in pt) + "," + "".join(w))
+        lines.append(",".join(map(rat_str, pt)) + "," + "".join(w))
     return "\n".join(lines) + "\n"
 
 
@@ -334,7 +335,7 @@ def branch_table_to_csv(samples: Sequence[BranchSample]) -> str:
     lines = [",".join(BRANCH_TABLE_COLUMNS)]
     for s in samples:
         lines.append(
-            ",".join(str(getattr(s, col)) for col in BRANCH_TABLE_COLUMNS)
+            ",".join(rat_str(getattr(s, col)) for col in BRANCH_TABLE_COLUMNS)
         )
     return "\n".join(lines) + "\n"
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from jetcover import linalg
+from jetcover.errors import DegenerateInputError
 
 
 def inverse_branch(sys, delta, x):
@@ -10,6 +11,44 @@ def inverse_branch(sys, delta, x):
     inv = linalg.inverse(sys.branch_matrix)
     shifted = linalg.vec_sub(x, tuple(delta * e for e in sys.branch_offset))
     return linalg.mat_vec(inv, shifted)
+
+
+def shift_map(sys, delta):
+    """The affine shift on pullback coordinates intertwined with branch delta.
+
+    (v_0, ..., v_{n-1}) -> (w_0, ..., w_{n-1}) with w_k = v_{k-1} for
+    k >= 1 and w_0 = (delta - sum_{j=1..n} b_j v_{j-1}) / b_0.
+    """
+    if delta not in (1, -1):
+        raise DegenerateInputError("branch label must be +1 or -1")
+    b = sys.p_coeffs
+    n = sys.n
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for j in range(1, n + 1):
+        rows[0][j - 1] = -b[j] / b[0]
+    for k in range(1, n):
+        rows[k][k - 1] = Fraction(1)
+    offset = [Fraction(0)] * n
+    offset[0] = Fraction(delta) / b[0]
+    return tuple(tuple(r) for r in rows), tuple(offset)
+
+
+def generic_residuals(sys):
+    """Oracle of `semiconjugacy_residuals`: J projection - projection M and
+    delta T - projection t_delta as generic products, for both branches,
+    with the stored J and T as they are."""
+    m_shift, _ = shift_map(sys, 1)
+    mat_res = linalg.mat_sub(
+        linalg.mat_mul(sys.branch_matrix, sys.projection),
+        linalg.mat_mul(sys.projection, m_shift),
+    )
+    out = {}
+    for delta in (1, -1):
+        _, t_shift = shift_map(sys, delta)
+        lhs_t = tuple(delta * e for e in sys.branch_offset)
+        rhs_t = linalg.mat_vec(sys.projection, t_shift)
+        out[delta] = (mat_res, linalg.vec_sub(lhs_t, rhs_t))
+    return out
 
 
 def fraction_pullback_step(sys, u):

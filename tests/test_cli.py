@@ -8,6 +8,8 @@ import pytest
 from jetcover import covering, flatpoly, jetcovering, serialize
 from jetcover.blender import model_branch_table
 from jetcover.cli import main
+from jetcover.jets import Jet
+from jetcover.rational import rat
 from jetcover.serialize import branch_table_to_csv
 
 
@@ -859,3 +861,65 @@ def test_config_string_is_parsed_by_the_options_type(tmp_path):
         run(["--config", str(config), "limit-set", "--lam", "3/4",
              "--out", str(tmp_path / "cloud.csv")])
     assert exc.value.code == 2
+
+
+def test_realize_writes_an_order_3_realization(tmp_path):
+    # its residuals run past Python's 4300-digit limit for int <-> str, which
+    # once made the run exit 2 as if the input were malformed
+    sys_path, target, out = (tmp_path / name for name in ("sys.json", "t.json", "r.json"))
+    assert run(["jet-system", "--order", "3", "--out", str(sys_path)]) == 0
+    coeffs = [F(1, 4), F(-1), F(0), F(0)]
+    target.write_text(json.dumps({"order": 3, "dim": 1, "coeffs": ["1/4", "-1", "0", "0"]}))
+    assert run(["realize", "--system", str(sys_path), "--target", str(target),
+                "--tol", "1/100", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    system = serialize.jet_system_from_payload(json.loads(sys_path.read_text()))
+    diff = Jet.scalar(coeffs) - jetcovering.word_jet(system.lam, payload["itinerary"], 3)
+    achieved = max(abs(row[0]) for row in diff.coeffs)
+    assert len(payload["achieved_residual"]) > 4300
+    assert rat(payload["achieved_residual"]) == achieved
+    assert rat(payload["residual_bound"]) == jetcovering.residual_bound(system, payload["steps"])
+    assert achieved <= rat(payload["residual_bound"]) <= F(1, 100)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--lam1", "1_0/2_0"), ("--offset1", "٣"), ("--offset1", " 3"), ("--offset1", "+3"),
+])
+def test_two_map_verdict_reads_only_ascii_p_over_q(capsys, option, value):
+    args = {"--lam1": "1/2", "--offset1": "3", "--lam2": "3/4", "--offset2": "-1"}
+    args[option] = value
+    _expect_input_error(capsys, ["two-map-verdict"] + [e for kv in args.items() for e in kv])
+
+
+def test_a_stray_type_error_from_a_handler_propagates(monkeypatch):
+    # only the package's own errors and OSError are input errors (exit 2)
+    def broken(*args):
+        raise TypeError("a defect, not an input error")
+
+    monkeypatch.setattr("jetcover.cli.decide_two_map_line", broken)
+    with pytest.raises(TypeError, match="a defect"):
+        run(["two-map-verdict", "--lam1", "1/2", "--offset1", "3",
+             "--lam2", "3/4", "--offset2", "-1"])
+
+
+@pytest.mark.parametrize("text", [
+    b"{", b"\xff\xfe{}", b'{"a": ' + b"1" * 5000 + b"}", b"[" * 100_000,
+], ids=["truncated", "not-utf8", "int-past-the-digit-limit", "nested-past-the-recursion-limit"])
+@pytest.mark.parametrize("role", ["system", "target", "cert", "config"])
+def test_a_file_input_that_is_no_json_is_an_input_error(tmp_path, capsys, text, role):
+    paths = {name: tmp_path / f"{name}.json" for name in ("system", "target", "cert", "config")}
+    assert run(["jet-system", "--order", "1", "--out", str(paths["system"])]) == 0
+    paths["target"].write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
+    assert run(["certify", "--lam", "3/4", "--out", str(paths["cert"])]) == 0
+    paths["config"].write_text("{}")
+    paths[role].write_bytes(text)
+    out = tmp_path / "out.json"
+    realize = ["realize", "--system", str(paths["system"]), "--target", str(paths["target"]),
+               "--tol", "1/100", "--out", str(out)]
+    args = {
+        "system": realize,
+        "target": realize,
+        "cert": ["check-cert", "--cert", str(paths["cert"])],
+        "config": ["--config", str(paths["config"])] + realize,
+    }[role]
+    _expect_input_error(capsys, args, out)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from dataclasses import replace
@@ -7,14 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetcover import linalg
+from jetcover import linalg, serialize
 from jetcover.errors import (
     ConstructionError,
     DegenerateInputError,
     NotCoveredError,
     ResourceLimitError,
 )
-from jetcovering_helpers import inverse_branch, scan_box_base  # local helper module
+from jetcovering_helpers import (  # local helper module
+    generic_residuals,
+    inverse_branch,
+    scan_box_base,
+    shift_map,
+)
 from jetcover.jetcovering import (
     auto_lambda,
     branch_matrix,
@@ -27,7 +33,6 @@ from jetcover.jetcovering import (
     realize_jet,
     residual_bound,
     semiconjugacy_residuals,
-    shift_map,
     verify_semiconjugacy,
 )
 from jetcover.jets import Jet, continuation_jet, reverse_jet, standard_families
@@ -149,18 +154,81 @@ def test_semiconjugacy_sees_scale_and_root(fixture, request):
         verify_semiconjugacy(rebuilt)
 
 
-def test_semiconjugacy_multiplies_two_matrices(monkeypatch, jet_sys_r1):
-    # J projection and projection M, once for both branches
-    calls = []
-    inner = linalg.mat_mul
+def test_semiconjugacy_multiplies_no_matrices(monkeypatch, jet_sys_r1):
+    # the residuals are read off lam I + S and the shifts' structure, so
+    # neither judging, building nor reloading a system forms a generic product
+    def refuse(*args):
+        raise AssertionError("a generic matrix product ran")
 
-    def counted(a, b):
-        calls.append((a, b))
-        return inner(a, b)
-
-    monkeypatch.setattr(linalg, "mat_mul", counted)
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    monkeypatch.setattr(linalg, "mat_vec", refuse)
     verify_semiconjugacy(jet_sys_r1)
-    assert len(calls) == 2
+    rebuilt = build_system(jet_sys_r1.jet_dim, jet_sys_r1.lam, jet_sys_r1.p_coeffs)
+    payload = serialize.jet_system_payload(jet_sys_r1)
+    assert rebuilt == serialize.jet_system_from_payload(payload) == jet_sys_r1
+
+
+def test_semiconjugacy_rejects_every_branch_entry(jet_sys_r2):
+    # J and T are read once against lam I + S and e_N, so a tamper of any
+    # single entry is rejected, as the generic products reject it
+    sys = jet_sys_r2
+    for i, j in itertools.product(range(sys.jet_dim), repeat=2):
+        rows = [list(row) for row in sys.branch_matrix]
+        rows[i][j] += F(1, 3)
+        tampered = replace(sys, branch_matrix=tuple(map(tuple, rows)))
+        assert any(e != 0 for row in generic_residuals(tampered)[1][0] for e in row)
+        with pytest.raises(ConstructionError, match="branch matrix"):
+            verify_semiconjugacy(tampered)
+    for i in range(sys.jet_dim):
+        offset = list(sys.branch_offset)
+        offset[i] += F(1, 3)
+        tampered = replace(sys, branch_offset=tuple(offset))
+        assert any(e != 0 for e in generic_residuals(tampered)[1][1])
+        with pytest.raises(ConstructionError, match="branch offset"):
+            verify_semiconjugacy(tampered)
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_and_threshold(order):
+    q = find_flat_poly(order + 1)
+    return q, lambda_threshold(q)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 3),
+    st.integers(1, 15),
+    st.sampled_from(["none", "entry", "scale", "rootless"]),
+    st.data(),
+)
+def test_closed_form_residuals_equal_the_generic_products(order, step, tamper, data):
+    # lam on a grid strictly between its threshold and 1; the tampers are the
+    # families above: one projection entry, a scaled projection, and a P
+    # without the root whose projection is rebuilt by the recurrence
+    q, threshold = _flat_and_threshold(order)
+    lam = threshold + (1 - threshold) * F(step, 16)
+    sys = build_system(order + 1, lam, scale_to_p(q, lam))
+    nonzero = st.fractions(-3, 3, max_denominator=9).filter(bool)
+    if tamper == "entry":
+        i = data.draw(st.integers(0, sys.jet_dim - 1))
+        k = data.draw(st.integers(0, sys.n - 1))
+        rows = [list(row) for row in sys.projection]
+        rows[i][k] += data.draw(nonzero)
+        sys = replace(sys, projection=tuple(map(tuple, rows)))
+    elif tamper == "scale":
+        factor = data.draw(nonzero.filter(lambda f: f != 1))
+        sys = replace(sys, projection=tuple(tuple(factor * e for e in row)
+                                            for row in sys.projection))
+    elif tamper == "rootless":
+        b0 = sys.p_coeffs[0] + data.draw(nonzero.filter(lambda f: f != -sys.p_coeffs[0]))
+        rootless = (b0,) + sys.p_coeffs[1:]
+        sys = replace(sys, p_coeffs=rootless,
+                      projection=projection_matrix(rootless, sys.lam, sys.jet_dim))
+    residuals = semiconjugacy_residuals(sys)
+    assert residuals == generic_residuals(sys)
+    entries = [e for mat_res, vec_res in residuals.values() for row in (*mat_res, vec_res)
+               for e in row]
+    assert any(entries) == (tamper != "none")
 
 
 def test_base_feasibility_window(jet_sys_r0):
