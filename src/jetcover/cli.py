@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -63,6 +64,19 @@ def _load_json(path: str):
             return json.load(handle)
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or levels
             raise CertificateFormatError(f"{path} is not a JSON document: {exc}") from exc
+
+
+def _joined(tokens: Sequence[str], flags: Sequence[str]) -> list:
+    """`tokens` with a negative rational joined to the flag, or a prefix of
+    one, before it (``--lo=-3/2``): argparse takes -3/2 for an option."""
+    prefixes = {flag[:n] for flag in flags for n in range(3, len(flag) + 1)}
+    out = []
+    for token in tokens:
+        if out and out[-1] in prefixes and re.fullmatch(r"-[0-9]+(/[0-9]+)?", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _write_json(path: str, payload) -> None:
@@ -333,7 +347,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     + (" or an integer" if kind is int else "")
                 )
             parser.add_argument(flag, type=kind, default=value, help=text)
-        args = parser.parse_args(chosen.arguments)
+        args = parser.parse_args(_joined(chosen.arguments, [option[0] for option in options]))
         missing = [flag for dest, flag in required.items() if getattr(args, dest) is None]
         if missing:
             flags = ", ".join(missing)

@@ -12,9 +12,10 @@ failure (depth exhausted) is inconclusive and reports the offending
 sub-box.  Certifier and checker both work on the target's dyadic grid,
 each with its own code.  Box and window covers share one subdivision
 driver, `_DyadicGrid`: it visits cells as integer index vectors and
-decides each by integer dot products against integer bounds, so no
-visited piece costs a `Fraction` operation; the certifier inverts each
-branch map at most once, when its symbol is first tried, and stops with
+decides each by integer dot products against integer rows, put over one
+denominator per candidate and shifted per depth, so no visited piece
+costs a `Fraction` operation; the certifier inverts each branch map at
+most once, when its symbol is first tried, and stops with
 ResourceLimitError past `COVER_LEAF_CAP` leaves.  The checker maps each
 leaf to its cell, accepts exactly the leaf sets of the target's midpoint
 bisection tree (longest axis, lowest index on ties), in any order, by
@@ -51,36 +52,44 @@ DEFAULT_MAX_DEPTH = 24
 Row = Tuple[Tuple[Tuple[int, Fraction], ...], Tuple[Fraction, Fraction]]
 
 
+def _integers(*values):
+    """The numerators of `values` over their least common denominator q, then q."""
+    q = math.lcm(*(v.denominator for v in values))
+    return *(v.numerator * (q // v.denominator) for v in values), q
+
+
 class _DyadicGrid:
     """The one subdivision driver: depth-first bisection of a root box on
     its dyadic grid, with a first-fit witness test among candidates.
 
     Every piece at depth d was split along the same axes, so it is the cell
     ``[L_c + k_c s_c, L_c + (k_c + 1) s_c]`` on axis c, with the root's
-    lower corner L, the index vector k and the step ``s_c = W_c / 2^e_c``,
-    where the exponents e depend on d alone.  Bisection splits the longest
-    axis (lowest index on ties) of depth d, computed once per depth:
-    ``k_c -> 2 k_c, 2 k_c + 1``.
+    lower corner ``L_c = O_c / R_c``, the index vector k and the step
+    ``s_c = W_c / 2^e_c``, ``W_c = N_c / R_c``, where the exponents e depend
+    on d alone: its endpoints are ``(O_c 2^e_c + k_c N_c) / (R_c 2^e_c)``.
+    Bisection splits the longest axis (lowest index on ties) of depth d,
+    computed once per depth: ``k_c -> 2 k_c, 2 k_c + 1``.
 
     Over a cell, a row a has the exact enclosure ``a.L + sum_c a_c s_c k_c
-    + [sum_{a_c<0} a_c s_c, sum_{a_c>0} a_c s_c]``.  With D the common
-    denominator of the ``a_c s_c``, it lies in the window (w_lo, w_hi) iff
-    ``lo_min <= sum_c alpha_c k_c <= hi_max`` for the integers ``alpha_c =
-    D a_c s_c``, ``lo_min = ceil(D (w_lo - a.L - sum_{a_c<0} a_c s_c))`` and
-    ``hi_max = floor(D (w_hi - a.L - sum_{a_c>0} a_c s_c))``: in exact
-    arithmetic the endpoint test on the cell's box.  The integer rows are
-    made per (candidate, depth), the first time the candidate is tried at
-    that depth; `rows_of(i)` gives candidate i's rows the first time it is
-    tried at all.
+    + [sum_{a_c<0} a_c s_c, sum_{a_c>0} a_c s_c]``.  Over the common
+    denominator q of the ``a_c W_c`` and of its window less ``a.L``, a row
+    is the integers ``A_c``, ``Lo`` and ``Hi``, made the first time its
+    candidate is tried.  Scaled by ``q 2^E``, ``E = max_c e_c``, the
+    enclosure lies in the window iff ``lo_min <= sum_c alpha_c k_c <=
+    hi_max`` for ``alpha_c = A_c 2^(E - e_c)``, ``lo_min = Lo 2^E -
+    sum_{alpha_c<0} alpha_c`` and ``hi_max = Hi 2^E - sum_{alpha_c>0}
+    alpha_c``: in exact arithmetic the endpoint test on the cell's box,
+    made per (candidate, depth) by shifts alone.
     """
 
     def __init__(self, root: Box, labels: Sequence[str], rows_of: Callable[[int], Sequence[Row]]):
         self.origin = tuple(Fraction(iv.lo) for iv in root.intervals)
         self.widths = tuple(Fraction(iv.width) for iv in root.intervals)
+        self.axes = tuple(map(_integers, self.origin, self.widths))  # (O_c, N_c, R_c)
         self.labels = tuple(labels)
         self.rows_of = rows_of
-        self.rows = {}  # candidate index -> its rows
-        # per depth: exponents, steps, split axis, integer rows per candidate
+        self.rows = {}  # candidate index -> its integer rows (A, Lo, Hi)
+        # per depth: exponents, split axis, shifted rows per candidate
         self.levels = []
         self.cells = {}  # (axis, exponent, index) -> Interval
 
@@ -88,38 +97,38 @@ class _DyadicGrid:
         levels = self.levels
         while len(levels) <= depth:
             if levels:
-                exps, steps, ax, _ = levels[-1]
+                exps, ax, _ = levels[-1]
                 exps = exps[:ax] + (exps[ax] + 1,) + exps[ax + 1:]
-                steps = steps[:ax] + (steps[ax] / 2,) + steps[ax + 1:]
             else:
-                exps, steps = (0,) * len(self.widths), self.widths
+                exps = (0,) * len(self.widths)
+            steps = [w / (1 << e) for w, e in zip(self.widths, exps)]
             ax = steps.index(max(steps))  # lowest index on ties
-            levels.append((exps, steps, ax, [None] * len(self.labels)))
+            levels.append((exps, ax, [None] * len(self.labels)))
         return levels[depth]
 
-    def integer_rows(self, i: int, steps):
+    def integer_rows(self, i: int, exps):
         if i not in self.rows:
-            self.rows[i] = self.rows_of(i)
+            self.rows[i] = []
+            for row, (w_lo, w_hi) in self.rows_of(i):
+                at = sum(a * self.origin[c] for c, a in row)
+                *coeffs, lo, hi, _ = _integers(
+                    *(a * self.widths[c] for c, a in row), w_lo - at, w_hi - at
+                )
+                self.rows[i].append((tuple(zip([c for c, _ in row], coeffs)), lo, hi))
+        top = max(exps)
         out = []
-        for row, (w_lo, w_hi) in self.rows[i]:
-            terms = [(c, a * steps[c]) for c, a in row]
-            scale = math.lcm(*(t.denominator for _, t in terms))
-            at = sum(a * self.origin[c] for c, a in row)
-            below = sum(t for _, t in terms if t < 0)
-            above = sum(t for _, t in terms if t > 0)
-            out.append((
-                tuple((c, t.numerator * (scale // t.denominator)) for c, t in terms),
-                math.ceil(scale * (w_lo - at - below)),
-                math.floor(scale * (w_hi - at - above)),
-            ))
+        for terms, lo, hi in self.rows[i]:
+            alphas = tuple((c, a << (top - exps[c])) for c, a in terms)
+            out.append((alphas, (lo << top) - sum(a for _, a in alphas if a < 0),
+                        (hi << top) - sum(a for _, a in alphas if a > 0)))
         return out
 
     def witness(self, cell: Tuple[int, ...], depth: int) -> Optional[str]:
         """The first label whose rows all fit over the cell, or None."""
-        _, steps, _, tests = self.level(depth)
+        exps, _, tests = self.level(depth)
         for i, label in enumerate(self.labels):
             if tests[i] is None:
-                tests[i] = self.integer_rows(i, steps)
+                tests[i] = self.integer_rows(i, exps)
             for terms, lo_min, hi_max in tests[i]:
                 s = 0
                 for c, alpha in terms:
@@ -131,13 +140,14 @@ class _DyadicGrid:
         return None
 
     def box(self, cell: Tuple[int, ...], depth: int) -> Box:
-        exps, steps, _, _ = self.levels[depth]
+        exps = self.levels[depth][0]
         intervals = []
         for c, k in enumerate(cell):
             key = (c, exps[c], k)
             if key not in self.cells:
-                lo = self.origin[c] + k * steps[c]
-                self.cells[key] = Interval(lo, lo + steps[c])
+                (o, n, r), e = self.axes[c], exps[c]
+                at, den = (o << e) + k * n, r << e
+                self.cells[key] = Interval(Fraction(at, den), Fraction(at + n, den))
             intervals.append(self.cells[key])
         return Box(intervals)
 
@@ -163,7 +173,7 @@ class _DyadicGrid:
                 continue
             if depth >= max_depth:
                 return None, self.box(cell, depth)
-            ax = self.levels[depth][2]
+            ax = self.levels[depth][1]
             head, k, tail = cell[:ax], cell[ax], cell[ax + 1:]
             stack.append((head + (2 * k + 1,) + tail, depth + 1))
             stack.append((head + (2 * k,) + tail, depth + 1))

@@ -10,11 +10,11 @@ as "p/q" strings, intervals as [lo, hi] pairs.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Container, List, Optional, Sequence, Tuple
 
 from .blender import BlenderCoverResult, BranchSample, NearlyAffineReport
@@ -35,7 +35,29 @@ from .rational import rat, rat_str
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\\n"``
+    for dicts with str keys, lists, tuples, str, int, bool and None; any other
+    type is a TypeError.  Strings go through the C `encode_basestring_ascii`."""
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [encode_basestring_ascii(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict):  # a key that is no str: TypeError from the sort or the encoder
+        items = [
+            encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not a canonical JSON type")
 
 
 def write_atomic(path: str, data) -> None:
@@ -115,6 +137,9 @@ def _affine_from_dict(d: dict) -> AffineMap:
 def covering_outcome_payload(outcome) -> dict:
     if isinstance(outcome, Certificate):
         system = outcome.system
+        # each distinct cell interval is rendered once; the leaves keep them all alive
+        text = {id(iv): iv for leaf, _ in outcome.leaves for iv in leaf.intervals}
+        text = {key: (rat_str(iv.lo), rat_str(iv.hi)) for key, iv in text.items()}
         return {
             "system": {
                 "alphabet": list(system.alphabet),
@@ -124,7 +149,7 @@ def covering_outcome_payload(outcome) -> dict:
             "margin": rat_str(outcome.margin),
             "depth": outcome.max_depth,
             "leaves": [
-                {"box": box_to_list(leaf), "witness": witness}
+                {"box": [list(text[id(iv)]) for iv in leaf.intervals], "witness": witness}
                 for leaf, witness in outcome.leaves
             ],
             "verified": True,

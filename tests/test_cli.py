@@ -7,7 +7,7 @@ import pytest
 
 from jetcover import covering, flatpoly, jetcovering, serialize
 from jetcover.blender import model_branch_table
-from jetcover.cli import main
+from jetcover.cli import _joined, main
 from jetcover.jets import Jet
 from jetcover.rational import rat
 from jetcover.serialize import branch_table_to_csv
@@ -313,6 +313,50 @@ def test_config_file_supplies_defaults(tmp_path):
     assert json.loads(cert.read_text())["margin"] == "1/50"
 
 
+def test_negative_fraction_may_follow_its_flag(tmp_path, capsys):
+    # argparse reads -3/2, which is no negative decimal, as an option of its
+    # own: "argument --lo: expected one argument"
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert run(["certify", "--lam", "3/4", "--lo", "-3/2", "--hi", "3/2",
+                "--out", str(spaced)]) == 0
+    assert run(["certify", "--lam", "3/4", "--lo=-3/2", "--hi", "3/2",
+                "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert json.loads(spaced.read_text())["box"] == [["-3/2", "3/2"]]
+    assert run(["two-map-verdict", "--lam1", "1/2", "--offset1", "-1/2",
+                "--lam2", "3/4", "--offset2", "-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "RobustInterior"
+
+
+def test_negative_fraction_follows_its_flag_under_a_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lam": "3/4", "lo": "-1", "hi": "3/2"}))
+    flagged, configured = tmp_path / "flagged.json", tmp_path / "configured.json"
+    assert run(["--config", str(config), "certify", "--lo", "-3/2",
+                "--out", str(flagged)]) == 0
+    config.write_text(json.dumps({"lam": "3/4", "lo": "-3/2", "hi": "3/2"}))
+    assert run(["--config", str(config), "certify", "--out", str(configured)]) == 0
+    assert flagged.read_bytes() == configured.read_bytes()
+    assert json.loads(flagged.read_text())["box"] == [["-3/2", "3/2"]]
+
+
+@pytest.mark.parametrize(
+    "tokens, joined",
+    [
+        (["--lo", "-3/2", "--hi", "-1"], ["--lo=-3/2", "--hi=-1"]),
+        (["--l", "-3/2"], ["--l=-3/2"]),  # an abbreviation: argparse judges it
+        (["--lo=-1", "-3/2"], ["--lo=-1", "-3/2"]),  # a stray token stays one
+        (["--out", "x", "-3/2"], ["--out", "x", "-3/2"]),
+        (["--lo", "-3/x"], ["--lo", "-3/x"]),  # no wire rational
+        (["--lo", "-1.5"], ["--lo", "-1.5"]),
+        (["--help", "-1"], ["--help", "-1"]),  # not an option of the command
+        (["--", "-1"], ["--", "-1"]),
+    ],
+)
+def test_only_a_negative_rational_after_a_flag_is_joined(tokens, joined):
+    assert _joined(tokens, ["--lam", "--lo", "--hi", "--out"]) == joined
+
+
 @pytest.mark.parametrize("config", [{"command": "check-cert"}, {"handler": "x"}])
 def test_config_cannot_overwrite_parser_internals(tmp_path, capsys, config):
     # keys that are not options of the chosen command are ignored
@@ -550,7 +594,9 @@ PINNED_DIGESTS = {
 NEGATIVE_VERDICTS = {"lambda-too-small"}  # written with exit code 1
 
 
-def test_pinned_output_digests(tmp_path):
+def pinned_commands(tmp_path):
+    """The command of each `PINNED_DIGESTS` entry, less its --out, in an
+    order that writes each system before a realize reads it."""
     target = tmp_path / "target.json"
     target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
     zero = tmp_path / "zero.json"
@@ -577,8 +623,13 @@ def test_pinned_output_digests(tmp_path):
         "realize-o2-zero": ["realize", "--system", str(tmp_path / "o2.json"),
                             "--target", str(zero), "--tol", "1/10000"],
     }
+    assert commands.keys() == PINNED_DIGESTS.keys()
+    return commands
+
+
+def test_pinned_output_digests(tmp_path):
     digests = {}
-    for name, args in commands.items():
+    for name, args in pinned_commands(tmp_path).items():
         out = tmp_path / f"{name}.json"
         assert run(args + ["--out", str(out)]) == int(name in NEGATIVE_VERDICTS)
         digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()

@@ -397,23 +397,38 @@ shears = st.sampled_from([F(j, 16) for j in range(-2, 3)])
 def covering_inputs(draw):
     """1-d and planar systems with one map per corner of [-1, 1]^dim (plus
     one), entries of either sign, shears off the diagonal and now and then
-    a singular map; some certify, some fail at the depth cap."""
+    a singular map, on [-2, h]^dim; some certify, some fail at the depth
+    cap.  Each axis is then carried onto a drawn box by x -> L + r (x + 2),
+    the maps conjugated with it: lower corners and widths that need not be
+    dyadic, and widths far enough apart that the axes' exponents differ by
+    2 or more."""
     dim = draw(st.sampled_from([1, 2]))
     corners = list(itertools.product((1, -1), repeat=dim))
+    h = draw(st.sampled_from([F(13, 8), F(2)]))
+    lows = [F(draw(st.integers(-6, 3)), draw(st.sampled_from([1, 3, 4]))) for _ in range(dim)]
+    scales = [draw(st.sampled_from([F(1), F(1, 3), F(4, 3)]))]
+    scales += [scales[0] * draw(st.sampled_from([F(1), F(1, 4), F(5), F(1, 6), F(3, 2)]))] * (dim - 1)
     maps = {}
     for k in range(draw(st.integers(len(corners), len(corners) + 1))):
+        # the conjugate's entries m_ij r_i / r_j and offset L + r (t + 2) - m (L + 2 r)
         matrix = [
-            [draw(diagonals) if i == j else draw(shears) for j in range(dim)]
+            [(draw(diagonals) if i == j else draw(shears)) * scales[i] / scales[j]
+             for j in range(dim)]
             for i in range(dim)
         ]
         for i, row in enumerate(matrix):
             if sum(abs(a) for a in row) >= 1:
                 row[1 - i] = F(0)  # keep the map a contraction
-        maps[str(k)] = AffineMap(matrix, corners[k % len(corners)])
+        offset = [
+            lows[i] + scales[i] * (t + 2)
+            - sum(a * (lo + 2 * r) for a, lo, r in zip(matrix[i], lows, scales))
+            for i, t in enumerate(corners[k % len(corners)])
+        ]
+        maps[str(k)] = AffineMap(matrix, offset)
     system = IFSystem(tuple(maps), maps)
-    h = draw(st.sampled_from([F(13, 8), F(2)]))
-    margin = draw(st.sampled_from([F(1, 100), F(1, 16), F(2, 3)]))
-    return system, Box([Interval(F(-2), h)] * dim), margin, draw(st.integers(0, 8))
+    margin = draw(st.sampled_from([F(1, 100), F(1, 16), F(2, 3)])) * min(scales)
+    target = Box([Interval(lo, lo + r * (h + 2)) for lo, r in zip(lows, scales)])
+    return system, target, margin, draw(st.integers(0, 10))
 
 
 def endpoints(outcome):

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetcover.covering import certify_covering, check_certificate
 from jetcover.boxes import Box, Interval
@@ -78,6 +80,68 @@ def test_canonical_json_sorted_and_stable():
     assert a == b
     assert a.index('"a"') < a.index('"b"')
     assert a.endswith("\n")
+
+
+def json_dumps(payload) -> str:
+    """The oracle of `canonical_json`: the standard library's encoder."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and
+# astral characters and a lone surrogate, which the ASCII encoder escapes
+json_strings = st.text(
+    st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600') | st.characters()
+)
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2 ** 200), 2 ** 200) | json_strings,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(json_strings, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300)
+@given(json_trees)
+def test_canonical_json_is_the_standard_encoder(payload):
+    assert canonical_json(payload) == json_dumps(payload)
+
+
+def test_canonical_json_is_the_standard_encoder_on_every_pinned_payload(monkeypatch, tmp_path):
+    from test_cli import pinned_commands, run  # local test module
+
+    payloads = []
+
+    def recorded(payload):
+        payloads.append(payload)
+        return canonical_json(payload)
+
+    monkeypatch.setattr(serialize, "canonical_json", recorded)
+    commands = pinned_commands(tmp_path)
+    for name, args in commands.items():
+        run(args + ["--out", str(tmp_path / f"{name}.json")])
+    assert len(payloads) == len(commands)  # one document per command
+    for payload in payloads:
+        assert canonical_json(payload) == json_dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "payload", [1.5, {"a": [0.0]}, {1: "a"}, {"a": 1, 2: "b"}, {None: 1}, {"a"}, [frozenset()]]
+)
+def test_canonical_json_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        canonical_json(payload)
+
+
+def test_the_standard_encoder_is_no_fallback_of_the_emitter():
+    # `json.dumps` is the tests' oracle only
+    tree = ast.parse(Path(serialize.__file__).read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+              for alias in node.names}
+    assert "json" not in names and "dumps" not in names
 
 
 def test_jet_system_payload_round_trip(jet_sys_r1):
