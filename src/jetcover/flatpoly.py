@@ -49,27 +49,17 @@ def l1_tail(coeffs: Sequence[Fraction]) -> Fraction:
     return sum((abs(c) for c in coeffs[:-1]), Fraction(0))
 
 
-def synthetic_division(coeffs: Sequence[Fraction], root: Fraction):
-    """Divide by (x - root); returns (quotient coeffs, exact remainder)."""
-    out: List[Fraction] = []
-    carry = Fraction(0)
-    for e in reversed(tuple(coeffs)):
-        carry = e + carry * root
-        out.append(carry)
-    remainder = out.pop()
-    return tuple(reversed(out)), remainder
+def _moment_rows(big_n: int, terms) -> List[int]:
+    """sum_j c_j j!/(j-i)! = Q^(i)(1) for i < N over the (j, c_j) of Q; all
+    zero exactly when (x - 1)^N | Q."""
+    return [sum(c * perm(j, i) for j, c in terms) for i in range(big_n)]
 
 
-def divisible_by_power(coeffs: Sequence[Fraction], root: Fraction, power: int) -> bool:
-    """(x - root)^power | poly, checked by repeated exact synthetic division."""
-    c = tuple(coeffs)
-    for _ in range(power):
-        if len(c) < 2:
-            return False
-        c, rem = synthetic_division(c, root)
-        if rem != 0:
-            return False
-    return True
+def _assemble(nodes: Sequence[int], scaled: Sequence[int], m: int, n: int) -> List[int]:
+    """M Q / x^{x_0}, index = power: the node coefficients, zeros between
+    them, and the leading M."""
+    a = dict(zip(nodes, scaled))
+    return [a.get(j, 0) for j in range(nodes[0], n)] + [m]
 
 
 # --- the L1 linear program and its exchange ------------------------------------
@@ -99,8 +89,10 @@ def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
     """Exact L1-minimal monic degree-n polynomial with an order-N root at 1.
 
     One cold `_exchange` from the nodes 0..N-1, certified by
-    `certify_degree` and re-checked by synthetic division; x^{x_0} is
-    divided out, as a_{x_k} != 0 at every node.  The dual is p in the
+    `certify_degree`; x^{x_0} is divided out, as a_{x_k} != 0 at every
+    node.  The certificate's moment rows, (x - 1)^N | Q, are evaluated
+    again on the assembled coefficients over M, so a coefficient that the
+    assembly drops or moves is caught.  The dual is p in the
     falling-factorial basis, y_i = Delta^i p(0) / i!, checked at 0..N-1.
     """
     if not 1 <= big_n <= n:
@@ -110,10 +102,9 @@ def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
     nodes, scaled, sigma, m = _exchange(n, list(range(big_n)))
     optimum = Fraction(sum(map(abs, scaled)), m)
     certify_degree(big_n, n, nodes, scaled, sigma, optimum)
-    a = dict(zip(nodes, scaled))
-    coeffs = tuple(Fraction(a.get(j, 0), m) for j in range(n)) + (Fraction(1),)
-    if not divisible_by_power(coeffs, Fraction(1), big_n):
-        raise ConstructionError("synthetic division found a nonzero remainder")
+    assembled = _assemble(nodes, scaled, m, n)
+    if any(_moment_rows(big_n, [(j, c) for j, c in enumerate(assembled) if c])):
+        raise ConstructionError(f"the assembled Q has no root of order {big_n} at 1")
     dual = _basis(nodes, n, sigma)[3]
     diffs, y = [dual(j) for j in range(big_n)], []
     for i in range(big_n):
@@ -123,7 +114,7 @@ def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
         raise ConstructionError("the falling-factorial dual does not reproduce p")
     return FlatPolyResult(
         flatness=big_n,
-        coeffs=coeffs[nodes[0]:],
+        coeffs=tuple(Fraction(c, m) for c in assembled),
         optimum=optimum,
         dual=tuple(y),
         search_degree=n,
@@ -179,8 +170,7 @@ def certify_degree(big_n: int, n: int, nodes, scaled, sigma, optimum: Fraction) 
             and list(nodes) == sorted(set(nodes)) and 0 <= nodes[0] and nodes[-1] < n):
         raise ConstructionError(f"{nodes} is no flat LP basis at (N={big_n}, n={n})")
     m, _, _, dual, j = _basis(nodes, n, sigma)
-    rows = [sum(a * perm(x, i) for a, x in zip(scaled, nodes)) + m * perm(n, i)
-            for i in range(big_n)]
+    rows = _moment_rows(big_n, [*zip(nodes, scaled), (n, m)])
     l1 = sum(map(abs, scaled))
     failed = [check for check, bad in [
         ("moment rows", any(rows)), (f"|p({j})| <= 1", j is not None),

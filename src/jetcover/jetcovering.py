@@ -9,10 +9,12 @@ Delta = (-base^n, base^n) x ... x (-base, base) to an open covered set
 A = projection(Delta) in jet space.
 
 Everything here is exact: the semi-conjugacy is checked as an affine-map
-identity, the Delta covering gets two independent proofs, membership in A
-is an LP optimum with an interiority margin and a re-checked certificate,
-and the realizer's greedy pullback comes with a certified residual bound
-that the forward-composed continuation jet is verified against.
+identity in closed form, and it judges the root of P and the projection
+too; the Delta covering gets two independent proofs; membership in A is
+the optimum of an integer dual exchange, with an interiority margin and a
+re-checked certificate; and the realizer's greedy pullback comes with a
+certified residual bound that the forward-composed continuation jet is
+verified against.
 
 The realizer works in integers: closed-form norm(J^k) fixes k before any
 membership work or pullback, membership is one dual exchange, the
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, lcm, perm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg
 from .boxes import Box, Interval
 from .covering import WindowCoverCertificate, certify_window_cover
 from .errors import (
@@ -39,7 +41,7 @@ from .errors import (
     ResourceLimitError,
     ShapeError,
 )
-from .flatpoly import Coeffs, divisible_by_power, l1_tail, projection_matrix
+from .flatpoly import Coeffs, l1_tail, projection_matrix
 from .jets import Jet, reverse_jet
 from .linalg import Mat, Vec
 from .rational import rat
@@ -54,17 +56,16 @@ class JetCoveringSystem:
     jet_dim:       N, the dimension of the jet space (order r = N - 1)
     lam:           shared contraction of the two base maps
     p_coeffs:      scaled flat polynomial, monic, constant term nonzero
-    branch_matrix: J, linear part shared by both jet-space branches
-    branch_offset: T; the branches are X -> J X + T and X -> J X - T
-    projection:    N x n full-rank matrix intertwining shifts and branches
+    projection:    N x n matrix intertwining shifts and branches
     box_base:      base > 1 of the pullback box geometry
+
+    The branches X -> J X + T and X -> J X - T are derived from (N, lam):
+    `branch_matrix` J = lam I + S and `branch_offset` T = e_N.
     """
 
     jet_dim: int
     lam: Fraction
     p_coeffs: Coeffs
-    branch_matrix: Mat
-    branch_offset: Vec
     projection: Mat
     box_base: Fraction
 
@@ -76,6 +77,22 @@ class JetCoveringSystem:
     def order(self) -> int:
         return self.jet_dim - 1
 
+    @property
+    def branch_matrix(self) -> Mat:
+        return branch_matrix(self.jet_dim, self.lam)
+
+    @property
+    def branch_offset(self) -> Vec:
+        return (Fraction(0),) * (self.jet_dim - 1) + (Fraction(1),)
+
+    @cached_property
+    def reach(self) -> Fraction:
+        """Exact sup-norm bound of the projected pullback box (it is
+        centered); the step search and the residual bound share it."""
+        bounds = self.coordinate_bounds()
+        return max(sum((abs(e) * r for e, r in zip(row, bounds)), Fraction(0))
+                   for row in self.projection)
+
     def coordinate_bounds(self) -> Tuple[Fraction, ...]:
         """Radius of each pullback-box coordinate, outermost first."""
         return tuple(self.box_base ** (self.n - i) for i in range(self.n))
@@ -85,6 +102,7 @@ class JetCoveringSystem:
 
 
 def branch_matrix(jet_dim: int, lam: Fraction) -> Mat:
+    """J = lam I + S, S the superdiagonal N-1, ..., 1."""
     rows = []
     for i in range(jet_dim):
         row = [Fraction(0)] * jet_dim
@@ -93,26 +111,6 @@ def branch_matrix(jet_dim: int, lam: Fraction) -> Mat:
             row[i + 1] = Fraction(jet_dim - 1 - i)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _validate_polynomial(jet_dim: int, lam: Fraction, b: Coeffs) -> Fraction:
-    """Check the conditions on P; returns its L1 tail.  By Taylor's theorem
-    the root test (x - 1/lam)^N | P is P^{(i)}(1/lam) = 0 for i < N."""
-    n = len(b) - 1
-    if n < 1:
-        raise DegenerateInputError("polynomial must have positive degree")
-    if b[0] == 0 or b[-1] != 1:
-        raise DegenerateInputError("need a monic polynomial with nonzero constant")
-    l1 = l1_tail(b)
-    if l1 >= 2:
-        raise DegenerateInputError(
-            f"non-leading L1 norm {l1} is not below 2; contraction too small"
-        )
-    if not divisible_by_power(b, 1 / lam, jet_dim):
-        raise DegenerateInputError(
-            f"polynomial has no root of order {jet_dim} at 1/lam"
-        )
-    return l1
 
 
 def box_inequality(base: Fraction, n: int, l1_tail: Fraction) -> Tuple[bool, Fraction, Fraction]:
@@ -146,19 +144,19 @@ def build_system(
     p_coeffs: Sequence[Fraction],
     box_base=None,
 ) -> JetCoveringSystem:
-    """Assemble and exactly verify the full covering system.
+    """Assemble and exactly verify the full covering system, the only
+    place a scaled polynomial is verified; each condition has one judge.
 
-    The only place a scaled polynomial is verified: the polynomial
-    conditions, the box inequality, full projection rank, and the
-    semi-conjugacy identity are checked here regardless of how the inputs
-    were produced.
-
-    The semi-conjugacy identity is the one judge of the projection pi, as
-    a zero residual determines pi: the offset residual fixes column 0 to
-    b_0 e_N; matrix-residual column k < n-1 fixes column k+1 from column k
-    (pi[:, k+1] = J pi[:, k] + b_{k+1} e_N); and column n-1 is the vanishing
-    of P's derivatives at 1/lam.  So a wrong partial-sum table entry always
-    leaves a nonzero residual, and the table is checked nowhere else.
+    The semi-conjugacy identity judges the projection pi, as a zero
+    residual determines pi: the offset residual fixes column 0 to b_0 e_N,
+    and matrix-residual column k < n-1 fixes column k+1 from column k
+    (pi[:, k+1] = J pi[:, k] + b_{k+1} e_N).  Column n-1 is then the
+    derivatives of order < N of x^n P(1/x) at lam, zero exactly when
+    (x - 1/lam)^N | P: judged after the others, before the base is chosen,
+    and an input error (the others are ConstructionError).  A zero residual
+    makes pi full rank: pi[:, c] = sum_{j<=c} b_j J^(c-j) e_N, e_N is cyclic
+    for J, b_0 != 0 and the root needs n >= N.  A base the caller gives
+    that breaks the box inequality is an input error.
     """
     if jet_dim < 1:
         raise DegenerateInputError(f"jet dimension {jet_dim} must be at least 1")
@@ -166,75 +164,73 @@ def build_system(
     if not 0 < lam < 1:
         raise DegenerateInputError("contraction must lie in (0, 1)")
     b = tuple(rat(c) for c in p_coeffs)
-    l1 = _validate_polynomial(jet_dim, lam, b)
-    n = len(b) - 1
+    n, l1 = len(b) - 1, l1_tail(b)
+    if n < 1:
+        raise DegenerateInputError("polynomial must have positive degree")
+    if b[0] == 0 or b[-1] != 1:
+        raise DegenerateInputError("need a monic polynomial with nonzero constant")
+    if l1 >= 2:
+        raise DegenerateInputError(
+            f"non-leading L1 norm {l1} is not below 2; contraction too small")
     pi = projection_matrix(b, lam, jet_dim)
-    if linalg.rank(pi) != jet_dim:
-        raise ConstructionError("projection is rank deficient")
-    base = choose_box_base(n, l1) if box_base is None else rat(box_base)
-    if base <= 1:
-        raise DegenerateInputError("box base must exceed 1")
-    holds, lhs, rhs = box_inequality(base, n, l1)
-    if not holds:
-        raise ConstructionError(f"box inequality fails: {lhs} >= {rhs}")
-    sys = JetCoveringSystem(
-        jet_dim=jet_dim,
-        lam=lam,
-        p_coeffs=b,
-        branch_matrix=branch_matrix(jet_dim, lam),
-        branch_offset=(Fraction(0),) * (jet_dim - 1) + (Fraction(1),),  # e_N
-        projection=pi,
-        box_base=base,
-    )
-    verify_semiconjugacy(sys)
-    return sys
+    residuals = _residuals(jet_dim, lam, b, pi)
+    _judge(residuals, n - 1)
+    if any(row[-1] for row in residuals[1][0]):
+        raise DegenerateInputError(f"polynomial has no root of order {jet_dim} at 1/lam")
+    if box_base is None:
+        base = choose_box_base(n, l1)
+    else:
+        base = rat(box_base)
+        if base <= 1:
+            raise DegenerateInputError("box base must exceed 1")
+        holds, lhs, rhs = box_inequality(base, n, l1)
+        if not holds:
+            raise DegenerateInputError(f"box inequality fails: {lhs} >= {rhs}")
+    return JetCoveringSystem(jet_dim, lam, b, pi, base)
 
 
-def semiconjugacy_residuals(
-    sys: JetCoveringSystem,
-) -> Dict[int, Tuple[Mat, Vec]]:
-    """Exact residuals of branch o projection - projection o shift, per branch.
-
-    The shift of branch d is v -> M v + (d / b_0) e_0, (M v)_0 = -sum_{j>=1}
-    b_j v_{j-1} / b_0 and (M v)_k = v_{k-1}, so column c of the shared matrix
-    residual J pi - pi M is lam pi_c + S pi_c + (b_{c+1} / b_0) pi_0 - pi_{c+1}
-    (pi_n = 0), and branch d's offset residual is d (T - pi_0 / b_0).  J must
-    be lam I + S and T must be e_N, else ConstructionError.  The generic
-    products in `tests/jetcovering_helpers.py` are this closed form's oracle.
-    """
-    big_n, lam, b, pi = sys.jet_dim, sys.lam, sys.p_coeffs, sys.projection
-    if sys.branch_matrix != branch_matrix(big_n, lam):
-        raise ConstructionError("the branch matrix is not lam I + S")
-    if sys.branch_offset != (0,) * (big_n - 1) + (1,):
-        raise ConstructionError("the branch offset is not e_N")
+def _residuals(big_n: int, lam: Fraction, b: Coeffs, pi: Mat) -> Dict[int, Tuple[Mat, Vec]]:
     ratios = [c / b[0] for c in b[1:]]
-    below = pi[1:] + ((0,) * sys.n,)  # (S pi)_i = (N - 1 - i) pi_{i+1}
+    below = pi[1:] + ((0,) * (len(b) - 1),)  # (S pi)_i = (N - 1 - i) pi_{i+1}
     mat_res = tuple(
         tuple(lam * e + (big_n - 1 - i) * down + r * row[0] - right
               for e, down, r, right in zip(row, lower, ratios, row[1:] + (0,)))
         for i, (row, lower) in enumerate(zip(pi, below))
     )
-    offset = tuple(t - row[0] / b[0] for t, row in zip(sys.branch_offset, pi))
+    # e_N - pi_0 / b_0
+    offset = tuple((i == big_n - 1) - row[0] / b[0] for i, row in enumerate(pi))
     return {delta: (mat_res, tuple(delta * e for e in offset)) for delta in (1, -1)}
+
+
+def semiconjugacy_residuals(sys: JetCoveringSystem) -> Dict[int, Tuple[Mat, Vec]]:
+    """Exact residuals of branch o projection - projection o shift, per branch.
+
+    The shift of branch d is v -> M v + (d / b_0) e_0, (M v)_0 = -sum_{j>=1}
+    b_j v_{j-1} / b_0 and (M v)_k = v_{k-1}, so column c of the shared matrix
+    residual J pi - pi M is lam pi_c + S pi_c + (b_{c+1} / b_0) pi_0 - pi_{c+1}
+    (pi_n = 0), and branch d's offset residual is d (e_N - pi_0 / b_0), with
+    J = lam I + S and T = e_N as the system derives them.  The generic
+    products in `tests/jetcovering_helpers.py` are this closed form's oracle.
+    """
+    return _residuals(sys.jet_dim, sys.lam, sys.p_coeffs, sys.projection)
+
+
+def _judge(residuals: Dict[int, Tuple[Mat, Vec]], columns: Optional[int] = None) -> None:
+    """ConstructionError naming the first nonzero residual entry, reading
+    the first `columns` columns of the matrix residual (all by default)."""
+    for delta, (mat_res, vec_res) in residuals.items():
+        nonzero = [*((f"matrix[{i}][{j}]", e) for i, row in enumerate(mat_res)
+                     for j, e in enumerate(row[:columns]) if e),
+                   *((f"offset[{i}]", e) for i, e in enumerate(vec_res) if e)]
+        if nonzero:
+            where, e = nonzero[0]
+            raise ConstructionError(f"semi-conjugacy residual {where} = {e} for branch {delta:+d}")
 
 
 def verify_semiconjugacy(sys: JetCoveringSystem) -> Dict[int, Tuple[Mat, Vec]]:
     """Contract: both residuals identically zero; raises naming the first violation."""
     residuals = semiconjugacy_residuals(sys)
-    for delta, (mat_res, vec_res) in residuals.items():
-        for i, row in enumerate(mat_res):
-            for j, e in enumerate(row):
-                if e != 0:
-                    raise ConstructionError(
-                        f"semi-conjugacy residual matrix[{i}][{j}] = {e} "
-                        f"for branch {delta:+d}"
-                    )
-        for i, e in enumerate(vec_res):
-            if e != 0:
-                raise ConstructionError(
-                    f"semi-conjugacy residual offset[{i}] = {e} "
-                    f"for branch {delta:+d}"
-                )
+    _judge(residuals)
     return residuals
 
 
@@ -457,15 +453,6 @@ class RealizationResult:
         return "".join(self.itinerary)
 
 
-def projection_reach(sys: JetCoveringSystem) -> Fraction:
-    """Exact sup-norm bound of the projected pullback box (it is centered)."""
-    bounds = sys.coordinate_bounds()
-    return max(
-        sum((abs(row[k]) * bounds[k] for k in range(sys.n)), Fraction(0))
-        for row in sys.projection
-    )
-
-
 def power_norm_numerator(lam: Fraction, jet_dim: int, k: int) -> int:
     """q^k * norm(J^k), lam = p/q.  Row 0 of J^k = (lam I + S)^k holds
     C(k,m) lam^(k-m) (N-1)!/(N-1-m)!, m < N; it dominates every other row
@@ -482,7 +469,7 @@ def residual_bound(sys: JetCoveringSystem, k: int) -> Fraction:
     if k < 0:
         raise DegenerateInputError("k must be >= 0")
     norm = power_norm_numerator(sys.lam, sys.jet_dim, k)
-    return Fraction(norm, sys.lam.denominator ** k) * projection_reach(sys)
+    return Fraction(norm, sys.lam.denominator ** k) * sys.reach
 
 
 def realization_steps(
@@ -496,7 +483,7 @@ def realization_steps(
     tol = rat(tol)
     if tol <= 0:
         raise DegenerateInputError("tolerance must be positive")
-    reach = projection_reach(sys)
+    reach = sys.reach
     lhs, rhs = reach.numerator * tol.denominator, tol.numerator * reach.denominator
 
     def meets(k: int) -> bool:

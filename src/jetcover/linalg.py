@@ -105,26 +105,3 @@ def inverse(a: Mat) -> Mat:
             for j in range(n)]
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
-
-def rank(a: Mat) -> int:
-    """Exact rank by fraction-free-enough Gaussian elimination."""
-    if not a:
-        return 0
-    rows = [list(r) for r in a]
-    nrows, ncols = len(rows), len(rows[0])
-    rk = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        for r in range(row + 1, nrows):
-            if rows[r][col] != 0:
-                f = rows[r][col] / rows[row][col]
-                rows[r] = [rows[r][j] - f * rows[row][j] for j in range(ncols)]
-        rk += 1
-        row += 1
-        if row == nrows:
-            break
-    return rk

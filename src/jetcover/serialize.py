@@ -21,14 +21,9 @@ from .blender import BlenderCoverResult, BranchSample, NearlyAffineReport
 from .boxes import Box, Interval
 from .covering import Certificate, CoveringFailure
 from .errors import CertificateFormatError, DegenerateInputError, ResourceLimitError
-from .flatpoly import FlatPolyResult, l1_tail
+from .flatpoly import FlatPolyResult
 from .ifs import COVER_LEAF_CAP, RASTER_PIXEL_CAP, AffineMap, IFSystem, Word
-from .jetcovering import (
-    DeltaCoveringCertificate,
-    JetCoveringSystem,
-    RealizationResult,
-    box_inequality,
-)
+from .jetcovering import DeltaCoveringCertificate, JetCoveringSystem, RealizationResult
 from .jets import Jet
 from .linalg import Vec
 from .rational import rat, rat_str
@@ -269,18 +264,17 @@ def _same_value(stated, rebuilt) -> bool:
 
 def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
     """Rebuild the system from its defining fields through `build_system`,
-    which re-verifies the semi-conjugacy, and require the branch matrix,
-    branch offset, projection and pullback box the file states to equal
-    the rebuilt ones by value; a mismatch is a CertificateFormatError."""
+    which re-verifies the polynomial, the semi-conjugacy and the box
+    inequality of the stated base, and require the branch matrix, branch
+    offset, projection and pullback box the file states to equal the
+    rebuilt ones by value.  A mismatch, or an input `build_system`
+    refuses, is a CertificateFormatError."""
     from .jetcovering import build_system
 
     try:
         if type(payload["jet_dim"]) is not int:  # not a bool, float or string
             raise CertificateFormatError("jet_dim is not a JSON integer")
         p_coeffs, base = [rat(c) for c in payload["p_coeffs"]], rat(payload["box_base"])
-        # a fault of the file, where `build_system` raises ConstructionError
-        if base > 1 and not box_inequality(base, len(p_coeffs) - 1, l1_tail(p_coeffs))[0]:
-            raise CertificateFormatError(f"box_base {base} breaks the box inequality")
         system = build_system(payload["jet_dim"], rat(payload["lam"]), p_coeffs, box_base=base)
         rebuilt = {
             "branch_matrix": system.branch_matrix,

@@ -4,12 +4,37 @@
 evaluates each derivative of each B_k(x) = sum_{j<=k} b_j x^{k-j} from its
 coefficient list, sharing no code with it.  `reference_lambda_threshold`
 is the Fraction bisection that `flatpoly.lambda_threshold` ran before it
-moved to integers.
+moved to integers.  `divisible_by_power` tests a root's order by repeated
+synthetic division, independently of the moment rows of `flatpoly` and of
+the semi-conjugacy residual of `jetcovering.build_system`.
 """
 
 from fractions import Fraction
 
 from jetcover.errors import ConstructionError, DegenerateInputError
+
+
+def synthetic_division(coeffs, root):
+    """Divide by (x - root); returns (quotient coeffs, exact remainder)."""
+    out = []
+    carry = Fraction(0)
+    for e in reversed(tuple(coeffs)):
+        carry = e + carry * root
+        out.append(carry)
+    remainder = out.pop()
+    return tuple(reversed(out)), remainder
+
+
+def divisible_by_power(coeffs, root, power):
+    """(x - root)^power | poly, checked by repeated exact synthetic division."""
+    c = tuple(coeffs)
+    for _ in range(power):
+        if len(c) < 2:
+            return False
+        c, rem = synthetic_division(c, root)
+        if rem != 0:
+            return False
+    return True
 
 
 def poly_eval(coeffs, x):

@@ -1,9 +1,32 @@
-"""Shared oracle helpers for jet-covering tests."""
+"""Shared oracle helpers for jet-covering tests: exact rank, the inverse
+branch, the shift maps and the generic semi-conjugacy products."""
 
 from fractions import Fraction
 
 from jetcover import linalg
 from jetcover.errors import DegenerateInputError
+
+
+def rank(a):
+    """Exact rank by Gaussian elimination over Fraction."""
+    if not a:
+        return 0
+    rows = [list(r) for r in a]
+    nrows, ncols = len(rows), len(rows[0])
+    rk = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rk, nrows) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        for r in range(rk + 1, nrows):
+            if rows[r][col] != 0:
+                f = Fraction(rows[r][col]) / rows[rk][col]
+                rows[r] = [rows[r][j] - f * rows[rk][j] for j in range(ncols)]
+        rk += 1
+        if rk == nrows:
+            break
+    return rk
 
 
 def inverse_branch(sys, delta, x):

@@ -26,7 +26,6 @@ from jetcover.cli import main as cli_main
 from jetcover.covering import Certificate, CoveringFailure, certify_covering, check_certificate
 from jetcover.errors import NotCoveredError
 from jetcover.flatpoly import (
-    divisible_by_power,
     find_flat_poly,
     l1_tail,
     lambda_threshold,
@@ -51,6 +50,7 @@ from jetcover.jets import (
     standard_family,
 )
 from jetcover.simplex import LPSolution, lp_solve
+from flatpoly_reference import divisible_by_power  # local oracle module
 from jets_reference import finite_difference_jet  # local oracle module
 from simplex_reference import flat_lp_problem, strong_duality_holds  # local oracle module
 

@@ -758,6 +758,24 @@ def test_realize_refuses_a_box_base_that_breaks_the_box_inequality(tmp_path, cap
     )
 
 
+def test_realize_refuses_a_polynomial_without_the_root(tmp_path, capsys):
+    # p_coeffs[0] scaled by 99/100 keeps the L1 tail below 2 but moves P's
+    # root off 1/lam; the semi-conjugacy's last column calls it an input error
+    sys_path = tmp_path / "sys.json"
+    assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
+    payload = json.loads(sys_path.read_text())
+    payload["p_coeffs"][0] = str(F(payload["p_coeffs"][0]) * F(99, 100))
+    sys_path.write_text(json.dumps(payload))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
+    out = tmp_path / "real.json"
+    assert run(["realize", "--system", str(sys_path), "--target", str(target),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no root of order 2 at 1/lam" in err
+    assert not out.exists()
+
+
 # --- the command-line surface ------------------------------------------------
 
 # each command with no options, and the line it prints on stderr

@@ -389,25 +389,31 @@ def test_witness_test_matches_inverse_image_box(matrix, offset):
 
 # --- the certifier against its per-box reference ------------------------------
 
-diagonals = st.sampled_from([F(j, 16) for j in range(-14, 15) if abs(j) >= 9 or j == 0])
+diagonals = st.sampled_from([F(j, 16) for j in range(-14, 15) if abs(j) >= 9])
 shears = st.sampled_from([F(j, 16) for j in range(-2, 3)])
 
 
 @st.composite
 def covering_inputs(draw):
     """1-d and planar systems with one map per corner of [-1, 1]^dim (plus
-    one), entries of either sign, shears off the diagonal and now and then
-    a singular map, on [-2, h]^dim; some certify, some fail at the depth
-    cap.  Each axis is then carried onto a drawn box by x -> L + r (x + 2),
-    the maps conjugated with it: lower corners and widths that need not be
-    dyadic, and widths far enough apart that the axes' exponents differ by
-    2 or more."""
+    one), entries of either sign and shears off the diagonal, on
+    [-2, h]^dim; some certify, some fail at the depth cap.  About one
+    system in 16 zeroes the first diagonal entry of its first map, which
+    may make it singular: a singular map raises at depth 0, before any
+    cell is decided, and singular maps have tests of their own.  Each axis
+    is then carried onto a drawn box by x -> L + r (x + 2), the maps
+    conjugated with it: lower corners and widths that need not be dyadic,
+    and widths far enough apart that the axes' exponents differ by 2 or
+    more."""
     dim = draw(st.sampled_from([1, 2]))
     corners = list(itertools.product((1, -1), repeat=dim))
     h = draw(st.sampled_from([F(13, 8), F(2)]))
     lows = [F(draw(st.integers(-6, 3)), draw(st.sampled_from([1, 3, 4]))) for _ in range(dim)]
     scales = [draw(st.sampled_from([F(1), F(1, 3), F(4, 3)]))]
     scales += [scales[0] * draw(st.sampled_from([F(1), F(1, 4), F(5), F(1, 6), F(3, 2)]))] * (dim - 1)
+    # about one draw in 16; a value inside the range, as hypothesis draws
+    # the ends of a range more often
+    zero_diagonal = draw(st.integers(0, 15)) == 8
     maps = {}
     for k in range(draw(st.integers(len(corners), len(corners) + 1))):
         # the conjugate's entries m_ij r_i / r_j and offset L + r (t + 2) - m (L + 2 r)
@@ -416,6 +422,8 @@ def covering_inputs(draw):
              for j in range(dim)]
             for i in range(dim)
         ]
+        if k == 0 and zero_diagonal:
+            matrix[0][0] = F(0)
         for i, row in enumerate(matrix):
             if sum(abs(a) for a in row) >= 1:
                 row[1 - i] = F(0)  # keep the map a contraction

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatpoly_reference import (  # local helper module
+    divisible_by_power,
     poly_eval,
     poly_nth_derivative,
     reference_b_table,
     reference_lambda_threshold,
+    synthetic_division,
 )
 from simplex_reference import flat_lp_problem, strong_duality_holds  # local helper module
-from jetcover import jetcovering
+from jetcover import flatpoly, jetcovering
 from jetcover.errors import (
     ConstructionError,
     DegenerateInputError,
@@ -23,14 +25,12 @@ from jetcover.flatpoly import (
     FLAT_DEGREE_CAP,
     FlatPolyResult,
     b_polynomial_table,
-    divisible_by_power,
     find_flat_poly,
     l1_tail,
     lambda_threshold,
     minimal_flat_poly,
     projection_matrix,
     scale_to_p,
-    synthetic_division,
 )
 from jetcover.jetcovering import auto_lambda, build_system
 from jetcover.simplex import LPSolution, lp_solve
@@ -75,6 +75,37 @@ def test_minimal_flat_rejected_inputs():
         minimal_flat_poly(0, 1)
     with pytest.raises(ResourceLimitError, match=f"above {FLAT_DEGREE_CAP}"):
         minimal_flat_poly(5, FLAT_DEGREE_CAP + 1)
+
+
+def _moved_up(c, k):
+    """c with its entry k added to entry k + 1 and k cleared."""
+    c = list(c)
+    c[k + 1] += c[k]
+    c[k] = 0
+    return c
+
+
+ASSEMBLY_MUTANTS = {
+    "drops the last node": lambda c: c[:-2] + [0, c[-1]],
+    "drops the leading M": lambda c: c[:-1] + [0],
+    "divides out one x too many": lambda c: c[1:],
+    "moves the first coefficient up": lambda c: _moved_up(c, 0),
+    "moves the last node up": lambda c: _moved_up(c, len(c) - 2),
+}
+
+
+@pytest.mark.parametrize("big_n, n", [(2, 4), (3, 9), (4, 23)])
+@pytest.mark.parametrize("mutant", sorted(ASSEMBLY_MUTANTS))
+def test_minimal_flat_catches_an_assembly_fault(monkeypatch, big_n, n, mutant):
+    # the exchange and its certificate are sound; only the coefficient
+    # vector built from them is wrong, and the moment rows evaluated on it
+    # see that (x - 1)^N no longer divides it
+    assemble = flatpoly._assemble
+    assert divisible_by_power(minimal_flat_poly(big_n, n).coeffs, F(1), big_n)
+    monkeypatch.setattr(
+        flatpoly, "_assemble", lambda *args: ASSEMBLY_MUTANTS[mutant](assemble(*args)))
+    with pytest.raises(ConstructionError, match=f"no root of order {big_n} at 1"):
+        minimal_flat_poly(big_n, n)
 
 
 def test_escalation_n2():

@@ -1,7 +1,7 @@
 import functools
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -15,13 +15,16 @@ from jetcover.errors import (
     NotCoveredError,
     ResourceLimitError,
 )
+from flatpoly_reference import divisible_by_power  # local helper module
 from jetcovering_helpers import (  # local helper module
     generic_residuals,
     inverse_branch,
+    rank,
     scan_box_base,
     shift_map,
 )
 from jetcover.jetcovering import (
+    JetCoveringSystem,
     auto_lambda,
     branch_matrix,
     build_system,
@@ -29,7 +32,6 @@ from jetcover.jetcovering import (
     certify_membership,
     choose_box_base,
     greedy_pullback_step,
-    projection_reach,
     realize_jet,
     residual_bound,
     semiconjugacy_residuals,
@@ -168,24 +170,60 @@ def test_semiconjugacy_multiplies_no_matrices(monkeypatch, jet_sys_r1):
     assert rebuilt == serialize.jet_system_from_payload(payload) == jet_sys_r1
 
 
-def test_semiconjugacy_rejects_every_branch_entry(jet_sys_r2):
-    # J and T are read once against lam I + S and e_N, so a tamper of any
-    # single entry is rejected, as the generic products reject it
+def test_branches_are_derived_from_the_jet_dimension_and_contraction(jet_sys_r2):
+    # J and T are no fields: a system holds no branch that could disagree
+    # with lam I + S and e_N (a file's stated J and T are compared on reload)
     sys = jet_sys_r2
-    for i, j in itertools.product(range(sys.jet_dim), repeat=2):
-        rows = [list(row) for row in sys.branch_matrix]
-        rows[i][j] += F(1, 3)
-        tampered = replace(sys, branch_matrix=tuple(map(tuple, rows)))
-        assert any(e != 0 for row in generic_residuals(tampered)[1][0] for e in row)
-        with pytest.raises(ConstructionError, match="branch matrix"):
-            verify_semiconjugacy(tampered)
-    for i in range(sys.jet_dim):
-        offset = list(sys.branch_offset)
-        offset[i] += F(1, 3)
-        tampered = replace(sys, branch_offset=tuple(offset))
-        assert any(e != 0 for e in generic_residuals(tampered)[1][1])
-        with pytest.raises(ConstructionError, match="branch offset"):
-            verify_semiconjugacy(tampered)
+    assert not {"branch_matrix", "branch_offset"} & {f.name for f in fields(sys)}
+    assert sys.branch_matrix == branch_matrix(sys.jet_dim, sys.lam)
+    assert sys.branch_offset == (F(0),) * (sys.jet_dim - 1) + (F(1),)
+    assert replace(sys, lam=F(7, 8)).branch_matrix == branch_matrix(sys.jet_dim, F(7, 8))
+
+
+@pytest.mark.parametrize("jet_dim, p_coeffs", [
+    (2, (F(-4, 3), F(1))),  # n = 1 < N = 2, with the root 4/3 = 1/lam
+    (2, (F(1, 3), F(-19, 12), F(1))),  # (x - 4/3)(x - 1/4): a simple root
+    (1, (F(1), F(-1) + F(1, 2 ** 40), F(1))),  # L1 tail 2 - 2^-40: no base rung
+])
+def test_a_rootless_polynomial_is_an_input_error(jet_dim, p_coeffs):
+    # the last matrix column of the semi-conjugacy residual is the root
+    # test; it is judged before `choose_box_base`, which would fail the
+    # third polynomial with a ConstructionError
+    lam = F(3, 4)
+    assert not divisible_by_power(p_coeffs, 1 / lam, jet_dim)
+    assert l1_tail(p_coeffs) < 2
+    with pytest.raises(DegenerateInputError, match=f"no root of order {jet_dim} at 1/lam"):
+        build_system(jet_dim, lam, p_coeffs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(1, 5).flatmap(lambda big_n: st.tuples(
+        st.just(big_n),
+        st.lists(st.fractions(-3, 3, max_denominator=12), min_size=big_n, max_size=big_n + 4),
+    )),
+    st.fractions(0, 1, max_denominator=64),
+    st.fractions(-3, 3, max_denominator=12).filter(bool),
+)
+def test_the_projection_has_full_rank(dim_and_tail, lam, b0):
+    # build_system tests no rank: with b_0 != 0 and n >= N, the columns
+    # pi_c = sum_{j<=c} b_j J^(c-j) e_N span R^N, as e_N is cyclic for J
+    big_n, tail = dim_and_tail
+    b = (b0, *tail, F(1))
+    assert rank(projection_matrix(b, lam, big_n)) == big_n
+
+
+def test_the_reach_is_computed_once_per_system(monkeypatch, jet_sys_r1):
+    # the step search and the residual bound of a realization share it
+    calls = []
+    reach = JetCoveringSystem.__dict__["reach"]
+    compute = reach.func
+    monkeypatch.setattr(reach, "func", lambda sys: calls.append(sys) or compute(sys))
+    sys = replace(jet_sys_r1)  # a fresh system, with nothing cached
+    res = realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), F(1, 10 ** 8))
+    assert len(calls) == 1 and calls[0] is sys
+    assert res.residual_bound == residual_bound(sys, res.steps) == residual_bound(
+        jet_sys_r1, res.steps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,8 +270,9 @@ def test_closed_form_residuals_equal_the_generic_products(order, step, tamper, d
 
 
 def test_base_feasibility_window(jet_sys_r0):
-    # for the closed form, base * 4/3 < base + 1 means base < 3
-    with pytest.raises(ConstructionError):
+    # for the closed form, base * 4/3 < base + 1 means base < 3; a base
+    # the caller gives is an input, so breaking the inequality is its fault
+    with pytest.raises(DegenerateInputError, match="box inequality"):
         build_system(1, F(3, 4), jet_sys_r0.p_coeffs, box_base=5)
     explicit = build_system(1, F(3, 4), jet_sys_r0.p_coeffs, box_base=2)
     assert explicit.box_base == 2
@@ -297,7 +336,7 @@ def test_membership_zero_jet(jet_sys_r0):
 
 
 def test_membership_beyond_reach(jet_sys_r1):
-    reach = projection_reach(jet_sys_r1)
+    reach = jet_sys_r1.reach
     far = Jet.scalar([2 * reach] + [0] * jet_sys_r1.order)
     res = certify_membership(jet_sys_r1, far)
     assert not res.certified
@@ -330,7 +369,7 @@ def test_residual_bound_closed_form(jet_sys_r0):
 def test_residual_bound_n2_norm_formula(jet_sys_r1):
     sys = jet_sys_r1
     lam = sys.lam
-    reach = projection_reach(sys)
+    reach = sys.reach
     for k in (1, 3, 10, 40):
         assert residual_bound(sys, k) == lam ** (k - 1) * (lam + k) * reach
 
@@ -404,7 +443,7 @@ def test_realize_round_trip_word(jet_sys_r1):
 
 
 def test_realize_rejects_uncertified(jet_sys_r1):
-    reach = projection_reach(jet_sys_r1)
+    reach = jet_sys_r1.reach
     far = Jet.scalar([2 * reach] + [0] * jet_sys_r1.order)
     with pytest.raises(NotCoveredError):
         realize_jet(jet_sys_r1, far, F(1, 100))

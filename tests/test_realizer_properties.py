@@ -21,7 +21,6 @@ from jetcover.jetcovering import (
     build_system,
     certify_membership,
     power_norm_numerator,
-    projection_reach,
     realization_steps,
     realize_jet,
     residual_bound,
@@ -136,7 +135,7 @@ def test_realize_zero_steps(order):
     # tol at the reach itself needs no pullback step: the word is empty,
     # the zero jet is realized and the residual is the target's size
     sys = grid_system(order, F(1023, GRID))
-    reach = projection_reach(sys)
+    reach = sys.reach
     assert realization_steps(sys, reach) == 0
     half = tuple(r / 2 for r in sys.coordinate_bounds())
     x = linalg.mat_vec(sys.projection, half)
