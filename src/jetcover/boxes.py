@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import DegenerateInputError, ShapeError
-from .rational import rat
+from .rational import rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class Interval:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise DegenerateInputError(f"empty interval [{self.lo}, {self.hi}]")
+            raise DegenerateInputError(f"empty interval {self}")
 
     @staticmethod
     def of(lo, hi) -> "Interval":
@@ -47,7 +47,7 @@ class Interval:
         lo, hi = self.lo + margin, self.hi - margin
         if lo > hi:
             raise DegenerateInputError(
-                f"margin {margin} exceeds the half-width of [{self.lo}, {self.hi}]"
+                f"margin {rat_str(margin)} exceeds the half-width of {self}"
             )
         return Interval(lo, hi)
 
@@ -57,7 +57,7 @@ class Interval:
         return Interval(u, v) if u <= v else Interval(v, u)
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{rat_str(self.lo)}, {rat_str(self.hi)}]"
 
 
 class Box:

@@ -19,10 +19,10 @@ most once, when its symbol is first tried, and stops with
 ResourceLimitError past `COVER_LEAF_CAP` leaves.  The checker maps each
 leaf to its cell, accepts exactly the leaf sets of the target's midpoint
 bisection tree (longest axis, lowest index on ties), in any order, by
-replaying that tree on int tuples, and tests each cell against integer
-bounds made once per witness and exponent vector; it inverts each
-witness map once and is linear in the leaf count.  The JSON wire format
-lives in `serialize`.
+replaying that tree on int tuples a depth at a time (one split axis per
+depth), and tests each cell against integer rows made once per witness
+and shifted per exponent vector; it inverts each witness map once and is
+linear in the leaf count.  The JSON wire format lives in `serialize`.
 """
 
 from __future__ import annotations
@@ -284,14 +284,14 @@ def certify_covering(
     )
 
 
-def _grid_index(iv: Interval, lo: Fraction, width: Fraction):
+def _grid_index(iv: Interval, p: int, r: int, u: int, v: int):
     """The heap index ``2^e + k`` if `iv` is cell k of the 2^e equal cells
-    of [lo, lo + width], else None; cell m halves into 2m and 2m + 1."""
-    a, b, c, d = iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
+    of [p/r, p/r + u/v], else None; cell m halves into 2m and 2m + 1."""
+    (a, b), (c, d) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
     w = c * b - a * d  # (iv.hi - iv.lo) b d: integers throughout, no gcd
     if w > 0:
-        n, n_rem = divmod(width.numerator * b * d, width.denominator * w)
-        k, k_rem = divmod((a * lo.denominator - lo.numerator * b) * d, lo.denominator * w)
+        n, n_rem = divmod(u * b * d, v * w)
+        k, k_rem = divmod((a * r - p * b) * d, r * w)
         if not n_rem and not k_rem and n.bit_count() == 1 and 0 <= k < n:
             return n + k
     return None
@@ -305,53 +305,56 @@ def _split(piece, ax: int):
 
 
 def _tree_cells(target: Box, leaves: Sequence[Box]):
-    """The leaves' cells, as tuples of heap indices (`_grid_index`), if they
-    are the leaf set of the midpoint bisection tree of `target`, in any
-    order, else None; a leaf of the wrong dimension raises ShapeError.  The
-    tree is replayed on these tuples: a piece that is a leaf is struck off,
-    any other is split on its longest axis ``W_c/2^e_c`` (lowest index on
-    ties, found once per exponent vector).  L leaves need L - 1 splits, so
-    the replay gives up at the L-th: it costs O(L)."""
-    origin, widths = [iv.lo for iv in target], [iv.width for iv in target]
-    seen = [{} for _ in widths]  # per axis: id(interval) -> heap index or None
+    """The leaves' cells, as pairs (tuple of heap indices (`_grid_index`),
+    exponents of the cell's depth), if they are the leaf set of the midpoint
+    bisection tree of `target`, in any order, else None; a leaf of the wrong
+    dimension raises ShapeError.  The tree is replayed on these tuples one
+    depth at a time: a piece that is a leaf is struck off, any other is
+    split on its depth's longest axis ``W_c/2^e_c`` (lowest index on ties).
+    L leaves need L - 1 splits, so the replay gives up at the L-th: O(L)."""
+    # per axis: the lower end and width as integer ratios, id(interval) -> heap index
+    grids = [(*iv.lo.as_integer_ratio(), *iv.width.as_integer_ratio(), {}) for iv in target]
     cells = []
     for leaf in leaves:  # the leaves keep every interval alive, so ids stay unique
-        if leaf.dim != len(widths):
+        if len(leaf.intervals) != len(grids):
             raise ShapeError("box dimension mismatch")
-        for c, iv in enumerate(leaf):
-            if id(iv) not in seen[c]:
-                seen[c][id(iv)] = _grid_index(iv, origin[c], widths[c])
-        cell = [seen[c][id(iv)] for c, iv in enumerate(leaf)]
+        cell = []
+        for iv, (p, r, u, v, seen) in zip(leaf.intervals, grids):
+            if id(iv) not in seen:
+                seen[id(iv)] = _grid_index(iv, p, r, u, v)
+            cell.append(seen[id(iv)])
         if None in cell:
             return None
         cells.append(tuple(cell))
-    remaining, axes, splits_left = set(cells), {}, len(cells) - 1
-    if not cells or len(remaining) != len(cells):
+    exps_of = dict.fromkeys(cells)  # cell -> its depth's exponents, once struck off
+    if not cells or len(exps_of) != len(cells):
         return None  # no leaf, or a repeated leaf
-    stack = [(1,) * len(widths)]  # the target: cell 0 of 2^0 on every axis
-    while stack:
-        piece = stack.pop()
-        if piece in remaining:
-            remaining.remove(piece)
-        elif splits_left == 0:
-            return None
-        else:
-            splits_left -= 1
-            bits = tuple(map(int.bit_length, piece))  # the exponents, plus one
-            if bits not in axes:
-                steps = [w / 2 ** e for w, e in zip(widths, bits)]
-                axes[bits] = steps.index(max(steps))
-            stack.extend(_split(piece, axes[bits]))
-    return None if remaining else cells
+    level, splits_left = [(1,) * len(grids)], len(cells) - 1  # the target: cell 0 of 2^0
+    while level:  # the pieces of one depth, which share their exponents
+        exps = tuple(m.bit_length() - 1 for m in level[0])
+        steps = [iv.width / 2 ** e for iv, e in zip(target, exps)]
+        ax, inner = steps.index(max(steps)), []
+        for piece in level:
+            if piece in exps_of:
+                exps_of[piece] = exps
+            elif splits_left == 0:
+                return None
+            else:
+                splits_left -= 1
+                inner += _split(piece, ax)
+        level = inner
+    return None if None in exps_of.values() else list(exps_of.items())
 
 
 def _fit_test(f: AffineMap, target: Box, shrunk: Box):
-    """Invert f(x) = M x + t once; `fits(cell)` is whether f^-1 pulls the
-    cell into `shrunk`: each row a of M^-1 maps it into ``shrunk + M^-1 t``.
-    The test is the exact integer form `_DyadicGrid` derives, ``lo_min <=
-    sum_c alpha_c k_c <= hi_max``, made by the checker's own code once per
-    exponent vector, on heap indices ``2^e_c + k_c``: bounds shifted by
-    ``sum_c alpha_c 2^e_c``."""
+    """Invert f(x) = M x + t once; `fits(cell, exps)` is whether f^-1 pulls
+    the cell into `shrunk`: each row a of M^-1 maps it into ``shrunk + M^-1
+    t``.  Each row goes over one denominator q once, in integers: ``A_c =
+    q a_c W_c`` and its window less a.L, ``[Lo, Hi]``.  Scaled by ``q 2^E``,
+    ``E = max_c e_c``, the test on heap indices ``m_c = 2^e_c + k_c`` is
+    ``lo <= sum_c alpha_c m_c <= hi`` with ``alpha_c = A_c 2^(E - e_c)``
+    and ``lo = (Lo + sum_c A_c) 2^E - sum_{alpha_c<0} alpha_c``, hi alike:
+    an exponent vector only shifts the rows, with no Fraction or rounding."""
     if f.dim != shrunk.dim:
         raise DegenerateInputError("box dimension does not match the map")
     try:
@@ -360,24 +363,24 @@ def _fit_test(f: AffineMap, target: Box, shrunk: Box):
         raise SingularMatrixError("branch matrix is singular") from None
     # row a's window less a.L, for the target's lower corner L: shrunk + M^-1 (t - L)
     at = linalg.mat_vec(inv, [t - iv.lo for t, iv in zip(f.offset, target)])
-    windows = [(row, iv.lo + c, iv.hi + c) for row, iv, c in zip(inv, shrunk, at)]
-    widths, tests = [iv.width for iv in target], {}
+    rows, tests = [], {}
+    for row, iv, c in zip(inv, shrunk, at):
+        values = [a * w.width for a, w in zip(row, target)] + [iv.lo + c, iv.hi + c]
+        q = math.lcm(*(v.denominator for v in values))
+        *coeffs, lo, hi = [v.numerator * (q // v.denominator) for v in values]
+        rows.append((coeffs, lo + sum(coeffs), hi + sum(coeffs)))
 
-    def fits(cell) -> bool:
-        bits = tuple(map(int.bit_length, cell))
-        if bits not in tests:
-            tests[bits] = []
-            for row, w_lo, w_hi in windows:
-                terms = [a * w / 2 ** (e - 1) for a, w, e in zip(row, widths, bits)]
-                scale = math.lcm(*(t.denominator for t in terms))
-                alphas = [t.numerator * (scale // t.denominator) for t in terms]
-                shift = sum(a * 2 ** (e - 1) for a, e in zip(alphas, bits))  # from k to 2^e + k
-                tests[bits].append((
-                    alphas,
-                    math.ceil(scale * (w_lo - sum(t for t in terms if t < 0))) + shift,
-                    math.floor(scale * (w_hi - sum(t for t in terms if t > 0))) + shift,
-                ))
-        return all(lo <= sum(map(mul, alphas, cell)) <= hi for alphas, lo, hi in tests[bits])
+    def fits(cell, exps) -> bool:
+        if exps not in tests:
+            top, tests[exps] = max(exps), []
+            for coeffs, lo, hi in rows:
+                alphas = [a << (top - e) for a, e in zip(coeffs, exps)]
+                tests[exps].append((alphas, (lo << top) - sum(a for a in alphas if a < 0),
+                                    (hi << top) - sum(a for a in alphas if a > 0)))
+        for alphas, lo, hi in tests[exps]:
+            if not lo <= sum(map(mul, alphas, cell)) <= hi:
+                return False
+        return True
 
     return fits
 
@@ -403,13 +406,13 @@ def check_certificate(cert: Certificate) -> bool:
     cells = _tree_cells(cert.target, [leaf for leaf, _ in cert.leaves])
     if cells is None:
         return False
-    tests = {}
-    for (_, witness), cell in zip(cert.leaves, cells):
-        if witness not in cert.system.maps:
-            return False
+    maps, tests = cert.system.maps, {}
+    for (_, witness), (cell, exps) in zip(cert.leaves, cells):
         if witness not in tests:
-            tests[witness] = _fit_test(cert.system.maps[witness], cert.target, shrunk)
-        if not tests[witness](cell):
+            if witness not in maps:
+                return False
+            tests[witness] = _fit_test(maps[witness], cert.target, shrunk)
+        if not tests[witness](cell, exps):
             return False
     return True
 

@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
     SearchExhaustedError,
 )
-from .rational import rat
+from .rational import rat, rat_str
 
 Coeffs = Tuple[Fraction, ...]  # index = power, last entry = leading
 
@@ -202,7 +202,7 @@ def find_flat_poly(
     margin = rat(margin)
     if not 0 < margin <= 1:
         raise DegenerateInputError(
-            f"margin {margin} is not in (0, 1]: Q(1) = 0 puts every L1 tail at >= 1")
+            f"margin {rat_str(margin)} is not in (0, 1]: Q(1) = 0 puts every L1 tail at >= 1")
     if n_max < big_n:
         raise DegenerateInputError(
             f"degree cap {n_max} is below the flatness {big_n}: a root of "

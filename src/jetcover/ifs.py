@@ -24,7 +24,7 @@ from .errors import (
     UnknownSymbolError,
 )
 from .linalg import Mat, Vec
-from .rational import rat
+from .rational import rat, rat_str
 
 Word = Tuple[str, ...]
 
@@ -54,10 +54,10 @@ class AffineMap:
         c = norm if contraction is None else rat(contraction)
         if c < norm:
             raise DegenerateInputError(
-                f"declared contraction {c} below the computed norm {norm}"
+                f"declared contraction {rat_str(c)} below the computed norm {rat_str(norm)}"
             )
         if c >= 1:
-            raise DegenerateInputError(f"contraction bound {c} is not < 1")
+            raise DegenerateInputError(f"contraction bound {rat_str(c)} is not < 1")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", t)
         object.__setattr__(self, "contraction", c)

@@ -44,7 +44,7 @@ from .errors import (
 from .flatpoly import Coeffs, l1_tail, projection_matrix
 from .jets import Jet, reverse_jet
 from .linalg import Mat, Vec
-from .rational import rat
+from .rational import rat, rat_str
 
 Word = Tuple[str, ...]
 
@@ -171,7 +171,7 @@ def build_system(
         raise DegenerateInputError("need a monic polynomial with nonzero constant")
     if l1 >= 2:
         raise DegenerateInputError(
-            f"non-leading L1 norm {l1} is not below 2; contraction too small")
+            f"non-leading L1 norm {rat_str(l1)} is not below 2; contraction too small")
     pi = projection_matrix(b, lam, jet_dim)
     residuals = _residuals(jet_dim, lam, b, pi)
     _judge(residuals, n - 1)
@@ -185,7 +185,7 @@ def build_system(
             raise DegenerateInputError("box base must exceed 1")
         holds, lhs, rhs = box_inequality(base, n, l1)
         if not holds:
-            raise DegenerateInputError(f"box inequality fails: {lhs} >= {rhs}")
+            raise DegenerateInputError(f"box inequality fails: {rat_str(lhs)} >= {rat_str(rhs)}")
     return JetCoveringSystem(jet_dim, lam, b, pi, base)
 
 
@@ -493,7 +493,7 @@ def realization_steps(
     lo, hi = -1, 0  # meets(lo) is false, or lo is -1
     while not meets(hi):
         if hi >= max_steps:
-            raise ResourceLimitError(f"tol {tol} unreachable within {max_steps} steps")
+            raise ResourceLimitError(f"tol {rat_str(tol)} unreachable within {max_steps} steps")
         lo, hi = hi, min(2 * hi + 1, max_steps)
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -5,11 +5,11 @@ All certified arithmetic in this package runs on `fractions.Fraction`
 courtesy of the stdlib).  On every external surface rationals travel as
 ASCII ``"p/q"`` strings of any length, e.g. ``"-4/3"`` or ``"7"``: sides
 past Python's 4300-digit limit for int <-> str go through `decimal`.
+`rat` is the one parser, the certificate loader's too, and uses no regex.
 """
 
 from __future__ import annotations
 
-import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
@@ -17,8 +17,6 @@ from typing import Union
 from .errors import CertificateFormatError
 
 RatLike = Union[Fraction, int, str]
-
-_WIRE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(value: RatLike) -> Fraction:
@@ -28,22 +26,23 @@ def rat(value: RatLike) -> Fraction:
     (no whitespace, "+", underscore, non-ASCII digit, point or exponent), or
     it is a CertificateFormatError; a float, bool or other type is a TypeError.
     """
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:  # ASCII digits, so only the digit limit refuses them
+                num, den = int(Decimal(num)), int(Decimal(den or 1))
+            if den:
+                return Fraction(num, den)
+        raise CertificateFormatError(f"not an ASCII p/q with nonzero denominator: {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        match = _WIRE.fullmatch(value)
-        parts = [part or "1" for part in match.groups()] if match else ["0", "0"]
-        try:
-            num, den = map(int, parts)
-        except ValueError:  # ASCII digits, so only the digit limit refuses them
-            num, den = (int(Decimal(part)) for part in parts)
-        if den == 0:
-            raise CertificateFormatError(f"not an ASCII p/q with nonzero denominator: {value!r}")
-        return Fraction(num, den)
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact rational")
 
 

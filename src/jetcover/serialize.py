@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import tempfile
 from fractions import Fraction
-from functools import lru_cache
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from typing import Container, List, Optional, Sequence, Tuple
 
@@ -164,9 +164,21 @@ def load_certificate(payload: dict) -> Certificate:
     a non-negative JSON integer and each witness a JSON string.  Each
     distinct endpoint string is parsed once, and each distinct pair makes
     one `Interval`, shared by every box that names it."""
-    # typed keys: 1 == 1.0 == True, and `rat` refuses the last two
-    value = lru_cache(maxsize=None, typed=True)(rat)
-    interval = lru_cache(maxsize=None, typed=True)(lambda lo, hi: Interval(value(lo), value(hi)))
+    values, intervals = {}, {}  # keyed on str only: no other JSON value equals a str
+
+    def value(text):  # a JSON int goes through `rat` each time, which refuses a float or bool
+        if type(text) is str and text not in values:
+            values[text] = rat(text)
+        return values[text] if type(text) is str else rat(text)
+
+    def interval(lo, hi):
+        iv = intervals.get((lo, hi))
+        if iv is None:
+            iv = Interval(value(lo), value(hi))
+            if type(lo) is str and type(hi) is str:
+                intervals[lo, hi] = iv
+        return iv
+
     try:
         system = payload["system"]
         if len(payload["leaves"]) > COVER_LEAF_CAP:
@@ -177,7 +189,7 @@ def load_certificate(payload: dict) -> Certificate:
         if type(depth) is not int or depth < 0:  # not a bool, float or string
             raise CertificateFormatError(f"depth {depth!r} is not a non-negative JSON integer")
         leaves = tuple(
-            (Box([interval(lo, hi) for lo, hi in leaf["box"]]), leaf["witness"])
+            (Box(tuple(starmap(interval, leaf["box"]))), leaf["witness"])
             for leaf in payload["leaves"]
         )
         if not all(type(witness) is str for _, witness in leaves):
@@ -189,7 +201,7 @@ def load_certificate(payload: dict) -> Certificate:
                 tuple(system["alphabet"]),
                 {s: _affine_from_dict(m) for s, m in system["maps"].items()},
             ),
-            target=Box([interval(lo, hi) for lo, hi in payload["box"]]),
+            target=Box(tuple(starmap(interval, payload["box"]))),
             margin=rat(payload["margin"]),
             max_depth=depth,
             leaves=leaves,

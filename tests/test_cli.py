@@ -380,6 +380,7 @@ def _expect_input_error(capsys, args, out=None):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert out is None or not out.exists()
+    return err
 
 
 def test_check_cert_rejects_zero_denominator(tmp_path, capsys):
@@ -437,6 +438,14 @@ HOSTILE_CERTIFICATES = {
     ])),
     "unused singular map": (0, lambda p: (
         p["system"]["alphabet"].append("z"), p["system"]["maps"].update(z=SINGULAR))),
+    # 5,000 digits: the margin eats the target, and the message that says
+    # so must not stop at the digit limit of int -> str
+    "margin past the digit limit": (1, lambda p: p.update(margin="3" * 5000)),
+    # the loader reads endpoints with the one ASCII p/q parser
+    **{f"leaf endpoint {text!r}": (2, lambda p, text=text: p["leaves"][0].update(
+        box=[["-2", text]])) for text in ("1_0", "٣", "+1", " 1", "1/0")},
+    "leaf endpoint 0 over a 5,000-digit denominator": (0, lambda p: p["leaves"][0].update(
+        box=[["-2", "0/" + "1" * 5000]])),
 }
 
 
@@ -463,6 +472,38 @@ def test_check_cert_depth_must_be_a_non_negative_json_integer(tmp_path, capsys, 
     assert '"depth": 24,' in text
     cert.write_text(text.replace('"depth": 24,', f'"depth": {depth},'))
     _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
+
+
+THREES, NINES = "3" * 5000, "9" * 5000  # past the 4,300-digit limit of int -> str
+
+
+def realize_args(tmp_path, box_base=None):
+    """`realize` on the order-1 system, whose file states `box_base` if given."""
+    sys_path, target = tmp_path / "sys.json", tmp_path / "target.json"
+    assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
+    if box_base is not None:
+        sys_path.write_text(json.dumps({**json.loads(sys_path.read_text()), "box_base": box_base}))
+    target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
+    return ["realize", "--system", str(sys_path), "--target", str(target)]
+
+
+DIGIT_LIMIT_INPUTS = {
+    "certify: the margin eats the target": lambda tmp: [
+        "certify", "--lam", "3/4", "--margin", THREES],
+    "certify: an empty target": lambda tmp: ["certify", "--lam", "3/4", "--lo", NINES, "--hi", "0"],
+    "certify: a contraction bound not < 1": lambda tmp: ["certify", "--lam", NINES],
+    "realize: a tol beyond --max-steps": lambda tmp: realize_args(tmp) + ["--tol", "1/" + THREES],
+    "realize: a base that breaks the box inequality": lambda tmp: realize_args(
+        tmp, box_base=NINES + "/3"),
+    "flat-poly: a margin above 1": lambda tmp: ["flat-poly", "--flatness", "2", "--margin", THREES],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGIT_LIMIT_INPUTS))
+def test_input_errors_quote_numbers_past_the_digit_limit(tmp_path, capsys, name):
+    out = tmp_path / "out.json"
+    err = _expect_input_error(capsys, DIGIT_LIMIT_INPUTS[name](tmp_path) + ["--out", str(out)], out)
+    assert "Exceeds the limit" not in err  # Python's own text for a number it will not print
 
 
 def test_certify_rejects_zero_denominator(tmp_path, capsys):

@@ -30,6 +30,14 @@ def test_affine_map_rejects_non_contractions():
         AffineMap(((F(1, 2),),), (0,), contraction=F(1, 4))  # below true norm
 
 
+def test_contraction_errors_quote_numbers_past_the_digit_limit():
+    near_one = F(10 ** 5000 - 1, 10 ** 5000)  # sides past the 4,300-digit limit of int -> str
+    with pytest.raises(DegenerateInputError, match="below the computed norm 9{5000}/1"):
+        AffineMap(((near_one,),), (0,), contraction=F(1, 2))
+    with pytest.raises(DegenerateInputError, match="contraction bound 19{5000}/1"):
+        AffineMap(((F(1, 2),),), (0,), contraction=1 + near_one)
+
+
 def test_evaluate_word_single_symbol(sys34):
     assert evaluate_word(sys34, ("+",), (0,)) == (F(1),)
 

@@ -47,6 +47,12 @@ from jetcover.flatpoly import (
 )
 
 
+def test_l1_error_quotes_a_norm_past_the_digit_limit():
+    big = F(10 ** 5000 + 1, 3)  # a side past the 4,300-digit limit of int -> str
+    with pytest.raises(DegenerateInputError, match="non-leading L1 norm 10{4999}4/3 is not below 2"):
+        build_system(2, F(1, 2), [1, -big, 1])
+
+
 def test_branch_matrix_shapes():
     lam = F(3, 4)
     assert branch_matrix(1, lam) == ((lam,),)

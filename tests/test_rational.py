@@ -2,11 +2,12 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcover.errors import CertificateFormatError
 from jetcover.rational import rat, rat_str
+from rational_reference import reference_rat  # local oracle
 
 DIGIT_LIMIT = 4300  # CPython's default cap on int <-> decimal string conversion
 
@@ -53,3 +54,24 @@ def test_values_past_the_digit_limit_round_trip(num_digits, den_bits):
         assert text == str(value)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except CertificateFormatError:
+        return "refused"
+
+
+# one ASCII digit repeated past the digit limit, or one character that a
+# looser parser would let through
+TOKENS = st.one_of(
+    st.sampled_from(list("0123456789-/+_ ٣²３")),
+    st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(DIGIT_LIMIT - 2, 5000)),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(TOKENS, max_size=8).map("".join))
+def test_parser_accepts_what_the_regex_accepts_with_equal_values(text):
+    assert parsed(rat, text) == parsed(reference_rat, text)
