@@ -4,9 +4,9 @@ The construction needs, for each N, a monic Q with (x-1)^N | Q whose
 non-leading coefficients have L1 norm strictly below 2.  That existence
 is classical; here it is made effective: at fixed degree n the L1
 minimum is an exact linear program, solved in integers by Stiefel's
-single-point exchange on its N-node bases.  Degree escalation runs one
-warm exchange per degree until the optimum clears the requested margin;
-that degree is re-solved by a cold exchange, and every degree is
+single-point exchange on its N-node bases, with a least-index rule among
+tied optimal vertices.  Degree escalation runs one warm exchange per
+degree until the optimum clears the requested margin, and every degree is
 certified in integers by its primal, its dual and their equal value.
 
 Scaling Q to P(x) = lam^{-n} Q(lam x) and the associated partial-sum
@@ -19,11 +19,11 @@ pins the projection built from the table exactly.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import factorial, lcm, perm, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalg
 from .errors import (
@@ -73,7 +73,7 @@ class FlatPolyResult:
     coeffs: Coeffs  # monic, coeffs[0] != 0 after normalization
     optimum: Fraction  # certified minimal L1 of non-leading coefficients
     dual: Tuple[Fraction, ...]
-    search_degree: int  # degree of the cold solve
+    search_degree: int  # the LP's n; x^{x_0} is divided out of coeffs
     history: Tuple[Tuple[int, Fraction], ...] = ()
 
     @property
@@ -86,15 +86,8 @@ class FlatPolyResult:
 
 
 def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
-    """Exact L1-minimal monic degree-n polynomial with an order-N root at 1.
-
-    One cold `_exchange` from the nodes 0..N-1, certified by
-    `certify_degree`; x^{x_0} is divided out, as a_{x_k} != 0 at every
-    node.  The certificate's moment rows, (x - 1)^N | Q, are evaluated
-    again on the assembled coefficients over M, so a coefficient that the
-    assembly drops or moves is caught.  The dual is p in the
-    falling-factorial basis, y_i = Delta^i p(0) / i!, checked at 0..N-1.
-    """
+    """Exact L1-minimal monic degree-n polynomial with an order-N root at 1:
+    one `_exchange` from the nodes 0..N-1, certified by `certify_degree`."""
     if not 1 <= big_n <= n:
         raise DegenerateInputError("need n >= N >= 1")
     if n > FLAT_DEGREE_CAP:
@@ -102,6 +95,15 @@ def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
     nodes, scaled, sigma, m = _exchange(n, list(range(big_n)))
     optimum = Fraction(sum(map(abs, scaled)), m)
     certify_degree(big_n, n, nodes, scaled, sigma, optimum)
+    return _flat_result(big_n, n, nodes, scaled, sigma, m, optimum)
+
+
+def _flat_result(big_n, n, nodes, scaled, sigma, m, optimum, history=()) -> FlatPolyResult:
+    """The result of a certified degree-n basis, x^{x_0} divided out (a_{x_k}
+    != 0 at every node).  The moment rows, (x - 1)^N | Q, are evaluated again
+    on the assembled coefficients over M, so a coefficient that the assembly
+    drops or moves is caught.  The dual is p in the falling-factorial basis,
+    y_i = Delta^i p(0) / i!, checked at 0..N-1."""
     assembled = _assemble(nodes, scaled, m, n)
     if any(_moment_rows(big_n, [(j, c) for j, c in enumerate(assembled) if c])):
         raise ConstructionError(f"the assembled Q has no root of order {big_n} at 1")
@@ -112,13 +114,9 @@ def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
         diffs = [b - c for c, b in zip(diffs, diffs[1:])]
     if any(sum(yi * perm(j, i) for i, yi in enumerate(y)) * m != dual(j) for j in range(big_n)):
         raise ConstructionError("the falling-factorial dual does not reproduce p")
-    return FlatPolyResult(
-        flatness=big_n,
-        coeffs=tuple(Fraction(c, m) for c in assembled),
-        optimum=optimum,
-        dual=tuple(y),
-        search_degree=n,
-    )
+    coeffs = tuple(Fraction(c, m) for c in assembled)
+    return FlatPolyResult(flatness=big_n, coeffs=coeffs, optimum=optimum, dual=tuple(y),
+                          search_degree=n, history=tuple(history))
 
 
 def _basis(nodes: Sequence[int], n: int, sigma=None):
@@ -141,7 +139,8 @@ def _basis(nodes: Sequence[int], n: int, sigma=None):
 
 def _exchange(n: int, nodes: List[int]):
     """Optimal (nodes, M a_{x_k}, sigma, M) at degree n by Stiefel's
-    single-point exchange from `nodes`, sorted and in [0, n).
+    single-point exchange from `nodes`, sorted and in [0, n); among tied
+    optimal bases it ends on the least node tuple.
 
     The flat LP's dual is max -p(n) over p of degree < N with |p(j)| <= 1
     on [0, n).  A basis of N nodes has primal a_{x_k} = -l_k(n) and dual
@@ -150,13 +149,17 @@ def _exchange(n: int, nodes: List[int]):
     |W(n) / W(j)| |j - x_k| / (n - x_k)) picks the neighbour of j whose
     sigma_k is sign p(j): the sigma_k alternate, so the N - 1 roots of p lie
     inside the nodes, and past an end node p keeps its sign.  As n is no
-    node, every basis is nondegenerate: no ties, and the L1 norm falls at
-    each step.
+    node, every basis is nondegenerate, and each such step lowers the L1 norm.
+    Once p is feasible, ties go by least index: the lowest j whose upper
+    neighbour x_k has sigma_k = p(j) replaces it; the L1 norm stays, the
+    basis stays optimal and the sorted node tuple falls.
     """
     while True:
         m, scaled, sigma, dual, j = _basis(nodes, n)
-        if j is None:
-            return nodes, scaled, sigma, m
+        if j is None:  # no node is a tie: the sigma_k alternate
+            j = next((j for j in range(nodes[-1]) if dual(j) == m * sigma[bisect(nodes, j)]), None)
+            if j is None:
+                return nodes, scaled, sigma, m
         i = bisect(nodes, j)  # nodes[i - 1] < j < nodes[i]
         out = i if i < len(nodes) and (dual(j) > 0) == (sigma[i] > 0) else i - 1
         nodes = sorted(nodes[:out] + nodes[out + 1:] + [j])
@@ -189,11 +192,10 @@ def find_flat_poly(
     Each degree runs one `_exchange` from the last optimal nodes shifted by
     x Q and is certified by `certify_degree` before it enters the history;
     the optimum is non-increasing in n (x Q embeds degree n in n + 1), and
-    that is checked too.  The first degree that meets the margin is
-    re-solved cold by `minimal_flat_poly`, as optimal vertices tie: at N=4,
-    n=23 the warm ladder ends on support {0,6,17,22}, the cold exchange on
-    {0,5,16,22}, both with L1 106/55.  Exhausting n_max reports the best
-    value found.  A flatness below 1, a cap below N or above
+    that is checked too.  The first degree that meets the margin is the
+    result; as `_exchange` ends on the least tied vertex, it is the vertex
+    of `minimal_flat_poly` at that degree.  Exhausting n_max reports the
+    best value found.  A flatness below 1, a cap below N or above
     FLAT_DEGREE_CAP, or a margin above 1 (Q(1) = 0 puts every optimum at
     >= 1), is refused first.
     """
@@ -212,27 +214,20 @@ def find_flat_poly(
         raise ResourceLimitError(f"degree cap {n_max} is above {FLAT_DEGREE_CAP}")
     target = 2 - margin
     history: List[Tuple[int, Fraction]] = []
-    prev: Optional[Fraction] = None
     nodes = list(range(big_n))
     for n in range(big_n, n_max + 1):
         nodes, scaled, sigma, m = _exchange(n, nodes)
         optimum = Fraction(sum(map(abs, scaled)), m)
         certify_degree(big_n, n, nodes, scaled, sigma, optimum)
-        history.append((n, optimum))
-        if prev is not None and optimum > prev:
+        if history and optimum > history[-1][1]:
             raise ConstructionError(
-                f"optimum increased from {prev} to {optimum} at degree {n}"
-            )
-        prev = optimum
+                f"optimum increased from {history[-1][1]} to {optimum} at degree {n}")
+        history.append((n, optimum))
         if optimum <= target:
-            res = minimal_flat_poly(big_n, n)
-            if res.optimum != optimum or res.l1_nonleading > target:
-                raise ConstructionError("the cold re-solve changed the L1 norm")
-            return replace(res, history=tuple(history))
+            return _flat_result(big_n, n, nodes, scaled, sigma, m, optimum, history)
         nodes = [x + 1 for x in nodes]
     raise SearchExhaustedError(
-        f"no degree <= {n_max} reached {target}; best was {prev}"
-    )
+        f"no degree <= {n_max} reached {target}; best was {history[-1][1]}")
 
 
 # --- scaling to P and the partial-sum table ----------------------------------

@@ -91,7 +91,7 @@ def jet_to_payload(jet: Jet) -> dict:
 
 def jet_from_payload(payload: dict) -> Jet:
     """The jet of the file's coefficients; an order or dim the file states
-    must be the one its coefficients give."""
+    must be a JSON integer, the one its coefficients give."""
     try:
         coeffs = payload["coeffs"]
         rows = [
@@ -99,8 +99,8 @@ def jet_from_payload(payload: dict) -> Jet:
             for row in coeffs
         ]
         jet = Jet(rows)
-        for key in ("order", "dim"):
-            if key in payload and payload[key] != getattr(jet, key):
+        for key in ("order", "dim"):  # by type too: True and 1.0 equal 1
+            if key in payload and (type(payload[key]), payload[key]) != (int, getattr(jet, key)):
                 raise CertificateFormatError(
                     f"stated {key} {payload[key]!r} is not the coefficients' "
                     f"{getattr(jet, key)}"
@@ -160,10 +160,10 @@ def covering_outcome_payload(outcome) -> dict:
 
 def load_certificate(payload: dict) -> Certificate:
     """Parse a certificate; more leaves than `COVER_LEAF_CAP` is a
-    ResourceLimitError, raised before any box is parsed.  The depth must be
-    a non-negative JSON integer and each witness a JSON string.  Each
-    distinct endpoint string is parsed once, and each distinct pair makes
-    one `Interval`, shared by every box that names it."""
+    ResourceLimitError, raised before any box is parsed.  The depth must be a
+    non-negative JSON integer, the alphabet a JSON list of strings and each
+    witness a JSON string.  Each distinct endpoint string is parsed once, and
+    each distinct pair makes one `Interval`, shared by every box naming it."""
     values, intervals = {}, {}  # keyed on str only: no other JSON value equals a str
 
     def value(text):  # a JSON int goes through `rat` each time, which refuses a float or bool
@@ -196,9 +196,12 @@ def load_certificate(payload: dict) -> Certificate:
             raise CertificateFormatError("a leaf's witness is not a JSON string")
         if type(system["maps"]) is not dict:
             raise CertificateFormatError("system.maps is not a JSON object")
+        alphabet = system["alphabet"]
+        if type(alphabet) is not list or not all(type(s) is str for s in alphabet):
+            raise CertificateFormatError("system.alphabet is not a JSON list of strings")
         return Certificate(
             system=IFSystem(
-                tuple(system["alphabet"]),
+                tuple(alphabet),
                 {s: _affine_from_dict(m) for s, m in system["maps"].items()},
             ),
             target=Box(tuple(starmap(interval, payload["box"]))),

@@ -408,6 +408,10 @@ HOSTILE_CERTIFICATES = {
     "2x2 maps on a 1-d box": (2, lambda p: p["system"]["maps"].update(
         {"+": PLANAR, "-": PLANAR})),
     "no leaves": (1, lambda p: p.update(leaves=[])),
+    # tuple() of either once read as the alphabet ["+", "-"]
+    "alphabet given as a string": (2, lambda p: p["system"].update(alphabet="+-")),
+    "alphabet given as an object": (2, lambda p: p["system"].update(
+        alphabet={"+": 0, "-": 1})),
     "one whole-box leaf": (1, lambda p: p.update(
         leaves=[{"box": [["-2", "2"]], "witness": "+"}])),
     "int witness": (2, lambda p: p["leaves"][0].update(witness=5)),
@@ -532,7 +536,9 @@ def test_certify_at_depth_zero_reports_the_target(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "stated", [{"order": 3, "dim": 1}, {"order": 1, "dim": 2}]
+    "stated", [{"order": 3, "dim": 1}, {"order": 1, "dim": 2},
+               # equal to 1 in Python, but no JSON integer
+               {"order": True, "dim": 1}, {"order": 1.0, "dim": 1}, {"order": 1, "dim": True}]
 )
 def test_realize_rejects_a_target_of_another_stated_shape(tmp_path, capsys, stated):
     sys_path = tmp_path / "sys.json"
@@ -651,12 +657,13 @@ def pinned_commands(tmp_path):
         "certify": ["certify", "--lam", "3/4"],
         "lambda-too-small": ["jet-system", "--order", "1", "--lam", "1/100"],
         # the 36-degree order-4 ladder's history, and a degree whose optimal
-        # vertices tie (the cold exchange's support is {0, 1, 5, 8, 10}, the
-        # cold Bland LP's {0, 1, 5, 9, 10})
+        # vertices tie (the exchange ends on the least, {0, 1, 5, 8, 10}; the
+        # cold Bland LP on {0, 1, 5, 9, 10})
         "flat5": ["flat-poly", "--flatness", "5"],
         "flat5-degree11": ["flat-poly", "--flatness", "5", "--degree", "11"],
-        # order 4 at auto lambda, and o3's search degree on the --degree path,
-        # where the warm ladder and a cold solve end on different tied vertices
+        # order 4 at auto lambda, and o3's search degree on the --degree path:
+        # optimal vertices tie there, and both paths end on the least,
+        # {0, 5, 16, 22}
         "o4": ["jet-system", "--order", "4"],
         "flat4-degree23": ["flat-poly", "--flatness", "4", "--degree", "23"],
         # a capped target: its optimal witnesses form a face, and the

@@ -187,6 +187,24 @@ def test_escalation_rejects_a_flatness_below_one(big_n, monkeypatch):
         find_flat_poly(big_n)
 
 
+@pytest.mark.parametrize("big_n", [1, 4, 5])
+def test_the_ladder_certifies_each_degree_once(big_n, monkeypatch):
+    # the search degree is the ladder's own last vertex: no second solve
+    certified, certify = [], flatpoly.certify_degree
+
+    def counting_certify(big_n, n, *args):
+        certified.append(n)
+        return certify(big_n, n, *args)
+
+    def no_cold_solve(*args):
+        raise AssertionError("the ladder re-solved a degree")
+
+    monkeypatch.setattr(flatpoly, "certify_degree", counting_certify)
+    monkeypatch.setattr(flatpoly, "minimal_flat_poly", no_cold_solve)
+    res = find_flat_poly(big_n)
+    assert certified == [n for n, _ in res.history] == list(range(big_n, res.search_degree + 1))
+
+
 def test_escalation_margin_one_is_reachable():
     # N = 1 meets a margin of exactly 1 with Q = x - 1
     res = find_flat_poly(1, margin=1)

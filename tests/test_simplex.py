@@ -263,24 +263,22 @@ def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
     monkeypatch.setattr(simplex, "lp_solve", recording_solve)
     res = find_flat_poly(big_n)
     monkeypatch.undo()
-    # one exchange per degree, each warm-started from the last optimal
-    # nodes shifted by x Q, then one cold exchange from 0..N-1 at the
-    # search degree, and no LP
-    *ladder, cold_start = exchanges
-    assert cold_start[:2] == (res.search_degree, list(range(big_n)))
+    # exactly one exchange per history degree, the first from 0..N-1 and
+    # each later one from the last optimal nodes shifted by x Q; none after
+    # the ladder, and no LP
     assert solves == []
-    assert [n for n, _, _ in ladder] == [n for n, _ in res.history]
-    assert ladder[0][1] == list(range(big_n))
+    assert [n for n, _, _ in exchanges] == [n for n, _ in res.history]
+    assert exchanges[0][1] == list(range(big_n))
     assert all(start == [x + 1 for x in last[0]]
-               for (_, start, _), (_, _, last) in zip(ladder[1:], ladder))
+               for (_, start, _), (_, _, last) in zip(exchanges[1:], exchanges))
     cold_history = []
-    for (n, optimum), (_, _, (nodes, scaled, _, m)) in zip(res.history, ladder):
+    for (n, optimum), (_, _, (nodes, scaled, _, m)) in zip(res.history, exchanges):
         problem = flat_lp_problem(big_n, n)
         cold_history.append((n, reference_lp_solve(problem).optimum))
         sol = _exchange_solution(problem, big_n, n, nodes, scaled, m)
         assert sol.optimum == optimum
         assert strong_duality_holds(problem, sol) and _reference_accepts(problem, sol)
-    # the search degree's vertex is the cold solve's, tie or no tie
+    # the ladder ends on the cold solve's vertex, tie or no tie
     cold = minimal_flat_poly(big_n, res.search_degree)
     assert res == dataclasses.replace(cold, history=tuple(cold_history))
     assert (res.coeffs, res.dual) == (cold.coeffs, cold.dual)
@@ -290,6 +288,14 @@ def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
 @functools.lru_cache(maxsize=None)
 def _reference_flat_lp(big_n, n):
     return reference_lp_solve(flat_lp_problem(big_n, n))
+
+
+@functools.lru_cache(maxsize=None)
+def _least_optimal_nodes(big_n, n):
+    """The first N-subset of [0, n) in `itertools.combinations` order whose
+    basis has |p(j)| <= 1 on all of [0, n)."""
+    return next(list(nodes) for nodes in itertools.combinations(range(n), big_n)
+                if flatpoly._basis(list(nodes), n)[4] is None)
 
 
 @st.composite
@@ -303,9 +309,15 @@ def flat_starts(draw):
 @settings(deadline=None, max_examples=150)
 @given(flat_starts())
 @example((5, 11, [0, 1, 2, 3, 4]))  # the exchange and the cold LP tie here
+# tied optimal starts, the cold LP's vertex at (5, 11) and one of o3's search
+# degree: both move on to the least
+@example((5, 11, [0, 1, 5, 9, 10]))
+@example((4, 23, [0, 6, 17, 22]))
 def test_exchange_from_any_start_reaches_the_lp_optimum(start):
     big_n, n, nodes = start
     nodes, scaled, sigma, m = flatpoly._exchange(n, nodes)
+    # from any start, the least optimal basis among those that tie
+    assert nodes == _least_optimal_nodes(big_n, n)
     optimum = F(sum(map(abs, scaled)), m)
     assert optimum == _reference_flat_lp(big_n, n).optimum
     flatpoly.certify_degree(big_n, n, nodes, scaled, sigma, optimum)
@@ -322,8 +334,8 @@ def flat_degrees(draw):
 
 @settings(deadline=None, max_examples=100)
 @given(flat_degrees())
-@example((5, 11))  # the cold exchange and the cold LP end on tied vertices
-@example((4, 23))  # o3's search degree: the warm and cold vertices tie
+@example((5, 11))  # the exchange and the cold LP end on tied vertices
+@example((4, 23))  # o3's search degree, where optimal vertices tie
 @example((5, 40))  # the search degree of order 4
 def test_minimal_flat_poly_matches_the_reference_lp(degree):
     big_n, n = degree
