@@ -7,14 +7,16 @@ strings.  Exit codes: 0 success, 1 negative mathematical verdict
 validation error.
 
 Each command's handler, help line and options sit in one table,
-`COMMANDS`, and a call builds the parser of its own command alone.  An
-optional --config JSON file supplies defaults for that command's long
-options; explicit flags override it, and other keys are ignored.
+`COMMANDS`.  A process builds the top-level parser and each command's
+parser once, on first use.  An optional --config JSON file supplies
+defaults for that command's long options in that call alone; explicit
+flags override it, and other keys are ignored.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -157,16 +159,9 @@ def cmd_jet_system(args) -> int:
     p_coeffs = scale_to_p(qres, lam)
     l1 = l1_tail(p_coeffs)
     if l1 >= 2:
-        _write_json(
-            args.out,
-            {
-                "built": False,
-                "verdict": "lambda-too-small",
-                "lam": rat_str(lam),
-                "lambda_threshold": rat_str(threshold),
-                "l1_nonleading": rat_str(l1),
-            },
-        )
+        _write_json(args.out, {"built": False, "verdict": "lambda-too-small", "lam": rat_str(lam),
+                               "lambda_threshold": rat_str(threshold),
+                               "l1_nonleading": rat_str(l1)})
         return EXIT_NEGATIVE
     system = build_system(big_n, lam, p_coeffs)
     delta_cover = certify_delta_covering(system)
@@ -265,14 +260,14 @@ COMMANDS = {
         ("--order", int, NO_DEFAULT, "jet order r >= 0"),
         ("--lam", str, "auto", ""),
         ("--margin", str, "1/16", ""),
-        ("--degree-max", int, 64, ""),
+        ("--degree-max", int, 89, ""),
         ("--out", str, NO_DEFAULT, ""),
     )),
     "realize": (cmd_realize, "realize a target jet as a continuation jet", (
         ("--system", str, NO_DEFAULT, "jet-system JSON"),
         ("--target", str, NO_DEFAULT, "target jet JSON"),
         ("--tol", str, "1/100000000", ""),
-        ("--max-steps", int, 10_000, ""),
+        ("--max-steps", int, 50_000, ""),
         ("--out", str, NO_DEFAULT, ""),
     )),
     "blender-render": (cmd_blender_render, "raster of unstable segments", (
@@ -301,57 +296,59 @@ COMMANDS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _top_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
-        prog="jetcover",
-        description="certified IFS coverings, jet lifts, and blender demos",
+        prog="jetcover", description="certified IFS coverings, jet lifts, and blender demos",
         epilog="commands:\n" + "\n".join(
-            f"  {name:<17} {help_}" for name, (_, help_, _) in COMMANDS.items()
-        ),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+            f"  {name:<17} {help_}" for name, (_, help_, _) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--config", help="JSON file with option defaults")
-    top.add_argument(
-        "command", choices=COMMANDS, metavar="command", help="one of the commands below"
-    )
-    top.add_argument(
-        "arguments", nargs=argparse.REMAINDER,
-        help="the command's options, listed by jetcover <command> --help",
-    )
-    chosen = top.parse_args(sys.argv[1:] if argv is None else list(argv))
-    handler, help_, options = COMMANDS[chosen.command]
+    top.add_argument("command", choices=COMMANDS, metavar="command",
+                     help="one of the commands below")
+    top.add_argument("arguments", nargs=argparse.REMAINDER,
+                     help="the command's options, listed by jetcover <command> --help")
+    return top
+
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(command: str):
+    """The command's parser and its option actions.  A call sets their
+    defaults from --config and restores them after parsing, so two threads
+    must not call `main` at once."""
+    _, help_, options = COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"jetcover {command}", description=help_)
+    actions = [parser.add_argument(flag, type=kind, default=None if default is NO_DEFAULT
+                                   else default, help=text)
+               for flag, kind, default, text in options]
+    return parser, actions
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    chosen = _top_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+    handler, _, options = COMMANDS[chosen.command]
+    parser, actions = _command_parser(chosen.command)
+    defaults = [action.default for action in actions]
     try:
-        config = {}
-        if chosen.config:
-            config = _load_json(chosen.config)
-            if not isinstance(config, dict):
-                raise CertificateFormatError("config file must hold a JSON object")
-            config = {key.replace("-", "_"): value for key, value in config.items()}
+        config = _load_json(chosen.config) if chosen.config else {}
+        if not isinstance(config, dict):
+            raise CertificateFormatError("config file must hold a JSON object")
+        config = {key.replace("-", "_"): value for key, value in config.items()}
         # the config file's values for this command's own options become
-        # its defaults, so explicit flags win
-        parser = argparse.ArgumentParser(
-            prog=f"jetcover {chosen.command}", description=help_
-        )
-        required = {}
-        for flag, kind, default, text in options:
-            dest = flag[2:].replace("-", "_")
-            if default is NO_DEFAULT:
-                required[dest], default = flag, None
-            # argparse runs only a string default through the option's type
-            value = config.get(dest, default)
-            if dest in config and not (
-                isinstance(value, str) or kind is int and type(value) is int
-            ):
-                raise CertificateFormatError(
-                    f"config key {flag[2:]!r}: {json.dumps(value)} is not a string"
-                    + (" or an integer" if kind is int else "")
-                )
-            parser.add_argument(flag, type=kind, default=value, help=text)
+        # its defaults for this call, so explicit flags win; argparse runs
+        # only a string default through the option's type
+        for action, (flag, kind, _, _) in zip(actions, options):
+            value = action.default = config.get(action.dest, action.default)
+            if action.dest in config and not (isinstance(value, str) or kind is int
+                                              and type(value) is int):
+                raise CertificateFormatError(f"config key {flag[2:]!r}: {json.dumps(value)} "
+                                             "is not a string"
+                                             + (" or an integer" if kind is int else ""))
         args = parser.parse_args(_joined(chosen.arguments, [option[0] for option in options]))
-        missing = [flag for dest, flag in required.items() if getattr(args, dest) is None]
+        missing = [flag for (flag, _, default, _), action in zip(options, actions)
+                   if default is NO_DEFAULT and getattr(args, action.dest) is None]
         if missing:
-            flags = ", ".join(missing)
-            print(f"error: missing required option(s): {flags}", file=sys.stderr)
+            print(f"error: missing required option(s): {', '.join(missing)}", file=sys.stderr)
             return EXIT_INVALID
         return handler(args)
     except (JetcoverError, OSError) as exc:
@@ -359,6 +356,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise  # invariant violations should crash loudly
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        for action, default in zip(actions, defaults):
+            action.default = default
 
 
 if __name__ == "__main__":

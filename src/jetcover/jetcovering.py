@@ -8,19 +8,19 @@ explicit shift maps, transporting the easy covering of the box
 Delta = (-base^n, base^n) x ... x (-base, base) to an open covered set
 A = projection(Delta) in jet space.
 
-Everything here is exact: the semi-conjugacy is checked as an affine-map
-identity in closed form, and it judges the root of P and the projection
-too; the Delta covering gets two independent proofs; membership in A is
-the optimum of an integer dual exchange, with an interiority margin and a
-re-checked certificate; and the realizer's greedy pullback comes with a
-certified residual bound that the forward-composed continuation jet is
-verified against.
+Every verdict here is exact: the semi-conjugacy is checked as an
+affine-map identity in closed form, and it judges the root of P and the
+projection too; the Delta covering gets two independent proofs; membership
+in A is the optimum of an integer dual exchange, with an interiority margin
+and a re-checked certificate; and the realizer's word comes with a proved
+residual bound that the exact forward jet is verified against.
 
-The realizer works in integers: closed-form norm(J^k) fixes k before any
-membership work or pullback, membership is one dual exchange, the
-pullback shares one denominator, and the forward check sums the word's
-jet sum_i d_i (lam + a)^i by Horner.  A target not certified interior
-raises NotCoveredError.
+The realizer works in integers: closed-form norm(J^k) fixes k and the
+precision P before any membership work, membership is one dual exchange,
+the greedy pullback runs in P-bit fixed point with its rounding carried by
+the bound (midpoint-radius style), and the forward check sums the word's
+jet by binary splitting over Horner leaves.  A target not certified
+interior raises NotCoveredError.
 """
 
 from __future__ import annotations
@@ -34,13 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .boxes import Box, Interval
 from .covering import WindowCoverCertificate, certify_window_cover
-from .errors import (
-    ConstructionError,
-    DegenerateInputError,
-    NotCoveredError,
-    ResourceLimitError,
-    ShapeError,
-)
+from .errors import (ConstructionError, DegenerateInputError, NotCoveredError,
+                     ResourceLimitError, ShapeError)
 from .flatpoly import Coeffs, l1_tail, projection_matrix
 from .jets import Jet, reverse_jet
 from .linalg import Mat, Vec
@@ -103,14 +98,8 @@ class JetCoveringSystem:
 
 def branch_matrix(jet_dim: int, lam: Fraction) -> Mat:
     """J = lam I + S, S the superdiagonal N-1, ..., 1."""
-    rows = []
-    for i in range(jet_dim):
-        row = [Fraction(0)] * jet_dim
-        row[i] = lam
-        if i + 1 < jet_dim:
-            row[i + 1] = Fraction(jet_dim - 1 - i)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(lam * (i == j) + (jet_dim - 1 - i) * (j == i + 1) for j in range(jet_dim))
+                 for i in range(jet_dim))
 
 
 def box_inequality(base: Fraction, n: int, l1_tail: Fraction) -> Tuple[bool, Fraction, Fraction]:
@@ -132,18 +121,12 @@ def choose_box_base(n: int, l1_tail: Fraction) -> Fraction:
         base = 1 + Fraction(1, 2 ** shift)
         if box_inequality(base, n, l1_tail)[0]:
             return base
-    raise ConstructionError(
-        "no grid base satisfies the covering inequality; "
-        "the contraction is too close to its threshold"
-    )
+    raise ConstructionError("no grid base satisfies the covering inequality; "
+                            "the contraction is too close to its threshold")
 
 
-def build_system(
-    jet_dim: int,
-    lam,
-    p_coeffs: Sequence[Fraction],
-    box_base=None,
-) -> JetCoveringSystem:
+def build_system(jet_dim: int, lam, p_coeffs: Sequence[Fraction],
+                 box_base=None) -> JetCoveringSystem:
     """Assemble and exactly verify the full covering system, the only
     place a scaled polynomial is verified; each condition has one judge.
 
@@ -240,11 +223,9 @@ class DeltaCoveringCertificate:
 
     analytic: the exact scalar inequality base^n * l1_tail < base + 1 with
     base > 1 (each point of the closed box then admits a branch whose new
-    leading coordinate stays strictly inside).
-    subdivision: a window cover of the exact range of the branch
-    functional s(u) = sum b_j u_j by the two admissible windows
-    (d - base, d + base).
-    """
+    leading coordinate stays strictly inside).  subdivision: a window cover
+    of the exact range of the branch functional s(u) = sum b_j u_j by the
+    two admissible windows (d - base, d + base)."""
 
     box_base: Fraction
     l1_tail: Fraction
@@ -255,39 +236,19 @@ class DeltaCoveringCertificate:
 
 
 def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
-    base = sys.box_base
-    l1 = l1_tail(sys.p_coeffs)
+    base, l1 = sys.box_base, l1_tail(sys.p_coeffs)
     holds, lhs, rhs = box_inequality(base, sys.n, l1)
     if not (base > 1 and holds):
-        raise ConstructionError(
-            f"analytic covering proof fails: base {base}, {lhs} !< {rhs}"
-        )
-    bounds = sys.coordinate_bounds()
-    reach = sum(
-        (abs(sys.p_coeffs[j]) * bounds[j] for j in range(sys.n)), Fraction(0)
-    )
-    windows = [
-        ("+", Interval(1 - base, 1 + base)),
-        ("-", Interval(-1 - base, -1 + base)),
-    ]
+        raise ConstructionError(f"analytic covering proof fails: base {base}, {lhs} !< {rhs}")
+    reach = sum(map(mul, map(abs, sys.p_coeffs[:-1]), sys.coordinate_bounds()), Fraction(0))
+    windows = [("+", Interval(1 - base, 1 + base)), ("-", Interval(-1 - base, -1 + base))]
     margin = min((rhs - reach) / 2, (base - 1) / 2)
     if margin <= 0:
         raise ConstructionError("no positive margin for the window cover")
-    cover = certify_window_cover(
-        Interval(-reach, reach), windows, margin, max_depth=64
-    )
+    cover = certify_window_cover(Interval(-reach, reach), windows, margin, max_depth=64)
     if not isinstance(cover, WindowCoverCertificate):
-        raise ConstructionError(
-            f"window subdivision failed around {cover.witness_box}"
-        )
-    return DeltaCoveringCertificate(
-        box_base=base,
-        l1_tail=l1,
-        inequality_lhs=lhs,
-        inequality_rhs=rhs,
-        functional_range=Interval(-reach, reach),
-        window_cover=cover,
-    )
+        raise ConstructionError(f"window subdivision failed around {cover.witness_box}")
+    return DeltaCoveringCertificate(base, l1, lhs, rhs, Interval(-reach, reach), cover)
 
 
 # --- membership and realization ----------------------------------------------
@@ -436,9 +397,7 @@ def certify_membership(sys: JetCoveringSystem, target: Jet) -> MembershipResult:
     `check_membership`; a negative optimum is not certified."""
     witness, margin, dual = membership_certificate(sys, target)
     check_membership(sys, target, witness, margin, dual)
-    if margin < 0:
-        return MembershipResult(certified=False)
-    return MembershipResult(True, witness, margin)
+    return MembershipResult(True, witness, margin) if margin >= 0 else MembershipResult(False)
 
 
 @dataclass(frozen=True)
@@ -448,6 +407,7 @@ class RealizationResult:
     achieved_residual: Fraction
     residual_bound: Fraction
     membership: MembershipResult  # the interiority proof used
+    precision: int = 0  # bits P of the fixed-point pullback; 0 when steps = 0
 
     def itinerary_string(self) -> str:
         return "".join(self.itinerary)
@@ -457,11 +417,9 @@ def power_norm_numerator(lam: Fraction, jet_dim: int, k: int) -> int:
     """q^k * norm(J^k), lam = p/q.  Row 0 of J^k = (lam I + S)^k holds
     C(k,m) lam^(k-m) (N-1)!/(N-1-m)!, m < N; it dominates every other row
     of the nonnegative J^k, so its sum is the norm."""
-    p, q = lam.numerator, lam.denominator
-    return sum(
-        comb(k, m) * perm(jet_dim - 1, m) * p ** (k - m) * q ** m
-        for m in range(min(k + 1, jet_dim))
-    )
+    p, q, top = lam.numerator, lam.denominator, min(k, jet_dim - 1)
+    return p ** (k - top) * sum(comb(k, m) * perm(jet_dim - 1, m) * p ** (top - m) * q ** m
+                                for m in range(top + 1))
 
 
 def residual_bound(sys: JetCoveringSystem, k: int) -> Fraction:
@@ -472,9 +430,7 @@ def residual_bound(sys: JetCoveringSystem, k: int) -> Fraction:
     return Fraction(norm, sys.lam.denominator ** k) * sys.reach
 
 
-def realization_steps(
-    sys: JetCoveringSystem, tol, max_steps: int = 10_000
-) -> int:
+def realization_steps(sys: JetCoveringSystem, tol, max_steps: int = 50_000) -> int:
     """Smallest k with residual_bound(sys, k) <= tol, or ResourceLimitError
     past max_steps.  norm(J^k) is log-concave in k (lam^k times a binomial
     transform of the log-concave (N-1)!/(N-1-m)! lam^-m; Davenport-Polya),
@@ -483,8 +439,7 @@ def realization_steps(
     tol = rat(tol)
     if tol <= 0:
         raise DegenerateInputError("tolerance must be positive")
-    reach = sys.reach
-    lhs, rhs = reach.numerator * tol.denominator, tol.numerator * reach.denominator
+    lhs, rhs = sys.reach.numerator * tol.denominator, tol.numerator * sys.reach.denominator
 
     def meets(k: int) -> bool:
         norm = power_norm_numerator(sys.lam, sys.jet_dim, k)
@@ -501,100 +456,145 @@ def realization_steps(
     return hi
 
 
-class IntegerPullback:
-    """The greedy pullback from u in integers, with no gcd per step.
+PRECISION_FLOOR = 128  # least bits of the fixed-point pullback
+_LEAF = 512  # letters of a Horner leaf in word_jet's product tree
 
-    A step appends u_new = delta - sum b_j u_j for delta = +1, else -1, the
-    first keeping |u_new| < base, and drops u's leading entry; no feasible
-    branch contradicts the certified covering.  Entries are V_i / (d g^i),
-    V_i integers, d = lcm den(u), g = p * lcm_j den(b_j lam^(n-j)), lam = p/q.
-    """
 
-    def __init__(self, sys: JetCoveringSystem, u: Sequence[Fraction]):
-        n, lam, b = sys.n, sys.lam, sys.p_coeffs
-        unscaled = (b[j] * lam ** (n - j) for j in range(n))
-        g = lam.numerator * lcm(*(c.denominator for c in unscaled))
-        d = lcm(*(x.denominator for x in u))
-        self.g, self.base = g, sys.box_base
-        self.terms = [(j, int(b[j] * g ** (n - j))) for j in range(n) if b[j]]
-        self.window = [int(x * d * g ** i) for i, x in enumerate(u)]
-        self.scale = d * g ** n  # denominator of the next appended entry
+def power_norm_sum(lam: Fraction, jet_dim: int) -> Fraction:
+    """S = sum_{t>=0} norm(J^t) = sum_{m<N} perm(N-1,m) / (1-lam)^(m+1), by
+    `power_norm_numerator`'s row sum and sum_t C(t,m) lam^(t-m) = (1-lam)^-(m+1)."""
+    return sum(perm(jet_dim - 1, m) / (1 - lam) ** (m + 1) for m in range(jet_dim))
 
-    def step(self) -> int:
-        s = sum(c * self.window[j] for j, c in self.terms)
+
+def proved_bound(sys: JetCoveringSystem, k: int, tol: Fraction) -> Tuple[Optional[int], Fraction]:
+    """(P, bound): the least P >= PRECISION_FLOOR with bound =
+    residual_bound(sys, k) + 2^-P (max_i |pi_{i,n-1}| S + norm(pi)) <= tol,
+    S = `power_norm_sum`; P is None when residual_bound(sys, k) >= tol, and
+    k = 0 rounds nothing: (0, residual_bound(sys, 0)).
+
+    A P-bit pullback rounds the witness and each appended (last) coordinate
+    by less than 2^-P.  With e_t step t's rounding, the semi-conjugacy
+    telescopes to x - F_word(0) = J^k pi u~_k - sum_{t<k} J^(t+1) pi e_t +
+    pi (u_0 - u~_0), u~_k in the box, and sum_{t<k} norm(J^(t+1)) <= S."""
+    bound = residual_bound(sys, k)
+    if k == 0 or bound >= tol:
+        return (None if k else 0), bound
+    term = (max(abs(row[-1]) for row in sys.projection) * power_norm_sum(sys.lam, sys.jet_dim)
+            + max(sum(map(abs, row)) for row in sys.projection))
+    precision = max(PRECISION_FLOOR, (-(-term // (tol - bound)) - 1).bit_length())
+    return precision, bound + term / 2 ** precision
+
+
+def fixed_point_pullback(sys: JetCoveringSystem, u: Sequence[Fraction], precision: int,
+                         steps: int) -> Word:
+    """The greedy pullback from u in `precision`-bit fixed point.
+
+    The window holds W_i = u_i 2^P and b_j = beta_j / B (j < n) in integers.
+    A step appends delta - sum b_j u_j for delta = +1, else -1, rounded
+    toward zero, the first whose rounded value lies in (-base, base), and
+    drops the leading entry.  The witness is rounded toward zero too, so
+    every tracked point lies in the box and the Delta covering gives each
+    step a feasible branch; no feasible branch is a ConstructionError."""
+    b, base = sys.p_coeffs, sys.box_base
+    big_b = lcm(*(c.denominator for c in b[:-1]))
+    terms = [(j, c.numerator * (big_b // c.denominator)) for j, c in enumerate(b[:-1]) if c]
+    one, limit = big_b << precision, base.numerator << precision
+    window, word = [int(x * (1 << precision)) for x in u], []  # int() rounds toward zero
+    for t in range(steps):
+        s = sum(c * window[t + j] for j, c in terms)
         for delta in (1, -1):
-            appended = delta * self.scale - s
-            if abs(appended) * self.base.denominator < self.base.numerator * self.scale:
-                self.window = self.window[1:] + [appended]
-                self.scale *= self.g
-                return delta
-        raise ConstructionError(f"no feasible branch at functional value "
-                                f"{Fraction(s, self.scale)}; covering violated")
-
-    def point(self) -> Vec:
-        n, g = len(self.window), self.g
-        return tuple(Fraction(v * g ** (n - i), self.scale)
-                     for i, v in enumerate(self.window))
+            num = delta * one - s
+            size = abs(num) // big_b  # |appended| 2^P, rounded toward zero
+            if size * base.denominator < limit:
+                window.append(size if num >= 0 else -size)
+                word.append("+" if delta == 1 else "-")
+                break
+        else:
+            raise ConstructionError(f"covering violated: no branch at functional value "
+                                    f"{rat_str(Fraction(s, one))}")
+    return tuple(word)
 
 
 def greedy_pullback_step(sys: JetCoveringSystem, u: Vec) -> Tuple[int, Vec]:
-    """One `IntegerPullback` step from u: the branch taken and the new u."""
-    pullback = IntegerPullback(sys, u)
-    return pullback.step(), pullback.point()
+    """One exact greedy step from u: the branch taken and the new u, which
+    appends delta - sum b_j u_j for delta = +1, else -1, the first inside
+    (-base, base), and drops u's leading entry."""
+    s = sum(map(mul, sys.p_coeffs, u))
+    for delta in (1, -1):
+        if abs(delta - s) < sys.box_base:
+            return delta, tuple(u[1:]) + (delta - s,)
+    raise ConstructionError(f"covering violated: no branch at functional value {rat_str(s)}")
 
 
 def word_jet(lam: Fraction, word: Sequence[str], order: int) -> Jet:
-    """Closed-form continuation jet of a word under the standard pair: raw
-    derivatives of sum_i d_i (lam + a)^i (d_i = +-1), each a Horner sum in
-    integers over q^(k-1-r), lam = p/q.  `continuation_jet` is the oracle."""
-    p, q = lam.numerator, lam.denominator
-    signs = [1 if symbol == "+" else -1 for symbol in word]
-    raw = []
-    for r in range(order + 1):
-        acc, den = 0, 1
-        for i in range(len(signs) - 1, r - 1, -1):
-            acc = acc * p + signs[i] * perm(i, r) * den
-            den *= q
-        raw.append(Fraction(acc * q, den))
-    return Jet.scalar(raw)
+    """Closed-form continuation jet of a word under the standard pair, from
+    `_word_sums`; `continuation_jet` is the oracle."""
+    den = lam.denominator ** len(word)
+    return Jet.scalar([Fraction(v, den) for v in _word_sums(lam, word, order)])
 
 
-def realize_jet(
-    sys: JetCoveringSystem, target: Jet, tol, max_steps: int = 10_000
-) -> RealizationResult:
+def _word_sums(lam: Fraction, word: Sequence[str], order: int) -> List[int]:
+    """q^k times the raw derivatives of f = sum_i d_i (lam + a)^i up to
+    `order`, k = len(word), lam = p/q.  A run of at most _LEAF letters is a
+    Horner sum in integers, and a longer one splits at its midpoint m into
+    f_lo + (lam + a)^m f_hi (binary splitting); a run of l letters is held
+    as q^l times its derivatives."""
+    p, q, signs = lam.numerator, lam.denominator, [1 if d == "+" else -1 for d in word]
+
+    def run(lo: int, hi: int) -> List[int]:
+        if hi - lo <= _LEAF:
+            out = []
+            for r in range(order + 1):
+                acc, den = 0, 1
+                for i in range(hi - 1, lo + r - 1, -1):
+                    acc = acc * p + signs[i] * perm(i - lo, r) * den
+                    den *= q
+                out.append(acc * q ** (r + 1))
+            return out
+        m = (hi - lo) // 2
+        low, high, scale = run(lo, lo + m), run(lo + m, hi), q ** (hi - lo - m)
+        # raw derivative j of (lam + a)^m, times q^m
+        power = [perm(m, j) * p ** (m - j) * q ** j for j in range(min(order, m) + 1)]
+        return [scale * low[r] + sum(comb(r, j) * power[j] * high[r - j]
+                                     for j in range(min(r, m) + 1))
+                for r in range(order + 1)]
+
+    return run(0, len(signs))
+
+
+def realize_jet(sys: JetCoveringSystem, target: Jet, tol,
+                max_steps: int = 50_000) -> RealizationResult:
     """Constructively realize a certified-interior jet as a continuation jet.
 
-    Finds k first, proves membership by `certify_membership`
-    (NotCoveredError when the target is not certified interior with a
-    positive margin), pulls back k greedy steps from its witness, then
-    checks exactly that the word's jet is within the certified bound of
-    the target.
-    """
+    Fixes k and the precision P by `proved_bound` first, proves membership
+    by `certify_membership` (NotCoveredError when the target is not
+    certified interior with a positive margin), pulls back k greedy steps
+    from its witness in P-bit fixed point, then checks exactly that the
+    word's jet is within the proved bound of the target."""
+    tol = rat(tol)
     k = realization_steps(sys, tol, max_steps)
+    precision, bound = proved_bound(sys, k, tol)
+    if precision is None:  # residual_bound(sys, k) = tol leaves no room to round
+        if k == max_steps:
+            raise ResourceLimitError(f"tol {rat_str(tol)} unreachable within {max_steps} steps")
+        k += 1
+        precision, bound = proved_bound(sys, k, tol)
     membership = certify_membership(sys, target)
     if not membership.certified or membership.margin <= 0:
-        raise NotCoveredError(
-            "target jet is not certified interior to the covered set"
-        )
-    pullback = IntegerPullback(sys, membership.witness)
-    word = tuple("+" if pullback.step() == 1 else "-" for _ in range(k))
-    bound = residual_bound(sys, k)
-    diff = target - word_jet(sys.lam, word, sys.order)
-    achieved = max(abs(row[0]) for row in diff.coeffs)
+        raise NotCoveredError("target jet is not certified interior to the covered set")
+    word = fixed_point_pullback(sys, membership.witness, precision, k)
+    den = sys.lam.denominator ** k  # one gcd of the word's size, for the largest gap alone
+    achieved = max(Fraction(abs(t.numerator * den - v * t.denominator), t.denominator) for t, v
+                   in zip(target.flat(), _word_sums(sys.lam, word, sys.order))) / den
     if achieved > bound:
-        raise ConstructionError(
-            f"forward verification failed: residual {achieved} > bound {bound}"
-        )
-    return RealizationResult(word, k, achieved, bound, membership)
+        raise ConstructionError(f"forward verification failed: residual {rat_str(achieved)} "
+                                f"> bound {rat_str(bound)}")
+    return RealizationResult(word, k, achieved, bound, membership, precision)
 
 
 def auto_lambda(threshold: Fraction) -> Fraction:
     """Deterministic contraction choice above a threshold: a quarter of the
     way to 1, rounded up to the 2^-10 grid (keeps denominators small)."""
     raw = threshold + (1 - threshold) / 4
-    grid = 2 ** 10
-    num = -((-raw.numerator * grid) // raw.denominator)  # ceil
-    lam = Fraction(num, grid)
-    if lam >= 1:
-        lam = (threshold + 1) / 2
-    return lam
+    lam = Fraction(-(-raw.numerator * 2 ** 10 // raw.denominator), 2 ** 10)  # ceil
+    return lam if lam < 1 else (threshold + 1) / 2

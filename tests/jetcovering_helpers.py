@@ -1,10 +1,13 @@
 """Shared oracle helpers for jet-covering tests: exact rank, the inverse
-branch, the shift maps and the generic semi-conjugacy products."""
+branch, the shift maps, the generic semi-conjugacy products and the exact
+greedy pullback."""
 
 from fractions import Fraction
+from math import lcm
 
 from jetcover import linalg
 from jetcover.errors import DegenerateInputError
+from jetcover.jetcovering import power_norm_sum
 
 
 def rank(a):
@@ -74,6 +77,26 @@ def generic_residuals(sys):
     return out
 
 
+def power_norms(jet_dim, lam, k):
+    """norm(J^t) for t = 0..k, from generic matrix powers of J = lam I + S."""
+    jay = tuple(tuple(lam * (i == j) + (jet_dim - 1 - i) * (j == i + 1) for j in range(jet_dim))
+                for i in range(jet_dim))
+    power, norms = linalg.identity(jet_dim), []
+    for _ in range(k + 1):
+        norms.append(linalg.inf_norm_mat(power))
+        power = linalg.mat_mul(power, jay)
+    return norms
+
+
+def rounding_term(sys, precision):
+    """2^-P (max_i |pi_{i,n-1}| S + norm(pi)), the share of a P-bit
+    pullback's rounding in a realization's bound, by generic norms."""
+    pi = sys.projection
+    last = max(abs(row[-1]) for row in pi)
+    term = last * power_norm_sum(sys.lam, sys.jet_dim) + linalg.inf_norm_mat(pi)
+    return term / 2 ** precision
+
+
 def fraction_pullback_step(sys, u):
     """Reference greedy step in Fraction arithmetic: branch +1 first, and
     the appended coordinate delta - sum b_j u_j must lie in (-base, base)."""
@@ -82,6 +105,56 @@ def fraction_pullback_step(sys, u):
         appended = delta - s
         if abs(appended) < sys.box_base:
             return delta, tuple(u[1:]) + (appended,)
+    raise AssertionError(f"no feasible branch at functional value {s}")
+
+
+class IntegerPullback:
+    """Oracle of the fixed-point pullback: the exact greedy pullback from u
+    in integers, with no gcd per step.
+
+    A step appends u_new = delta - sum b_j u_j for delta = +1, else -1, the
+    first keeping |u_new| < base, and drops u's leading entry.  Entries are
+    V_i / (d g^i), V_i integers, d = lcm den(u), g = p * lcm_j den(b_j
+    lam^(n-j)), lam = p/q.
+    """
+
+    def __init__(self, sys, u):
+        n, lam, b = sys.n, sys.lam, sys.p_coeffs
+        unscaled = (b[j] * lam ** (n - j) for j in range(n))
+        g = lam.numerator * lcm(*(c.denominator for c in unscaled))
+        d = lcm(*(x.denominator for x in u))
+        self.g, self.base = g, sys.box_base
+        self.terms = [(j, int(b[j] * g ** (n - j))) for j in range(n) if b[j]]
+        self.window = [int(x * d * g ** i) for i, x in enumerate(u)]
+        self.scale = d * g ** n  # denominator of the next appended entry
+
+    def step(self):
+        s = sum(c * self.window[j] for j, c in self.terms)
+        for delta in (1, -1):
+            appended = delta * self.scale - s
+            if abs(appended) * self.base.denominator < self.base.numerator * self.scale:
+                self.window = self.window[1:] + [appended]
+                self.scale *= self.g
+                return delta
+        raise AssertionError(f"no feasible branch at functional value {Fraction(s, self.scale)}")
+
+    def point(self):
+        n, g = len(self.window), self.g
+        return tuple(Fraction(v * g ** (n - i), self.scale)
+                     for i, v in enumerate(self.window))
+
+
+def fixed_point_step(sys, u, precision):
+    """Reference step of the fixed-point pullback in Fraction arithmetic:
+    branch +1 first; the appended coordinate delta - sum b_j u_j is rounded
+    toward zero to the 2^-precision grid, and the rounded value must lie in
+    (-base, base)."""
+    s = sum(b * x for b, x in zip(sys.p_coeffs, u))
+    for delta in (1, -1):
+        exact = (delta - s) * 2 ** precision
+        rounded = Fraction(int(exact), 2 ** precision)  # int() truncates toward zero
+        if abs(rounded) < sys.box_base:
+            return delta, tuple(u[1:]) + (rounded,)
     raise AssertionError(f"no feasible branch at functional value {s}")
 
 

@@ -11,6 +11,7 @@ from jetcover.cli import _joined, main
 from jetcover.jets import Jet
 from jetcover.rational import rat
 from jetcover.serialize import branch_table_to_csv
+from jetcovering_helpers import rounding_term  # local helper module
 
 
 def run(args):
@@ -214,6 +215,36 @@ def test_realize_step_cap_exits_before_lp(tmp_path, monkeypatch):
             ]
         ) == 2
         assert not out.exists()
+
+
+def test_a_tol_beyond_the_default_step_cap_exits_before_membership(tmp_path, monkeypatch):
+    def no_membership(*args):
+        raise AssertionError("the step cap must be checked before any membership work")
+
+    args = realize_args(tmp_path) + ["--tol", "1/" + THREES, "--out", str(tmp_path / "r.json")]
+    monkeypatch.setattr("jetcover.jetcovering.certify_membership", no_membership)
+    assert run(args) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_the_step_and_degree_caps_default_to_orders_4_to_6(tmp_path, monkeypatch):
+    # order 6 needs flat degree 89 and order 5 needs 25,625 steps at tol 1e-4
+    caps = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(system, target, tol, max_steps):
+        caps.append(max_steps)
+        raise Stop  # no realization is needed past the cap
+
+    monkeypatch.setattr("jetcover.cli.realize_jet", stop)
+    with pytest.raises(Stop):
+        run(realize_args(tmp_path) + ["--out", str(tmp_path / "r.json")])
+    assert caps == [50_000]
+    out = tmp_path / "o6.json"
+    assert run(["jet-system", "--order", "6", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["flat_poly"]["degree"] == 89 < flatpoly.FLAT_DEGREE_CAP
 
 
 @pytest.mark.parametrize("jet_dim", [0, -1])
@@ -624,19 +655,20 @@ def test_flatness_below_one_is_input_error(tmp_path, capsys, args, monkeypatch):
 # sha256 of the bytes these commands write.  The flat polynomial comes out
 # of the exact flat-polynomial exchange, and the itinerary starts from the
 # witness of the exact membership exchange, so a change in either exchange's
-# result, a tied vertex included, shows here.
+# result, a tied vertex included, shows here.  A realization's residual_bound
+# carries the rounding term of its fixed-point pullback.
 PINNED_DIGESTS = {
     "o2": "419801e239e2d156507539757c088370d062d63f97e683fe00dd03ab6403dad6",
     "o3": "542dbbb620a57dc6014d2289a6eb6963a75cb0e1ff9e95405c50348d8fd73101",
     "o1": "226bc9aaa95c27a43658d0328d275c85e822baf977c689275aac80ac8086b7bb",
-    "realize": "e9a5834dd913896d1d489534a2fb526821cf691c0cf47305976dc7cbc191da7c",
+    "realize": "e3d46b375a2041afa261cd3d85d49ef1064db45d6aa84a312db8ccddcd446c6a",
     "certify": "f92c038690d25d34aa201557f5033863cf0f67196e94a13b1331b09e2e593fda",
     "lambda-too-small": "e43c55498971903f85af3bb55b9ef55b92646342d998aca39de4ae3b44f22301",
     "flat5": "93a2408c33dc9a808e9ac537e0127876fe3d9740f1227d2afdc58bd86f8d80a0",
     "flat5-degree11": "b231f9bf4e457b91a1eaf7ae7431083c242ce77b5a2c3a3f474f8c7c69329329",
     "o4": "15840133e1b29fd31cc691a2395dc52cc598a6fca1cc20a76fc7a052e7b25c08",
     "flat4-degree23": "d4a329f6f2e761230fefa258287b5b41fa7704196380d3f1185dcf0748fe5c61",
-    "realize-o2-zero": "79f84f8fcc72fdf44e0d98831bf59d0cce2cba3317eb7c385801aa66b446dff9",
+    "realize-o2-zero": "8ff9ca78711ae3f30a4e3207ea9c077e3ebb580fda5a0f929e900c1ad56af4e2",
 }
 NEGATIVE_VERDICTS = {"lambda-too-small"}  # written with exit code 1
 
@@ -923,6 +955,23 @@ def test_a_call_builds_only_its_own_commands_parser(tmp_path, monkeypatch):
     assert len(built) <= 2
 
 
+def test_parsers_are_built_once_per_process(tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"margin": "1/50"}))
+    out = tmp_path / "cert.json"
+    plain = ["certify", "--lam", "3/4", "--out", str(out)]
+    assert run(plain) == 0  # builds what no earlier call built
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
+    assert run(["--config", str(config)] + plain) == 0
+    assert json.loads(out.read_text())["margin"] == "1/50"
+    assert run(plain) == 0
+    assert json.loads(out.read_text())["margin"] == "1/100"
+    assert built == []
+
+
 @pytest.mark.parametrize("jet_dim", [2.7, "2", True])
 def test_realize_rejects_a_jet_dim_that_is_not_an_integer(tmp_path, capsys, jet_dim):
     # int(...) once read 2.7 and "2" as order 1, and realize exited 0
@@ -995,7 +1044,11 @@ def test_realize_writes_an_order_3_realization(tmp_path):
     achieved = max(abs(row[0]) for row in diff.coeffs)
     assert len(payload["achieved_residual"]) > 4300
     assert rat(payload["achieved_residual"]) == achieved
-    assert rat(payload["residual_bound"]) == jetcovering.residual_bound(system, payload["steps"])
+    k = payload["steps"]
+    precision, _ = jetcovering.proved_bound(system, k, F(1, 100))
+    assert precision >= jetcovering.PRECISION_FLOOR
+    assert rat(payload["residual_bound"]) == jetcovering.residual_bound(
+        system, k) + rounding_term(system, precision)
     assert achieved <= rat(payload["residual_bound"]) <= F(1, 100)
 
 

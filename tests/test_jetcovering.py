@@ -20,10 +20,12 @@ from jetcovering_helpers import (  # local helper module
     generic_residuals,
     inverse_branch,
     rank,
+    rounding_term,
     scan_box_base,
     shift_map,
 )
 from jetcover.jetcovering import (
+    PRECISION_FLOOR,
     JetCoveringSystem,
     auto_lambda,
     branch_matrix,
@@ -32,6 +34,8 @@ from jetcover.jetcovering import (
     certify_membership,
     choose_box_base,
     greedy_pullback_step,
+    proved_bound,
+    realization_steps,
     realize_jet,
     residual_bound,
     semiconjugacy_residuals,
@@ -228,8 +232,9 @@ def test_the_reach_is_computed_once_per_system(monkeypatch, jet_sys_r1):
     sys = replace(jet_sys_r1)  # a fresh system, with nothing cached
     res = realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), F(1, 10 ** 8))
     assert len(calls) == 1 and calls[0] is sys
-    assert res.residual_bound == residual_bound(sys, res.steps) == residual_bound(
-        jet_sys_r1, res.steps)
+    rounding = rounding_term(sys, res.precision)
+    assert res.residual_bound == residual_bound(sys, res.steps) + rounding == residual_bound(
+        jet_sys_r1, res.steps) + rounding
 
 
 @functools.lru_cache(maxsize=None)
@@ -453,6 +458,20 @@ def test_realize_rejects_uncertified(jet_sys_r1):
     far = Jet.scalar([2 * reach] + [0] * jet_sys_r1.order)
     with pytest.raises(NotCoveredError):
         realize_jet(jet_sys_r1, far, F(1, 100))
+
+
+@pytest.mark.parametrize("fixture, k", [("jet_sys_r0", 5), ("jet_sys_r1", 200)])
+def test_a_bound_of_exactly_tol_takes_one_step_more(request, fixture, k):
+    # no rounding term fits beside residual_bound(k) = tol, so k + 1 steps
+    sys = request.getfixturevalue(fixture)
+    tol = residual_bound(sys, k)
+    assert realization_steps(sys, tol) == k
+    assert proved_bound(sys, k, tol) == (None, tol)
+    res = realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), tol)
+    assert res.steps == k + 1 and res.precision >= PRECISION_FLOOR
+    assert res.achieved_residual <= res.residual_bound <= tol
+    with pytest.raises(ResourceLimitError, match=f"within {k} steps"):
+        realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), tol, max_steps=k)
 
 
 def test_realize_step_cap(jet_sys_r0):

@@ -5,6 +5,7 @@ contractions strictly above the threshold of their order (0 to 3).  The
 membership LP is checked against box points whose projection is known.
 """
 
+import random
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -12,22 +13,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetcover import linalg
+from jetcover import jetcovering, linalg
 from jetcover.errors import ResourceLimitError
 from jetcover.flatpoly import find_flat_poly, lambda_threshold, scale_to_p
 from jetcover.jetcovering import (
-    IntegerPullback,
-    branch_matrix,
     build_system,
     certify_membership,
+    fixed_point_pullback,
     power_norm_numerator,
+    power_norm_sum,
     realization_steps,
     realize_jet,
     residual_bound,
     word_jet,
 )
 from jetcover.jets import Jet, continuation_jet, standard_families
-from jetcovering_helpers import fraction_pullback_step  # local helper module
+from jetcovering_helpers import (  # local helper module
+    IntegerPullback,
+    fixed_point_step,
+    fraction_pullback_step,
+    power_norms,
+    rounding_term,
+)
 
 GRID = 2 ** 10
 lams = st.integers(GRID // 2 + 1, GRID - 1).map(lambda j: F(j, GRID))
@@ -66,11 +73,16 @@ def test_word_jet_matches_lifted_maps(lam, word, order):
 @settings(deadline=None)
 @given(lams, st.integers(1, 5), st.integers(0, 60))
 def test_power_norm_matches_matrix_power(lam, jet_dim, k):
-    power = linalg.identity(jet_dim)
-    for _ in range(k):
-        power = linalg.mat_mul(power, branch_matrix(jet_dim, lam))
     norm = F(power_norm_numerator(lam, jet_dim, k), lam.denominator ** k)
-    assert norm == linalg.inf_norm_mat(power)
+    assert norm == power_norms(jet_dim, lam, k)[-1]
+
+
+@settings(deadline=None)
+@given(lams, st.integers(1, 4), st.integers(0, 40))
+def test_power_norm_sum_bounds_the_matrix_power_norms(lam, jet_dim, k):
+    # the rounding term's S against norm(J^t) of generic matrix powers,
+    # t = 0..k: a realization of k steps sums t = 1..k
+    assert power_norm_sum(lam, jet_dim) >= sum(power_norms(jet_dim, lam, k))
 
 
 @settings(deadline=None)
@@ -115,6 +127,99 @@ def test_integer_pullback_matches_fraction_step(sys, steps, rng):
         assert pullback.point() == u
 
 
+# per order: grid contractions past the first one above the threshold, the
+# bits of tol and the examples that keep k in reach of the exact oracle
+ORACLE_GRID = {1: (64, 12, 16), 2: (8, 12, 12), 3: (2, 4, 4)}
+
+
+@pytest.mark.parametrize("order", sorted(ORACLE_GRID))
+def test_fixed_point_word_and_steps_equal_the_exact_oracles(order):
+    # at P >= 128 the rounded walk takes the exact greedy walk's branches
+    span, top_bits, examples = ORACLE_GRID[order]
+    threshold = flat_and_threshold(order)[1]
+    first = threshold.numerator * GRID // threshold.denominator + 1
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.integers(0, span), st.integers(1, top_bits), st.data())
+    def check(offset, bits, data):
+        sys = grid_system(order, F(min(first + offset, GRID - 1), GRID))
+        u_star = [data.draw(grid_points) * r for r in sys.coordinate_bounds()]
+        target = Jet.scalar(tuple(reversed(linalg.mat_vec(sys.projection, u_star))))
+        tol = F(1, 2 ** bits)
+        try:
+            k = realization_steps(sys, tol, max_steps=6000)
+        except ResourceLimitError:
+            return
+        res = realize_jet(sys, target, tol)
+        assert res.steps == k and res.precision >= 128
+        oracle = IntegerPullback(sys, res.membership.witness)
+        assert res.itinerary == tuple("+" if oracle.step() == 1 else "-" for _ in range(k))
+
+    check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.integers(0, 12), st.integers(1, 40), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_fixed_point_pullback_matches_the_rounded_fraction_walk(sys, precision, steps,
+                                                                dyadic, rng):
+    # a base off the 2^-P grid tells a box test of the rounded value from
+    # one of the exact value; any base in (1, box_base] keeps the covering
+    if not dyadic:
+        sys = build_system(sys.jet_dim, sys.lam, sys.p_coeffs, 1 + (sys.box_base - 1) * F(2, 3))
+    bounds = sys.coordinate_bounds()
+    u = tuple(F(rng.randint(-1000, 1000), 1000) * r for r in bounds)
+    word = fixed_point_pullback(sys, u, precision, steps)
+    grid = 2 ** precision
+    point = tuple(F(int(x * grid), grid) for x in u)  # the witness, rounded toward zero
+    expected = []
+    for _ in range(steps):
+        delta, point = fixed_point_step(sys, point, precision)
+        expected.append("+" if delta == 1 else "-")
+    assert word == tuple(expected)
+
+
+@settings(max_examples=20, deadline=None)
+@given(systems(top_order=2), st.integers(1, 8), st.data())
+def test_the_proved_bound_covers_the_telescoped_rounding(sys, bits, data):
+    # x - F_word(0) = J^k pi u~_k - sum_{t<k} J^(t+1) pi e_t + pi (u_0 - u~_0),
+    # replayed exactly on the rounded walk, with each term under its share
+    # of the reported bound
+    bounds = sys.coordinate_bounds()
+    u_star = [data.draw(grid_points) * r for r in bounds]
+    x = linalg.mat_vec(sys.projection, u_star)
+    try:
+        res = realize_jet(sys, Jet.scalar(tuple(reversed(x))), F(1, 2 ** bits), max_steps=400)
+    except ResourceLimitError:
+        return
+    k, grid, pi, jay = res.steps, 2 ** res.precision, sys.projection, sys.branch_matrix
+    u0 = res.membership.witness
+    point = tuple(F(int(e * grid), grid) for e in u0)
+    rounding = linalg.mat_vec(pi, linalg.vec_sub(u0, point))
+    errors = []  # e_t, the rounding of step t's appended coordinate
+    for letter in res.itinerary:
+        exact = -sum(b * e for b, e in zip(sys.p_coeffs, point))
+        delta, point = fixed_point_step(sys, point, res.precision)
+        assert ("+" if delta == 1 else "-") == letter
+        errors.append(point[-1] - delta - exact)
+    # sum_{t<k} J^(t+1) pi e_t by Horner from the innermost step
+    carried = (F(0),) * sys.jet_dim
+    for e in reversed(errors):
+        carried = linalg.mat_vec(jay, linalg.vec_add(carried, tuple(e * row[-1] for row in pi)))
+    powers = power_norms(sys.jet_dim, sys.lam, k)
+    head = linalg.mat_vec(pi, point)
+    for _ in range(k):
+        head = linalg.mat_vec(jay, head)
+    far = linalg.vec_sub(x, word_jet(sys.lam, res.itinerary, sys.order).flat()[::-1])
+    assert far == linalg.vec_add(linalg.vec_sub(head, carried), rounding)
+    last = max(abs(row[-1]) for row in pi)
+    brute = (powers[-1] * sys.reach + (last * sum(powers[1:]) + linalg.inf_norm_mat(pi)) / grid
+             if k else sys.reach)
+    assert max(map(abs, far)) == res.achieved_residual <= brute <= res.residual_bound
+    assert res.residual_bound == residual_bound(sys, k) + (rounding_term(sys, res.precision)
+                                                           if k else 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(systems(top_order=2), st.data())
 def test_membership_certifies_projected_grid_points(sys, data):
@@ -128,6 +233,16 @@ def test_membership_certifies_projected_grid_points(sys, data):
     assert linalg.mat_vec(sys.projection, res.witness) == x
     assert all(abs(w) <= r - res.margin for w, r in zip(res.witness, bounds))
     assert res.margin >= min(r - abs(u) for u, r in zip(u_star, bounds))
+
+
+@pytest.mark.parametrize("length", [1, 511, 512, 513, 1024, 1025, 1600])
+def test_tree_word_jet_matches_lifted_maps_across_leaf_runs(length):
+    # runs of at most _LEAF letters are Horner sums; longer words split
+    assert jetcovering._LEAF == 512
+    rng = random.Random(length)
+    lam, order = F(rng.randint(GRID // 2 + 1, GRID - 1), GRID), 3
+    word = "".join(rng.choice("+-") for _ in range(length))
+    assert word_jet(lam, word, order) == continuation_jet(standard_families(lam, order), word, order)
 
 
 @pytest.mark.parametrize("order", [0, 1])
