@@ -159,9 +159,16 @@ def cmd_jet_system(args) -> int:
     p_coeffs = scale_to_p(qres, lam)
     l1 = l1_tail(p_coeffs)
     if l1 >= 2:
-        _write_json(args.out, {"built": False, "verdict": "lambda-too-small", "lam": rat_str(lam),
-                               "lambda_threshold": rat_str(threshold),
-                               "l1_nonleading": rat_str(l1)})
+        _write_json(
+            args.out,
+            {
+                "built": False,
+                "verdict": "lambda-too-small",
+                "lam": rat_str(lam),
+                "lambda_threshold": rat_str(threshold),
+                "l1_nonleading": rat_str(l1),
+            },
+        )
         return EXIT_NEGATIVE
     system = build_system(big_n, lam, p_coeffs)
     delta_cover = certify_delta_covering(system)
@@ -299,15 +306,21 @@ COMMANDS = {
 @functools.lru_cache(maxsize=None)
 def _top_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
-        prog="jetcover", description="certified IFS coverings, jet lifts, and blender demos",
+        prog="jetcover",
+        description="certified IFS coverings, jet lifts, and blender demos",
         epilog="commands:\n" + "\n".join(
-            f"  {name:<17} {help_}" for name, (_, help_, _) in COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+            f"  {name:<17} {help_}" for name, (_, help_, _) in COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     top.add_argument("--config", help="JSON file with option defaults")
-    top.add_argument("command", choices=COMMANDS, metavar="command",
-                     help="one of the commands below")
-    top.add_argument("arguments", nargs=argparse.REMAINDER,
-                     help="the command's options, listed by jetcover <command> --help")
+    top.add_argument(
+        "command", choices=COMMANDS, metavar="command", help="one of the commands below"
+    )
+    top.add_argument(
+        "arguments", nargs=argparse.REMAINDER,
+        help="the command's options, listed by jetcover <command> --help",
+    )
     return top
 
 
@@ -318,9 +331,11 @@ def _command_parser(command: str):
     must not call `main` at once."""
     _, help_, options = COMMANDS[command]
     parser = argparse.ArgumentParser(prog=f"jetcover {command}", description=help_)
-    actions = [parser.add_argument(flag, type=kind, default=None if default is NO_DEFAULT
-                                   else default, help=text)
-               for flag, kind, default, text in options]
+    actions = []
+    for flag, kind, default, text in options:
+        if default is NO_DEFAULT:
+            default = None
+        actions.append(parser.add_argument(flag, type=kind, default=default, help=text))
     return parser, actions
 
 
@@ -330,25 +345,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser, actions = _command_parser(chosen.command)
     defaults = [action.default for action in actions]
     try:
-        config = _load_json(chosen.config) if chosen.config else {}
-        if not isinstance(config, dict):
-            raise CertificateFormatError("config file must hold a JSON object")
-        config = {key.replace("-", "_"): value for key, value in config.items()}
+        config = {}
+        if chosen.config:
+            config = _load_json(chosen.config)
+            if not isinstance(config, dict):
+                raise CertificateFormatError("config file must hold a JSON object")
+            config = {key.replace("-", "_"): value for key, value in config.items()}
         # the config file's values for this command's own options become
-        # its defaults for this call, so explicit flags win; argparse runs
-        # only a string default through the option's type
-        for action, (flag, kind, _, _) in zip(actions, options):
-            value = action.default = config.get(action.dest, action.default)
-            if action.dest in config and not (isinstance(value, str) or kind is int
-                                              and type(value) is int):
-                raise CertificateFormatError(f"config key {flag[2:]!r}: {json.dumps(value)} "
-                                             "is not a string"
-                                             + (" or an integer" if kind is int else ""))
+        # its defaults for this call, so explicit flags win
+        required = {}
+        for action, (flag, kind, default, _) in zip(actions, options):
+            dest = action.dest
+            if default is NO_DEFAULT:
+                required[dest] = flag
+            # argparse runs only a string default through the option's type
+            value = config.get(dest, action.default)
+            if dest in config and not (
+                isinstance(value, str) or kind is int and type(value) is int
+            ):
+                raise CertificateFormatError(
+                    f"config key {flag[2:]!r}: {json.dumps(value)} is not a string"
+                    + (" or an integer" if kind is int else "")
+                )
+            action.default = value
         args = parser.parse_args(_joined(chosen.arguments, [option[0] for option in options]))
-        missing = [flag for (flag, _, default, _), action in zip(options, actions)
-                   if default is NO_DEFAULT and getattr(args, action.dest) is None]
+        missing = [flag for dest, flag in required.items() if getattr(args, dest) is None]
         if missing:
-            print(f"error: missing required option(s): {', '.join(missing)}", file=sys.stderr)
+            flags = ", ".join(missing)
+            print(f"error: missing required option(s): {flags}", file=sys.stderr)
             return EXIT_INVALID
         return handler(args)
     except (JetcoverError, OSError) as exc:

@@ -34,8 +34,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .boxes import Box, Interval
 from .covering import WindowCoverCertificate, certify_window_cover
-from .errors import (ConstructionError, DegenerateInputError, NotCoveredError,
-                     ResourceLimitError, ShapeError)
+from .errors import (
+    ConstructionError,
+    DegenerateInputError,
+    NotCoveredError,
+    ResourceLimitError,
+    ShapeError,
+)
 from .flatpoly import Coeffs, l1_tail, projection_matrix
 from .jets import Jet, reverse_jet
 from .linalg import Mat, Vec
@@ -98,8 +103,14 @@ class JetCoveringSystem:
 
 def branch_matrix(jet_dim: int, lam: Fraction) -> Mat:
     """J = lam I + S, S the superdiagonal N-1, ..., 1."""
-    return tuple(tuple(lam * (i == j) + (jet_dim - 1 - i) * (j == i + 1) for j in range(jet_dim))
-                 for i in range(jet_dim))
+    rows = []
+    for i in range(jet_dim):
+        row = [Fraction(0)] * jet_dim
+        row[i] = lam
+        if i + 1 < jet_dim:
+            row[i + 1] = Fraction(jet_dim - 1 - i)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def box_inequality(base: Fraction, n: int, l1_tail: Fraction) -> Tuple[bool, Fraction, Fraction]:
@@ -121,12 +132,18 @@ def choose_box_base(n: int, l1_tail: Fraction) -> Fraction:
         base = 1 + Fraction(1, 2 ** shift)
         if box_inequality(base, n, l1_tail)[0]:
             return base
-    raise ConstructionError("no grid base satisfies the covering inequality; "
-                            "the contraction is too close to its threshold")
+    raise ConstructionError(
+        "no grid base satisfies the covering inequality; "
+        "the contraction is too close to its threshold"
+    )
 
 
-def build_system(jet_dim: int, lam, p_coeffs: Sequence[Fraction],
-                 box_base=None) -> JetCoveringSystem:
+def build_system(
+    jet_dim: int,
+    lam,
+    p_coeffs: Sequence[Fraction],
+    box_base=None,
+) -> JetCoveringSystem:
     """Assemble and exactly verify the full covering system, the only
     place a scaled polynomial is verified; each condition has one judge.
 
@@ -223,9 +240,11 @@ class DeltaCoveringCertificate:
 
     analytic: the exact scalar inequality base^n * l1_tail < base + 1 with
     base > 1 (each point of the closed box then admits a branch whose new
-    leading coordinate stays strictly inside).  subdivision: a window cover
-    of the exact range of the branch functional s(u) = sum b_j u_j by the
-    two admissible windows (d - base, d + base)."""
+    leading coordinate stays strictly inside).
+    subdivision: a window cover of the exact range of the branch
+    functional s(u) = sum b_j u_j by the two admissible windows
+    (d - base, d + base).
+    """
 
     box_base: Fraction
     l1_tail: Fraction
@@ -236,19 +255,39 @@ class DeltaCoveringCertificate:
 
 
 def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
-    base, l1 = sys.box_base, l1_tail(sys.p_coeffs)
+    base = sys.box_base
+    l1 = l1_tail(sys.p_coeffs)
     holds, lhs, rhs = box_inequality(base, sys.n, l1)
     if not (base > 1 and holds):
-        raise ConstructionError(f"analytic covering proof fails: base {base}, {lhs} !< {rhs}")
-    reach = sum(map(mul, map(abs, sys.p_coeffs[:-1]), sys.coordinate_bounds()), Fraction(0))
-    windows = [("+", Interval(1 - base, 1 + base)), ("-", Interval(-1 - base, -1 + base))]
+        raise ConstructionError(
+            f"analytic covering proof fails: base {base}, {lhs} !< {rhs}"
+        )
+    bounds = sys.coordinate_bounds()
+    reach = sum(
+        (abs(sys.p_coeffs[j]) * bounds[j] for j in range(sys.n)), Fraction(0)
+    )
+    windows = [
+        ("+", Interval(1 - base, 1 + base)),
+        ("-", Interval(-1 - base, -1 + base)),
+    ]
     margin = min((rhs - reach) / 2, (base - 1) / 2)
     if margin <= 0:
         raise ConstructionError("no positive margin for the window cover")
-    cover = certify_window_cover(Interval(-reach, reach), windows, margin, max_depth=64)
+    cover = certify_window_cover(
+        Interval(-reach, reach), windows, margin, max_depth=64
+    )
     if not isinstance(cover, WindowCoverCertificate):
-        raise ConstructionError(f"window subdivision failed around {cover.witness_box}")
-    return DeltaCoveringCertificate(base, l1, lhs, rhs, Interval(-reach, reach), cover)
+        raise ConstructionError(
+            f"window subdivision failed around {cover.witness_box}"
+        )
+    return DeltaCoveringCertificate(
+        box_base=base,
+        l1_tail=l1,
+        inequality_lhs=lhs,
+        inequality_rhs=rhs,
+        functional_range=Interval(-reach, reach),
+        window_cover=cover,
+    )
 
 
 # --- membership and realization ----------------------------------------------
@@ -397,7 +436,9 @@ def certify_membership(sys: JetCoveringSystem, target: Jet) -> MembershipResult:
     `check_membership`; a negative optimum is not certified."""
     witness, margin, dual = membership_certificate(sys, target)
     check_membership(sys, target, witness, margin, dual)
-    return MembershipResult(True, witness, margin) if margin >= 0 else MembershipResult(False)
+    if margin < 0:
+        return MembershipResult(certified=False)
+    return MembershipResult(True, witness, margin)
 
 
 @dataclass(frozen=True)
@@ -407,7 +448,6 @@ class RealizationResult:
     achieved_residual: Fraction
     residual_bound: Fraction
     membership: MembershipResult  # the interiority proof used
-    precision: int = 0  # bits P of the fixed-point pullback; 0 when steps = 0
 
     def itinerary_string(self) -> str:
         return "".join(self.itinerary)
@@ -417,9 +457,11 @@ def power_norm_numerator(lam: Fraction, jet_dim: int, k: int) -> int:
     """q^k * norm(J^k), lam = p/q.  Row 0 of J^k = (lam I + S)^k holds
     C(k,m) lam^(k-m) (N-1)!/(N-1-m)!, m < N; it dominates every other row
     of the nonnegative J^k, so its sum is the norm."""
-    p, q, top = lam.numerator, lam.denominator, min(k, jet_dim - 1)
-    return p ** (k - top) * sum(comb(k, m) * perm(jet_dim - 1, m) * p ** (top - m) * q ** m
-                                for m in range(top + 1))
+    p, q = lam.numerator, lam.denominator
+    return sum(
+        comb(k, m) * perm(jet_dim - 1, m) * p ** (k - m) * q ** m
+        for m in range(min(k + 1, jet_dim))
+    )
 
 
 def residual_bound(sys: JetCoveringSystem, k: int) -> Fraction:
@@ -430,7 +472,9 @@ def residual_bound(sys: JetCoveringSystem, k: int) -> Fraction:
     return Fraction(norm, sys.lam.denominator ** k) * sys.reach
 
 
-def realization_steps(sys: JetCoveringSystem, tol, max_steps: int = 50_000) -> int:
+def realization_steps(
+    sys: JetCoveringSystem, tol, max_steps: int = 50_000
+) -> int:
     """Smallest k with residual_bound(sys, k) <= tol, or ResourceLimitError
     past max_steps.  norm(J^k) is log-concave in k (lam^k times a binomial
     transform of the log-concave (N-1)!/(N-1-m)! lam^-m; Davenport-Polya),
@@ -439,7 +483,8 @@ def realization_steps(sys: JetCoveringSystem, tol, max_steps: int = 50_000) -> i
     tol = rat(tol)
     if tol <= 0:
         raise DegenerateInputError("tolerance must be positive")
-    lhs, rhs = sys.reach.numerator * tol.denominator, tol.numerator * sys.reach.denominator
+    reach = sys.reach
+    lhs, rhs = reach.numerator * tol.denominator, tol.numerator * reach.denominator
 
     def meets(k: int) -> bool:
         norm = power_norm_numerator(sys.lam, sys.jet_dim, k)
@@ -562,15 +607,17 @@ def _word_sums(lam: Fraction, word: Sequence[str], order: int) -> List[int]:
     return run(0, len(signs))
 
 
-def realize_jet(sys: JetCoveringSystem, target: Jet, tol,
-                max_steps: int = 50_000) -> RealizationResult:
+def realize_jet(
+    sys: JetCoveringSystem, target: Jet, tol, max_steps: int = 50_000
+) -> RealizationResult:
     """Constructively realize a certified-interior jet as a continuation jet.
 
     Fixes k and the precision P by `proved_bound` first, proves membership
     by `certify_membership` (NotCoveredError when the target is not
     certified interior with a positive margin), pulls back k greedy steps
     from its witness in P-bit fixed point, then checks exactly that the
-    word's jet is within the proved bound of the target."""
+    word's jet is within the proved bound of the target.
+    """
     tol = rat(tol)
     k = realization_steps(sys, tol, max_steps)
     precision, bound = proved_bound(sys, k, tol)
@@ -581,20 +628,27 @@ def realize_jet(sys: JetCoveringSystem, target: Jet, tol,
         precision, bound = proved_bound(sys, k, tol)
     membership = certify_membership(sys, target)
     if not membership.certified or membership.margin <= 0:
-        raise NotCoveredError("target jet is not certified interior to the covered set")
+        raise NotCoveredError(
+            "target jet is not certified interior to the covered set"
+        )
     word = fixed_point_pullback(sys, membership.witness, precision, k)
     den = sys.lam.denominator ** k  # one gcd of the word's size, for the largest gap alone
     achieved = max(Fraction(abs(t.numerator * den - v * t.denominator), t.denominator) for t, v
                    in zip(target.flat(), _word_sums(sys.lam, word, sys.order))) / den
     if achieved > bound:
-        raise ConstructionError(f"forward verification failed: residual {rat_str(achieved)} "
-                                f"> bound {rat_str(bound)}")
-    return RealizationResult(word, k, achieved, bound, membership, precision)
+        raise ConstructionError(
+            f"forward verification failed: residual {rat_str(achieved)} > bound {rat_str(bound)}"
+        )
+    return RealizationResult(word, k, achieved, bound, membership)
 
 
 def auto_lambda(threshold: Fraction) -> Fraction:
     """Deterministic contraction choice above a threshold: a quarter of the
     way to 1, rounded up to the 2^-10 grid (keeps denominators small)."""
     raw = threshold + (1 - threshold) / 4
-    lam = Fraction(-(-raw.numerator * 2 ** 10 // raw.denominator), 2 ** 10)  # ceil
-    return lam if lam < 1 else (threshold + 1) / 2
+    grid = 2 ** 10
+    num = -((-raw.numerator * grid) // raw.denominator)  # ceil
+    lam = Fraction(num, grid)
+    if lam >= 1:
+        lam = (threshold + 1) / 2
+    return lam

@@ -232,7 +232,7 @@ def test_the_reach_is_computed_once_per_system(monkeypatch, jet_sys_r1):
     sys = replace(jet_sys_r1)  # a fresh system, with nothing cached
     res = realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), F(1, 10 ** 8))
     assert len(calls) == 1 and calls[0] is sys
-    rounding = rounding_term(sys, res.precision)
+    rounding = rounding_term(sys, proved_bound(sys, res.steps, F(1, 10 ** 8))[0])
     assert res.residual_bound == residual_bound(sys, res.steps) + rounding == residual_bound(
         jet_sys_r1, res.steps) + rounding
 
@@ -468,7 +468,7 @@ def test_a_bound_of_exactly_tol_takes_one_step_more(request, fixture, k):
     assert realization_steps(sys, tol) == k
     assert proved_bound(sys, k, tol) == (None, tol)
     res = realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), tol)
-    assert res.steps == k + 1 and res.precision >= PRECISION_FLOOR
+    assert res.steps == k + 1 and proved_bound(sys, k + 1, tol)[0] >= PRECISION_FLOOR
     assert res.achieved_residual <= res.residual_bound <= tol
     with pytest.raises(ResourceLimitError, match=f"within {k} steps"):
         realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), tol, max_steps=k)

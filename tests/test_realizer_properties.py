@@ -22,6 +22,7 @@ from jetcover.jetcovering import (
     fixed_point_pullback,
     power_norm_numerator,
     power_norm_sum,
+    proved_bound,
     realization_steps,
     realize_jet,
     residual_bound,
@@ -151,7 +152,7 @@ def test_fixed_point_word_and_steps_equal_the_exact_oracles(order):
         except ResourceLimitError:
             return
         res = realize_jet(sys, target, tol)
-        assert res.steps == k and res.precision >= 128
+        assert res.steps == k and proved_bound(sys, k, tol)[0] >= 128
         oracle = IntegerPullback(sys, res.membership.witness)
         assert res.itinerary == tuple("+" if oracle.step() == 1 else "-" for _ in range(k))
 
@@ -188,18 +189,21 @@ def test_the_proved_bound_covers_the_telescoped_rounding(sys, bits, data):
     bounds = sys.coordinate_bounds()
     u_star = [data.draw(grid_points) * r for r in bounds]
     x = linalg.mat_vec(sys.projection, u_star)
+    tol = F(1, 2 ** bits)
     try:
-        res = realize_jet(sys, Jet.scalar(tuple(reversed(x))), F(1, 2 ** bits), max_steps=400)
+        res = realize_jet(sys, Jet.scalar(tuple(reversed(x))), tol, max_steps=400)
     except ResourceLimitError:
         return
-    k, grid, pi, jay = res.steps, 2 ** res.precision, sys.projection, sys.branch_matrix
+    k, pi, jay = res.steps, sys.projection, sys.branch_matrix
+    precision = proved_bound(sys, k, tol)[0]
+    grid = 2 ** precision
     u0 = res.membership.witness
     point = tuple(F(int(e * grid), grid) for e in u0)
     rounding = linalg.mat_vec(pi, linalg.vec_sub(u0, point))
     errors = []  # e_t, the rounding of step t's appended coordinate
     for letter in res.itinerary:
         exact = -sum(b * e for b, e in zip(sys.p_coeffs, point))
-        delta, point = fixed_point_step(sys, point, res.precision)
+        delta, point = fixed_point_step(sys, point, precision)
         assert ("+" if delta == 1 else "-") == letter
         errors.append(point[-1] - delta - exact)
     # sum_{t<k} J^(t+1) pi e_t by Horner from the innermost step
@@ -216,7 +220,7 @@ def test_the_proved_bound_covers_the_telescoped_rounding(sys, bits, data):
     brute = (powers[-1] * sys.reach + (last * sum(powers[1:]) + linalg.inf_norm_mat(pi)) / grid
              if k else sys.reach)
     assert max(map(abs, far)) == res.achieved_residual <= brute <= res.residual_bound
-    assert res.residual_bound == residual_bound(sys, k) + (rounding_term(sys, res.precision)
+    assert res.residual_bound == residual_bound(sys, k) + (rounding_term(sys, precision)
                                                            if k else 0)
 
 
