@@ -19,7 +19,12 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .boxes import Box, Interval
-from .covering import Certificate, CoveringFailure, certify_covering
+from .covering import (
+    DEFAULT_MAX_DEPTH,
+    Certificate,
+    CoveringFailure,
+    certify_covering,
+)
 from .errors import ConstructionError, DegenerateInputError, ShapeError
 from .ifs import Word, limit_set_cloud, standard_pair
 from .jetcovering import (
@@ -96,7 +101,7 @@ class BlenderCoverResult:
 def verify_example_covering(
     sys: SkewSystem,
     margin=Fraction(1, 100),
-    max_depth: int = 24,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> BlenderCoverResult:
     """Exact check that the example is a covering blender at this contraction.
 

@@ -15,7 +15,7 @@ from .errors import DegenerateInputError, ShapeError
 from .rational import rat, rat_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     lo: Fraction
     hi: Fraction

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import blender, serialize
 from .boxes import Box, Interval
-from .covering import Certificate, certify_covering, check_certificate
+from .covering import DEFAULT_MAX_DEPTH, Certificate, certify_covering, check_certificate
 from .errors import (
     CertificateFormatError,
     ConstructionError,
@@ -34,6 +34,8 @@ from .errors import (
     SearchExhaustedError,
 )
 from .flatpoly import (
+    DEFAULT_MARGIN,
+    DEFAULT_N_MAX,
     find_flat_poly,
     l1_tail,
     lambda_threshold,
@@ -47,6 +49,7 @@ from .ifs import (
     standard_pair,
 )
 from .jetcovering import (
+    DEFAULT_MAX_STEPS,
     auto_lambda,
     build_system,
     certify_delta_covering,
@@ -243,7 +246,7 @@ COMMANDS = {
         ("--lo", str, "-2", ""),
         ("--hi", str, "2", ""),
         ("--margin", str, "1/100", ""),
-        ("--max-depth", int, 24, ""),
+        ("--max-depth", int, DEFAULT_MAX_DEPTH, ""),
         ("--out", str, NO_DEFAULT, ""),
     )),
     "check-cert": (cmd_check_cert, "re-verify a covering certificate", (
@@ -259,14 +262,14 @@ COMMANDS = {
     "flat-poly": (cmd_flat_poly, "L1-minimal flat polynomial via integer exchange", (
         ("--flatness", int, NO_DEFAULT, "order of the root at 1"),
         ("--degree", int, None, "fix the degree"),
-        ("--margin", str, "1/16", ""),
-        ("--degree-max", int, 64, ""),
+        ("--margin", str, DEFAULT_MARGIN, ""),
+        ("--degree-max", int, DEFAULT_N_MAX, ""),
         ("--out", str, NO_DEFAULT, ""),
     )),
     "jet-system": (cmd_jet_system, "build the covered jet-space system", (
         ("--order", int, NO_DEFAULT, "jet order r >= 0"),
         ("--lam", str, "auto", ""),
-        ("--margin", str, "1/16", ""),
+        ("--margin", str, DEFAULT_MARGIN, ""),
         ("--degree-max", int, 89, ""),
         ("--out", str, NO_DEFAULT, ""),
     )),
@@ -274,7 +277,7 @@ COMMANDS = {
         ("--system", str, NO_DEFAULT, "jet-system JSON"),
         ("--target", str, NO_DEFAULT, "target jet JSON"),
         ("--tol", str, "1/100000000", ""),
-        ("--max-steps", int, 50_000, ""),
+        ("--max-steps", int, DEFAULT_MAX_STEPS, ""),
         ("--out", str, NO_DEFAULT, ""),
     )),
     "blender-render": (cmd_blender_render, "raster of unstable segments", (
@@ -290,7 +293,7 @@ COMMANDS = {
         ("--lam", str, NO_DEFAULT, ""),
         ("--overhang", str, "1/10", ""),
         ("--margin", str, "1/100", ""),
-        ("--max-depth", int, 24, ""),
+        ("--max-depth", int, DEFAULT_MAX_DEPTH, ""),
         ("--out", str, NO_DEFAULT, ""),
     )),
     "nearly-affine": (cmd_nearly_affine, "grid distance to the affine models", (
@@ -325,25 +328,21 @@ def _top_parser() -> argparse.ArgumentParser:
 
 
 @functools.lru_cache(maxsize=None)
-def _command_parser(command: str):
-    """The command's parser and its option actions.  A call sets their
-    defaults from --config and restores them after parsing, so two threads
-    must not call `main` at once."""
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The command's parser, which leaves an option off the command line unset."""
     _, help_, options = COMMANDS[command]
-    parser = argparse.ArgumentParser(prog=f"jetcover {command}", description=help_)
-    actions = []
-    for flag, kind, default, text in options:
-        if default is NO_DEFAULT:
-            default = None
-        actions.append(parser.add_argument(flag, type=kind, default=default, help=text))
-    return parser, actions
+    parser = argparse.ArgumentParser(prog=f"jetcover {command}", description=help_,
+                                     argument_default=argparse.SUPPRESS)
+    for flag, kind, _, text in options:
+        parser.add_argument(flag, type=kind, help=text)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     chosen = _top_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     handler, _, options = COMMANDS[chosen.command]
-    parser, actions = _command_parser(chosen.command)
-    defaults = [action.default for action in actions]
+    parser = _command_parser(chosen.command)
+    dests = [flag[2:].replace("-", "_") for flag, *_ in options]
     try:
         config = {}
         if chosen.config:
@@ -351,25 +350,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not isinstance(config, dict):
                 raise CertificateFormatError("config file must hold a JSON object")
             config = {key.replace("-", "_"): value for key, value in config.items()}
-        # the config file's values for this command's own options become
-        # its defaults for this call, so explicit flags win
-        required = {}
-        for action, (flag, kind, default, _) in zip(actions, options):
-            dest = action.dest
-            if default is NO_DEFAULT:
-                required[dest] = flag
-            # argparse runs only a string default through the option's type
-            value = config.get(dest, action.default)
-            if dest in config and not (
-                isinstance(value, str) or kind is int and type(value) is int
-            ):
+        for dest, (flag, kind, _, _) in zip(dests, options):
+            value = config.get(dest, "")
+            if not (isinstance(value, str) or kind is int and type(value) is int):
                 raise CertificateFormatError(
                     f"config key {flag[2:]!r}: {json.dumps(value)} is not a string"
                     + (" or an integer" if kind is int else "")
                 )
-            action.default = value
         args = parser.parse_args(_joined(chosen.arguments, [option[0] for option in options]))
-        missing = [flag for dest, flag in required.items() if getattr(args, dest) is None]
+        # an option off the command line comes from the config file, else the table
+        missing = []
+        for dest, (flag, kind, default, _) in zip(dests, options):
+            value = getattr(args, dest, config.get(dest, default))
+            if value is NO_DEFAULT:
+                missing.append(flag)
+            elif kind is int and isinstance(value, str):
+                try:
+                    value = int(value)
+                except ValueError:
+                    parser.error(f"argument {flag}: invalid int value: {value!r}")
+            setattr(args, dest, value)
         if missing:
             flags = ", ".join(missing)
             print(f"error: missing required option(s): {flags}", file=sys.stderr)
@@ -380,9 +380,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise  # invariant violations should crash loudly
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    finally:
-        for action, default in zip(actions, defaults):
-            action.default = default
 
 
 if __name__ == "__main__":

@@ -9,11 +9,9 @@ tied optimal vertices.  Degree escalation runs one warm exchange per
 degree until the optimum clears the requested margin, and every degree is
 certified in integers by its primal, its dual and their equal value.
 
-Scaling Q to P(x) = lam^{-n} Q(lam x) and the associated partial-sum
-polynomials B_k(x) = sum_{j<=k} b_j x^{k-j} feed the jet covering system.
-Scaling and the partial-sum table only compute: `jetcovering.build_system`
-is the one place that verifies a scaled P, and its semi-conjugacy identity
-pins the projection built from the table exactly.
+Scaling Q to P(x) = lam^{-n} Q(lam x) feeds the jet covering system.
+Scaling only computes: `jetcovering.build_system` is the one place that
+verifies a scaled P and builds the projection from it.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from functools import reduce
 from math import factorial, lcm, perm, prod
 from typing import List, Sequence, Tuple
 
-from . import linalg
 from .errors import (
     ConstructionError,
     DegenerateInputError,
@@ -230,7 +227,7 @@ def find_flat_poly(
         f"no degree <= {n_max} reached {target}; best was {history[-1][1]}")
 
 
-# --- scaling to P and the partial-sum table ----------------------------------
+# --- scaling to P -------------------------------------------------------------
 
 
 def scale_to_p(qres: FlatPolyResult, lam) -> Coeffs:
@@ -277,36 +274,3 @@ def lambda_threshold(qres: FlatPolyResult) -> Fraction:
         else:
             lo = mid + 1
     return Fraction(lo - 1, denom)
-
-
-def b_polynomial_table(
-    p_coeffs: Sequence[Fraction], lam: Fraction, big_n: int
-) -> Tuple[Tuple[Fraction, ...], ...]:
-    """table[i][k] = i-th derivative of B_k at lam, 0 <= i < N, 0 <= k <= n,
-    by the shift recurrences
-
-        B_k = x B_{k-1} + b_k,    B_k^{(i)} = x B_{k-1}^{(i)} + i B_{k-1}^{(i-1)}.
-
-    Not checked here: `jetcovering.verify_semiconjugacy` judges the projection
-    built from this table by the projection's own columns, not by the table.
-    """
-    b = tuple(p_coeffs)
-    n = len(b) - 1
-    table = [[Fraction(0)] * (n + 1) for _ in range(big_n)]
-    table[0][0] = b[0]
-    for k in range(1, n + 1):
-        table[0][k] = lam * table[0][k - 1] + b[k]
-        for i in range(1, big_n):
-            table[i][k] = lam * table[i][k - 1] + i * table[i - 1][k - 1]
-    return tuple(tuple(row) for row in table)
-
-
-def projection_matrix(
-    p_coeffs: Sequence[Fraction], lam: Fraction, big_n: int
-) -> linalg.Mat:
-    """N x n matrix with entry (i, k) = B_k^{(N-i)}(lam), rows i = 1..N."""
-    n = len(p_coeffs) - 1
-    table = b_polynomial_table(p_coeffs, lam, big_n)
-    return tuple(
-        tuple(table[big_n - i][k] for k in range(n)) for i in range(1, big_n + 1)
-    )

@@ -3,8 +3,9 @@
 Reversing jet coordinates conjugates the two lifted maps of the standard
 family to F_d: X -> J X + d T on R^N (J upper-triangular, diagonal lam,
 superdiagonal N-1..1; T = e_N; d = +-1).  A scaled flat polynomial P
-supplies a full-rank projection from R^n that intertwines F_d with
-explicit shift maps, transporting the easy covering of the box
+with coefficients b_j supplies a full-rank projection from R^n, built
+column by column as pi_{k+1} = J pi_k + b_{k+1} e_N, that intertwines F_d
+with explicit shift maps, transporting the easy covering of the box
 Delta = (-base^n, base^n) x ... x (-base, base) to an open covered set
 A = projection(Delta) in jet space.
 
@@ -41,7 +42,7 @@ from .errors import (
     ResourceLimitError,
     ShapeError,
 )
-from .flatpoly import Coeffs, l1_tail, projection_matrix
+from .flatpoly import Coeffs, l1_tail
 from .jets import Jet, reverse_jet
 from .linalg import Mat, Vec
 from .rational import rat, rat_str
@@ -111,6 +112,19 @@ def branch_matrix(jet_dim: int, lam: Fraction) -> Mat:
             row[i + 1] = Fraction(jet_dim - 1 - i)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def projection_matrix(p_coeffs: Sequence[Fraction], lam: Fraction, jet_dim: int) -> Mat:
+    """N x n projection pi, built by columns: pi_0 = b_0 e_N and pi_{k+1} =
+    J pi_k + b_{k+1} e_N, so entry (i, k) is B_k^(N-1-i)(lam) for the partial
+    sums B_k(x) = sum_{j<=k} b_j x^(k-j).  Not checked here: `build_system`
+    judges pi by the semi-conjugacy."""
+    cols = [(Fraction(0),) * (jet_dim - 1) + (p_coeffs[0],)]
+    for c in p_coeffs[1:-1]:
+        col = cols[-1]
+        cols.append((*(lam * e + (jet_dim - 1 - i) * down
+                       for i, (e, down) in enumerate(zip(col, col[1:]))), lam * col[-1] + c))
+    return tuple(zip(*cols))
 
 
 def box_inequality(base: Fraction, n: int, l1_tail: Fraction) -> Tuple[bool, Fraction, Fraction]:
@@ -246,8 +260,6 @@ class DeltaCoveringCertificate:
     (d - base, d + base).
     """
 
-    box_base: Fraction
-    l1_tail: Fraction
     inequality_lhs: Fraction
     inequality_rhs: Fraction
     functional_range: Interval
@@ -256,8 +268,7 @@ class DeltaCoveringCertificate:
 
 def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
     base = sys.box_base
-    l1 = l1_tail(sys.p_coeffs)
-    holds, lhs, rhs = box_inequality(base, sys.n, l1)
+    holds, lhs, rhs = box_inequality(base, sys.n, l1_tail(sys.p_coeffs))
     if not (base > 1 and holds):
         raise ConstructionError(
             f"analytic covering proof fails: base {base}, {lhs} !< {rhs}"
@@ -281,8 +292,6 @@ def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
             f"window subdivision failed around {cover.witness_box}"
         )
     return DeltaCoveringCertificate(
-        box_base=base,
-        l1_tail=l1,
         inequality_lhs=lhs,
         inequality_rhs=rhs,
         functional_range=Interval(-reach, reach),
@@ -301,6 +310,7 @@ class MembershipResult:
 
 
 _MAX_EXCHANGES = 100_000
+DEFAULT_MAX_STEPS = 50_000  # default cap on the realizer's step count k
 
 
 def _inverse(rows: List[List[int]]) -> Tuple[List[List[int]], int]:
@@ -473,7 +483,7 @@ def residual_bound(sys: JetCoveringSystem, k: int) -> Fraction:
 
 
 def realization_steps(
-    sys: JetCoveringSystem, tol, max_steps: int = 50_000
+    sys: JetCoveringSystem, tol, max_steps: int = DEFAULT_MAX_STEPS
 ) -> int:
     """Smallest k with residual_bound(sys, k) <= tol, or ResourceLimitError
     past max_steps.  norm(J^k) is log-concave in k (lam^k times a binomial
@@ -608,7 +618,7 @@ def _word_sums(lam: Fraction, word: Sequence[str], order: int) -> List[int]:
 
 
 def realize_jet(
-    sys: JetCoveringSystem, target: Jet, tol, max_steps: int = 50_000
+    sys: JetCoveringSystem, target: Jet, tol, max_steps: int = DEFAULT_MAX_STEPS
 ) -> RealizationResult:
     """Constructively realize a certified-interior jet as a continuation jet.
 

@@ -23,7 +23,12 @@ from .covering import Certificate, CoveringFailure
 from .errors import CertificateFormatError, DegenerateInputError, ResourceLimitError
 from .flatpoly import FlatPolyResult
 from .ifs import COVER_LEAF_CAP, RASTER_PIXEL_CAP, AffineMap, IFSystem, Word
-from .jetcovering import DeltaCoveringCertificate, JetCoveringSystem, RealizationResult
+from .jetcovering import (
+    DeltaCoveringCertificate,
+    JetCoveringSystem,
+    RealizationResult,
+    build_system,
+)
 from .jets import Jet
 from .linalg import Vec
 from .rational import rat, rat_str
@@ -284,8 +289,6 @@ def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
     offset, projection and pullback box the file states to equal the
     rebuilt ones by value.  A mismatch, or an input `build_system`
     refuses, is a CertificateFormatError."""
-    from .jetcovering import build_system
-
     try:
         if type(payload["jet_dim"]) is not int:  # not a bool, float or string
             raise CertificateFormatError("jet_dim is not a JSON integer")

@@ -1,8 +1,9 @@
-"""Test-only reference for the partial-sum table: direct differentiation.
+"""Test-only reference for the projection: direct differentiation.
 
-`flatpoly.b_polynomial_table` uses the shift recurrences; this module
-evaluates each derivative of each B_k(x) = sum_{j<=k} b_j x^{k-j} from its
-coefficient list, sharing no code with it.  `reference_lambda_threshold`
+`jetcovering.projection_matrix` builds the projection by the column
+recurrence pi_{k+1} = J pi_k + b_{k+1} e_N; this module evaluates each
+derivative of each B_k(x) = sum_{j<=k} b_j x^{k-j} from its coefficient
+list, sharing no code with it.  `reference_lambda_threshold`
 is the Fraction bisection that `flatpoly.lambda_threshold` ran before it
 moved to integers.  `divisible_by_power` tests a root's order by repeated
 synthetic division, independently of the moment rows of `flatpoly` and of
@@ -63,6 +64,12 @@ def reference_b_table(p_coeffs, lam, big_n):
         )
         for i in range(big_n)
     )
+
+
+def reference_projection(p_coeffs, lam, big_n):
+    """The projection reoriented from the table: entry (i, k) = B_k^{(N-1-i)}(lam), k < n."""
+    table = reference_b_table(p_coeffs, lam, big_n)
+    return tuple(tuple(row[:-1]) for row in reversed(table))
 
 
 def reference_lambda_threshold(qres):

@@ -11,6 +11,7 @@ from flatpoly_reference import (  # local helper module
     poly_nth_derivative,
     reference_b_table,
     reference_lambda_threshold,
+    reference_projection,
     synthetic_division,
 )
 from simplex_reference import flat_lp_problem, strong_duality_holds  # local helper module
@@ -24,15 +25,13 @@ from jetcover.errors import (
 from jetcover.flatpoly import (
     FLAT_DEGREE_CAP,
     FlatPolyResult,
-    b_polynomial_table,
     find_flat_poly,
     l1_tail,
     lambda_threshold,
     minimal_flat_poly,
-    projection_matrix,
     scale_to_p,
 )
-from jetcover.jetcovering import auto_lambda, build_system
+from jetcover.jetcovering import auto_lambda, build_system, projection_matrix
 from jetcover.simplex import LPSolution, lp_solve
 
 
@@ -315,9 +314,11 @@ def test_lambda_threshold_of_flat_polys_matches_fraction_bisection(big_n):
 
 
 def test_b_table_base_case():
-    table = b_polynomial_table((F(-4, 3), F(1)), F(3, 4), 1)
-    assert table[0][0] == F(-4, 3)  # B_0 = b_0
-    assert table[0][1] == 0  # B_1(lam) = lam b_0 + b_1
+    # pi_0 = b_0 e_N = (0, B_0), and pi_1 = J pi_0 + b_1 e_N = (B_1', B_1)
+    # with B_1(lam) = lam b_0 + b_1 and B_1' = b_0
+    assert projection_matrix((F(-4, 3), F(1)), F(3, 4), 1) == ((F(-4, 3),),)
+    pi = projection_matrix((F(-4, 3), F(1, 2), F(1)), F(3, 4), 2)
+    assert pi == ((0, F(-4, 3)), (F(-4, 3), F(-1, 2)))
 
 
 def test_build_system_judges_root_order_and_table(flat_q2, monkeypatch):
@@ -356,10 +357,10 @@ coefficients = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
     st.integers(1, 5),
 )
 def test_b_table_matches_direct_differentiation(b0, middle, lam, big_n):
-    # the recurrence table equals direct differentiation for any monic b
+    # the column recurrence equals direct differentiation for any monic b
     # with b_0 != 0, whether or not P has a root at 1/lam
     p = (b0, *middle, F(1))
-    assert b_polynomial_table(p, lam, big_n) == reference_b_table(p, lam, big_n)
+    assert projection_matrix(p, lam, big_n) == reference_projection(p, lam, big_n)
 
 
 def test_b_table_derivative_recurrence_random():
@@ -388,7 +389,7 @@ def test_projection_from_table(flat_q2):
     p = scale_to_p(flat_q2, lam)
     pi = projection_matrix(p, lam, 2)
     assert build_system(2, lam, p).projection == pi
-    table = b_polynomial_table(p, lam, 2)
+    table = reference_b_table(p, lam, 2)
     n = len(p) - 1
     for i in range(1, 3):
         for k in range(n):

@@ -34,6 +34,7 @@ from jetcover.jetcovering import (
     certify_membership,
     choose_box_base,
     greedy_pullback_step,
+    projection_matrix,
     proved_bound,
     realization_steps,
     realize_jet,
@@ -46,7 +47,6 @@ from jetcover.flatpoly import (
     find_flat_poly,
     l1_tail,
     lambda_threshold,
-    projection_matrix,
     scale_to_p,
 )
 
