@@ -27,7 +27,6 @@ linear in the leaf count.  The JSON wire format lives in `serialize`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -43,19 +42,13 @@ from .errors import (
     SingularMatrixError,
 )
 from .ifs import COVER_LEAF_CAP, AffineMap, IFSystem
-from .rational import rat
+from .rational import cleared, rat
 
 DEFAULT_MAX_DEPTH = 24
 
 # a linear form as its nonzero entries (axis, coefficient), with the
 # window (lo, hi) its enclosure over a piece must lie in
 Row = Tuple[Tuple[Tuple[int, Fraction], ...], Tuple[Fraction, Fraction]]
-
-
-def _integers(*values):
-    """The numerators of `values` over their least common denominator q, then q."""
-    q = math.lcm(*(v.denominator for v in values))
-    return *(v.numerator * (q // v.denominator) for v in values), q
 
 
 class _DyadicGrid:
@@ -85,7 +78,7 @@ class _DyadicGrid:
     def __init__(self, root: Box, labels: Sequence[str], rows_of: Callable[[int], Sequence[Row]]):
         self.origin = tuple(Fraction(iv.lo) for iv in root.intervals)
         self.widths = tuple(Fraction(iv.width) for iv in root.intervals)
-        self.axes = tuple(map(_integers, self.origin, self.widths))  # (O_c, N_c, R_c)
+        self.axes = tuple(map(cleared, zip(self.origin, self.widths)))  # ([O_c, N_c], R_c)
         self.labels = tuple(labels)
         self.rows_of = rows_of
         self.rows = {}  # candidate index -> its integer rows (A, Lo, Hi)
@@ -111,8 +104,8 @@ class _DyadicGrid:
             self.rows[i] = []
             for row, (w_lo, w_hi) in self.rows_of(i):
                 at = sum(a * self.origin[c] for c, a in row)
-                *coeffs, lo, hi, _ = _integers(
-                    *(a * self.widths[c] for c, a in row), w_lo - at, w_hi - at
+                (*coeffs, lo, hi), _ = cleared(
+                    [*(a * self.widths[c] for c, a in row), w_lo - at, w_hi - at]
                 )
                 self.rows[i].append((tuple(zip([c for c, _ in row], coeffs)), lo, hi))
         top = max(exps)
@@ -145,7 +138,7 @@ class _DyadicGrid:
         for c, k in enumerate(cell):
             key = (c, exps[c], k)
             if key not in self.cells:
-                (o, n, r), e = self.axes[c], exps[c]
+                ((o, n), r), e = self.axes[c], exps[c]
                 at, den = (o << e) + k * n, r << e
                 self.cells[key] = Interval(Fraction(at, den), Fraction(at + n, den))
             intervals.append(self.cells[key])
@@ -366,8 +359,7 @@ def _fit_test(f: AffineMap, target: Box, shrunk: Box):
     rows, tests = [], {}
     for row, iv, c in zip(inv, shrunk, at):
         values = [a * w.width for a, w in zip(row, target)] + [iv.lo + c, iv.hi + c]
-        q = math.lcm(*(v.denominator for v in values))
-        *coeffs, lo, hi = [v.numerator * (q // v.denominator) for v in values]
+        (*coeffs, lo, hi), _ = cleared(values)
         rows.append((coeffs, lo + sum(coeffs), hi + sum(coeffs)))
 
     def fits(cell, exps) -> bool:

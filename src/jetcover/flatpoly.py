@@ -29,7 +29,7 @@ from .errors import (
     ResourceLimitError,
     SearchExhaustedError,
 )
-from .rational import rat, rat_str
+from .rational import cleared, rat, rat_str
 
 Coeffs = Tuple[Fraction, ...]  # index = power, last entry = leading
 
@@ -254,10 +254,8 @@ def lambda_threshold(qres: FlatPolyResult) -> Fraction:
         raise DegenerateInputError("threshold needs an optimum below 2")
     n = qres.degree
     a = qres.coeffs
-    den = lcm(*(c.denominator for c in a))
-    # |a_j| * den * 2^(20 (n - j)) for j = n-1, ..., 0
-    weights = [abs(a[j].numerator) * (den // a[j].denominator) << 20 * (n - j)
-               for j in reversed(range(n))]
+    ints, den = cleared(a)  # |a_j| * den * 2^(20 (n - j)) for j = n-1, ..., 0
+    weights = [abs(ints[j]) << 20 * (n - j) for j in reversed(range(n))]
 
     def holds(k: int) -> bool:
         # sum |a_j| lam^(j-n) < 2 at lam = k / 2^20, times den * 2^(20n) * lam^n

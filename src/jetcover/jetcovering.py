@@ -11,9 +11,11 @@ A = projection(Delta) in jet space.
 
 Every verdict here is exact: the semi-conjugacy is checked as an
 affine-map identity in closed form, and it judges the root of P and the
-projection too; the Delta covering gets two independent proofs; membership
-in A is the optimum of an integer dual exchange, with an interiority margin
-and a re-checked certificate; and the realizer's word comes with a proved
+projection too, in one gcd-free pass over b and pi as integer rows over
+one denominator each, which membership, the pullback and the bounds read;
+the Delta covering gets two independent proofs; membership in A is the
+optimum of an integer dual exchange, with an interiority margin and a
+re-checked certificate; and the realizer's word comes with a proved
 residual bound that the exact forward jet is verified against.
 
 The realizer works in integers: closed-form norm(J^k) fixes k and the
@@ -42,12 +44,13 @@ from .errors import (
     ResourceLimitError,
     ShapeError,
 )
-from .flatpoly import Coeffs, l1_tail
+from .flatpoly import FLAT_DEGREE_CAP, Coeffs, l1_tail
 from .jets import Jet, reverse_jet
 from .linalg import Mat, Vec
-from .rational import rat, rat_str
+from .rational import cleared, rat, rat_str
 
 Word = Tuple[str, ...]
+IntegerRows = Tuple[List[int], int, List[List[int]], int]  # (beta, B, rows, D)
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,19 @@ class JetCoveringSystem:
         return (Fraction(0),) * (self.jet_dim - 1) + (Fraction(1),)
 
     @cached_property
+    def integer_rows(self) -> IntegerRows:
+        """(beta, B, rows, D): p_coeffs = beta / B and the stated projection =
+        rows / D in integers, each over the lcm of its denominators."""
+        den = lcm(*(e.denominator for row in self.projection for e in row))
+        rows = [[e.numerator * (den // e.denominator) for e in row] for row in self.projection]
+        return (*cleared(self.p_coeffs), rows, den)
+
+    @cached_property
     def reach(self) -> Fraction:
         """Exact sup-norm bound of the projected pullback box (it is
         centered); the step search and the residual bound share it."""
-        bounds = self.coordinate_bounds()
-        return max(sum((abs(e) * r for e, r in zip(row, bounds)), Fraction(0))
-                   for row in self.projection)
+        (_, _, rows, den), (radii, scale) = self.integer_rows, cleared(self.coordinate_bounds())
+        return Fraction(max(sum(map(mul, map(abs, row), radii)) for row in rows), den * scale)
 
     def coordinate_bounds(self) -> Tuple[Fraction, ...]:
         """Radius of each pullback-box coordinate, outermost first."""
@@ -114,17 +124,21 @@ def branch_matrix(jet_dim: int, lam: Fraction) -> Mat:
     return tuple(rows)
 
 
-def projection_matrix(p_coeffs: Sequence[Fraction], lam: Fraction, jet_dim: int) -> Mat:
-    """N x n projection pi, built by columns: pi_0 = b_0 e_N and pi_{k+1} =
-    J pi_k + b_{k+1} e_N, so entry (i, k) is B_k^(N-1-i)(lam) for the partial
-    sums B_k(x) = sum_{j<=k} b_j x^(k-j).  Not checked here: `build_system`
-    judges pi by the semi-conjugacy."""
-    cols = [(Fraction(0),) * (jet_dim - 1) + (p_coeffs[0],)]
-    for c in p_coeffs[1:-1]:
+def projection_rows(p_coeffs: Sequence[Fraction], lam: Fraction, jet_dim: int) -> IntegerRows:
+    """(beta, B, rows, D): b = beta / B, B the lcm of b's denominators, and the
+    N x n projection pi = rows / D, D = B q^(n-1) for lam = p/q.  Column k is
+    built as B q^k pi_k by pi_0 = b_0 e_N and pi_{k+1} = J pi_k + b_{k+1} e_N,
+    then scaled by q^(n-1-k); entry (i, k) of pi is B_k^(N-1-i)(lam) for the
+    partial sums B_k(x) = sum_{j<=k} b_j x^(k-j).  Not checked here."""
+    beta, big_b = cleared(p_coeffs)
+    p, q, n = lam.numerator, lam.denominator, len(beta) - 1
+    cols = [[0] * (jet_dim - 1) + [beta[0]]]
+    for k, c in enumerate(beta[1:-1], 1):
         col = cols[-1]
-        cols.append((*(lam * e + (jet_dim - 1 - i) * down
-                       for i, (e, down) in enumerate(zip(col, col[1:]))), lam * col[-1] + c))
-    return tuple(zip(*cols))
+        cols.append([p * e + q * (jet_dim - 1 - i) * down
+                     for i, (e, down) in enumerate(zip(col, col[1:]))] + [p * col[-1] + q ** k * c])
+    scales = [q ** (n - 1 - k) for k in range(n)]
+    return beta, big_b, [list(map(mul, row, scales)) for row in zip(*cols)], big_b * q ** (n - 1)
 
 
 def box_inequality(base: Fraction, n: int, l1_tail: Fraction) -> Tuple[bool, Fraction, Fraction]:
@@ -186,11 +200,14 @@ def build_system(
     if l1 >= 2:
         raise DegenerateInputError(
             f"non-leading L1 norm {rat_str(l1)} is not below 2; contraction too small")
-    pi = projection_matrix(b, lam, jet_dim)
-    residuals = _residuals(jet_dim, lam, b, pi)
-    _judge(residuals, n - 1)
-    if any(row[-1] for row in residuals[1][0]):
-        raise DegenerateInputError(f"polynomial has no root of order {jet_dim} at 1/lam")
+    if n > FLAT_DEGREE_CAP:
+        raise ResourceLimitError(f"degree {n} is above {FLAT_DEGREE_CAP}")
+    rootless = f"polynomial has no root of order {jet_dim} at 1/lam"
+    if jet_dim > n:
+        raise DegenerateInputError(rootless)
+    _, _, rows, den = ints = projection_rows(b, lam, jet_dim)
+    if any(row[-1] for row in _judge(_residual_ints(jet_dim, lam, *ints), n - 1)[0]):
+        raise DegenerateInputError(rootless)
     if box_base is None:
         base = choose_box_base(n, l1)
     else:
@@ -200,20 +217,22 @@ def build_system(
         holds, lhs, rhs = box_inequality(base, n, l1)
         if not holds:
             raise DegenerateInputError(f"box inequality fails: {rat_str(lhs)} >= {rat_str(rhs)}")
+    pi = tuple(tuple(Fraction(e, den) for e in row) for row in rows)
     return JetCoveringSystem(jet_dim, lam, b, pi, base)
 
 
-def _residuals(big_n: int, lam: Fraction, b: Coeffs, pi: Mat) -> Dict[int, Tuple[Mat, Vec]]:
-    ratios = [c / b[0] for c in b[1:]]
-    below = pi[1:] + ((0,) * (len(b) - 1),)  # (S pi)_i = (N - 1 - i) pi_{i+1}
-    mat_res = tuple(
-        tuple(lam * e + (big_n - 1 - i) * down + r * row[0] - right
-              for e, down, r, right in zip(row, lower, ratios, row[1:] + (0,)))
-        for i, (row, lower) in enumerate(zip(pi, below))
-    )
-    # e_N - pi_0 / b_0
-    offset = tuple((i == big_n - 1) - row[0] / b[0] for i, row in enumerate(pi))
-    return {delta: (mat_res, tuple(delta * e for e in offset)) for delta in (1, -1)}
+def _residual_ints(big_n: int, lam: Fraction, beta, big_b, rows, den):
+    """(matrix, offset, s): the residuals of branch +1 times s = q beta_0 D,
+    lam = p/q, in one gcd-free pass over b = beta / B and pi = rows / D;
+    matrix column c is beta_0 (p pi_c + q S pi_c - q pi_{c+1}) + q beta_{c+1}
+    pi_0 and the offset is q (beta_0 D e_N - B pi_0)."""
+    p, q = lam.numerator, lam.denominator
+    below = rows[1:] + [[0] * len(rows[0])]  # (S pi)_i = (N - 1 - i) pi_{i+1}
+    mat = [[beta[0] * (p * e + q * ((big_n - 1 - i) * down - right)) + q * c * row[0]
+            for e, down, c, right in zip(row, lower, beta[1:], row[1:] + [0])]
+           for i, (row, lower) in enumerate(zip(rows, below))]
+    offset = [q * (beta[0] * den * (i == big_n - 1) - big_b * row[0]) for i, row in enumerate(rows)]
+    return mat, offset, q * beta[0] * den
 
 
 def semiconjugacy_residuals(sys: JetCoveringSystem) -> Dict[int, Tuple[Mat, Vec]]:
@@ -223,29 +242,33 @@ def semiconjugacy_residuals(sys: JetCoveringSystem) -> Dict[int, Tuple[Mat, Vec]
     b_j v_{j-1} / b_0 and (M v)_k = v_{k-1}, so column c of the shared matrix
     residual J pi - pi M is lam pi_c + S pi_c + (b_{c+1} / b_0) pi_0 - pi_{c+1}
     (pi_n = 0), and branch d's offset residual is d (e_N - pi_0 / b_0), with
-    J = lam I + S and T = e_N as the system derives them.  The generic
-    products in `tests/jetcovering_helpers.py` are this closed form's oracle.
+    J = lam I + S and T = e_N as the system derives them, formed in integers
+    from the stated p_coeffs and projection.  The generic products in
+    `tests/jetcovering_helpers.py` are this closed form's oracle.
     """
-    return _residuals(sys.jet_dim, sys.lam, sys.p_coeffs, sys.projection)
+    mat, offset, scale = _residual_ints(sys.jet_dim, sys.lam, *sys.integer_rows)
+    mat = tuple(tuple(Fraction(e, scale) for e in row) for row in mat)
+    return {d: (mat, tuple(Fraction(d * e, scale) for e in offset)) for d in (1, -1)}
 
 
-def _judge(residuals: Dict[int, Tuple[Mat, Vec]], columns: Optional[int] = None) -> None:
-    """ConstructionError naming the first nonzero residual entry, reading
-    the first `columns` columns of the matrix residual (all by default)."""
-    for delta, (mat_res, vec_res) in residuals.items():
-        nonzero = [*((f"matrix[{i}][{j}]", e) for i, row in enumerate(mat_res)
-                     for j, e in enumerate(row[:columns]) if e),
-                   *((f"offset[{i}]", e) for i, e in enumerate(vec_res) if e)]
-        if nonzero:
-            where, e = nonzero[0]
-            raise ConstructionError(f"semi-conjugacy residual {where} = {e} for branch {delta:+d}")
+def _judge(residuals, columns: Optional[int] = None):
+    """The `_residual_ints` residuals, or a ConstructionError naming the first
+    nonzero entry, reading the first `columns` columns of the matrix residual
+    (all by default); branch -1 shares the matrix and negates the offset."""
+    mat, offset, scale = residuals
+    first = next(((f"matrix[{i}][{j}]", e) for i, row in enumerate(mat)
+                  for j, e in enumerate(row[:columns]) if e), None)
+    first = first or next(((f"offset[{i}]", e) for i, e in enumerate(offset) if e), None)
+    if first:
+        raise ConstructionError(
+            f"semi-conjugacy residual {first[0]} = {Fraction(first[1], scale)} for branch +1")
+    return residuals
 
 
 def verify_semiconjugacy(sys: JetCoveringSystem) -> Dict[int, Tuple[Mat, Vec]]:
     """Contract: both residuals identically zero; raises naming the first violation."""
-    residuals = semiconjugacy_residuals(sys)
-    _judge(residuals)
-    return residuals
+    _judge(_residual_ints(sys.jet_dim, sys.lam, *sys.integer_rows))
+    return semiconjugacy_residuals(sys)
 
 
 @dataclass(frozen=True)
@@ -273,10 +296,8 @@ def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
         raise ConstructionError(
             f"analytic covering proof fails: base {base}, {lhs} !< {rhs}"
         )
-    bounds = sys.coordinate_bounds()
-    reach = sum(
-        (abs(sys.p_coeffs[j]) * bounds[j] for j in range(sys.n)), Fraction(0)
-    )
+    (beta, big_b), (radii, scale) = cleared(sys.p_coeffs), cleared(sys.coordinate_bounds())
+    reach = Fraction(sum(map(mul, map(abs, beta), radii)), big_b * scale)  # sum_{j<n} |b_j| r_j
     windows = [
         ("+", Interval(1 - base, 1 + base)),
         ("-", Interval(-1 - base, -1 + base)),
@@ -355,12 +376,12 @@ def membership_certificate(sys: JetCoveringSystem, target: Jet):
     if target.dim != 1 or target.order != sys.order:
         raise ShapeError(f"target must be a dim-1 jet of order {sys.order}")
     x, r, n, big_n = reverse_jet(target).flat(), sys.coordinate_bounds(), sys.n, sys.jet_dim
-    den = lcm(*(e.denominator for e in (*x, *(e for row in sys.projection for e in row))))
-    ints = [[e.numerator * (den // e.denominator) for e in col] for col in zip(*sys.projection)]
+    _, _, rows, pi_den = sys.integer_rows
+    den = lcm(pi_den, *(e.denominator for e in x))
+    ints = [[e * (den // pi_den) for e in col] for col in zip(*rows)]
     weights = [gcd(*col) or 1 for col in ints]  # pi_i den = weights_i cols_i
     cols = [[e // g for e in col] for g, col in zip(weights, ints)]
-    scale = lcm(*(b.denominator for b in r))
-    big_r = [b.numerator * (scale // b.denominator) for b in r]
+    big_r, scale = cleared(r)
     r_min = min(big_r)
     w, b = [0] * big_n, [scale * e.numerator * (den // e.denominator) for e in x]
 
@@ -422,12 +443,11 @@ def check_membership(sys: JetCoveringSystem, target: Jet, u, t, y) -> None:
     t sum |c_i| = x.y + sum r_i |c_i|.  Every feasible (u', t') has t' <=
     min r_i and t' sum |c_i| <= c.u' + sum r_i |c_i| (weak duality), so
     either equality proves t optimal."""
-    x, r = reverse_jet(target).flat(), sys.coordinate_bounds()
-    cells = [e for row in sys.projection for e in row]
-    m = lcm(*(e.denominator for e in (*cells, *x, *u, *r, *y, t)))
-    flat, xs, us, rs, ys, (ts,) = ([e.numerator * (m // e.denominator) for e in values]
-                                   for values in (cells, x, u, r, y, [t]))
-    rows = [flat[i:i + len(u)] for i in range(0, len(flat), len(u))]
+    x, r, (_, _, rows, den) = reverse_jet(target).flat(), sys.coordinate_bounds(), sys.integer_rows
+    m = lcm(den, *(e.denominator for e in (*x, *u, *r, *y, t)))
+    xs, us, rs, ys, (ts,) = ([e.numerator * (m // e.denominator) for e in values]
+                             for values in (x, u, r, y, [t]))
+    rows = [[e * (m // den) for e in row] for row in rows]
     if any(sum(map(mul, row, us)) != m * xi for row, xi in zip(rows, xs)):
         raise ConstructionError("the membership witness does not project to the target")
     if any(abs(ui) > ri - ts for ui, ri in zip(us, rs)):
@@ -534,8 +554,9 @@ def proved_bound(sys: JetCoveringSystem, k: int, tol: Fraction) -> Tuple[Optiona
     bound = residual_bound(sys, k)
     if k == 0 or bound >= tol:
         return (None if k else 0), bound
-    term = (max(abs(row[-1]) for row in sys.projection) * power_norm_sum(sys.lam, sys.jet_dim)
-            + max(sum(map(abs, row)) for row in sys.projection))
+    _, _, rows, den = sys.integer_rows
+    term = (max(abs(row[-1]) for row in rows) * power_norm_sum(sys.lam, sys.jet_dim)
+            + max(sum(map(abs, row)) for row in rows)) / den
     precision = max(PRECISION_FLOOR, (-(-term // (tol - bound)) - 1).bit_length())
     return precision, bound + term / 2 ** precision
 
@@ -550,9 +571,8 @@ def fixed_point_pullback(sys: JetCoveringSystem, u: Sequence[Fraction], precisio
     drops the leading entry.  The witness is rounded toward zero too, so
     every tracked point lies in the box and the Delta covering gives each
     step a feasible branch; no feasible branch is a ConstructionError."""
-    b, base = sys.p_coeffs, sys.box_base
-    big_b = lcm(*(c.denominator for c in b[:-1]))
-    terms = [(j, c.numerator * (big_b // c.denominator)) for j, c in enumerate(b[:-1]) if c]
+    (beta, big_b, _, _), base = sys.integer_rows, sys.box_base
+    terms = [(j, c) for j, c in enumerate(beta[:-1]) if c]
     one, limit = big_b << precision, base.numerator << precision
     window, word = [int(x * (1 << precision)) for x in u], []  # int() rounds toward zero
     for t in range(steps):

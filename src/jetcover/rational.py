@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import List, Sequence, Tuple, Union
 
 from .errors import CertificateFormatError
 
@@ -53,3 +54,9 @@ def rat_str(value: Fraction) -> str:
     except ValueError:  # a side past the digit limit
         num, den = (str(Decimal(e)) for e in (value.numerator, value.denominator))
         return num if den == "1" else f"{num}/{den}"
+
+
+def cleared(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(ints, d) with values == ints / d and d the lcm of their denominators."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d

@@ -289,9 +289,13 @@ def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
     offset, projection and pullback box the file states to equal the
     rebuilt ones by value.  A mismatch, or an input `build_system`
     refuses, is a CertificateFormatError."""
+    if not isinstance(payload, dict):
+        raise CertificateFormatError("the jet system is not a JSON object")
     try:
         if type(payload["jet_dim"]) is not int:  # not a bool, float or string
             raise CertificateFormatError("jet_dim is not a JSON integer")
+        if not isinstance(payload["p_coeffs"], list):
+            raise CertificateFormatError("p_coeffs is not a JSON list")
         p_coeffs, base = [rat(c) for c in payload["p_coeffs"]], rat(payload["box_base"])
         system = build_system(payload["jet_dim"], rat(payload["lam"]), p_coeffs, box_base=base)
         rebuilt = {

@@ -29,11 +29,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import List, Optional
 
 from .errors import ConstructionError, DegenerateInputError, ResourceLimitError
 from .linalg import Mat, Vec, mat, vec
+from .rational import cleared
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class _Tableau:
         self.rows: List[List[int]] = []
         self.dens: List[int] = []
         for i, (row, bi, sign) in enumerate(zip(problem.a, problem.b, row_sign)):
-            ints, den = _integer_row(list(row) + [bi])
+            ints, den = cleared(list(row) + [bi])
             unit = [0] * self.m
             unit[i] = den
             self.rows.append([sign * e for e in ints[:-1]] + unit + [sign * ints[-1]])
@@ -126,7 +127,7 @@ class _Tableau:
         ``entering_cols``; returns 'optimal'|'unbounded'."""
         # Each basic row reads 1 in its basic column and 0 in the others,
         # so eliminating the basic columns from the cost leaves cost - c_B . row.
-        self.z, self.zden = _integer_row(list(cost) + [Fraction(0)])
+        self.z, self.zden = cleared(list(cost) + [Fraction(0)])
         for i, bv in enumerate(self.basis):
             f = self.z[bv]
             if f != 0:
@@ -159,13 +160,6 @@ class _Tableau:
                 return "unbounded"
             self.pivot(leaving, entering)
         raise ResourceLimitError("pivot cap exceeded")  # unreachable with Bland
-
-
-def _integer_row(entries: List[Fraction]):
-    """(ints, den) with entries == ints / den and den the lcm of the
-    entries' denominators."""
-    den = lcm(*(e.denominator for e in entries))
-    return [e.numerator * (den // e.denominator) for e in entries], den
 
 
 def _eliminate(row: List[int], den: int, f: int, prow: List[int], pc: int):
@@ -244,10 +238,10 @@ def _verify_optimal(
 ) -> None:
     """Exact optimality certificate; failure here is a solver bug.  In integers:
     x = xs/dx, c = cs/dc, row i = r_i/d_i (b_i last), and y_i/d_i = ys_i/dy."""
-    xs, dx = _integer_row(list(primal))
-    cs, dc = _integer_row(list(problem.objective))
-    rows = [_integer_row(list(row) + [bi]) for row, bi in zip(problem.a, problem.b)]
-    ys, dy = _integer_row([y / d for y, (_, d) in zip(dual, rows)])
+    xs, dx = cleared(primal)
+    cs, dc = cleared(problem.objective)
+    rows = [cleared(list(row) + [bi]) for row, bi in zip(problem.a, problem.b)]
+    ys, dy = cleared([y / d for y, (_, d) in zip(dual, rows)])
     for i, (r, _) in enumerate(rows):
         if sum(map(operator.mul, r, xs)) != r[-1] * dx:
             raise ConstructionError(f"primal infeasible in row {i}")

@@ -1,9 +1,9 @@
 """Test-only reference for the projection: direct differentiation.
 
-`jetcovering.projection_matrix` builds the projection by the column
-recurrence pi_{k+1} = J pi_k + b_{k+1} e_N; this module evaluates each
-derivative of each B_k(x) = sum_{j<=k} b_j x^{k-j} from its coefficient
-list, sharing no code with it.  `reference_lambda_threshold`
+`jetcovering.projection_rows` builds the projection in integers by the
+column recurrence pi_{k+1} = J pi_k + b_{k+1} e_N; this module evaluates
+each derivative of each B_k(x) = sum_{j<=k} b_j x^{k-j} from its
+coefficient list, sharing no code with it.  `reference_lambda_threshold`
 is the Fraction bisection that `flatpoly.lambda_threshold` ran before it
 moved to integers.  `divisible_by_power` tests a root's order by repeated
 synthetic division, independently of the moment rows of `flatpoly` and of

@@ -7,7 +7,7 @@ from math import lcm
 
 from jetcover import linalg
 from jetcover.errors import DegenerateInputError
-from jetcover.jetcovering import power_norm_sum
+from jetcover.jetcovering import power_norm_sum, projection_rows
 
 
 def rank(a):
@@ -57,6 +57,13 @@ def shift_map(sys, delta):
     offset = [Fraction(0)] * n
     offset[0] = Fraction(delta) / b[0]
     return tuple(tuple(r) for r in rows), tuple(offset)
+
+
+def projection_matrix(p_coeffs, lam, jet_dim):
+    """The Fraction projection of `projection_rows`, for a P that
+    `build_system` may refuse (one without the root, say)."""
+    _, _, rows, den = projection_rows(p_coeffs, lam, jet_dim)
+    return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
 
 
 def generic_residuals(sys):

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -162,13 +163,13 @@ def test_jet_system_builds_one_projection(tmp_path, monkeypatch):
     # build_system is the only judge of the scaled polynomial, so an op
     # builds the projection once
     calls = []
-    inner = jetcovering.projection_matrix
+    inner = jetcovering.projection_rows
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(jetcovering, "projection_matrix", counted)
+    monkeypatch.setattr(jetcovering, "projection_rows", counted)
     out = tmp_path / "sys.json"
     assert run(["jet-system", "--order", "3", "--lam", "1021/1024",
                 "--out", str(out)]) == 0
@@ -263,6 +264,37 @@ def test_realize_rejects_nonpositive_jet_dim(tmp_path, jet_dim):
         ]
     ) == 2
     assert not out.exists()
+
+
+# edits of the order-1 system file, each an input error with its message;
+# the degree cap and the root order's need of n >= N refuse the first three
+# before any arithmetic grows with the degree or with N
+HOSTILE_SYSTEMS = {
+    "6,000 zeros in p_coeffs": (
+        lambda p: {**p, "p_coeffs": ["1/3"] + ["0"] * 6000 + ["1"]},
+        f"degree 6001 is above {flatpoly.FLAT_DEGREE_CAP}"),
+    "3,000 zeros in p_coeffs": (
+        lambda p: {**p, "p_coeffs": ["1/3"] + ["0"] * 3000 + ["1"]},
+        f"degree 3001 is above {flatpoly.FLAT_DEGREE_CAP}"),
+    "a jet_dim of 100,000": (
+        lambda p: {**p, "jet_dim": 100000}, "polynomial has no root of order 100000 at 1/lam"),
+    "p_coeffs a string": (lambda p: {**p, "p_coeffs": "1/2"}, "p_coeffs is not a JSON list"),
+    "a list at the top level": (lambda p: [p], "the jet system is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_SYSTEMS))
+def test_hostile_system_files_exit_2_at_once(tmp_path, capsys, name):
+    mutate, message = HOSTILE_SYSTEMS[name]
+    args = realize_args(tmp_path)
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps(mutate(json.loads(sys_path.read_text()))))
+    out = tmp_path / "real.json"
+    capsys.readouterr()
+    start = time.perf_counter()
+    err = _expect_input_error(capsys, args + ["--out", str(out)], out)
+    assert time.perf_counter() - start < 1
+    assert err.count("\n") == 1 and message in err
 
 
 def test_blender_commands(tmp_path):

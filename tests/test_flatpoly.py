@@ -14,6 +14,7 @@ from flatpoly_reference import (  # local helper module
     reference_projection,
     synthetic_division,
 )
+from jetcovering_helpers import projection_matrix  # local helper module
 from simplex_reference import flat_lp_problem, strong_duality_holds  # local helper module
 from jetcover import flatpoly, jetcovering
 from jetcover.errors import (
@@ -31,7 +32,7 @@ from jetcover.flatpoly import (
     minimal_flat_poly,
     scale_to_p,
 )
-from jetcover.jetcovering import auto_lambda, build_system, projection_matrix
+from jetcover.jetcovering import auto_lambda, build_system
 from jetcover.simplex import LPSolution, lp_solve
 
 
@@ -334,14 +335,13 @@ def test_build_system_judges_root_order_and_table(flat_q2, monkeypatch):
     # by the semi-conjugacy judge
     lam = auto_lambda(lambda_threshold(flat_q2))
     p = scale_to_p(flat_q2, lam)
-    good = projection_matrix(p, lam, 2)
+    beta, big_b, good, den = jetcovering.projection_rows(p, lam, 2)
     for i, k in ((0, 0), (1, len(p) - 2)):
-        rows = [list(row) for row in good]
-        rows[i][k] += F(1, 7)
-        monkeypatch.setattr(
-            jetcovering, "projection_matrix",
-            lambda *args, rows=rows: tuple(map(tuple, rows)),
-        )
+        rows = [[7 * e for e in row] for row in good]
+        rows[i][k] += den
+        assert F(rows[i][k], 7 * den) == F(good[i][k], den) + F(1, 7)
+        bad = (beta, big_b, rows, 7 * den)
+        monkeypatch.setattr(jetcovering, "projection_rows", lambda *args, bad=bad: bad)
         with pytest.raises(ConstructionError, match="semi-conjugacy"):
             build_system(2, lam, p)
 

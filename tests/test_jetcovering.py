@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from dataclasses import fields, replace
 from fractions import Fraction as F
@@ -15,10 +16,11 @@ from jetcover.errors import (
     NotCoveredError,
     ResourceLimitError,
 )
-from flatpoly_reference import divisible_by_power  # local helper module
+from flatpoly_reference import divisible_by_power, reference_projection  # local helper module
 from jetcovering_helpers import (  # local helper module
     generic_residuals,
     inverse_branch,
+    projection_matrix,
     rank,
     rounding_term,
     scan_box_base,
@@ -34,7 +36,7 @@ from jetcover.jetcovering import (
     certify_membership,
     choose_box_base,
     greedy_pullback_step,
-    projection_matrix,
+    projection_rows,
     proved_bound,
     realization_steps,
     realize_jet,
@@ -278,6 +280,71 @@ def test_closed_form_residuals_equal_the_generic_products(order, step, tamper, d
     entries = [e for mat_res, vec_res in residuals.values() for row in (*mat_res, vec_res)
                for e in row]
     assert any(entries) == (tamper != "none")
+
+
+coefficients = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    coefficients.filter(bool),
+    st.lists(coefficients, max_size=6),
+    st.builds(lambda a, b: F(a, a + b), st.integers(1, 50), st.integers(1, 50)),
+    st.integers(1, 5),
+    st.booleans(),
+    st.sampled_from(["none", "entry", "scale", "column"]),
+    st.data(),
+)
+def test_integer_projection_and_judge_match_the_references(b0, middle, lam, big_n, rooted,
+                                                           tamper, data):
+    # for any monic b with b_0 != 0, root or not, the integer rows over one
+    # denominator are the directly differentiated projection; and on it, or
+    # on one entry, the whole matrix or one column rescaled, the judge's
+    # verdict and first named entry are those of the generic products
+    p = (b0, *middle, F(1))
+    if rooted:  # times (x - 1/lam)^N: the untampered projection passes
+        for _ in range(big_n):
+            p = tuple(a - c / lam for a, c in zip((0, *p), (*p, 0)))
+    beta, big_b, _, _ = projection_rows(p, lam, big_n)
+    assert big_b == math.lcm(*(c.denominator for c in p)) and beta == [c * big_b for c in p]
+    pi = [list(row) for row in projection_matrix(p, lam, big_n)]
+    assert pi == [list(row) for row in reference_projection(p, lam, big_n)]
+    nonzero = st.fractions(-3, 3, max_denominator=9).filter(lambda f: f not in (0, 1))
+    k = data.draw(st.integers(0, len(p) - 2))
+    if tamper == "entry":
+        pi[data.draw(st.integers(0, big_n - 1))][k] += data.draw(nonzero)
+    elif tamper in ("scale", "column"):
+        factor = data.draw(nonzero)
+        pi = [[e * factor if tamper == "scale" or j == k else e for j, e in enumerate(row)]
+              for row in pi]
+    sys = JetCoveringSystem(big_n, lam, p, tuple(map(tuple, pi)), F(2))
+    generic = generic_residuals(sys)
+    assert semiconjugacy_residuals(sys) == generic
+    named = [f"{where} = {e} for branch {delta:+d}"
+             for delta, (mat_res, vec_res) in generic.items()
+             for where, e in [*((f"matrix[{i}][{j}]", e) for i, row in enumerate(mat_res)
+                                for j, e in enumerate(row)),
+                              *((f"offset[{i}]", e) for i, e in enumerate(vec_res))] if e]
+    assert not rooted or bool(named) == (tamper != "none")
+    if not named:
+        assert verify_semiconjugacy(sys) == generic
+    else:
+        with pytest.raises(ConstructionError) as exc:
+            verify_semiconjugacy(sys)
+        assert str(exc.value) == f"semi-conjugacy residual {named[0]}"
+
+
+def test_integer_rows_are_the_stated_projection(jet_sys_r2):
+    # build_system primes the rows its projection is formed from; a copy
+    # clears its stated fields afresh, so a replaced projection is what is read
+    fresh = replace(jet_sys_r2)
+    assert "integer_rows" not in vars(fresh)
+    scaled = replace(jet_sys_r2, projection=tuple(tuple(2 * e for e in row)
+                                                  for row in jet_sys_r2.projection))
+    for sys in (jet_sys_r2, fresh, scaled):
+        beta, big_b, rows, den = sys.integer_rows
+        assert [[F(e, den) for e in row] for row in rows] == [list(r) for r in sys.projection]
+        assert tuple(F(c, big_b) for c in beta) == sys.p_coeffs
 
 
 def test_base_feasibility_window(jet_sys_r0):
