@@ -329,20 +329,19 @@ def _top_parser() -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=None)
 def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The command's parser, which leaves an option off the command line unset."""
+    """The command's parser, with the table's defaults."""
     _, help_, options = COMMANDS[command]
-    parser = argparse.ArgumentParser(prog=f"jetcover {command}", description=help_,
-                                     argument_default=argparse.SUPPRESS)
-    for flag, kind, _, text in options:
-        parser.add_argument(flag, type=kind, help=text)
+    parser = argparse.ArgumentParser(prog=f"jetcover {command}", description=help_)
+    for flag, kind, default, text in options:
+        parser.add_argument(flag, type=kind, default=default, help=text)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     chosen = _top_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     handler, _, options = COMMANDS[chosen.command]
-    parser = _command_parser(chosen.command)
-    dests = [flag[2:].replace("-", "_") for flag, *_ in options]
+    flags = [flag for flag, *_ in options]
+    dests = [flag[2:].replace("-", "_") for flag in flags]
     try:
         config = {}
         if chosen.config:
@@ -357,22 +356,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"config key {flag[2:]!r}: {json.dumps(value)} is not a string"
                     + (" or an integer" if kind is int else "")
                 )
-        args = parser.parse_args(_joined(chosen.arguments, [option[0] for option in options]))
-        # an option off the command line comes from the config file, else the table
-        missing = []
-        for dest, (flag, kind, default, _) in zip(dests, options):
-            value = getattr(args, dest, config.get(dest, default))
-            if value is NO_DEFAULT:
-                missing.append(flag)
-            elif kind is int and isinstance(value, str):
-                try:
-                    value = int(value)
-                except ValueError:
-                    parser.error(f"argument {flag}: invalid int value: {value!r}")
-            setattr(args, dest, value)
+        # config values go first as --flag=value, so a flag on the command line wins
+        leading = [f"{flag}={config[dest]}" for dest, flag in zip(dests, flags) if dest in config]
+        args = _command_parser(chosen.command).parse_args(
+            leading + _joined(chosen.arguments, flags))
+        missing = [flag for dest, flag in zip(dests, flags) if getattr(args, dest) is NO_DEFAULT]
         if missing:
-            flags = ", ".join(missing)
-            print(f"error: missing required option(s): {flags}", file=sys.stderr)
+            print(f"error: missing required option(s): {', '.join(missing)}", file=sys.stderr)
             return EXIT_INVALID
         return handler(args)
     except (JetcoverError, OSError) as exc:

@@ -6,8 +6,10 @@ is classical; here it is made effective: at fixed degree n the L1
 minimum is an exact linear program, solved in integers by Stiefel's
 single-point exchange on its N-node bases, with a least-index rule among
 tied optimal vertices.  Degree escalation runs one warm exchange per
-degree until the optimum clears the requested margin, and every degree is
-certified in integers by its primal, its dual and their equal value.
+degree until the optimum clears the requested margin.  A degree's
+certificate is what its result states: the coefficients, and the dual p in
+the falling-factorial basis.  `certify_degree` checks it by LP duality in
+integers and runs none of the exchange's code.
 
 Scaling Q to P(x) = lam^{-n} Q(lam x) feeds the jet covering system.
 Scaling only computes: `jetcovering.build_system` is the one place that
@@ -42,14 +44,9 @@ FLAT_DEGREE_CAP = 128  # largest accepted degree cap of the ladder
 
 
 def l1_tail(coeffs: Sequence[Fraction]) -> Fraction:
-    """L1 norm of the non-leading coefficients."""
-    return sum((abs(c) for c in coeffs[:-1]), Fraction(0))
-
-
-def _moment_rows(big_n: int, terms) -> List[int]:
-    """sum_j c_j j!/(j-i)! = Q^(i)(1) for i < N over the (j, c_j) of Q; all
-    zero exactly when (x - 1)^N | Q."""
-    return [sum(c * perm(j, i) for j, c in terms) for i in range(big_n)]
+    """L1 norm of the non-leading coefficients, summed over one denominator."""
+    ints, d = cleared(coeffs[:-1])
+    return Fraction(sum(map(abs, ints)), d)
 
 
 def _assemble(nodes: Sequence[int], scaled: Sequence[int], m: int, n: int) -> List[int]:
@@ -77,53 +74,49 @@ class FlatPolyResult:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def l1_nonleading(self) -> Fraction:
-        return l1_tail(self.coeffs)
-
 
 def minimal_flat_poly(big_n: int, n: int) -> FlatPolyResult:
     """Exact L1-minimal monic degree-n polynomial with an order-N root at 1:
-    one `_exchange` from the nodes 0..N-1, certified by `certify_degree`."""
+    one certified `_degree` from the nodes 0..N-1."""
     if not 1 <= big_n <= n:
         raise DegenerateInputError("need n >= N >= 1")
     if n > FLAT_DEGREE_CAP:
         raise ResourceLimitError(f"degree {n} is above {FLAT_DEGREE_CAP}")
-    nodes, scaled, sigma, m = _exchange(n, list(range(big_n)))
-    optimum = Fraction(sum(map(abs, scaled)), m)
-    certify_degree(big_n, n, nodes, scaled, sigma, optimum)
-    return _flat_result(big_n, n, nodes, scaled, sigma, m, optimum)
+    return _result(big_n, n, *_degree(big_n, n, list(range(big_n)))[1])
 
 
-def _flat_result(big_n, n, nodes, scaled, sigma, m, optimum, history=()) -> FlatPolyResult:
-    """The result of a certified degree-n basis, x^{x_0} divided out (a_{x_k}
-    != 0 at every node).  The moment rows, (x - 1)^N | Q, are evaluated again
-    on the assembled coefficients over M, so a coefficient that the assembly
-    drops or moves is caught.  The dual is p in the falling-factorial basis,
-    y_i = Delta^i p(0) / i!, checked at 0..N-1."""
-    assembled = _assemble(nodes, scaled, m, n)
-    if any(_moment_rows(big_n, [(j, c) for j, c in enumerate(assembled) if c])):
-        raise ConstructionError(f"the assembled Q has no root of order {big_n} at 1")
-    dual = _basis(nodes, n, sigma)[3]
+def _degree(big_n: int, n: int, nodes: List[int]):
+    """(nodes, certificate) at degree n: `_exchange` from `nodes`, the dual p
+    in the falling-factorial basis, y_i = Delta^i p(0) / i! held as integers
+    over d = M (N-1)!, and M Q / x^{x_0} from `_assemble`; the certificate
+    (coefficients, y, d, optimum) passes `certify_degree`."""
+    nodes, scaled, dual, m = _exchange(n, nodes)
     diffs, y = [dual(j) for j in range(big_n)], []
-    for i in range(big_n):
-        y.append(Fraction(diffs[0], m * factorial(i)))
+    for i in range(big_n):  # diffs[0] = M Delta^i p(0), and d y_i = that times (N-1)!/i!
+        y.append(diffs[0] * perm(big_n - 1, big_n - 1 - i))
         diffs = [b - c for c, b in zip(diffs, diffs[1:])]
-    if any(sum(yi * perm(j, i) for i, yi in enumerate(y)) * m != dual(j) for j in range(big_n)):
-        raise ConstructionError("the falling-factorial dual does not reproduce p")
-    coeffs = tuple(Fraction(c, m) for c in assembled)
-    return FlatPolyResult(flatness=big_n, coeffs=coeffs, optimum=optimum, dual=tuple(y),
+    certificate = (_assemble(nodes, scaled, m, n), y, m * factorial(big_n - 1),
+                   Fraction(sum(map(abs, scaled)), m))
+    certify_degree(big_n, n, *certificate)
+    return nodes, certificate
+
+
+def _result(big_n, n, coeffs, y, d, optimum, history=()) -> FlatPolyResult:
+    """A certified degree as Fractions: Q over its leading M, y over d."""
+    return FlatPolyResult(flatness=big_n, coeffs=tuple(Fraction(c, coeffs[-1]) for c in coeffs),
+                          optimum=optimum, dual=tuple(Fraction(v, d) for v in y),
                           search_degree=n, history=tuple(history))
 
 
-def _basis(nodes: Sequence[int], n: int, sigma=None):
+def _basis(nodes: Sequence[int], n: int):
     """The degree-n basis on `nodes` over M = lcm |d_k|, d_k = prod (x_k - x_m):
-    (M, M a_{x_k} = -M l_k(n) for the Lagrange basis l_k, sigma (sign a_{x_k}
-    unless given), j -> M p(j), and the lowest j < n with |p(j)| > 1 or None)."""
+    (M, M a_{x_k} = -M l_k(n) for the Lagrange basis l_k, sigma_k = sign
+    a_{x_k}, j -> M p(j) for p = sum_k sigma_k l_k, and the lowest j < n with
+    |p(j)| > 1 or None)."""
     d = [prod(x - y for y in nodes if y != x) for x in nodes]
     m = lcm(*d)
     scaled = [-(m // dk) * prod(n - y for y in nodes if y != x) for x, dk in zip(nodes, d)]
-    sigma = sigma or [1 if a > 0 else -1 for a in scaled]
+    sigma = [1 if a > 0 else -1 for a in scaled]
     weights = [s * (m // dk) for s, dk in zip(sigma, d)]
 
     def dual(j: int) -> int:  # M p(j) = sum_k M sigma_k W(j) / ((j - x_k) d_k)
@@ -135,7 +128,7 @@ def _basis(nodes: Sequence[int], n: int, sigma=None):
 
 
 def _exchange(n: int, nodes: List[int]):
-    """Optimal (nodes, M a_{x_k}, sigma, M) at degree n by Stiefel's
+    """Optimal (nodes, M a_{x_k}, j -> M p(j), M) at degree n by Stiefel's
     single-point exchange from `nodes`, sorted and in [0, n); among tied
     optimal bases it ends on the least node tuple.
 
@@ -156,27 +149,34 @@ def _exchange(n: int, nodes: List[int]):
         if j is None:  # no node is a tie: the sigma_k alternate
             j = next((j for j in range(nodes[-1]) if dual(j) == m * sigma[bisect(nodes, j)]), None)
             if j is None:
-                return nodes, scaled, sigma, m
+                return nodes, scaled, dual, m
         i = bisect(nodes, j)  # nodes[i - 1] < j < nodes[i]
         out = i if i < len(nodes) and (dual(j) > 0) == (sigma[i] > 0) else i - 1
         nodes = sorted(nodes[:out] + nodes[out + 1:] + [j])
 
 
-def certify_degree(big_n: int, n: int, nodes, scaled, sigma, optimum: Fraction) -> None:
-    """ConstructionError unless a_{x_k} = scaled_k / M is optimal at degree
-    n with L1 norm `optimum`, in integers: the N moment rows, |M p(j)| <= M
-    for j < n for p = sum_k sigma_k l_k, and sum |a_k| = -p(n) = optimum."""
-    if not (len(nodes) == len(scaled) == len(sigma) == big_n and set(sigma) <= {1, -1}
-            and list(nodes) == sorted(set(nodes)) and 0 <= nodes[0] and nodes[-1] < n):
-        raise ConstructionError(f"{nodes} is no flat LP basis at (N={big_n}, n={n})")
-    m, _, _, dual, j = _basis(nodes, n, sigma)
-    rows = _moment_rows(big_n, [*zip(nodes, scaled), (n, m)])
-    l1 = sum(map(abs, scaled))
+def certify_degree(big_n: int, n: int, coeffs: Sequence[int], y: Sequence[int], d: int,
+                   optimum: Fraction) -> None:
+    """ConstructionError unless Q = coeffs / M, M = coeffs[-1] > 0, of degree
+    <= n (a power of x divided out), is L1-optimal at degree n with value
+    `optimum`, by LP duality in integers: the N moment rows give
+    (x - 1)^N | Q; p(j) = sum_{i<N} y_i j!/(j-i)! / d, d > 0, has |p(j)| <= 1
+    for j < n; and sum |a_j| = -p(n) = optimum.  Every feasible Q has
+    sum_j a_j p(j) = -p(n), so -p(n) bounds every L1 norm at degree n from
+    below.  No code of the exchange runs here."""
+    m, l1 = coeffs[-1], sum(map(abs, coeffs[:-1]))
+    terms = [(j, c) for j, c in enumerate(coeffs) if c]  # row i: sum_j c_j j!/(j-i)! = M Q^(i)(1)
+
+    def dp(j: int) -> int:  # d p(j)
+        return sum(c * perm(j, i) for i, c in enumerate(y))
+    over = next((j for j in range(n) if abs(dp(j)) > d), None)
     failed = [check for check, bad in [
-        ("moment rows", any(rows)), (f"|p({j})| <= 1", j is not None),
-        ("sum |a_k| = -p(n) = optimum", not l1 == -dual(n) == optimum * m)] if bad]
+        ("shape", not (m > 0 < d and len(coeffs) <= n + 1 and len(y) <= big_n)),
+        ("moment rows", any(sum(c * perm(j, i) for j, c in terms) for i in range(big_n))),
+        (f"|p({over})| <= 1", over is not None),
+        ("sum |a_j| = -p(n) = optimum", not l1 * d == -dp(n) * m == optimum * m * d)] if bad]
     if failed:
-        raise ConstructionError(f"degree {n} on {nodes} fails its certificate: {'; '.join(failed)}")
+        raise ConstructionError(f"degree {n} fails its certificate: {'; '.join(failed)}")
 
 
 def find_flat_poly(
@@ -186,8 +186,8 @@ def find_flat_poly(
 ) -> FlatPolyResult:
     """Escalate the degree until the optimum is <= 2 - margin.
 
-    Each degree runs one `_exchange` from the last optimal nodes shifted by
-    x Q and is certified by `certify_degree` before it enters the history;
+    Each degree runs one `_degree` from the last optimal nodes shifted by
+    x Q, certified by `certify_degree` before it enters the history;
     the optimum is non-increasing in n (x Q embeds degree n in n + 1), and
     that is checked too.  The first degree that meets the margin is the
     result; as `_exchange` ends on the least tied vertex, it is the vertex
@@ -213,15 +213,14 @@ def find_flat_poly(
     history: List[Tuple[int, Fraction]] = []
     nodes = list(range(big_n))
     for n in range(big_n, n_max + 1):
-        nodes, scaled, sigma, m = _exchange(n, nodes)
-        optimum = Fraction(sum(map(abs, scaled)), m)
-        certify_degree(big_n, n, nodes, scaled, sigma, optimum)
+        nodes, certificate = _degree(big_n, n, nodes)
+        optimum = certificate[-1]
         if history and optimum > history[-1][1]:
             raise ConstructionError(
                 f"optimum increased from {history[-1][1]} to {optimum} at degree {n}")
         history.append((n, optimum))
         if optimum <= target:
-            return _flat_result(big_n, n, nodes, scaled, sigma, m, optimum, history)
+            return _result(big_n, n, *certificate, history)
         nodes = [x + 1 for x in nodes]
     raise SearchExhaustedError(
         f"no degree <= {n_max} reached {target}; best was {history[-1][1]}")
@@ -250,7 +249,7 @@ def lambda_threshold(qres: FlatPolyResult) -> Fraction:
     so the bound holds exactly for grid values above the returned
     threshold and fails at and below it.
     """
-    if qres.l1_nonleading >= 2:
+    if qres.optimum >= 2:
         raise DegenerateInputError("threshold needs an optimum below 2")
     n = qres.degree
     a = qres.coeffs

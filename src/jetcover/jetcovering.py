@@ -290,13 +290,13 @@ class DeltaCoveringCertificate:
 
 
 def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
-    base = sys.box_base
-    holds, lhs, rhs = box_inequality(base, sys.n, l1_tail(sys.p_coeffs))
+    base, (beta, big_b) = sys.box_base, cleared(sys.p_coeffs)
+    holds, lhs, rhs = box_inequality(base, sys.n, Fraction(sum(map(abs, beta[:-1])), big_b))
     if not (base > 1 and holds):
         raise ConstructionError(
             f"analytic covering proof fails: base {base}, {lhs} !< {rhs}"
         )
-    (beta, big_b), (radii, scale) = cleared(sys.p_coeffs), cleared(sys.coordinate_bounds())
+    radii, scale = cleared(sys.coordinate_bounds())
     reach = Fraction(sum(map(mul, map(abs, beta), radii)), big_b * scale)  # sum_{j<n} |b_j| r_j
     windows = [
         ("+", Interval(1 - base, 1 + base)),

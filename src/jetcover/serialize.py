@@ -99,6 +99,8 @@ def jet_from_payload(payload: dict) -> Jet:
     must be a JSON integer, the one its coefficients give."""
     try:
         coeffs = payload["coeffs"]
+        if not isinstance(coeffs, list):  # a string or an object would iterate too
+            raise CertificateFormatError("coeffs is not a JSON list")
         rows = [
             [rat(e) for e in (row if isinstance(row, list) else [row])]
             for row in coeffs
@@ -227,7 +229,7 @@ def flat_poly_payload(res: FlatPolyResult) -> dict:
         "coeffs": [rat_str(c) for c in res.coeffs],
         "degree": res.degree,
         "optimum": rat_str(res.optimum),
-        "l1_nonleading": rat_str(res.l1_nonleading),
+        "l1_nonleading": rat_str(res.optimum),
         "dual_certificate": [rat_str(y) for y in res.dual],
         "search_degree": res.search_degree,
         "history": [[n, rat_str(v)] for n, v in res.history],

@@ -74,7 +74,7 @@ def reference_projection(p_coeffs, lam, big_n):
 
 def reference_lambda_threshold(qres):
     """Largest grid contraction (resolution 2^-20) that still fails the L1 bound."""
-    if qres.l1_nonleading >= 2:
+    if qres.optimum >= 2:
         raise DegenerateInputError("threshold needs an optimum below 2")
     n = qres.degree
     a = qres.coeffs

@@ -365,6 +365,23 @@ def test_config_yields_to_an_abbreviated_flag(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 5
 
 
+def test_a_config_value_is_parsed_as_its_flag(tmp_path, capsys):
+    # the config value "3" goes through int as --depth=3 would; "x" is
+    # argparse's own error, also where the command line sets --depth
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lam": "1/2", "depth": "3"}))
+    out = tmp_path / "cloud.csv"
+    assert run(["--config", str(config), "limit-set", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 9
+    out.unlink()
+    config.write_text(json.dumps({"lam": "1/2", "depth": "x"}))
+    for flags in ([], ["--depth", "2"]):
+        with pytest.raises(SystemExit) as exit_:
+            run(["--config", str(config), "limit-set", *flags, "--out", str(out)])
+        assert exit_.value.code == 2 and not out.exists()
+        assert "argument --depth: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"margin": "1/50"}))
@@ -628,6 +645,18 @@ def test_realize_rejects_zero_denominator(tmp_path, capsys):
          "--out", str(out)],
         out,
     )
+
+
+@pytest.mark.parametrize("coeffs", ["12", {"1/4": 0, "-1": 0}])
+def test_realize_rejects_target_coeffs_that_are_no_list(tmp_path, capsys, coeffs):
+    # a string or an object iterates like a list: "12" was read as the jet
+    # (1, 2) and exited 1, and the object's keys were realized with exit 0
+    args = realize_args(tmp_path)
+    (tmp_path / "target.json").write_text(json.dumps({"order": 1, "dim": 1, "coeffs": coeffs}))
+    out = tmp_path / "real.json"
+    capsys.readouterr()
+    err = _expect_input_error(capsys, args + ["--out", str(out)], out)
+    assert err.count("\n") == 1 and "coeffs is not a JSON list" in err
 
 
 @pytest.mark.parametrize(

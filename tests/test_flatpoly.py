@@ -97,14 +97,16 @@ ASSEMBLY_MUTANTS = {
 @pytest.mark.parametrize("big_n, n", [(2, 4), (3, 9), (4, 23)])
 @pytest.mark.parametrize("mutant", sorted(ASSEMBLY_MUTANTS))
 def test_minimal_flat_catches_an_assembly_fault(monkeypatch, big_n, n, mutant):
-    # the exchange and its certificate are sound; only the coefficient
-    # vector built from them is wrong, and the moment rows evaluated on it
-    # see that (x - 1)^N no longer divides it
+    # the exchange and its dual are sound; only the coefficient vector built
+    # from them is wrong, and the certificate's moment rows, evaluated on
+    # that vector, see that (x - 1)^N no longer divides it (a leading
+    # coefficient that is no longer positive breaks the shape too)
     assemble = flatpoly._assemble
     assert divisible_by_power(minimal_flat_poly(big_n, n).coeffs, F(1), big_n)
     monkeypatch.setattr(
         flatpoly, "_assemble", lambda *args: ASSEMBLY_MUTANTS[mutant](assemble(*args)))
-    with pytest.raises(ConstructionError, match=f"no root of order {big_n} at 1"):
+    failure = f"degree {n} fails its certificate: (shape; )?moment rows"
+    with pytest.raises(ConstructionError, match=failure):
         minimal_flat_poly(big_n, n)
 
 

@@ -16,6 +16,7 @@ from jetcover.errors import ConstructionError, DegenerateInputError
 from jetcover.flatpoly import find_flat_poly, minimal_flat_poly
 from jetcover.jetcovering import certify_membership
 from jetcover.jets import Jet
+from jetcover.rational import cleared
 from jetcover.simplex import LPProblem, LPSolution, lp_solve
 from simplex_reference import (  # local helper module
     flat_lp_problem,
@@ -216,7 +217,7 @@ def test_a_costlier_feasible_primal_is_rejected():
     assert not strong_duality_holds(problem, dataclasses.replace(sol, primal=(F(1), F(1))))
 
 
-def _exchange_solution(problem, big_n, n, nodes, scaled, m):
+def _exchange_solution(big_n, n, nodes, scaled, m):
     """The exchange's basis as a flat LP solution: the p - q split of the
     primal, and the dual y with p(x) = sum_i y_i perm(x, i) solved from
     p(x_k) = sign a_{x_k} at the nodes."""
@@ -275,7 +276,7 @@ def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
     for (n, optimum), (_, _, (nodes, scaled, _, m)) in zip(res.history, exchanges):
         problem = flat_lp_problem(big_n, n)
         cold_history.append((n, reference_lp_solve(problem).optimum))
-        sol = _exchange_solution(problem, big_n, n, nodes, scaled, m)
+        sol = _exchange_solution(big_n, n, nodes, scaled, m)
         assert sol.optimum == optimum
         assert strong_duality_holds(problem, sol) and _reference_accepts(problem, sol)
     # the ladder ends on the cold solve's vertex, tie or no tie
@@ -315,14 +316,14 @@ def flat_starts(draw):
 @example((4, 23, [0, 6, 17, 22]))
 def test_exchange_from_any_start_reaches_the_lp_optimum(start):
     big_n, n, nodes = start
-    nodes, scaled, sigma, m = flatpoly._exchange(n, nodes)
+    nodes, scaled, _, m = flatpoly._exchange(n, nodes)
     # from any start, the least optimal basis among those that tie
     assert nodes == _least_optimal_nodes(big_n, n)
     optimum = F(sum(map(abs, scaled)), m)
     assert optimum == _reference_flat_lp(big_n, n).optimum
-    flatpoly.certify_degree(big_n, n, nodes, scaled, sigma, optimum)
+    flatpoly.certify_degree(big_n, n, *_basis_certificate(big_n, n, nodes))
     problem = flat_lp_problem(big_n, n)
-    sol = _exchange_solution(problem, big_n, n, nodes, scaled, m)
+    sol = _exchange_solution(big_n, n, nodes, scaled, m)
     assert strong_duality_holds(problem, sol) and _reference_accepts(problem, sol)
 
 
@@ -366,19 +367,37 @@ def test_the_tied_degree_returns_the_cold_exchange_vertex(tmp_path):
     assert json.loads(out.read_text())["coeffs"] == [str(c) for c in res.coeffs]
 
 
-def _optimal_degree(big_n, n):
-    nodes, scaled, sigma, m = flatpoly._exchange(n, list(range(big_n)))
-    return nodes, scaled, sigma, F(sum(map(abs, scaled)), m)
+def _certificate(res):
+    """The certificate a flat result states, as `certify_degree` takes it:
+    Q and its dual y, each as integers over the lcm of its denominators,
+    and the optimum."""
+    y, d = cleared(res.dual)
+    return cleared(res.coeffs)[0], y, d, res.optimum
+
+
+def _basis_certificate(big_n, n, nodes):
+    """The certificate of the degree-n basis on `nodes`: its assembled
+    primal, and the y with sum_i y_i perm(x_k, i) = sign a_{x_k}, solved at
+    the nodes apart from the exchange."""
+    m, scaled, _, _, _ = flatpoly._basis(list(nodes), n)
+    sol = _exchange_solution(big_n, n, nodes, scaled, m)
+    return flatpoly._assemble(list(nodes), scaled, m, n), *cleared(sol.dual), sol.optimum
+
+
+def _dp(y, j):
+    """d p(j) for the dual y over d."""
+    return sum(c * perm(j, i) for i, c in enumerate(y))
 
 
 @pytest.mark.parametrize("big_n, n", [(2, 4), (3, 11), (4, 23), (5, 40)])
 def test_the_degree_certificate_rejects_a_flipped_sign(big_n, n):
-    nodes, scaled, sigma, optimum = _optimal_degree(big_n, n)
-    for k in range(big_n):
-        flipped = sigma[:k] + [-sigma[k]] + sigma[k + 1:]
-        # -p(n) moves by 2 |a_k|, so the duality check fails whatever |p| does
-        with pytest.raises(ConstructionError, match=r"certificate: .*optimum$"):
-            flatpoly.certify_degree(big_n, n, nodes, scaled, flipped, optimum)
+    coeffs, y, d, optimum = _certificate(minimal_flat_poly(big_n, n))
+    flatpoly.certify_degree(big_n, n, coeffs, y, d, optimum)
+    for j in [j for j, c in enumerate(coeffs[:-1]) if c]:
+        flipped = coeffs[:j] + [-coeffs[j]] + coeffs[j + 1:]
+        # sum |a_j| and the dual stay, so only the moment rows see it
+        with pytest.raises(ConstructionError, match=r"certificate: moment rows$"):
+            flatpoly.certify_degree(big_n, n, flipped, y, d, optimum)
 
 
 @pytest.mark.parametrize("big_n, n", [(2, 6), (3, 11), (4, 23)])
@@ -387,42 +406,83 @@ def test_the_degree_certificate_rejects_one_violated_dual_bound(big_n, n):
     # exactly one j < n: only the dual bound can reject it
     found = 0
     for nodes in itertools.combinations(range(n), big_n):
-        m, scaled, sigma, dual, _ = flatpoly._basis(list(nodes), n)
+        m, _, _, dual, _ = flatpoly._basis(list(nodes), n)
         over = [j for j in range(n) if abs(dual(j)) > m]
         if len(over) == 1:
             found += 1
+            coeffs, y, d, optimum = _basis_certificate(big_n, n, nodes)
+            assert [j for j in range(n) if abs(_dp(y, j)) > d] == over
             with pytest.raises(ConstructionError, match=rf"certificate: \|p\({over[0]}\)\| <= 1$"):
-                flatpoly.certify_degree(
-                    big_n, n, nodes, scaled, sigma, F(sum(map(abs, scaled)), m))
+                flatpoly.certify_degree(big_n, n, coeffs, y, d, optimum)
     assert found
 
 
 @pytest.mark.parametrize("big_n, n", [(2, 4), (3, 11), (4, 23), (5, 40)])
 def test_the_degree_certificate_rejects_the_dual_at_n_minus_1(big_n, n):
-    nodes, scaled, sigma, optimum = _optimal_degree(big_n, n)
-    m, _, _, dual, _ = flatpoly._basis(nodes, n)
-    assert F(-dual(n), m) == optimum
-    off_by_one = F(-dual(n - 1), m)
-    with pytest.raises(ConstructionError, match=r"certificate: sum \|a_k\| = -p\(n\) = optimum$"):
-        flatpoly.certify_degree(big_n, n, nodes, scaled, sigma, off_by_one)
+    coeffs, y, d, optimum = _certificate(minimal_flat_poly(big_n, n))
+    assert F(-_dp(y, n), d) == optimum
+    off_by_one = F(-_dp(y, n - 1), d)
+    with pytest.raises(ConstructionError, match=r"certificate: sum \|a_j\| = -p\(n\) = optimum$"):
+        flatpoly.certify_degree(big_n, n, coeffs, y, d, off_by_one)
 
 
 @pytest.mark.parametrize("big_n, n", [(3, 11), (4, 23), (5, 40)])
 def test_the_degree_certificate_rejects_a_primal_off_its_nodes(big_n, n):
-    # swapping two same-sign primal values keeps sum |a_k| and the dual,
+    # swapping two same-sign primal values keeps sum |a_j| and the dual,
     # so only the moment rows can reject it
-    nodes, scaled, sigma, optimum = _optimal_degree(big_n, n)
-    swapped = [scaled[2], scaled[1], scaled[0]] + scaled[3:]
+    coeffs, y, d, optimum = _certificate(minimal_flat_poly(big_n, n))
+    first, _, third = [j for j, c in enumerate(coeffs[:-1]) if c][:3]
+    assert coeffs[first] * coeffs[third] > 0
+    swapped = list(coeffs)
+    swapped[first], swapped[third] = coeffs[third], coeffs[first]
     with pytest.raises(ConstructionError, match=r"certificate: moment rows$"):
-        flatpoly.certify_degree(big_n, n, nodes, swapped, sigma, optimum)
+        flatpoly.certify_degree(big_n, n, swapped, y, d, optimum)
 
 
-@pytest.mark.parametrize("nodes, sigma, what", [
-    ([0, 0, 3], [1, -1, 1], "no flat LP basis"),  # a repeated node
-    ([0, 2, 4], [1, -1, 1], "no flat LP basis"),  # node 4 is the leading term
-    ([0, 2, 3], [1, 0, 1], "no flat LP basis"),
-    ([0, 2], [1, -1], "no flat LP basis"),
+@pytest.mark.parametrize("big_n, n, certificate", [
+    (1, 1, ([0], [0], 1, F(0))),  # Q = 0: no leading coefficient M > 0
+    (1, 1, ([-1, 1], [0], 0, F(1))),  # y over d = 0 bounds nothing
+    # find_flat_poly(2)'s degree-4 Q, L1 5/3, claimed at n = 3, where the
+    # optimum is 2; p(j) = (1 - 2j)/3 is bounded on 0..2 with -p(3) = 5/3
+    (2, 3, ([1, 0, 0, -4, 3], [1, -2], 3, F(5, 3))),
+    # (x - 1)^2 at n = 2 for N = 1, where the optimum is 1; the linear
+    # p(j) = 1 - 2j is bounded on 0..1 with -p(2) = 3, but p has degree N
+    (1, 2, ([1, -2, 1], [1, -2], 1, F(3))),
 ])
-def test_the_degree_certificate_rejects_a_malformed_basis(nodes, sigma, what):
-    with pytest.raises(ConstructionError, match=what):
-        flatpoly.certify_degree(3, 4, nodes, [1] * len(nodes), sigma, F(3))
+def test_the_degree_certificate_rejects_a_malformed_certificate(big_n, n, certificate):
+    # every other check holds, so only the shape check can reject these
+    with pytest.raises(ConstructionError, match=r"certificate: shape$"):
+        flatpoly.certify_degree(big_n, n, *certificate)
+
+
+@settings(deadline=None, max_examples=100)
+@given(flat_degrees(), st.data())
+def test_the_degree_certificate_is_exact(degree, data):
+    # minimal_flat_poly's certificate passes; one y_i moved by 1/d moves
+    # -p(n) by perm(n, i)/d, and a moved optimum breaks the equal values
+    big_n, n = degree
+    coeffs, y, d, optimum = _certificate(minimal_flat_poly(big_n, n))
+    flatpoly.certify_degree(big_n, n, coeffs, y, d, optimum)
+    i, step = data.draw(st.integers(0, big_n - 1)), data.draw(st.sampled_from([1, -1]))
+    moved = y[:i] + [y[i] + step] + y[i + 1:]
+    shift = data.draw(st.fractions(-2, 2, max_denominator=10 ** 9).filter(bool))
+    for args in [(coeffs, moved, d, optimum), (coeffs, y, d, optimum + shift)]:
+        with pytest.raises(ConstructionError, match=r"sum \|a_j\| = -p\(n\) = optimum$"):
+            flatpoly.certify_degree(big_n, n, *args)
+
+
+@pytest.mark.parametrize("big_n", [1, 2, 3, 4, 5])
+def test_the_degree_certificate_runs_none_of_the_exchange(big_n, monkeypatch):
+    # every ladder degree's certificate, checked with the exchange's code gone
+    certificates, certify = [], flatpoly.certify_degree
+    monkeypatch.setattr(flatpoly, "certify_degree", lambda *args: certificates.append(args))
+    res = find_flat_poly(big_n)
+    assert [args[:2] for args in certificates] == [(big_n, n) for n, _ in res.history]
+
+    def producer(*args):
+        raise AssertionError("the check ran the exchange's code")
+
+    monkeypatch.setattr(flatpoly, "_basis", producer)
+    monkeypatch.setattr(flatpoly, "_exchange", producer)
+    for args in certificates:
+        certify(*args)
