@@ -29,6 +29,7 @@ from .covering import DEFAULT_MAX_DEPTH, Certificate, certify_covering, check_ce
 from .errors import (
     CertificateFormatError,
     ConstructionError,
+    DegenerateInputError,
     JetcoverError,
     NotCoveredError,
     SearchExhaustedError,
@@ -36,6 +37,7 @@ from .errors import (
 from .flatpoly import (
     DEFAULT_MARGIN,
     DEFAULT_N_MAX,
+    FLAT_DEGREE_CAP,
     find_flat_poly,
     l1_tail,
     lambda_threshold,
@@ -155,6 +157,8 @@ def cmd_flat_poly(args) -> int:
 
 
 def cmd_jet_system(args) -> int:
+    if args.order < 0:
+        raise DegenerateInputError(f"--order {args.order} is below 0")
     big_n = args.order + 1
     qres = find_flat_poly(big_n, rat(args.margin), args.degree_max)
     threshold = lambda_threshold(qres)
@@ -270,7 +274,7 @@ COMMANDS = {
         ("--order", int, NO_DEFAULT, "jet order r >= 0"),
         ("--lam", str, "auto", ""),
         ("--margin", str, DEFAULT_MARGIN, ""),
-        ("--degree-max", int, 89, ""),
+        ("--degree-max", int, FLAT_DEGREE_CAP, ""),
         ("--out", str, NO_DEFAULT, ""),
     )),
     "realize": (cmd_realize, "realize a target jet as a continuation jet", (

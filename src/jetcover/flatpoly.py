@@ -18,10 +18,11 @@ verifies a scaled P and builds the projection from it.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate, islice, repeat
 from math import factorial, lcm, perm, prod
 from typing import List, Sequence, Tuple
 
@@ -90,11 +91,8 @@ def _degree(big_n: int, n: int, nodes: List[int]):
     in the falling-factorial basis, y_i = Delta^i p(0) / i! held as integers
     over d = M (N-1)!, and M Q / x^{x_0} from `_assemble`; the certificate
     (coefficients, y, d, optimum) passes `certify_degree`."""
-    nodes, scaled, dual, m = _exchange(n, nodes)
-    diffs, y = [dual(j) for j in range(big_n)], []
-    for i in range(big_n):  # diffs[0] = M Delta^i p(0), and d y_i = that times (N-1)!/i!
-        y.append(diffs[0] * perm(big_n - 1, big_n - 1 - i))
-        diffs = [b - c for c, b in zip(diffs, diffs[1:])]
+    nodes, scaled, diffs, _, m = _exchange(n, nodes)
+    y = [c * perm(big_n - 1, big_n - 1 - i) for i, c in enumerate(diffs)]  # d y_i
     certificate = (_assemble(nodes, scaled, m, n), y, m * factorial(big_n - 1),
                    Fraction(sum(map(abs, scaled)), m))
     certify_degree(big_n, n, *certificate)
@@ -110,27 +108,37 @@ def _result(big_n, n, coeffs, y, d, optimum, history=()) -> FlatPolyResult:
 
 def _basis(nodes: Sequence[int], n: int):
     """The degree-n basis on `nodes` over M = lcm |d_k|, d_k = prod (x_k - x_m):
-    (M, M a_{x_k} = -M l_k(n) for the Lagrange basis l_k, sigma_k = sign
-    a_{x_k}, j -> M p(j) for p = sum_k sigma_k l_k, and the lowest j < n with
-    |p(j)| > 1 or None)."""
+    (M, M a_{x_k} = -M l_k(n) for the Lagrange basis l_k, sigma_k = sign a_{x_k},
+    the differences M Delta^i p(0) of p = sum_k sigma_k l_k, the value list
+    M p(0), M p(1), ..., and the lowest j < n with |p(j)| > 1 or None).  The
+    list stops at the first barycentric seed j < N that fails, with the
+    differences None; else N - 1 passes of additions run it to j = n - 1."""
     d = [prod(x - y for y in nodes if y != x) for x in nodes]
-    m = lcm(*d)
-    scaled = [-(m // dk) * prod(n - y for y in nodes if y != x) for x, dk in zip(nodes, d)]
+    m, wn = lcm(*d), prod(n - y for y in nodes)  # W(n), n is no node
+    scaled = [-(m // dk) * (wn // (n - x)) for x, dk in zip(nodes, d)]
     sigma = [1 if a > 0 else -1 for a in scaled]
     weights = [s * (m // dk) for s, dk in zip(sigma, d)]
-
-    def dual(j: int) -> int:  # M p(j) = sum_k M sigma_k W(j) / ((j - x_k) d_k)
-        if j in nodes:
-            return m * sigma[nodes.index(j)]
-        wj = prod(j - y for y in nodes)
-        return sum(c * (wj // (j - x)) for c, x in zip(weights, nodes))
-    return m, scaled, sigma, dual, next((j for j in range(n) if abs(dual(j)) > m), None)
+    seeds = []  # M p(j), j < N: sum_k M sigma_k W(j) / ((j - x_k) d_k) off the nodes
+    for j in range(len(nodes)):
+        wj = 0 if j in nodes else prod(j - y for y in nodes)
+        seeds.append(sum(c * (wj // (j - x)) for c, x in zip(weights, nodes)) if wj
+                     else m * sigma[nodes.index(j)])
+        if abs(seeds[-1]) > m:  # the lowest violation: stop at this seed
+            return m, scaled, sigma, None, seeds, j
+    for i in range(1, len(seeds)):  # in place: seeds[i] becomes M Delta^i p(0)
+        seeds[i:] = [b - a for a, b in zip(seeds[i - 1:], seeds[i:])]
+    row = repeat(seeds[-1])
+    for c in reversed(seeds[:-1]):
+        row = accumulate(row, initial=c)
+    row = list(islice(row, n))
+    return m, scaled, sigma, seeds, row, (None if -m <= min(row) and max(row) <= m else
+                                          next(j for j, v in enumerate(row) if abs(v) > m))
 
 
 def _exchange(n: int, nodes: List[int]):
-    """Optimal (nodes, M a_{x_k}, j -> M p(j), M) at degree n by Stiefel's
-    single-point exchange from `nodes`, sorted and in [0, n); among tied
-    optimal bases it ends on the least node tuple.
+    """Optimal (nodes, M a_{x_k}, M Delta^i p(0), the value list M p(0..n-1),
+    M) at degree n by Stiefel's single-point exchange from `nodes`, sorted and
+    in [0, n); among tied optimal bases it ends on the least node tuple.
 
     The flat LP's dual is max -p(n) over p of degree < N with |p(j)| <= 1
     on [0, n).  A basis of N nodes has primal a_{x_k} = -l_k(n) and dual
@@ -145,13 +153,13 @@ def _exchange(n: int, nodes: List[int]):
     basis stays optimal and the sorted node tuple falls.
     """
     while True:
-        m, scaled, sigma, dual, j = _basis(nodes, n)
+        m, scaled, sigma, diffs, p, j = _basis(nodes, n)  # p[j] = M p(j)
         if j is None:  # no node is a tie: the sigma_k alternate
-            j = next((j for j in range(nodes[-1]) if dual(j) == m * sigma[bisect(nodes, j)]), None)
+            j = next((j for j in range(nodes[-1]) if p[j] == m * sigma[bisect(nodes, j)]), None)
             if j is None:
-                return nodes, scaled, dual, m
+                return nodes, scaled, diffs, p, m
         i = bisect(nodes, j)  # nodes[i - 1] < j < nodes[i]
-        out = i if i < len(nodes) and (dual(j) > 0) == (sigma[i] > 0) else i - 1
+        out = i if i < len(nodes) and (p[j] > 0) == (sigma[i] > 0) else i - 1
         nodes = sorted(nodes[:out] + nodes[out + 1:] + [j])
 
 
@@ -163,18 +171,21 @@ def certify_degree(big_n: int, n: int, coeffs: Sequence[int], y: Sequence[int], 
     (x - 1)^N | Q; p(j) = sum_{i<N} y_i j!/(j-i)! / d, d > 0, has |p(j)| <= 1
     for j < n; and sum |a_j| = -p(n) = optimum.  Every feasible Q has
     sum_j a_j p(j) = -p(n), so -p(n) bounds every L1 norm at degree n from
-    below.  No code of the exchange runs here."""
+    below.  d p(0..n) comes from its own difference table, d Delta^i p(0) =
+    y_i i!, by additions.  No code of the exchange runs here."""
     m, l1 = coeffs[-1], sum(map(abs, coeffs[:-1]))
     terms = [(j, c) for j, c in enumerate(coeffs) if c]  # row i: sum_j c_j j!/(j-i)! = M Q^(i)(1)
-
-    def dp(j: int) -> int:  # d p(j)
-        return sum(c * perm(j, i) for i, c in enumerate(y))
-    over = next((j for j in range(n) if abs(dp(j)) > d), None)
+    dp = repeat(0)  # Delta^{len y} p = 0 and d Delta^i p(0) = y_i i!
+    for i in reversed(range(len(y))):
+        dp = accumulate(dp, initial=y[i] * factorial(i))
+    dp = list(islice(dp, n + 1))  # d p(0), ..., d p(n)
+    over = next((j for j in range(n) if abs(dp[j]) > d), None)
     failed = [check for check, bad in [
         ("shape", not (m > 0 < d and len(coeffs) <= n + 1 and len(y) <= big_n)),
         ("moment rows", any(sum(c * perm(j, i) for j, c in terms) for i in range(big_n))),
         (f"|p({over})| <= 1", over is not None),
-        ("sum |a_j| = -p(n) = optimum", not l1 * d == -dp(n) * m == optimum * m * d)] if bad]
+        ("sum |a_j| = -p(n) = optimum", not l1 * d == -dp[n] * m
+         or l1 * optimum.denominator != optimum.numerator * m)] if bad]
     if failed:
         raise ConstructionError(f"degree {n} fails its certificate: {'; '.join(failed)}")
 
@@ -203,10 +214,8 @@ def find_flat_poly(
         raise DegenerateInputError(
             f"margin {rat_str(margin)} is not in (0, 1]: Q(1) = 0 puts every L1 tail at >= 1")
     if n_max < big_n:
-        raise DegenerateInputError(
-            f"degree cap {n_max} is below the flatness {big_n}: a root of "
-            f"order {big_n} at 1 needs degree >= {big_n}"
-        )
+        raise DegenerateInputError(f"degree cap {n_max} is below the flatness {big_n}: a root "
+                                   f"of order {big_n} at 1 needs degree >= {big_n}")
     if n_max > FLAT_DEGREE_CAP:
         raise ResourceLimitError(f"degree cap {n_max} is above {FLAT_DEGREE_CAP}")
     target = 2 - margin
@@ -251,23 +260,14 @@ def lambda_threshold(qres: FlatPolyResult) -> Fraction:
     """
     if qres.optimum >= 2:
         raise DegenerateInputError("threshold needs an optimum below 2")
-    n = qres.degree
-    a = qres.coeffs
-    ints, den = cleared(a)  # |a_j| * den * 2^(20 (n - j)) for j = n-1, ..., 0
-    weights = [abs(ints[j]) << 20 * (n - j) for j in reversed(range(n))]
+    n, (ints, den) = qres.degree, cleared(qres.coeffs)
+    weights = [abs(ints[j]) << 20 * (n - j) for j in reversed(range(n))]  # |a_j| den 2^(20 (n-j))
 
     def holds(k: int) -> bool:
         # sum |a_j| lam^(j-n) < 2 at lam = k / 2^20, times den * 2^(20n) * lam^n
         return reduce(lambda acc, w: acc * k + w, weights, 0) < 2 * den * k ** n
 
-    denom = 2 ** 20
-    lo, hi = 1, denom - 1  # grid indices k, lam = k / denom
-    if not holds(hi):
+    if not holds(2 ** 20 - 1):
         raise ConstructionError("bound fails even adjacent to 1")
-    while lo < hi:  # find smallest index where the bound holds
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(lo - 1, denom)
+    # the smallest grid index k in [1, 2^20) where the bound holds, lam = k / 2^20
+    return Fraction(bisect_left(range(2 ** 20), True, 1, 2 ** 20 - 1, key=holds) - 1, 2 ** 20)

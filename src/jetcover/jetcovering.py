@@ -98,10 +98,16 @@ class JetCoveringSystem:
         return (*cleared(self.p_coeffs), rows, den)
 
     @cached_property
+    def integer_radii(self) -> Tuple[Tuple[int, ...], int]:
+        """`coordinate_bounds` over one denominator: base^(n-i) = a^(n-i) b^i / b^n, base = a/b."""
+        a, b, n = self.box_base.numerator, self.box_base.denominator, self.n
+        return tuple(a ** (n - i) * b ** i for i in range(n)), b ** n
+
+    @cached_property
     def reach(self) -> Fraction:
         """Exact sup-norm bound of the projected pullback box (it is
         centered); the step search and the residual bound share it."""
-        (_, _, rows, den), (radii, scale) = self.integer_rows, cleared(self.coordinate_bounds())
+        (_, _, rows, den), (radii, scale) = self.integer_rows, self.integer_radii
         return Fraction(max(sum(map(mul, map(abs, row), radii)) for row in rows), den * scale)
 
     def coordinate_bounds(self) -> Tuple[Fraction, ...]:
@@ -293,31 +299,18 @@ def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
     base, (beta, big_b) = sys.box_base, cleared(sys.p_coeffs)
     holds, lhs, rhs = box_inequality(base, sys.n, Fraction(sum(map(abs, beta[:-1])), big_b))
     if not (base > 1 and holds):
-        raise ConstructionError(
-            f"analytic covering proof fails: base {base}, {lhs} !< {rhs}"
-        )
-    radii, scale = cleared(sys.coordinate_bounds())
+        raise ConstructionError(f"analytic covering proof fails: base {base}, {lhs} !< {rhs}")
+    radii, scale = sys.integer_radii
     reach = Fraction(sum(map(mul, map(abs, beta), radii)), big_b * scale)  # sum_{j<n} |b_j| r_j
-    windows = [
-        ("+", Interval(1 - base, 1 + base)),
-        ("-", Interval(-1 - base, -1 + base)),
-    ]
+    windows = [("+", Interval(1 - base, 1 + base)), ("-", Interval(-1 - base, -1 + base))]
     margin = min((rhs - reach) / 2, (base - 1) / 2)
     if margin <= 0:
         raise ConstructionError("no positive margin for the window cover")
-    cover = certify_window_cover(
-        Interval(-reach, reach), windows, margin, max_depth=64
-    )
+    cover = certify_window_cover(Interval(-reach, reach), windows, margin, max_depth=64)
     if not isinstance(cover, WindowCoverCertificate):
-        raise ConstructionError(
-            f"window subdivision failed around {cover.witness_box}"
-        )
-    return DeltaCoveringCertificate(
-        inequality_lhs=lhs,
-        inequality_rhs=rhs,
-        functional_range=Interval(-reach, reach),
-        window_cover=cover,
-    )
+        raise ConstructionError(f"window subdivision failed around {cover.witness_box}")
+    return DeltaCoveringCertificate(inequality_lhs=lhs, inequality_rhs=rhs,
+                                    functional_range=Interval(-reach, reach), window_cover=cover)
 
 
 # --- membership and realization ----------------------------------------------
@@ -375,13 +368,13 @@ def membership_certificate(sys: JetCoveringSystem, target: Jet):
     """
     if target.dim != 1 or target.order != sys.order:
         raise ShapeError(f"target must be a dim-1 jet of order {sys.order}")
-    x, r, n, big_n = reverse_jet(target).flat(), sys.coordinate_bounds(), sys.n, sys.jet_dim
+    x, n, big_n = reverse_jet(target).flat(), sys.n, sys.jet_dim
     _, _, rows, pi_den = sys.integer_rows
     den = lcm(pi_den, *(e.denominator for e in x))
     ints = [[e * (den // pi_den) for e in col] for col in zip(*rows)]
     weights = [gcd(*col) or 1 for col in ints]  # pi_i den = weights_i cols_i
     cols = [[e // g for e in col] for g, col in zip(weights, ints)]
-    big_r, scale = cleared(r)
+    big_r, scale = sys.integer_radii
     r_min = min(big_r)
     w, b = [0] * big_n, [scale * e.numerator * (den // e.denominator) for e in x]
 

@@ -712,6 +712,32 @@ def test_flatness_below_one_is_input_error(tmp_path, capsys, args, monkeypatch):
     _expect_input_error(capsys, args + ["--out", str(out)], out)
 
 
+@pytest.mark.parametrize("order", ["-1", "-7"])
+def test_jet_system_order_below_zero_names_the_flag(tmp_path, capsys, order, monkeypatch):
+    # refused by the command itself, naming --order rather than the flatness
+    # it implies, before the ladder starts; nothing is written
+    def no_ladder(*args):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr("jetcover.cli.find_flat_poly", no_ladder)
+    out = tmp_path / "out.json"
+    err = _expect_input_error(capsys, ["jet-system", "--order", order, "--out", str(out)], out)
+    assert err == f"error: --order {order} is below 0\n"
+
+
+def test_jet_system_runs_order_7_at_its_default_degree_cap(tmp_path, capsys):
+    # the degree cap defaults to FLAT_DEGREE_CAP: order 7 needs flat degree
+    # 121, and order 8 exhausts the cap and is refused
+    out = tmp_path / "o7.json"
+    assert run(["jet-system", "--order", "7", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["flat_poly"]["degree"] == 121
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "9fed766ab93d8bb3d74b4e4bf623f8cccf5f72b2973276775d8c042be2292b00")
+    out = tmp_path / "o8.json"
+    err = _expect_input_error(capsys, ["jet-system", "--order", "8", "--out", str(out)], out)
+    assert err.startswith(f"error: no degree <= {flatpoly.FLAT_DEGREE_CAP} reached 31/16")
+
+
 # sha256 of the bytes these commands write.  The flat polynomial comes out
 # of the exact flat-polynomial exchange, and the itinerary starts from the
 # witness of the exact membership exchange, so a change in either exchange's

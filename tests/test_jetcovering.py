@@ -239,6 +239,20 @@ def test_the_reach_is_computed_once_per_system(monkeypatch, jet_sys_r1):
         jet_sys_r1, res.steps) + rounding
 
 
+@pytest.mark.parametrize("fixture", ["jet_sys_r0_quadratic", "jet_sys_r1", "jet_sys_r2"])
+@pytest.mark.parametrize("base", [None, F(3, 2), F(7, 3), F(1025, 1024)])
+def test_the_integer_radii_are_the_coordinate_bounds(fixture, base, request):
+    # base^(n-i) as integers over b^n for base = a/b, from one computation;
+    # the reach reads them and equals its Fraction form
+    sys = request.getfixturevalue(fixture)
+    sys = replace(sys, box_base=base or sys.box_base)
+    radii, den = sys.integer_radii
+    assert den == sys.box_base.denominator ** sys.n
+    assert tuple(F(r, den) for r in radii) == sys.coordinate_bounds()
+    assert sys.reach == max(sum(abs(e) * r for e, r in zip(row, sys.coordinate_bounds()))
+                            for row in sys.projection)
+
+
 @functools.lru_cache(maxsize=None)
 def _flat_and_threshold(order):
     q = find_flat_poly(order + 1)

@@ -4,7 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction as F
-from math import perm
+from math import lcm, perm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -273,7 +273,7 @@ def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
     assert all(start == [x + 1 for x in last[0]]
                for (_, start, _), (_, _, last) in zip(exchanges[1:], exchanges))
     cold_history = []
-    for (n, optimum), (_, _, (nodes, scaled, _, m)) in zip(res.history, exchanges):
+    for (n, optimum), (_, _, (nodes, scaled, _, _, m)) in zip(res.history, exchanges):
         problem = flat_lp_problem(big_n, n)
         cold_history.append((n, reference_lp_solve(problem).optimum))
         sol = _exchange_solution(big_n, n, nodes, scaled, m)
@@ -291,12 +291,78 @@ def _reference_flat_lp(big_n, n):
     return reference_lp_solve(flat_lp_problem(big_n, n))
 
 
+def _lagrange_values(nodes, n):
+    """p(0), ..., p(n - 1), lazily, in Fractions, for the basis on `nodes`:
+    p = sum_k sigma_k l_k, with the Lagrange basis l_k(x) = w_k
+    prod_{m != k} (x - x_m), w_k = 1 / prod_{m != k} (x_k - x_m), and sigma_k
+    the sign of a_{x_k} = -l_k(n); the sum runs over the lcm of the w_k's
+    denominators."""
+    w = [F(1, prod(x - y for y in nodes if y != x)) for x in nodes]
+    den = lcm(*(wk.denominator for wk in w))
+    sigma = [-1 if wk * prod(n - y for y in nodes if y != x) > 0 else 1 for wk, x in zip(w, nodes)]
+    c = [s * wk.numerator * (den // wk.denominator) for s, wk in zip(sigma, w)]
+    return (F(sum(ck * prod(j - y for y in nodes if y != x) for ck, x in zip(c, nodes)), den)
+            for j in range(n))
+
+
 @functools.lru_cache(maxsize=None)
 def _least_optimal_nodes(big_n, n):
     """The first N-subset of [0, n) in `itertools.combinations` order whose
     basis has |p(j)| <= 1 on all of [0, n)."""
     return next(list(nodes) for nodes in itertools.combinations(range(n), big_n)
-                if flatpoly._basis(list(nodes), n)[4] is None)
+                if all(abs(v) <= 1 for v in _lagrange_values(nodes, n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_bases():
+    """The optimal basis at each search degree of `find_flat_poly(N)`, N = 1..7."""
+    bases = []
+    for big_n in range(1, 8):
+        n = find_flat_poly(big_n, n_max=flatpoly.FLAT_DEGREE_CAP).search_degree
+        bases.append((tuple(flatpoly._exchange(n, list(range(big_n)))[0]), n))
+    return bases
+
+
+@st.composite
+def flat_bases(draw):
+    """(nodes, n): N <= 8 sorted nodes in [0, n), n <= 128.  Random nodes
+    mostly fail a seed; nodes led by 0..k-1 hold their seeds at the nodes;
+    the ladder's optimal bases, and those shifted by one, hold every seed."""
+    kind = draw(st.sampled_from(["random", "led", "ladder"]))
+    if kind == "ladder":
+        nodes, n = draw(st.sampled_from(_ladder_bases()))
+        return (nodes, n) if draw(st.booleans()) else (tuple(x + 1 for x in nodes), n + 1)
+    big_n = draw(st.integers(1, 8))
+    n = draw(st.integers(big_n, 128))
+    lead = draw(st.integers(0, big_n)) if kind == "led" else 0
+    rest = draw(st.sets(st.integers(lead, max(lead, n - 1)),  # empty if lead = N = n
+                        min_size=big_n - lead, max_size=big_n - lead))
+    return tuple(range(lead)) + tuple(sorted(rest)), n
+
+
+@settings(deadline=None, max_examples=200)
+@given(flat_bases())
+@example(((0, 6, 22, 44, 66, 82, 88), 89))  # find_flat_poly(7)'s optimal basis
+@example(((0, 1, 2, 3), 4))  # every j < n is a node
+def test_the_basis_values_are_the_lagrange_values(basis):
+    nodes, n = basis
+    big_n = len(nodes)
+    m, scaled, _, diffs, values, over = flatpoly._basis(list(nodes), n)
+    ref = list(_lagrange_values(nodes, n))
+    lowest = next((j for j, v in enumerate(ref) if abs(v) > 1), None)
+    at_seed = lowest is not None and lowest < big_n
+    assert over == lowest
+    assert [F(a, m) for a in scaled] == [-F(prod(n - y for y in nodes if y != x),
+                                            prod(x - y for y in nodes if y != x)) for x in nodes]
+    # the list stops at the first seed that fails, else it runs to n - 1;
+    # each listed value is M p(j)
+    assert len(values) == (lowest + 1 if at_seed else n)
+    assert values == [m * v for v in ref[:len(values)]]
+    want, row = [], ref[:big_n]
+    while row:
+        want.append(m * row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    assert diffs == (None if at_seed else want)
 
 
 @st.composite
@@ -316,7 +382,7 @@ def flat_starts(draw):
 @example((4, 23, [0, 6, 17, 22]))
 def test_exchange_from_any_start_reaches_the_lp_optimum(start):
     big_n, n, nodes = start
-    nodes, scaled, _, m = flatpoly._exchange(n, nodes)
+    nodes, scaled, _, _, m = flatpoly._exchange(n, nodes)
     # from any start, the least optimal basis among those that tie
     assert nodes == _least_optimal_nodes(big_n, n)
     optimum = F(sum(map(abs, scaled)), m)
@@ -355,7 +421,7 @@ def test_the_tied_degree_returns_the_cold_exchange_vertex(tmp_path):
     problem = flat_lp_problem(5, 11)
     lp = _reference_flat_lp(5, 11)
     res = minimal_flat_poly(5, 11)
-    nodes, scaled, _, m = flatpoly._exchange(11, list(range(5)))
+    nodes, scaled, _, _, m = flatpoly._exchange(11, list(range(5)))
     assert nodes == [0, 1, 5, 8, 10] == [j for j, c in enumerate(res.coeffs[:-1]) if c]
     assert [j for j in range(11) if lp.primal[j] or lp.primal[11 + j]] == [0, 1, 5, 9, 10]
     assert res.optimum == F(sum(map(abs, scaled)), m) == lp.optimum == F(13, 2)
@@ -379,7 +445,7 @@ def _basis_certificate(big_n, n, nodes):
     """The certificate of the degree-n basis on `nodes`: its assembled
     primal, and the y with sum_i y_i perm(x_k, i) = sign a_{x_k}, solved at
     the nodes apart from the exchange."""
-    m, scaled, _, _, _ = flatpoly._basis(list(nodes), n)
+    m, scaled, *_ = flatpoly._basis(list(nodes), n)
     sol = _exchange_solution(big_n, n, nodes, scaled, m)
     return flatpoly._assemble(list(nodes), scaled, m, n), *cleared(sol.dual), sol.optimum
 
@@ -406,8 +472,7 @@ def test_the_degree_certificate_rejects_one_violated_dual_bound(big_n, n):
     # exactly one j < n: only the dual bound can reject it
     found = 0
     for nodes in itertools.combinations(range(n), big_n):
-        m, _, _, dual, _ = flatpoly._basis(list(nodes), n)
-        over = [j for j in range(n) if abs(dual(j)) > m]
+        over = [j for j, v in enumerate(_lagrange_values(nodes, n)) if abs(v) > 1]
         if len(over) == 1:
             found += 1
             coeffs, y, d, optimum = _basis_certificate(big_n, n, nodes)
@@ -486,3 +551,34 @@ def test_the_degree_certificate_runs_none_of_the_exchange(big_n, monkeypatch):
     monkeypatch.setattr(flatpoly, "_exchange", producer)
     for args in certificates:
         certify(*args)
+
+
+@st.composite
+def falling_factorial_duals(draw):
+    """(N, y, n, d): a dual y of at most N integers, a degree n and a d
+    near the size of the values sum_i y_i perm(j, i), j < n."""
+    big_n = draw(st.integers(1, 8))
+    y = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=big_n))
+    n = draw(st.integers(1, 60))
+    top = max(abs(_dp(y, j)) for j in range(n))
+    return big_n, y, n, draw(st.integers(1, top + 1))
+
+
+@settings(deadline=None, max_examples=100)
+@given(falling_factorial_duals())
+@example((1, [0], 1, 1))
+@example((8, [1, -1, 1, -1, 1, -1, 1, -1], 40, 10 ** 9))
+def test_the_degree_certificate_values_are_the_falling_factorial_sums(dual):
+    # at each degree k <= n, Q = |dp_k| + d x over M = d, with dp_k = sum_i
+    # y_i perm(k, i) made <= 0 by the sign of y, claims L1 optimum -dp_k / d:
+    # the check of -p(k) passes exactly when the check's d p(k) is dp_k, and
+    # the dual bound names the lowest j < k with |dp_j| > d
+    big_n, y, n, d = dual
+    for k in range(1, n + 1):
+        s = -1 if _dp(y, k) > 0 else 1
+        dp_k = abs(_dp(y, k))
+        lowest = next((j for j in range(k) if abs(_dp(y, j)) > d), None)
+        failed = ["moment rows"] + ([f"|p({lowest})| <= 1"] if lowest is not None else [])
+        with pytest.raises(ConstructionError) as caught:
+            flatpoly.certify_degree(big_n, k, [dp_k, d], [s * c for c in y], d, F(dp_k, d))
+        assert str(caught.value) == f"degree {k} fails its certificate: {'; '.join(failed)}"
