@@ -10,19 +10,19 @@ covering valid.
 Certification is semi-decidable by subdivision: success is a proof,
 failure (depth exhausted) is inconclusive and reports the offending
 sub-box.  Certifier and checker both work on the target's dyadic grid,
-each with its own code.  Box and window covers share one subdivision
-driver, `_DyadicGrid`: it visits cells as integer index vectors and
-decides each by integer dot products against integer rows, put over one
-denominator per candidate and shifted per depth, so no visited piece
-costs a `Fraction` operation; the certifier inverts each branch map at
-most once, when its symbol is first tried, and stops with
-ResourceLimitError past `COVER_LEAF_CAP` leaves.  The checker maps each
-leaf to its cell, accepts exactly the leaf sets of the target's midpoint
-bisection tree (longest axis, lowest index on ties), in any order, by
-replaying that tree on int tuples a depth at a time (one split axis per
-depth), and tests each cell against integer rows made once per witness
-and shifted per exponent vector; it inverts each witness map once and is
-linear in the leaf count.  The JSON wire format lives in `serialize`.
+each with its own code.  The certifier's subdivision driver,
+`_DyadicGrid`, visits cells as integer index vectors and decides each by
+integer dot products against integer rows, put over one denominator per
+candidate and shifted per depth, so no visited piece costs a `Fraction`
+operation; the certifier inverts each branch map at most once, when its
+symbol is first tried, and stops with ResourceLimitError past
+`COVER_LEAF_CAP` leaves.  The checker maps each leaf to its cell,
+accepts exactly the leaf sets of the target's midpoint bisection tree
+(longest axis, lowest index on ties), in any order, by replaying that
+tree on int tuples a depth at a time (one split axis per depth), and
+tests each cell against integer rows made once per witness and shifted
+per exponent vector; it inverts each witness map once and is linear in
+the leaf count.  The JSON wire format lives in `serialize`.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ Row = Tuple[Tuple[Tuple[int, Fraction], ...], Tuple[Fraction, Fraction]]
 
 
 class _DyadicGrid:
-    """The one subdivision driver: depth-first bisection of a root box on
-    its dyadic grid, with a first-fit witness test among candidates.
+    """The subdivision driver of `certify_covering`: depth-first bisection
+    of a root box on its dyadic grid, with a first-fit witness test among
+    candidates.
 
     Every piece at depth d was split along the same axes, so it is the cell
     ``[L_c + k_c s_c, L_c + (k_c + 1) s_c]`` on axis c, with the root's
@@ -408,46 +409,3 @@ def check_certificate(cert: Certificate) -> bool:
             return False
     return True
 
-
-# --- one-dimensional window covers -----------------------------------------
-#
-# Same subdivision driver, but the witness test is direct containment of
-# the leaf in one of finitely many windows (shrunk by the margin): one
-# identity row per window.  Used to certify shift-map coverings in
-# pulled-back coordinates, where the "branches" are ranges of an affine
-# functional rather than inverse maps of a contraction.
-
-
-@dataclass(frozen=True)
-class WindowCoverCertificate:
-    target: Interval
-    windows: Tuple[Tuple[str, Interval], ...]
-    margin: Fraction
-    leaves: Tuple[Tuple[Interval, str], ...]
-
-
-def certify_window_cover(
-    target: Interval,
-    windows: Sequence[Tuple[str, Interval]],
-    margin: Fraction,
-    max_depth: int = 40,
-) -> Union[WindowCoverCertificate, CoveringFailure]:
-    if max_depth < 0:
-        raise DegenerateInputError("max_depth must be non-negative")
-    if margin <= 0:
-        raise DegenerateInputError("margin must be positive")
-    shrunk = [win.shrink(margin) for _, win in windows]
-
-    def window_rows(i: int):
-        return ((((0, Fraction(1)),), (shrunk[i].lo, shrunk[i].hi)),)
-
-    grid = _DyadicGrid(Box([target]), [label for label, _ in windows], window_rows)
-    leaves, stuck = grid.subdivide(max_depth)
-    if stuck is not None:
-        return CoveringFailure(witness_box=stuck, max_depth=max_depth)
-    return WindowCoverCertificate(
-        target=target,
-        windows=tuple(windows),
-        margin=margin,
-        leaves=tuple((box[0], label) for box, label in leaves),
-    )

@@ -36,7 +36,6 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .boxes import Box, Interval
-from .covering import WindowCoverCertificate, certify_window_cover
 from .errors import (
     ConstructionError,
     DegenerateInputError,
@@ -284,33 +283,40 @@ class DeltaCoveringCertificate:
     analytic: the exact scalar inequality base^n * l1_tail < base + 1 with
     base > 1 (each point of the closed box then admits a branch whose new
     leading coordinate stays strictly inside).
-    subdivision: a window cover of the exact range of the branch
-    functional s(u) = sum b_j u_j by the two admissible windows
-    (d - base, d + base).
+    window cover: the exact range [-R, R], R = sum_{j<n} |b_j| base^(n-j),
+    of the branch functional s(u) = sum b_j u_j is split into the leaves
+    [-R, 0] and [0, R], each checked to lie in its window (d - base, d +
+    base), d = -1 and +1, shrunk by m = min((base + 1 - R)/2, (base - 1)/2).
+    A first-fit bisection of [-R, R] ends on these two leaves: P has the
+    root 1/lam > 1, so Cauchy's bound gives l1_tail >= 1/lam > 1, and R >=
+    base * l1_tail > base, so [-R, R] fits neither window whole.
     """
 
     inequality_lhs: Fraction
     inequality_rhs: Fraction
     functional_range: Interval
-    window_cover: WindowCoverCertificate
+    window_leaves: Tuple[Tuple[Interval, str], ...]
+    margin: Fraction
 
 
 def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
-    base, (beta, big_b) = sys.box_base, cleared(sys.p_coeffs)
+    base, (beta, big_b, _, _) = sys.box_base, sys.integer_rows
     holds, lhs, rhs = box_inequality(base, sys.n, Fraction(sum(map(abs, beta[:-1])), big_b))
     if not (base > 1 and holds):
         raise ConstructionError(f"analytic covering proof fails: base {base}, {lhs} !< {rhs}")
     radii, scale = sys.integer_radii
     reach = Fraction(sum(map(mul, map(abs, beta), radii)), big_b * scale)  # sum_{j<n} |b_j| r_j
-    windows = [("+", Interval(1 - base, 1 + base)), ("-", Interval(-1 - base, -1 + base))]
     margin = min((rhs - reach) / 2, (base - 1) / 2)
     if margin <= 0:
         raise ConstructionError("no positive margin for the window cover")
-    cover = certify_window_cover(Interval(-reach, reach), windows, margin, max_depth=64)
-    if not isinstance(cover, WindowCoverCertificate):
-        raise ConstructionError(f"window subdivision failed around {cover.witness_box}")
+    zero, leaves = Fraction(0), []
+    for lo, hi, d, label in ((-reach, zero, -1, "-"), (zero, reach, 1, "+")):
+        if not d - base + margin <= lo <= hi <= d + base - margin:
+            raise ConstructionError(f"the window leaf {Interval(lo, hi)} leaves the {label} window")
+        leaves.append((Interval(lo, hi), label))
     return DeltaCoveringCertificate(inequality_lhs=lhs, inequality_rhs=rhs,
-                                    functional_range=Interval(-reach, reach), window_cover=cover)
+                                    functional_range=Interval(-reach, reach),
+                                    window_leaves=tuple(leaves), margin=margin)
 
 
 # --- membership and realization ----------------------------------------------
@@ -324,7 +330,7 @@ class MembershipResult:
 
 
 _MAX_EXCHANGES = 100_000
-DEFAULT_MAX_STEPS = 50_000  # default cap on the realizer's step count k
+DEFAULT_MAX_STEPS = 100_000  # default cap on the realizer's step count k
 
 
 def _inverse(rows: List[List[int]]) -> Tuple[List[List[int]], int]:

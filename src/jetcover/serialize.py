@@ -265,9 +265,9 @@ def jet_system_payload(
             "functional_range": interval_to_list(delta_cover.functional_range),
             "window_leaves": [
                 [interval_to_list(iv), label]
-                for iv, label in delta_cover.window_cover.leaves
+                for iv, label in delta_cover.window_leaves
             ],
-            "margin": rat_str(delta_cover.window_cover.margin),
+            "margin": rat_str(delta_cover.margin),
         }
     return payload
 

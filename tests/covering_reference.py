@@ -12,10 +12,11 @@ cut off the midpoints.
 It also keeps the doubling loop that `Certificate.depth_used` ran before
 its closed form, as that property's oracle, and makes the planar
 certificates the covering tests share.  It keeps the `Fraction`
-subdivision driver that `certify_covering` and `certify_window_cover`
-ran before the dyadic integer grid, with the midpoint bisection that was
-`Box.bisect`, as the oracle of both certifiers; it shares no code with
-the grid driver.
+subdivision driver that `certify_covering` and the 1-d window cover ran
+before the dyadic integer grid, with the midpoint bisection that was
+`Box.bisect`: it is the oracle of `certify_covering` and of the two
+window leaves `certify_delta_covering` states in closed form, and it
+shares no code with the grid driver.
 
 Last, it keeps the `Fraction` checker that `check_certificate` was before
 it decided on integer cell coordinates (the bisection replay on endpoint
@@ -36,7 +37,6 @@ from jetcover.covering import (
     DEFAULT_MAX_DEPTH,
     Certificate,
     CoveringFailure,
-    WindowCoverCertificate,
     certify_covering,
 )
 from jetcover.errors import (
@@ -237,9 +237,10 @@ def reference_certify_window_cover(
     windows: Sequence[Tuple[str, Interval]],
     margin: Fraction,
     max_depth: int = 40,
-) -> Union[WindowCoverCertificate, CoveringFailure]:
+) -> Union[Tuple[Tuple[Interval, str], ...], CoveringFailure]:
     """`certify_window_cover` as it was on the `Fraction` driver, copied
-    unchanged apart from its name."""
+    unchanged apart from its name and its return value: the leaves, as
+    (interval, label) pairs in visit order, in place of a certificate."""
     if max_depth < 0:
         raise DegenerateInputError("max_depth must be non-negative")
     if margin <= 0:
@@ -252,9 +253,7 @@ def reference_certify_window_cover(
     leaves, stuck = _subdivide(target, witness, max_depth)
     if stuck is not None:
         return CoveringFailure(witness_box=Box([stuck]), max_depth=max_depth)
-    return WindowCoverCertificate(
-        target=target, windows=tuple(windows), margin=margin, leaves=leaves
-    )
+    return leaves
 
 
 # --- the Fraction checker ---------------------------------------------------

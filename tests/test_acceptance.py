@@ -175,7 +175,7 @@ def test_criterion_6_full_pipeline():
         cover = certify_delta_covering(system)
         ok = ok and cover.inequality_lhs < cover.inequality_rhs
         covered = sum(
-            (iv.width for iv, _ in cover.window_cover.leaves), F(0)
+            (iv.width for iv, _ in cover.window_leaves), F(0)
         )
         ok = ok and covered == cover.functional_range.width
     report(6, "jet covering pipeline for orders 1 and 2", ok)

@@ -228,7 +228,7 @@ def test_a_tol_beyond_the_default_step_cap_exits_before_membership(tmp_path, mon
 
 
 def test_the_step_and_degree_caps_default_to_orders_4_to_6(tmp_path, monkeypatch):
-    # order 6 needs flat degree 89 and order 5 needs 25,625 steps at tol 1e-4
+    # order 6 needs flat degree 89, and order 7 needs 56,949 steps at tol 1e-4
     caps = []
 
     class Stop(Exception):
@@ -241,7 +241,7 @@ def test_the_step_and_degree_caps_default_to_orders_4_to_6(tmp_path, monkeypatch
     monkeypatch.setattr("jetcover.cli.realize_jet", stop)
     with pytest.raises(Stop):
         run(realize_args(tmp_path) + ["--out", str(tmp_path / "r.json")])
-    assert caps == [50_000]
+    assert caps == [100_000]
     out = tmp_path / "o6.json"
     assert run(["jet-system", "--order", "6", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["flat_poly"]["degree"] == 89 < flatpoly.FLAT_DEGREE_CAP
@@ -568,6 +568,21 @@ def realize_args(tmp_path, box_base=None):
         sys_path.write_text(json.dumps({**json.loads(sys_path.read_text()), "box_base": box_base}))
     target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
     return ["realize", "--system", str(sys_path), "--target", str(target)]
+
+
+@pytest.mark.parametrize("field", ["delta_covering", "flat_poly", "lambda_threshold",
+                                   "order", "built", "semiconjugacy_exact"])
+def test_informational_system_fields_are_not_read(tmp_path, field):
+    # realize rebuilds the system from jet_dim, lam, p_coeffs and box_base
+    # and matches the stated matrices and box; these fields it never reads
+    args = realize_args(tmp_path)
+    assert run(args + ["--out", str(tmp_path / "full.json")]) == 0
+    sys_path = tmp_path / "sys.json"
+    payload = json.loads(sys_path.read_text())
+    del payload[field]
+    sys_path.write_text(json.dumps(payload))
+    assert run(args + ["--out", str(tmp_path / "cut.json")]) == 0
+    assert (tmp_path / "cut.json").read_bytes() == (tmp_path / "full.json").read_bytes()
 
 
 DIGIT_LIMIT_INPUTS = {

@@ -19,16 +19,13 @@ from covering_reference import (
     planar_certificate,
     planar_system,
     reference_certify_covering,
-    reference_certify_window_cover,
 )
 from jetcover import covering, linalg
 from jetcover.boxes import Box, Interval
 from jetcover.covering import (
     Certificate,
     CoveringFailure,
-    WindowCoverCertificate,
     certify_covering,
-    certify_window_cover,
     check_certificate,
     inverse_image_box,
 )
@@ -195,41 +192,9 @@ def test_soundness_against_dense_grid(sys34):
         x += step
 
 
-def test_window_cover_basic():
-    target = Interval.of(-2, 2)
-    windows = [("L", Interval.of(-3, F(1, 2))), ("R", Interval.of(F(-1, 2), 3))]
-    cert = certify_window_cover(target, windows, F(1, 8))
-    assert isinstance(cert, WindowCoverCertificate)
-    # depth-first, lower bisection half first
-    assert cert.leaves == (
-        (Interval.of(-2, 0), "L"),
-        (Interval.of(0, 2), "R"),
-    )
-    shrunk = {lab: win.shrink(F(1, 8)) for lab, win in windows}
-    total = F(0)
-    for leaf, label in cert.leaves:
-        assert shrunk[label].contains_interval(leaf)
-        total += leaf.width
-    assert total == target.width
-
-
-def test_window_cover_failure():
-    target = Interval.of(-2, 2)
-    windows = [("L", Interval.of(-3, -1)), ("R", Interval.of(1, 3))]
-    out = certify_window_cover(target, windows, F(1, 8), max_depth=10)
-    assert isinstance(out, CoveringFailure)
-    assert isinstance(out.witness_box, Box) and out.witness_box.dim == 1
-    assert out.witness_box[0].width == F(4) / 2 ** 10
-    assert out.max_depth == 10
-
-
 def test_negative_depth_is_an_input_error(sys34):
     with pytest.raises(DegenerateInputError, match="max_depth"):
         certify_covering(sys34, box1(-2, 2), F(1, 100), -1)
-    with pytest.raises(DegenerateInputError, match="max_depth"):
-        certify_window_cover(
-            Interval.of(-2, 2), [("L", Interval.of(-3, 3))], F(1, 8), max_depth=-1
-        )
     # depth 0 tries the target alone
     assert certify_covering(sys34, box1(-2, 2), F(1, 100), 0) == CoveringFailure(
         witness_box=box1(-2, 2), max_depth=0
@@ -442,8 +407,7 @@ def covering_inputs(draw):
 def endpoints(outcome):
     if isinstance(outcome, CoveringFailure):
         return [e for iv in outcome.witness_box for e in (iv.lo, iv.hi)]
-    boxes = [leaf if isinstance(leaf, Box) else Box([leaf]) for leaf, _ in outcome.leaves]
-    return [e for box in boxes for iv in box for e in (iv.lo, iv.hi)]
+    return [e for box, _ in outcome.leaves for iv in box for e in (iv.lo, iv.hi)]
 
 
 def outcome_of(certify, args):
@@ -524,48 +488,12 @@ def test_certifier_inverts_a_map_only_when_its_symbol_is_tried(monkeypatch, sys3
         certify_covering(system, box1(-2, 2), F(1, 100))
 
 
-@st.composite
-def window_cover_inputs(draw):
-    """A target on a small grid and windows whose shrunk edges land on a
-    cell boundary of depth at most 5, or a sliver off it; labels repeat
-    now and then, and a window too thin for the margin is an input error."""
-    lo = F(draw(st.integers(-8, 0)), 4)
-    width = F(draw(st.integers(1, 16)), draw(st.sampled_from([1, 3, 4])))
-    margin = F(1, draw(st.sampled_from([8, 16, 100])))
-    windows = []
-    for label in draw(st.lists(st.sampled_from("LR"), min_size=1, max_size=3)):
-        a, b = sorted(draw(st.integers(-4, 36)) for _ in range(2))
-        sliver = draw(st.sampled_from([F(0), F(0), F(1, 1000), F(-1, 1000)]))
-        w_lo = lo + width * F(a, 32) - margin + sliver
-        w_hi = lo + width * F(b, 32) + margin - sliver
-        windows.append((label, Interval(w_lo, max(w_lo, w_hi))))
-    return Interval(lo, lo + width), windows, margin, draw(st.integers(0, 8))
-
-
-@settings(deadline=None, max_examples=200)
-@given(window_cover_inputs())
-# the shrunk windows [-5/2, 0] and [0, 5/2] meet the halves of [-2, 2] edge to edge
-@example((Interval.of(-2, 2), [("L", Interval.of(-3, F(1, 2))),
-                               ("R", Interval.of(F(-1, 2), 3))], F(1, 2), 3))
-def test_window_cover_decides_like_the_fraction_driver(args):
-    # same leaves and labels in the same order, the same failure box, or
-    # the same error; and every endpoint an exact rational
-    outcome = outcome_of(certify_window_cover, args)
-    assert outcome == outcome_of(reference_certify_window_cover, args)
-    if not isinstance(outcome, tuple):
-        assert all(type(e) is F for e in endpoints(outcome))
-
-
 def test_leaf_budget_is_known_up_front(monkeypatch, sys34):
-    windows = [("L", Interval.of(-3, F(1, 2))), ("R", Interval.of(F(-1, 2), 3))]
     monkeypatch.setattr(covering, "COVER_LEAF_CAP", 2)
     assert len(certify_covering(sys34, box1(-2, 2), F(1, 100)).leaves) == 2
-    assert len(certify_window_cover(Interval.of(-2, 2), windows, F(1, 8)).leaves) == 2
     monkeypatch.setattr(covering, "COVER_LEAF_CAP", 1)
     with pytest.raises(ResourceLimitError, match="more than 1 leaves"):
         certify_covering(sys34, box1(-2, 2), F(1, 100))
-    with pytest.raises(ResourceLimitError, match="more than 1 leaves"):
-        certify_window_cover(Interval.of(-2, 2), windows, F(1, 8))
     # the 559-leaf certificate stops at its 11th leaf, near the start
     monkeypatch.setattr(covering, "COVER_LEAF_CAP", 10)
     tested = count_calls(monkeypatch, covering._DyadicGrid, "witness")

@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetcover import linalg, serialize
+from jetcover.boxes import Interval
 from jetcover.errors import (
     ConstructionError,
     DegenerateInputError,
     NotCoveredError,
     ResourceLimitError,
 )
+from covering_reference import reference_certify_window_cover  # local helper module
 from flatpoly_reference import divisible_by_power, reference_projection  # local helper module
 from jetcovering_helpers import (  # local helper module
     generic_residuals,
@@ -30,6 +32,7 @@ from jetcover.jetcovering import (
     PRECISION_FLOOR,
     JetCoveringSystem,
     auto_lambda,
+    box_inequality,
     branch_matrix,
     build_system,
     certify_delta_covering,
@@ -403,7 +406,8 @@ def test_delta_covering_explicit_base(jet_sys_r0):
     assert cert.functional_range.lo == F(-8, 3)
     assert cert.functional_range.hi == F(8, 3)
     assert cert.inequality_lhs == F(8, 3) < cert.inequality_rhs == 3
-    assert len(cert.window_cover.leaves) >= 2
+    assert cert.window_leaves == ((Interval.of(F(-8, 3), 0), "-"), (Interval.of(0, F(8, 3)), "+"))
+    assert cert.margin == F(1, 6)
 
 
 def test_delta_covering_tampered_base(jet_sys_r0):
@@ -416,8 +420,29 @@ def test_delta_covering_all_systems(jet_sys_r1, jet_sys_r2):
     for sys in (jet_sys_r1, jet_sys_r2):
         cert = certify_delta_covering(sys)
         assert cert.inequality_lhs < cert.inequality_rhs
-        covered = sum((iv.width for iv, _ in cert.window_cover.leaves), F(0))
+        covered = sum((iv.width for iv, _ in cert.window_leaves), F(0))
         assert covered == cert.functional_range.width
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 4), st.data())
+def test_delta_window_leaves_are_the_subdivision_drivers(order, data):
+    # lam on the 2^-10 grid above its threshold and a stated base that keeps
+    # the box inequality; the closed-form leaves and margin are what the
+    # Fraction driver finds for [-R, R], R and m formed here from b and base
+    q, threshold = _flat_and_threshold(order)
+    lam = F(data.draw(st.integers(math.floor(threshold * 1024) + 1, 1023)), 1024)
+    p = scale_to_p(q, lam)
+    bases = [b for b in (F(2), F(3, 2), 1 + F(1, 1024)) if box_inequality(b, len(p) - 1, l1_tail(p))[0]]
+    sys = build_system(order + 1, lam, p, box_base=data.draw(st.sampled_from([None, *bases])))
+    base, n = sys.box_base, sys.n
+    reach = sum(abs(b) * base ** (n - j) for j, b in enumerate(p[:-1]))
+    margin = min((base + 1 - reach) / 2, (base - 1) / 2)
+    windows = [("+", Interval(1 - base, 1 + base)), ("-", Interval(-1 - base, -1 + base))]
+    cert = certify_delta_covering(sys)
+    assert cert.functional_range == Interval(-reach, reach) and cert.margin == margin
+    assert cert.window_leaves == reference_certify_window_cover(
+        Interval(-reach, reach), windows, margin, 64)
 
 
 def test_membership_zero_jet(jet_sys_r0):
