@@ -254,8 +254,9 @@ def render_unstable_union(
     floor((2 - y) * height / 4), rows outside the viewport are clipped.
     Byte-identical output for identical inputs.
     """
-    from .serialize import encode_ppm  # serialize imports this module
+    from .serialize import check_raster, encode_ppm  # serialize imports this module
 
+    check_raster(width, height)  # before the 2^depth heights
     hit = {
         min(int((2 - y) * height // 4), height - 1)  # Fraction floor-div is exact
         for y, _ in unstable_heights(sys, a, depth)

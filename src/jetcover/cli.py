@@ -64,13 +64,22 @@ EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 
 
-def _load_json(path: str):
-    """The file's JSON document; text that is none is a CertificateFormatError."""
+def _read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are a CertificateFormatError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or levels
-            raise CertificateFormatError(f"{path} is not a JSON document: {exc}") from exc
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise CertificateFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _load_json(path: str):
+    """The file's JSON document; text that is none is a CertificateFormatError."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits or levels
+        raise CertificateFormatError(f"{path} is not a JSON document: {exc}") from exc
 
 
 def _joined(tokens: Sequence[str], flags: Sequence[str]) -> list:
@@ -106,12 +115,12 @@ def _scatter_ppm(points, width: int, height: int, radius: Fraction) -> bytes:
 
 def cmd_limit_set(args) -> int:
     sys_ = standard_pair(rat(args.lam))
+    if args.ppm:  # a rejected raster size costs no cloud and leaves no file
+        serialize.check_raster(args.width, args.height)
     cloud = limit_set_cloud(sys_, args.depth)
-    # encode the raster first: a rejected size must leave no file behind
-    img = _scatter_ppm(cloud, args.width, args.height, sys_.radius) if args.ppm else None
     serialize.write_atomic(args.out, serialize.cloud_to_csv(cloud))
-    if img is not None:
-        serialize.write_atomic(args.ppm, img)
+    if args.ppm:
+        serialize.write_atomic(args.ppm, _scatter_ppm(cloud, args.width, args.height, sys_.radius))
     return EXIT_OK
 
 
@@ -221,10 +230,8 @@ def cmd_blender_cover(args) -> int:
 
 
 def cmd_nearly_affine(args) -> int:
-    with open(args.table_plus, "r", encoding="utf-8") as handle:
-        plus = serialize.branch_table_from_csv(handle.read())
-    with open(args.table_minus, "r", encoding="utf-8") as handle:
-        minus = serialize.branch_table_from_csv(handle.read())
+    plus = serialize.branch_table_from_csv(_read_text(args.table_plus))
+    minus = serialize.branch_table_from_csv(_read_text(args.table_minus))
     report = blender.nearly_affine_check(
         rat(args.lam), plus, minus, rat(args.grid_step)
     )

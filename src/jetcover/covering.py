@@ -10,13 +10,10 @@ covering valid.
 Certification is semi-decidable by subdivision: success is a proof,
 failure (depth exhausted) is inconclusive and reports the offending
 sub-box.  Certifier and checker both work on the target's dyadic grid,
-each with its own code.  The certifier's subdivision driver,
-`_DyadicGrid`, visits cells as integer index vectors and decides each by
-integer dot products against integer rows, put over one denominator per
-candidate and shifted per depth, so no visited piece costs a `Fraction`
-operation; the certifier inverts each branch map at most once, when its
-symbol is first tried, and stops with ResourceLimitError past
-`COVER_LEAF_CAP` leaves.  The checker maps each leaf to its cell,
+each with its own code.  `certify_covering` bisects depth-first on
+integer cell indices, tests each cell in integers alone, inverts each
+branch map at most once and refuses more than `COVER_LEAF_CAP` leaves or
+`COVER_DEPTH_CAP` depth.  The checker maps each leaf to its cell,
 accepts exactly the leaf sets of the target's midpoint bisection tree
 (longest axis, lowest index on ties), in any order, by replaying that
 tree on int tuples a depth at a time (one split axis per depth), and
@@ -27,10 +24,11 @@ the leaf count.  The JSON wire format lives in `serialize`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from . import linalg
 from .boxes import Box, Interval
@@ -45,133 +43,9 @@ from .ifs import COVER_LEAF_CAP, AffineMap, IFSystem
 from .rational import cleared, rat
 
 DEFAULT_MAX_DEPTH = 24
-
-# a linear form as its nonzero entries (axis, coefficient), with the
-# window (lo, hi) its enclosure over a piece must lie in
-Row = Tuple[Tuple[Tuple[int, Fraction], ...], Tuple[Fraction, Fraction]]
-
-
-class _DyadicGrid:
-    """The subdivision driver of `certify_covering`: depth-first bisection
-    of a root box on its dyadic grid, with a first-fit witness test among
-    candidates.
-
-    Every piece at depth d was split along the same axes, so it is the cell
-    ``[L_c + k_c s_c, L_c + (k_c + 1) s_c]`` on axis c, with the root's
-    lower corner ``L_c = O_c / R_c``, the index vector k and the step
-    ``s_c = W_c / 2^e_c``, ``W_c = N_c / R_c``, where the exponents e depend
-    on d alone: its endpoints are ``(O_c 2^e_c + k_c N_c) / (R_c 2^e_c)``.
-    Bisection splits the longest axis (lowest index on ties) of depth d,
-    computed once per depth: ``k_c -> 2 k_c, 2 k_c + 1``.
-
-    Over a cell, a row a has the exact enclosure ``a.L + sum_c a_c s_c k_c
-    + [sum_{a_c<0} a_c s_c, sum_{a_c>0} a_c s_c]``.  Over the common
-    denominator q of the ``a_c W_c`` and of its window less ``a.L``, a row
-    is the integers ``A_c``, ``Lo`` and ``Hi``, made the first time its
-    candidate is tried.  Scaled by ``q 2^E``, ``E = max_c e_c``, the
-    enclosure lies in the window iff ``lo_min <= sum_c alpha_c k_c <=
-    hi_max`` for ``alpha_c = A_c 2^(E - e_c)``, ``lo_min = Lo 2^E -
-    sum_{alpha_c<0} alpha_c`` and ``hi_max = Hi 2^E - sum_{alpha_c>0}
-    alpha_c``: in exact arithmetic the endpoint test on the cell's box,
-    made per (candidate, depth) by shifts alone.
-    """
-
-    def __init__(self, root: Box, labels: Sequence[str], rows_of: Callable[[int], Sequence[Row]]):
-        self.origin = tuple(Fraction(iv.lo) for iv in root.intervals)
-        self.widths = tuple(Fraction(iv.width) for iv in root.intervals)
-        self.axes = tuple(map(cleared, zip(self.origin, self.widths)))  # ([O_c, N_c], R_c)
-        self.labels = tuple(labels)
-        self.rows_of = rows_of
-        self.rows = {}  # candidate index -> its integer rows (A, Lo, Hi)
-        # per depth: exponents, split axis, shifted rows per candidate
-        self.levels = []
-        self.cells = {}  # (axis, exponent, index) -> Interval
-
-    def level(self, depth: int):
-        levels = self.levels
-        while len(levels) <= depth:
-            if levels:
-                exps, ax, _ = levels[-1]
-                exps = exps[:ax] + (exps[ax] + 1,) + exps[ax + 1:]
-            else:
-                exps = (0,) * len(self.widths)
-            steps = [w / (1 << e) for w, e in zip(self.widths, exps)]
-            ax = steps.index(max(steps))  # lowest index on ties
-            levels.append((exps, ax, [None] * len(self.labels)))
-        return levels[depth]
-
-    def integer_rows(self, i: int, exps):
-        if i not in self.rows:
-            self.rows[i] = []
-            for row, (w_lo, w_hi) in self.rows_of(i):
-                at = sum(a * self.origin[c] for c, a in row)
-                (*coeffs, lo, hi), _ = cleared(
-                    [*(a * self.widths[c] for c, a in row), w_lo - at, w_hi - at]
-                )
-                self.rows[i].append((tuple(zip([c for c, _ in row], coeffs)), lo, hi))
-        top = max(exps)
-        out = []
-        for terms, lo, hi in self.rows[i]:
-            alphas = tuple((c, a << (top - exps[c])) for c, a in terms)
-            out.append((alphas, (lo << top) - sum(a for _, a in alphas if a < 0),
-                        (hi << top) - sum(a for _, a in alphas if a > 0)))
-        return out
-
-    def witness(self, cell: Tuple[int, ...], depth: int) -> Optional[str]:
-        """The first label whose rows all fit over the cell, or None."""
-        exps, _, tests = self.level(depth)
-        for i, label in enumerate(self.labels):
-            if tests[i] is None:
-                tests[i] = self.integer_rows(i, exps)
-            for terms, lo_min, hi_max in tests[i]:
-                s = 0
-                for c, alpha in terms:
-                    s += alpha * cell[c]
-                if s < lo_min or s > hi_max:
-                    break
-            else:
-                return label
-        return None
-
-    def box(self, cell: Tuple[int, ...], depth: int) -> Box:
-        exps = self.levels[depth][0]
-        intervals = []
-        for c, k in enumerate(cell):
-            key = (c, exps[c], k)
-            if key not in self.cells:
-                ((o, n), r), e = self.axes[c], exps[c]
-                at, den = (o << e) + k * n, r << e
-                self.cells[key] = Interval(Fraction(at, den), Fraction(at + n, den))
-            intervals.append(self.cells[key])
-        return Box(intervals)
-
-    def subdivide(self, max_depth: int):
-        """Bisect depth-first, lower half first, until each cell is labelled.
-
-        Returns ``(leaves, None)``, the (box, label) pairs in visit order,
-        or ``(None, box)`` for the first cell still unlabelled at
-        `max_depth`.  Raises ResourceLimitError as soon as the leaves would
-        outnumber `COVER_LEAF_CAP`.
-        """
-        leaves = []
-        stack = [((0,) * len(self.widths), 0)]
-        while stack:
-            cell, depth = stack.pop()
-            label = self.witness(cell, depth)
-            if label is not None:
-                if len(leaves) >= COVER_LEAF_CAP:
-                    raise ResourceLimitError(
-                        f"the covering needs more than {COVER_LEAF_CAP} leaves"
-                    )
-                leaves.append((cell, depth, label))
-                continue
-            if depth >= max_depth:
-                return None, self.box(cell, depth)
-            ax = self.levels[depth][1]
-            head, k, tail = cell[:ax], cell[ax], cell[ax + 1:]
-            stack.append((head + (2 * k + 1,) + tail, depth + 1))
-            stack.append((head + (2 * k,) + tail, depth + 1))
-        return tuple((self.box(cell, depth), label) for cell, depth, label in leaves), None
+# a failing path costs time quadratic in its depth and makes no leaves, so
+# the leaf cap cannot stop it: deeper searches are refused up front
+COVER_DEPTH_CAP = 1024
 
 
 def _inverted(f: AffineMap):
@@ -247,34 +121,107 @@ def certify_covering(
 ) -> Union[Certificate, CoveringFailure]:
     """Depth-first subdivision certifier.
 
-    Leaves are emitted in deterministic depth-first order (lower bisection
-    half first); the witness is the first alphabet symbol whose inverse
-    image fits in the shrunk target.  Each branch map is inverted at most
-    once per call, the first time its symbol is tried, and its rows of
-    M^-1 are tested against the windows `shrunk + M^-1 t`: f^-1(box) lies
-    in `shrunk` iff each row's enclosure over the box lies in its window.
+    Bisects the target depth-first, lower half first; a cell's witness is
+    the first alphabet symbol whose inverse image of it fits in the shrunk
+    target.  Returns the first cell without one at `max_depth` as a
+    CoveringFailure; raises ResourceLimitError for a `max_depth` above
+    `COVER_DEPTH_CAP` or past `COVER_LEAF_CAP` leaves.
+
+    A cell at depth d is ``[L_c + k_c s_c, L_c + (k_c + 1) s_c]`` on axis c,
+    for the target's lower corner ``L_c = O_c / R_c``, an index vector k and
+    the step ``s_c = W_c / 2^e_c``, ``W_c = N_c / R_c``, whose exponents e
+    depend on d alone (each depth halves its longest step, lowest axis on
+    ties: ``k_c -> 2 k_c, 2 k_c + 1``); its endpoints are ``(O_c 2^e_c + k_c
+    N_c) / (R_c 2^e_c)``.  For f(x) = M x + t, f^-1(cell) lies in `shrunk`
+    iff each row a of M^-1 maps the cell into its window ``shrunk_c + (M^-1
+    t)_c``, and over the cell the row's exact enclosure is ``a.L + sum_c a_c
+    s_c k_c + [sum_{a_c<0} a_c s_c, sum_{a_c>0} a_c s_c]``.  Over the common
+    denominator q of the ``a_c W_c`` and of its window less ``a.L``, the row
+    is the integers ``A_c``, ``Lo`` and ``Hi``, made when its symbol is first
+    tried, so each map is inverted at most once.  Scaled by ``q 2^E``, ``E =
+    max_c e_c``, the test is ``lo_min <= sum_c alpha_c k_c <= hi_max`` with
+    ``alpha_c = A_c 2^(E - e_c)``, ``lo_min = Lo 2^E - sum_{alpha_c<0}
+    alpha_c`` and ``hi_max = Hi 2^E - sum_{alpha_c>0} alpha_c``: a depth only
+    shifts the rows, and no cell costs a `Fraction` operation.
     """
     if max_depth < 0:
         raise DegenerateInputError("max_depth must be non-negative")
+    if max_depth > COVER_DEPTH_CAP:
+        raise ResourceLimitError(f"max_depth {max_depth} exceeds the cap of {COVER_DEPTH_CAP}")
     margin = rat(margin)
     if margin <= 0:
         raise DegenerateInputError("margin must be positive")
     if target.dim != sys.dim:
         raise DegenerateInputError("target box dimension does not match the system")
     shrunk = target.shrink(margin)  # raises DegenerateInputError if too thin
+    origin = [Fraction(iv.lo) for iv in target]
+    widths = [Fraction(iv.width) for iv in target]
+    rows = {}  # symbol -> its integer rows (A, Lo, Hi)
 
-    def branch_rows(i: int):
-        rows, shift = _inverted(sys.maps[sys.alphabet[i]])
-        return tuple(
-            (row, (iv.lo + c, iv.hi + c))
-            for row, iv, c in zip(rows, shrunk.intervals, shift)
-        )
+    def shifted(label: str, exps):
+        """The symbol's rows at a depth's exponents: (alpha, lo_min, hi_max)."""
+        if label not in rows:
+            inv, shift = _inverted(sys.maps[label])
+            rows[label] = []
+            for row, iv, c in zip(inv, shrunk, shift):
+                at = sum(a * origin[j] for j, a in row)
+                (*coeffs, lo, hi), _ = cleared(
+                    [*(a * widths[j] for j, a in row), iv.lo + c - at, iv.hi + c - at]
+                )
+                rows[label].append((tuple(zip([j for j, _ in row], coeffs)), lo, hi))
+        top, out = max(exps), []
+        for terms, lo, hi in rows[label]:
+            alphas = tuple((c, a << (top - exps[c])) for c, a in terms)
+            out.append((alphas, (lo << top) - sum(a for _, a in alphas if a < 0),
+                        (hi << top) - sum(a for _, a in alphas if a > 0)))
+        return out
 
-    leaves, stuck = _DyadicGrid(target, sys.alphabet, branch_rows).subdivide(max_depth)
-    if stuck is not None:
-        return CoveringFailure(witness_box=stuck, max_depth=max_depth)
+    axes = [cleared(pair) for pair in zip(origin, widths)]  # ([O_c, N_c], R_c)
+
+    @functools.lru_cache(maxsize=None)  # the leaves share their Interval objects
+    def side(c: int, e: int, k: int) -> Interval:
+        (o, n), r = axes[c]
+        at, den = (o << e) + k * n, r << e
+        return Interval(Fraction(at, den), Fraction(at + n, den))
+
+    def box(cell, exps) -> Box:
+        return Box([side(c, exps[c], k) for c, k in enumerate(cell)])
+
+    levels = []  # per depth: exponents, split axis, shifted rows per symbol
+    leaves = []  # (cell, exponents, witness) in visit order
+    stack = [((0,) * len(widths), 0)]
+    while stack:
+        cell, depth = stack.pop()
+        if depth == len(levels):  # a cell is at most one deeper than its parent
+            exps = (0,) * len(widths)
+            if levels:
+                exps, ax, _ = levels[-1]
+                exps = exps[:ax] + (exps[ax] + 1,) + exps[ax + 1:]
+            steps = [w / (1 << e) for w, e in zip(widths, exps)]
+            levels.append((exps, steps.index(max(steps)), [None] * len(sys.alphabet)))
+        exps, ax, tests = levels[depth]
+        for i, label in enumerate(sys.alphabet):
+            if tests[i] is None:
+                tests[i] = shifted(label, exps)
+            for terms, lo_min, hi_max in tests[i]:
+                s = 0
+                for c, alpha in terms:
+                    s += alpha * cell[c]
+                if s < lo_min or s > hi_max:
+                    break
+            else:  # every row fits: the witness
+                if len(leaves) >= COVER_LEAF_CAP:
+                    raise ResourceLimitError(f"the covering needs more than {COVER_LEAF_CAP} leaves")
+                leaves.append((cell, exps, label))
+                break
+        else:  # no witness
+            if depth >= max_depth:
+                return CoveringFailure(witness_box=box(cell, exps), max_depth=max_depth)
+            head, k, tail = cell[:ax], 2 * cell[ax], cell[ax + 1:]
+            stack += (head + (k + 1,) + tail, depth + 1), (head + (k,) + tail, depth + 1)
     return Certificate(
-        system=sys, target=target, margin=margin, max_depth=max_depth, leaves=leaves
+        system=sys, target=target, margin=margin, max_depth=max_depth,
+        leaves=tuple((box(cell, exps), label) for cell, exps, label in leaves),
     )
 
 

@@ -404,17 +404,21 @@ PPM_BG = b"\xff\xff\xff"
 PPM_FG = b"\x00\x00\x00"
 
 
-def encode_ppm(
-    width: int, height: int, rows: Container[int], cols: Container[int]
-) -> bytes:
-    """Binary PPM (P6), origin top-left, foreground exactly at the pixels in
-    rows x cols.  The size is checked before any pixel is allocated."""
+def check_raster(width: int, height: int) -> None:
+    """Refuse a raster size that is not positive or exceeds RASTER_PIXEL_CAP;
+    callers check it before they compute what the raster shows."""
     if width < 1 or height < 1:
         raise DegenerateInputError(f"raster {width}x{height} needs positive dimensions")
     if width * height > RASTER_PIXEL_CAP:
         raise ResourceLimitError(
             f"raster {width}x{height} exceeds the cap of {RASTER_PIXEL_CAP} pixels"
         )
+
+
+def encode_ppm(width: int, height: int, rows: Container[int], cols: Container[int]) -> bytes:
+    """Binary PPM (P6), origin top-left, foreground exactly at the pixels in
+    rows x cols.  The size is checked before any pixel is allocated."""
+    check_raster(width, height)
     lit = b"".join(PPM_FG if c in cols else PPM_BG for c in range(width))
     background = PPM_BG * width
     body = b"".join(lit if r in rows else background for r in range(height))

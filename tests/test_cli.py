@@ -341,6 +341,20 @@ def test_nearly_affine_command(tmp_path):
     assert payload["certified"] is False
 
 
+def test_nearly_affine_table_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    plus, minus = tmp_path / "plus.csv", tmp_path / "minus.csv"
+    plus.write_text(branch_table_to_csv(model_branch_table(F(3, 4), 1, 4, 4)))
+    minus.write_bytes(b"\xff" + plus.read_bytes())
+    out = tmp_path / "report.json"
+    err = _expect_input_error(
+        capsys,
+        ["nearly-affine", "--lam", "3/4", "--table-plus", str(plus),
+         "--table-minus", str(minus), "--grid-step", "1/4", "--out", str(out)],
+        out,
+    )
+    assert str(minus) in err
+
+
 def test_config_file_merging(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"lam": "3/4", "depth": 3}))
@@ -615,6 +629,9 @@ def test_certify_rejects_zero_denominator(tmp_path, capsys):
         ["certify", "--lam", "3/4", "--max-depth", "-1"],
         ["blender-cover", "--lam", "3/4", "--max-depth", "-1"],
         ["certify", "--lam", "0"],  # singular branch maps
+        # past the depth cap: refused before a failing path quadratic in depth
+        ["certify", "--lam", "1/2", "--max-depth", "1025"],
+        ["blender-cover", "--lam", "1/2", "--max-depth", "1025"],
     ],
 )
 def test_certifier_input_errors_exit_2(tmp_path, capsys, args):
@@ -847,8 +864,14 @@ def test_pinned_ppm_digests(tmp_path):
         ["--width", "2049", "--height", "2048"],  # one column past the cap
     ],
 )
-def test_raster_size_is_input_error(tmp_path, capsys, size):
-    # limit-set writes neither its cloud nor its raster
+def test_raster_size_is_input_error(tmp_path, capsys, size, monkeypatch):
+    # the size is refused before any cloud is computed, and limit-set
+    # writes neither its cloud nor its raster
+    def no_cloud(*args):
+        raise AssertionError("a cloud was computed")
+
+    monkeypatch.setattr("jetcover.cli.limit_set_cloud", no_cloud)
+    monkeypatch.setattr("jetcover.blender.unstable_heights", no_cloud)
     csv, ppm = tmp_path / "cloud.csv", tmp_path / "img.ppm"
     _expect_input_error(
         capsys,

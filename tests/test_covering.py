@@ -312,7 +312,7 @@ def test_checker_uses_no_certifier_code(monkeypatch, planar_cert):
 
     monkeypatch.setattr(covering, "inverse_image_box", forbidden)
     monkeypatch.setattr(covering, "_inverted", forbidden)
-    monkeypatch.setattr(covering, "_DyadicGrid", forbidden)
+    monkeypatch.setattr(covering, "certify_covering", forbidden)
     assert check_certificate(planar_cert)
 
 
@@ -462,30 +462,20 @@ def test_certifier_inverts_each_map_once(monkeypatch):
     assert len(inversions) == 4
 
 
-def test_certifier_inverts_a_map_only_when_its_symbol_is_tried(monkeypatch, sys34):
-    # every symbol is tried on the target itself, since no contraction pulls
-    # the whole target inside it; so the laziness shows cell by cell in the
-    # witness test of the grid the certifier builds
-    system = IFSystem(("+", "-", "z"), dict(sys34.maps, z=affine_1d(0, 0)))
-    grids = []
-
-    class Recorded(covering._DyadicGrid):
-        def subdivide(self, max_depth):
-            grids.append(self)
-            return (), None
-
-    with monkeypatch.context() as m:
-        m.setattr(covering, "_DyadicGrid", Recorded)
-        certify_covering(system, box1(-2, 2), F(1, 100))
-    (grid,) = grids
+def test_certifier_inverts_a_map_only_when_its_symbol_is_tried(monkeypatch):
+    # no contraction pulls the whole target into itself, so every symbol is
+    # tried at the root: each map is inverted there, once, in alphabet
+    # order, and a singular one raises at its turn
+    plus, minus = affine_1d(F(3, 4), 1), affine_1d(F(5, 8), -1)
     inversions = count_calls(monkeypatch, linalg, "inverse")
-    assert grid.witness((1,), 1) == "+" and len(inversions) == 1  # [0, 2]
-    assert grid.witness((0,), 1) == "-" and len(inversions) == 2  # [-2, 0]
-    with pytest.raises(SingularMatrixError, match="branch matrix is singular"):
-        grid.witness((0,), 0)  # [-2, 2]: '+' and '-' fail, 'z' is tried
-    assert len(inversions) == 3
+    cert = certify_covering(IFSystem(("+", "-"), {"+": plus, "-": minus}), box1(-2, 2), F(1, 100))
+    assert [w for _, w in cert.leaves] == ["-", "+"]  # tried at two depths
+    assert [m[0][0] for (m,) in inversions] == [F(3, 4), F(5, 8)]
+    inversions.clear()
+    system = IFSystem(("+", "-", "z"), {"+": plus, "-": minus, "z": affine_1d(0, 0)})
     with pytest.raises(SingularMatrixError, match="branch matrix is singular"):
         certify_covering(system, box1(-2, 2), F(1, 100))
+    assert [m[0][0] for (m,) in inversions] == [F(3, 4), F(5, 8), 0]
 
 
 def test_leaf_budget_is_known_up_front(monkeypatch, sys34):
@@ -494,10 +484,13 @@ def test_leaf_budget_is_known_up_front(monkeypatch, sys34):
     monkeypatch.setattr(covering, "COVER_LEAF_CAP", 1)
     with pytest.raises(ResourceLimitError, match="more than 1 leaves"):
         certify_covering(sys34, box1(-2, 2), F(1, 100))
-    # the 559-leaf certificate stops at its 11th leaf, near the start
+    # f+ fixes 4, so no cell at the top of [-2, 4] is ever covered; the
+    # lower part takes more than 10 leaves, and the cap stops the search
+    # there, before its failing path down to max_depth
     monkeypatch.setattr(covering, "COVER_LEAF_CAP", 10)
-    tested = count_calls(monkeypatch, covering._DyadicGrid, "witness")
-    target = Box.of((-2, F(13, 8)), (-2, F(13, 8)))
-    with pytest.raises(ResourceLimitError):
-        certify_covering(planar_system(F(71, 128)), target, F(1, 200))
-    assert len(tested) < 100
+    with pytest.raises(ResourceLimitError, match="more than 10 leaves"):
+        certify_covering(sys34, box1(-2, 4), F(1, 100))
+    monkeypatch.undo()
+    failure = certify_covering(sys34, box1(-2, 4), F(1, 100))
+    assert isinstance(failure, CoveringFailure)
+    assert F(399, 100) < failure.witness_box[0].lo < failure.witness_box[0].hi < 4
