@@ -36,7 +36,6 @@ from .errors import (
 )
 from .flatpoly import (
     DEFAULT_MARGIN,
-    DEFAULT_N_MAX,
     FLAT_DEGREE_CAP,
     find_flat_poly,
     l1_tail,
@@ -212,7 +211,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_blender_render(args) -> int:
-    sys_ = blender.SkewSystem(rat(args.lam), rat(args.overhang))
+    sys_ = blender.SkewSystem(rat(args.lam), 0)  # the raster reads only lam
     img = blender.render_unstable_union(
         sys_, rat(args.a), args.depth, args.width, args.height
     )
@@ -274,7 +273,7 @@ COMMANDS = {
         ("--flatness", int, NO_DEFAULT, "order of the root at 1"),
         ("--degree", int, None, "fix the degree"),
         ("--margin", str, DEFAULT_MARGIN, ""),
-        ("--degree-max", int, DEFAULT_N_MAX, ""),
+        ("--degree-max", int, FLAT_DEGREE_CAP, ""),
         ("--out", str, NO_DEFAULT, ""),
     )),
     "jet-system": (cmd_jet_system, "build the covered jet-space system", (
@@ -297,7 +296,6 @@ COMMANDS = {
         ("--depth", int, NO_DEFAULT, ""),
         ("--width", int, 512, ""),
         ("--height", int, 512, ""),
-        ("--overhang", str, "1/10", ""),
         ("--out", str, NO_DEFAULT, ""),
     )),
     "blender-cover": (cmd_blender_cover, "exact covering check for the example", (

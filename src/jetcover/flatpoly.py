@@ -37,8 +37,7 @@ from .rational import cleared, rat, rat_str
 Coeffs = Tuple[Fraction, ...]  # index = power, last entry = leading
 
 DEFAULT_MARGIN = Fraction(1, 16)
-DEFAULT_N_MAX = 64
-FLAT_DEGREE_CAP = 128  # largest accepted degree cap of the ladder
+FLAT_DEGREE_CAP = 128  # the ladder's default and largest accepted degree cap
 
 
 # --- dense polynomial helpers ------------------------------------------------
@@ -193,7 +192,7 @@ def certify_degree(big_n: int, n: int, coeffs: Sequence[int], y: Sequence[int], 
 def find_flat_poly(
     big_n: int,
     margin=DEFAULT_MARGIN,
-    n_max: int = DEFAULT_N_MAX,
+    n_max: int = FLAT_DEGREE_CAP,
 ) -> FlatPolyResult:
     """Escalate the degree until the optimum is <= 2 - margin.
 

@@ -28,7 +28,7 @@ from .rational import rat, rat_str
 
 Word = Tuple[str, ...]
 
-WORD_ENUMERATION_CAP = 2 ** 22
+WORD_ENUMERATION_CAP = 2 ** 18  # words of one enumeration: 2 maps to depth 18
 RASTER_PIXEL_CAP = 2 ** 22  # 2048 x 2048, a 12 MiB raster
 COVER_LEAF_CAP = 2 ** 20  # leaves of one covering certificate
 

@@ -1,27 +1,24 @@
 """Exact two-phase simplex with Bland's rule.
 
 Minimizes c.x subject to A x = b, x >= 0 (standard form; callers
-encode free or bounded variables themselves).  The tableau is
-fraction-free: each row is a list of Python ints over one positive row
-denominator.  A pivot updates a row by integer multiply-subtracts and
-then divides the whole row by one gcd, where a Fraction tableau would
-normalise every entry.  The reduced-cost row is part of the tableau and
-is carried through the pivots.  Ratios compare by cross-multiplication,
-so every pivot is the one exact rational arithmetic picks; no floating
-point is used.  Each row keeps its own denominator because scaling all
-rows to a common one inflates the numbers on the membership LPs.
+encode free or bounded variables themselves).  The tableau is dense,
+every cell a Fraction, and phase 1 starts from the artificial basis
+with the rows of negative rhs flipped.  The reduced costs are rebuilt
+from the basis before each pivot.  Bland's rule (Bland, Math. Oper.
+Res. 1977: the lowest eligible column enters, the lowest basic index
+leaves among tied ratios) guarantees termination even on degenerate
+cycling instances, and no floating point is used.
 
 The primal and dual leave the tableau as Fractions and are re-verified
 (feasibility of both, strong duality) before the result leaves this
 module, in integer arithmetic once the denominators of the primal, the
-dual and each problem row are cleared.  Bland's pivoting rule (lowest
-eligible index in, lowest basic index out among tied ratios) guarantees
-termination even on degenerate cycling instances.
+dual and each problem row are cleared; that check shares no code with
+the tableau.
 
-No module of the package calls it any more: the membership LP and the
+No module of the package calls it: the membership LP and the
 flat-polynomial LP are solved by the integer exchanges of `jetcovering`
-and `flatpoly`.  It is still exported as `jetcover.lp_solve`, and the
-tests solve both LPs' standard forms with it beside the exchanges.
+and `flatpoly`.  It is exported as `jetcover.lp_solve`, and the tests
+solve both LPs' standard forms with it beside the exchanges.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import List, Optional
 
 from .errors import ConstructionError, DegenerateInputError, ResourceLimitError
@@ -74,104 +70,54 @@ _MAX_PIVOTS = 100_000
 
 
 class _Tableau:
-    """Dense tableau of integer rows; columns = structural, artificial, rhs.
-
-    Row i is a list of ints R_i over one positive denominator d_i, so its
-    entry j is R_i[j] / d_i.  ``z`` over ``zden`` is the reduced-cost row
-    of the running phase's cost, ``cost - c_B . row`` in every column, and
-    each pivot updates it like any other row.
-    """
+    """Dense tableau of Fraction cells; columns = structural, artificial, rhs."""
 
     def __init__(self, problem: LPProblem, row_sign: List[int]):
-        self.m = len(problem.b)
-        self.n = len(problem.objective)
-        self.cols = self.n + self.m
-        self.rows: List[List[int]] = []
-        self.dens: List[int] = []
+        m, n = len(problem.b), len(problem.objective)
+        self.rows: List[List[Fraction]] = []
         for i, (row, bi, sign) in enumerate(zip(problem.a, problem.b, row_sign)):
-            ints, den = cleared(list(row) + [bi])
-            unit = [0] * self.m
-            unit[i] = den
-            self.rows.append([sign * e for e in ints[:-1]] + unit + [sign * ints[-1]])
-            self.dens.append(den)
-        self.basis = [self.n + i for i in range(self.m)]
-        self.z: List[int] = [0] * (self.cols + 1)
-        self.zden = 1
+            unit = [Fraction(0)] * m
+            unit[i] = Fraction(1)
+            self.rows.append([sign * e for e in row] + unit + [sign * bi])
+        self.basis = [n + i for i in range(m)]
 
     def pivot(self, row: int, col: int) -> None:
-        prow = self.rows[row]
-        pc = prow[col]
-        if pc < 0:
-            prow = [-e for e in prow]
-            pc = -pc
-        g = gcd(*prow)
-        if g > 1:
-            prow = [e // g for e in prow]
-            pc //= g
-        # The pivot row is prow / pc, so its column entry is exactly 1.
-        self.rows[row] = prow
-        self.dens[row] = pc
-        for r in range(self.m):
-            f = self.rows[r][col]
+        inv = 1 / self.rows[row][col]
+        prow = self.rows[row] = [e * inv for e in self.rows[row]]
+        for r, other in enumerate(self.rows):
+            f = other[col]
             if r != row and f != 0:
-                self.rows[r], self.dens[r] = _eliminate(
-                    self.rows[r], self.dens[r], f, prow, pc
-                )
-        f = self.z[col]
-        if f != 0:
-            self.z, self.zden = _eliminate(self.z, self.zden, f, prow, pc)
+                self.rows[r] = [e - f * p for e, p in zip(other, prow)]
         self.basis[row] = col
+
+    def reduced_costs(self, cost: List[Fraction]) -> List[Fraction]:
+        """cost[j] - c_B . column_j for every column but the rhs."""
+        rc = list(cost)
+        for bv, row in zip(self.basis, self.rows):
+            if cost[bv] != 0:
+                rc = [r - cost[bv] * e for r, e in zip(rc, row)]
+        return rc
 
     def run_bland(self, cost: List[Fraction], entering_cols: int) -> str:
         """Minimize cost over the current basis, entering only columns below
         ``entering_cols``; returns 'optimal'|'unbounded'."""
-        # Each basic row reads 1 in its basic column and 0 in the others,
-        # so eliminating the basic columns from the cost leaves cost - c_B . row.
-        self.z, self.zden = cleared(list(cost) + [Fraction(0)])
-        for i, bv in enumerate(self.basis):
-            f = self.z[bv]
-            if f != 0:
-                self.z, self.zden = _eliminate(
-                    self.z, self.zden, f, self.rows[i], self.dens[i]
-                )
         for _ in range(_MAX_PIVOTS):
-            entering = next(
-                (j for j in range(entering_cols) if self.z[j] < 0), None
-            )
+            rc = self.reduced_costs(cost)
+            entering = next((j for j in range(entering_cols) if rc[j] < 0), None)
             if entering is None:
                 return "optimal"
-            # Bland's ratio test.  A row's ratio rhs / entry needs no row
-            # denominator, and with both entries > 0 two ratios compare by
-            # cross-multiplication.
             leaving = None
-            for i in range(self.m):
-                row = self.rows[i]
-                a = row[entering]
-                if a > 0:
-                    num = row[self.cols]
-                    if leaving is not None:
-                        new, old = num * best_a, best_num * a
-                        if new > old or (
-                            new == old and self.basis[i] > self.basis[leaving]
-                        ):
-                            continue
-                    leaving, best_num, best_a = i, num, a
+            for i, row in enumerate(self.rows):
+                if row[entering] > 0:
+                    ratio = row[-1] / row[entering]
+                    if leaving is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leaving]
+                    ):
+                        leaving, best = i, ratio
             if leaving is None:
                 return "unbounded"
             self.pivot(leaving, entering)
         raise ResourceLimitError("pivot cap exceeded")  # unreachable with Bland
-
-
-def _eliminate(row: List[int], den: int, f: int, prow: List[int], pc: int):
-    """row/den - (f/den) * prow/pc, which clears the pivot column, as one
-    integer row over den*pc divided by the gcd of all its numbers."""
-    out = [pc * e - f * p for e, p in zip(row, prow)]
-    den *= pc
-    g = gcd(den, *out)
-    if g > 1:
-        out = [e // g for e in out]
-        den //= g
-    return out, den
 
 
 def lp_solve(problem: LPProblem) -> LPSolution:
@@ -183,40 +129,34 @@ def lp_solve(problem: LPProblem) -> LPSolution:
 
     # Phase 1: minimize the sum of artificials.  Every rhs stays >= 0,
     # so the sum is zero exactly when no basic artificial is positive.
-    phase1_cost = [Fraction(0)] * t.n + [Fraction(1)] * t.m
-    t.run_bland(phase1_cost, t.cols)
-    if any(t.rows[i][t.cols] != 0 for i in range(t.m) if t.basis[i] >= t.n):
+    t.run_bland([Fraction(0)] * n + [Fraction(1)] * m, n + m)
+    if any(row[-1] != 0 for row, bv in zip(t.rows, t.basis) if bv >= n):
         return LPSolution(status="infeasible")
 
     # Pivot residual artificials out of the basis; rows with no structural
     # pivot are redundant constraints (their rhs is already zero).
     redundant: List[int] = []
-    for i in range(t.m):
-        if t.basis[i] >= t.n:
-            col = next((j for j in range(t.n) if t.rows[i][j] != 0), None)
+    for i in range(m):
+        if t.basis[i] >= n:
+            col = next((j for j in range(n) if t.rows[i][j] != 0), None)
             if col is None:
                 redundant.append(i)
             else:
                 t.pivot(i, col)
+    # Excise redundant rows so the ratio test never sees them.
+    live_rows = [i for i in range(m) if i not in redundant]
+    t.rows = [t.rows[i] for i in live_rows]
+    t.basis = [t.basis[i] for i in live_rows]
 
     # Phase 2 on the structural objective; artificials may not re-enter.
-    phase2_cost = list(problem.objective) + [Fraction(0)] * t.m
-    if redundant:
-        # Excise redundant rows so the ratio test never sees them.
-        live_rows = [i for i in range(t.m) if i not in redundant]
-        t.rows = [t.rows[i] for i in live_rows]
-        t.dens = [t.dens[i] for i in live_rows]
-        t.basis = [t.basis[i] for i in live_rows]
-        t.m = len(t.rows)
-
-    status = t.run_bland(phase2_cost, t.n)
-    if status == "unbounded":
+    phase2_cost = list(problem.objective) + [Fraction(0)] * m
+    if t.run_bland(phase2_cost, n) == "unbounded":
         return LPSolution(status="unbounded")
 
     primal = [Fraction(0)] * n
-    for i, bv in enumerate(t.basis):
+    for row, bv in zip(t.rows, t.basis):
         if bv < n:
-            primal[bv] = Fraction(t.rows[i][t.cols], t.dens[i])
+            primal[bv] = row[-1]
     primal = tuple(primal)
 
     # Dual from the artificial block: the artificial columns started as the
@@ -224,9 +164,8 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     # tableau = E @ original_rows.  The artificials cost 0 in phase 2, so
     # their reduced costs are -c_B . E = -y.  Weights on excised redundant
     # rows are still part of a valid multiplier vector.
-    dual = tuple(
-        row_sign[k] * Fraction(-t.z[t.n + k], t.zden) for k in range(m)
-    )
+    rc = t.reduced_costs(phase2_cost)
+    dual = tuple(-row_sign[k] * rc[n + k] for k in range(m))
 
     optimum = sum(map(operator.mul, problem.objective, primal), Fraction(0))
     _verify_optimal(problem, primal, dual, optimum)

@@ -9,6 +9,7 @@ import pytest
 from jetcover import covering, flatpoly, jetcovering, serialize
 from jetcover.blender import model_branch_table
 from jetcover.cli import _joined, main
+from jetcover.ifs import IFSystem
 from jetcover.jets import Jet
 from jetcover.rational import rat
 from jetcover.serialize import branch_table_to_csv
@@ -770,6 +771,16 @@ def test_jet_system_runs_order_7_at_its_default_degree_cap(tmp_path, capsys):
     assert err.startswith(f"error: no degree <= {flatpoly.FLAT_DEGREE_CAP} reached 31/16")
 
 
+def test_flat_poly_runs_flatness_8_at_its_default_degree_cap(tmp_path):
+    # flat-poly's degree cap defaults to FLAT_DEGREE_CAP, as jet-system's
+    # does: flatness 8 needs degree 121, and flatness 9 exhausts the cap
+    out = tmp_path / "flat8.json"
+    assert run(["flat-poly", "--flatness", "8", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["search_degree"] == 121
+    assert run(["flat-poly", "--flatness", "9", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["found"] is False
+
+
 # sha256 of the bytes these commands write.  The flat polynomial comes out
 # of the exact flat-polynomial exchange, and the itinerary starts from the
 # witness of the exact membership exchange, so a change in either exchange's
@@ -885,6 +896,43 @@ def test_raster_size_is_input_error(tmp_path, capsys, size, monkeypatch):
         ["blender-render", "--lam", "3/4", "--depth", "3", "--out", str(ppm)] + size,
         ppm,
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["limit-set", "--lam", "3/4", "--depth", "19"],
+        ["limit-set", "--lam", "3/4", "--depth", "22", "--ppm", "img.ppm"],
+        ["blender-render", "--lam", "3/4", "--depth", "19", "--width", "64", "--height", "64"],
+    ],
+)
+def test_word_enumeration_past_the_cap_is_input_error(tmp_path, capsys, args, monkeypatch):
+    # 2^19 words exceed WORD_ENUMERATION_CAP = 2^18: refused before any word
+    # is built, and nothing is written
+    def no_words(*args):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(IFSystem, "origin", no_words)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    err = _expect_input_error(capsys, args + ["--out", str(out)], out)
+    assert f"exceed the cap {2 ** 18}" in err
+    assert not (tmp_path / "img.ppm").exists()
+
+
+def test_blender_render_takes_no_overhang(tmp_path, capsys):
+    # the raster reads only --lam and --a: --overhang is an unknown flag,
+    # and a config key overhang is ignored like any key of no option
+    ppm = tmp_path / "img.ppm"
+    args = ["blender-render", "--lam", "3/4", "--depth", "6", "--width", "64", "--height", "64"]
+    with pytest.raises(SystemExit) as exit_:
+        run(args + ["--overhang", "1/10", "--out", str(ppm)])
+    assert exit_.value.code == 2 and not ppm.exists()
+    assert "unrecognized arguments: --overhang 1/10" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"overhang": "5"}))
+    assert run(["--config", str(config)] + args + ["--out", str(ppm)]) == 0
+    assert hashlib.sha256(ppm.read_bytes()).hexdigest() == PINNED_PPM_DIGESTS["blender-render"]
 
 
 @pytest.mark.parametrize(

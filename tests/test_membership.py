@@ -28,11 +28,11 @@ from jetcover.jetcovering import (
     realize_jet,
 )
 from jetcover.jets import Jet
+from jetcover.simplex import lp_solve
 from jetcovering_helpers import rank  # local oracle module
 from simplex_reference import (  # local oracle module
     membership_from_lp,
     membership_lp_problem,
-    reference_lp_solve,
 )
 
 
@@ -89,7 +89,7 @@ def test_exchange_matches_the_reference_lp(case):
     sys = system(order)
     res = certify_membership(sys, target)
     certified, witness, margin = membership_from_lp(
-        sys, reference_lp_solve(membership_lp_problem(sys, target)))
+        sys, lp_solve(membership_lp_problem(sys, target)))
     assert (res.certified, res.margin) == (certified, margin)
     # a tie: a capped optimum is a face, and its witness may be another
     # vertex of it than the reference's; every other optimum was a vertex
@@ -143,7 +143,7 @@ def test_targets_just_inside_and_just_outside_the_cap(order):
     assert res.certified and 0 < res.margin < sys.box_base
     if order < 3:  # the order-3 reference LP takes about a second
         _, witness, margin = membership_from_lp(
-            sys, reference_lp_solve(membership_lp_problem(sys, outside)))
+            sys, lp_solve(membership_lp_problem(sys, outside)))
         assert (res.margin, res.witness) == (margin, witness)
 
 
