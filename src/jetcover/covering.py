@@ -13,10 +13,14 @@ sub-box.  Certifier and checker both work on the target's dyadic grid,
 each with its own code.  `certify_covering` bisects depth-first on
 integer cell indices, tests each cell in integers alone, inverts each
 branch map at most once and refuses more than `COVER_LEAF_CAP` leaves or
-`COVER_DEPTH_CAP` depth.  The checker maps each leaf to its cell,
-accepts exactly the leaf sets of the target's midpoint bisection tree
-(longest axis, lowest index on ties), in any order, by replaying that
-tree on int tuples a depth at a time (one split axis per depth), and
+`COVER_DEPTH_CAP` depth.  The checker reads each leaf as its cell, a
+tuple of per-axis heap indices: a loaded certificate holds its leaves as
+cells (`Leaves`, made by `_heap_indices` from each distinct side once),
+and builds their (Box, witness) pairs only when `Certificate.leaves` is
+read as a sequence; any other leaves go through the same function.  The
+checker accepts exactly the leaf sets of the target's midpoint bisection
+tree (longest axis, lowest index on ties), in any order, by replaying
+that tree on the cells a depth at a time (one split axis per depth), and
 tests each cell against integer rows made once per witness and shifted
 per exponent vector; it inverts each witness map once and is linear in
 the leaf count.  The JSON wire format lives in `serialize`.
@@ -25,8 +29,10 @@ the leaf count.  The JSON wire format lives in `serialize`.
 from __future__ import annotations
 
 import functools
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Sequence, Tuple, Union
 
@@ -40,7 +46,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .ifs import COVER_LEAF_CAP, AffineMap, IFSystem
-from .rational import cleared, rat
+from .rational import cleared, rat, rat_str
 
 DEFAULT_MAX_DEPTH = 24
 # a failing path costs time quadratic in its depth and makes no leaves, so
@@ -87,7 +93,7 @@ class Certificate:
     target: Box
     margin: Fraction
     max_depth: int
-    leaves: Tuple[Tuple[Box, str], ...]
+    leaves: Sequence[Tuple[Box, str]]  # a tuple, or `Leaves` as loaded
 
     @property
     def depth_used(self) -> int:
@@ -225,17 +231,81 @@ def certify_covering(
     )
 
 
-def _grid_index(iv: Interval, p: int, r: int, u: int, v: int):
-    """The heap index ``2^e + k`` if `iv` is cell k of the 2^e equal cells
-    of [p/r, p/r + u/v], else None; cell m halves into 2m and 2m + 1."""
-    (a, b), (c, d) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
-    w = c * b - a * d  # (iv.hi - iv.lo) b d: integers throughout, no gcd
-    if w > 0:
-        n, n_rem = divmod(u * b * d, v * w)
-        k, k_rem = divmod((a * r - p * b) * d, r * w)
-        if not n_rem and not k_rem and n.bit_count() == 1 and 0 <= k < n:
-            return n + k
-    return None
+def _heap_indices(axis: Interval, pairs) -> dict:
+    """Each distinct pair ((a, b), (c, d)) of integer ratios in `pairs`, the
+    side [a/b, c/d], to its heap index ``2^e + k`` if it is cell k of the 2^e
+    equal cells of `axis`, else to None; cell m halves into 2m and 2m + 1.
+    A side with a/b > c/d is a DegenerateInputError, as for `Interval`."""
+    (p, r), (u, v) = axis.lo.as_integer_ratio(), axis.width.as_integer_ratio()
+    out = dict.fromkeys(pairs)
+    for pair in out:
+        (a, b), (c, d) = pair
+        w = c * b - a * d  # (c/d - a/b) b d: integers throughout, no gcd
+        if w > 0:
+            n, n_rem = divmod(u * b * d, v * w)
+            k, k_rem = divmod((a * r - p * b) * d, r * w)
+            if not n_rem and not k_rem and n.bit_count() == 1 and 0 <= k < n:
+                out[pair] = n + k
+        elif w < 0:
+            raise DegenerateInputError(
+                f"empty interval [{rat_str(Fraction(a, b))}, {rat_str(Fraction(c, d))}]")
+    return out
+
+
+class Leaves(abc.Sequence):
+    """A certificate's leaves held as cells of the dyadic grid of `target`:
+    an immutable sequence of (Box, witness) pairs, built on first use, that
+    compares and hashes as their tuple.  `sides` holds per axis each leaf's
+    side as integer ratios ((a, b), (c, d)); `cells` each leaf's tuple of
+    per-axis heap indices, or None when some side is no cell."""
+
+    __slots__ = ("target", "sides", "witnesses", "cells", "_pairs")
+
+    def __init__(self, target: Box, sides, witnesses):
+        self.target, self.sides, self.witnesses = target, sides, tuple(witnesses)
+        heaps = [_heap_indices(iv, pairs) for iv, pairs in zip(target, sides)]
+        cells = zip(*(map(heap.__getitem__, pairs) for heap, pairs in zip(heaps, sides)))
+        self.cells = None if any(None in heap.values() for heap in heaps) else list(cells)
+        self._pairs = None
+
+    @classmethod
+    def of(cls, target: Box, leaves) -> "Leaves":
+        """(Box, witness) pairs put on the grid of `target`; a leaf of another
+        dimension is a ShapeError."""
+        if any(box.dim != target.dim for box, _ in leaves):
+            raise ShapeError("box dimension mismatch")
+        sides = [[(iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()) for iv in axis]
+                 for axis in zip(*(box.intervals for box, _ in leaves))]
+        return cls(target, sides, [w for _, w in leaves])
+
+    def _tuple(self) -> tuple:
+        if self._pairs is None:  # one Interval per distinct side, the target's own first
+            made = {(iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()): iv
+                    for iv in reversed(self.target.intervals)}
+            for pair in chain.from_iterable(self.sides):
+                if pair not in made:
+                    made[pair] = Interval(Fraction(*pair[0]), Fraction(*pair[1]))
+            boxes = zip(*(map(made.__getitem__, pairs) for pairs in self.sides))
+            self._pairs = tuple(zip(map(Box, boxes), self.witnesses))
+        return self._pairs
+
+    def __len__(self) -> int:
+        return len(self.witnesses)
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __add__(self, other):
+        return self._tuple() + other
+
+    def __eq__(self, other):
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
 
 
 def _split(piece, ax: int):
@@ -245,35 +315,22 @@ def _split(piece, ax: int):
     return head + (2 * m,) + tail, head + (2 * m + 1,) + tail
 
 
-def _tree_cells(target: Box, leaves: Sequence[Box]):
-    """The leaves' cells, as pairs (tuple of heap indices (`_grid_index`),
-    exponents of the cell's depth), if they are the leaf set of the midpoint
-    bisection tree of `target`, in any order, else None; a leaf of the wrong
-    dimension raises ShapeError.  The tree is replayed on these tuples one
-    depth at a time: a piece that is a leaf is struck off, any other is
-    split on its depth's longest axis ``W_c/2^e_c`` (lowest index on ties).
-    L leaves need L - 1 splits, so the replay gives up at the L-th: O(L)."""
-    # per axis: the lower end and width as integer ratios, id(interval) -> heap index
-    grids = [(*iv.lo.as_integer_ratio(), *iv.width.as_integer_ratio(), {}) for iv in target]
-    cells = []
-    for leaf in leaves:  # the leaves keep every interval alive, so ids stay unique
-        if len(leaf.intervals) != len(grids):
-            raise ShapeError("box dimension mismatch")
-        cell = []
-        for iv, (p, r, u, v, seen) in zip(leaf.intervals, grids):
-            if id(iv) not in seen:
-                seen[id(iv)] = _grid_index(iv, p, r, u, v)
-            cell.append(seen[id(iv)])
-        if None in cell:
-            return None
-        cells.append(tuple(cell))
+def _tree_cells(target: Box, cells):
+    """The cells, tuples of per-axis heap indices (`Leaves.cells`), each
+    paired with the exponents of its depth, if they are the leaf set of the
+    midpoint bisection tree of `target`, in any order, else None.  The tree
+    is replayed on these tuples one depth at a time: a piece that is a leaf
+    is struck off, any other is split on its depth's longest axis
+    ``W_c/2^e_c`` (lowest index on ties).  L leaves need L - 1 splits, so
+    the replay gives up at the L-th: O(L)."""
     exps_of = dict.fromkeys(cells)  # cell -> its depth's exponents, once struck off
     if not cells or len(exps_of) != len(cells):
         return None  # no leaf, or a repeated leaf
-    level, splits_left = [(1,) * len(grids)], len(cells) - 1  # the target: cell 0 of 2^0
+    level, splits_left = [(1,) * target.dim], len(cells) - 1  # the target: cell 0 of 2^0
+    widths, _ = cleared([iv.width for iv in target])  # the W_c over one denominator
     while level:  # the pieces of one depth, which share their exponents
         exps = tuple(m.bit_length() - 1 for m in level[0])
-        steps = [iv.width / 2 ** e for iv, e in zip(target, exps)]
+        steps = [w << (max(exps) - e) for w, e in zip(widths, exps)]
         ax, inner = steps.index(max(steps)), []
         for piece in level:
             if piece in exps_of:
@@ -311,13 +368,14 @@ def _fit_test(f: AffineMap, target: Box, shrunk: Box):
         rows.append((coeffs, lo + sum(coeffs), hi + sum(coeffs)))
 
     def fits(cell, exps) -> bool:
-        if exps not in tests:
-            top, tests[exps] = max(exps), []
+        shifted = tests.get(exps)
+        if shifted is None:
+            top, shifted = max(exps), tests.setdefault(exps, [])
             for coeffs, lo, hi in rows:
                 alphas = [a << (top - e) for a, e in zip(coeffs, exps)]
-                tests[exps].append((alphas, (lo << top) - sum(a for a in alphas if a < 0),
-                                    (hi << top) - sum(a for a in alphas if a > 0)))
-        for alphas, lo, hi in tests[exps]:
+                shifted.append((alphas, (lo << top) - sum(a for a in alphas if a < 0),
+                                (hi << top) - sum(a for a in alphas if a > 0)))
+        for alphas, lo, hi in shifted:
             if not lo <= sum(map(mul, alphas, cell)) <= hi:
                 return False
         return True
@@ -332,7 +390,9 @@ def check_certificate(cert: Certificate) -> bool:
     target's midpoint bisection tree (`_tree_cells`), and each witness must
     pull its leaf's cell into the target shrunk by the margin (`_fit_test`,
     one inversion per witness map, at its first use, so a map no leaf names
-    is never inverted).  It shares no subdivision or inverse-image code
+    is never inverted).  The cells of `Leaves` held for the certificate's
+    target are used as they are; any other leaves are first put on its
+    grid (`Leaves.of`).  It shares no subdivision or inverse-image code
     with `certify_covering`, and is linear in the leaf count.
     """
     if not isinstance(cert, Certificate):
@@ -343,11 +403,14 @@ def check_certificate(cert: Certificate) -> bool:
         shrunk = cert.target.shrink(cert.margin)
     except DegenerateInputError:
         return False
-    cells = _tree_cells(cert.target, [leaf for leaf, _ in cert.leaves])
-    if cells is None:
+    leaves = cert.leaves
+    if not isinstance(leaves, Leaves) or leaves.target != cert.target:
+        leaves = Leaves.of(cert.target, leaves)
+    cells = leaves.cells and _tree_cells(cert.target, leaves.cells)
+    if not cells:
         return False
     maps, tests = cert.system.maps, {}
-    for (_, witness), (cell, exps) in zip(cert.leaves, cells):
+    for witness, (cell, exps) in zip(leaves.witnesses, cells):
         if witness not in tests:
             if witness not in maps:
                 return False
@@ -355,4 +418,3 @@ def check_certificate(cert: Certificate) -> bool:
         if not tests[witness](cell, exps):
             return False
     return True
-

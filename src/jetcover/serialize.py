@@ -13,13 +13,14 @@ from __future__ import annotations
 import os
 import tempfile
 from fractions import Fraction
-from itertools import starmap
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Container, List, Optional, Sequence, Tuple
 
 from .blender import BlenderCoverResult, BranchSample, NearlyAffineReport
 from .boxes import Box, Interval
-from .covering import Certificate, CoveringFailure
+from .covering import Certificate, CoveringFailure, Leaves
 from .errors import CertificateFormatError, DegenerateInputError, ResourceLimitError
 from .flatpoly import FlatPolyResult
 from .ifs import COVER_LEAF_CAP, RASTER_PIXEL_CAP, AffineMap, IFSystem, Word
@@ -129,11 +130,9 @@ def _affine_to_dict(f: AffineMap) -> dict:
 
 
 def _affine_from_dict(d: dict) -> AffineMap:
-    return AffineMap(
-        [[rat(e) for e in row] for row in d["matrix"]],
-        [rat(e) for e in d["offset"]],
-        rat(d["contraction"]),
-    )
+    rows, offset = _entry(_typed(d, dict, "the map"), "matrix", list), _entry(d, "offset", list)
+    return AffineMap([[rat(e) for e in _typed(row, list, "a matrix row")] for row in rows],
+                     [rat(e) for e in offset], rat(_entry(d, "contraction", None)))
 
 
 def covering_outcome_payload(outcome) -> dict:
@@ -165,59 +164,103 @@ def covering_outcome_payload(outcome) -> dict:
     raise CertificateFormatError("not a covering outcome")
 
 
-def load_certificate(payload: dict) -> Certificate:
-    """Parse a certificate; more leaves than `COVER_LEAF_CAP` is a
-    ResourceLimitError, raised before any box is parsed.  The depth must be a
-    non-negative JSON integer, the alphabet a JSON list of strings and each
-    witness a JSON string.  Each distinct endpoint string is parsed once, and
-    each distinct pair makes one `Interval`, shared by every box naming it."""
-    values, intervals = {}, {}  # keyed on str only: no other JSON value equals a str
+_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "integer"}
 
-    def value(text):  # a JSON int goes through `rat` each time, which refuses a float or bool
-        if type(text) is str and text not in values:
-            values[text] = rat(text)
-        return values[text] if type(text) is str else rat(text)
 
-    def interval(lo, hi):
-        iv = intervals.get((lo, hi))
-        if iv is None:
-            iv = Interval(value(lo), value(hi))
-            if type(lo) is str and type(hi) is str:
-                intervals[lo, hi] = iv
-        return iv
+def _typed(value, kind, path: str):
+    """`value` if its JSON type is `kind` (a bool is no integer), else a
+    CertificateFormatError naming the field's path."""
+    if type(value) is not kind:
+        raise CertificateFormatError(f"{path} is not a JSON {_JSON_TYPES[kind]}")
+    return value
 
+
+def _entry(obj: dict, key: str, kind, path: str = ""):
+    """`obj[key]`, of JSON type `kind` unless that is None; `path` leads to obj."""
+    if key not in obj:
+        raise CertificateFormatError(f"{path}{key} is missing")
+    return obj[key] if kind is None else _typed(obj[key], kind, path + key)
+
+
+def _parsed(path: str, parse, value):
+    """parse(value); its TypeError or ValueError, whose message is the
+    package's own, is a CertificateFormatError naming the field's path."""
     try:
-        system = payload["system"]
-        if len(payload["leaves"]) > COVER_LEAF_CAP:
-            raise ResourceLimitError(
-                f"certificate has more than {COVER_LEAF_CAP} leaves"
-            )
-        depth = payload["depth"]
-        if type(depth) is not int or depth < 0:  # not a bool, float or string
-            raise CertificateFormatError(f"depth {depth!r} is not a non-negative JSON integer")
-        leaves = tuple(
-            (Box(tuple(starmap(interval, leaf["box"]))), leaf["witness"])
-            for leaf in payload["leaves"]
-        )
-        if not all(type(witness) is str for _, witness in leaves):
-            raise CertificateFormatError("a leaf's witness is not a JSON string")
-        if type(system["maps"]) is not dict:
-            raise CertificateFormatError("system.maps is not a JSON object")
-        alphabet = system["alphabet"]
-        if type(alphabet) is not list or not all(type(s) is str for s in alphabet):
-            raise CertificateFormatError("system.alphabet is not a JSON list of strings")
-        return Certificate(
-            system=IFSystem(
-                tuple(alphabet),
-                {s: _affine_from_dict(m) for s, m in system["maps"].items()},
-            ),
-            target=Box(tuple(starmap(interval, payload["box"]))),
-            margin=rat(payload["margin"]),
-            max_depth=depth,
-            leaves=leaves,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateFormatError(f"malformed certificate: {exc}") from exc
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise CertificateFormatError(f"{path}: {exc}") from None
+
+
+def _leaf_columns(leaves: list, dim: int, ratios: dict):
+    """Per axis each leaf's side as a pair of integer ratios, and the
+    witnesses; each distinct endpoint is parsed once, into `ratios`.  The
+    JSON types are checked a column at a time, in C loops, so a leaf costs
+    no Python step of its own; a malformed one raises a KeyError,
+    TypeError or ValueError whose message the caller writes."""
+    boxes, witnesses = list(map(itemgetter("box"), leaves)), list(map(itemgetter("witness"), leaves))
+    sides = list(chain.from_iterable(boxes))
+    ends = list(chain.from_iterable(sides))
+    if not (set(map(type, boxes + sides)) <= {list} and set(map(len, boxes)) <= {dim}
+            and set(map(len, sides)) <= {2} and set(map(type, witnesses)) <= {str}
+            and set(map(type, ends)) <= {str, int}):
+        raise TypeError
+    for end in dict.fromkeys(ends):
+        if end not in ratios:
+            ratios[end] = rat(end).as_integer_ratio()
+    pairs = list(zip(map(ratios.__getitem__, ends[0::2]), map(ratios.__getitem__, ends[1::2])))
+    return [pairs[c::dim] for c in range(dim)], witnesses
+
+
+def load_certificate(payload: dict) -> Certificate:
+    """Parse a certificate.  Each field's JSON type is checked before use,
+    and a malformed piece, a leaf of another dimension than the target's
+    included, is a CertificateFormatError naming its path, such as
+    ``leaves[3].box[1]``.  More leaves than `COVER_LEAF_CAP` is a
+    ResourceLimitError, raised before any leaf is read.  Each distinct
+    endpoint is parsed once (`rat`).  The leaves are held as cells of the
+    target's dyadic grid (`covering.Leaves`), which `check_certificate`
+    reads as they are: the (Box, witness) pairs of `Certificate.leaves`
+    are built on first use, one `Interval` per distinct side, and
+    `check-cert` never builds them."""
+    _typed(payload, dict, "the certificate")
+    system, leaves = _entry(payload, "system", dict), _entry(payload, "leaves", list)
+    if len(leaves) > COVER_LEAF_CAP:
+        raise ResourceLimitError(f"certificate has more than {COVER_LEAF_CAP} leaves")
+    depth = _entry(payload, "depth", int)  # not a bool, float or string
+    if depth < 0:
+        raise CertificateFormatError(f"depth {depth!r} is not a non-negative JSON integer")
+    alphabet = _entry(system, "alphabet", list, "system.")
+    if not all(type(s) is str for s in alphabet):
+        raise CertificateFormatError("system.alphabet is not a JSON list of strings")
+    maps = _entry(system, "maps", dict, "system.").items()
+    system = IFSystem(tuple(alphabet), {s: _parsed(
+        f"system.maps[{encode_basestring_ascii(s)}]", _affine_from_dict, m) for s, m in maps})
+    ratios = {}  # endpoint (a JSON string or integer) -> its integer ratio
+
+    def interval(side) -> Interval:
+        if type(side) is not list or len(side) != 2 or not {type(e) for e in side} <= {str, int}:
+            raise TypeError("not a JSON [lo, hi] pair of p/q strings")
+        for end in side:
+            if end not in ratios:
+                ratios[end] = rat(end).as_integer_ratio()
+        return Interval(*(Fraction(*ratios[end]) for end in side))
+
+    sides = [_parsed(f"box[{c}]", interval, side) for c, side in enumerate(_entry(payload, "box", list))]
+    target = Box([sides[sides.index(iv)] for iv in sides])  # equal sides share one Interval
+    try:
+        held = Leaves(target, *_leaf_columns(leaves, target.dim, ratios))
+    except (KeyError, TypeError, ValueError):
+        for i, leaf in enumerate(leaves):  # name the first malformed piece
+            at = f"leaves[{i}]"
+            _entry(_typed(leaf, dict, at), "witness", str, at + ".")
+            for c, side in enumerate(_entry(leaf, "box", list, at + ".")):
+                _parsed(f"{at}.box[{c}]", interval, side)
+            if len(leaf["box"]) != target.dim:
+                raise CertificateFormatError(
+                    f"{at}.box has {len(leaf['box'])} sides, not the target's {target.dim}") from None
+        raise  # the walk names every piece that the columns refuse
+    margin = _parsed("margin", rat, _entry(payload, "margin", None))
+    return Certificate(system=system, target=target, margin=margin, max_depth=depth, leaves=held)
 
 
 # --- flat polynomials -----------------------------------------------------------

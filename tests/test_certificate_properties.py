@@ -13,6 +13,10 @@ also compared with the pairwise test it replaced, kept in
 their mutants.  The whole checker, which decides on integer cell
 coordinates, is compared with the `Fraction` checker it replaced, kept
 there too, on the same mutants and on mutants made to probe the grid.
+Last, the loader and checker, which hold and read the leaves as grid
+cells, are compared with the loader and checker kept there, on wire
+payloads and their mutants, and on loaded certificates whose leaves or
+target `dataclasses.replace` swaps.
 """
 
 import itertools
@@ -26,17 +30,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covering_reference import _leaves_partition as reference_partition  # local helper module
-from covering_reference import bisect, planar_certificate, reference_check_certificate
+from covering_reference import (
+    bisect,
+    planar_certificate,
+    reference_check_certificate,
+    reference_load_certificate,
+)
 from jetcover.boxes import Box, Interval
 from jetcover.covering import (
     Certificate,
+    Leaves,
     _tree_cells,
     certify_covering,
     check_certificate,
 )
 from jetcover.ifs import IFSystem, affine_1d
 from jetcover.rational import rat_str
-from jetcover.serialize import canonical_json, covering_outcome_payload, load_certificate
+from jetcover.serialize import (
+    box_to_list,
+    canonical_json,
+    covering_outcome_payload,
+    load_certificate,
+)
 
 TARGET = Box([Interval.of(-2, 2)])
 slopes = st.integers(40, 63).map(lambda j: F(j, 64))
@@ -208,6 +223,13 @@ def boxes(leaves):
     return [leaf for leaf, _ in leaves]
 
 
+def replayed(target, leaves) -> bool:
+    """Whether the checker's replay takes the boxes `leaves`, put on the
+    target's grid, for the leaf set of its bisection tree."""
+    cells = Leaves.of(target, [(leaf, "") for leaf in leaves]).cells
+    return cells is not None and _tree_cells(target, cells) is not None
+
+
 def shuffled(cert, data):
     leaves = list(cert.leaves)
     random.Random(data.draw(st.integers(0, 2**32))).shuffle(leaves)
@@ -216,12 +238,12 @@ def shuffled(cert, data):
 
 def assert_partition_verdicts_agree(cert, data):
     leaves = shuffled(cert, data)
-    assert _tree_cells(cert.target, boxes(leaves)) is not None
+    assert replayed(cert.target, boxes(leaves))
     assert reference_partition(cert.target, boxes(leaves))
     i = data.draw(st.integers(0, len(leaves) - 1))
     for mutant in mutants(list(cert.leaves), leaves, i, data):
         expected = reference_partition(cert.target, boxes(mutant))
-        assert (_tree_cells(cert.target, boxes(mutant)) is not None) == expected
+        assert replayed(cert.target, boxes(mutant)) == expected
 
 
 def assert_checker_verdicts_agree(cert, data):
@@ -267,4 +289,69 @@ def test_partition_off_the_bisection_tree_is_rejected(cuts):
     target = Box([Interval.of(-2, 2)])
     leaves = [Box([Interval.of(lo, hi)]) for lo, hi in zip(cuts, cuts[1:])]
     assert reference_partition(target, leaves)
-    assert _tree_cells(target, leaves) is None
+    assert not replayed(target, leaves)
+
+
+def payload_mutants(payload, data):
+    """Edited copies of a certificate's wire payload: leaf i with another
+    witness, dropped or repeated, an endpoint of it moved off the grid by
+    2^-60, it swapped for a cell 200 levels below it, and the margin raised."""
+    leaves = payload["leaves"]
+    i = data.draw(st.integers(0, len(leaves) - 1))
+    leaf = leaves[i]
+
+    def with_leaf(new):
+        return dict(payload, leaves=leaves[:i] + [new] + leaves[i + 1:])
+
+    others = [s for s in payload["system"]["alphabet"] if s != leaf["witness"]]
+    yield with_leaf(dict(leaf, witness=data.draw(st.sampled_from(others))))
+    yield dict(payload, leaves=leaves[:i] + leaves[i + 1:])
+    yield dict(payload, leaves=leaves + [leaf])
+    box = [list(side) for side in leaf["box"]]
+    ax, end = data.draw(st.integers(0, len(box) - 1)), data.draw(st.integers(0, 1))
+    box[ax][end] = rat_str(F(box[ax][end]) + F(data.draw(st.sampled_from([1, -1])), 2 ** 60))
+    yield with_leaf(dict(leaf, box=box))
+    deep, path = Box.of(*leaf["box"]), data.draw(st.integers(0, 2 ** 200 - 1))
+    for level in range(200):
+        deep = bisect(deep)[path >> level & 1]
+    yield with_leaf(dict(leaf, box=box_to_list(deep)))
+    factor = data.draw(st.sampled_from([2, 4, 16, 64]))
+    yield dict(payload, margin=rat_str(F(payload["margin"]) * factor))
+
+
+def other_targets(target, data):
+    """Targets of the same dimension: equal to `target` but a new box, its
+    lower half, it stretched on its last axis, it shifted by its width."""
+    yield Box(list(target.intervals))
+    yield bisect(target)[0]
+    *head, last = target.intervals
+    yield Box(head + [Interval(last.lo, last.hi + last.width * data.draw(st.sampled_from([1, 3])))])
+    yield Box([Interval(iv.hi, iv.hi + iv.width) for iv in target])
+
+
+def assert_loaded_verdicts_agree(cert, data):
+    payload = wire(covering_outcome_payload(cert))
+    for edited in itertools.chain([payload], payload_mutants(payload, data)):
+        expected = reference_check_certificate(reference_load_certificate(edited))
+        assert check_certificate(load_certificate(edited)) == expected
+    loaded, reference = load_certificate(payload), reference_load_certificate(payload)
+    leaves = shuffled(cert, data)
+    i = data.draw(st.integers(0, len(leaves) - 1))
+    for mutant in mutants(list(cert.leaves), leaves, i, data):
+        mutated = replace(loaded, leaves=tuple(mutant))
+        assert check_certificate(mutated) == reference_check_certificate(mutated)
+    for target in other_targets(cert.target, data):
+        expected = reference_check_certificate(replace(reference, target=target))
+        assert check_certificate(replace(loaded, target=target)) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(certificates(), st.data())
+def test_cell_loader_and_checker_agree_with_the_references_1d(cert, data):
+    assert_loaded_verdicts_agree(cert, data)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.sampled_from(PLANAR), st.data())
+def test_cell_loader_and_checker_agree_with_the_references_planar(params, data):
+    assert_loaded_verdicts_agree(planar_certificate(*params), data)

@@ -502,6 +502,17 @@ HOSTILE_CERTIFICATES = {
     "2x2 maps on a 1-d box": (2, lambda p: p["system"]["maps"].update(
         {"+": PLANAR, "-": PLANAR})),
     "no leaves": (1, lambda p: p.update(leaves=[])),
+    # once read as an empty leaf list (exit 1): an object is no JSON list
+    "leaves given as an object": (2, lambda p: p.update(leaves={})),
+    "null leaves": (2, lambda p: p.update(leaves=None)),
+    "leaf given as a list": (2, lambda p: p["leaves"].__setitem__(1, [["0", "2"]])),
+    "missing witness": (2, lambda p: p["leaves"][1].pop("witness")),
+    "missing box": (2, lambda p: p["leaves"][0].pop("box")),
+    "three endpoints in a side": (2, lambda p: p["leaves"][1].update(box=[["0", "1", "2"]])),
+    "nested list endpoint": (2, lambda p: p["leaves"][0].update(box=[[["-2"], "0"]])),
+    "target side given as a string": (2, lambda p: p.update(box=["-2, 2"])),
+    "null margin": (2, lambda p: p.update(margin=None)),
+    "map without a matrix": (2, lambda p: p["system"]["maps"]["+"].pop("matrix")),
     # tuple() of either once read as the alphabet ["+", "-"]
     "alphabet given as a string": (2, lambda p: p["system"].update(alphabet="+-")),
     "alphabet given as an object": (2, lambda p: p["system"].update(
@@ -547,18 +558,62 @@ HOSTILE_CERTIFICATES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(HOSTILE_CERTIFICATES))
-def test_check_cert_exit_codes_on_hostile_certificates(tmp_path, capsys, name):
-    expected, mutate = HOSTILE_CERTIFICATES[name]
+def hostile_certificate(tmp_path, mutate):
+    """The path of the `certify --lam 3/4` certificate, edited by `mutate`."""
     cert = tmp_path / "cert.json"
     assert run(["certify", "--lam", "3/4", "--out", str(cert)]) == 0
     payload = json.loads(cert.read_text())
     mutate(payload)
     cert.write_text(json.dumps(payload))
+    return cert
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CERTIFICATES))
+def test_check_cert_exit_codes_on_hostile_certificates(tmp_path, capsys, name):
+    expected, mutate = HOSTILE_CERTIFICATES[name]
+    cert = hostile_certificate(tmp_path, mutate)
     if expected == 2:
         _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
     else:
         assert run(["check-cert", "--cert", str(cert)]) == expected
+
+
+# the path of the field that each malformed certificate's message names
+NAMED_FIELDS = {
+    "two-dimensional leaf": "leaves[0].box has 2 sides",
+    "leaves given as an object": "leaves is not a JSON list",
+    "null leaves": "leaves is not a JSON list",
+    "leaf given as a list": "leaves[1] is not a JSON object",
+    "missing witness": "leaves[1].witness is missing",
+    "missing box": "leaves[0].box is missing",
+    "three endpoints in a side": "leaves[1].box[0]: not a JSON [lo, hi] pair",
+    "nested list endpoint": "leaves[0].box[0]: not a JSON [lo, hi] pair",
+    "box given as a string": "leaves[0].box is not a JSON list",
+    "reversed leaf interval": "leaves[0].box[0]: empty interval",
+    "list witness": "leaves[0].witness is not a JSON string",
+    "float endpoint in a pair equal to an int pair": "leaves[1].box[0]",
+    "leaf endpoint '1/0'": "leaves[0].box[0]: not an ASCII p/q",
+    "target side given as a string": "box[0]: not a JSON [lo, hi] pair",
+    "reversed target": "box[0]: empty interval",
+    "null margin": "margin: cannot coerce NoneType",
+    "depth not a number": "depth is not a JSON integer",
+    "alphabet given as a string": "system.alphabet is not a JSON list",
+    "map without a matrix": 'system.maps["+"]: matrix is missing',
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
+def test_check_cert_names_the_malformed_field(tmp_path, capsys, name):
+    cert = hostile_certificate(tmp_path, HOSTILE_CERTIFICATES[name][1])
+    assert NAMED_FIELDS[name] in _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
+
+
+@pytest.mark.parametrize("text", ["5", "[]", "null", '"x"'])
+def test_check_cert_top_level_must_be_an_object(tmp_path, capsys, text):
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    err = _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
+    assert "the certificate is not a JSON object" in err
 
 
 @pytest.mark.parametrize("depth", ["1e400", "2.7", "true", '"24"', "-5"])

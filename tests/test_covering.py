@@ -345,7 +345,8 @@ def test_witness_test_matches_inverse_image_box(matrix, offset):
         fits = covering._fit_test(f, target, shrunk)
         pieces, verdicts, expected = [target], [], []
         for _ in range(7):
-            verdicts += [fits(*cell) for cell in covering._tree_cells(target, pieces)]
+            cells = covering.Leaves.of(target, [(piece, "") for piece in pieces]).cells
+            verdicts += [fits(*cell) for cell in covering._tree_cells(target, cells)]
             expected += [shrunk.contains_box(inverse_image_box(f, leaf)) for leaf in pieces]
             pieces = [half for piece in pieces for half in bisect(piece)]
         assert verdicts == expected

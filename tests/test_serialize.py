@@ -230,6 +230,40 @@ def test_loader_parses_each_endpoint_string_once(monkeypatch):
     assert len(shared) == len({tuple(side) for side in sides}) < len(sides)
 
 
+def test_checking_a_loaded_certificate_builds_no_box_per_leaf(monkeypatch):
+    # the loader holds the leaves as grid cells and the checker reads those;
+    # only the target and its shrunk copy are boxes until the leaves are read
+    cert, payload = next(benchmark_certificate_payloads())
+    built = Counter()
+    box_init, interval_init = Box.__init__, Interval.__post_init__
+
+    def counted_box(self, intervals):
+        built[Box] += 1
+        box_init(self, intervals)
+
+    def counted_interval(self):
+        built[Interval] += 1
+        interval_init(self)
+
+    monkeypatch.setattr(Box, "__init__", counted_box)
+    monkeypatch.setattr(Interval, "__post_init__", counted_interval)
+    loaded = load_certificate(payload)
+    assert check_certificate(loaded)
+    assert built == {Box: 2, Interval: 2 * loaded.target.dim} and len(loaded.leaves) == 559
+    assert loaded.leaves[0] == cert.leaves[0]  # reading them builds every leaf once
+    assert built[Box] == 2 + len(loaded.leaves)
+    assert loaded.leaves == reference_load_certificate(payload).leaves == cert.leaves
+
+
+def test_leaf_of_another_dimension_is_a_format_error(sys34):
+    payload = covering_outcome_payload(
+        certify_covering(sys34, Box([Interval.of(-2, 2)]), F(1, 100))
+    )
+    payload["leaves"][1]["box"].append(["0", "1"])
+    with pytest.raises(CertificateFormatError, match=r"leaves\[1\]\.box has 2 sides"):
+        load_certificate(payload)
+
+
 @pytest.mark.parametrize(
     "field, path",
     [
