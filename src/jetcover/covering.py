@@ -13,17 +13,21 @@ sub-box.  Certifier and checker both work on the target's dyadic grid,
 each with its own code.  `certify_covering` bisects depth-first on
 integer cell indices, tests each cell in integers alone, inverts each
 branch map at most once and refuses more than `COVER_LEAF_CAP` leaves or
-`COVER_DEPTH_CAP` depth.  The checker reads each leaf as its cell, a
-tuple of per-axis heap indices: a loaded certificate holds its leaves as
-cells (`Leaves`, made by `_heap_indices` from each distinct side once),
-and builds their (Box, witness) pairs only when `Certificate.leaves` is
-read as a sequence; any other leaves go through the same function.  The
-checker accepts exactly the leaf sets of the target's midpoint bisection
-tree (longest axis, lowest index on ties), in any order, by replaying
-that tree on the cells a depth at a time (one split axis per depth), and
-tests each cell against integer rows made once per witness and shifted
-per exponent vector; it inverts each witness map once and is linear in
-the leaf count.  The JSON wire format lives in `serialize`.
+`COVER_DEPTH_CAP` depth.  Certified and loaded certificates alike hold
+their leaves as `Leaves`: per axis each leaf's side as reduced integer
+ratios, which the writer renders as they are, and the witnesses; their
+(Box, witness) pairs are built only when `Certificate.leaves` is read as
+a sequence.  The checker reads each leaf as its cell, a tuple of per-axis
+heap indices that `Leaves.cells` derives from the sides with the
+checker's own `_heap_indices`, each distinct side once; the certifier
+hands on no cell or exponent of its own, and any other leaves go through
+the same function.  The checker accepts exactly the leaf sets of the
+target's midpoint bisection tree (longest axis, lowest index on ties), in
+any order, by replaying that tree on the cells a depth at a time (one
+split axis per depth), and tests each cell against integer rows made
+once per witness and shifted per exponent vector; it inverts each
+witness map once and is linear in the leaf count.  The JSON wire format
+lives in `serialize`.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd, prod
 from operator import mul
 from typing import Sequence, Tuple, Union
 
@@ -46,7 +51,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .ifs import COVER_LEAF_CAP, AffineMap, IFSystem
-from .rational import cleared, rat, rat_str
+from .rational import cleared, rat, ratio_str
 
 DEFAULT_MAX_DEPTH = 24
 # a failing path costs time quadratic in its depth and makes no leaves, so
@@ -93,20 +98,26 @@ class Certificate:
     target: Box
     margin: Fraction
     max_depth: int
-    leaves: Sequence[Tuple[Box, str]]  # a tuple, or `Leaves` as loaded
+    leaves: Sequence[Tuple[Box, str]]  # `Leaves` as certified or loaded, or a tuple
 
     @property
     def depth_used(self) -> int:
         # leaf depth is recoverable from volumes (each bisection halves): the
         # least d with lv * 2^d >= v, in closed form and capped by max_depth,
-        # so a hostile zero-volume leaf reads max_depth at constant cost
-        v = self.target.volume()
+        # so a hostile zero-volume leaf reads max_depth at constant cost;
+        # `Leaves` give each volume n/m from their integer sides, no Box
+        if isinstance(self.leaves, Leaves):
+            widths = [_widths(pairs) for pairs in self.leaves.sides]
+            volumes = ((prod(map(dict.__getitem__, widths, leaf)),
+                        prod(b * d for (_, b), (_, d) in leaf)) for leaf in zip(*self.leaves.sides))
+        else:
+            volumes = (leaf.volume().as_integer_ratio() for leaf, _ in self.leaves)
+        v, w = self.target.volume().as_integer_ratio()  # the target's volume v/w
         depth = 0
-        for leaf, _ in self.leaves:
-            lv = leaf.volume()
-            if lv >= v:
+        for n, m in volumes:  # a leaf's volume n/m, m > 0
+            if n * w >= v * m:
                 continue
-            d = self.max_depth if lv <= 0 else (-(-v // lv) - 1).bit_length()
+            d = self.max_depth if n <= 0 else (-(-v * m // (w * n)) - 1).bit_length()
             depth = max(depth, min(d, self.max_depth))
         return depth
 
@@ -129,7 +140,9 @@ def certify_covering(
 
     Bisects the target depth-first, lower half first; a cell's witness is
     the first alphabet symbol whose inverse image of it fits in the shrunk
-    target.  Returns the first cell without one at `max_depth` as a
+    target.  The Certificate holds its leaves, in visit order, as `Leaves`
+    of their sides in reduced integer ratios, with no Box or Fraction per
+    leaf.  Returns the first cell without one at `max_depth` as a
     CoveringFailure; raises ResourceLimitError for a `max_depth` above
     `COVER_DEPTH_CAP` or past `COVER_LEAF_CAP` leaves.
 
@@ -184,14 +197,13 @@ def certify_covering(
 
     axes = [cleared(pair) for pair in zip(origin, widths)]  # ([O_c, N_c], R_c)
 
-    @functools.lru_cache(maxsize=None)  # the leaves share their Interval objects
-    def side(c: int, e: int, k: int) -> Interval:
+    @functools.lru_cache(maxsize=None)  # the leaves share their sides
+    def side(c: int, e: int, k: int):
+        """Cell k's side on axis c at exponent e, as reduced integer ratios."""
         (o, n), r = axes[c]
         at, den = (o << e) + k * n, r << e
-        return Interval(Fraction(at, den), Fraction(at + n, den))
-
-    def box(cell, exps) -> Box:
-        return Box([side(c, exps[c], k) for c, k in enumerate(cell)])
+        g, h = gcd(at, den), gcd(at + n, den)
+        return (at // g, den // g), ((at + n) // h, den // h)
 
     levels = []  # per depth: exponents, split axis, shifted rows per symbol
     leaves = []  # (cell, exponents, witness) in visit order
@@ -222,51 +234,70 @@ def certify_covering(
                 break
         else:  # no witness
             if depth >= max_depth:
-                return CoveringFailure(witness_box=box(cell, exps), max_depth=max_depth)
+                ends = (side(c, exps[c], k) for c, k in enumerate(cell))
+                box = Box([Interval(Fraction(*lo), Fraction(*hi)) for lo, hi in ends])
+                return CoveringFailure(witness_box=box, max_depth=max_depth)
             head, k, tail = cell[:ax], 2 * cell[ax], cell[ax + 1:]
             stack += (head + (k + 1,) + tail, depth + 1), (head + (k,) + tail, depth + 1)
+    sides = [[side(c, exps[c], cell[c]) for cell, exps, _ in leaves] for c in range(len(widths))]
     return Certificate(
         system=sys, target=target, margin=margin, max_depth=max_depth,
-        leaves=tuple((box(cell, exps), label) for cell, exps, label in leaves),
+        leaves=Leaves(target, sides, [label for _, _, label in leaves]),
     )
+
+
+def _widths(pairs) -> dict:
+    """Each distinct side ((a, b), (c, d)) in `pairs`, the side [a/b, c/d]
+    with b, d > 0, to ``c b - a d``, its width times b d: integers, no gcd.
+    A side with a/b > c/d is a DegenerateInputError, as for `Interval`."""
+    out = {}
+    for pair in dict.fromkeys(pairs):
+        (a, b), (c, d) = pair
+        out[pair] = w = c * b - a * d
+        if w < 0:
+            raise DegenerateInputError(f"empty interval [{ratio_str(a, b)}, {ratio_str(c, d)}]")
+    return out
 
 
 def _heap_indices(axis: Interval, pairs) -> dict:
     """Each distinct pair ((a, b), (c, d)) of integer ratios in `pairs`, the
     side [a/b, c/d], to its heap index ``2^e + k`` if it is cell k of the 2^e
-    equal cells of `axis`, else to None; cell m halves into 2m and 2m + 1.
-    A side with a/b > c/d is a DegenerateInputError, as for `Interval`."""
+    equal cells of `axis`, else to None; cell m halves into 2m and 2m + 1."""
     (p, r), (u, v) = axis.lo.as_integer_ratio(), axis.width.as_integer_ratio()
-    out = dict.fromkeys(pairs)
-    for pair in out:
+    out = _widths(pairs)
+    for pair, w in out.items():
         (a, b), (c, d) = pair
-        w = c * b - a * d  # (c/d - a/b) b d: integers throughout, no gcd
+        out[pair] = None
         if w > 0:
             n, n_rem = divmod(u * b * d, v * w)
             k, k_rem = divmod((a * r - p * b) * d, r * w)
             if not n_rem and not k_rem and n.bit_count() == 1 and 0 <= k < n:
                 out[pair] = n + k
-        elif w < 0:
-            raise DegenerateInputError(
-                f"empty interval [{rat_str(Fraction(a, b))}, {rat_str(Fraction(c, d))}]")
     return out
 
 
 class Leaves(abc.Sequence):
-    """A certificate's leaves held as cells of the dyadic grid of `target`:
-    an immutable sequence of (Box, witness) pairs, built on first use, that
-    compares and hashes as their tuple.  `sides` holds per axis each leaf's
-    side as integer ratios ((a, b), (c, d)); `cells` each leaf's tuple of
-    per-axis heap indices, or None when some side is no cell."""
+    """A certificate's leaves held as their sides, for the dyadic grid of
+    `target`: an immutable sequence of (Box, witness) pairs, built on first
+    use, that compares and hashes as their tuple.  `sides` holds per axis each leaf's
+    side as reduced integer ratios ((a, b), (c, d)); `cells`, made from the
+    sides on first use, each leaf's tuple of per-axis heap indices, or None
+    when some side is no cell."""
 
-    __slots__ = ("target", "sides", "witnesses", "cells", "_pairs")
+    __slots__ = ("target", "sides", "witnesses", "_cells", "_pairs")
 
     def __init__(self, target: Box, sides, witnesses):
         self.target, self.sides, self.witnesses = target, sides, tuple(witnesses)
-        heaps = [_heap_indices(iv, pairs) for iv, pairs in zip(target, sides)]
-        cells = zip(*(map(heap.__getitem__, pairs) for heap, pairs in zip(heaps, sides)))
-        self.cells = None if any(None in heap.values() for heap in heaps) else list(cells)
-        self._pairs = None
+        self._cells = self._pairs = None
+
+    @property
+    def cells(self):
+        if self._cells is None:
+            heaps = [_heap_indices(iv, pairs) for iv, pairs in zip(self.target, self.sides)]
+            on_grid = not any(None in heap.values() for heap in heaps)
+            cells = zip(*(map(heap.__getitem__, pairs) for heap, pairs in zip(heaps, self.sides)))
+            self._cells = (list(cells) if on_grid else None,)
+        return self._cells[0]
 
     @classmethod
     def of(cls, target: Box, leaves) -> "Leaves":

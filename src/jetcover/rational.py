@@ -5,14 +5,16 @@ All certified arithmetic in this package runs on `fractions.Fraction`
 courtesy of the stdlib).  On every external surface rationals travel as
 ASCII ``"p/q"`` strings of any length, e.g. ``"-4/3"`` or ``"7"``: sides
 past Python's 4300-digit limit for int <-> str go through `decimal`.
-`rat` is the one parser, the certificate loader's too, and uses no regex.
+`ratio` is the one parser, to a reduced integer pair, and uses no regex;
+`rat` builds its Fraction, and the certificate loader keeps the pair.
+`ratio_str` is the one formatter, and `rat_str` writes a Fraction by it.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Sequence, Tuple, Union
 
 from .errors import CertificateFormatError
@@ -20,8 +22,9 @@ from .errors import CertificateFormatError
 RatLike = Union[Fraction, int, str]
 
 
-def rat(value: RatLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
+def ratio(value: RatLike) -> Tuple[int, int]:
+    """The reduced integer ratio (num, den), den > 0, of an int, Fraction,
+    or "p/q" string, with no Fraction built for a string.
 
     A string must be ASCII ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator
     (no whitespace, "+", underscore, non-ASCII digit, point or exponent), or
@@ -36,24 +39,38 @@ def rat(value: RatLike) -> Fraction:
             except ValueError:  # ASCII digits, so only the digit limit refuses them
                 num, den = int(Decimal(num)), int(Decimal(den or 1))
             if den:
-                return Fraction(num, den)
+                g = gcd(num, den)
+                return num // g, den // g
         raise CertificateFormatError(f"not an ASCII p/q with nonzero denominator: {value!r}")
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, bool):
         raise TypeError("bool is not a rational scalar")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact rational")
+
+
+def rat(value: RatLike) -> Fraction:
+    """Coerce an int, Fraction, or "p/q" string to an exact Fraction: a
+    Fraction as it is, anything else by `ratio`, which refuses it alike."""
+    if not isinstance(value, str) and isinstance(value, Fraction):
+        return value
+    return Fraction(*ratio(value))
+
+
+def ratio_str(num: int, den: int) -> str:
+    """The "p/q" wire form of a reduced ratio, den > 0 ("p" when den is 1)."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # a side past the digit limit
+        num, den = str(Decimal(num)), str(Decimal(den))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def rat_str(value: Fraction) -> str:
     """Serialize to the "p/q" wire form ("p" when the denominator is 1)."""
-    try:
-        return str(value)
-    except ValueError:  # a side past the digit limit
-        num, den = (str(Decimal(e)) for e in (value.numerator, value.denominator))
-        return num if den == "1" else f"{num}/{den}"
+    return ratio_str(value.numerator, value.denominator)
 
 
 def cleared(values: Sequence[Fraction]) -> Tuple[List[int], int]:

@@ -32,33 +32,55 @@ from .jetcovering import (
 )
 from .jets import Jet
 from .linalg import Vec
-from .rational import rat, rat_str
+from .rational import rat, rat_str, ratio, ratio_str
 
 
 def canonical_json(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\\n"``
     for dicts with str keys, lists, tuples, str, int, bool and None; any other
-    type is a TypeError.  Strings go through the C `encode_basestring_ascii`."""
+    type is a TypeError.  Strings go through the C `encode_basestring_ascii`.
+    The payload types are dispatched on their exact type first, and a string
+    in a list or a dict is encoded in place; subclasses take the
+    `isinstance` tests after them."""
     return _json(payload, "\n") + "\n"
 
 
 def _json(value, indent: str) -> str:
+    kind = type(value)  # the payload types by identity first, then subclasses
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is list or kind is tuple:
+        return _json_list(value, indent)
+    if kind is dict:
+        return _json_dict(value, indent)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    inner = indent + "  "
     if isinstance(value, (list, tuple)):
-        items = [encode_basestring_ascii(v) if type(v) is str else _json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    if isinstance(value, dict):  # a key that is no str: TypeError from the sort or the encoder
-        items = [
-            encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+        return _json_list(value, indent)
+    if isinstance(value, dict):
+        return _json_dict(value, indent)
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"{type(value).__name__} is not a canonical JSON type")
+
+
+def _json_list(value, indent: str) -> str:
+    inner = indent + "  "
+    items = [encode_basestring_ascii(v) if type(v) is str else _json(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+
+def _json_dict(value, indent: str) -> str:
+    # a key that is no str: TypeError from the sort or the encoder
+    inner = indent + "  "
+    items = [
+        encode_basestring_ascii(k) + ": "
+        + (encode_basestring_ascii(v) if type(v) is str else _json(v, inner))
+        for k, v in sorted(value.items())
+    ]
+    return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
 
 
 def write_atomic(path: str, data) -> None:
@@ -136,11 +158,18 @@ def _affine_from_dict(d: dict) -> AffineMap:
 
 
 def covering_outcome_payload(outcome) -> dict:
+    """The wire form of a Certificate or a CoveringFailure.  A certificate's
+    leaves are written from their integer sides (`covering.Leaves`; other
+    leaves are put into that form first), each distinct side rendered once
+    by `ratio_str`, so no Box or Fraction is built per leaf."""
     if isinstance(outcome, Certificate):
-        system = outcome.system
-        # each distinct cell interval is rendered once; the leaves keep them all alive
-        text = {id(iv): iv for leaf, _ in outcome.leaves for iv in leaf.intervals}
-        text = {key: (rat_str(iv.lo), rat_str(iv.hi)) for key, iv in text.items()}
+        system, leaves = outcome.system, outcome.leaves
+        if not isinstance(leaves, Leaves):
+            leaves = Leaves.of(outcome.target, leaves)
+        # each distinct side is rendered once, from its integer ratios
+        text = {pair: (ratio_str(*pair[0]), ratio_str(*pair[1]))
+                for pair in dict.fromkeys(chain.from_iterable(leaves.sides))}
+        boxes = zip(*([list(text[pair]) for pair in pairs] for pairs in leaves.sides))
         return {
             "system": {
                 "alphabet": list(system.alphabet),
@@ -150,8 +179,8 @@ def covering_outcome_payload(outcome) -> dict:
             "margin": rat_str(outcome.margin),
             "depth": outcome.max_depth,
             "leaves": [
-                {"box": [list(text[id(iv)]) for iv in leaf.intervals], "witness": witness}
-                for leaf, witness in outcome.leaves
+                {"box": list(box), "witness": witness}
+                for box, witness in zip(boxes, leaves.witnesses)
             ],
             "verified": True,
         }
@@ -206,7 +235,7 @@ def _leaf_columns(leaves: list, dim: int, ratios: dict):
         raise TypeError
     for end in dict.fromkeys(ends):
         if end not in ratios:
-            ratios[end] = rat(end).as_integer_ratio()
+            ratios[end] = ratio(end)
     pairs = list(zip(map(ratios.__getitem__, ends[0::2]), map(ratios.__getitem__, ends[1::2])))
     return [pairs[c::dim] for c in range(dim)], witnesses
 
@@ -217,11 +246,12 @@ def load_certificate(payload: dict) -> Certificate:
     included, is a CertificateFormatError naming its path, such as
     ``leaves[3].box[1]``.  More leaves than `COVER_LEAF_CAP` is a
     ResourceLimitError, raised before any leaf is read.  Each distinct
-    endpoint is parsed once (`rat`).  The leaves are held as cells of the
-    target's dyadic grid (`covering.Leaves`), which `check_certificate`
-    reads as they are: the (Box, witness) pairs of `Certificate.leaves`
-    are built on first use, one `Interval` per distinct side, and
-    `check-cert` never builds them."""
+    endpoint is parsed once, to its integer ratio (`ratio`).  The leaves
+    are held as their sides (`covering.Leaves`), whose cells on the
+    target's dyadic grid are made here, once, so that a reversed side is
+    refused at load, and which `check_certificate` reads as they are: the
+    (Box, witness) pairs of `Certificate.leaves` are built on first use,
+    one `Interval` per distinct side, and `check-cert` never builds them."""
     _typed(payload, dict, "the certificate")
     system, leaves = _entry(payload, "system", dict), _entry(payload, "leaves", list)
     if len(leaves) > COVER_LEAF_CAP:
@@ -242,13 +272,14 @@ def load_certificate(payload: dict) -> Certificate:
             raise TypeError("not a JSON [lo, hi] pair of p/q strings")
         for end in side:
             if end not in ratios:
-                ratios[end] = rat(end).as_integer_ratio()
+                ratios[end] = ratio(end)
         return Interval(*(Fraction(*ratios[end]) for end in side))
 
     sides = [_parsed(f"box[{c}]", interval, side) for c, side in enumerate(_entry(payload, "box", list))]
     target = Box([sides[sides.index(iv)] for iv in sides])  # equal sides share one Interval
     try:
         held = Leaves(target, *_leaf_columns(leaves, target.dim, ratios))
+        held.cells  # a reversed side is refused here, at load
     except (KeyError, TypeError, ValueError):
         for i, leaf in enumerate(leaves):  # name the first malformed piece
             at = f"leaves[{i}]"

@@ -115,6 +115,10 @@ def test_depth_used_matches_the_doubling_loop(v, leaf_volumes, max_depth):
         tuple((box1(0, lv), "+") for lv in leaf_volumes),
     )
     assert cert.depth_used == loop_depth_used(cert)
+    # held as integer sides, the depth comes from them, with no leaf Box built
+    held = replace(cert, leaves=covering.Leaves.of(cert.target, cert.leaves))
+    with patch.object(covering.Leaves, "_tuple", side_effect=AssertionError("a leaf Box")):
+        assert held.depth_used == loop_depth_used(cert)
 
 
 def test_depth_used_is_constant_time_on_a_zero_volume_leaf(sys34):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcover.errors import CertificateFormatError
-from jetcover.rational import rat, rat_str
+from jetcover.rational import rat, rat_str, ratio, ratio_str
 from rational_reference import reference_rat  # local oracle
 
 DIGIT_LIMIT = 4300  # CPython's default cap on int <-> decimal string conversion
@@ -37,7 +37,7 @@ def test_rat_refuses_other_types(value):
 @given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
 def test_short_values_round_trip_as_str_writes_them(p, q):
     value = F(p, q)
-    assert rat_str(value) == str(value)
+    assert rat_str(value) == ratio_str(value.numerator, value.denominator) == str(value)
     assert rat(rat_str(value)) == value
 
 
@@ -75,3 +75,34 @@ TOKENS = st.one_of(
 @given(st.lists(TOKENS, max_size=8).map("".join))
 def test_parser_accepts_what_the_regex_accepts_with_equal_values(text):
     assert parsed(rat, text) == parsed(reference_rat, text)
+
+
+def outcome(parse, value):
+    try:
+        return parse(value)
+    except (CertificateFormatError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+SCALARS = st.one_of(
+    st.lists(TOKENS, max_size=8).map("".join),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+
+
+@settings(max_examples=300)
+@given(SCALARS)
+def test_ratio_is_the_reduced_pair_of_rat(value):
+    # the same pair, or the same refusal with the same message
+    pair = outcome(ratio, value)
+    expected = outcome(rat, value)
+    if isinstance(value, str):
+        assert outcome(reference_rat, value) == expected
+    if isinstance(expected, F):
+        expected = expected.numerator, expected.denominator
+        assert all(type(e) is int for e in pair) and pair[1] > 0
+    assert pair == expected

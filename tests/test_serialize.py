@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import hashlib
 import json
 import os
 from collections import Counter
@@ -215,13 +217,13 @@ def test_loader_reads_each_benchmark_certificate_as_the_old_loader_did():
 def test_loader_parses_each_endpoint_string_once(monkeypatch):
     cert, payload = next(benchmark_certificate_payloads())
     parsed = Counter()
-    rat = serialize.rat
+    ratio = serialize.ratio
 
     def counted(value):
         parsed[value] += 1
-        return rat(value)
+        return ratio(value)
 
-    monkeypatch.setattr(serialize, "rat", counted)
+    monkeypatch.setattr(serialize, "ratio", counted)
     loaded = load_certificate(payload)
     sides = [side for leaf in payload["leaves"] for side in leaf["box"]] + payload["box"]
     assert {parsed[e] for side in sides for e in side} == {1}
@@ -234,6 +236,7 @@ def test_checking_a_loaded_certificate_builds_no_box_per_leaf(monkeypatch):
     # the loader holds the leaves as grid cells and the checker reads those;
     # only the target and its shrunk copy are boxes until the leaves are read
     cert, payload = next(benchmark_certificate_payloads())
+    made = tuple(cert.leaves)  # the certifier's leaves, as boxes, before counting
     built = Counter()
     box_init, interval_init = Box.__init__, Interval.__post_init__
 
@@ -250,9 +253,46 @@ def test_checking_a_loaded_certificate_builds_no_box_per_leaf(monkeypatch):
     loaded = load_certificate(payload)
     assert check_certificate(loaded)
     assert built == {Box: 2, Interval: 2 * loaded.target.dim} and len(loaded.leaves) == 559
-    assert loaded.leaves[0] == cert.leaves[0]  # reading them builds every leaf once
+    assert loaded.leaves[0] == made[0]  # reading them builds every leaf once
     assert built[Box] == 2 + len(loaded.leaves)
-    assert loaded.leaves == reference_load_certificate(payload).leaves == cert.leaves
+    assert loaded.leaves == reference_load_certificate(payload).leaves == made
+
+
+def test_benchmark_certificate_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for cert, _ in benchmark_certificate_payloads():
+        digest.update(canonical_json(covering_outcome_payload(cert)).encode())
+    assert digest.hexdigest() == (
+        "8e4781961fc580c771a3ad8ca806e94c2b2558c7282c23c3dbbcd66e1cb3e155"
+    )
+
+
+def test_writing_a_certificate_builds_no_box_per_leaf(monkeypatch):
+    # the certifier hands its leaves on as integer sides, and the writer
+    # renders those: only the target's shrunk copy is a new box
+    built = Counter()
+    box_init, interval_init = Box.__init__, Interval.__post_init__
+
+    def counted_box(self, intervals):
+        built[Box] += 1
+        box_init(self, intervals)
+
+    def counted_interval(self):
+        built[Interval] += 1
+        interval_init(self)
+
+    target = Box.of((-2, F(13, 8)), (-2, F(13, 8)))
+    monkeypatch.setattr(Box, "__init__", counted_box)
+    monkeypatch.setattr(Interval, "__post_init__", counted_interval)
+    cert = certify_covering(planar_system(F(71, 128)), target, F(1, 200))
+    text = canonical_json(covering_outcome_payload(cert))
+    assert len(cert.leaves) == 559 and cert.depth_used == 14
+    assert built == {Box: 1, Interval: 2}
+    monkeypatch.undo()
+    # leaves given as (Box, witness) pairs are written to the same bytes
+    as_tuple = dataclasses.replace(cert, leaves=tuple(cert.leaves))
+    assert type(as_tuple.leaves) is tuple
+    assert canonical_json(covering_outcome_payload(as_tuple)) == text
 
 
 def test_leaf_of_another_dimension_is_a_format_error(sys34):
