@@ -105,13 +105,11 @@ class Certificate:
         # leaf depth is recoverable from volumes (each bisection halves): the
         # least d with lv * 2^d >= v, in closed form and capped by max_depth,
         # so a hostile zero-volume leaf reads max_depth at constant cost;
-        # `Leaves` give each volume n/m from their integer sides, no Box
-        if isinstance(self.leaves, Leaves):
-            widths = [_widths(pairs) for pairs in self.leaves.sides]
-            volumes = ((prod(map(dict.__getitem__, widths, leaf)),
-                        prod(b * d for (_, b), (_, d) in leaf)) for leaf in zip(*self.leaves.sides))
-        else:
-            volumes = (leaf.volume().as_integer_ratio() for leaf, _ in self.leaves)
+        # each volume n/m comes from the leaves' integer sides, no Box
+        leaves = self.leaves if isinstance(self.leaves, Leaves) else Leaves.of(self.target, self.leaves)
+        widths = [_widths(pairs) for pairs in leaves.sides]
+        volumes = ((prod(map(dict.__getitem__, widths, leaf)),
+                    prod(b * d for (_, b), (_, d) in leaf)) for leaf in zip(*leaves.sides))
         v, w = self.target.volume().as_integer_ratio()  # the target's volume v/w
         depth = 0
         for n, m in volumes:  # a leaf's volume n/m, m > 0

@@ -5,8 +5,8 @@ All certified arithmetic in this package runs on `fractions.Fraction`
 courtesy of the stdlib).  On every external surface rationals travel as
 ASCII ``"p/q"`` strings of any length, e.g. ``"-4/3"`` or ``"7"``: sides
 past Python's 4300-digit limit for int <-> str go through `decimal`.
-`ratio` is the one parser, to a reduced integer pair, and uses no regex;
-`rat` builds its Fraction, and the certificate loader keeps the pair.
+`ratio` parses to a reduced integer pair, which the certificate loader
+keeps, and `rat` to a Fraction, both by one string parser with no regex.
 `ratio_str` is the one formatter, and `rat_str` writes a Fraction by it.
 """
 
@@ -22,6 +22,20 @@ from .errors import CertificateFormatError
 RatLike = Union[Fraction, int, str]
 
 
+def _parsed(value: str) -> Tuple[int, int]:
+    """The integer pair (num, den) of a "p/q" string, den > 0, unreduced."""
+    num, slash, den = value.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # ASCII digits, so only the digit limit refuses them
+            num, den = int(Decimal(num)), int(Decimal(den or 1))
+        if den:
+            return num, den
+    raise CertificateFormatError(f"not an ASCII p/q with nonzero denominator: {value!r}")
+
+
 def ratio(value: RatLike) -> Tuple[int, int]:
     """The reduced integer ratio (num, den), den > 0, of an int, Fraction,
     or "p/q" string, with no Fraction built for a string.
@@ -31,17 +45,9 @@ def ratio(value: RatLike) -> Tuple[int, int]:
     it is a CertificateFormatError; a float, bool or other type is a TypeError.
     """
     if isinstance(value, str):
-        num, slash, den = value.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
-        if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
-            try:
-                num, den = int(num), int(den or 1)
-            except ValueError:  # ASCII digits, so only the digit limit refuses them
-                num, den = int(Decimal(num)), int(Decimal(den or 1))
-            if den:
-                g = gcd(num, den)
-                return num // g, den // g
-        raise CertificateFormatError(f"not an ASCII p/q with nonzero denominator: {value!r}")
+        num, den = _parsed(value)
+        g = gcd(num, den)
+        return num // g, den // g
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     if isinstance(value, bool):
@@ -52,9 +58,11 @@ def ratio(value: RatLike) -> Tuple[int, int]:
 
 
 def rat(value: RatLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction: a
-    Fraction as it is, anything else by `ratio`, which refuses it alike."""
-    if not isinstance(value, str) and isinstance(value, Fraction):
+    """Coerce an int, Fraction, or "p/q" string to an exact Fraction,
+    refusing what `ratio` refuses; a string is reduced once, by Fraction."""
+    if isinstance(value, str):
+        return Fraction(*_parsed(value))
+    if isinstance(value, Fraction):
         return value
     return Fraction(*ratio(value))
 

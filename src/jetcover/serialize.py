@@ -38,49 +38,31 @@ from .rational import rat, rat_str, ratio, ratio_str
 def canonical_json(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\\n"``
     for dicts with str keys, lists, tuples, str, int, bool and None; any other
-    type is a TypeError.  Strings go through the C `encode_basestring_ascii`.
-    The payload types are dispatched on their exact type first, and a string
-    in a list or a dict is encoded in place; subclasses take the
-    `isinstance` tests after them."""
+    type is a TypeError.  Strings go through the C `encode_basestring_ascii`,
+    and a string item of a list or a dict is encoded in place."""
     return _json(payload, "\n") + "\n"
 
 
 def _json(value, indent: str) -> str:
-    kind = type(value)  # the payload types by identity first, then subclasses
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is list or kind is tuple:
-        return _json_list(value, indent)
-    if kind is dict:
-        return _json_dict(value, indent)
+    # containers first, since a str item of one is encoded in place
+    inner = indent + "  "
+    if isinstance(value, list) or isinstance(value, tuple):
+        items = [encode_basestring_ascii(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict):  # a key that is no str: TypeError from the sort or the encoder
+        items = [
+            encode_basestring_ascii(k) + ": "
+            + (encode_basestring_ascii(v) if type(v) is str else _json(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if isinstance(value, (list, tuple)):
-        return _json_list(value, indent)
-    if isinstance(value, dict):
-        return _json_dict(value, indent)
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"{type(value).__name__} is not a canonical JSON type")
-
-
-def _json_list(value, indent: str) -> str:
-    inner = indent + "  "
-    items = [encode_basestring_ascii(v) if type(v) is str else _json(v, inner) for v in value]
-    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-
-
-def _json_dict(value, indent: str) -> str:
-    # a key that is no str: TypeError from the sort or the encoder
-    inner = indent + "  "
-    items = [
-        encode_basestring_ascii(k) + ": "
-        + (encode_basestring_ascii(v) if type(v) is str else _json(v, inner))
-        for k, v in sorted(value.items())
-    ]
-    return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
 
 
 def write_atomic(path: str, data) -> None:
