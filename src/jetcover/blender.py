@@ -7,16 +7,16 @@ in x within a branch), so unions of unstable leaves reduce to exact sets
 of fiber itinerary sums and curve realization reduces to the jet-space
 realizer on the y coordinate.  Rendering is a deterministic PPM raster.
 
-The nearly-affine checkers compare user-supplied sample tables against
-the two affine inverse-branch models; their estimates are grid maxima
-only and are always flagged non-certified.
+The nearly-affine checker compares user-supplied sample tables against
+the two affine inverse-branch models; its estimates are grid maxima only
+and are always flagged non-certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .boxes import Box, Interval
 from .covering import (
@@ -371,76 +371,3 @@ def nearly_affine_check(
         minus=_check_branch(lam, -1, minus_samples),
         grid_step=rat(grid_step),
     )
-
-
-def model_branch_table(
-    lam: Fraction,
-    sign: int,
-    nx: int,
-    ny: int,
-    gx_perturb: Optional[Callable[[Fraction, Fraction], Tuple[Fraction, Fraction, Fraction]]] = None,
-) -> List[BranchSample]:
-    """Tabulate the exact affine model on an (nx+1) x (ny+1) inclusive grid.
-
-    gx_perturb(x, y) may inject (value, d/dx, d/dy) into the first output
-    component, for calibrating the checker against a known perturbation.
-    """
-    region = branch_region(lam, sign)
-    xs = [
-        region[0].lo + (region[0].width * i) / nx for i in range(nx + 1)
-    ]
-    ys = [
-        region[1].lo + (region[1].width * j) / ny for j in range(ny + 1)
-    ]
-    rows = []
-    for x in xs:
-        for y in ys:
-            px, dpx, dpy = (
-                gx_perturb(x, y) if gx_perturb else (Fraction(0),) * 3
-            )
-            rows.append(
-                BranchSample(
-                    x=x,
-                    y=y,
-                    gx=px,
-                    gy=(y - sign) / lam,
-                    dxx=dpx,
-                    dxy=dpy,
-                    dyx=Fraction(0),
-                    dyy=1 / lam,
-                )
-            )
-    return rows
-
-
-def param_jet_model(lam: Fraction, sign: int, y: Fraction, order: int) -> Tuple[Fraction, ...]:
-    """Raw a-derivatives of a -> (y - sign)/(lam + a) at a = 0."""
-    out = []
-    fact = 1
-    for i in range(order + 1):
-        if i > 0:
-            fact *= i
-        out.append((y - sign) * Fraction((-1) ** i * fact) / lam ** (i + 1))
-    return tuple(out)
-
-
-def nearly_affine_param_check(
-    lam,
-    sign: int,
-    samples: Sequence[Tuple[Fraction, Sequence[Fraction]]],
-    order: int,
-) -> Fraction:
-    """Max deviation of supplied fiber a-jets from the parametric model.
-
-    Each sample is (y, raw derivatives of the family's inverse fiber map
-    at a = 0); the result is a grid C^r distance estimate.
-    """
-    lam = rat(lam)
-    worst = Fraction(0)
-    for y, jets in samples:
-        model = param_jet_model(lam, sign, rat(y), order)
-        if len(jets) != order + 1:
-            raise ShapeError("sample jet has the wrong number of entries")
-        for supplied, expected in zip(jets, model):
-            worst = max(worst, abs(rat(supplied) - expected))
-    return worst

@@ -106,7 +106,7 @@ class Certificate:
         # least d with lv * 2^d >= v, in closed form and capped by max_depth,
         # so a hostile zero-volume leaf reads max_depth at constant cost;
         # each volume n/m comes from the leaves' integer sides, no Box
-        leaves = self.leaves if isinstance(self.leaves, Leaves) else Leaves.of(self.target, self.leaves)
+        leaves = Leaves.of(self.target, self.leaves)
         widths = [_widths(pairs) for pairs in leaves.sides]
         volumes = ((prod(map(dict.__getitem__, widths, leaf)),
                     prod(b * d for (_, b), (_, d) in leaf)) for leaf in zip(*leaves.sides))
@@ -299,8 +299,12 @@ class Leaves(abc.Sequence):
 
     @classmethod
     def of(cls, target: Box, leaves) -> "Leaves":
-        """(Box, witness) pairs put on the grid of `target`; a leaf of another
-        dimension is a ShapeError."""
+        """`leaves` themselves if they are `Leaves` held for `target`, so a
+        loaded certificate keeps its cells; any other (Box, witness) pairs
+        put on the grid of `target`, where a leaf of another dimension is a
+        ShapeError."""
+        if isinstance(leaves, Leaves) and leaves.target == target:
+            return leaves
         if any(box.dim != target.dim for box, _ in leaves):
             raise ShapeError("box dimension mismatch")
         sides = [[(iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()) for iv in axis]
@@ -419,10 +423,11 @@ def check_certificate(cert: Certificate) -> bool:
     target's midpoint bisection tree (`_tree_cells`), and each witness must
     pull its leaf's cell into the target shrunk by the margin (`_fit_test`,
     one inversion per witness map, at its first use, so a map no leaf names
-    is never inverted).  The cells of `Leaves` held for the certificate's
-    target are used as they are; any other leaves are first put on its
-    grid (`Leaves.of`).  It shares no subdivision or inverse-image code
-    with `certify_covering`, and is linear in the leaf count.
+    is never inverted).  The leaves are read through `Leaves.of`, which
+    keeps the cells of `Leaves` held for the certificate's target and puts
+    any other leaves on its grid.  It shares no subdivision or
+    inverse-image code with `certify_covering`, and is linear in the leaf
+    count.
     """
     if not isinstance(cert, Certificate):
         raise CertificateFormatError("not a certificate")
@@ -432,9 +437,7 @@ def check_certificate(cert: Certificate) -> bool:
         shrunk = cert.target.shrink(cert.margin)
     except DegenerateInputError:
         return False
-    leaves = cert.leaves
-    if not isinstance(leaves, Leaves) or leaves.target != cert.target:
-        leaves = Leaves.of(cert.target, leaves)
+    leaves = Leaves.of(cert.target, cert.leaves)
     cells = leaves.cells and _tree_cells(cert.target, leaves.cells)
     if not cells:
         return False

@@ -169,9 +169,7 @@ def word_fixed_point(sys: IFSystem, word: Sequence[str]) -> Vec:
     return linalg.solve(i_minus_a, f.offset)
 
 
-def limit_set_cloud(
-    sys: IFSystem, depth: int, cap: int = WORD_ENUMERATION_CAP
-) -> List[Tuple[Vec, Word]]:
+def limit_set_cloud(sys: IFSystem, depth: int) -> List[Tuple[Vec, Word]]:
     """All depth-k word evaluations at 0, in lexicographic word order.
 
     Every limit-set point lies within lambda_max^k * radius (inf norm) of
@@ -181,8 +179,8 @@ def limit_set_cloud(
     if depth < 1:
         raise DegenerateInputError("depth must be >= 1")
     total = len(sys.alphabet) ** depth
-    if total > cap:
-        raise ResourceLimitError(f"{total} words exceed the cap {cap}")
+    if total > WORD_ENUMERATION_CAP:
+        raise ResourceLimitError(f"{total} words exceed the cap {WORD_ENUMERATION_CAP}")
     level: List[Tuple[Vec, Word]] = [(sys.origin(), ())]
     for _ in range(depth):
         level = [
@@ -191,10 +189,6 @@ def limit_set_cloud(
             for pt, w in level
         ]
     return level
-
-
-def cloud_error_bound(sys: IFSystem, depth: int) -> Fraction:
-    return sys.lambda_max ** depth * sys.radius
 
 
 @dataclass(frozen=True)

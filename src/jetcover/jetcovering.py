@@ -240,18 +240,10 @@ def _residual_ints(big_n: int, lam: Fraction, beta, big_b, rows, den):
     return mat, offset, q * beta[0] * den
 
 
-def semiconjugacy_residuals(sys: JetCoveringSystem) -> Dict[int, Tuple[Mat, Vec]]:
-    """Exact residuals of branch o projection - projection o shift, per branch.
-
-    The shift of branch d is v -> M v + (d / b_0) e_0, (M v)_0 = -sum_{j>=1}
-    b_j v_{j-1} / b_0 and (M v)_k = v_{k-1}, so column c of the shared matrix
-    residual J pi - pi M is lam pi_c + S pi_c + (b_{c+1} / b_0) pi_0 - pi_{c+1}
-    (pi_n = 0), and branch d's offset residual is d (e_N - pi_0 / b_0), with
-    J = lam I + S and T = e_N as the system derives them, formed in integers
-    from the stated p_coeffs and projection.  The generic products in
-    `tests/jetcovering_helpers.py` are this closed form's oracle.
-    """
-    mat, offset, scale = _residual_ints(sys.jet_dim, sys.lam, *sys.integer_rows)
+def _residual_fractions(residuals) -> Dict[int, Tuple[Mat, Vec]]:
+    """The `_residual_ints` residuals as Fractions, per branch; branch -1
+    shares the matrix and negates the offset."""
+    mat, offset, scale = residuals
     mat = tuple(tuple(Fraction(e, scale) for e in row) for row in mat)
     return {d: (mat, tuple(Fraction(d * e, scale) for e in offset)) for d in (1, -1)}
 
@@ -271,9 +263,19 @@ def _judge(residuals, columns: Optional[int] = None):
 
 
 def verify_semiconjugacy(sys: JetCoveringSystem) -> Dict[int, Tuple[Mat, Vec]]:
-    """Contract: both residuals identically zero; raises naming the first violation."""
-    _judge(_residual_ints(sys.jet_dim, sys.lam, *sys.integer_rows))
-    return semiconjugacy_residuals(sys)
+    """Exact residuals of branch o projection - projection o shift, per
+    branch, all zero, or a ConstructionError naming the first violation.
+
+    The shift of branch d is v -> M v + (d / b_0) e_0, (M v)_0 = -sum_{j>=1}
+    b_j v_{j-1} / b_0 and (M v)_k = v_{k-1}, so column c of the shared matrix
+    residual J pi - pi M is lam pi_c + S pi_c + (b_{c+1} / b_0) pi_0 - pi_{c+1}
+    (pi_n = 0), and branch d's offset residual is d (e_N - pi_0 / b_0), with
+    J = lam I + S and T = e_N as the system derives them, formed in integers
+    from the stated p_coeffs and projection.  The generic products in
+    `tests/jetcovering_helpers.py` are this closed form's oracle.  The
+    residuals are formed once, judged, then converted.
+    """
+    return _residual_fractions(_judge(_residual_ints(sys.jet_dim, sys.lam, *sys.integer_rows)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .errors import DegenerateInputError, ShapeError
@@ -40,6 +40,8 @@ class Jet:
             raise DegenerateInputError("a jet needs at least the order-0 entry")
         if any(len(row) != len(rows[0]) for row in rows):
             raise ShapeError("ragged jet coefficients")
+        if not rows[0]:
+            raise ShapeError("a jet needs at least one component")
         object.__setattr__(self, "order", len(rows) - 1)
         object.__setattr__(self, "dim", len(rows[0]))
         object.__setattr__(self, "coeffs", rows)
@@ -55,8 +57,9 @@ class Jet:
         return tuple(row[0] for row in self.coeffs)
 
     @staticmethod
-    def zero(order: int, dim: int = 1) -> "Jet":
-        return Jet([[Fraction(0)] * dim for _ in range(order + 1)])
+    def zero(order: int) -> "Jet":
+        """The dim-1 zero jet."""
+        return Jet([[Fraction(0)] for _ in range(order + 1)])
 
     def __add__(self, other: "Jet") -> "Jet":
         if (self.order, self.dim) != (other.order, other.dim):
@@ -186,13 +189,12 @@ def continuation_jet(
     families: Dict[str, ParamAffineFamily1D],
     word: Sequence[str],
     order: int,
-    start: Optional[Jet] = None,
 ) -> Jet:
     """Jet of a -> evaluate_word at parameter a, truncated at word length.
 
     Iterates the lifted maps over the word, innermost (last) symbol first,
-    from the zero jet (or ``start``), mirroring the point-level convention
-    that word[0] is the outermost composition factor.
+    from the zero jet, mirroring the point-level convention that word[0]
+    is the outermost composition factor.
     """
     word = tuple(word)
     if not word:
@@ -207,9 +209,7 @@ def continuation_jet(
                 f"family order {fam.order} does not match requested {order}"
             )
         lifted[symbol] = lift_family(fam)
-    j = Jet.zero(order) if start is None else start
-    if j.order != order or j.dim != 1:
-        raise ShapeError("start jet has the wrong shape")
+    j = Jet.zero(order)
     for symbol in reversed(word):
         j = lifted[symbol](j)
     return j

@@ -1,11 +1,13 @@
 """Canonical JSON and CSV wire formats and atomic file output.
 
 Home of the JSON encoders and parsers, covering certificates included,
-of the CSV tables (limit-set clouds, branch samples) and of the PPM
-raster encoder; the CLI adds only small verdict dicts.  Documents are
-emitted with sorted keys, two-space indent, ASCII escapes, and a trailing
-newline, so identical inputs give byte-identical files.  Rationals travel
-as "p/q" strings, intervals as [lo, hi] pairs.
+of the CSV tables (limit-set clouds are written, branch sample tables
+read) and of the PPM raster encoder; the CLI adds only small verdict
+dicts.  Each reader checks a field's JSON type before use, and names a
+missing or mistyped field by its path in a CertificateFormatError.
+Documents are emitted with sorted keys, two-space indent, ASCII escapes,
+and a trailing newline, so identical inputs give byte-identical files.
+Rationals travel as "p/q" strings, intervals as [lo, hi] pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Container, List, Optional, Sequence, Tuple
+from typing import Container, List, Sequence, Tuple
 
 from .blender import BlenderCoverResult, BranchSample, NearlyAffineReport
 from .boxes import Box, Interval
@@ -91,35 +93,24 @@ def box_to_list(box: Box) -> list:
 # --- jets ---------------------------------------------------------------------
 
 
-def jet_to_payload(jet: Jet) -> dict:
-    if jet.dim == 1:
-        coeffs = [rat_str(row[0]) for row in jet.coeffs]
-    else:
-        coeffs = [[rat_str(e) for e in row] for row in jet.coeffs]
-    return {"order": jet.order, "dim": jet.dim, "coeffs": coeffs}
-
-
 def jet_from_payload(payload: dict) -> Jet:
-    """The jet of the file's coefficients; an order or dim the file states
-    must be a JSON integer, the one its coefficients give."""
-    try:
-        coeffs = payload["coeffs"]
-        if not isinstance(coeffs, list):  # a string or an object would iterate too
-            raise CertificateFormatError("coeffs is not a JSON list")
-        rows = [
-            [rat(e) for e in (row if isinstance(row, list) else [row])]
-            for row in coeffs
-        ]
-        jet = Jet(rows)
-        for key in ("order", "dim"):  # by type too: True and 1.0 equal 1
-            if key in payload and (type(payload[key]), payload[key]) != (int, getattr(jet, key)):
-                raise CertificateFormatError(
-                    f"stated {key} {payload[key]!r} is not the coefficients' "
-                    f"{getattr(jet, key)}"
-                )
-        return jet
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateFormatError(f"malformed jet: {exc}") from exc
+    """The jet of the file's coefficients, each row a JSON list of entries
+    or, for dim 1, one entry; an order or dim the file states must be a JSON
+    integer, the one its coefficients give."""
+    coeffs = _entry(_typed(payload, dict, "the jet"), "coeffs", list)
+    rows = [
+        [_parsed(f"coeffs[{i}][{c}]", rat, e) for c, e in enumerate(row)]
+        if type(row) is list else [_parsed(f"coeffs[{i}]", rat, row)]
+        for i, row in enumerate(coeffs)
+    ]
+    jet = _parsed("coeffs", Jet, rows)
+    for key in ("order", "dim"):  # by type too: True and 1.0 equal 1
+        if key in payload and (type(payload[key]), payload[key]) != (int, getattr(jet, key)):
+            raise CertificateFormatError(
+                f"stated {key} {payload[key]!r} is not the coefficients' "
+                f"{getattr(jet, key)}"
+            )
+    return jet
 
 
 # --- covering certificates ------------------------------------------------------
@@ -145,9 +136,7 @@ def covering_outcome_payload(outcome) -> dict:
     leaves are put into that form first), each distinct side rendered once
     by `ratio_str`, so no Box or Fraction is built per leaf."""
     if isinstance(outcome, Certificate):
-        system, leaves = outcome.system, outcome.leaves
-        if not isinstance(leaves, Leaves):
-            leaves = Leaves.of(outcome.target, leaves)
+        system, leaves = outcome.system, Leaves.of(outcome.target, outcome.leaves)
         # each distinct side is rendered once, from its integer ratios
         text = {pair: (ratio_str(*pair[0]), ratio_str(*pair[1]))
                 for pair in dict.fromkeys(chain.from_iterable(leaves.sides))}
@@ -295,11 +284,8 @@ def flat_poly_payload(res: FlatPolyResult) -> dict:
 # --- jet covering systems --------------------------------------------------------
 
 
-def jet_system_payload(
-    sys: JetCoveringSystem,
-    delta_cover: Optional[DeltaCoveringCertificate] = None,
-) -> dict:
-    payload = {
+def jet_system_payload(sys: JetCoveringSystem, delta_cover: DeltaCoveringCertificate) -> dict:
+    return {
         "jet_dim": sys.jet_dim,
         "order": sys.order,
         "lam": rat_str(sys.lam),
@@ -310,9 +296,7 @@ def jet_system_payload(
         "box_base": rat_str(sys.box_base),
         "pullback_box": box_to_list(sys.pullback_box()),
         "semiconjugacy_exact": True,
-    }
-    if delta_cover is not None:
-        payload["delta_covering"] = {
+        "delta_covering": {
             "inequality": {
                 "lhs": rat_str(delta_cover.inequality_lhs),
                 "rhs": rat_str(delta_cover.inequality_rhs),
@@ -324,8 +308,8 @@ def jet_system_payload(
                 for iv, label in delta_cover.window_leaves
             ],
             "margin": rat_str(delta_cover.margin),
-        }
-    return payload
+        },
+    }
 
 
 def _same_value(stated, rebuilt) -> bool:
@@ -345,28 +329,27 @@ def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
     which re-verifies the polynomial, the semi-conjugacy and the box
     inequality of the stated base, and require the branch matrix, branch
     offset, projection and pullback box the file states to equal the
-    rebuilt ones by value.  A mismatch, or an input `build_system`
-    refuses, is a CertificateFormatError."""
-    if not isinstance(payload, dict):
-        raise CertificateFormatError("the jet system is not a JSON object")
+    rebuilt ones by value.  A missing or mistyped field, a mismatch, or an
+    input `build_system` refuses, is a CertificateFormatError."""
+    _typed(payload, dict, "the jet system")
+    jet_dim = _entry(payload, "jet_dim", int)  # not a bool, float or string
+    p_coeffs = [_parsed(f"p_coeffs[{i}]", rat, c)
+                for i, c in enumerate(_entry(payload, "p_coeffs", list))]
+    lam = _parsed("lam", rat, _entry(payload, "lam", None))
+    base = _parsed("box_base", rat, _entry(payload, "box_base", None))
     try:
-        if type(payload["jet_dim"]) is not int:  # not a bool, float or string
-            raise CertificateFormatError("jet_dim is not a JSON integer")
-        if not isinstance(payload["p_coeffs"], list):
-            raise CertificateFormatError("p_coeffs is not a JSON list")
-        p_coeffs, base = [rat(c) for c in payload["p_coeffs"]], rat(payload["box_base"])
-        system = build_system(payload["jet_dim"], rat(payload["lam"]), p_coeffs, box_base=base)
-        rebuilt = {
-            "branch_matrix": system.branch_matrix,
-            "branch_offset": system.branch_offset,
-            "projection": system.projection,
-            "pullback_box": tuple((iv.lo, iv.hi) for iv in system.pullback_box()),
-        }
-        for name, value in rebuilt.items():
-            if not _same_value(payload[name], value):
-                raise CertificateFormatError(f"the file's {name} is not the rebuilt system's")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateFormatError(f"malformed jet system: {exc}") from exc
+        system = build_system(jet_dim, lam, p_coeffs, box_base=base)
+    except DegenerateInputError as exc:
+        raise CertificateFormatError(f"the jet system: {exc}") from None
+    rebuilt = {
+        "branch_matrix": system.branch_matrix,
+        "branch_offset": system.branch_offset,
+        "projection": system.projection,
+        "pullback_box": tuple((iv.lo, iv.hi) for iv in system.pullback_box()),
+    }
+    for name, value in rebuilt.items():
+        if not _parsed(name, lambda stated: _same_value(stated, value), _entry(payload, name, list)):
+            raise CertificateFormatError(f"the file's {name} is not the rebuilt system's")
     return system
 
 
@@ -428,15 +411,6 @@ def cloud_to_csv(points: Sequence[Tuple[Vec, Word]]) -> str:
 
 
 BRANCH_TABLE_COLUMNS = ("x", "y", "gx", "gy", "dxx", "dxy", "dyx", "dyy")
-
-
-def branch_table_to_csv(samples: Sequence[BranchSample]) -> str:
-    lines = [",".join(BRANCH_TABLE_COLUMNS)]
-    for s in samples:
-        lines.append(
-            ",".join(rat_str(getattr(s, col)) for col in BRANCH_TABLE_COLUMNS)
-        )
-    return "\n".join(lines) + "\n"
 
 
 def branch_table_from_csv(text: str) -> List[BranchSample]:

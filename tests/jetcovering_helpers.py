@@ -7,7 +7,12 @@ from math import lcm
 
 from jetcover import linalg
 from jetcover.errors import DegenerateInputError
-from jetcover.jetcovering import power_norm_sum, projection_rows
+from jetcover.jetcovering import (
+    _residual_fractions,
+    _residual_ints,
+    power_norm_sum,
+    projection_rows,
+)
 
 
 def rank(a):
@@ -64,6 +69,12 @@ def projection_matrix(p_coeffs, lam, jet_dim):
     `build_system` may refuse (one without the root, say)."""
     _, _, rows, den = projection_rows(p_coeffs, lam, jet_dim)
     return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
+
+
+def semiconjugacy_residuals(sys):
+    """The closed-form residuals that `verify_semiconjugacy` judges, unjudged,
+    so that a tampered system shows them."""
+    return _residual_fractions(_residual_ints(sys.jet_dim, sys.lam, *sys.integer_rows))
 
 
 def generic_residuals(sys):

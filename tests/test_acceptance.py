@@ -16,7 +16,6 @@ from jetcover import linalg
 from jetcover.blender import (
     SkewSystem,
     branch_region,
-    model_branch_table,
     nearly_affine_check,
     unstable_heights,
     verify_example_covering,
@@ -50,6 +49,7 @@ from jetcover.jets import (
     standard_family,
 )
 from jetcover.simplex import LPSolution, lp_solve
+from blender_helpers import branch_table_to_csv, model_branch_table  # local helper module
 from flatpoly_reference import divisible_by_power  # local oracle module
 from jets_reference import finite_difference_jet  # local oracle module
 from simplex_reference import flat_lp_problem, strong_duality_holds  # local oracle module
@@ -291,8 +291,6 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     plus_csv = tmp_path / "plus.csv"
     minus_csv = tmp_path / "minus.csv"
-    from jetcover.serialize import branch_table_to_csv
-
     plus_csv.write_text(branch_table_to_csv(model_branch_table(F(3, 4), 1, 4, 4)))
     minus_csv.write_text(branch_table_to_csv(model_branch_table(F(3, 4), -1, 4, 4)))
 

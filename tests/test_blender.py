@@ -8,10 +8,7 @@ from jetcover.blender import (
     SkewSystem,
     branch_region,
     curve_domain_box,
-    model_branch_table,
     nearly_affine_check,
-    nearly_affine_param_check,
-    param_jet_model,
     realize_curve_jet,
     realize_point,
     render_unstable_union,
@@ -19,10 +16,11 @@ from jetcover.blender import (
     verify_example_covering,
 )
 from jetcover.covering import Certificate, CoveringFailure
-from jetcover.errors import DegenerateInputError, ShapeError
+from jetcover.errors import DegenerateInputError
 from jetcover.ifs import evaluate_word, standard_pair
 from jetcover.jets import Jet, continuation_jet, standard_families
-from jetcover.serialize import branch_table_from_csv, branch_table_to_csv
+from jetcover.serialize import branch_table_from_csv
+from blender_helpers import branch_table_to_csv, model_branch_table  # local helper module
 
 
 def test_base_images():
@@ -247,26 +245,6 @@ def test_nearly_affine_domain_violation():
     ]
     with pytest.raises(DegenerateInputError):
         nearly_affine_check(lam, bad, [], grid_step=F(1, 2))
-
-
-def test_nearly_affine_param_jets():
-    lam = F(3, 4)
-    ys = [F(k, 10) for k in range(-20, 21, 5)]
-    exact = [(y, param_jet_model(lam, 1, y, 2)) for y in ys]
-    assert nearly_affine_param_check(lam, 1, exact, 2) == 0
-    bumped = [
-        (y, tuple(c + F(1, 300) for c in jet)) for y, jet in exact
-    ]
-    assert nearly_affine_param_check(lam, 1, bumped, 2) == F(1, 300)
-    with pytest.raises(ShapeError):
-        nearly_affine_param_check(lam, 1, [(F(0), (F(0),))], 2)
-
-
-def test_param_jet_model_values():
-    # d^i/da^i of (y - 1)/(lam + a) at 0 is (y-1) (-1)^i i! / lam^{i+1}
-    lam = F(1, 2)
-    y = F(3, 2)
-    assert param_jet_model(lam, 1, y, 2) == (F(1), F(-2), F(8))
 
 
 def test_branch_table_csv_round_trip():

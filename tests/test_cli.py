@@ -7,12 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from jetcover import covering, flatpoly, jetcovering, serialize
-from jetcover.blender import model_branch_table
 from jetcover.cli import _joined, main
 from jetcover.ifs import IFSystem
 from jetcover.jets import Jet
 from jetcover.rational import rat
-from jetcover.serialize import branch_table_to_csv
+from blender_helpers import branch_table_to_csv, model_branch_table  # local helper module
 from jetcovering_helpers import rounding_term  # local helper module
 
 

@@ -121,6 +121,23 @@ def test_depth_used_matches_the_doubling_loop(v, leaf_volumes, max_depth):
         assert held.depth_used == loop_depth_used(cert)
 
 
+def test_leaves_of_keeps_the_leaves_held_for_the_target(sys34):
+    cert = certify_covering(sys34, box1(-2, 2), F(1, 100))
+    assert covering.Leaves.of(cert.target, cert.leaves) is cert.leaves
+    wider = box1(-4, 4)  # held for another target: put on its grid afresh
+    regridded = covering.Leaves.of(wider, cert.leaves)
+    assert regridded is not cert.leaves and regridded.target == wider
+    assert regridded == cert.leaves
+    # a loaded certificate keeps the cells made at load
+    loaded = load_certificate(covering_outcome_payload(cert))
+    cells = loaded.leaves.cells
+    with patch.object(covering, "_heap_indices", side_effect=AssertionError("cells made again")):
+        assert check_certificate(loaded)
+        assert loaded.depth_used == cert.depth_used
+        assert covering_outcome_payload(loaded) == covering_outcome_payload(cert)
+    assert loaded.leaves.cells is cells
+
+
 def test_depth_used_is_constant_time_on_a_zero_volume_leaf(sys34):
     payload = covering_outcome_payload(certify_covering(sys34, box1(-2, 2), F(1, 100)))
     payload["depth"] = 10 ** 12

@@ -13,7 +13,6 @@ from jetcover.ifs import (
     AffineMap,
     IFSystem,
     affine_1d,
-    cloud_error_bound,
     decide_two_map_line,
     evaluate_word,
     limit_set_cloud,
@@ -103,10 +102,6 @@ def test_limit_set_cloud_depth_two(sys34):
         assert evaluate_word(sys34, w, (0,)) == pt
 
 
-def test_cloud_error_bound_value(sys34):
-    assert cloud_error_bound(sys34, 2) == F(9, 4)
-
-
 def test_cloud_refinement(sys34):
     # every depth-k point has a depth-(k+1) extension nearby
     bound = sys34.lambda_max ** 2 * sys34.radius
@@ -119,7 +114,7 @@ def test_cloud_refinement(sys34):
 
 def test_cloud_cap():
     with pytest.raises(ResourceLimitError):
-        limit_set_cloud(standard_pair(F(1, 2)), 8, cap=100)
+        limit_set_cloud(standard_pair(F(1, 2)), 19)  # 2^19 words, refused before any is made
 
 
 def test_contraction_consistency(sys34):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetcover import linalg, serialize
+from jetcover import jetcovering, linalg, serialize
 from jetcover.boxes import Interval
 from jetcover.errors import (
     ConstructionError,
@@ -26,6 +26,7 @@ from jetcovering_helpers import (  # local helper module
     rank,
     rounding_term,
     scan_box_base,
+    semiconjugacy_residuals,
     shift_map,
 )
 from jetcover.jetcovering import (
@@ -44,7 +45,6 @@ from jetcover.jetcovering import (
     realization_steps,
     realize_jet,
     residual_bound,
-    semiconjugacy_residuals,
     verify_semiconjugacy,
 )
 from jetcover.jets import Jet, continuation_jet, reverse_jet, standard_families
@@ -115,6 +115,18 @@ def test_semiconjugacy_numeric_spotcheck(jet_sys_r1):
             assert lhs == rhs
 
 
+def test_semiconjugacy_residuals_are_formed_once(jet_sys_r2, monkeypatch):
+    # judged and converted from one pass of the closed form
+    formed = []
+    closed_form = jetcovering._residual_ints
+    monkeypatch.setattr(jetcovering, "_residual_ints",
+                        lambda *args: formed.append(args) or closed_form(*args))
+    residuals = verify_semiconjugacy(jet_sys_r2)
+    assert len(formed) == 1
+    assert residuals == semiconjugacy_residuals(jet_sys_r2) == generic_residuals(jet_sys_r2)
+    assert not any(e for mat, vec in residuals.values() for row in (*mat, vec) for e in row)
+
+
 def test_semiconjugacy_tamper_detected(jet_sys_r0):
     tampered = replace(
         jet_sys_r0, p_coeffs=(jet_sys_r0.p_coeffs[0] + F(1, 7), F(1))
@@ -181,7 +193,7 @@ def test_semiconjugacy_multiplies_no_matrices(monkeypatch, jet_sys_r1):
     monkeypatch.setattr(linalg, "mat_vec", refuse)
     verify_semiconjugacy(jet_sys_r1)
     rebuilt = build_system(jet_sys_r1.jet_dim, jet_sys_r1.lam, jet_sys_r1.p_coeffs)
-    payload = serialize.jet_system_payload(jet_sys_r1)
+    payload = serialize.jet_system_payload(jet_sys_r1, certify_delta_covering(jet_sys_r1))
     assert rebuilt == serialize.jet_system_from_payload(payload) == jet_sys_r1
 
 

@@ -90,6 +90,15 @@ def test_jet_mul_bilinear_commutative():
         assert jet_mul(u, v) == jet_mul(v, u)
 
 
+def test_jet_needs_a_component():
+    # a row of no entries was a dim-0 jet, which every jet operation reads wrong
+    with pytest.raises(ShapeError):
+        Jet([[]])
+    with pytest.raises(ShapeError):
+        Jet([[], []])
+    assert Jet([[1]]).dim == 1
+
+
 def test_jet_mul_order_mismatch():
     with pytest.raises(ShapeError):
         jet_mul(Jet.scalar([1, 0]), Jet.scalar([1, 0, 0]))
@@ -145,7 +154,9 @@ def test_continuation_functorial():
         w1 = tuple(rng.choice("+-") for _ in range(rng.randint(1, 6)))
         w2 = tuple(rng.choice("+-") for _ in range(rng.randint(1, 6)))
         whole = continuation_jet(fams, w1 + w2, 2)
-        stacked = continuation_jet(fams, w1, 2, start=continuation_jet(fams, w2, 2))
+        stacked = continuation_jet(fams, w2, 2)
+        for symbol in reversed(w1):
+            stacked = lift_family(fams[symbol])(stacked)
         assert whole == stacked
 
 

@@ -19,7 +19,9 @@ from jetcover.errors import (
     DegenerateInputError,
     ResourceLimitError,
 )
+from jetcover.cli import main
 from jetcover.ifs import standard_pair
+from jetcover.jetcovering import certify_delta_covering
 from jetcover.jets import Jet, standard_families
 from jetcover.serialize import (
     canonical_json,
@@ -28,7 +30,6 @@ from jetcover.serialize import (
     jet_from_payload,
     jet_system_from_payload,
     jet_system_payload,
-    jet_to_payload,
     load_certificate,
     write_atomic,
 )
@@ -40,16 +41,14 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 def test_jet_payload_round_trip_dim1():
     jet = Jet.scalar([F(1, 3), F(-2), F(0)])
-    payload = jet_to_payload(jet)
-    assert payload == {"order": 2, "dim": 1, "coeffs": ["1/3", "-2", "0"]}
-    assert jet_from_payload(payload) == jet
+    payload = {"order": 2, "dim": 1, "coeffs": ["1/3", "-2", "0"]}
+    assert jet_from_payload(json.loads(json.dumps(payload))) == jet
 
 
 def test_jet_payload_round_trip_dim2():
     jet = Jet([[F(1), F(2)], [F(0), F(-1, 2)]])
-    payload = jet_to_payload(jet)
-    assert payload["coeffs"] == [["1", "2"], ["0", "-1/2"]]
-    assert jet_from_payload(payload) == jet
+    payload = {"order": 1, "dim": 2, "coeffs": [["1", "2"], ["0", "-1/2"]]}
+    assert jet_from_payload(json.loads(json.dumps(payload))) == jet
 
 
 def test_jet_payload_malformed():
@@ -66,6 +65,68 @@ def test_jet_payload_stated_shape_must_match(stated):
     payload = {"coeffs": ["1/4", "-1"], **stated}
     with pytest.raises(CertificateFormatError):
         jet_from_payload(payload)
+
+
+def _without(key):
+    return lambda p: {k: v for k, v in p.items() if k != key}
+
+
+# edits of a valid target (t) or order-1 system (s) file, each refused with
+# a message that names the field, not Python's exception text
+MALFORMED_FILES = {
+    "target without coeffs": ("t", _without("coeffs"), "coeffs is missing"),
+    "target list at the top level": ("t", lambda p: [p], "the jet is not a JSON object"),
+    "target entry a float": ("t", lambda p: {**p, "coeffs": ["1/4", 1.5]},
+                             "coeffs[1]: cannot coerce float"),
+    "target row entry no rational": ("t", lambda p: {**p, "coeffs": [["1/4"], ["x"]]},
+                                     "coeffs[1][0]: not an ASCII p/q"),
+    "target rows ragged": ("t", lambda p: {**p, "coeffs": [["1/4", "0"], ["-1"]]},
+                           "coeffs: ragged jet coefficients"),
+    "target row empty": ("t", lambda p: {**p, "coeffs": [[]]},
+                         "coeffs: a jet needs at least one component"),
+    "target coeffs empty": ("t", lambda p: {**p, "coeffs": []},
+                            "coeffs: a jet needs at least the order-0 entry"),
+    "system without lam": ("s", _without("lam"), "lam is missing"),
+    "system lam a float": ("s", lambda p: {**p, "lam": 0.75}, "lam: cannot coerce float"),
+    "system without box_base": ("s", _without("box_base"), "box_base is missing"),
+    "system jet_dim a bool": ("s", lambda p: {**p, "jet_dim": True},
+                              "jet_dim is not a JSON integer"),
+    "system p_coeffs entry a list": ("s", lambda p: {**p, "p_coeffs": [["1"]] + p["p_coeffs"][1:]},
+                                     "p_coeffs[0]: cannot coerce list"),
+    "system without branch_matrix": ("s", _without("branch_matrix"), "branch_matrix is missing"),
+    "system projection a string": ("s", lambda p: {**p, "projection": "0"},
+                                   "projection is not a JSON list"),
+    "system pullback_box entry no rational": (
+        "s", lambda p: {**p, "pullback_box": [["-x", "x"]] + p["pullback_box"][1:]},
+        "pullback_box: not an ASCII p/q"),
+    "system without its root": ("s", lambda p: {**p, "jet_dim": 3},
+                                "the jet system: polynomial has no root of order 3 at 1/lam"),
+    "system base not above 1": ("s", lambda p: {**p, "box_base": "1"},
+                                "the jet system: box base must exceed 1"),
+    "system list at the top level": ("s", lambda p: [p], "the jet system is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_jet_and_system_readers_name_the_field(jet_sys_r1, tmp_path, capsys, name):
+    which, edit, message = MALFORMED_FILES[name]
+    system = json.loads(canonical_json(
+        jet_system_payload(jet_sys_r1, certify_delta_covering(jet_sys_r1))))
+    target = {"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}
+    reader, payload = {"t": (jet_from_payload, target), "s": (jet_system_from_payload, system)}[which]
+    with pytest.raises(CertificateFormatError) as refused:
+        reader(edit(payload))
+    assert message in str(refused.value)
+    # through the CLI: exit 2, the one message line, and nothing written
+    files = {"s": tmp_path / "sys.json", "t": tmp_path / "target.json"}
+    for key, value in (("s", system), ("t", target)):
+        files[key].write_text(json.dumps(edit(value) if key == which else value))
+    out = tmp_path / "real.json"
+    capsys.readouterr()
+    assert main(["realize", "--system", str(files["s"]), "--target", str(files["t"]),
+                 "--tol", "1/100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {refused.value}\n" and not out.exists()
 
 
 def test_approximate_payload_flag():
@@ -147,7 +208,7 @@ def test_the_standard_encoder_is_no_fallback_of_the_emitter():
 
 
 def test_jet_system_payload_round_trip(jet_sys_r1):
-    payload = jet_system_payload(jet_sys_r1)
+    payload = jet_system_payload(jet_sys_r1, certify_delta_covering(jet_sys_r1))
     rebuilt = jet_system_from_payload(json.loads(canonical_json(payload)))
     assert rebuilt == jet_sys_r1
 
@@ -316,7 +377,8 @@ def test_leaf_of_another_dimension_is_a_format_error(sys34):
     ],
 )
 def test_jet_system_file_states_no_unchecked_field(jet_sys_r1, field, path):
-    payload = json.loads(canonical_json(jet_system_payload(jet_sys_r1)))
+    payload = json.loads(canonical_json(
+        jet_system_payload(jet_sys_r1, certify_delta_covering(jet_sys_r1))))
     *outer, last = path
     entries = payload[field]
     for i in outer:
