@@ -32,6 +32,7 @@ from .errors import (
     DegenerateInputError,
     JetcoverError,
     NotCoveredError,
+    ResourceLimitError,
     SearchExhaustedError,
 )
 from .flatpoly import (
@@ -167,6 +168,8 @@ def cmd_flat_poly(args) -> int:
 def cmd_jet_system(args) -> int:
     if args.order < 0:
         raise DegenerateInputError(f"--order {args.order} is below 0")
+    if args.order >= FLAT_DEGREE_CAP:  # before order + 1, which may pass the digit limit
+        raise ResourceLimitError(f"--order {args.order} is above {FLAT_DEGREE_CAP - 1}")
     big_n = args.order + 1
     qres = find_flat_poly(big_n, rat(args.margin), args.degree_max)
     threshold = lambda_threshold(qres)

@@ -178,9 +178,9 @@ def limit_set_cloud(sys: IFSystem, depth: int) -> List[Tuple[Vec, Word]]:
     """
     if depth < 1:
         raise DegenerateInputError("depth must be >= 1")
-    total = len(sys.alphabet) ** depth
-    if total > WORD_ENUMERATION_CAP:
-        raise ResourceLimitError(f"{total} words exceed the cap {WORD_ENUMERATION_CAP}")
+    size = len(sys.alphabet)  # the power is capped, so a huge depth forms no huge count
+    if size ** min(depth, WORD_ENUMERATION_CAP.bit_length()) > WORD_ENUMERATION_CAP:
+        raise ResourceLimitError(f"{size}^{depth} words exceed the cap {WORD_ENUMERATION_CAP}")
     level: List[Tuple[Vec, Word]] = [(sys.origin(), ())]
     for _ in range(depth):
         level = [

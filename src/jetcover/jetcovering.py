@@ -28,12 +28,13 @@ interior raises NotCoveredError.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm, perm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .boxes import Box, Interval
 from .errors import (
@@ -54,22 +55,20 @@ IntegerRows = Tuple[List[int], int, List[List[int]], int]  # (beta, B, rows, D)
 
 @dataclass(frozen=True)
 class JetCoveringSystem:
-    """All certified ingredients of the covered jet-space IFS.
+    """The covered jet-space IFS, fixed by four values; the branches X -> J X
+    +- T (`branch_matrix` J = lam I + S, `branch_offset` T = e_N), the
+    projection intertwining shifts and branches (`integer_rows`, `projection`)
+    and the box radii (`integer_radii`) are derived from them.
 
     jet_dim:       N, the dimension of the jet space (order r = N - 1)
     lam:           shared contraction of the two base maps
     p_coeffs:      scaled flat polynomial, monic, constant term nonzero
-    projection:    N x n matrix intertwining shifts and branches
     box_base:      base > 1 of the pullback box geometry
-
-    The branches X -> J X + T and X -> J X - T are derived from (N, lam):
-    `branch_matrix` J = lam I + S and `branch_offset` T = e_N.
     """
 
     jet_dim: int
     lam: Fraction
     p_coeffs: Coeffs
-    projection: Mat
     box_base: Fraction
 
     @property
@@ -90,15 +89,19 @@ class JetCoveringSystem:
 
     @cached_property
     def integer_rows(self) -> IntegerRows:
-        """(beta, B, rows, D): p_coeffs = beta / B and the stated projection =
-        rows / D in integers, each over the lcm of its denominators."""
-        den = lcm(*(e.denominator for row in self.projection for e in row))
-        rows = [[e.numerator * (den // e.denominator) for e in row] for row in self.projection]
-        return (*cleared(self.p_coeffs), rows, den)
+        """(beta, B, rows, D) of `projection_rows`: p_coeffs = beta / B and
+        the projection = rows / D, in integers."""
+        return projection_rows(self.p_coeffs, self.lam, self.jet_dim)
+
+    @cached_property
+    def projection(self) -> Mat:
+        """The N x n projection pi = rows / D as Fractions."""
+        _, _, rows, den = self.integer_rows
+        return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
 
     @cached_property
     def integer_radii(self) -> Tuple[Tuple[int, ...], int]:
-        """`coordinate_bounds` over one denominator: base^(n-i) = a^(n-i) b^i / b^n, base = a/b."""
+        """Box radii over one denominator: base^(n-i) = a^(n-i) b^i / b^n, base = a/b."""
         a, b, n = self.box_base.numerator, self.box_base.denominator, self.n
         return tuple(a ** (n - i) * b ** i for i in range(n)), b ** n
 
@@ -111,7 +114,8 @@ class JetCoveringSystem:
 
     def coordinate_bounds(self) -> Tuple[Fraction, ...]:
         """Radius of each pullback-box coordinate, outermost first."""
-        return tuple(self.box_base ** (self.n - i) for i in range(self.n))
+        radii, scale = self.integer_radii
+        return tuple(Fraction(r, scale) for r in radii)
 
     def pullback_box(self) -> Box:
         return Box([Interval(-r, r) for r in self.coordinate_bounds()])
@@ -210,7 +214,7 @@ def build_system(
     rootless = f"polynomial has no root of order {jet_dim} at 1/lam"
     if jet_dim > n:
         raise DegenerateInputError(rootless)
-    _, _, rows, den = ints = projection_rows(b, lam, jet_dim)
+    ints = projection_rows(b, lam, jet_dim)
     if any(row[-1] for row in _judge(_residual_ints(jet_dim, lam, *ints), n - 1)[0]):
         raise DegenerateInputError(rootless)
     if box_base is None:
@@ -222,8 +226,9 @@ def build_system(
         holds, lhs, rhs = box_inequality(base, n, l1)
         if not holds:
             raise DegenerateInputError(f"box inequality fails: {rat_str(lhs)} >= {rat_str(rhs)}")
-    pi = tuple(tuple(Fraction(e, den) for e in row) for row in rows)
-    return JetCoveringSystem(jet_dim, lam, b, pi, base)
+    system = JetCoveringSystem(jet_dim, lam, b, base)
+    vars(system)["integer_rows"] = ints  # the judged rows: pi is built once per system
+    return system
 
 
 def _residual_ints(big_n: int, lam: Fraction, beta, big_b, rows, den):
@@ -240,14 +245,6 @@ def _residual_ints(big_n: int, lam: Fraction, beta, big_b, rows, den):
     return mat, offset, q * beta[0] * den
 
 
-def _residual_fractions(residuals) -> Dict[int, Tuple[Mat, Vec]]:
-    """The `_residual_ints` residuals as Fractions, per branch; branch -1
-    shares the matrix and negates the offset."""
-    mat, offset, scale = residuals
-    mat = tuple(tuple(Fraction(e, scale) for e in row) for row in mat)
-    return {d: (mat, tuple(Fraction(d * e, scale) for e in offset)) for d in (1, -1)}
-
-
 def _judge(residuals, columns: Optional[int] = None):
     """The `_residual_ints` residuals, or a ConstructionError naming the first
     nonzero entry, reading the first `columns` columns of the matrix residual
@@ -262,20 +259,20 @@ def _judge(residuals, columns: Optional[int] = None):
     return residuals
 
 
-def verify_semiconjugacy(sys: JetCoveringSystem) -> Dict[int, Tuple[Mat, Vec]]:
-    """Exact residuals of branch o projection - projection o shift, per
-    branch, all zero, or a ConstructionError naming the first violation.
+def verify_semiconjugacy(sys: JetCoveringSystem) -> None:
+    """ConstructionError, naming the first violation, unless the residuals
+    of branch o projection - projection o shift are zero for both branches.
 
     The shift of branch d is v -> M v + (d / b_0) e_0, (M v)_0 = -sum_{j>=1}
     b_j v_{j-1} / b_0 and (M v)_k = v_{k-1}, so column c of the shared matrix
     residual J pi - pi M is lam pi_c + S pi_c + (b_{c+1} / b_0) pi_0 - pi_{c+1}
     (pi_n = 0), and branch d's offset residual is d (e_N - pi_0 / b_0), with
     J = lam I + S and T = e_N as the system derives them, formed in integers
-    from the stated p_coeffs and projection.  The generic products in
-    `tests/jetcovering_helpers.py` are this closed form's oracle.  The
-    residuals are formed once, judged, then converted.
+    from p_coeffs and the system's projection rows.  The generic products
+    in `tests/jetcovering_helpers.py` are this closed form's oracle.  The
+    residuals are formed once and judged.
     """
-    return _residual_fractions(_judge(_residual_ints(sys.jet_dim, sys.lam, *sys.integer_rows)))
+    _judge(_residual_ints(sys.jet_dim, sys.lam, *sys.integer_rows))
 
 
 @dataclass(frozen=True)
@@ -444,10 +441,12 @@ def check_membership(sys: JetCoveringSystem, target: Jet, u, t, y) -> None:
     t sum |c_i| = x.y + sum r_i |c_i|.  Every feasible (u', t') has t' <=
     min r_i and t' sum |c_i| <= c.u' + sum r_i |c_i| (weak duality), so
     either equality proves t optimal."""
-    x, r, (_, _, rows, den) = reverse_jet(target).flat(), sys.coordinate_bounds(), sys.integer_rows
-    m = lcm(den, *(e.denominator for e in (*x, *u, *r, *y, t)))
-    xs, us, rs, ys, (ts,) = ([e.numerator * (m // e.denominator) for e in values]
-                             for values in (x, u, r, y, [t]))
+    x, (_, _, rows, den) = reverse_jet(target).flat(), sys.integer_rows
+    radii, scale = sys.integer_radii
+    m = lcm(den, scale, *(e.denominator for e in (*x, *u, *y, t)))
+    xs, us, ys, (ts,) = ([e.numerator * (m // e.denominator) for e in values]
+                         for values in (x, u, y, [t]))
+    rs = [r * (m // scale) for r in radii]
     rows = [[e * (m // den) for e in row] for row in rows]
     if any(sum(map(mul, row, us)) != m * xi for row, xi in zip(rows, xs)):
         raise ConstructionError("the membership witness does not project to the target")
@@ -506,11 +505,12 @@ def residual_bound(sys: JetCoveringSystem, k: int) -> Fraction:
 def realization_steps(
     sys: JetCoveringSystem, tol, max_steps: int = DEFAULT_MAX_STEPS
 ) -> int:
-    """Smallest k with residual_bound(sys, k) <= tol, or ResourceLimitError
+    """A realization's step count: 0 if residual_bound(sys, 0) <= tol, else the
+    least k with residual_bound(sys, k) < tol (room to round); ResourceLimitError
     past max_steps.  norm(J^k) is log-concave in k (lam^k times a binomial
-    transform of the log-concave (N-1)!/(N-1-m)! lam^-m; Davenport-Polya),
-    so it stays >= its k = 0 value while rising, then strictly falls: the
-    k meeting tol form an up-set, found by doubling and exact bisection."""
+    transform of the log-concave (N-1)!/(N-1-m)! lam^-m; Davenport-Polya), so
+    it stays >= its k = 0 value while rising, then strictly falls: past k = 0
+    the k meeting tol form an up-set, found by doubling and exact bisection."""
     tol = rat(tol)
     if tol <= 0:
         raise DegenerateInputError("tolerance must be positive")
@@ -518,18 +518,16 @@ def realization_steps(
     lhs, rhs = reach.numerator * tol.denominator, tol.numerator * reach.denominator
 
     def meets(k: int) -> bool:
-        norm = power_norm_numerator(sys.lam, sys.jet_dim, k)
-        return norm * lhs <= rhs * sys.lam.denominator ** k
+        left = power_norm_numerator(sys.lam, sys.jet_dim, k) * lhs
+        right = rhs * sys.lam.denominator ** k
+        return left < right or k == 0 and left == right
 
     lo, hi = -1, 0  # meets(lo) is false, or lo is -1
     while not meets(hi):
         if hi >= max_steps:
             raise ResourceLimitError(f"tol {rat_str(tol)} unreachable within {max_steps} steps")
         lo, hi = hi, min(2 * hi + 1, max_steps)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
-    return hi
+    return bisect_left(range(hi), True, lo + 1, key=meets)
 
 
 PRECISION_FLOOR = 128  # least bits of the fixed-point pullback
@@ -542,19 +540,22 @@ def power_norm_sum(lam: Fraction, jet_dim: int) -> Fraction:
     return sum(perm(jet_dim - 1, m) / (1 - lam) ** (m + 1) for m in range(jet_dim))
 
 
-def proved_bound(sys: JetCoveringSystem, k: int, tol: Fraction) -> Tuple[Optional[int], Fraction]:
+def proved_bound(sys: JetCoveringSystem, k: int, tol: Fraction) -> Tuple[int, Fraction]:
     """(P, bound): the least P >= PRECISION_FLOOR with bound =
     residual_bound(sys, k) + 2^-P (max_i |pi_{i,n-1}| S + norm(pi)) <= tol,
-    S = `power_norm_sum`; P is None when residual_bound(sys, k) >= tol, and
-    k = 0 rounds nothing: (0, residual_bound(sys, 0)).
+    S = `power_norm_sum`; k = 0 rounds nothing: (0, residual_bound(sys, 0)).
+    A k that leaves no room to round, residual_bound(sys, k) > tol or, for
+    k > 0, = tol, is a DegenerateInputError; `realization_steps` gives none.
 
     A P-bit pullback rounds the witness and each appended (last) coordinate
     by less than 2^-P.  With e_t step t's rounding, the semi-conjugacy
     telescopes to x - F_word(0) = J^k pi u~_k - sum_{t<k} J^(t+1) pi e_t +
     pi (u_0 - u~_0), u~_k in the box, and sum_{t<k} norm(J^(t+1)) <= S."""
     bound = residual_bound(sys, k)
-    if k == 0 or bound >= tol:
-        return (None if k else 0), bound
+    if bound > tol or k and bound == tol:
+        raise DegenerateInputError(f"{k} steps leave no room to round below tol {rat_str(tol)}")
+    if k == 0:
+        return 0, bound
     _, _, rows, den = sys.integer_rows
     term = (max(abs(row[-1]) for row in rows) * power_norm_sum(sys.lam, sys.jet_dim)
             + max(sum(map(abs, row)) for row in rows)) / den
@@ -643,25 +644,18 @@ def realize_jet(
 ) -> RealizationResult:
     """Constructively realize a certified-interior jet as a continuation jet.
 
-    Fixes k and the precision P by `proved_bound` first, proves membership
-    by `certify_membership` (NotCoveredError when the target is not
-    certified interior with a positive margin), pulls back k greedy steps
-    from its witness in P-bit fixed point, then checks exactly that the
-    word's jet is within the proved bound of the target.
+    Fixes k and the precision P by `realization_steps` and `proved_bound`
+    first, proves membership by `certify_membership` (NotCoveredError when
+    the target is not certified interior with a positive margin), pulls back
+    k greedy steps from its witness in P-bit fixed point, then checks exactly
+    that the word's jet is within the proved bound of the target.
     """
     tol = rat(tol)
     k = realization_steps(sys, tol, max_steps)
     precision, bound = proved_bound(sys, k, tol)
-    if precision is None:  # residual_bound(sys, k) = tol leaves no room to round
-        if k == max_steps:
-            raise ResourceLimitError(f"tol {rat_str(tol)} unreachable within {max_steps} steps")
-        k += 1
-        precision, bound = proved_bound(sys, k, tol)
     membership = certify_membership(sys, target)
     if not membership.certified or membership.margin <= 0:
-        raise NotCoveredError(
-            "target jet is not certified interior to the covered set"
-        )
+        raise NotCoveredError("target jet is not certified interior to the covered set")
     word = fixed_point_pullback(sys, membership.witness, precision, k)
     den = sys.lam.denominator ** k  # one gcd of the word's size, for the largest gap alone
     achieved = max(Fraction(abs(t.numerator * den - v * t.denominator), t.denominator) for t, v

@@ -1,6 +1,7 @@
 """Shared oracle helpers for jet-covering tests: exact rank, the inverse
-branch, the shift maps, the generic semi-conjugacy products and the exact
-greedy pullback."""
+branch, the shift maps, the semi-conjugacy judge and residuals of a stated
+projection, the generic semi-conjugacy products and the exact greedy
+pullback."""
 
 from fractions import Fraction
 from math import lcm
@@ -8,11 +9,12 @@ from math import lcm
 from jetcover import linalg
 from jetcover.errors import DegenerateInputError
 from jetcover.jetcovering import (
-    _residual_fractions,
+    _judge,
     _residual_ints,
     power_norm_sum,
     projection_rows,
 )
+from jetcover.rational import cleared
 
 
 def rank(a):
@@ -71,26 +73,46 @@ def projection_matrix(p_coeffs, lam, jet_dim):
     return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
 
 
-def semiconjugacy_residuals(sys):
-    """The closed-form residuals that `verify_semiconjugacy` judges, unjudged,
-    so that a tampered system shows them."""
-    return _residual_fractions(_residual_ints(sys.jet_dim, sys.lam, *sys.integer_rows))
+def stated_rows(sys, pi):
+    """(beta, B, rows, D) as `projection_rows` gives them, but for a stated
+    Fraction projection pi, cleared over the lcm of its denominators."""
+    entries, den = cleared([e for row in pi for e in row])
+    width = len(pi[0])
+    rows = [entries[i:i + width] for i in range(0, len(entries), width)]
+    return (*cleared(sys.p_coeffs), rows, den)
 
 
-def generic_residuals(sys):
-    """Oracle of `semiconjugacy_residuals`: J projection - projection M and
-    delta T - projection t_delta as generic products, for both branches,
-    with the stored J and T as they are."""
+def judge_projection(sys, pi):
+    """`verify_semiconjugacy`'s integer judge on the system's p_coeffs and a
+    stated projection pi: None, or a ConstructionError naming the first
+    nonzero residual."""
+    _judge(_residual_ints(sys.jet_dim, sys.lam, *stated_rows(sys, pi)))
+
+
+def semiconjugacy_residuals(sys, pi):
+    """The closed-form residuals that the judge reads, unjudged and as
+    Fractions per branch, for the system's p_coeffs and a stated projection
+    pi, so that a tampered one shows them; branch -1 shares the matrix and
+    negates the offset."""
+    mat, offset, scale = _residual_ints(sys.jet_dim, sys.lam, *stated_rows(sys, pi))
+    mat = tuple(tuple(Fraction(e, scale) for e in row) for row in mat)
+    return {d: (mat, tuple(Fraction(d * e, scale) for e in offset)) for d in (1, -1)}
+
+
+def generic_residuals(sys, pi):
+    """Oracle of `semiconjugacy_residuals`: J pi - pi M and delta T - pi
+    t_delta as generic products, for both branches, with the system's J and
+    T as they are."""
     m_shift, _ = shift_map(sys, 1)
     mat_res = linalg.mat_sub(
-        linalg.mat_mul(sys.branch_matrix, sys.projection),
-        linalg.mat_mul(sys.projection, m_shift),
+        linalg.mat_mul(sys.branch_matrix, pi),
+        linalg.mat_mul(pi, m_shift),
     )
     out = {}
     for delta in (1, -1):
         _, t_shift = shift_map(sys, delta)
         lhs_t = tuple(delta * e for e in sys.branch_offset)
-        rhs_t = linalg.mat_vec(sys.projection, t_shift)
+        rhs_t = linalg.mat_vec(pi, t_shift)
         out[delta] = (mat_res, linalg.vec_sub(lhs_t, rhs_t))
     return out
 

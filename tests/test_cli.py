@@ -176,6 +176,19 @@ def test_jet_system_builds_one_projection(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_realize_builds_one_projection(tmp_path, monkeypatch):
+    # the reader's build_system hands its judged rows to the system, so the
+    # membership, the bounds, the pullback and the stated-projection
+    # comparison build no second one
+    args = realize_args(tmp_path)
+    calls = []
+    inner = jetcovering.projection_rows
+    monkeypatch.setattr(jetcovering, "projection_rows",
+                        lambda *a: calls.append(a) or inner(*a))
+    assert run(args + ["--tol", "1/10000", "--out", str(tmp_path / "real.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_realize_not_in_set(tmp_path):
     sys_path = tmp_path / "sys.json"
     run(["jet-system", "--order", "1", "--out", str(sys_path)])
@@ -812,6 +825,22 @@ def test_jet_system_order_below_zero_names_the_flag(tmp_path, capsys, order, mon
     assert err == f"error: --order {order} is below 0\n"
 
 
+@pytest.mark.parametrize("order", ["128", "9" * 4300])
+def test_jet_system_order_past_the_degree_cap_is_refused_before_order_plus_one(
+        tmp_path, capsys, order, monkeypatch):
+    # 4,300 digits is the most int() parses, and order + 1 has 4,301: the
+    # command refuses before forming it, in one line, and the ladder never runs
+    def no_ladder(*args):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr("jetcover.cli.find_flat_poly", no_ladder)
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    err = _expect_input_error(capsys, ["jet-system", "--order", order, "--out", str(out)], out)
+    assert time.perf_counter() - start < 1
+    assert err == f"error: --order {order} is above {flatpoly.FLAT_DEGREE_CAP - 1}\n"
+
+
 def test_jet_system_runs_order_7_at_its_default_degree_cap(tmp_path, capsys):
     # the degree cap defaults to FLAT_DEGREE_CAP: order 7 needs flat degree
     # 121, and order 8 exhausts the cap and is refused
@@ -958,19 +987,28 @@ def test_raster_size_is_input_error(tmp_path, capsys, size, monkeypatch):
         ["limit-set", "--lam", "3/4", "--depth", "19"],
         ["limit-set", "--lam", "3/4", "--depth", "22", "--ppm", "img.ppm"],
         ["blender-render", "--lam", "3/4", "--depth", "19", "--width", "64", "--height", "64"],
+        # 2^depth is never formed: at depth 15000 its 4,516 digits once ended
+        # in a digit-limit traceback, and at 10^9 forming it took seconds first
+        ["limit-set", "--lam", "3/4", "--depth", "15000"],
+        ["limit-set", "--lam", "3/4", "--depth", "1000000000"],
+        ["blender-render", "--lam", "3/4", "--depth", "15000", "--width", "8", "--height", "8"],
+        ["blender-render", "--lam", "3/4", "--depth", "1000000000", "--width", "8", "--height", "8"],
     ],
 )
 def test_word_enumeration_past_the_cap_is_input_error(tmp_path, capsys, args, monkeypatch):
-    # 2^19 words exceed WORD_ENUMERATION_CAP = 2^18: refused before any word
-    # is built, and nothing is written
+    # 2^19 words exceed WORD_ENUMERATION_CAP = 2^18: refused at once, before
+    # any word is built, in one line that quotes the depth, not the count,
+    # and nothing is written
     def no_words(*args):
         raise AssertionError("a word was built")
 
     monkeypatch.setattr(IFSystem, "origin", no_words)
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
+    start = time.perf_counter()
     err = _expect_input_error(capsys, args + ["--out", str(out)], out)
-    assert f"exceed the cap {2 ** 18}" in err
+    assert time.perf_counter() - start < 1
+    assert err == f"error: 2^{args[args.index('--depth') + 1]} words exceed the cap {2 ** 18}\n"
     assert not (tmp_path / "img.ppm").exists()
 
 

@@ -22,6 +22,7 @@ from flatpoly_reference import divisible_by_power, reference_projection  # local
 from jetcovering_helpers import (  # local helper module
     generic_residuals,
     inverse_branch,
+    judge_projection,
     projection_matrix,
     rank,
     rounding_term,
@@ -88,8 +89,8 @@ def test_semiconjugacy_zero(jet_sys_r0, jet_sys_r1, jet_sys_r2):
     for sys in (jet_sys_r0, jet_sys_r1, jet_sys_r2):
         # the residuals share one matrix identity: both shifts have one linear part
         assert shift_map(sys, 1)[0] == shift_map(sys, -1)[0]
-        residuals = verify_semiconjugacy(sys)
-        for mat_res, vec_res in residuals.values():
+        assert verify_semiconjugacy(sys) is None
+        for mat_res, vec_res in semiconjugacy_residuals(sys, sys.projection).values():
             assert all(e == 0 for row in mat_res for e in row)
             assert all(e == 0 for e in vec_res)
 
@@ -116,24 +117,31 @@ def test_semiconjugacy_numeric_spotcheck(jet_sys_r1):
 
 
 def test_semiconjugacy_residuals_are_formed_once(jet_sys_r2, monkeypatch):
-    # judged and converted from one pass of the closed form
+    # judged from one pass of the closed form, on the system's own rows
     formed = []
     closed_form = jetcovering._residual_ints
     monkeypatch.setattr(jetcovering, "_residual_ints",
                         lambda *args: formed.append(args) or closed_form(*args))
-    residuals = verify_semiconjugacy(jet_sys_r2)
-    assert len(formed) == 1
-    assert residuals == semiconjugacy_residuals(jet_sys_r2) == generic_residuals(jet_sys_r2)
+    assert verify_semiconjugacy(jet_sys_r2) is None
+    assert formed == [(jet_sys_r2.jet_dim, jet_sys_r2.lam, *jet_sys_r2.integer_rows)]
+    monkeypatch.undo()
+    pi = jet_sys_r2.projection
+    residuals = semiconjugacy_residuals(jet_sys_r2, pi)
+    assert residuals == generic_residuals(jet_sys_r2, pi)
     assert not any(e for mat, vec in residuals.values() for row in (*mat, vec) for e in row)
 
 
 def test_semiconjugacy_tamper_detected(jet_sys_r0):
+    # a tampered P fails against the stated projection, and against the
+    # projection a copy derives from it (P then lacks the root)
     tampered = replace(
         jet_sys_r0, p_coeffs=(jet_sys_r0.p_coeffs[0] + F(1, 7), F(1))
     )
     with pytest.raises(ConstructionError):
+        judge_projection(tampered, jet_sys_r0.projection)
+    with pytest.raises(ConstructionError):
         verify_semiconjugacy(tampered)
-    res = semiconjugacy_residuals(tampered)
+    res = semiconjugacy_residuals(tampered, jet_sys_r0.projection)
     assert any(
         e != 0 for mat_res, vec_res in res.values() for e in vec_res
     ) or any(
@@ -155,12 +163,12 @@ def test_semiconjugacy_catches_every_projection_entry(fixture, request):
     # a zero residual determines the projection, so the judge rejects a
     # perturbation of any single entry
     sys = request.getfixturevalue(fixture)
+    assert judge_projection(sys, sys.projection) is None
     for i, k in itertools.product(range(sys.jet_dim), range(sys.n)):
         rows = [list(row) for row in sys.projection]
         rows[i][k] += F(1, 3)
-        tampered = replace(sys, projection=tuple(map(tuple, rows)))
         with pytest.raises(ConstructionError):
-            verify_semiconjugacy(tampered)
+            judge_projection(sys, rows)
 
 
 @pytest.mark.parametrize(
@@ -173,14 +181,14 @@ def test_semiconjugacy_sees_scale_and_root(fixture, request):
     sys = request.getfixturevalue(fixture)
     scaled = tuple(tuple(2 * e for e in row) for row in sys.projection)
     with pytest.raises(ConstructionError, match="offset"):
-        verify_semiconjugacy(replace(sys, projection=scaled))
+        judge_projection(sys, scaled)
     rootless = (sys.p_coeffs[0] + F(1, 5),) + sys.p_coeffs[1:]
-    rebuilt = replace(
-        sys, p_coeffs=rootless,
-        projection=projection_matrix(rootless, sys.lam, sys.jet_dim),
-    )
-    with pytest.raises(ConstructionError, match=rf"matrix\[\d+\]\[{sys.n - 1}\]"):
-        verify_semiconjugacy(rebuilt)
+    rebuilt = replace(sys, p_coeffs=rootless)  # a copy derives its projection afresh
+    assert rebuilt.projection == projection_matrix(rootless, sys.lam, sys.jet_dim)
+    for judge in (lambda: verify_semiconjugacy(rebuilt),
+                  lambda: judge_projection(rebuilt, rebuilt.projection)):
+        with pytest.raises(ConstructionError, match=rf"matrix\[\d+\]\[{sys.n - 1}\]"):
+            judge()
 
 
 def test_semiconjugacy_multiplies_no_matrices(monkeypatch, jet_sys_r1):
@@ -262,9 +270,11 @@ def test_the_integer_radii_are_the_coordinate_bounds(fixture, base, request):
     sys = request.getfixturevalue(fixture)
     sys = replace(sys, box_base=base or sys.box_base)
     radii, den = sys.integer_radii
+    powers = tuple(sys.box_base ** (sys.n - i) for i in range(sys.n))
     assert den == sys.box_base.denominator ** sys.n
-    assert tuple(F(r, den) for r in radii) == sys.coordinate_bounds()
-    assert sys.reach == max(sum(abs(e) * r for e, r in zip(row, sys.coordinate_bounds()))
+    assert tuple(F(r, den) for r in radii) == sys.coordinate_bounds() == powers
+    assert sys.pullback_box().intervals == tuple(Interval(-r, r) for r in powers)
+    assert sys.reach == max(sum(abs(e) * r for e, r in zip(row, powers))
                             for row in sys.projection)
 
 
@@ -289,23 +299,21 @@ def test_closed_form_residuals_equal_the_generic_products(order, step, tamper, d
     lam = threshold + (1 - threshold) * F(step, 16)
     sys = build_system(order + 1, lam, scale_to_p(q, lam))
     nonzero = st.fractions(-3, 3, max_denominator=9).filter(bool)
+    pi = [list(row) for row in sys.projection]
     if tamper == "entry":
         i = data.draw(st.integers(0, sys.jet_dim - 1))
         k = data.draw(st.integers(0, sys.n - 1))
-        rows = [list(row) for row in sys.projection]
-        rows[i][k] += data.draw(nonzero)
-        sys = replace(sys, projection=tuple(map(tuple, rows)))
+        pi[i][k] += data.draw(nonzero)
     elif tamper == "scale":
         factor = data.draw(nonzero.filter(lambda f: f != 1))
-        sys = replace(sys, projection=tuple(tuple(factor * e for e in row)
-                                            for row in sys.projection))
+        pi = [[factor * e for e in row] for row in pi]
     elif tamper == "rootless":
         b0 = sys.p_coeffs[0] + data.draw(nonzero.filter(lambda f: f != -sys.p_coeffs[0]))
-        rootless = (b0,) + sys.p_coeffs[1:]
-        sys = replace(sys, p_coeffs=rootless,
-                      projection=projection_matrix(rootless, sys.lam, sys.jet_dim))
-    residuals = semiconjugacy_residuals(sys)
-    assert residuals == generic_residuals(sys)
+        sys = replace(sys, p_coeffs=(b0,) + sys.p_coeffs[1:])
+        pi = sys.projection  # derived afresh by the recurrence
+        assert pi == projection_matrix(sys.p_coeffs, sys.lam, sys.jet_dim)
+    residuals = semiconjugacy_residuals(sys, pi)
+    assert residuals == generic_residuals(sys, pi)
     entries = [e for mat_res, vec_res in residuals.values() for row in (*mat_res, vec_res)
                for e in row]
     assert any(entries) == (tamper != "none")
@@ -346,34 +354,49 @@ def test_integer_projection_and_judge_match_the_references(b0, middle, lam, big_
         factor = data.draw(nonzero)
         pi = [[e * factor if tamper == "scale" or j == k else e for j, e in enumerate(row)]
               for row in pi]
-    sys = JetCoveringSystem(big_n, lam, p, tuple(map(tuple, pi)), F(2))
-    generic = generic_residuals(sys)
-    assert semiconjugacy_residuals(sys) == generic
+    sys = JetCoveringSystem(big_n, lam, p, F(2))
+    generic = generic_residuals(sys, pi)
+    assert semiconjugacy_residuals(sys, pi) == generic
     named = [f"{where} = {e} for branch {delta:+d}"
              for delta, (mat_res, vec_res) in generic.items()
              for where, e in [*((f"matrix[{i}][{j}]", e) for i, row in enumerate(mat_res)
                                 for j, e in enumerate(row)),
                               *((f"offset[{i}]", e) for i, e in enumerate(vec_res))] if e]
     assert not rooted or bool(named) == (tamper != "none")
-    if not named:
-        assert verify_semiconjugacy(sys) == generic
-    else:
-        with pytest.raises(ConstructionError) as exc:
-            verify_semiconjugacy(sys)
-        assert str(exc.value) == f"semi-conjugacy residual {named[0]}"
+    # the system's own rows are the untampered pi, so its checker judges them too
+    judges = [lambda: judge_projection(sys, pi)]
+    judges += [lambda: verify_semiconjugacy(sys)] * (tamper == "none")
+    for judge in judges:
+        if not named:
+            assert judge() is None
+        else:
+            with pytest.raises(ConstructionError) as exc:
+                judge()
+            assert str(exc.value) == f"semi-conjugacy residual {named[0]}"
 
 
-def test_integer_rows_are_the_stated_projection(jet_sys_r2):
-    # build_system primes the rows its projection is formed from; a copy
-    # clears its stated fields afresh, so a replaced projection is what is read
-    fresh = replace(jet_sys_r2)
-    assert "integer_rows" not in vars(fresh)
-    scaled = replace(jet_sys_r2, projection=tuple(tuple(2 * e for e in row)
-                                                  for row in jet_sys_r2.projection))
-    for sys in (jet_sys_r2, fresh, scaled):
+def test_integer_rows_are_projection_rows_of_the_definition(jet_sys_r2, monkeypatch):
+    # a system is (N, lam, P, base): build_system primes the rows it judged,
+    # so building, checking and reading pi run projection_rows once, and a
+    # copy derives its rows afresh from its own definition
+    assert [f.name for f in fields(JetCoveringSystem)] == ["jet_dim", "lam", "p_coeffs",
+                                                           "box_base"]
+    calls = []
+    monkeypatch.setattr(jetcovering, "projection_rows",
+                        lambda *args: calls.append(args) or projection_rows(*args))
+    built = build_system(jet_sys_r2.jet_dim, jet_sys_r2.lam, jet_sys_r2.p_coeffs)
+    verify_semiconjugacy(built)
+    certify_delta_covering(built)
+    assert built.projection and built.reach and len(calls) == 1
+    fresh = replace(built)
+    assert "integer_rows" not in vars(fresh) and "projection" not in vars(fresh)
+    moved = replace(built, lam=F(7, 8))
+    for sys in (built, fresh, moved):
         beta, big_b, rows, den = sys.integer_rows
-        assert [[F(e, den) for e in row] for row in rows] == [list(r) for r in sys.projection]
+        assert sys.integer_rows == projection_rows(sys.p_coeffs, sys.lam, sys.jet_dim)
+        assert sys.projection == tuple(tuple(F(e, den) for e in row) for row in rows)
         assert tuple(F(c, big_b) for c in beta) == sys.p_coeffs
+    assert len(calls) == 3 and moved.projection != built.projection
 
 
 def test_base_feasibility_window(jet_sys_r0):
@@ -580,11 +603,13 @@ def test_realize_rejects_uncertified(jet_sys_r1):
 
 @pytest.mark.parametrize("fixture, k", [("jet_sys_r0", 5), ("jet_sys_r1", 200)])
 def test_a_bound_of_exactly_tol_takes_one_step_more(request, fixture, k):
-    # no rounding term fits beside residual_bound(k) = tol, so k + 1 steps
+    # no rounding term fits beside residual_bound(k) = tol, so the search
+    # plans k + 1 steps, and proved_bound refuses k
     sys = request.getfixturevalue(fixture)
     tol = residual_bound(sys, k)
-    assert realization_steps(sys, tol) == k
-    assert proved_bound(sys, k, tol) == (None, tol)
+    assert realization_steps(sys, tol) == k + 1
+    with pytest.raises(DegenerateInputError, match=f"{k} steps leave no room to round"):
+        proved_bound(sys, k, tol)
     res = realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), tol)
     assert res.steps == k + 1 and proved_bound(sys, k + 1, tol)[0] >= PRECISION_FLOOR
     assert res.achieved_residual <= res.residual_bound <= tol

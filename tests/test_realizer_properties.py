@@ -100,19 +100,66 @@ def test_power_norm_is_log_concave(lam, jet_dim, k):
 @settings(max_examples=40, deadline=None)
 @given(systems(), st.integers(1, 12))
 def test_realization_steps_is_the_first_step_meeting_tol(sys, bits):
+    # k = 0 meets tol with residual_bound(0) <= tol, and k > 0 with
+    # residual_bound(k) < tol, which leaves room to round
     tol = F(1, 2 ** bits)
     try:
         k = realization_steps(sys, tol, max_steps=2000)
     except ResourceLimitError:
-        assert residual_bound(sys, 2000) > tol
+        assert residual_bound(sys, 2000) >= tol
         return
-    assert residual_bound(sys, k) <= tol
+    assert residual_bound(sys, k) < tol or k == 0 and residual_bound(sys, 0) == tol
     earlier = set(range(min(k, 20))) | set(range(max(k - 20, 0), k))
-    assert all(residual_bound(sys, j) > tol for j in earlier)
+    assert all(residual_bound(sys, j) > tol if j == 0 else residual_bound(sys, j) >= tol
+               for j in earlier)
     assert realization_steps(sys, tol, max_steps=k) == k
     if k > 0:
         with pytest.raises(ResourceLimitError):
             realization_steps(sys, tol, max_steps=k - 1)
+
+
+def steps_by_the_old_rule(sys, tol, max_steps):
+    """The step count of the retrying realizer: the least k with
+    residual_bound(k) <= tol, by doubling and bisection, then one step
+    more when k > 0 and residual_bound(k) = tol, within max_steps."""
+    def meets(k):
+        return residual_bound(sys, k) <= tol
+
+    lo, hi = -1, 0
+    while not meets(hi):
+        if hi >= max_steps:
+            raise ResourceLimitError(f"unreachable within {max_steps} steps")
+        lo, hi = hi, min(2 * hi + 1, max_steps)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    if hi and residual_bound(sys, hi) == tol:
+        if hi == max_steps:
+            raise ResourceLimitError(f"unreachable within {max_steps} steps")
+        hi += 1
+    return hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.integers(0, 300), st.sampled_from(["exact", "above", "below", "dyadic"]),
+       st.integers(1, 12), st.integers(0, 400))
+def test_realization_steps_keeps_the_retrying_rule(sys, j, where, bits, max_steps):
+    # the one search gives the k that the search plus one retry step gave,
+    # for a tol of exactly residual_bound(j), next to it, or a power of 2,
+    # with the step cap below or above it
+    bound = residual_bound(sys, j)
+    tol = {"exact": bound, "above": bound * (1 + F(1, 2 ** 40)),
+           "below": bound * (1 - F(1, 2 ** 40)), "dyadic": F(1, 2 ** bits)}[where]
+    try:
+        expected = steps_by_the_old_rule(sys, tol, max_steps)
+    except ResourceLimitError:
+        with pytest.raises(ResourceLimitError, match=f"within {max_steps} steps"):
+            realization_steps(sys, tol, max_steps)
+        return
+    k = realization_steps(sys, tol, max_steps)
+    assert k == expected
+    precision, proved = proved_bound(sys, k, tol)
+    assert proved <= tol and (k == 0 or precision >= 128)
 
 
 @settings(max_examples=40, deadline=None)
