@@ -18,12 +18,12 @@ optimum of an integer dual exchange, with an interiority margin and a
 re-checked certificate; and the realizer's word comes with a proved
 residual bound that the exact forward jet is verified against.
 
-The realizer works in integers: closed-form norm(J^k) fixes k and the
-precision P before any membership work, membership is one dual exchange,
-the greedy pullback runs in P-bit fixed point with its rounding carried by
-the bound (midpoint-radius style), and the forward check sums the word's
-jet by binary splitting over Horner leaves.  A target not certified
-interior raises NotCoveredError.
+The realizer works in integers: one plan on the closed-form norm(J^k)
+fixes k, the precision P and the bound before any membership work,
+membership is one dual exchange, the greedy pullback runs in P-bit fixed
+point with its rounding carried by the bound (midpoint-radius style), and
+the forward check sums the word's jet by binary splitting over Horner
+leaves.  A target not certified interior raises NotCoveredError.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, gcd, lcm, perm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -486,48 +486,20 @@ class RealizationResult:
 def power_norm_numerator(lam: Fraction, jet_dim: int, k: int) -> int:
     """q^k * norm(J^k), lam = p/q.  Row 0 of J^k = (lam I + S)^k holds
     C(k,m) lam^(k-m) (N-1)!/(N-1-m)!, m < N; it dominates every other row
-    of the nonnegative J^k, so its sum is the norm."""
-    p, q = lam.numerator, lam.denominator
-    return sum(
-        comb(k, m) * perm(jet_dim - 1, m) * p ** (k - m) * q ** m
-        for m in range(min(k + 1, jet_dim))
-    )
+    of the nonnegative J^k, so its sum is the norm, formed with one big power
+    as p^(k-t) sum_{m<=t} C(k,m) perm(N-1,m) p^(t-m) q^m, t = min(k, N-1)."""
+    p, q, top = lam.numerator, lam.denominator, min(k, jet_dim - 1)
+    return p ** (k - top) * sum(comb(k, m) * perm(jet_dim - 1, m) * p ** (top - m) * q ** m
+                                for m in range(top + 1))
 
 
 def residual_bound(sys: JetCoveringSystem, k: int) -> Fraction:
-    """norm(J^k) * reach: certified distance after k pullback steps."""
+    """norm(J^k) * reach: certified distance after k pullback steps, reduced once."""
     if k < 0:
         raise DegenerateInputError("k must be >= 0")
-    norm = power_norm_numerator(sys.lam, sys.jet_dim, k)
-    return Fraction(norm, sys.lam.denominator ** k) * sys.reach
-
-
-def realization_steps(
-    sys: JetCoveringSystem, tol, max_steps: int = DEFAULT_MAX_STEPS
-) -> int:
-    """A realization's step count: 0 if residual_bound(sys, 0) <= tol, else the
-    least k with residual_bound(sys, k) < tol (room to round); ResourceLimitError
-    past max_steps.  norm(J^k) is log-concave in k (lam^k times a binomial
-    transform of the log-concave (N-1)!/(N-1-m)! lam^-m; Davenport-Polya), so
-    it stays >= its k = 0 value while rising, then strictly falls: past k = 0
-    the k meeting tol form an up-set, found by doubling and exact bisection."""
-    tol = rat(tol)
-    if tol <= 0:
-        raise DegenerateInputError("tolerance must be positive")
     reach = sys.reach
-    lhs, rhs = reach.numerator * tol.denominator, tol.numerator * reach.denominator
-
-    def meets(k: int) -> bool:
-        left = power_norm_numerator(sys.lam, sys.jet_dim, k) * lhs
-        right = rhs * sys.lam.denominator ** k
-        return left < right or k == 0 and left == right
-
-    lo, hi = -1, 0  # meets(lo) is false, or lo is -1
-    while not meets(hi):
-        if hi >= max_steps:
-            raise ResourceLimitError(f"tol {rat_str(tol)} unreachable within {max_steps} steps")
-        lo, hi = hi, min(2 * hi + 1, max_steps)
-    return bisect_left(range(hi), True, lo + 1, key=meets)
+    return Fraction(power_norm_numerator(sys.lam, sys.jet_dim, k) * reach.numerator,
+                    sys.lam.denominator ** k * reach.denominator)
 
 
 PRECISION_FLOOR = 128  # least bits of the fixed-point pullback
@@ -540,27 +512,56 @@ def power_norm_sum(lam: Fraction, jet_dim: int) -> Fraction:
     return sum(perm(jet_dim - 1, m) / (1 - lam) ** (m + 1) for m in range(jet_dim))
 
 
-def proved_bound(sys: JetCoveringSystem, k: int, tol: Fraction) -> Tuple[int, Fraction]:
-    """(P, bound): the least P >= PRECISION_FLOOR with bound =
-    residual_bound(sys, k) + 2^-P (max_i |pi_{i,n-1}| S + norm(pi)) <= tol,
-    S = `power_norm_sum`; k = 0 rounds nothing: (0, residual_bound(sys, 0)).
-    A k that leaves no room to round, residual_bound(sys, k) > tol or, for
-    k > 0, = tol, is a DegenerateInputError; `realization_steps` gives none.
+def realization_plan(
+    sys: JetCoveringSystem, tol, max_steps: int = DEFAULT_MAX_STEPS
+) -> Tuple[int, int, Fraction]:
+    """(k, P, bound) of a realization, in integers before any membership
+    work.  With reach = A/B, tol = t/u and lam = p/q, room(k) = t B q^k -
+    q^k norm(J^k) A u, formed once per k, is u q^k B (tol - residual_bound(k)).
+    k is 0 if room(0) >= 0, else the least k with room(k) > 0 (room to
+    round); ResourceLimitError past max_steps, DegenerateInputError below 0.
+    norm(J^k) is log-concave in k (lam^k times a binomial transform of the
+    log-concave (N-1)!/(N-1-m)! lam^-m; Davenport-Polya), so it stays >= its
+    k = 0 value while rising, then strictly falls: past k = 0 the k meeting
+    tol form an up-set, found by doubling and exact bisection.
 
-    A P-bit pullback rounds the witness and each appended (last) coordinate
-    by less than 2^-P.  With e_t step t's rounding, the semi-conjugacy
-    telescopes to x - F_word(0) = J^k pi u~_k - sum_{t<k} J^(t+1) pi e_t +
-    pi (u_0 - u~_0), u~_k in the box, and sum_{t<k} norm(J^(t+1)) <= S."""
-    bound = residual_bound(sys, k)
-    if bound > tol or k and bound == tol:
-        raise DegenerateInputError(f"{k} steps leave no room to round below tol {rat_str(tol)}")
+    P is the least P >= PRECISION_FLOOR with bound = residual_bound(k) +
+    2^-P (max_i |pi_{i,n-1}| S + norm(pi)) <= tol, S = `power_norm_sum`,
+    formed as one Fraction; k = 0 rounds nothing: (0, 0, reach).  A P-bit
+    pullback rounds the witness and each appended coordinate by less than
+    2^-P; with e_t step t's rounding, the semi-conjugacy telescopes to
+    x - F_word(0) = J^k pi u~_k - sum_{t<k} J^(t+1) pi e_t + pi (u_0 - u~_0),
+    u~_k in the box, and sum_{t<k} norm(J^(t+1)) <= S."""
+    tol = rat(tol)
+    if tol <= 0:
+        raise DegenerateInputError("tolerance must be positive")
+    if max_steps < 0:
+        raise DegenerateInputError(f"max_steps {max_steps} is below 0")
+    (big_a, big_b), (t, u) = sys.reach.as_integer_ratio(), tol.as_integer_ratio()
+    q = sys.lam.denominator
+
+    @cache
+    def room(k: int) -> int:
+        return t * big_b * q ** k - power_norm_numerator(sys.lam, sys.jet_dim, k) * big_a * u
+
+    def meets(k: int) -> bool:
+        return room(k) > 0 or k == room(k) == 0
+
+    lo, hi = -1, 0  # meets(lo) is false, or lo is -1
+    while not meets(hi):
+        if hi >= max_steps:
+            raise ResourceLimitError(f"tol {rat_str(tol)} unreachable within {max_steps} steps")
+        lo, hi = hi, min(2 * hi + 1, max_steps)
+    k = bisect_left(range(hi), True, lo + 1, key=meets)
     if k == 0:
-        return 0, bound
-    _, _, rows, den = sys.integer_rows
+        return 0, 0, sys.reach
+    _, _, rows, pi_den = sys.integer_rows
     term = (max(abs(row[-1]) for row in rows) * power_norm_sum(sys.lam, sys.jet_dim)
-            + max(sum(map(abs, row)) for row in rows)) / den
-    precision = max(PRECISION_FLOOR, (-(-term // (tol - bound)) - 1).bit_length())
-    return precision, bound + term / 2 ** precision
+            + max(sum(map(abs, row)) for row in rows)) / pi_den
+    c, e, den, gap = term.numerator, term.denominator, q ** k * big_b, room(k)
+    precision = max(PRECISION_FLOOR, (-(-c * u * den // (e * gap)) - 1).bit_length())
+    scale = e << precision
+    return k, precision, Fraction((t * den - gap) * scale + c * u * den, u * den * scale)
 
 
 def fixed_point_pullback(sys: JetCoveringSystem, u: Sequence[Fraction], precision: int,
@@ -644,15 +645,13 @@ def realize_jet(
 ) -> RealizationResult:
     """Constructively realize a certified-interior jet as a continuation jet.
 
-    Fixes k and the precision P by `realization_steps` and `proved_bound`
+    Fixes k, the precision P and the bound by one `realization_plan` call
     first, proves membership by `certify_membership` (NotCoveredError when
     the target is not certified interior with a positive margin), pulls back
     k greedy steps from its witness in P-bit fixed point, then checks exactly
     that the word's jet is within the proved bound of the target.
     """
-    tol = rat(tol)
-    k = realization_steps(sys, tol, max_steps)
-    precision, bound = proved_bound(sys, k, tol)
+    k, precision, bound = realization_plan(sys, tol, max_steps)
     membership = certify_membership(sys, target)
     if not membership.certified or membership.margin <= 0:
         raise NotCoveredError("target jet is not certified interior to the covered set")

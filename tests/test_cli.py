@@ -293,6 +293,11 @@ HOSTILE_SYSTEMS = {
         lambda p: {**p, "jet_dim": 100000}, "polynomial has no root of order 100000 at 1/lam"),
     "p_coeffs a string": (lambda p: {**p, "p_coeffs": "1/2"}, "p_coeffs is not a JSON list"),
     "a list at the top level": (lambda p: [p], "the jet system is not a JSON object"),
+    "a constant p_coeffs": (lambda p: {**p, "p_coeffs": ["1"]},
+                            "polynomial must have positive degree"),
+    "a p_coeffs that is not monic": (
+        lambda p: {**p, "p_coeffs": p["p_coeffs"][:-1] + ["2"]},
+        "need a monic polynomial with nonzero constant"),
 }
 
 
@@ -535,6 +540,11 @@ HOSTILE_CERTIFICATES = {
     "list witness": (2, lambda p: p["leaves"][0].update(witness=["+"])),
     "null witness": (2, lambda p: p["leaves"][0].update(witness=None)),
     "margin 3": (1, lambda p: p.update(margin="3")),
+    "margin 0": (1, lambda p: p.update(margin="0")),
+    "margin -1/2": (1, lambda p: p.update(margin="-1/2")),
+    "alphabet holding a number": (2, lambda p: p["system"].update(alphabet=["+", 5])),
+    "empty alphabet": (2, lambda p: p["system"].update(alphabet=[], maps={})),
+    "maps of two dimensions": (2, lambda p: p["system"]["maps"].update({"+": PLANAR})),
     # the loader parses each pair once, yet 0 == 0.0 == False must not let
     # a float or a bool through on an int's parse
     "int endpoints": (0, lambda p: (p["leaves"][0].update(box=[[-2, 0]]),
@@ -585,7 +595,8 @@ def test_check_cert_exit_codes_on_hostile_certificates(tmp_path, capsys, name):
     expected, mutate = HOSTILE_CERTIFICATES[name]
     cert = hostile_certificate(tmp_path, mutate)
     if expected == 2:
-        _expect_input_error(capsys, ["check-cert", "--cert", str(cert)])
+        capsys.readouterr()
+        assert _expect_input_error(capsys, ["check-cert", "--cert", str(cert)]).count("\n") == 1
     else:
         assert run(["check-cert", "--cert", str(cert)]) == expected
 
@@ -610,6 +621,9 @@ NAMED_FIELDS = {
     "null margin": "margin: cannot coerce NoneType",
     "depth not a number": "depth is not a JSON integer",
     "alphabet given as a string": "system.alphabet is not a JSON list",
+    "alphabet holding a number": "system.alphabet is not a JSON list of strings",
+    "empty alphabet": "alphabet must be nonempty without repeats",
+    "maps of two dimensions": "all maps must share one dimension",
     "map without a matrix": 'system.maps["+"]: matrix is missing',
 }
 
@@ -642,13 +656,14 @@ def test_check_cert_depth_must_be_a_non_negative_json_integer(tmp_path, capsys, 
 THREES, NINES = "3" * 5000, "9" * 5000  # past the 4,300-digit limit of int -> str
 
 
-def realize_args(tmp_path, box_base=None):
-    """`realize` on the order-1 system, whose file states `box_base` if given."""
+def realize_args(tmp_path, box_base=None, coeffs=("1/4", "-1")):
+    """`realize` of the target jet `coeffs` on the order-1 system, whose
+    file states `box_base` if given."""
     sys_path, target = tmp_path / "sys.json", tmp_path / "target.json"
     assert run(["jet-system", "--order", "1", "--out", str(sys_path)]) == 0
     if box_base is not None:
         sys_path.write_text(json.dumps({**json.loads(sys_path.read_text()), "box_base": box_base}))
-    target.write_text(json.dumps({"order": 1, "dim": 1, "coeffs": ["1/4", "-1"]}))
+    target.write_text(json.dumps({"order": len(coeffs) - 1, "dim": 1, "coeffs": list(coeffs)}))
     return ["realize", "--system", str(sys_path), "--target", str(target)]
 
 
@@ -691,6 +706,18 @@ def test_certify_rejects_zero_denominator(tmp_path, capsys):
     _expect_input_error(capsys, ["certify", "--lam", "1/0", "--out", str(out)], out)
 
 
+def nearly_affine_args(tmp_path, extra_row=""):
+    """`nearly-affine --lam 3/4` on the model tables of lam 3/4, the plus
+    table ending in `extra_row`."""
+    plus, minus = tmp_path / "plus.csv", tmp_path / "minus.csv"
+    plus.write_text(branch_table_to_csv(model_branch_table(F(3, 4), 1, 4, 4)) + extra_row)
+    minus.write_text(branch_table_to_csv(model_branch_table(F(3, 4), -1, 4, 4)))
+    return ["nearly-affine", "--lam", "3/4", "--table-plus", str(plus),
+            "--table-minus", str(minus), "--grid-step", "1/4"]
+
+
+# each a command's arguments, or a function of tmp_path that writes the
+# command's input files and gives them; the last option given wins
 @pytest.mark.parametrize(
     "args",
     [
@@ -700,11 +727,24 @@ def test_certify_rejects_zero_denominator(tmp_path, capsys):
         # past the depth cap: refused before a failing path quadratic in depth
         ["certify", "--lam", "1/2", "--max-depth", "1025"],
         ["blender-cover", "--lam", "1/2", "--max-depth", "1025"],
+        lambda tmp: realize_args(tmp) + ["--tol", "0"],
+        lambda tmp: realize_args(tmp) + ["--tol", "-1/2"],
+        lambda tmp: realize_args(tmp, coeffs=("1/4", "-1", "0")),  # order 2 on order 1
+        # a negative step cap: once exit 0 with an empty word at tol 1000
+        lambda tmp: realize_args(tmp) + ["--tol", "1000", "--max-steps", "-5"],
+        lambda tmp: realize_args(tmp) + ["--max-steps", "-5"],
+        lambda tmp: nearly_affine_args(tmp) + ["--lam", "1/2"],
+        lambda tmp: nearly_affine_args(tmp, "1,2,3,4,5,6,7\n"),  # a row of 7 columns
+        ["blender-render", "--lam", "3/4", "--a", "1/4", "--depth", "3"],
+        ["blender-cover", "--lam", "3/4", "--overhang", "-1"],
+        ["limit-set", "--lam", "3/4", "--depth", "0"],
     ],
 )
 def test_certifier_input_errors_exit_2(tmp_path, capsys, args):
     out = tmp_path / "out.json"
-    _expect_input_error(capsys, args + ["--out", str(out)], out)
+    args = args(tmp_path) if callable(args) else args
+    capsys.readouterr()
+    assert _expect_input_error(capsys, args + ["--out", str(out)], out).count("\n") == 1
 
 
 def test_certify_at_depth_zero_reports_the_target(tmp_path):
@@ -1308,10 +1348,9 @@ def test_realize_writes_an_order_3_realization(tmp_path):
     achieved = max(abs(row[0]) for row in diff.coeffs)
     assert len(payload["achieved_residual"]) > 4300
     assert rat(payload["achieved_residual"]) == achieved
-    k = payload["steps"]
-    precision, _ = jetcovering.proved_bound(system, k, F(1, 100))
-    assert precision >= jetcovering.PRECISION_FLOOR
-    assert rat(payload["residual_bound"]) == jetcovering.residual_bound(
+    k, precision, bound = jetcovering.realization_plan(system, F(1, 100))
+    assert payload["steps"] == k and precision >= jetcovering.PRECISION_FLOOR
+    assert rat(payload["residual_bound"]) == bound == jetcovering.residual_bound(
         system, k) + rounding_term(system, precision)
     assert achieved <= rat(payload["residual_bound"]) <= F(1, 100)
 

@@ -42,8 +42,7 @@ from jetcover.jetcovering import (
     choose_box_base,
     greedy_pullback_step,
     projection_rows,
-    proved_bound,
-    realization_steps,
+    realization_plan,
     realize_jet,
     residual_bound,
     verify_semiconjugacy,
@@ -257,7 +256,7 @@ def test_the_reach_is_computed_once_per_system(monkeypatch, jet_sys_r1):
     sys = replace(jet_sys_r1)  # a fresh system, with nothing cached
     res = realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), F(1, 10 ** 8))
     assert len(calls) == 1 and calls[0] is sys
-    rounding = rounding_term(sys, proved_bound(sys, res.steps, F(1, 10 ** 8))[0])
+    rounding = rounding_term(sys, realization_plan(sys, F(1, 10 ** 8))[1])
     assert res.residual_bound == residual_bound(sys, res.steps) + rounding == residual_bound(
         jet_sys_r1, res.steps) + rounding
 
@@ -603,15 +602,15 @@ def test_realize_rejects_uncertified(jet_sys_r1):
 
 @pytest.mark.parametrize("fixture, k", [("jet_sys_r0", 5), ("jet_sys_r1", 200)])
 def test_a_bound_of_exactly_tol_takes_one_step_more(request, fixture, k):
-    # no rounding term fits beside residual_bound(k) = tol, so the search
-    # plans k + 1 steps, and proved_bound refuses k
+    # no rounding term fits beside residual_bound(k) = tol, so the plan
+    # takes k + 1 steps
     sys = request.getfixturevalue(fixture)
     tol = residual_bound(sys, k)
-    assert realization_steps(sys, tol) == k + 1
-    with pytest.raises(DegenerateInputError, match=f"{k} steps leave no room to round"):
-        proved_bound(sys, k, tol)
+    steps, precision, bound = realization_plan(sys, tol)
+    assert steps == k + 1 and precision >= PRECISION_FLOOR
+    assert bound == residual_bound(sys, k + 1) + rounding_term(sys, precision) <= tol
     res = realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), tol)
-    assert res.steps == k + 1 and proved_bound(sys, k + 1, tol)[0] >= PRECISION_FLOOR
+    assert res.steps == k + 1 and res.residual_bound == bound
     assert res.achieved_residual <= res.residual_bound <= tol
     with pytest.raises(ResourceLimitError, match=f"within {k} steps"):
         realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), tol, max_steps=k)
@@ -620,6 +619,39 @@ def test_a_bound_of_exactly_tol_takes_one_step_more(request, fixture, k):
 def test_realize_step_cap(jet_sys_r0):
     with pytest.raises(ResourceLimitError):
         realize_jet(jet_sys_r0, Jet.scalar([0]), F(1, 10 ** 6), max_steps=3)
+
+
+@pytest.mark.parametrize("tol", [F(1000), F(1, 10 ** 8)])
+def test_a_negative_step_cap_is_refused(jet_sys_r1, tol):
+    # at tol 1000 it once planned 0 steps, and at 1e-8 it blamed the tol;
+    # 0 steps stay a valid cap
+    target = Jet.scalar([F(1, 8)] + [0] * jet_sys_r1.order)
+    for max_steps in (-5, -1):
+        with pytest.raises(DegenerateInputError, match=f"^max_steps {max_steps} is below 0$"):
+            realization_plan(jet_sys_r1, tol, max_steps)
+        with pytest.raises(DegenerateInputError, match=f"^max_steps {max_steps} is below 0$"):
+            realize_jet(jet_sys_r1, target, tol, max_steps=max_steps)
+    if tol > jet_sys_r1.reach:
+        assert realization_plan(jet_sys_r1, tol, 0) == (0, 0, jet_sys_r1.reach)
+    else:
+        with pytest.raises(ResourceLimitError, match="within 0 steps"):
+            realization_plan(jet_sys_r1, tol, 0)
+
+
+@pytest.mark.parametrize("fixture", ["jet_sys_r0", "jet_sys_r1", "jet_sys_r2"])
+def test_a_realization_forms_each_norm_once(request, monkeypatch, fixture):
+    # the plan decides k, P and the bound from one room per k: no norm is
+    # formed twice, and no residual_bound is formed beside them
+    sys = request.getfixturevalue(fixture)
+    norms, bounds = [], []
+    power_norm, bound = jetcovering.power_norm_numerator, jetcovering.residual_bound
+    monkeypatch.setattr(jetcovering, "power_norm_numerator",
+                        lambda lam, big_n, k: norms.append(k) or power_norm(lam, big_n, k))
+    monkeypatch.setattr(jetcovering, "residual_bound",
+                        lambda sys, k: bounds.append(k) or bound(sys, k))
+    res = realize_jet(sys, Jet.scalar([F(1, 8)] + [0] * sys.order), F(1, 10 ** 8))
+    assert res.steps > 0 and res.steps in norms and bounds == []
+    assert len(norms) == len(set(norms)) > 1
 
 
 def test_pullback_matches_inverse_branch(jet_sys_r1):
@@ -650,6 +682,13 @@ def test_auto_lambda_brackets(flat_q2, flat_q3):
         th = lambda_threshold(q)
         lam = auto_lambda(th)
         assert th < lam < 1
+
+
+def test_auto_lambda_halves_the_gap_when_the_grid_rounds_up_to_1():
+    # a quarter of the way to 1 from 1 - 2^-20 rounds up to 1 on the 2^-10
+    # grid; no order up to 7 has a threshold this close to 1
+    threshold = F(2 ** 20 - 1, 2 ** 20)
+    assert auto_lambda(threshold) == (threshold + 1) / 2
 
 
 def test_semiconjugacy_jet_dim_4_lambda_grid():

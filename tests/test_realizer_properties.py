@@ -14,16 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcover import jetcovering, linalg
-from jetcover.errors import ResourceLimitError
+from jetcover.errors import DegenerateInputError, ResourceLimitError
 from jetcover.flatpoly import find_flat_poly, lambda_threshold, scale_to_p
 from jetcover.jetcovering import (
+    PRECISION_FLOOR,
     build_system,
     certify_membership,
     fixed_point_pullback,
     power_norm_numerator,
     power_norm_sum,
-    proved_bound,
-    realization_steps,
+    realization_plan,
     realize_jet,
     residual_bound,
     word_jet,
@@ -89,7 +89,7 @@ def test_power_norm_sum_bounds_the_matrix_power_norms(lam, jet_dim, k):
 @settings(deadline=None)
 @given(lams, st.integers(1, 5), st.integers(1, 400))
 def test_power_norm_is_log_concave(lam, jet_dim, k):
-    # the premise of the bisection in realization_steps; the common
+    # the premise of the bisection in realization_plan; the common
     # factor q^(2k) cancels from both sides
     before, at, after = (
         power_norm_numerator(lam, jet_dim, j) for j in (k - 1, k, k + 1)
@@ -104,7 +104,7 @@ def test_realization_steps_is_the_first_step_meeting_tol(sys, bits):
     # residual_bound(k) < tol, which leaves room to round
     tol = F(1, 2 ** bits)
     try:
-        k = realization_steps(sys, tol, max_steps=2000)
+        k = realization_plan(sys, tol, max_steps=2000)[0]
     except ResourceLimitError:
         assert residual_bound(sys, 2000) >= tol
         return
@@ -112,10 +112,10 @@ def test_realization_steps_is_the_first_step_meeting_tol(sys, bits):
     earlier = set(range(min(k, 20))) | set(range(max(k - 20, 0), k))
     assert all(residual_bound(sys, j) > tol if j == 0 else residual_bound(sys, j) >= tol
                for j in earlier)
-    assert realization_steps(sys, tol, max_steps=k) == k
+    assert realization_plan(sys, tol, max_steps=k)[0] == k
     if k > 0:
         with pytest.raises(ResourceLimitError):
-            realization_steps(sys, tol, max_steps=k - 1)
+            realization_plan(sys, tol, max_steps=k - 1)
 
 
 def steps_by_the_old_rule(sys, tol, max_steps):
@@ -140,13 +140,30 @@ def steps_by_the_old_rule(sys, tol, max_steps):
     return hi
 
 
+def old_bound(sys, k, tol):
+    """(P, bound) of the former two-call realizer, in Fractions: the least
+    P >= PRECISION_FLOOR with bound = residual_bound(sys, k) + 2^-P (max_i
+    |pi_{i,n-1}| S + norm(pi)) <= tol; k = 0 rounds nothing."""
+    bound = residual_bound(sys, k)
+    if bound > tol or k and bound == tol:
+        raise DegenerateInputError(f"{k} steps leave no room to round below tol {tol}")
+    if k == 0:
+        return 0, bound
+    _, _, rows, den = sys.integer_rows
+    term = (max(abs(row[-1]) for row in rows) * power_norm_sum(sys.lam, sys.jet_dim)
+            + max(sum(map(abs, row)) for row in rows)) / den
+    precision = max(PRECISION_FLOOR, (-(-term // (tol - bound)) - 1).bit_length())
+    return precision, bound + term / 2 ** precision
+
+
 @settings(max_examples=60, deadline=None)
 @given(systems(), st.integers(0, 300), st.sampled_from(["exact", "above", "below", "dyadic"]),
        st.integers(1, 12), st.integers(0, 400))
 def test_realization_steps_keeps_the_retrying_rule(sys, j, where, bits, max_steps):
-    # the one search gives the k that the search plus one retry step gave,
-    # for a tol of exactly residual_bound(j), next to it, or a power of 2,
-    # with the step cap below or above it
+    # the one plan gives the k that the search plus one retry step gave,
+    # and the (P, bound) of the former Fraction rule for that k, for a tol
+    # of exactly residual_bound(j), next to it, or a power of 2, with the
+    # step cap below or above it
     bound = residual_bound(sys, j)
     tol = {"exact": bound, "above": bound * (1 + F(1, 2 ** 40)),
            "below": bound * (1 - F(1, 2 ** 40)), "dyadic": F(1, 2 ** bits)}[where]
@@ -154,12 +171,12 @@ def test_realization_steps_keeps_the_retrying_rule(sys, j, where, bits, max_step
         expected = steps_by_the_old_rule(sys, tol, max_steps)
     except ResourceLimitError:
         with pytest.raises(ResourceLimitError, match=f"within {max_steps} steps"):
-            realization_steps(sys, tol, max_steps)
+            realization_plan(sys, tol, max_steps)
         return
-    k = realization_steps(sys, tol, max_steps)
-    assert k == expected
-    precision, proved = proved_bound(sys, k, tol)
-    assert proved <= tol and (k == 0 or precision >= 128)
+    plan = realization_plan(sys, tol, max_steps)
+    assert plan == (expected, *old_bound(sys, expected, tol))
+    _, precision, proved = plan
+    assert proved <= tol and (expected == 0 or precision >= 128)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,11 +212,11 @@ def test_fixed_point_word_and_steps_equal_the_exact_oracles(order):
         target = Jet.scalar(tuple(reversed(linalg.mat_vec(sys.projection, u_star))))
         tol = F(1, 2 ** bits)
         try:
-            k = realization_steps(sys, tol, max_steps=6000)
+            k, precision, bound = realization_plan(sys, tol, max_steps=6000)
         except ResourceLimitError:
             return
         res = realize_jet(sys, target, tol)
-        assert res.steps == k and proved_bound(sys, k, tol)[0] >= 128
+        assert res.steps == k and precision >= 128 and res.residual_bound == bound
         oracle = IntegerPullback(sys, res.membership.witness)
         assert res.itinerary == tuple("+" if oracle.step() == 1 else "-" for _ in range(k))
 
@@ -242,7 +259,7 @@ def test_the_proved_bound_covers_the_telescoped_rounding(sys, bits, data):
     except ResourceLimitError:
         return
     k, pi, jay = res.steps, sys.projection, sys.branch_matrix
-    precision = proved_bound(sys, k, tol)[0]
+    precision = realization_plan(sys, tol)[1]
     grid = 2 ** precision
     u0 = res.membership.witness
     point = tuple(F(int(e * grid), grid) for e in u0)
@@ -302,7 +319,7 @@ def test_realize_zero_steps(order):
     # the zero jet is realized and the residual is the target's size
     sys = grid_system(order, F(1023, GRID))
     reach = sys.reach
-    assert realization_steps(sys, reach) == 0
+    assert realization_plan(sys, reach) == (0, 0, reach)
     half = tuple(r / 2 for r in sys.coordinate_bounds())
     x = linalg.mat_vec(sys.projection, half)
     target = Jet.scalar(tuple(reversed(x)))

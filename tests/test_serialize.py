@@ -223,6 +223,15 @@ def test_write_atomic(tmp_path):
     assert not leftovers
 
 
+def test_write_atomic_leaves_nothing_when_the_write_fails(tmp_path):
+    # an int is neither text nor bytes: the temp file goes, and no output
+    # is left at the path
+    target = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        write_atomic(str(target), 123)
+    assert os.listdir(tmp_path) == []
+
+
 def test_certificate_schema_fields(sys34):
     cert = certify_covering(sys34, Box([Interval.of(-2, 2)]), F(1, 100))
     payload = covering_outcome_payload(cert)
