@@ -35,6 +35,7 @@ from .jetcovering import (
 )
 from .jets import Jet
 from .rational import rat
+from .serialize import BranchSample, check_raster, encode_ppm
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def verify_example_covering(
         base_ok = base_ok and holds
         base_rows.append((label, img, holds))
     fiber = certify_covering(
-        standard_pair(sys.lam), Box([Interval.of(-2, 2)]), margin, max_depth
+        standard_pair(sys.lam), Box([Interval(-2, 2)]), margin, max_depth
     )
     ok = base_ok and isinstance(fiber, Certificate)
     return BlenderCoverResult(
@@ -254,8 +255,6 @@ def render_unstable_union(
     floor((2 - y) * height / 4), rows outside the viewport are clipped.
     Byte-identical output for identical inputs.
     """
-    from .serialize import check_raster, encode_ppm  # serialize imports this module
-
     check_raster(width, height)  # before the 2^depth heights
     hit = {
         min(int((2 - y) * height // 4), height - 1)  # Fraction floor-div is exact
@@ -266,20 +265,6 @@ def render_unstable_union(
 
 
 # --- nearly affine checks -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BranchSample:
-    """One tabulated evaluation of an inverse branch and its Jacobian."""
-
-    x: Fraction
-    y: Fraction
-    gx: Fraction
-    gy: Fraction
-    dxx: Fraction
-    dxy: Fraction
-    dyx: Fraction
-    dyy: Fraction
 
 
 @dataclass(frozen=True)
@@ -307,7 +292,7 @@ def branch_region(lam: Fraction, sign: int) -> Box:
         band = Interval(-y_cut, y_max)
     else:
         band = Interval(-y_max, y_cut)
-    return Box([Interval.of(-2, 2), band])
+    return Box([Interval(-2, 2), band])
 
 
 def _check_branch(

@@ -1,15 +1,17 @@
 """Exact interval and box primitives used by the certifiers.
 
-Intervals are closed with rational endpoints.  A Box is an n-tuple of
-intervals.  All operations here are exact; there is no rounding mode
-because there is no rounding.
+Intervals are closed with rational endpoints, each coerced through
+`rational.rat` when the interval is built, so a float, bool, Decimal or
+decimal string is refused there and no Box holds one.  A Box is a frozen,
+non-empty n-tuple of intervals.  All operations here are exact; there is
+no rounding mode because there is no rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Tuple
 
 from .errors import DegenerateInputError, ShapeError
 from .rational import rat, rat_str
@@ -21,12 +23,10 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", rat(self.lo))
+        object.__setattr__(self, "hi", rat(self.hi))
         if self.lo > self.hi:
             raise DegenerateInputError(f"empty interval {self}")
-
-    @staticmethod
-    def of(lo, hi) -> "Interval":
-        return Interval(rat(lo), rat(hi))
 
     @property
     def width(self) -> Fraction:
@@ -60,20 +60,21 @@ class Interval:
         return f"[{rat_str(self.lo)}, {rat_str(self.hi)}]"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Box:
     """Closed axis-aligned box: a tuple of intervals."""
 
-    __slots__ = ("intervals",)
+    intervals: Tuple[Interval, ...]
 
-    def __init__(self, intervals: Sequence[Interval]):
-        if not intervals:
+    def __post_init__(self):
+        object.__setattr__(self, "intervals", tuple(self.intervals))
+        if not self.intervals:
             raise DegenerateInputError("box needs at least one axis")
-        self.intervals = tuple(intervals)
 
     @staticmethod
     def of(*bounds) -> "Box":
         """Box.of((lo, hi), (lo, hi), ...) with rational-like bounds."""
-        return Box([Interval.of(lo, hi) for lo, hi in bounds])
+        return Box([Interval(lo, hi) for lo, hi in bounds])
 
     @property
     def dim(self) -> int:
@@ -84,12 +85,6 @@ class Box:
 
     def __getitem__(self, i: int) -> Interval:
         return self.intervals[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Box) and self.intervals == other.intervals
-
-    def __hash__(self) -> int:
-        return hash(self.intervals)
 
     def contains_point(self, x: Sequence[Fraction]) -> bool:
         if len(x) != self.dim:

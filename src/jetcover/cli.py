@@ -126,7 +126,7 @@ def cmd_limit_set(args) -> int:
 
 def cmd_certify(args) -> int:
     sys_ = standard_pair(rat(args.lam))
-    target = Box([Interval.of(rat(args.lo), rat(args.hi))])
+    target = Box([Interval(args.lo, args.hi)])
     outcome = certify_covering(sys_, target, rat(args.margin), args.max_depth)
     _write_json(args.out, serialize.covering_outcome_payload(outcome))
     return EXIT_OK if isinstance(outcome, Certificate) else EXIT_NEGATIVE

@@ -171,8 +171,8 @@ def certify_covering(
     if target.dim != sys.dim:
         raise DegenerateInputError("target box dimension does not match the system")
     shrunk = target.shrink(margin)  # raises DegenerateInputError if too thin
-    origin = [Fraction(iv.lo) for iv in target]
-    widths = [Fraction(iv.width) for iv in target]
+    origin = [iv.lo for iv in target]
+    widths = [iv.width for iv in target]
     rows = {}  # symbol -> its integer rows (A, Lo, Hi)
 
     def shifted(label: str, exps):

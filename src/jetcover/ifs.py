@@ -81,7 +81,7 @@ class AffineMap:
 
 
 def affine_1d(slope, offset) -> AffineMap:
-    return AffineMap(((rat(slope),),), (rat(offset),))
+    return AffineMap(((slope,),), (offset,))
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,13 @@ def word_map(sys: IFSystem, word: Sequence[str]) -> AffineMap:
 
 
 def word_fixed_point(sys: IFSystem, word: Sequence[str]) -> Vec:
-    """Unique p with evaluate_word(sys, word, p) == p, solved exactly.
+    """Unique p with evaluate_word(sys, word, p) == p: p = (I - A_w)^-1 t_w.
 
     (I - A_w) is invertible because the composed contraction is < 1.
     """
     f = word_map(sys, word)
-    n = f.dim
-    i_minus_a = linalg.mat_sub(linalg.identity(n), f.matrix)
-    return linalg.solve(i_minus_a, f.offset)
+    i_minus_a = linalg.mat_sub(linalg.identity(f.dim), f.matrix)
+    return linalg.mat_vec(linalg.inverse(i_minus_a), f.offset)
 
 
 def limit_set_cloud(sys: IFSystem, depth: int) -> List[Tuple[Vec, Word]]:

@@ -29,6 +29,7 @@ leaves.  A target not certified interior raises NotCoveredError.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -43,10 +44,11 @@ from .errors import (
     NotCoveredError,
     ResourceLimitError,
     ShapeError,
+    SingularMatrixError,
 )
 from .flatpoly import FLAT_DEGREE_CAP, Coeffs, l1_tail
 from .jets import Jet, reverse_jet
-from .linalg import Mat, Vec
+from .linalg import Mat, Vec, integer_inverse
 from .rational import cleared, rat, rat_str
 
 Word = Tuple[str, ...]
@@ -332,28 +334,6 @@ _MAX_EXCHANGES = 100_000
 DEFAULT_MAX_STEPS = 100_000  # default cap on the realizer's step count k
 
 
-def _inverse(rows: List[List[int]]) -> Tuple[List[List[int]], int]:
-    """(M, d) with d > 0 and M = d rows^-1 in integers, by fraction-free
-    Gauss-Jordan on [rows | I]: each update divides exactly by the last
-    pivot, and the final pivot is the determinant, up to sign."""
-    size = len(rows)
-    m = [row + [int(i == k) for k in range(size)] for i, row in enumerate(rows)]
-    last = 1
-    for k in range(size):
-        p = next((i for i in range(k, size) if m[i][k]), None)
-        if p is None:
-            raise ConstructionError("a membership reference is singular")
-        m[k], m[p] = m[p], m[k]
-        pivots, piv = m[k], m[k][k]
-        for i, row in enumerate(m):
-            f = row[k]
-            if i != k:
-                m[i] = [(piv * a - f * b) // last for a, b in zip(row, pivots)]
-        last = piv
-    sign = 1 if last > 0 else -1
-    return [[sign * e for e in row[size:]] for row in m], sign * last
-
-
 def membership_certificate(sys: JetCoveringSystem, target: Jet):
     """(u, t, y): the optimal margin t of max t s.t. projection u = x and
     |u_i| <= r_i - t (r the box radii), a witness u and a dual y, by a
@@ -388,14 +368,19 @@ def membership_certificate(sys: JetCoveringSystem, target: Jet):
             w[i] -= sk * weights[k] * ci
             b[i] -= sk * big_r[k] * weights[k] * ci
 
+    def invert():  # the reference's (M, d), M = d [P_F | P_m]^-1 (no P_m under the cap)
+        try:
+            return integer_inverse(list(zip(*(cols[k] for k in free + [m] * (not cap)))))
+        except SingularMatrixError:
+            raise ConstructionError("a membership reference is singular") from None
+
     free, cap, m = list(range(big_n - 1)), False, big_n - 1
-    inv, _ = _inverse([list(row) for row in zip(*cols[:big_n])])
+    inv, d = invert()  # each reference is inverted once, here or at the end of a step
     sigma = [0] * (big_n - 1) + [-1 if sum(map(mul, col, inv[-1])) > 0 else 1
                                  for col in cols[big_n - 1:]]
     for k, sk in enumerate(sigma):
         bind(k, sk)
     for _ in range(_MAX_EXCHANGES):
-        inv, d = _inverse([list(row) for row in zip(*(cols[k] for k in free + [m] * (not cap)))])
         beta = [sum(map(mul, row, b)) for row in inv]
         omega = [sum(map(mul, row, w)) for row in inv]
         y = [0] * big_n if cap else [-sigma[m] * e for e in inv[-1]]  # mu_m = d > 0
@@ -432,6 +417,7 @@ def membership_certificate(sys: JetCoveringSystem, target: Jet):
             free = sorted(free + [inn])
             bind(inn, -sigma[inn])
             sigma[inn] = 0
+        inv, d = invert()
     raise ResourceLimitError(f"membership exchange exceeded {_MAX_EXCHANGES} steps")
 
 
@@ -568,18 +554,19 @@ def fixed_point_pullback(sys: JetCoveringSystem, u: Sequence[Fraction], precisio
                          steps: int) -> Word:
     """The greedy pullback from u in `precision`-bit fixed point.
 
-    The window holds W_i = u_i 2^P and b_j = beta_j / B (j < n) in integers.
-    A step appends delta - sum b_j u_j for delta = +1, else -1, rounded
-    toward zero, the first whose rounded value lies in (-base, base), and
-    drops the leading entry.  The witness is rounded toward zero too, so
-    every tracked point lies in the box and the Delta covering gives each
-    step a feasible branch; no feasible branch is a ConstructionError."""
+    The window holds the n entries W_i = u_i 2^P of the tracked point, and
+    b_j = beta_j / B (j < n), in integers.  A step appends delta - sum b_j
+    u_j for delta = +1, else -1, rounded toward zero, the first whose
+    rounded value lies in (-base, base), and drops the leading entry.  The
+    witness is rounded toward zero too, so every tracked point lies in the
+    box and the Delta covering gives each step a feasible branch; no
+    feasible branch is a ConstructionError."""
     (beta, big_b, _, _), base = sys.integer_rows, sys.box_base
     terms = [(j, c) for j, c in enumerate(beta[:-1]) if c]
     one, limit = big_b << precision, base.numerator << precision
-    window, word = [int(x * (1 << precision)) for x in u], []  # int() rounds toward zero
-    for t in range(steps):
-        s = sum(c * window[t + j] for j, c in terms)
+    window, word = deque((int(x * (1 << precision)) for x in u), maxlen=len(u)), []
+    for _ in range(steps):
+        s = sum(c * window[j] for j, c in terms)
         for delta in (1, -1):
             num = delta * one - s
             size = abs(num) // big_b  # |appended| 2^P, rounded toward zero

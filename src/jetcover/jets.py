@@ -49,7 +49,7 @@ class Jet:
     @staticmethod
     def scalar(values: Sequence) -> "Jet":
         """Dim-1 jet from a flat list of raw derivatives."""
-        return Jet([[rat(v)] for v in values])
+        return Jet([[v] for v in values])
 
     def flat(self) -> Vec:
         if self.dim != 1:

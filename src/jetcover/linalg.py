@@ -1,27 +1,31 @@
 """Small exact linear algebra over Fraction.
 
-Matrices are tuples of row tuples, vectors are tuples.  Everything is
-Gaussian elimination with exact pivots; sizes here never exceed a few
-dozen, so no pivoting strategy beyond "first nonzero" is needed.
+Matrices are tuples of row tuples, vectors are tuples.  `vec` and `mat`
+coerce every entry through `rational.rat`, so a float, bool, Decimal or
+decimal string is refused where a value enters.  The one elimination is
+`integer_inverse`, fraction-free Gauss-Jordan in integers (Bareiss, Math.
+Comp. 1968); `inverse` is its Fraction view.  Sizes here never exceed a
+few dozen, so no pivoting strategy beyond "first nonzero" is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import ShapeError, SingularMatrixError
+from .rational import cleared, rat
 
 Vec = Tuple[Fraction, ...]
 Mat = Tuple[Vec, ...]
 
 
 def vec(entries: Sequence) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(map(rat, entries))
 
 
 def mat(rows: Sequence[Sequence]) -> Mat:
-    m = tuple(tuple(Fraction(e) for e in row) for row in rows)
+    m = tuple(tuple(map(rat, row)) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
         raise ShapeError("ragged matrix")
     return m
@@ -78,30 +82,34 @@ def inf_norm_mat(a: Mat) -> Fraction:
     )
 
 
-def solve(a: Mat, b: Vec) -> Vec:
-    """Solve a x = b exactly; raises SingularMatrixError when rank-deficient."""
-    n = len(a)
-    if n != len(b) or any(len(row) != n for row in a):
-        raise ShapeError("solve needs a square system")
-    # augmented working copy
-    rows = [list(a[i]) + [b[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError(f"singular at column {col}")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [e * inv for e in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [rows[r][j] - f * rows[col][j] for j in range(n + 1)]
-    return tuple(rows[i][n] for i in range(n))
+def integer_inverse(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """(M, d) with d > 0 and M = d rows^-1 in integers, by fraction-free
+    Gauss-Jordan on [rows | I]: each update divides exactly by the last
+    pivot, and the final pivot is the determinant, up to sign.  A
+    non-square matrix is a ShapeError, a singular one a SingularMatrixError."""
+    size = len(rows)
+    if any(len(row) != size for row in rows):
+        raise ShapeError("an inverse needs a square matrix")
+    m = [[*row, *(int(i == k) for k in range(size))] for i, row in enumerate(rows)]
+    last = 1
+    for k in range(size):
+        p = next((i for i in range(k, size) if m[i][k]), None)
+        if p is None:
+            raise SingularMatrixError(f"singular at column {k}")
+        m[k], m[p] = m[p], m[k]
+        pivots, piv = m[k], m[k][k]
+        for i, row in enumerate(m):
+            f = row[k]
+            if i != k:
+                m[i] = [(piv * a - f * b) // last for a, b in zip(row, pivots)]
+        last = piv
+    sign = 1 if last > 0 else -1
+    return [[sign * e for e in row[size:]] for row in m], sign * last
 
 
 def inverse(a: Mat) -> Mat:
-    n = len(a)
-    cols = [solve(a, tuple(Fraction(1 if i == j else 0) for i in range(n)))
-            for j in range(n)]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
+    """a^-1 as Fractions: row i of a is R_i / D_i in integers, so a^-1 =
+    R^-1 diag(D) = M diag(D) / d for (M, d) = `integer_inverse`(R)."""
+    rows = list(map(cleared, a))
+    m, d = integer_inverse([r for r, _ in rows])
+    return tuple(tuple(Fraction(e * den, d) for e, (_, den) in zip(row, rows)) for row in m)

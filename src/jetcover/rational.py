@@ -7,7 +7,10 @@ ASCII ``"p/q"`` strings of any length, e.g. ``"-4/3"`` or ``"7"``: sides
 past Python's 4300-digit limit for int <-> str go through `decimal`.
 `ratio` parses to a reduced integer pair, which the certificate loader
 keeps, and `rat` to a Fraction, both by one string parser with no regex.
-`ratio_str` is the one formatter, and `rat_str` writes a Fraction by it.
+`rat` is the one coercion of an exact value, wherever it enters: the file
+readers, the CLI and the library's entry points (`linalg.vec` and `mat`,
+`Interval`) all go through it.  `ratio_str` is the one formatter, and
+`rat_str` writes a Fraction by it.
 """
 
 from __future__ import annotations

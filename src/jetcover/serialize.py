@@ -2,7 +2,7 @@
 
 Home of the JSON encoders and parsers, covering certificates included,
 of the CSV tables (limit-set clouds are written, branch sample tables
-read) and of the PPM raster encoder; the CLI adds only small verdict
+read into `BranchSample` rows) and of the PPM raster encoder; the CLI adds only small verdict
 dicts.  Each reader checks a field's JSON type before use, and names a
 missing or mistyped field by its path in a CertificateFormatError.
 Documents are emitted with sorted keys, two-space indent, ASCII escapes,
@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Container, List, Sequence, Tuple
 
-from .blender import BlenderCoverResult, BranchSample, NearlyAffineReport
 from .boxes import Box, Interval
 from .covering import Certificate, CoveringFailure, Leaves
 from .errors import CertificateFormatError, DegenerateInputError, ResourceLimitError
@@ -365,7 +365,8 @@ def realization_payload(res: RealizationResult) -> dict:
 # --- blender reports --------------------------------------------------------------
 
 
-def blender_cover_payload(res: BlenderCoverResult) -> dict:
+def blender_cover_payload(res) -> dict:
+    """The wire form of a `blender.BlenderCoverResult`."""
     return {
         "ok": res.ok,
         "base_target": interval_to_list(res.base_target),
@@ -377,7 +378,9 @@ def blender_cover_payload(res: BlenderCoverResult) -> dict:
     }
 
 
-def nearly_affine_payload(report: NearlyAffineReport) -> dict:
+def nearly_affine_payload(report) -> dict:
+    """The wire form of a `blender.NearlyAffineReport`."""
+
     def branch(b):
         return {
             "c1_deviation": rat_str(b.deviation),
@@ -408,6 +411,21 @@ def cloud_to_csv(points: Sequence[Tuple[Vec, Word]]) -> str:
     for pt, w in points:
         lines.append(",".join(map(rat_str, pt)) + "," + "".join(w))
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class BranchSample:
+    """One tabulated evaluation of an inverse branch and its Jacobian: a
+    row of a branch sample table, which `blender.nearly_affine_check` reads."""
+
+    x: Fraction
+    y: Fraction
+    gx: Fraction
+    gy: Fraction
+    dxx: Fraction
+    dxy: Fraction
+    dyx: Fraction
+    dyy: Fraction
 
 
 BRANCH_TABLE_COLUMNS = ("x", "y", "gx", "gy", "dxx", "dxy", "dyx", "dyy")

@@ -382,11 +382,12 @@ def reference_check_certificate(cert: Certificate) -> bool:
 #
 # `serialize.load_certificate` and `box_from_list` as they were before the
 # loader parsed each distinct endpoint string once, copied unchanged apart
-# from the loader's name.
+# from the loader's name and `Interval.of(lo, hi)`, now `Interval(lo, hi)`,
+# which coerces its endpoints itself.
 
 
 def box_from_list(entries: Sequence) -> Box:
-    return Box([Interval.of(lo, hi) for lo, hi in entries])
+    return Box([Interval(lo, hi) for lo, hi in entries])
 
 
 def reference_load_certificate(payload: dict) -> Certificate:

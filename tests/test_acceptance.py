@@ -61,7 +61,7 @@ def report(number: int, label: str, ok: bool) -> None:
     assert ok, f"criterion {number} failed: {label}"
 
 
-UNIT_BOX = Box([Interval.of(-2, 2)])
+UNIT_BOX = Box([Interval(-2, 2)])
 
 
 def test_criterion_1_covering_example():

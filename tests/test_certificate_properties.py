@@ -53,7 +53,7 @@ from jetcover.serialize import (
     load_certificate,
 )
 
-TARGET = Box([Interval.of(-2, 2)])
+TARGET = Box([Interval(-2, 2)])
 slopes = st.integers(40, 63).map(lambda j: F(j, 64))
 
 
@@ -286,8 +286,8 @@ def test_integer_checker_agrees_with_fraction_checker_planar(params, data):
 def test_partition_off_the_bisection_tree_is_rejected(cuts):
     # exact partitions, but [-2, 2] bisects at 0, not at 1, and a
     # zero-width leaf is no node of the tree
-    target = Box([Interval.of(-2, 2)])
-    leaves = [Box([Interval.of(lo, hi)]) for lo, hi in zip(cuts, cuts[1:])]
+    target = Box([Interval(-2, 2)])
+    leaves = [Box([Interval(lo, hi)]) for lo, hi in zip(cuts, cuts[1:])]
     assert reference_partition(target, leaves)
     assert not replayed(target, leaves)
 

@@ -42,7 +42,7 @@ from jetcover.serialize import canonical_json, covering_outcome_payload, load_ce
 
 
 def box1(lo, hi):
-    return Box([Interval.of(lo, hi)])
+    return Box([Interval(lo, hi)])
 
 
 def test_inverse_image_1d():

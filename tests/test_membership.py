@@ -17,7 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetcover import jetcovering, linalg
-from jetcover.errors import ConstructionError, NotCoveredError, ResourceLimitError
+from jetcover.errors import (
+    ConstructionError,
+    NotCoveredError,
+    ResourceLimitError,
+    SingularMatrixError,
+)
 from jetcover.flatpoly import find_flat_poly, lambda_threshold, minimal_flat_poly, scale_to_p
 from jetcover.jetcovering import (
     auto_lambda,
@@ -183,8 +188,8 @@ def _mutants(sys, u, t, y):
     # equation, and moves the free coordinate j past its bound
     j = next(k for k, (uk, rk) in enumerate(zip(u, r)) if abs(uk) < rk - t)
     others = [k for k in range(sys.n) if k != j][:sys.jet_dim]
-    z_others = linalg.solve(
-        tuple(tuple(row[k] for k in others) for row in sys.projection),
+    z_others = linalg.mat_vec(
+        linalg.inverse(tuple(tuple(row[k] for k in others) for row in sys.projection)),
         tuple(-row[j] for row in sys.projection),
     )
     z = [F(0)] * sys.n
@@ -242,16 +247,44 @@ def test_the_fraction_free_inverse(rows):
     # zero pivots are common in these matrices, so row swaps are exercised
     a = linalg.mat(rows)
     if rank(a) < len(rows):
-        with pytest.raises(ConstructionError):
-            jetcovering._inverse([list(row) for row in rows])
+        with pytest.raises(SingularMatrixError):
+            linalg.integer_inverse(rows)
         return
-    inverse, d = jetcovering._inverse([list(row) for row in rows])
+    inverse, d = linalg.integer_inverse(rows)
     assert linalg.mat_mul(a, linalg.mat(inverse)) == tuple(
         tuple(F(d if i == j else 0) for j in range(len(rows))) for i in range(len(rows)))
     det = F(1)
     for pivot in _elimination_pivots(a):
         det *= pivot
     assert d == abs(det)  # the determinant, made positive
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["interior", "capped", "zero"])
+def test_each_membership_reference_is_inverted_once(order, kind, monkeypatch):
+    # the exchange visits one reference per step, so the least step cap it
+    # finishes under counts them; each is inverted once, the start included
+    sys = system(order)
+    r = sys.coordinate_bounds()
+    scale = {"interior": F(1, 3), "capped": F(1, 10 ** 6), "zero": F(0)}[kind]
+    target = projected(sys, [scale * (-1) ** i * ri for i, ri in enumerate(r)])
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return linalg.integer_inverse(rows)
+
+    monkeypatch.setattr(jetcovering, "integer_inverse", counted)
+    steps = 1
+    while True:
+        monkeypatch.setattr(jetcovering, "_MAX_EXCHANGES", steps)
+        calls.clear()
+        try:
+            membership_certificate(sys, target)
+            break
+        except ResourceLimitError:
+            steps += 1
+    assert len(calls) == steps
 
 
 def _elimination_pivots(a):

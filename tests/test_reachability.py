@@ -24,6 +24,9 @@ A finding names its `file:line`: a top-level definition that no root
 reaches, an import its module never uses (`jetcover/__init__` re-exports
 and ``from __future__`` are exempt), or a root name that resolves to
 nothing.
+
+Two more rules hold the module graph: the package's relative imports
+form no cycle, and no import statement sits inside a function.
 """
 
 import ast
@@ -291,3 +294,42 @@ def test_the_benchmark_alone_keeps_the_exact_pullback_step():
     # checker or export calls it; the walk must see this or it proves nothing
     found = findings(benchmark=False)
     assert [f.split(": ", 1)[1] for f in found] == ["greedy_pullback_step is reached from no root"]
+
+
+def module_imports(modules):
+    """Each module to the package modules its relative imports name,
+    wherever they sit: ``from .m import n`` names m, ``from . import m`` m."""
+    graph = {}
+    for mod in modules.values():
+        graph[mod.name] = set()
+        for node in ast.walk(mod.tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                graph[mod.name].update(n for n in names if n in modules)
+    return graph
+
+
+def test_the_module_graph_is_acyclic():
+    graph, done, path = module_imports(load_package()), set(), []
+
+    def visit(name):
+        assert name not in path, " -> ".join(path[path.index(name):] + [name])
+        if name not in done:
+            path.append(name)
+            for target in sorted(graph[name]):
+                visit(target)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+def test_no_import_sits_inside_a_function():
+    found = [
+        f"{_where(mod.path, sub.lineno)}: import inside {node.name}"
+        for mod in load_package().values() for node in ast.walk(mod.tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))
+    ]
+    assert not found, "\n".join(found)

@@ -6,6 +6,7 @@ membership LP is checked against box points whose projection is known.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -242,6 +243,21 @@ def test_fixed_point_pullback_matches_the_rounded_fraction_walk(sys, precision, 
         delta, point = fixed_point_step(sys, point, precision)
         expected.append("+" if delta == 1 else "-")
     assert word == tuple(expected)
+
+
+def test_the_pullback_holds_n_window_entries(jet_sys_r1):
+    # k = 17,634 steps of P = 2,012 bits: a window of every entry would
+    # peak past 5 MiB, one of the last n = 4 entries stays far below 1 MiB
+    k, precision, _ = realization_plan(jet_sys_r1, F(1, 2 ** 2000))
+    witness = certify_membership(jet_sys_r1, Jet.scalar([F(1, 4), F(-1)])).witness
+    assert (k, precision, len(witness)) == (17634, 2012, 4)
+    tracemalloc.start()
+    try:
+        fixed_point_pullback(jet_sys_r1, witness, precision, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @settings(max_examples=20, deadline=None)

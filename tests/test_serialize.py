@@ -233,7 +233,7 @@ def test_write_atomic_leaves_nothing_when_the_write_fails(tmp_path):
 
 
 def test_certificate_schema_fields(sys34):
-    cert = certify_covering(sys34, Box([Interval.of(-2, 2)]), F(1, 100))
+    cert = certify_covering(sys34, Box([Interval(-2, 2)]), F(1, 100))
     payload = covering_outcome_payload(cert)
     assert set(payload) == {"system", "box", "margin", "depth", "leaves", "verified"}
     assert payload["margin"] == "1/100"
@@ -254,7 +254,7 @@ def test_encode_ppm_pixels_and_bounds(monkeypatch):
 
 def test_load_certificate_counts_leaves_before_parsing_a_box(monkeypatch, sys34):
     payload = covering_outcome_payload(
-        certify_covering(sys34, Box([Interval.of(-2, 2)]), F(1, 100))
+        certify_covering(sys34, Box([Interval(-2, 2)]), F(1, 100))
     )
     monkeypatch.setattr(serialize, "COVER_LEAF_CAP", 2)
     assert len(load_certificate(payload).leaves) == 2
@@ -367,7 +367,7 @@ def test_writing_a_certificate_builds_no_box_per_leaf(monkeypatch):
 
 def test_leaf_of_another_dimension_is_a_format_error(sys34):
     payload = covering_outcome_payload(
-        certify_covering(sys34, Box([Interval.of(-2, 2)]), F(1, 100))
+        certify_covering(sys34, Box([Interval(-2, 2)]), F(1, 100))
     )
     payload["leaves"][1]["box"].append(["0", "1"])
     with pytest.raises(CertificateFormatError, match=r"leaves\[1\]\.box has 2 sides"):

@@ -218,8 +218,8 @@ def _exchange_solution(big_n, n, nodes, scaled, m):
     primal = [F(0)] * (2 * n)
     for x, a in zip(nodes, scaled):
         primal[x if a > 0 else n + x] = F(abs(a), m)
-    y = linalg.solve(
-        tuple(tuple(F(perm(x, i)) for i in range(big_n)) for x in nodes),
+    y = linalg.mat_vec(
+        linalg.inverse(tuple(tuple(F(perm(x, i)) for i in range(big_n)) for x in nodes)),
         tuple(F(1 if a > 0 else -1) for a in scaled),
     )
     return LPSolution("optimal", F(sum(map(abs, scaled)), m), tuple(primal), y)
