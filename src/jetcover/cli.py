@@ -114,7 +114,7 @@ def _scatter_ppm(points, width: int, height: int, radius: Fraction) -> bytes:
 
 
 def cmd_limit_set(args) -> int:
-    sys_ = standard_pair(rat(args.lam))
+    sys_ = standard_pair(args.lam)
     if args.ppm:  # a rejected raster size costs no cloud and leaves no file
         serialize.check_raster(args.width, args.height)
     cloud = limit_set_cloud(sys_, args.depth)
@@ -125,8 +125,9 @@ def cmd_limit_set(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    sys_ = standard_pair(rat(args.lam))
+    sys_ = standard_pair(args.lam)
     target = Box([Interval(args.lo, args.hi)])
+    # before the call: a bad margin is reported ahead of a bad --max-depth
     outcome = certify_covering(sys_, target, rat(args.margin), args.max_depth)
     _write_json(args.out, serialize.covering_outcome_payload(outcome))
     return EXIT_OK if isinstance(outcome, Certificate) else EXIT_NEGATIVE
@@ -138,8 +139,8 @@ def cmd_check_cert(args) -> int:
 
 
 def cmd_two_map_verdict(args) -> int:
-    f1 = affine_1d(rat(args.lam1), rat(args.offset1))
-    f2 = affine_1d(rat(args.lam2), rat(args.offset2))
+    f1 = affine_1d(args.lam1, args.offset1)
+    f2 = affine_1d(args.lam2, args.offset2)
     verdict = decide_two_map_line(f1, f2)
     payload = {"verdict": verdict.kind}
     if verdict.robust_interior:
@@ -157,6 +158,7 @@ def cmd_flat_poly(args) -> int:
         if args.degree is not None:
             res = minimal_flat_poly(args.flatness, args.degree)
         else:
+            # before the call: a bad margin is reported ahead of a bad --flatness
             res = find_flat_poly(args.flatness, rat(args.margin), args.degree_max)
     except SearchExhaustedError as exc:
         _write_json(args.out, {"found": False, "detail": str(exc)})
@@ -171,7 +173,7 @@ def cmd_jet_system(args) -> int:
     if args.order >= FLAT_DEGREE_CAP:  # before order + 1, which may pass the digit limit
         raise ResourceLimitError(f"--order {args.order} is above {FLAT_DEGREE_CAP - 1}")
     big_n = args.order + 1
-    qres = find_flat_poly(big_n, rat(args.margin), args.degree_max)
+    qres = find_flat_poly(big_n, args.margin, args.degree_max)
     threshold = lambda_threshold(qres)
     lam = auto_lambda(threshold) if args.lam == "auto" else rat(args.lam)
     p_coeffs = scale_to_p(qres, lam)
@@ -214,7 +216,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_blender_render(args) -> int:
-    sys_ = blender.SkewSystem(rat(args.lam), 0)  # the raster reads only lam
+    sys_ = blender.SkewSystem(args.lam, 0)  # the raster reads only lam
     img = blender.render_unstable_union(
         sys_, rat(args.a), args.depth, args.width, args.height
     )
@@ -223,7 +225,7 @@ def cmd_blender_render(args) -> int:
 
 
 def cmd_blender_cover(args) -> int:
-    sys_ = blender.SkewSystem(rat(args.lam), rat(args.overhang))
+    sys_ = blender.SkewSystem(args.lam, args.overhang)
     result = blender.verify_example_covering(
         sys_, rat(args.margin), args.max_depth
     )
@@ -234,6 +236,8 @@ def cmd_blender_cover(args) -> int:
 def cmd_nearly_affine(args) -> int:
     plus = serialize.branch_table_from_csv(_read_text(args.table_plus))
     minus = serialize.branch_table_from_csv(_read_text(args.table_minus))
+    # both before the call: a bad lam is reported ahead of a bad grid step,
+    # and a bad grid step ahead of a lam out of range
     report = blender.nearly_affine_check(
         rat(args.lam), plus, minus, rat(args.grid_step)
     )

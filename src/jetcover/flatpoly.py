@@ -196,15 +196,16 @@ def find_flat_poly(
 ) -> FlatPolyResult:
     """Escalate the degree until the optimum is <= 2 - margin.
 
-    Each degree runs one `_degree` from the last optimal nodes shifted by
-    x Q, certified by `certify_degree` before it enters the history;
-    the optimum is non-increasing in n (x Q embeds degree n in n + 1), and
-    that is checked too.  The first degree that meets the margin is the
-    result; as `_exchange` ends on the least tied vertex, it is the vertex
-    of `minimal_flat_poly` at that degree.  Exhausting n_max reports the
-    best value found.  A flatness below 1, a cap below N or above
-    FLAT_DEGREE_CAP, or a margin above 1 (Q(1) = 0 puts every optimum at
-    >= 1), is refused first.
+    Each degree runs one `_degree` from the last optimal nodes rescaled
+    from [0, n - 1] to [0, n] (the alternation points of the dual move
+    smoothly with the degree), certified by `certify_degree` before it
+    enters the history; the optimum is non-increasing in n (x Q embeds
+    degree n in n + 1), and that is checked too.  The first degree that
+    meets the margin is the result; as `_exchange` ends on the least tied
+    vertex from any start, it is the vertex of `minimal_flat_poly` at that
+    degree.  Exhausting n_max reports the best value found.  A flatness
+    below 1, a cap below N or above FLAT_DEGREE_CAP, or a margin above 1
+    (Q(1) = 0 puts every optimum at >= 1), is refused first.
     """
     if big_n < 1:
         raise DegenerateInputError(f"flatness {big_n} is below 1")
@@ -229,7 +230,9 @@ def find_flat_poly(
         history.append((n, optimum))
         if optimum <= target:
             return _result(big_n, n, *certificate, history)
-        nodes = [x + 1 for x in nodes]
+        # x n / (n - 1), rounded half up, and the top node to n: the map
+        # stretches gaps by n / (n - 1) > 1, so the nodes stay distinct
+        nodes = [(2 * x * n + n - 1) // (2 * n - 2) for x in nodes[:-1]] + [n]
     raise SearchExhaustedError(
         f"no degree <= {n_max} reached {target}; best was {history[-1][1]}")
 

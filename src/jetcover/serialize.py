@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import itemgetter
 from typing import Container, List, Sequence, Tuple
 
@@ -284,7 +285,16 @@ def flat_poly_payload(res: FlatPolyResult) -> dict:
 # --- jet covering systems --------------------------------------------------------
 
 
+def _reduced_str(num: int, den: int) -> str:
+    """The wire form of num / den, den > 0, reduced by one gcd."""
+    g = gcd(num, den)
+    return ratio_str(num // g, den // g)
+
+
 def jet_system_payload(sys: JetCoveringSystem, delta_cover: DeltaCoveringCertificate) -> dict:
+    """The system's wire form; the projection and the pullback box are
+    written from the integer rows and radii that `build_system` judged."""
+    (_, _, rows, den), (radii, scale) = sys.integer_rows, sys.integer_radii
     return {
         "jet_dim": sys.jet_dim,
         "order": sys.order,
@@ -292,9 +302,9 @@ def jet_system_payload(sys: JetCoveringSystem, delta_cover: DeltaCoveringCertifi
         "p_coeffs": [rat_str(c) for c in sys.p_coeffs],
         "branch_matrix": [[rat_str(e) for e in row] for row in sys.branch_matrix],
         "branch_offset": [rat_str(e) for e in sys.branch_offset],
-        "projection": [[rat_str(e) for e in row] for row in sys.projection],
+        "projection": [[_reduced_str(e, den) for e in row] for row in rows],
         "box_base": rat_str(sys.box_base),
-        "pullback_box": box_to_list(sys.pullback_box()),
+        "pullback_box": [[_reduced_str(-r, scale), _reduced_str(r, scale)] for r in radii],
         "semiconjugacy_exact": True,
         "delta_covering": {
             "inequality": {

@@ -747,6 +747,36 @@ def test_certifier_input_errors_exit_2(tmp_path, capsys, args):
     assert _expect_input_error(capsys, args + ["--out", str(out)], out).count("\n") == 1
 
 
+# each a command line with two bad values, and the value its error names:
+# a library call that checks one argument before it coerces another would
+# name the other one, if the handler left the coercion to it
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["certify", "--lam", "3/4", "--margin", "m", "--max-depth", "-1"], "m"),
+        (["certify", "--lam", "l", "--lo", "a"], "l"),
+        (["certify", "--lam", "3/4", "--lo", "a", "--margin", "m"], "a"),
+        (["flat-poly", "--flatness", "0", "--margin", "m"], "m"),
+        (["jet-system", "--order", "1", "--margin", "m", "--lam", "l"], "m"),
+        (["two-map-verdict", "--lam1", "2", "--offset1", "o",
+          "--lam2", "l", "--offset2", "1"], "o"),
+        (["two-map-verdict", "--lam1", "l", "--offset1", "o",
+          "--lam2", "1/2", "--offset2", "1"], "l"),
+        (["blender-cover", "--lam", "2", "--overhang", "o", "--margin", "m"], "o"),
+        (["blender-render", "--lam", "l", "--a", "a", "--depth", "1"], "l"),
+        (["limit-set", "--lam", "l", "--depth", "-1"], "l"),
+        (lambda tmp: nearly_affine_args(tmp) + ["--lam", "l", "--grid-step", "g"], "l"),
+        (lambda tmp: nearly_affine_args(tmp) + ["--lam", "2", "--grid-step", "g"], "g"),
+    ],
+)
+def test_a_doubly_bad_command_line_names_its_first_bad_value(tmp_path, capsys, args, named):
+    out = tmp_path / "out.json"
+    args = args(tmp_path) if callable(args) else args
+    capsys.readouterr()
+    err = _expect_input_error(capsys, args + ["--out", str(out)], out)
+    assert err == f"error: not an ASCII p/q with nonzero denominator: {named!r}\n"
+
+
 def test_certify_at_depth_zero_reports_the_target(tmp_path):
     out = tmp_path / "cert.json"
     assert run(["certify", "--lam", "3/4", "--max-depth", "0", "--out", str(out)]) == 1

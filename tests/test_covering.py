@@ -138,6 +138,14 @@ def test_leaves_of_keeps_the_leaves_held_for_the_target(sys34):
     assert loaded.leaves.cells is cells
 
 
+def test_leaves_hash_and_print_as_their_tuple(sys34):
+    leaves = certify_covering(sys34, box1(-2, 2), F(1, 100)).leaves
+    pairs = tuple(leaves)
+    assert isinstance(leaves, covering.Leaves)
+    assert hash(leaves) == hash(pairs) and repr(leaves) == repr(pairs)
+    assert repr(Box([Interval(-2, F(1, 2)), Interval(0, 3)])) == "Box([-2, 1/2] x [0, 3])"
+
+
 def test_depth_used_is_constant_time_on_a_zero_volume_leaf(sys34):
     payload = covering_outcome_payload(certify_covering(sys34, box1(-2, 2), F(1, 100)))
     payload["depth"] = 10 ** 12

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetcover.covering import certify_covering, check_certificate
@@ -168,6 +168,7 @@ json_trees = st.recursive(
 
 @settings(max_examples=300)
 @given(json_trees)
+@example('a bare "string" \u00e9')  # a string at the top, outside any container
 def test_canonical_json_is_the_standard_encoder(payload):
     assert canonical_json(payload) == json_dumps(payload)
 

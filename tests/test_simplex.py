@@ -4,7 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction as F
-from math import lcm, perm, prod
+from math import floor, lcm, perm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -259,13 +259,16 @@ def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
     res = find_flat_poly(big_n)
     monkeypatch.undo()
     # exactly one exchange per history degree, the first from 0..N-1 and
-    # each later one from the last optimal nodes shifted by x Q; none after
-    # the ladder, and no LP
+    # each later one from the last optimal nodes at degree p rescaled from
+    # [0, p - 1] to [0, p]: x p / (p - 1) rounded half up, the top node to p;
+    # none after the ladder, and no LP
     assert solves == []
     assert [n for n, _, _ in exchanges] == [n for n, _ in res.history]
     assert exchanges[0][1] == list(range(big_n))
-    assert all(start == [x + 1 for x in last[0]]
-               for (_, start, _), (_, _, last) in zip(exchanges[1:], exchanges))
+    for (n, start, _), (p, _, last) in zip(exchanges[1:], exchanges):
+        assert n == p + 1
+        assert start == [floor(F(x * p, p - 1) + F(1, 2)) for x in last[0][:-1]] + [p]
+        assert start == sorted(set(start)) and len(start) == big_n and start[-1] < n
     cold_history = []
     for (n, optimum), (_, _, (nodes, scaled, _, _, m)) in zip(res.history, exchanges):
         problem = flat_lp_problem(big_n, n)
@@ -278,6 +281,21 @@ def test_warm_flat_ladder_matches_the_cold_ladder(big_n, monkeypatch):
     assert res == dataclasses.replace(cold, history=tuple(cold_history))
     assert (res.coeffs, res.dual) == (cold.coeffs, cold.dual)
     assert [n for n, _ in res.history] == list(range(big_n, res.search_degree + 1))
+
+
+@pytest.mark.parametrize("big_n, bases", [(4, 29), (8, 254)])
+def test_the_ladder_evaluates_a_fixed_number_of_bases(big_n, bases, monkeypatch):
+    # the count of exchange bases is fixed by the ladder's start rule
+    calls = []
+    basis = flatpoly._basis
+
+    def counting_basis(nodes, n):
+        calls.append(n)
+        return basis(nodes, n)
+
+    monkeypatch.setattr(flatpoly, "_basis", counting_basis)
+    find_flat_poly(big_n)
+    assert len(calls) == bases
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,6 +403,30 @@ def test_exchange_from_any_start_reaches_the_lp_optimum(start):
     problem = flat_lp_problem(big_n, n)
     sol = _exchange_solution(big_n, n, nodes, scaled, m)
     assert strong_duality_holds(problem, sol) and _reference_accepts(problem, sol)
+
+
+@functools.lru_cache(maxsize=None)
+def _cold_exchange(big_n, n):
+    return flatpoly._exchange(n, list(range(big_n)))
+
+
+@st.composite
+def exchange_starts(draw):
+    """(n, nodes): N <= 8 sorted, distinct nodes in [0, n), n <= 40."""
+    big_n = draw(st.integers(1, 8))
+    n = draw(st.integers(big_n, 40))
+    return n, sorted(draw(st.sets(st.integers(0, n - 1), min_size=big_n, max_size=big_n)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(exchange_starts())
+@example((40, [0, 1, 2, 3, 4, 5, 6, 39]))
+@example((11, [0, 1, 5, 9, 10]))  # the cold LP's vertex where optimal vertices tie
+def test_the_exchange_ends_on_one_vertex_from_every_start(start):
+    # what lets the ladder start each degree anywhere: the whole result,
+    # nodes, primal, differences, values and M, is the cold start's
+    n, nodes = start
+    assert flatpoly._exchange(n, nodes) == _cold_exchange(len(nodes), n)
 
 
 @st.composite
