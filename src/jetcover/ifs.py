@@ -174,12 +174,16 @@ def limit_set_cloud(sys: IFSystem, depth: int) -> List[Tuple[Vec, Word]]:
     Every limit-set point lies within lambda_max^k * radius (inf norm) of
     some returned point, and conversely.  Points are computed by suffix
     sharing, so the whole cloud costs O(|alphabet|^k) map applications.
+    More than WORD_ENUMERATION_CAP words, or a depth above 18 with any
+    alphabet, is refused before any word is made (ResourceLimitError).
     """
     if depth < 1:
         raise DegenerateInputError("depth must be >= 1")
-    size = len(sys.alphabet)  # the power is capped, so a huge depth forms no huge count
-    if size ** min(depth, WORD_ENUMERATION_CAP.bit_length()) > WORD_ENUMERATION_CAP:
+    size, top = len(sys.alphabet), WORD_ENUMERATION_CAP.bit_length() - 1
+    if size ** min(depth, top + 1) > WORD_ENUMERATION_CAP:  # no huge count for a huge depth
         raise ResourceLimitError(f"{size}^{depth} words exceed the cap {WORD_ENUMERATION_CAP}")
+    if depth > top:  # one map: one word, but a walk of tuple copies quadratic in depth
+        raise ResourceLimitError(f"depth {depth} is above {top}, the deepest enumeration")
     level: List[Tuple[Vec, Word]] = [(sys.origin(), ())]
     for _ in range(depth):
         level = [

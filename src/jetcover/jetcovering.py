@@ -37,7 +37,7 @@ from math import comb, gcd, lcm, perm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .boxes import Box, Interval
+from .boxes import Interval
 from .errors import (
     ConstructionError,
     DegenerateInputError,
@@ -57,10 +57,11 @@ IntegerRows = Tuple[List[int], int, List[List[int]], int]  # (beta, B, rows, D)
 
 @dataclass(frozen=True)
 class JetCoveringSystem:
-    """The covered jet-space IFS, fixed by four values; the branches X -> J X
-    +- T (`branch_matrix` J = lam I + S, `branch_offset` T = e_N), the
-    projection intertwining shifts and branches (`integer_rows`, `projection`)
-    and the box radii (`integer_radii`) are derived from them.
+    """The covered jet-space IFS, fixed by four values.  The branches X -> J X
+    +- T (J = lam I + S by `branch_matrix`, T = e_N) follow from jet_dim and
+    lam; the members derived here are the projection intertwining shifts and
+    branches as integer rows (`integer_rows`), the box radii over one
+    denominator (`integer_radii`) and their `reach`.
 
     jet_dim:       N, the dimension of the jet space (order r = N - 1)
     lam:           shared contraction of the two base maps
@@ -81,25 +82,11 @@ class JetCoveringSystem:
     def order(self) -> int:
         return self.jet_dim - 1
 
-    @property
-    def branch_matrix(self) -> Mat:
-        return branch_matrix(self.jet_dim, self.lam)
-
-    @property
-    def branch_offset(self) -> Vec:
-        return (Fraction(0),) * (self.jet_dim - 1) + (Fraction(1),)
-
     @cached_property
     def integer_rows(self) -> IntegerRows:
         """(beta, B, rows, D) of `projection_rows`: p_coeffs = beta / B and
         the projection = rows / D, in integers."""
         return projection_rows(self.p_coeffs, self.lam, self.jet_dim)
-
-    @cached_property
-    def projection(self) -> Mat:
-        """The N x n projection pi = rows / D as Fractions."""
-        _, _, rows, den = self.integer_rows
-        return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
 
     @cached_property
     def integer_radii(self) -> Tuple[Tuple[int, ...], int]:
@@ -113,14 +100,6 @@ class JetCoveringSystem:
         centered); the step search and the residual bound share it."""
         (_, _, rows, den), (radii, scale) = self.integer_rows, self.integer_radii
         return Fraction(max(sum(map(mul, map(abs, row), radii)) for row in rows), den * scale)
-
-    def coordinate_bounds(self) -> Tuple[Fraction, ...]:
-        """Radius of each pullback-box coordinate, outermost first."""
-        radii, scale = self.integer_radii
-        return tuple(Fraction(r, scale) for r in radii)
-
-    def pullback_box(self) -> Box:
-        return Box([Interval(-r, r) for r in self.coordinate_bounds()])
 
 
 def branch_matrix(jet_dim: int, lam: Fraction) -> Mat:
@@ -269,7 +248,7 @@ def verify_semiconjugacy(sys: JetCoveringSystem) -> None:
     b_j v_{j-1} / b_0 and (M v)_k = v_{k-1}, so column c of the shared matrix
     residual J pi - pi M is lam pi_c + S pi_c + (b_{c+1} / b_0) pi_0 - pi_{c+1}
     (pi_n = 0), and branch d's offset residual is d (e_N - pi_0 / b_0), with
-    J = lam I + S and T = e_N as the system derives them, formed in integers
+    J = lam I + S and T = e_N as jet_dim and lam fix them, formed in integers
     from p_coeffs and the system's projection rows.  The generic products
     in `tests/jetcovering_helpers.py` are this closed form's oracle.  The
     residuals are formed once and judged.

@@ -31,6 +31,7 @@ from .jetcovering import (
     DeltaCoveringCertificate,
     JetCoveringSystem,
     RealizationResult,
+    branch_matrix,
     build_system,
 )
 from .jets import Jet
@@ -291,20 +292,28 @@ def _reduced_str(num: int, den: int) -> str:
     return ratio_str(num // g, den // g)
 
 
-def jet_system_payload(sys: JetCoveringSystem, delta_cover: DeltaCoveringCertificate) -> dict:
-    """The system's wire form; the projection and the pullback box are
-    written from the integer rows and radii that `build_system` judged."""
+def _derived(sys: JetCoveringSystem) -> dict:
+    """The fields that (N, lam, P, base) determine, in the one wire form that
+    the writer states and the reader requires; pi and the box from integers."""
     (_, _, rows, den), (radii, scale) = sys.integer_rows, sys.integer_radii
+    return {
+        "branch_matrix": [list(map(rat_str, row)) for row in branch_matrix(sys.jet_dim, sys.lam)],
+        "branch_offset": ["0"] * (sys.jet_dim - 1) + ["1"],
+        "projection": [[_reduced_str(e, den) for e in row] for row in rows],
+        "pullback_box": [[_reduced_str(-r, scale), _reduced_str(r, scale)] for r in radii],
+    }
+
+
+def jet_system_payload(sys: JetCoveringSystem, delta_cover: DeltaCoveringCertificate) -> dict:
+    """The system's wire form: its four defining fields, the `_derived`
+    ones and the Delta-covering proof."""
     return {
         "jet_dim": sys.jet_dim,
         "order": sys.order,
         "lam": rat_str(sys.lam),
         "p_coeffs": [rat_str(c) for c in sys.p_coeffs],
-        "branch_matrix": [[rat_str(e) for e in row] for row in sys.branch_matrix],
-        "branch_offset": [rat_str(e) for e in sys.branch_offset],
-        "projection": [[_reduced_str(e, den) for e in row] for row in rows],
         "box_base": rat_str(sys.box_base),
-        "pullback_box": [[_reduced_str(-r, scale), _reduced_str(r, scale)] for r in radii],
+        **_derived(sys),
         "semiconjugacy_exact": True,
         "delta_covering": {
             "inequality": {
@@ -322,25 +331,26 @@ def jet_system_payload(sys: JetCoveringSystem, delta_cover: DeltaCoveringCertifi
     }
 
 
-def _same_value(stated, rebuilt) -> bool:
-    """Whether nested lists of p/q strings equal nested tuples of Fractions
-    entry by entry; the canonical spelling is compared as text first."""
-    if isinstance(rebuilt, Fraction):
-        return stated == rat_str(rebuilt) or rat(stated) == rebuilt
+def _same_value(stated, written) -> bool:
+    """Whether a JSON value equals the writer's nested lists of p/q strings
+    entry by entry: the same text, or an entry `ratio` reads to the same
+    reduced pair (so a JSON integer, "-0" or 3p/3q for p/q passes)."""
+    if isinstance(written, str):
+        return stated == written or ratio(stated) == ratio(written)
     return (
         isinstance(stated, list)
-        and len(stated) == len(rebuilt)
-        and all(map(_same_value, stated, rebuilt))
+        and len(stated) == len(written)
+        and all(map(_same_value, stated, written))
     )
 
 
 def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
     """Rebuild the system from its defining fields through `build_system`,
     which re-verifies the polynomial, the semi-conjugacy and the box
-    inequality of the stated base, and require the branch matrix, branch
-    offset, projection and pullback box the file states to equal the
-    rebuilt ones by value.  A missing or mistyped field, a mismatch, or an
-    input `build_system` refuses, is a CertificateFormatError."""
+    inequality of the stated base, and require the `_derived` fields the
+    file states to equal the rebuilt system's by value.  A missing or
+    mistyped field, a mismatch, or an input `build_system` refuses, is a
+    CertificateFormatError."""
     _typed(payload, dict, "the jet system")
     jet_dim = _entry(payload, "jet_dim", int)  # not a bool, float or string
     p_coeffs = [_parsed(f"p_coeffs[{i}]", rat, c)
@@ -351,14 +361,9 @@ def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
         system = build_system(jet_dim, lam, p_coeffs, box_base=base)
     except DegenerateInputError as exc:
         raise CertificateFormatError(f"the jet system: {exc}") from None
-    rebuilt = {
-        "branch_matrix": system.branch_matrix,
-        "branch_offset": system.branch_offset,
-        "projection": system.projection,
-        "pullback_box": tuple((iv.lo, iv.hi) for iv in system.pullback_box()),
-    }
-    for name, value in rebuilt.items():
-        if not _parsed(name, lambda stated: _same_value(stated, value), _entry(payload, name, list)):
+    for name, written in _derived(system).items():
+        stated = _entry(payload, name, list)
+        if not _parsed(name, lambda value: _same_value(value, written), stated):
             raise CertificateFormatError(f"the file's {name} is not the rebuilt system's")
     return system
 

@@ -1,7 +1,7 @@
-"""Shared oracle helpers for jet-covering tests: exact rank, the inverse
-branch, the shift maps, the semi-conjugacy judge and residuals of a stated
-projection, the generic semi-conjugacy products and the exact greedy
-pullback."""
+"""Shared oracle helpers for jet-covering tests: the system's own projection
+and box radii as Fractions, exact rank, the inverse branch, the shift maps,
+the semi-conjugacy judge and residuals of a stated projection, the generic
+semi-conjugacy products and the exact greedy pullback."""
 
 from fractions import Fraction
 from math import lcm
@@ -11,10 +11,24 @@ from jetcover.errors import DegenerateInputError
 from jetcover.jetcovering import (
     _judge,
     _residual_ints,
+    branch_matrix,
     power_norm_sum,
     projection_rows,
 )
 from jetcover.rational import cleared
+
+
+def projection_of(sys):
+    """The system's own projection: its integer rows over D, as Fractions."""
+    _, _, rows, den = sys.integer_rows
+    return tuple(tuple(Fraction(e, den) for e in row) for row in rows)
+
+
+def radii_of(sys):
+    """The system's own box radii, outermost first: its integer radii over
+    their one denominator, as Fractions."""
+    radii, scale = sys.integer_radii
+    return tuple(Fraction(r, scale) for r in radii)
 
 
 def rank(a):
@@ -41,8 +55,8 @@ def rank(a):
 
 def inverse_branch(sys, delta, x):
     """Exact inverse of X -> J X + delta T."""
-    inv = linalg.inverse(sys.branch_matrix)
-    shifted = linalg.vec_sub(x, tuple(delta * e for e in sys.branch_offset))
+    inv = linalg.inverse(branch_matrix(sys.jet_dim, sys.lam))
+    shifted = linalg.vec_sub(x, (Fraction(0),) * (sys.jet_dim - 1) + (Fraction(delta),))
     return linalg.mat_vec(inv, shifted)
 
 
@@ -101,17 +115,17 @@ def semiconjugacy_residuals(sys, pi):
 
 def generic_residuals(sys, pi):
     """Oracle of `semiconjugacy_residuals`: J pi - pi M and delta T - pi
-    t_delta as generic products, for both branches, with the system's J and
-    T as they are."""
+    t_delta as generic products, for both branches, with J = `branch_matrix`
+    and T = e_N of the system's jet dimension and contraction."""
     m_shift, _ = shift_map(sys, 1)
     mat_res = linalg.mat_sub(
-        linalg.mat_mul(sys.branch_matrix, pi),
+        linalg.mat_mul(branch_matrix(sys.jet_dim, sys.lam), pi),
         linalg.mat_mul(pi, m_shift),
     )
     out = {}
     for delta in (1, -1):
         _, t_shift = shift_map(sys, delta)
-        lhs_t = tuple(delta * e for e in sys.branch_offset)
+        lhs_t = (Fraction(0),) * (sys.jet_dim - 1) + (Fraction(delta),)
         rhs_t = linalg.mat_vec(pi, t_shift)
         out[delta] = (mat_res, linalg.vec_sub(lhs_t, rhs_t))
     return out
@@ -131,7 +145,7 @@ def power_norms(jet_dim, lam, k):
 def rounding_term(sys, precision):
     """2^-P (max_i |pi_{i,n-1}| S + norm(pi)), the share of a P-bit
     pullback's rounding in a realization's bound, by generic norms."""
-    pi = sys.projection
+    pi = projection_of(sys)
     last = max(abs(row[-1]) for row in pi)
     term = last * power_norm_sum(sys.lam, sys.jet_dim) + linalg.inf_norm_mat(pi)
     return term / 2 ** precision

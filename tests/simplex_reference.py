@@ -26,6 +26,7 @@ from jetcover.errors import ConstructionError
 from jetcover.jets import reverse_jet
 from jetcover.linalg import Vec
 from jetcover.simplex import LPProblem, LPSolution, _verify_optimal
+from jetcovering_helpers import projection_of, radii_of  # local helper module
 
 
 def membership_lp_problem(sys, target) -> LPProblem:
@@ -34,10 +35,10 @@ def membership_lp_problem(sys, target) -> LPProblem:
     u_i = s_i - r_i + t with s_i + s'_i + 2t = 2 r_i, s, s', t >= 0, so N + n
     rows over the columns s_0, s'_0, ..., s_{n-1}, s'_{n-1}, t."""
     x = reverse_jet(target).flat()
-    bounds = sys.coordinate_bounds()
+    bounds = radii_of(sys)
     t = 2 * sys.n  # column of the margin
     rows, rhs = [], []
-    for p_row, x_i in zip(sys.projection, x):
+    for p_row, x_i in zip(projection_of(sys), x):
         row = [Fraction(0)] * (t + 1)
         row[0:t:2] = p_row
         row[t] = sum(p_row)
@@ -58,7 +59,7 @@ def membership_from_lp(sys, sol):
         return False, None, None
     t = 2 * sys.n
     margin = sol.primal[t]
-    bounds = sys.coordinate_bounds()
+    bounds = radii_of(sys)
     witness = tuple(s - r + margin for s, r in zip(sol.primal[0:t:2], bounds))
     return True, witness, margin
 

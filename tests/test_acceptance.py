@@ -51,7 +51,11 @@ from jetcover.jets import (
 from jetcover.simplex import LPSolution, lp_solve
 from blender_helpers import branch_table_to_csv, model_branch_table  # local helper module
 from flatpoly_reference import divisible_by_power  # local oracle module
-from jetcovering_helpers import semiconjugacy_residuals  # local helper module
+from jetcovering_helpers import (  # local helper module
+    projection_of,
+    radii_of,
+    semiconjugacy_residuals,
+)
 from jets_reference import finite_difference_jet  # local oracle module
 from simplex_reference import flat_lp_problem, strong_duality_holds  # local oracle module
 
@@ -170,7 +174,7 @@ def test_criterion_6_full_pipeline():
         ok = ok and l1_tail(p_coeffs) < 2
         system = build_system(big_n, lam, p_coeffs)
         ok = ok and verify_semiconjugacy(system) is None
-        for mat_res, vec_res in semiconjugacy_residuals(system, system.projection).values():
+        for mat_res, vec_res in semiconjugacy_residuals(system, projection_of(system)).values():
             ok = ok and all(e == 0 for row in mat_res for e in row)
             ok = ok and all(e == 0 for e in vec_res)
         cover = certify_delta_covering(system)
@@ -193,14 +197,14 @@ def test_criterion_7_realizer(realizer_system):
     system = realizer_system
     tol = F(1, 10 ** 8)
     rng = random.Random(404)
-    bounds = system.coordinate_bounds()
+    bounds = radii_of(system)
     ok = True
     for _ in range(100):
         u_star = tuple(
             F(rng.randint(-950, 950), 1000) * bounds[i] for i in range(system.n)
         )
         target = Jet.scalar(
-            tuple(reversed(linalg.mat_vec(system.projection, u_star)))
+            tuple(reversed(linalg.mat_vec(projection_of(system), u_star)))
         )
         result = realize_jet(system, target, tol)
         membership = result.membership

@@ -117,6 +117,17 @@ def test_cloud_cap():
         limit_set_cloud(standard_pair(F(1, 2)), 19)  # 2^19 words, refused before any is made
 
 
+def test_a_one_map_cloud_is_capped_by_its_depth():
+    # one map makes one word, but its walk copies a tuple per level; past
+    # depth 18 it is refused at once, as two maps are by their word count
+    one = IFSystem(("a",), {"a": affine_1d(F(1, 2), 1)})
+    for depth in (19, 10 ** 9):
+        with pytest.raises(ResourceLimitError, match=f"^depth {depth} is above 18, "):
+            limit_set_cloud(one, depth)
+    [(point, word)] = limit_set_cloud(one, 18)
+    assert word == ("a",) * 18 and point == (2 - F(2, 2 ** 18),)
+
+
 def test_contraction_consistency(sys34):
     rng = random.Random(5)
     for _ in range(50):

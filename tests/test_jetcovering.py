@@ -24,6 +24,8 @@ from jetcovering_helpers import (  # local helper module
     inverse_branch,
     judge_projection,
     projection_matrix,
+    projection_of,
+    radii_of,
     rank,
     rounding_term,
     scan_box_base,
@@ -48,6 +50,7 @@ from jetcover.jetcovering import (
     verify_semiconjugacy,
 )
 from jetcover.jets import Jet, continuation_jet, reverse_jet, standard_families
+from jetcover.rational import rat_str
 from jetcover.flatpoly import (
     find_flat_poly,
     l1_tail,
@@ -75,8 +78,8 @@ def test_branch_matrix_shapes():
 
 def test_closed_form_system(jet_sys_r0):
     sys = jet_sys_r0
-    assert sys.projection == ((F(-4, 3),),)
-    assert sys.branch_matrix == ((F(3, 4),),)
+    assert projection_of(sys) == ((F(-4, 3),),)
+    assert branch_matrix(sys.jet_dim, sys.lam) == ((F(3, 4),),)
     assert sys.box_base == 1 + F(1, 2 ** 10)
     for delta in (1, -1):
         m, t = shift_map(sys, delta)
@@ -89,7 +92,7 @@ def test_semiconjugacy_zero(jet_sys_r0, jet_sys_r1, jet_sys_r2):
         # the residuals share one matrix identity: both shifts have one linear part
         assert shift_map(sys, 1)[0] == shift_map(sys, -1)[0]
         assert verify_semiconjugacy(sys) is None
-        for mat_res, vec_res in semiconjugacy_residuals(sys, sys.projection).values():
+        for mat_res, vec_res in semiconjugacy_residuals(sys, projection_of(sys)).values():
             assert all(e == 0 for row in mat_res for e in row)
             assert all(e == 0 for e in vec_res)
 
@@ -104,12 +107,12 @@ def test_semiconjugacy_numeric_spotcheck(jet_sys_r1):
             u = tuple(F(rng.randint(-50, 50), 49) for _ in range(sys.n))
             lhs = linalg.vec_add(
                 linalg.mat_vec(
-                    sys.branch_matrix, linalg.mat_vec(sys.projection, u)
+                    branch_matrix(sys.jet_dim, sys.lam), linalg.mat_vec(projection_of(sys), u)
                 ),
-                tuple(delta * e for e in sys.branch_offset),
+                (F(0),) * (sys.jet_dim - 1) + (F(delta),),
             )
             rhs = linalg.mat_vec(
-                sys.projection, linalg.vec_add(linalg.mat_vec(m, u), t)
+                projection_of(sys), linalg.vec_add(linalg.mat_vec(m, u), t)
             )
             assert max(abs(float(a) - float(b)) for a, b in zip(lhs, rhs)) < 1e-9
             assert lhs == rhs
@@ -124,7 +127,7 @@ def test_semiconjugacy_residuals_are_formed_once(jet_sys_r2, monkeypatch):
     assert verify_semiconjugacy(jet_sys_r2) is None
     assert formed == [(jet_sys_r2.jet_dim, jet_sys_r2.lam, *jet_sys_r2.integer_rows)]
     monkeypatch.undo()
-    pi = jet_sys_r2.projection
+    pi = projection_of(jet_sys_r2)
     residuals = semiconjugacy_residuals(jet_sys_r2, pi)
     assert residuals == generic_residuals(jet_sys_r2, pi)
     assert not any(e for mat, vec in residuals.values() for row in (*mat, vec) for e in row)
@@ -137,10 +140,10 @@ def test_semiconjugacy_tamper_detected(jet_sys_r0):
         jet_sys_r0, p_coeffs=(jet_sys_r0.p_coeffs[0] + F(1, 7), F(1))
     )
     with pytest.raises(ConstructionError):
-        judge_projection(tampered, jet_sys_r0.projection)
+        judge_projection(tampered, projection_of(jet_sys_r0))
     with pytest.raises(ConstructionError):
         verify_semiconjugacy(tampered)
-    res = semiconjugacy_residuals(tampered, jet_sys_r0.projection)
+    res = semiconjugacy_residuals(tampered, projection_of(jet_sys_r0))
     assert any(
         e != 0 for mat_res, vec_res in res.values() for e in vec_res
     ) or any(
@@ -162,9 +165,9 @@ def test_semiconjugacy_catches_every_projection_entry(fixture, request):
     # a zero residual determines the projection, so the judge rejects a
     # perturbation of any single entry
     sys = request.getfixturevalue(fixture)
-    assert judge_projection(sys, sys.projection) is None
+    assert judge_projection(sys, projection_of(sys)) is None
     for i, k in itertools.product(range(sys.jet_dim), range(sys.n)):
-        rows = [list(row) for row in sys.projection]
+        rows = [list(row) for row in projection_of(sys)]
         rows[i][k] += F(1, 3)
         with pytest.raises(ConstructionError):
             judge_projection(sys, rows)
@@ -178,14 +181,14 @@ def test_semiconjugacy_sees_scale_and_root(fixture, request):
     # leaves only the offset residual nonzero, and a projection rebuilt by
     # the recurrence for a P without the root only the last matrix column
     sys = request.getfixturevalue(fixture)
-    scaled = tuple(tuple(2 * e for e in row) for row in sys.projection)
+    scaled = tuple(tuple(2 * e for e in row) for row in projection_of(sys))
     with pytest.raises(ConstructionError, match="offset"):
         judge_projection(sys, scaled)
     rootless = (sys.p_coeffs[0] + F(1, 5),) + sys.p_coeffs[1:]
     rebuilt = replace(sys, p_coeffs=rootless)  # a copy derives its projection afresh
-    assert rebuilt.projection == projection_matrix(rootless, sys.lam, sys.jet_dim)
+    assert projection_of(rebuilt) == projection_matrix(rootless, sys.lam, sys.jet_dim)
     for judge in (lambda: verify_semiconjugacy(rebuilt),
-                  lambda: judge_projection(rebuilt, rebuilt.projection)):
+                  lambda: judge_projection(rebuilt, projection_of(rebuilt))):
         with pytest.raises(ConstructionError, match=rf"matrix\[\d+\]\[{sys.n - 1}\]"):
             judge()
 
@@ -205,13 +208,20 @@ def test_semiconjugacy_multiplies_no_matrices(monkeypatch, jet_sys_r1):
 
 
 def test_branches_are_derived_from_the_jet_dimension_and_contraction(jet_sys_r2):
-    # J and T are no fields: a system holds no branch that could disagree
-    # with lam I + S and e_N (a file's stated J and T are compared on reload)
+    # J and T are neither fields nor members: a system holds no branch, and
+    # no view of its rows or radii, that could disagree with (N, lam, P,
+    # base); the file states J = lam I + S and T = e_N from N and lam, and
+    # a reload compares them with that one rendering
     sys = jet_sys_r2
     assert not {"branch_matrix", "branch_offset"} & {f.name for f in fields(sys)}
-    assert sys.branch_matrix == branch_matrix(sys.jet_dim, sys.lam)
-    assert sys.branch_offset == (F(0),) * (sys.jet_dim - 1) + (F(1),)
-    assert replace(sys, lam=F(7, 8)).branch_matrix == branch_matrix(sys.jet_dim, F(7, 8))
+    for name in ("branch_matrix", "branch_offset", "projection", "coordinate_bounds",
+                 "pullback_box"):
+        assert not hasattr(sys, name), name
+    for lam in (sys.lam, F(7, 8)):
+        derived = serialize._derived(replace(sys, lam=lam))
+        assert derived["branch_matrix"] == [[rat_str(e) for e in row]
+                                            for row in branch_matrix(sys.jet_dim, lam)]
+        assert derived["branch_offset"] == ["0"] * (sys.jet_dim - 1) + ["1"]
 
 
 @pytest.mark.parametrize("jet_dim, p_coeffs", [
@@ -271,10 +281,9 @@ def test_the_integer_radii_are_the_coordinate_bounds(fixture, base, request):
     radii, den = sys.integer_radii
     powers = tuple(sys.box_base ** (sys.n - i) for i in range(sys.n))
     assert den == sys.box_base.denominator ** sys.n
-    assert tuple(F(r, den) for r in radii) == sys.coordinate_bounds() == powers
-    assert sys.pullback_box().intervals == tuple(Interval(-r, r) for r in powers)
+    assert tuple(F(r, den) for r in radii) == powers
     assert sys.reach == max(sum(abs(e) * r for e, r in zip(row, powers))
-                            for row in sys.projection)
+                            for row in projection_of(sys))
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,7 +307,7 @@ def test_closed_form_residuals_equal_the_generic_products(order, step, tamper, d
     lam = threshold + (1 - threshold) * F(step, 16)
     sys = build_system(order + 1, lam, scale_to_p(q, lam))
     nonzero = st.fractions(-3, 3, max_denominator=9).filter(bool)
-    pi = [list(row) for row in sys.projection]
+    pi = [list(row) for row in projection_of(sys)]
     if tamper == "entry":
         i = data.draw(st.integers(0, sys.jet_dim - 1))
         k = data.draw(st.integers(0, sys.n - 1))
@@ -309,7 +318,7 @@ def test_closed_form_residuals_equal_the_generic_products(order, step, tamper, d
     elif tamper == "rootless":
         b0 = sys.p_coeffs[0] + data.draw(nonzero.filter(lambda f: f != -sys.p_coeffs[0]))
         sys = replace(sys, p_coeffs=(b0,) + sys.p_coeffs[1:])
-        pi = sys.projection  # derived afresh by the recurrence
+        pi = projection_of(sys)  # derived afresh by the recurrence
         assert pi == projection_matrix(sys.p_coeffs, sys.lam, sys.jet_dim)
     residuals = semiconjugacy_residuals(sys, pi)
     assert residuals == generic_residuals(sys, pi)
@@ -387,16 +396,15 @@ def test_integer_rows_are_projection_rows_of_the_definition(jet_sys_r2, monkeypa
     built = build_system(jet_sys_r2.jet_dim, jet_sys_r2.lam, jet_sys_r2.p_coeffs)
     verify_semiconjugacy(built)
     certify_delta_covering(built)
-    assert built.projection and built.reach and len(calls) == 1
+    assert projection_of(built) and built.reach and len(calls) == 1
     fresh = replace(built)
-    assert "integer_rows" not in vars(fresh) and "projection" not in vars(fresh)
+    assert "integer_rows" not in vars(fresh)
     moved = replace(built, lam=F(7, 8))
     for sys in (built, fresh, moved):
-        beta, big_b, rows, den = sys.integer_rows
+        beta, big_b, _, _ = sys.integer_rows
         assert sys.integer_rows == projection_rows(sys.p_coeffs, sys.lam, sys.jet_dim)
-        assert sys.projection == tuple(tuple(F(e, den) for e in row) for row in rows)
         assert tuple(F(c, big_b) for c in beta) == sys.p_coeffs
-    assert len(calls) == 3 and moved.projection != built.projection
+    assert len(calls) == 3 and moved.integer_rows != built.integer_rows
 
 
 def test_base_feasibility_window(jet_sys_r0):
@@ -497,18 +505,18 @@ def test_membership_beyond_reach(jet_sys_r1):
 def test_membership_round_trip(jet_sys_r1):
     sys = jet_sys_r1
     rng = random.Random(77)
-    bounds = sys.coordinate_bounds()
+    bounds = radii_of(sys)
     for _ in range(10):
         u_star = tuple(
             F(rng.randint(-800, 800), 1000) * bounds[i] for i in range(sys.n)
         )
-        x = linalg.mat_vec(sys.projection, u_star)
+        x = linalg.mat_vec(projection_of(sys), u_star)
         target = Jet.scalar(tuple(reversed(x)))
         res = certify_membership(sys, target)
         assert res.certified
         # the witness projects to the same jet even when it differs from u*
-        assert linalg.mat_vec(sys.projection, res.witness) == x
-        assert sys.pullback_box().contains_point(res.witness)
+        assert linalg.mat_vec(projection_of(sys), res.witness) == x
+        assert all(abs(w) <= r for w, r in zip(res.witness, bounds))
 
 
 def test_residual_bound_closed_form(jet_sys_r0):
@@ -531,7 +539,7 @@ def test_residual_bound_submultiplicative(jet_sys_r1):
     for k1, k2 in ((3, 5), (10, 7), (1, 20)):
         power = linalg.identity(sys.jet_dim)
         for _ in range(k1):
-            power = linalg.mat_mul(power, sys.branch_matrix)
+            power = linalg.mat_mul(power, branch_matrix(sys.jet_dim, sys.lam))
         assert residual_bound(sys, k1 + k2) <= linalg.inf_norm_mat(
             power
         ) * residual_bound(sys, k2)
@@ -551,7 +559,7 @@ def test_residual_bound_eventually_monotone(jet_sys_r1):
 
 def test_realizer_totality_corners_and_samples(jet_sys_r1):
     sys = jet_sys_r1
-    bounds = sys.coordinate_bounds()
+    bounds = radii_of(sys)
     for corner in itertools.product((-1, 1), repeat=sys.n):
         u = tuple(corner[i] * bounds[i] for i in range(sys.n))
         delta, nxt = greedy_pullback_step(sys, u)  # must not raise
@@ -662,11 +670,11 @@ def test_pullback_matches_inverse_branch(jet_sys_r1):
     res = certify_membership(sys, Jet.scalar([F(1, 8)] + [0] * sys.order))
     assert res.certified
     u = res.witness
-    x = linalg.mat_vec(sys.projection, u)
+    x = linalg.mat_vec(projection_of(sys), u)
     for _ in range(10):
         delta, u = greedy_pullback_step(sys, u)
         x = inverse_branch(sys, delta, x)
-        assert linalg.mat_vec(sys.projection, u) == x
+        assert linalg.mat_vec(projection_of(sys), u) == x
 
 
 def test_build_system_validation(jet_sys_r0):
@@ -712,6 +720,51 @@ def test_reverse_jet_embedding(jet_sys_r1):
     # points must round trip through the reversal
     sys = jet_sys_r1
     u = tuple(F(1, 100) for _ in range(sys.n))
-    x = linalg.mat_vec(sys.projection, u)
+    x = linalg.mat_vec(projection_of(sys), u)
     jet = Jet.scalar(tuple(reversed(x)))
     assert reverse_jet(jet).flat() == x
+
+
+# --- bug traps: each breaks the step before a ConstructionError trap, which stays
+
+
+def test_a_lying_box_inequality_leaves_the_window_cover_without_margin(jet_sys_r0, monkeypatch):
+    # base 5 breaks base * 4/3 < base + 1; a box inequality that says it holds
+    # leaves the margin (rhs - R)/2 <= 0, or, with an inflated rhs, a leaf
+    # [-R, 0], R = 20/3, outside the "-" window (-6, 4) shrunk by m = 2
+    bad = replace(jet_sys_r0, box_base=F(5))
+    monkeypatch.setattr(jetcovering, "box_inequality", lambda base, n, tail: (True, 0, 0))
+    with pytest.raises(ConstructionError, match="^no positive margin for the window cover$"):
+        certify_delta_covering(bad)
+    monkeypatch.setattr(jetcovering, "box_inequality", lambda base, n, tail: (True, 0, 100))
+    with pytest.raises(ConstructionError,
+                       match=r"^the window leaf \[-20/3, 0\] leaves the - window$"):
+        certify_delta_covering(bad)
+
+
+def test_rows_of_rank_one_make_a_membership_reference_singular(jet_sys_r1):
+    # every projection row the same: every column is a multiple of (1, 1)
+    beta, big_b, rows, den = jet_sys_r1.integer_rows
+    bad = replace(jet_sys_r1)
+    vars(bad)["integer_rows"] = (beta, big_b, [rows[0]] * len(rows), den)
+    with pytest.raises(ConstructionError, match="^a membership reference is singular$"):
+        jetcovering.membership_certificate(bad, Jet.scalar([F(1, 8), 0]))
+
+
+def test_a_box_base_below_1_leaves_the_pullback_no_branch(jet_sys_r0):
+    # from 0 the appended coordinate is +-1, outside (-1/2, 1/2)
+    bad = replace(jet_sys_r0, box_base=F(1, 2))
+    with pytest.raises(ConstructionError, match="^covering violated: no branch at functional "
+                                                "value 0$"):
+        greedy_pullback_step(bad, (F(0),))
+    with pytest.raises(ConstructionError, match="^covering violated: no branch at functional "
+                                                "value 0$"):
+        jetcovering.fixed_point_pullback(bad, (F(0),), PRECISION_FLOOR, 1)
+
+
+def test_a_word_jet_off_by_one_fails_the_forward_verification(jet_sys_r1, monkeypatch):
+    word_sums = jetcovering._word_sums
+    monkeypatch.setattr(jetcovering, "_word_sums", lambda lam, word, order: [
+        v + lam.denominator ** len(word) for v in word_sums(lam, word, order)])  # each + 1
+    with pytest.raises(ConstructionError, match="^forward verification failed: residual "):
+        realize_jet(jet_sys_r1, Jet.scalar([F(1, 8), 0]), F(1, 100))

@@ -34,7 +34,7 @@ from jetcover.jetcovering import (
 )
 from jetcover.jets import Jet
 from jetcover.simplex import lp_solve
-from jetcovering_helpers import rank  # local oracle module
+from jetcovering_helpers import projection_of, radii_of, rank  # local oracle module
 from simplex_reference import (  # local oracle module
     membership_from_lp,
     membership_lp_problem,
@@ -54,16 +54,16 @@ def target_of(x):
 
 
 def projected(sys, u):
-    return target_of(linalg.mat_vec(sys.projection, u))
+    return target_of(linalg.mat_vec(projection_of(sys), u))
 
 
 def cap_vertex(sys):
     """pi u for u_i = sign(c_i) (r_i - r_min), c = pi^T y, y = (1, -1/2, 1/3,
     ...): u maximizes y.pi u over the box shrunk by the cap, so pi u lies on
     the boundary of the capped targets."""
-    r = sys.coordinate_bounds()
+    r = radii_of(sys)
     y = [F((-1) ** k, k + 1) for k in range(sys.jet_dim)]
-    c = [sum(map(F.__mul__, column, y)) for column in zip(*sys.projection)]
+    c = [sum(map(F.__mul__, column, y)) for column in zip(*projection_of(sys))]
     return [(1 if ck > 0 else -1) * (rk - r[-1]) if k < sys.n - 1 else F(0)
             for k, (ck, rk) in enumerate(zip(c, r))]
 
@@ -80,7 +80,7 @@ def membership_targets(draw):
     order = draw(st.sampled_from([0, 1, 1, 2, 2, 3]))
     lo, hi, den = KINDS[draw(st.sampled_from(sorted(KINDS)))]
     sys = system(order)
-    u = [F(draw(st.integers(lo, hi)), den) * r for r in sys.coordinate_bounds()]
+    u = [F(draw(st.integers(lo, hi)), den) * r for r in radii_of(sys)]
     return order, projected(sys, u)
 
 
@@ -106,8 +106,8 @@ def test_zero_jet_hits_the_cap(order):
     sys = system(order)
     u, t, y = membership_certificate(sys, target_of([F(0)] * sys.jet_dim))
     assert t == sys.box_base and u[-1] == 0
-    assert linalg.mat_vec(sys.projection, u) == (0,) * sys.jet_dim
-    assert all(abs(ui) <= r - t for ui, r in zip(u, sys.coordinate_bounds()))
+    assert linalg.mat_vec(projection_of(sys), u) == (0,) * sys.jet_dim
+    assert all(abs(ui) <= r - t for ui, r in zip(u, radii_of(sys)))
     check_membership(sys, target_of([F(0)] * sys.jet_dim), u, t, y)
     if order == 0:
         assert u == (0,)
@@ -156,9 +156,9 @@ def test_margin_zero_is_certified_and_a_negative_margin_is_not():
     # pi of a box vertex that maximizes y.pi u lies on the boundary of the
     # covered set: margin 0, certified, and not realizable
     sys = system(2)
-    r = sys.coordinate_bounds()
+    r = radii_of(sys)
     y = [F(1), F(-1, 2), F(1, 3)]
-    c = [sum(map(F.__mul__, column, y)) for column in zip(*sys.projection)]
+    c = [sum(map(F.__mul__, column, y)) for column in zip(*projection_of(sys))]
     vertex = [(1 if ck > 0 else -1) * rk for ck, rk in zip(c, r)]
     res = certify_membership(sys, projected(sys, vertex))
     assert res.certified and res.margin == 0
@@ -180,7 +180,7 @@ def test_a_step_cap_on_the_exchange(monkeypatch):
 
 def _mutants(sys, u, t, y):
     """Certificates the checker must reject, each broken in one place."""
-    r = sys.coordinate_bounds()
+    r = radii_of(sys)
     bound = next(k for k, (uk, rk) in enumerate(zip(u, r)) if abs(uk) == rk - t and uk)
     flipped = list(u)
     flipped[bound] = -u[bound]
@@ -189,8 +189,8 @@ def _mutants(sys, u, t, y):
     j = next(k for k, (uk, rk) in enumerate(zip(u, r)) if abs(uk) < rk - t)
     others = [k for k in range(sys.n) if k != j][:sys.jet_dim]
     z_others = linalg.mat_vec(
-        linalg.inverse(tuple(tuple(row[k] for k in others) for row in sys.projection)),
-        tuple(-row[j] for row in sys.projection),
+        linalg.inverse(tuple(tuple(row[k] for k in others) for row in projection_of(sys))),
+        tuple(-row[j] for row in projection_of(sys)),
     )
     z = [F(0)] * sys.n
     z[j] = F(1)
@@ -265,7 +265,7 @@ def test_each_membership_reference_is_inverted_once(order, kind, monkeypatch):
     # the exchange visits one reference per step, so the least step cap it
     # finishes under counts them; each is inverted once, the start included
     sys = system(order)
-    r = sys.coordinate_bounds()
+    r = radii_of(sys)
     scale = {"interior": F(1, 3), "capped": F(1, 10 ** 6), "zero": F(0)}[kind]
     target = projected(sys, [scale * (-1) ** i * ri for i, ri in enumerate(r)])
     calls = []

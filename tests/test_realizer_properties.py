@@ -19,6 +19,7 @@ from jetcover.errors import DegenerateInputError, ResourceLimitError
 from jetcover.flatpoly import find_flat_poly, lambda_threshold, scale_to_p
 from jetcover.jetcovering import (
     PRECISION_FLOOR,
+    branch_matrix,
     build_system,
     certify_membership,
     fixed_point_pullback,
@@ -35,6 +36,8 @@ from jetcovering_helpers import (  # local helper module
     fixed_point_step,
     fraction_pullback_step,
     power_norms,
+    projection_of,
+    radii_of,
     rounding_term,
 )
 
@@ -183,7 +186,7 @@ def test_realization_steps_keeps_the_retrying_rule(sys, j, where, bits, max_step
 @settings(max_examples=40, deadline=None)
 @given(systems(), st.integers(1, 40), st.randoms(use_true_random=False))
 def test_integer_pullback_matches_fraction_step(sys, steps, rng):
-    bounds = sys.coordinate_bounds()
+    bounds = radii_of(sys)
     u = tuple(F(rng.randint(-1000, 1000), 1000) * r for r in bounds)
     pullback = IntegerPullback(sys, u)
     assert pullback.point() == u
@@ -209,8 +212,8 @@ def test_fixed_point_word_and_steps_equal_the_exact_oracles(order):
     @given(st.integers(0, span), st.integers(1, top_bits), st.data())
     def check(offset, bits, data):
         sys = grid_system(order, F(min(first + offset, GRID - 1), GRID))
-        u_star = [data.draw(grid_points) * r for r in sys.coordinate_bounds()]
-        target = Jet.scalar(tuple(reversed(linalg.mat_vec(sys.projection, u_star))))
+        u_star = [data.draw(grid_points) * r for r in radii_of(sys)]
+        target = Jet.scalar(tuple(reversed(linalg.mat_vec(projection_of(sys), u_star))))
         tol = F(1, 2 ** bits)
         try:
             k, precision, bound = realization_plan(sys, tol, max_steps=6000)
@@ -233,7 +236,7 @@ def test_fixed_point_pullback_matches_the_rounded_fraction_walk(sys, precision, 
     # one of the exact value; any base in (1, box_base] keeps the covering
     if not dyadic:
         sys = build_system(sys.jet_dim, sys.lam, sys.p_coeffs, 1 + (sys.box_base - 1) * F(2, 3))
-    bounds = sys.coordinate_bounds()
+    bounds = radii_of(sys)
     u = tuple(F(rng.randint(-1000, 1000), 1000) * r for r in bounds)
     word = fixed_point_pullback(sys, u, precision, steps)
     grid = 2 ** precision
@@ -266,15 +269,15 @@ def test_the_proved_bound_covers_the_telescoped_rounding(sys, bits, data):
     # x - F_word(0) = J^k pi u~_k - sum_{t<k} J^(t+1) pi e_t + pi (u_0 - u~_0),
     # replayed exactly on the rounded walk, with each term under its share
     # of the reported bound
-    bounds = sys.coordinate_bounds()
+    bounds = radii_of(sys)
     u_star = [data.draw(grid_points) * r for r in bounds]
-    x = linalg.mat_vec(sys.projection, u_star)
+    x = linalg.mat_vec(projection_of(sys), u_star)
     tol = F(1, 2 ** bits)
     try:
         res = realize_jet(sys, Jet.scalar(tuple(reversed(x))), tol, max_steps=400)
     except ResourceLimitError:
         return
-    k, pi, jay = res.steps, sys.projection, sys.branch_matrix
+    k, pi, jay = res.steps, projection_of(sys), branch_matrix(sys.jet_dim, sys.lam)
     precision = realization_plan(sys, tol)[1]
     grid = 2 ** precision
     u0 = res.membership.witness
@@ -309,12 +312,12 @@ def test_the_proved_bound_covers_the_telescoped_rounding(sys, bits, data):
 def test_membership_certifies_projected_grid_points(sys, data):
     # u* on the 2^-10 grid strictly inside the box: its target is interior,
     # and the LP's witness meets it exactly with the optimal uniform margin
-    bounds = sys.coordinate_bounds()
+    bounds = radii_of(sys)
     u_star = [data.draw(grid_points) * r for r in bounds]
-    x = linalg.mat_vec(sys.projection, u_star)
+    x = linalg.mat_vec(projection_of(sys), u_star)
     res = certify_membership(sys, Jet.scalar(tuple(reversed(x))))
     assert res.certified
-    assert linalg.mat_vec(sys.projection, res.witness) == x
+    assert linalg.mat_vec(projection_of(sys), res.witness) == x
     assert all(abs(w) <= r - res.margin for w, r in zip(res.witness, bounds))
     assert res.margin >= min(r - abs(u) for u, r in zip(u_star, bounds))
 
@@ -336,8 +339,8 @@ def test_realize_zero_steps(order):
     sys = grid_system(order, F(1023, GRID))
     reach = sys.reach
     assert realization_plan(sys, reach) == (0, 0, reach)
-    half = tuple(r / 2 for r in sys.coordinate_bounds())
-    x = linalg.mat_vec(sys.projection, half)
+    half = tuple(r / 2 for r in radii_of(sys))
+    x = linalg.mat_vec(projection_of(sys), half)
     target = Jet.scalar(tuple(reversed(x)))
     res = realize_jet(sys, target, reach)
     assert res.steps == 0 and res.itinerary == ()

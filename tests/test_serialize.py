@@ -384,6 +384,9 @@ def test_leaf_of_another_dimension_is_a_format_error(sys34):
         ("projection", (0, 0)),
         ("projection", (1, 2)),
         ("pullback_box", (2, 1)),
+        ("branch_matrix", (1, 0)),
+        ("branch_matrix", (1, 1)),
+        ("branch_offset", (0,)),
     ],
 )
 def test_jet_system_file_states_no_unchecked_field(jet_sys_r1, field, path):
@@ -393,14 +396,19 @@ def test_jet_system_file_states_no_unchecked_field(jet_sys_r1, field, path):
     entries = payload[field]
     for i in outer:
         entries = entries[i]
-    # the same value in another spelling is the same system
-    entries[last] = str(F(entries[last]).numerator * 3) + "/" + str(
-        F(entries[last]).denominator * 3
-    )
-    assert jet_system_from_payload(payload) == jet_sys_r1
-    entries[last] = "12345"
-    with pytest.raises(CertificateFormatError, match=field):
-        jet_system_from_payload(payload)
+    value = F(entries[last])
+    # the same value in another spelling is the same system: 3p/3q, a JSON
+    # integer for an integral entry, and "-0" for a zero one
+    spellings = [f"{value.numerator * 3}/{value.denominator * 3}"]
+    spellings += [int(value)] * (value.denominator == 1) + ["-0"] * (value == 0)
+    for spelling in spellings:
+        entries[last] = spelling
+        assert jet_system_from_payload(payload) == jet_sys_r1
+    # another value, however close, is refused with the field's name
+    for changed in (f"{value.numerator * 3 + 1}/{value.denominator * 3}", "12345"):
+        entries[last] = changed
+        with pytest.raises(CertificateFormatError, match=field):
+            jet_system_from_payload(payload)
     del payload[field]
     with pytest.raises(CertificateFormatError):
         jet_system_from_payload(payload)

@@ -18,6 +18,7 @@ from jetcover.jetcovering import certify_membership
 from jetcover.jets import Jet
 from jetcover.rational import cleared
 from jetcover.simplex import LPProblem, LPSolution, lp_solve
+from jetcovering_helpers import projection_of, radii_of  # local helper module
 from simplex_reference import (  # local helper module
     flat_lp_problem,
     membership_lp_problem,
@@ -151,12 +152,12 @@ def test_membership_lps_match_reference(order, request):
     # the LP optimum
     sys = request.getfixturevalue(f"jet_sys_r{order}")
     rng = random.Random(20 + order)
-    bounds = sys.coordinate_bounds()
+    bounds = radii_of(sys)
     scales = [F(rng.randint(-1023, 1023), 1024) for _ in range(3)] + [F(2), F(0)]
     statuses = set()
     for scale in scales:
         u = [scale * r * rng.choice([1, -1]) for r in bounds]
-        target = Jet.scalar(tuple(reversed(linalg.mat_vec(sys.projection, u))))
+        target = Jet.scalar(tuple(reversed(linalg.mat_vec(projection_of(sys), u))))
         problem = membership_lp_problem(sys, target)
         sol = lp_solve(problem)
         statuses.add(sol.status)
