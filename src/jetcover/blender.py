@@ -9,14 +9,14 @@ realizer on the y coordinate.  Rendering is a deterministic PPM raster.
 
 The nearly-affine checker compares user-supplied sample tables against
 the two affine inverse-branch models; its estimates are grid maxima only
-and are always flagged non-certified.
+and are never certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import ClassVar, List, Sequence, Tuple, Union
 
 from .boxes import Box, Interval
 from .covering import (
@@ -34,8 +34,8 @@ from .jetcovering import (
     word_jet,
 )
 from .jets import Jet
-from .rational import rat
-from .serialize import BranchSample, check_raster, encode_ppm
+from .rational import rat, rat_str
+from .serialize import BranchSample, check_raster, encode_ppm, pixels
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,14 @@ class BlenderCoverResult:
     subdivision).  A failed fiber covering carries the witness gap.
     """
 
-    ok: bool
     base_target: Interval
-    base_images: Tuple[Tuple[str, Interval, bool], ...]
+    base_images: Tuple[Tuple[str, Interval, bool], ...]  # (branch, image, holds)
     fiber_outcome: Union[Certificate, CoveringFailure]
+
+    @property
+    def ok(self) -> bool:
+        fiber_ok = isinstance(self.fiber_outcome, Certificate)
+        return fiber_ok and all(holds for _, _, holds in self.base_images)
 
 
 def verify_example_covering(
@@ -113,23 +117,14 @@ def verify_example_covering(
     if sys.overhang == 0:
         raise DegenerateInputError("open covering needs a positive overhang")
     target = Interval(-2 - sys.overhang, 2 + sys.overhang)
-    base_rows = []
-    base_ok = True
-    for label, sign in (("+", 1), ("-", -1)):
-        img = sys.base_image(sign)
-        holds = img.contains_interval(target)
-        base_ok = base_ok and holds
-        base_rows.append((label, img, holds))
+    images = tuple(
+        (label, img, img.contains_interval(target))
+        for label, img in (("+", sys.base_image(1)), ("-", sys.base_image(-1)))
+    )
     fiber = certify_covering(
         standard_pair(sys.lam), Box([Interval(-2, 2)]), margin, max_depth
     )
-    ok = base_ok and isinstance(fiber, Certificate)
-    return BlenderCoverResult(
-        ok=ok,
-        base_target=target,
-        base_images=tuple(base_rows),
-        fiber_outcome=fiber,
-    )
+    return BlenderCoverResult(target, images, fiber)
 
 
 @dataclass(frozen=True)
@@ -182,29 +177,18 @@ def realize_point(sys: SkewSystem, y, depth: int) -> PointRealization:
     )
 
 
-@dataclass(frozen=True)
-class CurveJetRealization:
-    """Realized curve jet on a horizontal unstable leaf.
-
-    The leaf structure makes the x-jet match tautologically (the realized
-    curve is the vertical projection of the target onto the leaf); the
-    y-jet matches within the certified residual of the jet realizer.
-    """
-
-    realization: RealizationResult
-    x_jet: Jet
-    y_target: Jet
-    x_exact: bool
-    y_residual: Fraction
-
-
 def realize_curve_jet(
     sys: SkewSystem,
     jet_sys: JetCoveringSystem,
     x_jet: Jet,
     y_jet: Jet,
     tol,
-) -> CurveJetRealization:
+) -> RealizationResult:
+    """Realize a curve jet on a horizontal unstable leaf: the y-jet's
+    realization.  The leaf structure makes an x-jet in the open domain box
+    match exactly (the realized curve is the vertical projection of the
+    target onto the leaf); the y-jet matches within the realizer's
+    certified residual."""
     if jet_sys.lam != sys.lam:
         raise DegenerateInputError(
             "jet system and skew system must share the contraction"
@@ -221,14 +205,7 @@ def realize_curve_jet(
             raise DegenerateInputError(
                 f"x-jet coefficient {c} leaves the open window ({iv.lo}, {iv.hi})"
             )
-    realization = realize_jet(jet_sys, y_jet, tol)
-    return CurveJetRealization(
-        realization=realization,
-        x_jet=x_jet,
-        y_target=y_jet,
-        x_exact=True,
-        y_residual=realization.achieved_residual,
-    )
+    return realize_jet(jet_sys, y_jet, tol)
 
 
 # --- rendering ----------------------------------------------------------------
@@ -251,17 +228,13 @@ def render_unstable_union(
 ) -> bytes:
     """PPM (P6) raster of [-2,2]^2 with one full-width segment per word.
 
-    Pixel mapping: origin top-left, row-major; height y lands on row
-    floor((2 - y) * height / 4), rows outside the viewport are clipped.
-    Byte-identical output for identical inputs.
+    Pixel mapping: origin top-left, row-major; height y lands on the row
+    of -y over [-2, 2], floor((2 - y) * height / 4), rows outside the
+    viewport are clipped.  Byte-identical output for identical inputs.
     """
     check_raster(width, height)  # before the 2^depth heights
-    hit = {
-        min(int((2 - y) * height // 4), height - 1)  # Fraction floor-div is exact
-        for y, _ in unstable_heights(sys, a, depth)
-        if -2 <= y <= 2
-    }
-    return encode_ppm(width, height, hit, range(width))
+    rows = pixels((-y for y, _ in unstable_heights(sys, a, depth)), -2, 2, height)
+    return encode_ppm(width, height, rows, range(width))
 
 
 # --- nearly affine checks -------------------------------------------------------
@@ -281,7 +254,7 @@ class NearlyAffineReport:
     plus: BranchReport
     minus: BranchReport
     grid_step: Fraction
-    certified: bool = False  # sampling can bound nothing off the grid
+    certified: ClassVar[bool] = False  # sampling can bound nothing off the grid
 
 
 def branch_region(lam: Fraction, sign: int) -> Box:
@@ -350,9 +323,12 @@ def nearly_affine_check(
     lam = rat(lam)
     if not Fraction(1, 2) < lam < 1:
         raise DegenerateInputError("contraction must lie in (1/2, 1)")
+    grid_step = rat(grid_step)
+    if grid_step <= 0:
+        raise DegenerateInputError(f"grid step {rat_str(grid_step)} is not positive")
     return NearlyAffineReport(
         lam=lam,
         plus=_check_branch(lam, 1, plus_samples),
         minus=_check_branch(lam, -1, minus_samples),
-        grid_step=rat(grid_step),
+        grid_step=grid_step,
     )

@@ -20,7 +20,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import blender, serialize
@@ -99,17 +98,6 @@ def _write_json(path: str, payload) -> None:
     serialize.write_atomic(path, serialize.canonical_json(payload))
 
 
-def _scatter_ppm(points, width: int, height: int, radius: Fraction) -> bytes:
-    """1-d point cloud raster on the middle row of a [-r, r] viewport."""
-    span = 2 * radius
-    cols = {
-        min(int((pt[0] + radius) * width // span), width - 1)
-        for pt, _ in points
-        if abs(pt[0]) <= radius
-    }
-    return serialize.encode_ppm(width, height, {height // 2}, cols)
-
-
 # --- subcommand handlers --------------------------------------------------------
 
 
@@ -120,7 +108,10 @@ def cmd_limit_set(args) -> int:
     cloud = limit_set_cloud(sys_, args.depth)
     serialize.write_atomic(args.out, serialize.cloud_to_csv(cloud))
     if args.ppm:
-        serialize.write_atomic(args.ppm, _scatter_ppm(cloud, args.width, args.height, sys_.radius))
+        # the cloud on the middle row of a [-r, r] viewport
+        cols = serialize.pixels((pt[0] for pt, _ in cloud), -sys_.radius, sys_.radius, args.width)
+        serialize.write_atomic(args.ppm, serialize.encode_ppm(
+            args.width, args.height, {args.height // 2}, cols))
     return EXIT_OK
 
 
@@ -237,7 +228,7 @@ def cmd_nearly_affine(args) -> int:
     plus = serialize.branch_table_from_csv(_read_text(args.table_plus))
     minus = serialize.branch_table_from_csv(_read_text(args.table_minus))
     # both before the call: a bad lam is reported ahead of a bad grid step,
-    # and a bad grid step ahead of a lam out of range
+    # and a grid step that is no p/q ahead of a lam out of range
     report = blender.nearly_affine_check(
         rat(args.lam), plus, minus, rat(args.grid_step)
     )

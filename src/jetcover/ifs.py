@@ -198,14 +198,17 @@ def limit_set_cloud(sys: IFSystem, depth: int) -> List[Tuple[Vec, Word]]:
 class TwoMapVerdict:
     """Outcome of the two-map line trichotomy.
 
-    ``robust_interior`` carries the epsilon-trimmed interval covered by the
+    A robust interior carries the epsilon-trimmed interval covered by the
     two branch images of its interior (epsilon = half the image overlap);
-    otherwise a perturbation can split the images and empty the interior.
+    without one a perturbation can split the images and empty the interior.
     """
 
-    robust_interior: bool
     trimmed: Optional[Interval] = None
     epsilon: Optional[Fraction] = None
+
+    @property
+    def robust_interior(self) -> bool:
+        return self.trimmed is not None
 
     @property
     def kind(self) -> str:
@@ -221,10 +224,16 @@ def decide_two_map_line(f1: AffineMap, f2: AffineMap) -> TwoMapVerdict:
 
     I = convex hull of the two fixed points.  Overlapping interiors of
     f1(I), f2(I) give a robustly covered trimmed interval; disjoint
-    interiors can be perturbed to genuinely disjoint images.
+    interiors can be perturbed to genuinely disjoint images.  I is the
+    attractor's hull only if neither map reverses orientation, so a
+    negative slope is refused.
     """
     if f1.dim != 1 or f2.dim != 1:
         raise ShapeError("trichotomy is for one-dimensional maps")
+    slope = min(f1.matrix[0][0], f2.matrix[0][0])
+    if slope < 0:
+        raise DegenerateInputError(f"slope {rat_str(slope)} is negative: the trichotomy "
+                                   "is for slopes >= 0")
     if f1.matrix == f2.matrix and f1.offset == f2.offset:
         raise DegenerateInputError("the two maps are identical")
     p1 = f1.offset[0] / (1 - f1.matrix[0][0])
@@ -235,10 +244,6 @@ def decide_two_map_line(f1: AffineMap, f2: AffineMap) -> TwoMapVerdict:
     overlap_lo = max(img1.lo, img2.lo)
     overlap_hi = min(img1.hi, img2.hi)
     if overlap_lo >= overlap_hi:
-        return TwoMapVerdict(robust_interior=False)
+        return TwoMapVerdict()
     eps = (overlap_hi - overlap_lo) / 2
-    return TwoMapVerdict(
-        robust_interior=True,
-        trimmed=Interval(hull.lo + eps, hull.hi - eps),
-        epsilon=eps,
-    )
+    return TwoMapVerdict(Interval(hull.lo + eps, hull.hi - eps), eps)

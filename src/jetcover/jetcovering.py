@@ -304,9 +304,12 @@ def certify_delta_covering(sys: JetCoveringSystem) -> DeltaCoveringCertificate:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    certified: bool
-    witness: Optional[Vec] = None
+    witness: Optional[Vec] = None  # None: not certified
     margin: Optional[Fraction] = None
+
+    @property
+    def certified(self) -> bool:
+        return self.witness is not None
 
 
 _MAX_EXCHANGES = 100_000
@@ -431,21 +434,19 @@ def certify_membership(sys: JetCoveringSystem, target: Jet) -> MembershipResult:
     `check_membership`; a negative optimum is not certified."""
     witness, margin, dual = membership_certificate(sys, target)
     check_membership(sys, target, witness, margin, dual)
-    if margin < 0:
-        return MembershipResult(certified=False)
-    return MembershipResult(True, witness, margin)
+    return MembershipResult() if margin < 0 else MembershipResult(witness, margin)
 
 
 @dataclass(frozen=True)
 class RealizationResult:
     itinerary: Word  # outermost-first branch labels "+" / "-"
-    steps: int
     achieved_residual: Fraction
     residual_bound: Fraction
     membership: MembershipResult  # the interiority proof used
 
-    def itinerary_string(self) -> str:
-        return "".join(self.itinerary)
+    @property
+    def steps(self) -> int:
+        return len(self.itinerary)
 
 
 def power_norm_numerator(lam: Fraction, jet_dim: int, k: int) -> int:
@@ -629,7 +630,7 @@ def realize_jet(
         raise ConstructionError(
             f"forward verification failed: residual {rat_str(achieved)} > bound {rat_str(bound)}"
         )
-    return RealizationResult(word, k, achieved, bound, membership)
+    return RealizationResult(word, achieved, bound, membership)
 
 
 def auto_lambda(threshold: Fraction) -> Fraction:

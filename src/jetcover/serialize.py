@@ -20,7 +20,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import itemgetter
-from typing import Container, List, Sequence, Tuple
+from typing import Container, List, Sequence, Set, Tuple
 
 from .boxes import Box, Interval
 from .covering import Certificate, CoveringFailure, Leaves
@@ -370,7 +370,7 @@ def jet_system_from_payload(payload: dict) -> JetCoveringSystem:
 
 def realization_payload(res: RealizationResult) -> dict:
     return {
-        "itinerary": res.itinerary_string(),
+        "itinerary": "".join(res.itinerary),
         "steps": res.steps,
         "achieved_residual": rat_str(res.achieved_residual),
         "residual_bound": rat_str(res.residual_bound),
@@ -476,6 +476,12 @@ def check_raster(width: int, height: int) -> None:
         raise ResourceLimitError(
             f"raster {width}x{height} exceeds the cap of {RASTER_PIXEL_CAP} pixels"
         )
+
+
+def pixels(values, lo, hi, size: int) -> Set[int]:
+    """The pixel of each value in [lo, hi] on `size` pixels across it:
+    floor((v - lo) size / (hi - lo)), with hi on the last pixel."""
+    return {min((v - lo) * size // (hi - lo), size - 1) for v in values if lo <= v <= hi}
 
 
 def encode_ppm(width: int, height: int, rows: Container[int], cols: Container[int]) -> bytes:

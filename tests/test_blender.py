@@ -1,10 +1,14 @@
 import random
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
 
+from jetcover import blender
 from jetcover.blender import (
+    BlenderCoverResult,
     BranchSample,
+    NearlyAffineReport,
     SkewSystem,
     branch_region,
     curve_domain_box,
@@ -15,9 +19,11 @@ from jetcover.blender import (
     unstable_heights,
     verify_example_covering,
 )
+from jetcover.boxes import Interval
 from jetcover.covering import Certificate, CoveringFailure
-from jetcover.errors import DegenerateInputError
+from jetcover.errors import ConstructionError, DegenerateInputError
 from jetcover.ifs import evaluate_word, standard_pair
+from jetcover.jetcovering import realize_jet
 from jetcover.jets import Jet, continuation_jet, standard_families
 from jetcover.serialize import branch_table_from_csv
 from blender_helpers import branch_table_to_csv, model_branch_table  # local helper module
@@ -36,6 +42,19 @@ def test_example_covering_passes(lam):
     assert result.ok
     assert all(holds for _, _, holds in result.base_images)
     assert isinstance(result.fiber_outcome, Certificate)
+
+
+def test_blender_results_hold_their_evidence():
+    # ok follows from the base images and the fiber outcome, and a
+    # nearly-affine report cannot be made certified
+    assert [f.name for f in fields(BlenderCoverResult)] == [
+        "base_target", "base_images", "fiber_outcome"]
+    assert [f.name for f in fields(NearlyAffineReport)] == ["lam", "plus", "minus", "grid_step"]
+    result = verify_example_covering(SkewSystem(F(3, 4), F(1, 10)))
+    short = ("+", Interval(-1, 1), False)
+    assert not replace(result, base_images=(short,) + result.base_images[1:]).ok
+    with pytest.raises(TypeError):
+        NearlyAffineReport(F(3, 4), None, None, F(1, 4), certified=True)
 
 
 def test_example_covering_fails_weak_contraction():
@@ -139,13 +158,13 @@ def test_realize_curve_jet_constant_curve(jet_sys_r1):
     y_jet = Jet.scalar([y0] + [0] * jet_sys_r1.order)
     x_jet = Jet.scalar([F(1, 2)] + [0] * jet_sys_r1.order)
     res = realize_curve_jet(sys, jet_sys_r1, x_jet, y_jet, F(1, 10 ** 6))
-    assert res.x_exact
-    assert res.y_residual <= F(1, 10 ** 6)
+    assert res == realize_jet(jet_sys_r1, y_jet, F(1, 10 ** 6))  # the y-jet's realization
+    assert res.achieved_residual <= F(1, 10 ** 6)
     # the value coefficient agrees with the pointwise greedy expansion bound
-    point = realize_point(sys, y0, res.realization.steps)
+    point = realize_point(sys, y0, res.steps)
     fams = standard_families(lam, jet_sys_r1.order)
-    realized = continuation_jet(fams, res.realization.itinerary, jet_sys_r1.order)
-    assert abs(realized.coeffs[0][0] - y0) <= res.y_residual
+    realized = continuation_jet(fams, res.itinerary, jet_sys_r1.order)
+    assert abs(realized.coeffs[0][0] - y0) <= res.achieved_residual
     assert abs(point.partial_sum - y0) <= point.error_bound
 
 
@@ -165,7 +184,7 @@ def test_realize_curve_jet_round_trip(jet_sys_r1):
     assert target is not None
     x_jet = Jet.scalar([0] * (jet_sys_r1.order + 1))
     res = realize_curve_jet(sys, jet_sys_r1, x_jet, target, F(1, 10 ** 6))
-    assert res.y_residual <= res.realization.residual_bound
+    assert res.achieved_residual <= res.residual_bound
 
 
 def test_realize_curve_jet_rejects_x_outside(jet_sys_r1):
@@ -254,3 +273,32 @@ def test_branch_table_csv_round_trip():
     assert branch_table_from_csv(text) == rows
     with pytest.raises(DegenerateInputError):
         branch_table_from_csv("nope\n1,2\n")
+
+
+# --- bug traps: each breaks the step before a ConstructionError trap, which stays
+
+
+class SaysAboveOneHalf(F):
+    """A contraction that compares as no more than 1/2 with nothing."""
+
+    def __le__(self, other):
+        return False
+
+
+def test_a_contraction_passing_as_above_one_half_leaves_no_admissible_digit():
+    # at lam = 1/4 the fiber bound is 4/3, and both preimages +-4 of 0 leave it
+    sys = SkewSystem(F(3, 4), F(1, 10))
+    object.__setattr__(sys, "lam", SaysAboveOneHalf(1, 4))
+    with pytest.raises(ConstructionError,
+                       match="^no admissible digit at 0; expansion broke its invariant$"):
+        realize_point(sys, 0, 1)
+
+
+def test_a_partial_sum_off_by_one_exceeds_the_expansion_bound(monkeypatch):
+    # at depth 10 the bound is (3/4)^10 * 4 < 1/4, so a sum moved by 1 misses it
+    word_jet = blender.word_jet
+    monkeypatch.setattr(blender, "word_jet",
+                        lambda lam, word, order: word_jet(lam, word, order) + Jet.scalar([1]))
+    with pytest.raises(ConstructionError, match="^expansion residual exceeded its certified bound$"):
+        realize_point(SkewSystem(F(3, 4), F(1, 10)), 0, 10)
+

@@ -738,6 +738,11 @@ def nearly_affine_args(tmp_path, extra_row=""):
         ["blender-render", "--lam", "3/4", "--a", "1/4", "--depth", "3"],
         ["blender-cover", "--lam", "3/4", "--overhang", "-1"],
         ["limit-set", "--lam", "3/4", "--depth", "0"],
+        lambda tmp: nearly_affine_args(tmp) + ["--grid-step", "0"],
+        lambda tmp: nearly_affine_args(tmp) + ["--grid-step", "-1/2"],
+        # the hull of the fixed points is no attractor's hull: once PerturbablyEmpty
+        ["two-map-verdict", "--lam1=-9/10", "--offset1", "1/10", "--lam2=-9/10",
+         "--offset2=-1/10"],
     ],
 )
 def test_certifier_input_errors_exit_2(tmp_path, capsys, args):
@@ -747,34 +752,43 @@ def test_certifier_input_errors_exit_2(tmp_path, capsys, args):
     assert _expect_input_error(capsys, args + ["--out", str(out)], out).count("\n") == 1
 
 
-# each a command line with two bad values, and the value its error names:
-# a library call that checks one argument before it coerces another would
-# name the other one, if the handler left the coercion to it
+def unparsed(value: str) -> str:
+    return f"not an ASCII p/q with nonzero denominator: {value!r}"
+
+
+# each a command line with two bad values, and the error that names the
+# first: a library call that checks one argument before it coerces another
+# would name the other one, if the handler left the coercion to it
 @pytest.mark.parametrize(
-    "args, named",
+    "args, message",
     [
-        (["certify", "--lam", "3/4", "--margin", "m", "--max-depth", "-1"], "m"),
-        (["certify", "--lam", "l", "--lo", "a"], "l"),
-        (["certify", "--lam", "3/4", "--lo", "a", "--margin", "m"], "a"),
-        (["flat-poly", "--flatness", "0", "--margin", "m"], "m"),
-        (["jet-system", "--order", "1", "--margin", "m", "--lam", "l"], "m"),
+        (["certify", "--lam", "3/4", "--margin", "m", "--max-depth", "-1"], unparsed("m")),
+        (["certify", "--lam", "l", "--lo", "a"], unparsed("l")),
+        (["certify", "--lam", "3/4", "--lo", "a", "--margin", "m"], unparsed("a")),
+        (["flat-poly", "--flatness", "0", "--margin", "m"], unparsed("m")),
+        (["jet-system", "--order", "1", "--margin", "m", "--lam", "l"], unparsed("m")),
         (["two-map-verdict", "--lam1", "2", "--offset1", "o",
-          "--lam2", "l", "--offset2", "1"], "o"),
+          "--lam2", "l", "--offset2", "1"], unparsed("o")),
         (["two-map-verdict", "--lam1", "l", "--offset1", "o",
-          "--lam2", "1/2", "--offset2", "1"], "l"),
-        (["blender-cover", "--lam", "2", "--overhang", "o", "--margin", "m"], "o"),
-        (["blender-render", "--lam", "l", "--a", "a", "--depth", "1"], "l"),
-        (["limit-set", "--lam", "l", "--depth", "-1"], "l"),
-        (lambda tmp: nearly_affine_args(tmp) + ["--lam", "l", "--grid-step", "g"], "l"),
-        (lambda tmp: nearly_affine_args(tmp) + ["--lam", "2", "--grid-step", "g"], "g"),
+          "--lam2", "1/2", "--offset2", "1"], unparsed("l")),
+        (["blender-cover", "--lam", "2", "--overhang", "o", "--margin", "m"], unparsed("o")),
+        (["blender-render", "--lam", "l", "--a", "a", "--depth", "1"], unparsed("l")),
+        (["limit-set", "--lam", "l", "--depth", "-1"], unparsed("l")),
+        (lambda tmp: nearly_affine_args(tmp) + ["--lam", "l", "--grid-step", "g"], unparsed("l")),
+        (lambda tmp: nearly_affine_args(tmp) + ["--lam", "2", "--grid-step", "g"], unparsed("g")),
+        # both parse: the lam's range is checked before the grid step's sign
+        (lambda tmp: nearly_affine_args(tmp) + ["--lam", "2", "--grid-step", "0"],
+         "contraction must lie in (1/2, 1)"),
     ],
+    # an unparsed value's id is the value
+    ids=lambda value: value.rpartition(": ")[2].strip("'") if isinstance(value, str) else None,
 )
-def test_a_doubly_bad_command_line_names_its_first_bad_value(tmp_path, capsys, args, named):
+def test_a_doubly_bad_command_line_names_its_first_bad_value(tmp_path, capsys, args, message):
     out = tmp_path / "out.json"
     args = args(tmp_path) if callable(args) else args
     capsys.readouterr()
     err = _expect_input_error(capsys, args + ["--out", str(out)], out)
-    assert err == f"error: not an ASCII p/q with nonzero denominator: {named!r}\n"
+    assert err == f"error: {message}\n"
 
 
 def test_certify_at_depth_zero_reports_the_target(tmp_path):

@@ -396,3 +396,20 @@ def test_projection_from_table(flat_q2):
     for i in range(1, 3):
         for k in range(n):
             assert pi[i - 1][k] == table[2 - i][k]
+
+
+# --- bug traps: each breaks the step before a ConstructionError trap, which stays
+
+
+def test_an_optimum_that_grows_with_the_degree_is_a_construction_error(monkeypatch):
+    # the N = 2 ladder's optima are 3, 2, 5/3; degree 3 raised by 2 reads 4 > 3
+    degree = flatpoly._degree
+
+    def raised_at_3(big_n, n, nodes):
+        nodes, (coeffs, y, d, optimum) = degree(big_n, n, nodes)
+        return nodes, (coeffs, y, d, optimum + 2 * (n == 3))
+
+    monkeypatch.setattr(flatpoly, "_degree", raised_at_3)
+    with pytest.raises(ConstructionError, match="^optimum increased from 3 to 4 at degree 3$"):
+        find_flat_poly(2)
+

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from jetcover.boxes import Interval
 from jetcover.errors import (
     DegenerateInputError,
     ResourceLimitError,
@@ -12,6 +14,7 @@ from jetcover.errors import (
 from jetcover.ifs import (
     AffineMap,
     IFSystem,
+    TwoMapVerdict,
     affine_1d,
     decide_two_map_line,
     evaluate_word,
@@ -157,6 +160,28 @@ def test_two_map_trichotomy_touching():
     # lam = 1/2: images [-2, 0] and [0, 2] touch at 0 only
     verdict = decide_two_map_line(affine_1d(F(1, 2), 1), affine_1d(F(1, 2), -1))
     assert not verdict.robust_interior
+
+
+def test_a_two_map_verdict_holds_its_evidence():
+    assert [f.name for f in dataclasses.fields(TwoMapVerdict)] == ["trimmed", "epsilon"]
+    assert TwoMapVerdict().kind == "PerturbablyEmpty"
+    assert TwoMapVerdict(Interval(-1, 1), F(1)).robust_interior
+
+
+def test_a_negative_slope_is_refused():
+    # at -9/10 the fixed points are +-1/19, but f1 f2 has the fixed point 1:
+    # the hull of the two fixed points is not the attractor's, [-1, 1]
+    assert word_fixed_point(IFSystem("ab", {"a": affine_1d(F(-9, 10), F(1, 10)),
+                                            "b": affine_1d(F(-9, 10), F(-1, 10))}), "ab") == (1,)
+    for lam1, lam2 in [(F(-9, 10), F(-9, 10)), (F(3, 4), F(-9, 10)), (F(-9, 10), F(3, 4))]:
+        with pytest.raises(DegenerateInputError,
+                           match=r"^slope -9/10 is negative: the trichotomy is for slopes >= 0$"):
+            decide_two_map_line(affine_1d(lam1, F(1, 10)), affine_1d(lam2, F(-1, 10)))
+
+
+def test_slope_zero_keeps_its_verdict():
+    # constant maps: the two fixed points +-1 are their own images
+    assert decide_two_map_line(affine_1d(0, 1), affine_1d(0, -1)).kind == "PerturbablyEmpty"
 
 
 def test_two_map_identical_maps_rejected():

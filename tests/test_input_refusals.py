@@ -142,6 +142,15 @@ REFUSALS = {
         lambda: HALF((0, 0)), ShapeError, "map expects 1"),
     "the composed map of the empty word": (
         lambda: word_map(standard_pair(F(3, 4)), ()), DegenerateInputError, "empty word"),
+    "a two-map verdict on a map of negative slope": (
+        lambda: decide_two_map_line(affine_1d(F(-9, 10), F(1, 10)), affine_1d(F(-9, 10), F(-1, 10))),
+        DegenerateInputError, "slope -9/10 is negative: the trichotomy is for slopes >= 0"),
+    "a nearly-affine grid step of 0": (
+        lambda: nearly_affine_check(F(3, 4), [], [], 0),
+        DegenerateInputError, "grid step 0 is not positive"),
+    "a nearly-affine grid step below 0": (
+        lambda: nearly_affine_check(F(3, 4), [], [], F(-1, 2)),
+        DegenerateInputError, "grid step -1/2 is not positive"),
     "a two-map verdict on planar maps": (
         lambda: decide_two_map_line(AffineMap([[F(1, 2), 0], [0, F(1, 2)]], [0, 0]), HALF),
         ShapeError, "one-dimensional maps"),

@@ -502,6 +502,20 @@ def test_membership_beyond_reach(jet_sys_r1):
     assert not res.certified
 
 
+def test_results_hold_their_evidence_and_derive_the_verdict_and_count(jet_sys_r1):
+    # certified follows from the witness and steps from the itinerary, so no
+    # result states a verdict or a count that its evidence contradicts
+    assert [f.name for f in fields(jetcovering.MembershipResult)] == ["witness", "margin"]
+    assert [f.name for f in fields(jetcovering.RealizationResult)] == [
+        "itinerary", "achieved_residual", "residual_bound", "membership"]
+    assert not jetcovering.MembershipResult().certified
+    res = realize_jet(jet_sys_r1, Jet.scalar([F(1, 8), 0]), F(1, 100))
+    assert res.membership.certified and res.membership.witness is not None
+    # the pullback takes exactly the plan's k steps
+    k, _, bound = realization_plan(jet_sys_r1, F(1, 100))
+    assert res.steps == len(res.itinerary) == k > 0 and res.residual_bound == bound
+
+
 def test_membership_round_trip(jet_sys_r1):
     sys = jet_sys_r1
     rng = random.Random(77)

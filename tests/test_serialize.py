@@ -173,6 +173,34 @@ def test_canonical_json_is_the_standard_encoder(payload):
     assert canonical_json(payload) == json_dumps(payload)
 
 
+# the two point-to-pixel rules that `pixels` replaced, kept as its oracles:
+# limit-set's columns over [-r, r] and blender-render's rows of heights over [-2, 2]
+def scatter_columns(xs, radius, width):
+    span = 2 * radius
+    return {min(int((x + radius) * width // span), width - 1) for x in xs if abs(x) <= radius}
+
+
+def height_rows(ys, height):
+    return {min(int((2 - y) * height // 4), height - 1) for y in ys if -2 <= y <= 2}
+
+
+pixel_values = st.lists(st.fractions(-3, 3, max_denominator=64), max_size=20)
+
+
+@settings(max_examples=300)
+@given(st.fractions(F(1, 64), 3, max_denominator=64), pixel_values, st.integers(1, 64))
+def test_pixels_is_the_rule_of_the_limit_set_columns(radius, xs, width):
+    xs = xs + [-radius, radius]  # the endpoints lo and hi among the values
+    assert serialize.pixels(xs, -radius, radius, width) == scatter_columns(xs, radius, width)
+
+
+@settings(max_examples=300)
+@given(pixel_values, st.integers(1, 64))
+def test_pixels_is_the_rule_of_the_unstable_rows(ys, height):
+    ys = ys + [F(-2), F(2)]  # the endpoints among the heights
+    assert serialize.pixels([-y for y in ys], -2, 2, height) == height_rows(ys, height)
+
+
 def test_canonical_json_is_the_standard_encoder_on_every_pinned_payload(monkeypatch, tmp_path):
     from test_cli import pinned_commands, run  # local test module
 

@@ -619,3 +619,28 @@ def test_the_degree_certificate_values_are_the_falling_factorial_sums(dual):
         with pytest.raises(ConstructionError) as caught:
             flatpoly.certify_degree(big_n, k, [dp_k, d], [s * c for c in y], d, F(dp_k, d))
         assert str(caught.value) == f"degree {k} fails its certificate: {'; '.join(failed)}"
+
+
+# --- bug traps: each breaks the step before a ConstructionError trap, which stays
+
+
+def test_a_phase_2_that_stops_at_once_leaves_the_dual_infeasible(monkeypatch):
+    # min x0 s.t. x0 + x1 = 1: phase 1 ends on x0, whose dual y = 1 prices
+    # x1 above its cost 0, so a phase 2 that pivots nothing is caught
+    run_bland, costs = simplex._Tableau.run_bland, []
+
+    def phase_1_only(tableau, cost, entering_cols):
+        costs.append(cost)
+        return run_bland(tableau, cost, entering_cols) if len(costs) == 1 else "optimal"
+
+    monkeypatch.setattr(simplex._Tableau, "run_bland", phase_1_only)
+    with pytest.raises(ConstructionError, match="^dual infeasible at column 1$"):
+        lp_solve(LPProblem([1, 0], [[1, 1]], [1]))
+    assert len(costs) == 2
+
+
+def test_a_negative_primal_entry_violates_the_primal_sign():
+    # x = (2, -1) meets the row x0 + x1 = 1, and y = 1 gives its cost 1 both ways
+    with pytest.raises(ConstructionError, match="^primal sign violated at column 1$"):
+        simplex._verify_optimal(LPProblem([1, 1], [[1, 1]], [1]), (F(2), F(-1)), (F(1),), F(1))
+
